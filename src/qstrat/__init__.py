@@ -10,6 +10,7 @@ closure that intersects them all.
 from .relcore import (
     BinRel,
     Domain,
+    InternalError,
     Poset,
     Structure,
     add_element,
@@ -82,6 +83,7 @@ from .qsa import (
     is_qsa_naive,
     legal_extensions,
     predominants,
+    probe,
     qsa_witness,
     qsa_witness_naive,
     random_qsa_structure,

@@ -8,7 +8,9 @@ Structure files are single JSON documents::
 commands that need a two-relation structure then embed it (unordered
 events become mutually weak).  Unknown keys are rejected.
 
-Exit codes: 0 pass/success, 1 check failed, 2 usage or input error.
+Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
+3 internal error (a broken invariant of the library, reported as
+``internal error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from . import closure, orders, qsa, qso, qsseq, saturate
 from .relcore import (
     BinRel,
     Domain,
+    InternalError,
     Poset,
     Structure,
     is_relational,
@@ -124,15 +127,19 @@ def structure_json_text(s: Structure) -> str:
     )
 
 
+def _dot_id(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_text(s: Structure) -> str:
     """DOT rendering: solid arrows for precedence, dashed for weak."""
     lines = ["digraph structure {", "  rankdir=LR;"]
     for label in s.domain.labels:
-        lines.append(f'  "{label}";')
+        lines.append(f"  {_dot_id(label)};")
     for x, y in sorted(s.prec.label_pairs):
-        lines.append(f'  "{x}" -> "{y}";')
+        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)};")
     for x, y in sorted(s.weak.label_pairs):
-        lines.append(f'  "{x}" -> "{y}" [style=dashed];')
+        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -463,12 +470,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

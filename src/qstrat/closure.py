@@ -15,6 +15,13 @@ The closed structures are characterised by four axioms:
     qsc:3  if adding x prec y breaks acyclicity, y weak x is present
     qsc:4  if adding x weak y breaks acyclicity, y prec x is present
 
+The closure step adds exactly the pairs that qsc:3 and qsc:4 force,
+so a step that adds nothing is a proof that both hold.  ``close``
+therefore stops at the first step that changes nothing and checks only
+qsc:1 and qsc:2 on the result, in O(n^2); a separate closedness sweep
+would repeat the confirming step's 2 n^2 probes.  ``close_oracle``
+intersects the saturations instead and stays the independent check.
+
 ``qsc_property_suite`` evaluates the consequence laws that closed
 structures satisfy, used to probe candidate axiomatisations.
 """
@@ -22,16 +29,43 @@ structures satisfy, used to probe candidate axiomatisations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .qsa import (
     csc_subsets_naive,
     is_csc_subset,
     is_qsa,
     predominants,
-    qsa_witness,
+    probe,
+    qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, Structure, add_prec, add_weak
+from .relcore import BinRel, InternalError, Structure, add_prec, add_weak
 from .saturate import saturations
+
+
+def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
+    """First witness against qsc:1 or qsc:2."""
+    labels = s.domain.labels
+    n = len(labels)
+    for i in range(n):
+        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
+            return "qsc:1", (labels[i], labels[i])
+    for i, j in product(range(n), repeat=2):
+        if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
+            return "qsc:2", (labels[i], labels[j])
+    return None
+
+
+def _forced_pairs(s: Structure):
+    """Every (axiom, (x, y)) whose probe breaks acyclicity while the pair
+    it forces is absent: qsc:4 pairs first, then qsc:3, row-major."""
+    labels = s.domain.labels
+    n = len(labels)
+    for axiom, kind, forced in (("qsc:4", "weak", s.prec), ("qsc:3", "prec", s.weak)):
+        for i, j in product(range(n), repeat=2):
+            x, y = labels[i], labels[j]
+            if i != j and not forced.holds_idx(j, i) and probe(s, x, y, kind) is not None:
+                yield axiom, (x, y)
 
 
 def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -40,30 +74,7 @@ def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     Probe axioms are scanned with qsc:4 ahead of qsc:3, so a missing
     precedence pair is reported before the weak pairs it entails.
     """
-    labels = s.domain.labels
-    n = len(labels)
-    for i in range(n):
-        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
-            return "qsc:1", (labels[i], labels[i])
-    for i in range(n):
-        for j in range(n):
-            if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
-                return "qsc:2", (labels[i], labels[j])
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = labels[i], labels[j]
-            if not s.prec.holds_idx(j, i) and qsa_witness(add_weak(s, x, y)) is not None:
-                return "qsc:4", (x, y)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = labels[i], labels[j]
-            if not s.weak.holds_idx(j, i) and qsa_witness(add_prec(s, x, y)) is not None:
-                return "qsc:3", (x, y)
-    return None
+    return _pair_violation(s) or next(_forced_pairs(s), None)
 
 
 def is_qsc(s: Structure) -> bool:
@@ -75,19 +86,12 @@ def closure_step(s: Structure) -> Structure:
     additions land simultaneously."""
     if not is_qsa(s):
         raise ValueError("can only close a quasi-stratified acyclic structure")
-    labels = s.domain.labels
-    n = len(labels)
+    index = s.domain.index
     prec_rows = list(s.prec.rows)
     weak_rows = list(s.weak.rows)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            x, y = labels[i], labels[j]
-            if not s.prec.holds_idx(j, i) and qsa_witness(add_weak(s, x, y)) is not None:
-                prec_rows[j] |= 1 << i
-            if not s.weak.holds_idx(j, i) and qsa_witness(add_prec(s, x, y)) is not None:
-                weak_rows[j] |= 1 << i
+    for axiom, (x, y) in _forced_pairs(s):
+        rows = prec_rows if axiom == "qsc:4" else weak_rows
+        rows[index[y]] |= 1 << index[x]
     return Structure(
         s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))
     )
@@ -112,8 +116,6 @@ def close(s: Structure) -> ClosureReport:
     2 * n^2 of them can occur; exceeding that bound means a bug, not a
     hard input.
     """
-    if not is_qsa(s):
-        raise ValueError("can only close a quasi-stratified acyclic structure")
     bound = 2 * len(s.domain) ** 2
     current = s
     iterations = 0
@@ -123,8 +125,10 @@ def close(s: Structure) -> ClosureReport:
         if nxt.prec.rows == current.prec.rows and nxt.weak.rows == current.weak.rows:
             break
         current = nxt
-        assert iterations <= bound, "closure failed to stabilise in the pair bound"
-    assert qsc_violation(current) is None, "closure fixpoint is not closed"
+        if iterations > bound:
+            raise InternalError("closure failed to stabilise in the pair bound")
+    if _pair_violation(current) is not None:
+        raise InternalError("closure fixpoint is not closed")
     return ClosureReport(
         closed=current,
         added_prec=current.prec.label_pairs - s.prec.label_pairs,
@@ -175,12 +179,15 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
     w = s.weak.holds_idx
     checks: list[PropertyCheck] = []
 
+    def record(name: str, found: tuple[str, ...] | None) -> None:
+        checks.append(PropertyCheck(name, "fail" if found else "pass", found))
+
     def scan(name: str, arity: int, violated) -> None:
-        for combo in _tuples(n, arity):
+        for combo in product(range(n), repeat=arity):
             if violated(*combo):
-                checks.append(PropertyCheck(name, "fail", tuple(labels[i] for i in combo)))
+                record(name, tuple(labels[i] for i in combo))
                 return
-        checks.append(PropertyCheck(name, "pass"))
+        record(name, None)
 
     scan("prec_implies_weak", 2, lambda x, y: p(x, y) and not w(x, y))
     scan(
@@ -255,19 +262,13 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
     )
 
     found = None
-    for x, y, z in _tuples(n, 3):
+    for x, y, z in product(range(n), repeat=3):
         if w(x, y) and p(y, z) and w(z, x):
             triple = frozenset((labels[x], labels[y], labels[z]))
             if not is_csc_subset(s, triple) or predominants(s, triple) != {labels[x]}:
                 found = (labels[x], labels[y], labels[z])
                 break
-    checks.append(
-        PropertyCheck(
-            "weak_cycle_sole_predominant",
-            "fail" if found else "pass",
-            found,
-        )
-    )
+    record("weak_cycle_sole_predominant", found)
 
     if n <= 12:
         found = None
@@ -278,32 +279,24 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
                 if not (s.weak.holds(a, b) and s.weak.holds(b, a)):
                     found = (a, b)
                     break
-        checks.append(
-            PropertyCheck(
-                "twin_predominants_mutually_weak",
-                "fail" if found else "pass",
-                found,
-            )
-        )
+        record("twin_predominants_mutually_weak", found)
     else:
         checks.append(PropertyCheck("twin_predominants_mutually_weak", "not evaluated"))
 
     open_pairs = [
         (labels[x], labels[y])
-        for x, y in _tuples(n, 2)
+        for x, y in product(range(n), repeat=2)
         if x != y and not p(x, y) and not w(y, x)
     ]
     found = None
     acyclic_pairs = []
     for x, y in open_pairs:
-        if not is_qsa(add_weak(s, y, x)) or not is_qsa(add_prec(s, x, y)):
+        if probe(s, y, x, "weak") is not None or probe(s, x, y, "prec") is not None:
             if found is None:
                 found = (x, y)
         else:
             acyclic_pairs.append((x, y))
-    checks.append(
-        PropertyCheck("open_pair_stays_acyclic", "fail" if found else "pass", found)
-    )
+    record("open_pair_stays_acyclic", found)
 
     if n <= enum_bound:
         total = len(saturations(s, bound=enum_bound))
@@ -315,24 +308,8 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
             ):
                 found = (x, y)
                 break
-        checks.append(
-            PropertyCheck("open_pair_splits_saturations", "fail" if found else "pass", found)
-        )
+        record("open_pair_splits_saturations", found)
     else:
         checks.append(PropertyCheck("open_pair_splits_saturations", "not evaluated"))
 
     return checks
-
-
-def _tuples(n: int, arity: int):
-    if arity == 2:
-        return ((x, y) for x in range(n) for y in range(n))
-    if arity == 3:
-        return ((x, y, z) for x in range(n) for y in range(n) for z in range(n))
-    return (
-        (x, y, z, t)
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-        for t in range(n)
-    )

@@ -16,7 +16,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .relcore import BinRel, Domain, Poset, Structure, _bits, is_relational
+from .relcore import (
+    BinRel,
+    Domain,
+    InternalError,
+    Poset,
+    Structure,
+    _bits,
+    _combined_rows,
+    is_relational,
+)
 
 Violation = tuple[str, tuple[str, ...]]
 
@@ -140,16 +149,12 @@ def interval_realization(p: Poset) -> dict[str, tuple[int, int]] | None:
     out = {labels[i]: (begin_rank[pred[i]], end_rank[succ[i]]) for i in range(n)}
     for i in range(n):
         b, e = out[labels[i]]
-        assert b <= e, "interval realization produced a reversed interval"
+        if b > e:
+            raise InternalError("interval realization produced a reversed interval")
         for j in range(n):
-            assert p.prec.holds_idx(i, j) == (e < out[labels[j]][0]), (
-                "interval realization disagrees with the order"
-            )
+            if p.prec.holds_idx(i, j) != (e < out[labels[j]][0]):
+                raise InternalError("interval realization disagrees with the order")
     return out
-
-
-def _combined_rows(s: Structure) -> tuple[int, ...]:
-    return tuple(a | b for a, b in zip(s.prec.rows, s.weak.rows))
 
 
 def _shortest_cycle(rows: tuple[int, ...], n: int) -> list[int] | None:

@@ -21,7 +21,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .relcore import Structure, _bits, add_prec, add_weak, is_relational, new_structure
+from .relcore import (
+    Structure,
+    _bits,
+    _combined_rows,
+    _label_mask,
+    _untouched,
+    add_prec,
+    add_weak,
+    is_relational,
+    new_structure,
+)
 
 
 @dataclass(frozen=True)
@@ -34,22 +44,10 @@ class CscWitness:
 
 def predominants(s: Structure, subset: Iterable[str]) -> frozenset[str]:
     """Members of the subset with no precedence pair to any member."""
-    members = set(subset)
-    if not members:
+    mask = _label_mask(s.domain, subset)
+    if not mask:
         raise ValueError("pre-dominants are defined for non-empty subsets")
-    mask = 0
-    for label in members:
-        mask |= 1 << s.domain.position(label)
-    out = []
-    cols = s.prec.column_masks
-    for i in _bits(mask):
-        if s.prec.rows[i] & mask == 0 and cols[i] & mask == 0:
-            out.append(s.domain.labels[i])
-    return frozenset(out)
-
-
-def _combined_rows(s: Structure) -> tuple[int, ...]:
-    return tuple(a | b for a, b in zip(s.prec.rows, s.weak.rows))
+    return frozenset(s.domain.labels[i] for i in _bits(_untouched(s.prec, mask)))
 
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
@@ -105,12 +103,7 @@ def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
 def csc_components(s: Structure, subset: Iterable[str] | None = None) -> list[frozenset[str]]:
     """Strongly connected components of the combined relation, in
     reverse topological order of the condensation."""
-    if subset is None:
-        members = (1 << len(s.domain)) - 1
-    else:
-        members = 0
-        for label in subset:
-            members |= 1 << s.domain.position(label)
+    members = (1 << len(s.domain)) - 1 if subset is None else _label_mask(s.domain, subset)
     labels = s.domain.labels
     return [
         frozenset(labels[i] for i in _bits(mask))
@@ -120,13 +113,8 @@ def csc_components(s: Structure, subset: Iterable[str] | None = None) -> list[fr
 
 def is_csc_subset(s: Structure, subset: Iterable[str]) -> bool:
     """True when the subset induces a strongly connected combined graph."""
-    members = 0
-    for label in subset:
-        members |= 1 << s.domain.position(label)
-    if members == 0:
-        return False
-    masks = _scc_masks(_combined_rows(s), members)
-    return len(masks) == 1
+    members = _label_mask(s.domain, subset)
+    return members != 0 and len(_scc_masks(_combined_rows(s), members)) == 1
 
 
 def csc_subsets_naive(s: Structure, bound: int = 12) -> list[frozenset[str]]:
@@ -165,18 +153,13 @@ def qsa_witness(s: Structure) -> CscWitness | None:
     if not is_relational(s):
         raise ValueError("structure is not relational")
     rows = _combined_rows(s)
-    prec_rows = s.prec.rows
-    prec_cols = s.prec.column_masks
     pending = [(1 << len(s.domain)) - 1]
     while pending:
         members = pending.pop()
         for comp in _scc_masks(rows, members):
             if comp.bit_count() < 2:
                 continue
-            dominants = 0
-            for i in _bits(comp):
-                if prec_rows[i] & comp == 0 and prec_cols[i] & comp == 0:
-                    dominants |= 1 << i
+            dominants = _untouched(s.prec, comp)
             if dominants == 0:
                 return CscWitness(frozenset(s.domain.labels[i] for i in _bits(comp)))
             pending.append(comp & ~dominants)
@@ -185,6 +168,12 @@ def qsa_witness(s: Structure) -> CscWitness | None:
 
 def is_qsa(s: Structure) -> bool:
     return is_relational(s) and qsa_witness(s) is None
+
+
+def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
+    """Witness that adding the single pair x prec y (kind "prec") or
+    x weak y (kind "weak") breaks acyclicity; None when it does not."""
+    return qsa_witness(add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y))
 
 
 @dataclass(frozen=True)
@@ -200,11 +189,9 @@ def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
         raise ValueError("legality probes need a quasi-stratified acyclic structure")
     if x == y:
         raise ValueError("legality probes need two distinct elements")
-    s.domain.position(x)
-    s.domain.position(y)
     return LegalExtensions(
-        prec_ok=is_qsa(add_prec(s, x, y)),
-        weak_ok=is_qsa(add_weak(s, x, y)),
+        prec_ok=probe(s, x, y, "prec") is None,
+        weak_ok=probe(s, x, y, "weak") is None,
     )
 
 
@@ -231,7 +218,7 @@ def random_qsa_structure(
     for which, x, y in candidates:
         if rng.random() >= density:
             continue
-        probe = add_prec(s, x, y) if which == "prec" else add_weak(s, x, y)
-        if qsa_witness(probe) is None:
-            s = probe
+        extended = add_prec(s, x, y) if which == "prec" else add_weak(s, x, y)
+        if qsa_witness(extended) is None:
+            s = extended
     return s

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .relcore import BinRel, Domain, Poset, _bits, reindex_poset
+from .relcore import BinRel, Domain, InternalError, Poset, _bits, _untouched, reindex_poset
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +115,8 @@ def qso_seq_compose(q: QsOrder, r: QsOrder) -> QsOrder:
 
 def stratum_base(q: QsOrder) -> frozenset[str]:
     """Elements with no precedence relation to any other element."""
-    cols = q.prec.column_masks
-    return frozenset(
-        label
-        for i, label in enumerate(q.domain.labels)
-        if q.prec.rows[i] == 0 and cols[i] == 0
-    )
+    labels = q.domain.labels
+    return frozenset(labels[i] for i in _bits(_untouched(q.prec, (1 << len(labels)) - 1)))
 
 
 def is_qso_stratum(q: QsOrder) -> bool:
@@ -131,7 +127,8 @@ def qso_projection(q: QsOrder, subset: Iterable[str]) -> QsOrder:
     """Restriction to a label subset; the class is closed under this."""
     prec = q.prec.restrict(subset)
     out = QsOrder(Poset(prec.domain, prec))
-    assert qs_order_violation(out.prec) is None
+    if qs_order_violation(out.prec) is not None:
+        raise InternalError("projection left the quasi-stratified orders")
     return out
 
 

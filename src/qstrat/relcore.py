@@ -21,6 +21,10 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
+class InternalError(RuntimeError):
+    """A broken invariant of the library itself, never a fault of the input."""
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -295,6 +299,26 @@ def intersect(s: Structure, t: Structure) -> Structure:
     prec = a.prec.intersection(t.prec.restrict(common).aligned_to(a.domain))
     weak = a.weak.intersection(t.weak.restrict(common).aligned_to(a.domain))
     return Structure(a.domain, prec, weak)
+
+
+def _combined_rows(s: Structure) -> tuple[int, ...]:
+    """Successor masks of the union of both relations."""
+    return tuple(a | b for a, b in zip(s.prec.rows, s.weak.rows))
+
+
+def _label_mask(domain: Domain, labels: Iterable[str]) -> int:
+    """Bitmask of the labels' positions; unknown labels raise ValueError."""
+    return sum(1 << i for i in set(map(domain.position, labels)))
+
+
+def _untouched(rel: BinRel, mask: int) -> int:
+    """Members of the mask with no pair of rel to or from any member."""
+    rows, cols = rel.rows, rel.column_masks
+    out = 0
+    for i in _bits(mask):
+        if (rows[i] | cols[i]) & mask == 0:
+            out |= 1 << i
+    return out
 
 
 def add_element(s: Structure, x: str) -> Structure:

@@ -1,9 +1,13 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qstrat import new_structure
+import qstrat.closure
+from qstrat import InternalError, new_structure
 from qstrat.cli import main, read_input, structure_json_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,6 +27,31 @@ def test_read_write_round_trip(tmp_path, transactions):
     path = tmp_path / "s.json"
     path.write_text(structure_json_text(transactions))
     assert read_input(path).structure() == transactions
+
+
+@st.composite
+def _structure_files(draw):
+    labels = draw(st.lists(st.text(min_size=1), min_size=1, max_size=6, unique=True))
+    pairs = st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=12)
+    return {
+        "domain": labels,
+        "prec": [list(p) for p in draw(pairs)],
+        "weak": [list(p) for p in draw(pairs)],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structure_files())
+def test_read_write_round_trip_arbitrary_labels(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = Path(tmp) / "first.json"
+        first.write_text(json.dumps(doc), encoding="utf-8")
+        s = read_input(first).structure()
+        second = Path(tmp) / "second.json"
+        second.write_text(structure_json_text(s), encoding="utf-8")
+        again = read_input(second).structure()
+    assert again == s
+    assert again.domain.labels == s.domain.labels
 
 
 def test_read_rejects_unknown_keys(tmp_path):
@@ -181,6 +210,16 @@ def test_render_dot(capsys):
     assert '"a" -> "b" [style=dashed];' in out
 
 
+def test_render_dot_escapes_quotes_and_backslashes(capsys, tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"domain": ['a"x', "a\\b"], "prec": [['a"x', "a\\b"]], "weak": []}))
+    code, out, _ = run(capsys, "render", "--format", "dot", str(path))
+    assert code == 0
+    assert '  "a\\"x";' in out
+    assert '  "a\\\\b";' in out
+    assert '  "a\\"x" -> "a\\\\b";' in out
+
+
 def test_render_tree(capsys):
     code, out, _ = run(capsys, "render", "--format", "tree", fixture("nested_order.json"))
     assert code == 0
@@ -224,3 +263,14 @@ def test_unknown_class_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--class", "bogus", fixture("transactions.json")])
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(s):
+        raise InternalError("closure fixpoint is not closed")
+
+    monkeypatch.setattr(qstrat.closure, "close", broken)
+    code, out, err = run(capsys, "close", fixture("transactions.json"))
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "internal error: closure fixpoint is not closed"

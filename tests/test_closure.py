@@ -14,6 +14,7 @@ from qstrat import (
     is_qsm,
     new_structure,
     qsc_property_suite,
+    qsa_witness,
     qsc_violation,
     random_qsa_structure,
     saturations,
@@ -256,3 +257,53 @@ def test_property_suite_skips_beyond_enum_bound(transactions_closure):
     results = {c.name: c.status for c in qsc_property_suite(transactions_closure, enum_bound=2)}
     assert results["open_pair_splits_saturations"] == "not evaluated"
     assert results["prec_implies_weak"] == "pass"
+
+
+def _reference_qsc_violation(s):
+    """The literal two-loop scan, kept as the reference for qsc_violation."""
+    labels = s.domain.labels
+    n = len(labels)
+    for i in range(n):
+        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
+            return "qsc:1", (labels[i], labels[i])
+    for i in range(n):
+        for j in range(n):
+            if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
+                return "qsc:2", (labels[i], labels[j])
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            x, y = labels[i], labels[j]
+            if not s.prec.holds_idx(j, i) and qsa_witness(add_weak(s, x, y)) is not None:
+                return "qsc:4", (x, y)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            x, y = labels[i], labels[j]
+            if not s.weak.holds_idx(j, i) and qsa_witness(add_prec(s, x, y)) is not None:
+                return "qsc:3", (x, y)
+    return None
+
+
+def test_qsc_violation_matches_reference_scan():
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        kind = rng.randrange(4)
+        if kind == 0:
+            s = random_structure(rng, n)  # relational, often not acyclic
+        elif kind == 1:
+            s = random_qsa_structure("abcde"[:n], seed=rng.randrange(1 << 30))
+        elif kind == 2:
+            s = close(random_qsa_structure("abcde"[:n], seed=rng.randrange(1 << 30))).closed
+        else:
+            s = random_structure(rng, n)
+            loop = rng.choice(s.domain.labels)
+            s = add_weak(s, loop, loop) if rng.random() < 0.5 else add_prec(s, loop, loop)
+        expected = _reference_qsc_violation(s)
+        assert qsc_violation(s) == expected, s
+        verdicts.add(expected[0] if expected else None)
+    assert verdicts == {"qsc:1", "qsc:2", "qsc:3", "qsc:4", None}

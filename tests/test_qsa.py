@@ -13,6 +13,7 @@ from qstrat import (
     legal_extensions,
     new_structure,
     predominants,
+    probe,
     project,
     qsa_witness,
     qsa_witness_naive,
@@ -195,3 +196,22 @@ def test_random_qsa_structure_deterministic_and_acyclic():
     assert a == b
     for seed in range(50):
         assert is_qsa(random_qsa_structure("abcde", seed=seed, density=0.5))
+
+
+def test_probe_agrees_with_is_qsa_of_the_extension():
+    rng = random.Random(77)
+    structures = [s for n in (1, 2) for s in all_relational_structures(n)]
+    structures += [random_structure(rng, rng.randint(2, 6)) for _ in range(150)]
+    for s in structures:
+        for x in s.domain.labels:
+            for y in s.domain.labels:
+                if x == y:
+                    continue
+                assert (probe(s, x, y, "prec") is None) == is_qsa(add_prec(s, x, y))
+                assert (probe(s, x, y, "weak") is None) == is_qsa(add_weak(s, x, y))
+
+
+def test_probe_witness_is_the_extension_witness(transactions):
+    witness = probe(transactions, "d", "a", "weak")
+    assert witness is not None
+    assert witness == qsa_witness(add_weak(transactions, "d", "a"))
