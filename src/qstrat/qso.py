@@ -170,28 +170,17 @@ def enumerate_qs_orders(labels: Iterable[str], bound: int = 6) -> list[QsOrder]:
     """Every quasi-stratified order over the labelled set, duplicate-free.
 
     Generated through the stratum-tree encoding, whose decoding map is a
-    bijection onto the nonempty orders of the class.
+    bijection onto the nonempty orders of the class.  Nothing is kept
+    between calls.
     """
+    from . import qsseq
+
     domain = Domain.of(labels)
     if len(domain) > bound:
         raise ValueError(f"domain size {len(domain)} exceeds enumeration bound {bound}")
-    return list(_enumerate_cached(domain.labels))
-
-
-def _enumerate_cached(labels: tuple[str, ...]) -> tuple[QsOrder, ...]:
-    from . import qsseq
-
-    domain = Domain(labels)
-    if not labels:
-        return (qso_empty(),)
-    cached = _ENUM_CACHE.get(labels)
-    if cached is None:
-        cached = tuple(
-            QsOrder(reindex_poset(qsseq.seq_to_order(s).poset, domain))
-            for s in qsseq.enumerate_qs_seqs(labels, bound=len(labels))
-        )
-        _ENUM_CACHE[labels] = cached
-    return cached
-
-
-_ENUM_CACHE: dict[tuple[str, ...], tuple[QsOrder, ...]] = {}
+    if not domain.labels:
+        return [qso_empty()]
+    return [
+        QsOrder(reindex_poset(qsseq.seq_to_order(s).poset, domain))
+        for s in qsseq.enumerate_qs_seqs(domain.labels, bound=len(domain))
+    ]

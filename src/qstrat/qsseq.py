@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Iterable
 
 from .qso import (
@@ -145,18 +146,40 @@ def enumerate_qs_seqs(labels: Iterable[str], bound: int = 6) -> list[QsSeq]:
 
     Walks the formation rules: ordered partitions of the label set into
     stratum domains, and for each stratum domain either a leaf or every
-    split into a proper base plus a body of at least two strata.
+    split into a proper base plus a body of at least two strata.  The
+    sequences and strata over each label subset are built once per call
+    and shared within it; nothing outlives the call.
     """
     label_tuple = tuple(sorted(set(labels)))
     if len(label_tuple) > bound:
         raise ValueError(f"domain size {len(label_tuple)} exceeds enumeration bound {bound}")
     if not label_tuple:
         return []
-    return list(_seqs_over(label_tuple))
 
+    @cache
+    def seqs_over(subset: tuple[str, ...]) -> tuple[QsSeq, ...]:
+        out: list[QsSeq] = []
+        for block, rest in _subsets(subset):
+            heads = strata_over(block)
+            if not rest:
+                out.extend(QsSeq((head,)) for head in heads)
+            else:
+                tails = seqs_over(rest)
+                out.extend(QsSeq((head,) + tail.strata) for head in heads for tail in tails)
+        return tuple(out)
 
-_SEQ_CACHE: dict[tuple[str, ...], tuple[QsSeq, ...]] = {}
-_STRATA_CACHE: dict[tuple[str, ...], tuple[QssStratum, ...]] = {}
+    @cache
+    def strata_over(subset: tuple[str, ...]) -> tuple[QssStratum, ...]:
+        out: list[QssStratum] = [QssStratum(frozenset(subset))]
+        for base, rest in _subsets(subset):
+            if len(rest) < 2:
+                continue
+            for body in seqs_over(rest):
+                if len(body.strata) >= 2:
+                    out.append(QssStratum(frozenset(base), body.strata))
+        return tuple(out)
+
+    return list(seqs_over(label_tuple))
 
 
 def _subsets(labels: tuple[str, ...]) -> Iterable[tuple[tuple[str, ...], tuple[str, ...]]]:
@@ -165,39 +188,6 @@ def _subsets(labels: tuple[str, ...]) -> Iterable[tuple[tuple[str, ...], tuple[s
         inside = tuple(labels[i] for i in range(n) if mask >> i & 1)
         outside = tuple(labels[i] for i in range(n) if not mask >> i & 1)
         yield inside, outside
-
-
-def _seqs_over(labels: tuple[str, ...]) -> tuple[QsSeq, ...]:
-    cached = _SEQ_CACHE.get(labels)
-    if cached is not None:
-        return cached
-    out: list[QsSeq] = []
-    for block, rest in _subsets(labels):
-        heads = _strata_over(block)
-        if not rest:
-            out.extend(QsSeq((head,)) for head in heads)
-        else:
-            tails = _seqs_over(rest)
-            out.extend(QsSeq((head,) + tail.strata) for head in heads for tail in tails)
-    result = tuple(out)
-    _SEQ_CACHE[labels] = result
-    return result
-
-
-def _strata_over(labels: tuple[str, ...]) -> tuple[QssStratum, ...]:
-    cached = _STRATA_CACHE.get(labels)
-    if cached is not None:
-        return cached
-    out: list[QssStratum] = [QssStratum(frozenset(labels))]
-    for base, rest in _subsets(labels):
-        if len(rest) < 2:
-            continue
-        for body in _seqs_over(rest):
-            if len(body.strata) >= 2:
-                out.append(QssStratum(frozenset(base), body.strata))
-    result = tuple(out)
-    _STRATA_CACHE[labels] = result
-    return result
 
 
 def random_qs_seq(labels: Iterable[str], seed: int) -> QsSeq:

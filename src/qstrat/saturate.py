@@ -3,24 +3,37 @@
 A maximal structure pins down one execution completely: every pair of
 distinct events is either ordered by precedence or mutually weak, and
 nothing can be added without breaking acyclicity.  These structures are
-exactly the embeddings of quasi-stratified orders, so enumerating the
-orders enumerates the saturations.
+exactly the embeddings of quasi-stratified orders, and each order has
+one stratum-tree encoding (see :mod:`qstrat.qsseq`).
+
+The saturations of an acyclic structure s are the maximal structures
+that extend it: their order contains s.prec and reverses no pair of
+s.weak.  ``saturations`` generates their stratum trees directly under
+those two constraints instead of filtering every maximal structure over
+the domain; ``all_qsm_structures`` is that filter's input, kept as the
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .qsa import csc_components, is_qsa, predominants
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
 from .relcore import (
+    BinRel,
+    Domain,
     Poset,
     Structure,
-    extends,
+    _bits,
+    _combined_rows,
+    _untouched,
     new_structure,
     poset_to_structure,
     project,
+    reindex_structure,
 )
 
 
@@ -114,7 +127,8 @@ def _saturate_pairs(
 
 @dataclass(frozen=True)
 class SaturationSet:
-    """Saturations in canonical order, possibly cut off at a limit."""
+    """Saturations in canonical order, or, when truncated, the first
+    ones in generation order (see ``saturations``)."""
 
     structures: tuple[Structure, ...]
     truncated: bool = False
@@ -129,35 +143,105 @@ class SaturationSet:
         return item in self.structures
 
 
-def _canonical_key(s: Structure) -> tuple:
-    return (sorted(s.prec.label_pairs), sorted(s.weak.label_pairs))
-
-
 def all_qsm_structures(labels: tuple[str, ...]) -> tuple[Structure, ...]:
-    """Every maximal structure over the labels; cached per label tuple."""
-    cached = _QSM_CACHE.get(labels)
-    if cached is None:
-        cached = tuple(qso_to_qsm(o) for o in enumerate_qs_orders(labels, bound=len(labels)))
-        _QSM_CACHE[labels] = cached
-    return cached
-
-
-_QSM_CACHE: dict[tuple[str, ...], tuple[Structure, ...]] = {}
+    """Every maximal structure over the labels, through the order
+    enumeration; the oracle that generated saturations are checked
+    against."""
+    return tuple(qso_to_qsm(o) for o in enumerate_qs_orders(labels, bound=len(labels)))
 
 
 def saturations(s: Structure, limit: int | None = None, bound: int = 6) -> SaturationSet:
     """All maximal extensions of an acyclic structure.
 
-    Enumerates every maximal structure over the domain and keeps the
-    extensions of s; the tree-encoding bijection makes the enumeration
-    duplicate-free.
+    The extensions are generated from s's constraints (see ``_orders``),
+    without duplicates.  An untruncated result is in canonical order:
+    sorted by the sorted list of prec pairs (a maximal structure's weak
+    pairs follow from its prec pairs).  With a limit, at most limit + 1
+    extensions are generated; when there are more than limit, the result
+    is the first limit in generation order, which depends only on the
+    label set, never on the order the labels were declared in.
     """
     if not is_qsa(s):
         raise ValueError("can only saturate a quasi-stratified acyclic structure")
     if len(s.domain) > bound:
         raise ValueError(f"domain size {len(s.domain)} exceeds enumeration bound {bound}")
-    found = [m for m in all_qsm_structures(s.domain.labels) if extends(s, m)]
-    found.sort(key=_canonical_key)
-    if limit is not None and len(found) > limit:
-        return SaturationSet(tuple(found[:limit]), truncated=True)
-    return SaturationSet(tuple(found))
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    ordered = reindex_structure(s, Domain(tuple(sorted(s.domain.labels))))
+    found = list(islice(_orders(ordered), None if limit is None else limit + 1))
+    truncated = limit is not None and len(found) > limit
+    if truncated:
+        del found[limit:]
+    else:
+        # position pairs over sorted labels compare as the label pairs do
+        found.sort(key=lambda rows: [(i, j) for i, row in enumerate(rows) for j in _bits(row)])
+    return SaturationSet(
+        tuple(
+            reindex_structure(
+                poset_to_structure(Poset(ordered.domain, BinRel(ordered.domain, rows))), s.domain
+            )
+            for rows in found
+        ),
+        truncated,
+    )
+
+
+def _orders(s: Structure) -> Iterator[tuple[int, ...]]:
+    """Precedence rows of the saturations of an acyclic s, one per
+    stratum tree that s allows, over s's label positions.
+
+    A tree is built as its cuts: pairs (earlier, later) of position
+    masks whose products make up the order.  The formation rules of
+    :mod:`qstrat.qsseq`, constrained by s:
+
+    - a sequence over the events left starts with a non-empty block
+      that no combined pair of s enters from the rest of those events;
+    - a leaf stratum holds no precedence pair of s;
+    - a base set is a non-empty set of the stratum's events that no
+      precedence pair of s within the stratum touches;
+    - a body has at least two strata.
+
+    Generation order: leading blocks, and the bases of one stratum, run
+    through the subsets in increasing value of their position mask; a
+    stratum's leaf comes before its nodes; the rest of a sequence varies
+    fastest.
+    """
+    prec, combined = s.prec, _combined_rows(s)
+
+    def sequences(events: int, body: bool) -> Iterator[tuple[tuple[int, int], ...]]:
+        block = 0
+        while True:
+            block = (block - events) & events
+            if block == 0:
+                return
+            rest = events & ~block
+            if body and not rest:  # a body needs a second stratum
+                return
+            if any(combined[y] & block for y in _bits(rest)):
+                continue
+            for head in strata(block):
+                if not rest:
+                    yield head
+                    continue
+                for tail in sequences(rest, False):
+                    yield head + ((block, rest),) + tail
+
+    def strata(events: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        free = _untouched(prec, events)
+        if free == events:
+            yield ()
+        base = 0
+        while True:
+            base = (base - free) & free
+            if base == 0:
+                return
+            yield from sequences(events & ~base, True)
+
+    n = len(s.domain)
+    # the empty order has no stratum tree; it is its own one saturation
+    for cuts in sequences((1 << n) - 1, False) if n else [()]:
+        rows = [0] * n
+        for earlier, later in cuts:
+            for i in _bits(earlier):
+                rows[i] |= later
+        yield tuple(rows)

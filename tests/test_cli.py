@@ -155,6 +155,13 @@ def test_saturate_limit(capsys):
     assert out.startswith("2 saturation(s) (truncated)")
 
 
+def test_saturate_negative_limit_is_input_error(capsys):
+    code, out, err = run(capsys, "saturate", "--limit", "-1", fixture("transactions.json"))
+    assert code == 2
+    assert out == ""
+    assert "limit must be non-negative" in err
+
+
 def test_saturate_two_element_empty(capsys, tmp_path):
     path = tmp_path / "two.json"
     path.write_text(structure_json_text(new_structure(["a", "b"])))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstrat import (
     add_prec,
@@ -147,6 +149,21 @@ def test_close_matches_oracle_random():
             "abcde"[:n], seed=rng.randrange(1 << 30), density=rng.uniform(0.1, 0.6)
         )
         assert close(s).closed == close_oracle(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.05, 0.8),
+)
+def test_close_laws_hypothesis(n, seed, density):
+    s = random_qsa_structure("abcdef"[:n], seed=seed, density=density)
+    report = close(s)
+    assert report.closed == close_oracle(s)
+    again = close(report.closed)
+    assert again.closed == report.closed
+    assert not again.added_prec and not again.added_weak
 
 
 def test_close_monotone():

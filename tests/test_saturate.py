@@ -5,6 +5,7 @@ import pytest
 from qstrat import (
     add_prec,
     add_weak,
+    all_qsm_structures,
     extends,
     is_qsa,
     is_qsm,
@@ -16,11 +17,47 @@ from qstrat import (
     qsm_violation,
     qso_from_poset,
     qso_to_qsm,
+    random_qsa_structure,
     saturations,
     seq_to_order,
+    stratum_domain,
 )
 
 from conftest import all_relational_structures, random_structure
+
+
+def canonical_key(m):
+    """The order of an untruncated saturation set."""
+    return (sorted(m.prec.label_pairs), sorted(m.weak.label_pairs))
+
+
+def generation_key(m):
+    """Rank of a saturation in the documented generation order, read off
+    its stratum tree: per stratum, its domain's mask over the sorted
+    labels, then leaf before node, then the base's mask, then the body."""
+    position = {x: i for i, x in enumerate(sorted(m.domain.labels))}
+
+    def mask(labels):
+        return sum(1 << position[x] for x in labels)
+
+    def sequence(strata):
+        return tuple((mask(stratum_domain(st)), stratum(st)) for st in strata)
+
+    def stratum(st):
+        return (0,) if st.is_leaf else (1, mask(st.base), sequence(st.children))
+
+    return sequence(order_to_seq(qsm_to_qso(m)).strata)
+
+
+def assert_matches_oracle(s, universe):
+    """Check saturations of s against the filter oracle: the maximal
+    structures over the domain (universe) that extend s."""
+    expected = [m for m in universe if extends(s, m)]
+    assert list(saturations(s)) == sorted(expected, key=canonical_key)
+    if len(expected) > 3:
+        cut = saturations(s, limit=3)
+        assert cut.truncated
+        assert list(cut) == sorted(expected, key=generation_key)[:3]
 
 
 def test_maximal_extension_is_qsm(maximal_ext):
@@ -141,6 +178,74 @@ def test_saturations_limit(transactions):
     assert sats.truncated
     assert len(sats) == 3
     assert not saturations(transactions, limit=100).truncated
+    full = saturations(transactions)
+    in_generation_order = sorted(full, key=generation_key)
+    for k in (1, 2, 3, 8, 9):
+        cut = saturations(transactions, limit=k)
+        assert cut.truncated == (k < 8)
+        assert set(cut) <= set(full)
+        if cut.truncated:
+            assert list(cut) == in_generation_order[:k]
+        else:
+            assert list(cut) == list(full)
+
+
+def test_saturations_limit_ignores_declaration_order(transactions):
+    shuffled = new_structure(
+        ["d", "b", "c", "a"], transactions.prec.label_pairs, transactions.weak.label_pairs
+    )
+    for k in (1, 3, 5):
+        assert list(saturations(shuffled, limit=k)) == list(saturations(transactions, limit=k))
+        assert all(m.domain == shuffled.domain for m in saturations(shuffled, limit=k))
+
+
+def test_saturations_limit_zero_and_negative(transactions):
+    assert list(saturations(transactions, limit=0)) == []
+    assert saturations(transactions, limit=0).truncated
+    with pytest.raises(ValueError, match="non-negative"):
+        saturations(transactions, limit=-1)
+
+
+def test_saturations_of_empty_domain():
+    empty = new_structure([])
+    assert list(saturations(empty)) == [empty]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_saturations_match_filter_oracle_exhaustive(n):
+    universe = None
+    seen = 0
+    for s in all_relational_structures(n):
+        if not is_qsa(s):
+            continue
+        if universe is None:
+            universe = all_qsm_structures(s.domain.labels)
+        assert_matches_oracle(s, universe)
+        seen += 1
+    assert seen > 0
+
+
+def test_saturations_match_filter_oracle_random():
+    rng = random.Random(83)
+    universes = {n: all_qsm_structures(tuple("abcde"[:n])) for n in (4, 5)}
+    for _ in range(150):
+        n = rng.randint(4, 5)
+        labels = list("abcde"[:n])
+        rng.shuffle(labels)
+        s = random_qsa_structure(
+            labels, seed=rng.randrange(1 << 30), density=rng.uniform(0.05, 0.6)
+        )
+        assert_matches_oracle(s, universes[n])
+
+
+def test_saturations_match_filter_oracle_six_events():
+    labels = ("f", "c", "a", "e", "b", "d")
+    universe = all_qsm_structures(labels)
+    assert len(universe) == 38703
+    rng = random.Random(89)
+    for density in (0.15, 0.25, 0.35, 0.45, 0.55, 0.65):
+        s = random_qsa_structure(labels, seed=rng.randrange(1 << 30), density=density)
+        assert_matches_oracle(s, universe)
 
 
 def test_saturations_bound(transactions):
