@@ -76,6 +76,7 @@ from .qsseq import (
 from .qsa import (
     CscWitness,
     LegalExtensions,
+    Prober,
     csc_components,
     csc_subsets_naive,
     is_csc_subset,

@@ -22,6 +22,13 @@ qsc:1 and qsc:2 on the result, in O(n^2); a separate closedness sweep
 would repeat the confirming step's 2 n^2 probes.  ``close_oracle``
 intersects the saturations instead and stays the independent check.
 
+A sweep (``closure_step`` or ``qsc_violation``) probes its 2 n^2 pairs
+against one ``qsa.Prober`` and so decides the acyclicity of its input
+once.  On acyclic input, adding one pair can only break the chain of
+components through that pair (the ``qsa`` module docstring has the
+argument), so a probe walks that chain instead of re-deciding the
+whole extension.
+
 ``qsc_property_suite`` evaluates the consequence laws that closed
 structures satisfy, used to probe candidate axiomatisations.
 """
@@ -32,14 +39,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .qsa import (
+    Prober,
     csc_subsets_naive,
     is_csc_subset,
-    is_qsa,
     predominants,
-    probe,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, InternalError, Structure, add_prec, add_weak
+from .relcore import BinRel, InternalError, Structure, add_prec, add_weak, is_relational
 from .saturate import saturations
 
 
@@ -56,16 +62,16 @@ def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     return None
 
 
-def _forced_pairs(s: Structure):
-    """Every (axiom, (x, y)) whose probe breaks acyclicity while the pair
-    it forces is absent: qsc:4 pairs first, then qsc:3, row-major."""
+def _forced_pairs(s: Structure, prober: Prober):
+    """Every (axiom, (x, y)) whose probe against s breaks acyclicity while
+    the pair it forces is absent: qsc:4 pairs first, then qsc:3, row-major."""
     labels = s.domain.labels
     n = len(labels)
+    run = prober.run
     for axiom, kind, forced in (("qsc:4", "weak", s.prec), ("qsc:3", "prec", s.weak)):
         for i, j in product(range(n), repeat=2):
-            x, y = labels[i], labels[j]
-            if i != j and not forced.holds_idx(j, i) and probe(s, x, y, kind) is not None:
-                yield axiom, (x, y)
+            if i != j and not forced.holds_idx(j, i) and run(i, j, kind):
+                yield axiom, (labels[i], labels[j])
 
 
 def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -74,7 +80,7 @@ def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     Probe axioms are scanned with qsc:4 ahead of qsc:3, so a missing
     precedence pair is reported before the weak pairs it entails.
     """
-    return _pair_violation(s) or next(_forced_pairs(s), None)
+    return _pair_violation(s) or next(_forced_pairs(s, Prober(s)), None)
 
 
 def is_qsc(s: Structure) -> bool:
@@ -84,12 +90,13 @@ def is_qsc(s: Structure) -> bool:
 def closure_step(s: Structure) -> Structure:
     """One closure step: every probe runs against the input and all
     additions land simultaneously."""
-    if not is_qsa(s):
+    prober = Prober(s) if is_relational(s) else None
+    if prober is None or prober.witness is not None:
         raise ValueError("can only close a quasi-stratified acyclic structure")
     index = s.domain.index
     prec_rows = list(s.prec.rows)
     weak_rows = list(s.weak.rows)
-    for axiom, (x, y) in _forced_pairs(s):
+    for axiom, (x, y) in _forced_pairs(s, prober):
         rows = prec_rows if axiom == "qsc:4" else weak_rows
         rows[index[y]] |= 1 << index[x]
     return Structure(
@@ -283,19 +290,17 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
     else:
         checks.append(PropertyCheck("twin_predominants_mutually_weak", "not evaluated"))
 
-    open_pairs = [
-        (labels[x], labels[y])
-        for x, y in product(range(n), repeat=2)
-        if x != y and not p(x, y) and not w(y, x)
-    ]
+    run = Prober(s).run
     found = None
     acyclic_pairs = []
-    for x, y in open_pairs:
-        if probe(s, y, x, "weak") is not None or probe(s, x, y, "prec") is not None:
+    for x, y in product(range(n), repeat=2):
+        if x == y or p(x, y) or w(y, x):
+            continue
+        if run(y, x, "weak") or run(x, y, "prec"):
             if found is None:
-                found = (x, y)
+                found = (labels[x], labels[y])
         else:
-            acyclic_pairs.append((x, y))
+            acyclic_pairs.append((labels[x], labels[y]))
     record("open_pair_stays_acyclic", found)
 
     if n <= enum_bound:

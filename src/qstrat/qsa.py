@@ -12,12 +12,27 @@ components:  any strongly connected subset lies inside one component,
 any subset meeting the component's pre-dominants inherits one (being a
 pre-dominant survives restriction), and the remaining subsets live in
 the component minus its pre-dominants.
+
+Single-pair probes ("does adding x prec y, or x weak y, break
+acyclicity?") do not re-decide the extension.  Adding the combined edge
+x -> y to an acyclic s can only create a forbidden subset containing
+both x and y: every strongly connected subset of the extension that
+misses x or y is strongly connected in s with the same pre-dominants,
+so s's acyclicity gives it one.  The only component holding both is
+reach(y) & coreach(x) in s, empty unless y already reaches x, and below
+it at most one component per peel level holds both.  ``Prober`` walks
+that chain of components alone, on bitmasks memoised per structure, and
+stops at the first one without pre-dominant: the subset ``qsa_witness``
+of the extension returns.  On a structure that is not acyclic every
+probe returns the structure's own witness, which stays forbidden in
+every extension.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 from typing import Iterable
 
@@ -48,6 +63,22 @@ def predominants(s: Structure, subset: Iterable[str]) -> frozenset[str]:
     if not mask:
         raise ValueError("pre-dominants are defined for non-empty subsets")
     return frozenset(s.domain.labels[i] for i in _bits(_untouched(s.prec, mask)))
+
+
+def _witness(s: Structure, mask: int) -> CscWitness:
+    return CscWitness(frozenset(s.domain.labels[i] for i in _bits(mask)))
+
+
+def _spread(rows: tuple[int, ...], members: int, start: int) -> int:
+    """The start mask plus every member it reaches along rows inside members."""
+    seen = frontier = start
+    while frontier:
+        step = 0
+        for v in _bits(frontier):
+            step |= rows[v]
+        frontier = step & members & ~seen
+        seen |= frontier
+    return seen
 
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
@@ -161,7 +192,7 @@ def qsa_witness(s: Structure) -> CscWitness | None:
                 continue
             dominants = _untouched(s.prec, comp)
             if dominants == 0:
-                return CscWitness(frozenset(s.domain.labels[i] for i in _bits(comp)))
+                return _witness(s, comp)
             pending.append(comp & ~dominants)
     return None
 
@@ -170,10 +201,69 @@ def is_qsa(s: Structure) -> bool:
     return is_relational(s) and qsa_witness(s) is None
 
 
+class Prober:
+    """Single-pair acyclicity probes against one structure.
+
+    ``witness`` is ``qsa_witness(s)``, computed once; a structure that
+    is not relational raises ValueError.  ``run(i, j, kind)`` takes two
+    distinct positions and returns the bitmask of the witness that
+    adding the pair (kind "prec" or "weak") from position i to position
+    j creates, or 0 when the extension stays acyclic.  On a structure
+    that is not acyclic it returns the mask of ``witness`` for every
+    pair.  Each probe walks only the chain of components through the
+    pair (module docstring).  The reach sets and pre-dominants it needs
+    are memoised per prober: the probes of one structure revisit the
+    same few components, and the memos go when the prober does.
+    """
+
+    def __init__(self, s: Structure) -> None:
+        self.witness = qsa_witness(s)
+        if self.witness is not None:
+            self._fixed = _label_mask(s.domain, self.witness.subset)
+            return
+        self._fixed = 0
+        self._full = (1 << len(s.domain)) - 1
+        rows = _combined_rows(s)
+        cols = tuple(a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks))
+        # (members, v) -> v plus what v reaches, or is reached from, inside members
+        self._reach = cache(lambda members, v: _spread(rows, members, 1 << v))
+        self._coreach = cache(lambda members, v: _spread(cols, members, 1 << v))
+        self._dominants = cache(partial(_untouched, s.prec))
+
+    def run(self, i: int, j: int, kind: str) -> int:
+        if i == j:
+            raise ValueError("a probe needs two distinct events")
+        if self._fixed:
+            return self._fixed
+        pair = 1 << i | 1 << j
+        members = self._full
+        # the component of i and j in the extension, then the one holding
+        # both after each peel, until one has no pre-dominant; the searches
+        # skip the new edge i -> j, which no path from j to i needs
+        while members & pair == pair:
+            ahead = self._reach(members, j)
+            if not ahead >> i & 1:
+                return 0
+            comp = ahead & self._coreach(members, i)
+            dominants = self._dominants(comp)
+            if kind == "prec":
+                dominants &= ~pair
+            if not dominants:
+                return comp
+            members = comp & ~dominants
+        return 0
+
+
 def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
     """Witness that adding the single pair x prec y (kind "prec") or
-    x weak y (kind "weak") breaks acyclicity; None when it does not."""
-    return qsa_witness(add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y))
+    x weak y (kind "weak") breaks acyclicity; None when it does not.
+
+    A one-shot ``Prober``: build one yourself to probe many pairs of the
+    same structure.  When s itself is not acyclic, the witness is s's
+    own, since it stays forbidden in every extension.
+    """
+    mask = Prober(s).run(s.domain.position(x), s.domain.position(y), kind)
+    return _witness(s, mask) if mask else None
 
 
 @dataclass(frozen=True)
@@ -185,13 +275,15 @@ class LegalExtensions:
 
 
 def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
-    if not is_qsa(s):
+    prober = Prober(s) if is_relational(s) else None
+    if prober is None or prober.witness is not None:
         raise ValueError("legality probes need a quasi-stratified acyclic structure")
     if x == y:
         raise ValueError("legality probes need two distinct elements")
+    i, j = s.domain.position(x), s.domain.position(y)
     return LegalExtensions(
-        prec_ok=probe(s, x, y, "prec") is None,
-        weak_ok=probe(s, x, y, "weak") is None,
+        prec_ok=not prober.run(i, j, "prec"),
+        weak_ok=not prober.run(i, j, "weak"),
     )
 
 

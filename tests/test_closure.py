@@ -1,9 +1,11 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstrat.qsa
 from qstrat import (
     add_prec,
     add_weak,
@@ -324,3 +326,47 @@ def test_qsc_violation_matches_reference_scan():
         assert qsc_violation(s) == expected, s
         verdicts.add(expected[0] if expected else None)
     assert verdicts == {"qsc:1", "qsc:2", "qsc:3", "qsc:4", None}
+
+
+def _reference_closure_step(s):
+    """One closure step from the literal oracle: decide every extension."""
+    labels = s.domain.labels
+    prec, weak = set(s.prec.label_pairs), set(s.weak.label_pairs)
+    for x in labels:
+        for y in labels:
+            if x == y:
+                continue
+            if (y, x) not in s.prec.label_pairs and qsa_witness(add_weak(s, x, y)) is not None:
+                prec.add((y, x))
+            if (y, x) not in s.weak.label_pairs and qsa_witness(add_prec(s, x, y)) is not None:
+                weak.add((y, x))
+    return new_structure(labels, prec, weak)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 16])
+def test_closure_matches_the_oracle_at_workload_sizes(n):
+    labels = string.ascii_letters[:n]
+    for seed, density in enumerate((0.05, 0.15, 0.4, 0.8)):
+        s = random_qsa_structure(labels, seed=1000 * n + seed, density=density)
+        closed = close(s).closed
+        for t in (s, closed):
+            assert closure_step(t) == _reference_closure_step(t)
+            assert qsc_violation(t) == _reference_qsc_violation(t)
+        assert qsc_violation(closed) is None
+
+
+def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
+    # per-pair probing through qsa_witness would make 2 n^2 calls a sweep
+    s = random_qsa_structure(string.ascii_letters[:16], seed=5, density=0.3)
+    calls = []
+    decide = qstrat.qsa.qsa_witness
+
+    def counted(t):
+        calls.append(t)
+        return decide(t)
+
+    monkeypatch.setattr(qstrat.qsa, "qsa_witness", counted)
+    assert is_qsa(s)
+    report = close(s)
+    assert report.iterations >= 2 and report.added_prec
+    assert len(calls) <= report.iterations + 1

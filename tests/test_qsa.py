@@ -1,13 +1,18 @@
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstrat import (
+    Prober,
     add_prec,
     add_weak,
     csc_subsets_naive,
     extends,
     intersect,
+    is_csc_subset,
     is_qsa,
     is_qsa_naive,
     legal_extensions,
@@ -215,3 +220,62 @@ def test_probe_witness_is_the_extension_witness(transactions):
     witness = probe(transactions, "d", "a", "weak")
     assert witness is not None
     assert witness == qsa_witness(add_weak(transactions, "d", "a"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.05, 0.8),
+    acyclic=st.booleans(),
+)
+def test_prober_matches_the_extension_oracle(n, seed, density, acyclic):
+    labels = string.ascii_letters[:n]
+    if acyclic:
+        s = random_qsa_structure(labels, seed=seed, density=density)
+    else:
+        rng = random.Random(seed)
+        slots = [(x, y) for x in labels for y in labels if x != y]
+        s = new_structure(
+            labels,
+            [pair for pair in slots if rng.random() < density],
+            [pair for pair in slots if rng.random() < density],
+        )
+    prober = Prober(s)
+    assert prober.witness == qsa_witness(s)
+    for i, x in enumerate(labels):
+        for j, y in enumerate(labels):
+            if i == j:
+                continue
+            for kind in ("prec", "weak"):
+                mask = prober.run(i, j, kind)
+                subset = frozenset(labels[k] for k in range(n) if mask >> k & 1)
+                # the oracle: add the pair, then decide the whole extension
+                extension = add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y)
+                if prober.witness is None:
+                    expected = qsa_witness(extension)
+                    assert subset == (expected.subset if expected else frozenset())
+                else:
+                    assert is_csc_subset(extension, subset)
+                    assert predominants(extension, subset) == frozenset()
+
+
+def test_prober_rejects_non_relational_structures_and_equal_events(transactions):
+    looped = new_structure(["a", "b"], [("a", "a")], [("a", "b")])
+    with pytest.raises(ValueError, match="not relational"):
+        Prober(looped)
+    with pytest.raises(ValueError, match="not relational"):
+        probe(looped, "a", "b", "weak")
+    with pytest.raises(ValueError, match="distinct"):
+        Prober(transactions).run(1, 1, "prec")
+    with pytest.raises(ValueError, match="unknown label"):
+        probe(transactions, "a", "z", "prec")
+
+
+def test_probe_of_a_non_acyclic_structure_returns_its_own_witness(cycle_structures):
+    s = cycle_structures["d"]
+    own = qsa_witness(s)
+    assert own is not None
+    for x, y in [("1", "2"), ("2", "1"), ("1", "3")]:
+        for kind in ("prec", "weak"):
+            assert probe(s, x, y, kind) == own
