@@ -267,6 +267,8 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         if len(order) > 0:
             print(f"   tree: {qsseq.format_seq(qsseq.order_to_seq(order))}")
             realization = orders.interval_realization(order.poset)
+            if realization is None:
+                raise InternalError("a saturation's order has no interval realization")
             cells = " ".join(
                 f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items())
             )
@@ -295,6 +297,8 @@ def cmd_intervals(args: argparse.Namespace) -> int:
         print("FAIL: not an interval order")
         return 1
     realization = orders.interval_realization(f.poset())
+    if realization is None:
+        raise InternalError("an interval order got no interval realization")
     for label in f.labels:
         b, e = realization[label]
         print(f"{label}: [{b}, {e}]")

@@ -2,9 +2,9 @@
 
 The four classes form a chain: every total order is stratified, every
 stratified order is interval, every interval order is partial.  Each
-predicate is a literal quantifier scan of its axiom set; the companion
-``*_violation`` function returns the first offending tuple, scanning in
-domain declaration order so witnesses are deterministic.
+``*_violation`` function returns the first offending tuple that a
+literal quantifier scan of its axiom set, in domain declaration order,
+would find, so witnesses are deterministic; the scans run on row masks.
 
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
@@ -19,11 +19,11 @@ from typing import Iterable
 from .relcore import (
     BinRel,
     Domain,
-    InternalError,
     Poset,
     Structure,
     _bits,
     _combined_rows,
+    _rows_leaving,
     is_relational,
 )
 
@@ -61,32 +61,52 @@ def total_order_violation(rel: BinRel) -> Violation | None:
 
 
 def stratified_order_violation(rel: BinRel) -> Violation | None:
+    """First witness against the stratified-order axioms, or None.
+
+    so:1 and so:2 are po:1 and po:2 with the same witness.  Otherwise
+    the witness comes from the first incomparable pair (x, y) in
+    row-major order: the lowest z with x < z but not y < z (so:3) or
+    with z < x but not z < y (so:4), so:3 first when both hold at z.
+    """
     bad = partial_order_violation(rel)
     if bad is not None:
         return ("so:" + bad[0][3:], bad[1])
     labels = rel.domain.labels
-    n = len(labels)
-    for x in range(n):
-        for y in range(n):
-            if rel.holds_idx(x, y) or rel.holds_idx(y, x):
-                continue
-            for z in range(n):
-                if rel.holds_idx(x, z) and not rel.holds_idx(y, z):
-                    return "so:3", (labels[x], labels[y], labels[z])
-                if rel.holds_idx(z, x) and not rel.holds_idx(z, y):
-                    return "so:4", (labels[x], labels[y], labels[z])
+    rows, cols = rel.rows, rel.column_masks
+    full = (1 << len(rows)) - 1
+    for x, (rx, cx) in enumerate(zip(rows, cols)):
+        for y in _bits(full & ~(rx | cx)):
+            above = rx & ~rows[y]
+            split = above | cx & ~cols[y]
+            if split:
+                z = next(_bits(split))
+                axiom = "so:3" if above >> z & 1 else "so:4"
+                return axiom, (labels[x], labels[y], labels[z])
     return None
 
 
 def interval_order_violation(rel: BinRel) -> Violation | None:
+    """First witness against the interval-order axioms, or None.
+
+    io:1 names the first self-loop.  io:2 names the first 2+2, pairs
+    x < y and z < w with neither x < w nor z < y, in row-major order
+    of (x, y), then of (z, w): the scan over every pair of pairs finds
+    the same one.  A pair (x, y) fails exactly when some z whose row
+    leaves rows[x] is not below y.
+    """
     labels = rel.domain.labels
-    for i, row in enumerate(rel.rows):
+    rows = rel.rows
+    for i, row in enumerate(rows):
         if row >> i & 1:
             return "io:1", (labels[i],)
-    pairs = _prec_pairs(rel)
-    for x, y in pairs:
-        for z, w in pairs:
-            if not rel.holds_idx(x, w) and not rel.holds_idx(z, y):
+    cols = rel.column_masks
+    leaving = _rows_leaving(rows)
+    for x, rx in enumerate(rows):
+        for y in _bits(rx):
+            outside = leaving[x] & ~cols[y]
+            if outside:
+                z = next(_bits(outside))
+                w = next(_bits(rows[z] & ~rx))
                 return "io:2", (labels[x], labels[y], labels[z], labels[w])
     return None
 
@@ -135,26 +155,29 @@ def interval_realization(p: Poset) -> dict[str, tuple[int, int]] | None:
     """Integer interval endpoints realizing an interval order, or None.
 
     Begins are the inclusion ranks of the distinct predecessor sets,
-    ends the ranks of the distinct successor sets; the construction is
-    checked against the order before being returned.
+    ends the ranks of the distinct successor sets.  The construction is
+    checked against the order, one row per event: the successors of i
+    must be exactly the events whose begin lies after i's end.  It
+    checks out exactly on interval orders (irreflexivity then puts
+    every begin at or before its end), so None means p is not one.
     """
-    if interval_order_violation(p.prec) is not None:
-        return None
     labels = p.domain.labels
-    n = len(labels)
     pred = p.prec.column_masks
     succ = p.prec.rows
     begin_rank = {m: r for r, m in enumerate(sorted(set(pred), key=lambda m: m.bit_count()))}
     end_rank = {m: r for r, m in enumerate(sorted(set(succ), key=lambda m: -m.bit_count()))}
-    out = {labels[i]: (begin_rank[pred[i]], end_rank[succ[i]]) for i in range(n)}
-    for i in range(n):
-        b, e = out[labels[i]]
-        if b > e:
-            raise InternalError("interval realization produced a reversed interval")
-        for j in range(n):
-            if p.prec.holds_idx(i, j) != (e < out[labels[j]][0]):
-                raise InternalError("interval realization disagrees with the order")
-    return out
+    begins = [begin_rank[m] for m in pred]
+    ends = [end_rank[m] for m in succ]
+    # later[r]: the events whose begin lies after r
+    later = [0] * (max(ends, default=0) + 1)
+    for i, b in enumerate(begins):
+        if b:
+            later[min(b, len(later)) - 1] |= 1 << i
+    for r in range(len(later) - 2, -1, -1):
+        later[r] |= later[r + 1]
+    if any(row != later[e] for row, e in zip(succ, ends)):
+        return None
+    return {x: (b, e) for x, b, e in zip(labels, begins, ends)}
 
 
 def _shortest_cycle(rows: tuple[int, ...], n: int) -> list[int] | None:

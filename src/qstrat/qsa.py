@@ -37,13 +37,13 @@ from itertools import combinations
 from typing import Iterable
 
 from .relcore import (
+    BinRel,
     Structure,
     _bits,
     _combined_rows,
     _label_mask,
+    _touching,
     _untouched,
-    add_prec,
-    add_weak,
     is_relational,
     new_structure,
 )
@@ -62,7 +62,7 @@ def predominants(s: Structure, subset: Iterable[str]) -> frozenset[str]:
     mask = _label_mask(s.domain, subset)
     if not mask:
         raise ValueError("pre-dominants are defined for non-empty subsets")
-    return frozenset(s.domain.labels[i] for i in _bits(_untouched(s.prec, mask)))
+    return frozenset(s.domain.labels[i] for i in _bits(_untouched(_touching(s.prec), mask)))
 
 
 def _witness(s: Structure, mask: int) -> CscWitness:
@@ -74,8 +74,10 @@ def _spread(rows: tuple[int, ...], members: int, start: int) -> int:
     seen = frontier = start
     while frontier:
         step = 0
-        for v in _bits(frontier):
-            step |= rows[v]
+        while frontier:  # _bits inlined: this loop is the probes' hot spot
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = step & members & ~seen
         seen |= frontier
     return seen
@@ -183,14 +185,14 @@ def qsa_witness(s: Structure) -> CscWitness | None:
     """Polynomial decision; returns the failing component as witness."""
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    rows = _combined_rows(s)
+    rows, touch = _combined_rows(s), _touching(s.prec)
     pending = [(1 << len(s.domain)) - 1]
     while pending:
         members = pending.pop()
         for comp in _scc_masks(rows, members):
             if comp.bit_count() < 2:
                 continue
-            dominants = _untouched(s.prec, comp)
+            dominants = _untouched(touch, comp)
             if dominants == 0:
                 return _witness(s, comp)
             pending.append(comp & ~dominants)
@@ -221,14 +223,28 @@ class Prober:
         if self.witness is not None:
             self._fixed = _label_mask(s.domain, self.witness.subset)
             return
-        self._fixed = 0
-        self._full = (1 << len(s.domain)) - 1
-        rows = _combined_rows(s)
         cols = tuple(a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks))
+        self._setup(_combined_rows(s), cols, _touching(s.prec))
+
+    @classmethod
+    def _of_acyclic(
+        cls, rows: tuple[int, ...], cols: tuple[int, ...], touch: tuple[int, ...]
+    ) -> Prober:
+        """A prober for an acyclic structure, without deciding it again:
+        the structure given by its combined successor and predecessor
+        masks and by its ``_touching`` masks of precedence."""
+        prober = cls.__new__(cls)
+        prober.witness = None
+        prober._setup(rows, cols, touch)
+        return prober
+
+    def _setup(self, rows: tuple[int, ...], cols: tuple[int, ...], touch: tuple[int, ...]) -> None:
+        self._fixed = 0
+        self._full = (1 << len(rows)) - 1
         # (members, v) -> v plus what v reaches, or is reached from, inside members
         self._reach = cache(lambda members, v: _spread(rows, members, 1 << v))
         self._coreach = cache(lambda members, v: _spread(cols, members, 1 << v))
-        self._dominants = cache(partial(_untouched, s.prec))
+        self._dominants = cache(partial(_untouched, touch))
 
     def run(self, i: int, j: int, kind: str) -> int:
         if i == j:
@@ -294,7 +310,9 @@ def random_qsa_structure(
 
     Candidate pairs are visited in a seeded shuffle; each is kept with
     the given probability when the structure stays acyclic, so the
-    result is acyclic by construction.
+    result is acyclic by construction.  A ``Prober`` decides each
+    candidate; the probe that accepts a pair proves the extension
+    acyclic, so the next prober does not decide it again.
     """
     label_tuple = tuple(labels)
     rng = random.Random(seed)
@@ -307,10 +325,21 @@ def random_qsa_structure(
     ]
     rng.shuffle(candidates)
     s = new_structure(label_tuple)
+    prober = Prober(s)
+    position = s.domain.position
+    # the masks of the structure built so far, as Prober takes them
+    prec, weak, rows, cols, touch = ([0] * len(label_tuple) for _ in range(5))
     for which, x, y in candidates:
         if rng.random() >= density:
             continue
-        extended = add_prec(s, x, y) if which == "prec" else add_weak(s, x, y)
-        if qsa_witness(extended) is None:
-            s = extended
-    return s
+        i, j = position(x), position(y)
+        if prober.run(i, j, which):
+            continue
+        (prec if which == "prec" else weak)[i] |= 1 << j
+        rows[i] |= 1 << j
+        cols[j] |= 1 << i
+        if which == "prec":
+            touch[i] |= 1 << j
+            touch[j] |= 1 << i
+        prober = Prober._of_acyclic(tuple(rows), tuple(cols), tuple(touch))
+    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))

@@ -23,7 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .relcore import BinRel, Domain, InternalError, Poset, _bits, _untouched, reindex_poset
+from .relcore import (
+    BinRel,
+    Domain,
+    InternalError,
+    Poset,
+    _bits,
+    _rows_leaving,
+    _touching,
+    _untouched,
+    reindex_poset,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,27 +63,42 @@ class QsOrder:
 
 
 def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
-    """First witness against the axioms: (x,) for a self-loop, else a
-    quadruple (x, y, z, t) with x<y and z<t admitting no resolution."""
+    """First witness against the axioms: (x,) for the first self-loop,
+    else the first quadruple (x, y, z, t) with x<y and z<t admitting no
+    resolution, in row-major order of (x, y), then of (z, t): the scan
+    over every pair of pairs finds the same one.
+
+    For a pair (x, y) and an event z, the t that some resolution covers
+    are rows[x] & rows[y], all of rows[x] once x < z, and rows[x] |
+    cols[y] once z < y, unless also z < x, which covers every t.  So a
+    z leaves some t uncovered only when its row leaves rows[x] or, for
+    a z neither below y nor above x, rows[y].
+    """
     labels = rel.domain.labels
     rows = rel.rows
     for i, row in enumerate(rows):
         if row >> i & 1:
             return (labels[i],)
-    pairs = [(i, j) for i, row in enumerate(rows) for j in _bits(row)]
-    for x, y in pairs:
-        for z, t in pairs:
-            if rows[x] >> t & 1 and rows[z] >> y & 1:
-                continue
-            if rows[x] >> z & 1 and rows[x] >> t & 1:
-                continue
-            if rows[z] >> x & 1 and rows[z] >> y & 1:
-                continue
-            if rows[t] >> y & 1 and rows[z] >> y & 1:
-                continue
-            if rows[y] >> t & 1 and rows[x] >> t & 1:
-                continue
-            return (labels[x], labels[y], labels[z], labels[t])
+    cols = rel.column_masks
+    leaving = _rows_leaving(rows)
+    for x, rx in enumerate(rows):
+        for y in _bits(rx):
+            cy = cols[y]
+            # the lowest z not below y that leaves a t uncovered, then
+            # any lower one among the z below y but not below x
+            apart = ~cy & (leaving[x] | ~rx & leaving[y])
+            first = apart & -apart
+            for z in _bits(cy & ~cols[x] & leaving[x]):
+                if first and first >> z == 0:
+                    break
+                uncovered = rows[z] & ~(rx | cy)
+                if uncovered:
+                    return labels[x], labels[y], labels[z], labels[next(_bits(uncovered))]
+            if first:
+                z = first.bit_length() - 1
+                covered = rx if rx >> z & 1 else rx & rows[y]
+                t = next(_bits(rows[z] & ~covered))
+                return labels[x], labels[y], labels[z], labels[t]
     return None
 
 
@@ -116,7 +141,7 @@ def qso_seq_compose(q: QsOrder, r: QsOrder) -> QsOrder:
 def stratum_base(q: QsOrder) -> frozenset[str]:
     """Elements with no precedence relation to any other element."""
     labels = q.domain.labels
-    return frozenset(labels[i] for i in _bits(_untouched(q.prec, (1 << len(labels)) - 1)))
+    return frozenset(labels[i] for i in _bits(_untouched(_touching(q.prec), (1 << len(labels)) - 1)))
 
 
 def is_qso_stratum(q: QsOrder) -> bool:

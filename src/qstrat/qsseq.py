@@ -19,15 +19,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Any, Iterable
 
-from .qso import (
-    QsOrder,
-    factorize_strata,
-    qso_add_isolated,
-    qso_empty,
-    qso_projection,
-    qso_seq_compose,
-    stratum_base,
-)
+from .qso import QsOrder, factorize_strata, qso_projection, stratum_base
+from .relcore import BinRel, Domain, Poset
 
 
 @dataclass(frozen=True)
@@ -104,25 +97,33 @@ def is_valid_seq(q: QsSeq) -> bool:
 
 
 def seq_to_order(q: QsSeq) -> QsOrder:
-    """Decode a sequence into its quasi-stratified order."""
+    """Decode a sequence into its quasi-stratified order.
+
+    The events are declared as the two constructions would add them:
+    stratum by stratum, each stratum's body before its sorted base.
+    """
     bad = seq_violation(q)
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
-    return _decode_strata(q.strata)
+    labels: list[str] = []
+    rows: list[int] = []
+    _decode(q.strata, labels, rows)
+    domain = Domain(tuple(labels))
+    return QsOrder(Poset(domain, BinRel(domain, tuple(rows))))
 
 
-def _decode_strata(strata: tuple[QssStratum, ...]) -> QsOrder:
-    out = qso_empty()
+def _decode(strata: tuple[QssStratum, ...], labels: list[str], rows: list[int]) -> None:
+    """Append the events of a sequence of strata and their successor
+    masks; every stratum precedes the later strata of its sequence."""
+    start = len(labels)
     for st in strata:
-        out = qso_seq_compose(out, _decode_stratum(st))
-    return out
-
-
-def _decode_stratum(st: QssStratum) -> QsOrder:
-    out = _decode_strata(st.children) if st.children else qso_empty()
-    for x in sorted(st.base):
-        out = qso_add_isolated(out, x)
-    return out
+        first = len(labels)
+        _decode(st.children, labels, rows)
+        labels.extend(sorted(st.base))
+        rows.extend([0] * len(st.base))
+        block = (1 << len(labels)) - (1 << first)
+        for k in range(start, first):
+            rows[k] |= block
 
 
 def order_to_seq(q: QsOrder) -> QsSeq:

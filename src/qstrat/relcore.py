@@ -311,13 +311,34 @@ def _label_mask(domain: Domain, labels: Iterable[str]) -> int:
     return sum(1 << i for i in set(map(domain.position, labels)))
 
 
-def _untouched(rel: BinRel, mask: int) -> int:
-    """Members of the mask with no pair of rel to or from any member."""
-    rows, cols = rel.rows, rel.column_masks
+def _touching(rel: BinRel) -> tuple[int, ...]:
+    """For each element, the mask of the elements it has a pair of rel
+    to or from."""
+    return tuple(a | b for a, b in zip(rel.rows, rel.column_masks))
+
+
+def _untouched(touch: tuple[int, ...], mask: int) -> int:
+    """Members of the mask touching no member, ``touch`` as from
+    ``_touching``."""
     out = 0
-    for i in _bits(mask):
-        if (rows[i] | cols[i]) & mask == 0:
-            out |= 1 << i
+    rest = mask
+    while rest:  # _bits inlined: every probe's peel runs this
+        low = rest & -rest
+        if touch[low.bit_length() - 1] & mask == 0:
+            out |= low
+        rest ^= low
+    return out
+
+
+def _rows_leaving(rows: tuple[int, ...]) -> list[int]:
+    """For each x, the mask of the z whose row is not inside rows[x]."""
+    out = []
+    for rx in rows:
+        mask = 0
+        for z, rz in enumerate(rows):
+            if rz & ~rx:
+                mask |= 1 << z
+        out.append(mask)
     return out
 
 

@@ -29,6 +29,7 @@ from .relcore import (
     Structure,
     _bits,
     _combined_rows,
+    _touching,
     _untouched,
     new_structure,
     poset_to_structure,
@@ -206,7 +207,7 @@ def _orders(s: Structure) -> Iterator[tuple[int, ...]]:
     stratum's leaf comes before its nodes; the rest of a sequence varies
     fastest.
     """
-    prec, combined = s.prec, _combined_rows(s)
+    touch, combined = _touching(s.prec), _combined_rows(s)
 
     def sequences(events: int, body: bool) -> Iterator[tuple[tuple[int, int], ...]]:
         block = 0
@@ -227,7 +228,7 @@ def _orders(s: Structure) -> Iterator[tuple[int, ...]]:
                     yield head + ((block, rest),) + tail
 
     def strata(events: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        free = _untouched(prec, events)
+        free = _untouched(touch, events)
         if free == events:
             yield ()
         base = 0

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qstrat.closure
+import qstrat.orders
 from qstrat import InternalError, new_structure
 from qstrat.cli import main, read_input, structure_json_text
 
@@ -281,3 +282,14 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.strip() == "internal error: closure fixpoint is not closed"
+
+
+@pytest.mark.parametrize(
+    "argv", [("intervals", "nested_order.json"), ("saturate", "transactions.json")]
+)
+def test_missing_interval_realization_exits_3(capsys, monkeypatch, argv):
+    # both commands only ask for realizations of interval orders
+    monkeypatch.setattr(qstrat.orders, "interval_realization", lambda p: None)
+    code, _, err = run(capsys, argv[0], fixture(argv[1]))
+    assert code == 3
+    assert err.startswith("internal error: ") and "interval realization" in err

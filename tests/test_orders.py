@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstrat import (
     BinRel,
@@ -11,6 +13,7 @@ from qstrat import (
     forbidden_cycle_interval,
     forbidden_cycle_stratified,
     forbidden_cycle_total,
+    interval_order_violation,
     interval_realization,
     is_interval_order,
     is_partial_order,
@@ -18,6 +21,11 @@ from qstrat import (
     is_total_order,
     new_poset,
     new_structure,
+    partial_order_violation,
+    qs_order_violation,
+    random_qs_seq,
+    seq_to_order,
+    stratified_order_violation,
     stratified_partition,
 )
 
@@ -279,3 +287,132 @@ def test_enumerate_posets_counts():
 def test_enumerate_posets_bound():
     with pytest.raises(ValueError, match="bound"):
         enumerate_posets(LABELS[:5])
+
+
+# The literal quantifier scans the row-mask kernels replaced, kept as
+# references: every kernel must return the same first witness.
+
+
+def _reference_stratified_order_violation(rel):
+    bad = partial_order_violation(rel)
+    if bad is not None:
+        return ("so:" + bad[0][3:], bad[1])
+    labels = rel.domain.labels
+    n = len(labels)
+    for x in range(n):
+        for y in range(n):
+            if rel.holds_idx(x, y) or rel.holds_idx(y, x):
+                continue
+            for z in range(n):
+                if rel.holds_idx(x, z) and not rel.holds_idx(y, z):
+                    return "so:3", (labels[x], labels[y], labels[z])
+                if rel.holds_idx(z, x) and not rel.holds_idx(z, y):
+                    return "so:4", (labels[x], labels[y], labels[z])
+    return None
+
+
+def _reference_pairs(rows):
+    return [(i, j) for i, row in enumerate(rows) for j in range(len(rows)) if row >> j & 1]
+
+
+def _reference_interval_order_violation(rel):
+    labels, rows = rel.domain.labels, rel.rows
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return "io:1", (labels[i],)
+    pairs = _reference_pairs(rows)
+    for x, y in pairs:
+        for z, w in pairs:
+            if not rows[x] >> w & 1 and not rows[z] >> y & 1:
+                return "io:2", (labels[x], labels[y], labels[z], labels[w])
+    return None
+
+
+def _reference_qs_order_violation(rel):
+    labels, rows = rel.domain.labels, rel.rows
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return (labels[i],)
+    pairs = _reference_pairs(rows)
+    for x, y in pairs:
+        for z, t in pairs:
+            if rows[x] >> t & 1 and rows[z] >> y & 1:
+                continue
+            if rows[x] >> z & 1 and rows[x] >> t & 1:
+                continue
+            if rows[z] >> x & 1 and rows[z] >> y & 1:
+                continue
+            if rows[t] >> y & 1 and rows[z] >> y & 1:
+                continue
+            if rows[y] >> t & 1 and rows[x] >> t & 1:
+                continue
+            return (labels[x], labels[y], labels[z], labels[t])
+    return None
+
+
+KERNELS = [
+    (qs_order_violation, _reference_qs_order_violation),
+    (interval_order_violation, _reference_interval_order_violation),
+    (stratified_order_violation, _reference_stratified_order_violation),
+]
+
+
+def _relation(n, rows, shape):
+    """Rows as drawn ("any"), without self-loops ("irreflexive"), or
+    kept above the diagonal and transitively closed ("order")."""
+    full = (1 << n) - 1
+    if shape == "irreflexive":
+        rows = [row & ~(1 << i) for i, row in enumerate(rows)]
+    elif shape == "order":
+        rows = [row & full & ~((2 << i) - 1) for i, row in enumerate(rows)]
+        for i in reversed(range(n)):
+            for j in _bits_of(rows[i]):
+                rows[i] |= rows[j]
+    return BinRel(Domain(tuple(LABELS[:n])), tuple(row & full for row in rows))
+
+
+def _bits_of(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    rows=st.lists(st.integers(0, 255), min_size=8, max_size=8),
+    shape=st.sampled_from(["any", "irreflexive", "order"]),
+)
+def test_kernels_match_the_literal_scans(n, rows, shape):
+    rel = _relation(n, rows[:n], shape)
+    for kernel, reference in KERNELS:
+        assert kernel(rel) == reference(rel)
+
+
+def test_kernels_match_the_literal_scans_on_both_verdicts():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        density = rng.uniform(0.05, 0.7)
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        rel = _relation(n, rows, rng.choice(["any", "irreflexive", "order", "order"]))
+        for kernel, reference in KERNELS:
+            expected = reference(rel)
+            assert kernel(rel) == expected
+            outcomes.add((kernel.__name__, expected is None))
+    assert len(outcomes) == 2 * len(KERNELS)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_kernels_match_the_literal_scans_on_large_orders(n):
+    # a quasi-stratified order, then the same with one pair flipped
+    rng = random.Random(n)
+    rel = seq_to_order(random_qs_seq([f"e{i}" for i in range(n)], seed=n)).prec
+    assert qs_order_violation(rel) is None
+    assert interval_order_violation(rel) is None
+    rows = list(rel.rows)
+    i, j = rng.sample(range(n), 2)
+    rows[i] ^= 1 << j
+    flipped = BinRel(rel.domain, tuple(rows))
+    for candidate in (rel, flipped):
+        for kernel, reference in KERNELS:
+            assert kernel(candidate) == reference(candidate)

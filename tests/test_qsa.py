@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstrat.qsa
 from qstrat import (
     Prober,
     add_prec,
@@ -25,6 +26,8 @@ from qstrat import (
     random_qsa_structure,
     saturations,
 )
+
+from qstrat.cli import default_labels, main
 
 from conftest import all_relational_structures, random_structure
 
@@ -201,6 +204,55 @@ def test_random_qsa_structure_deterministic_and_acyclic():
     assert a == b
     for seed in range(50):
         assert is_qsa(random_qsa_structure("abcde", seed=seed, density=0.5))
+
+
+def _reference_random_qsa_structure(labels, seed, density):
+    """The generator deciding every candidate on its full extension."""
+    label_tuple = tuple(labels)
+    rng = random.Random(seed)
+    candidates = [
+        (which, x, y)
+        for which in ("prec", "weak")
+        for x in label_tuple
+        for y in label_tuple
+        if x != y
+    ]
+    rng.shuffle(candidates)
+    s = new_structure(label_tuple)
+    for which, x, y in candidates:
+        if rng.random() >= density:
+            continue
+        extended = add_prec(s, x, y) if which == "prec" else add_weak(s, x, y)
+        if qsa_witness(extended) is None:
+            s = extended
+    return s
+
+
+@pytest.mark.parametrize("n", [24, 32, 48])
+@pytest.mark.parametrize("density", [0.1, 0.35])
+def test_random_qsa_structure_matches_the_reference_loop(n, density):
+    labels = default_labels(n)
+    for seed in (1, 2):
+        s = random_qsa_structure(labels, seed=seed, density=density)
+        expected = _reference_random_qsa_structure(labels, seed, density)
+        assert s.domain.labels == expected.domain.labels
+        assert (s.prec.rows, s.weak.rows) == (expected.prec.rows, expected.weak.rows)
+
+
+def test_gen_decides_acyclicity_at_most_once(monkeypatch, capsys):
+    # deciding each candidate on its extension would call qsa_witness
+    # once per candidate kept by the density draw
+    calls = []
+    decide = qstrat.qsa.qsa_witness
+
+    def counted(t):
+        calls.append(t)
+        return decide(t)
+
+    monkeypatch.setattr(qstrat.qsa, "qsa_witness", counted)
+    assert main(["gen", "--n", "16", "--seed", "3", "--density", "0.5"]) == 0
+    assert capsys.readouterr().out.count("[") > 20
+    assert len(calls) <= 1
 
 
 def test_probe_agrees_with_is_qsa_of_the_extension():

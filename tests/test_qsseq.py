@@ -17,7 +17,10 @@ from qstrat import (
     leaf,
     node,
     order_to_seq,
+    qso_add_isolated,
+    qso_empty,
     qso_from_poset,
+    qso_seq_compose,
     random_qs_seq,
     seq_domain,
     seq_from_json,
@@ -82,6 +85,33 @@ def test_decode_two_leaves_chain():
 
 def test_decode_nested_tree(nested_poset):
     assert seq_to_order(NESTED_TREE) == qso_from_poset(nested_poset)
+
+
+def _reference_seq_to_order(q):
+    """Decoding through the two constructions, one order per step."""
+
+    def strata(sts):
+        out = qso_empty()
+        for st in sts:
+            out = qso_seq_compose(out, stratum(st))
+        return out
+
+    def stratum(st):
+        out = strata(st.children)
+        for x in sorted(st.base):
+            out = qso_add_isolated(out, x)
+        return out
+
+    return strata(q.strata)
+
+
+def test_decode_matches_the_constructions():
+    for seed in range(40):
+        q = random_qs_seq([f"e{i}" for i in range(1 + seed)], seed=seed)
+        expected = _reference_seq_to_order(q)
+        got = seq_to_order(q)
+        assert got.domain.labels == expected.domain.labels
+        assert got.prec.rows == expected.prec.rows
 
 
 def test_decode_rejects_invalid():
