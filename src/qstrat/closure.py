@@ -45,6 +45,7 @@ from .qsa import (
     predominants,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
+from .qsseq import ENUMERATION_BOUND
 from .relcore import BinRel, InternalError, Structure, add_prec, add_weak, is_relational
 from .saturate import saturations
 
@@ -144,9 +145,9 @@ def close(s: Structure) -> ClosureReport:
     )
 
 
-def close_oracle(s: Structure, bound: int = 6) -> Structure:
+def close_oracle(s: Structure) -> Structure:
     """Closure by definition: intersect all saturations component-wise."""
-    sats = saturations(s, bound=bound)
+    sats = saturations(s)
     n = len(s.domain)
     prec_rows = [(1 << n) - 1] * n
     weak_rows = [(1 << n) - 1] * n
@@ -168,12 +169,12 @@ class PropertyCheck:
     witness: tuple[str, ...] | None = None
 
 
-def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]:
+def qsc_property_suite(s: Structure) -> list[PropertyCheck]:
     """Scan the consequence laws of closed structures.
 
     Reports the first violating tuple per law.  The saturation-counting
-    law needs enumeration and is marked "not evaluated" beyond the
-    bound.  Input must be closed.
+    law needs enumeration and is marked "not evaluated" on domains larger
+    than ``qsseq.ENUMERATION_BOUND``.  Input must be closed.
     """
     bad = qsc_violation(s)
     if bad is not None:
@@ -303,13 +304,13 @@ def qsc_property_suite(s: Structure, enum_bound: int = 6) -> list[PropertyCheck]
             acyclic_pairs.append((labels[x], labels[y]))
     record("open_pair_stays_acyclic", found)
 
-    if n <= enum_bound:
-        total = len(saturations(s, bound=enum_bound))
+    if n <= ENUMERATION_BOUND:
+        total = len(saturations(s))
         found = None
         for x, y in acyclic_pairs:
             if (
-                len(saturations(add_weak(s, y, x), bound=enum_bound)) >= total
-                or len(saturations(add_prec(s, x, y), bound=enum_bound)) >= total
+                len(saturations(add_weak(s, y, x))) >= total
+                or len(saturations(add_prec(s, x, y))) >= total
             ):
                 found = (x, y)
                 break

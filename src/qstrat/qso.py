@@ -32,7 +32,6 @@ from .relcore import (
     _rows_leaving,
     _touching,
     _untouched,
-    reindex_poset,
 )
 
 
@@ -191,21 +190,16 @@ def factorize_strata(q: QsOrder) -> list[QsOrder]:
     return factors
 
 
-def enumerate_qs_orders(labels: Iterable[str], bound: int = 6) -> list[QsOrder]:
-    """Every quasi-stratified order over the labelled set, duplicate-free.
-
-    Generated through the stratum-tree encoding, whose decoding map is a
-    bijection onto the nonempty orders of the class.  Nothing is kept
-    between calls.
+def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
+    """Every quasi-stratified order over the labelled set, duplicate-free:
+    one per tree of ``qsseq.stratum_trees`` over the labels' declaration
+    positions, in its generation order; the empty set has the empty
+    order.  Nothing is kept between calls.
     """
-    from . import qsseq
+    from .qsseq import stratum_trees, tree_rows
 
     domain = Domain.of(labels)
-    if len(domain) > bound:
-        raise ValueError(f"domain size {len(domain)} exceeds enumeration bound {bound}")
-    if not domain.labels:
-        return [qso_empty()]
+    n = len(domain)
     return [
-        QsOrder(reindex_poset(qsseq.seq_to_order(s).poset, domain))
-        for s in qsseq.enumerate_qs_seqs(domain.labels, bound=len(domain))
+        QsOrder(Poset(domain, BinRel(domain, tree_rows(n, trees)))) for trees in stratum_trees(n)
     ]

@@ -6,21 +6,24 @@ below them), and an internal node's children form an ordered sequence
 of at least two sub-strata executed sequentially during the lifetime of
 the base.  All base sets across a sequence are disjoint and non-empty.
 
+``stratum_trees`` is the one walker of the formation rules: over
+position masks, optionally constrained by a structure, it generates
+each tree exactly once.  The enumerations of sequences here, of orders
+in :mod:`qstrat.qso` and of saturations in :mod:`qstrat.saturate` are
+views of that walk, so they are duplicate-free because it is.
 ``seq_to_order`` decodes a sequence into the order it describes and
 ``order_to_seq`` encodes a nonempty order back; the two are mutually
-inverse, which is what makes the enumeration in :mod:`qstrat.qso`
-duplicate-free.
+inverse, so distinct trees are distinct orders.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 from .qso import QsOrder, factorize_strata, qso_projection, stratum_base
-from .relcore import BinRel, Domain, Poset
+from .relcore import BinRel, Domain, Poset, _bits, _untouched
 
 
 @dataclass(frozen=True)
@@ -142,58 +145,116 @@ def _encode_stratum(q: QsOrder) -> QssStratum:
     return QssStratum(base, body.strata)
 
 
-def enumerate_qs_seqs(labels: Iterable[str], bound: int = 6) -> list[QsSeq]:
-    """Every sequence with the given domain, duplicate-free.
+ENUMERATION_BOUND = 6
+"""Largest domain ``stratum_trees`` walks, and so the bound of every
+enumeration built on it (there are 38,703 trees over 6 events)."""
 
-    Walks the formation rules: ordered partitions of the label set into
-    stratum domains, and for each stratum domain either a leaf or every
-    split into a proper base plus a body of at least two strata.  The
-    sequences and strata over each label subset are built once per call
-    and shared within it; nothing outlives the call.
+Tree = tuple[int, int, tuple["Tree", ...]]
+
+
+def stratum_trees(
+    n: int, touch: Sequence[int] | None = None, combined: Sequence[int] | None = None
+) -> Iterator[tuple[Tree, ...]]:
+    """Every stratum-tree sequence over the positions 0..n-1 that the
+    constraints allow, each exactly once, as a tuple of strata
+    ``(events, base, children)`` over position masks; a leaf's base is
+    all of its events and it has no children.
+
+    The constraints are a structure's: ``touch``, per event, the events
+    its precedence pairs join it to either way (``relcore._touching``),
+    and ``combined``, the successor masks of both relations.  Without
+    them every tree is walked.  The formation rules, constrained:
+
+    - a sequence over the events left starts with a non-empty block
+      that no combined pair enters from the rest of those events;
+    - a leaf stratum holds no two events that touch;
+    - a base set is a non-empty set of the stratum's events that touch
+      none of its events;
+    - a body has at least two strata.
+
+    Generation order: leading blocks, and the bases of one stratum, run
+    through the subsets in increasing value of their position mask; a
+    stratum's leaf comes before its nodes; the rest of a sequence varies
+    fastest.  The empty domain has one tree, the empty sequence.
+    Raises ValueError beyond ``ENUMERATION_BOUND``.
     """
-    label_tuple = tuple(sorted(set(labels)))
-    if len(label_tuple) > bound:
-        raise ValueError(f"domain size {len(label_tuple)} exceeds enumeration bound {bound}")
-    if not label_tuple:
-        return []
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"domain size {n} exceeds enumeration bound {ENUMERATION_BOUND}")
+    touch = touch or (0,) * n
+    combined = combined or (0,) * n
 
-    @cache
-    def seqs_over(subset: tuple[str, ...]) -> tuple[QsSeq, ...]:
-        out: list[QsSeq] = []
-        for block, rest in _subsets(subset):
-            heads = strata_over(block)
-            if not rest:
-                out.extend(QsSeq((head,)) for head in heads)
-            else:
-                tails = seqs_over(rest)
-                out.extend(QsSeq((head,) + tail.strata) for head in heads for tail in tails)
-        return tuple(out)
-
-    @cache
-    def strata_over(subset: tuple[str, ...]) -> tuple[QssStratum, ...]:
-        out: list[QssStratum] = [QssStratum(frozenset(subset))]
-        for base, rest in _subsets(subset):
-            if len(rest) < 2:
+    def sequences(events: int, body: bool) -> Iterator[tuple[Tree, ...]]:
+        block = 0
+        while True:
+            block = (block - events) & events
+            if block == 0:
+                return
+            rest = events & ~block
+            if body and not rest:  # a body needs a second stratum
+                return
+            if any(combined[y] & block for y in _bits(rest)):
                 continue
-            for body in seqs_over(rest):
-                if len(body.strata) >= 2:
-                    out.append(QssStratum(frozenset(base), body.strata))
-        return tuple(out)
+            for head in strata(block):
+                if not rest:
+                    yield (head,)
+                    continue
+                for tail in sequences(rest, False):
+                    yield (head,) + tail
 
-    return list(seqs_over(label_tuple))
+    def strata(events: int) -> Iterator[Tree]:
+        free = _untouched(touch, events)
+        if free == events:
+            yield events, events, ()
+        base = 0
+        while True:
+            base = (base - free) & free
+            if base == 0:
+                return
+            for body in sequences(events & ~base, True):
+                yield events, base, body
+
+    return sequences((1 << n) - 1, False) if n else iter([()])
 
 
-def _subsets(labels: tuple[str, ...]) -> Iterable[tuple[tuple[str, ...], tuple[str, ...]]]:
-    n = len(labels)
-    for mask in range(1, 1 << n):
-        inside = tuple(labels[i] for i in range(n) if mask >> i & 1)
-        outside = tuple(labels[i] for i in range(n) if not mask >> i & 1)
-        yield inside, outside
+def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
+    """Precedence rows of the order a walked sequence describes: each
+    stratum's events precede the later strata of its sequence."""
+    rows = [0] * n
+    pending = [trees]
+    while pending:
+        later = 0
+        for events, _, children in reversed(pending.pop()):
+            if later:
+                for i in _bits(events):
+                    rows[i] |= later
+            later |= events
+            if children:
+                pending.append(children)
+    return tuple(rows)
+
+
+def enumerate_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:
+    """Every sequence with the given domain, duplicate-free: one per tree
+    of ``stratum_trees`` over the labels' declaration positions, in its
+    generation order.  The empty domain has none."""
+    names = Domain.of(labels).labels
+    converted: dict[Tree, QssStratum] = {}
+
+    def stratum(tree: Tree) -> QssStratum:
+        out = converted.get(tree)
+        if out is None:
+            _, base, children = tree
+            base_labels = frozenset(names[i] for i in _bits(base))
+            out = converted[tree] = QssStratum(base_labels, tuple(map(stratum, children)))
+        return out
+
+    # the empty domain's one tree, the empty sequence, is no QsSeq
+    return [QsSeq(tuple(map(stratum, trees))) for trees in stratum_trees(len(names)) if trees]
 
 
 def random_qs_seq(labels: Iterable[str], seed: int) -> QsSeq:
     """A random valid sequence over the labels, deterministic per seed."""
-    pool = sorted(set(labels))
+    pool = sorted(Domain.of(labels).labels)
     if not pool:
         raise ValueError("need at least one label")
     rng = random.Random(seed)
@@ -240,14 +301,18 @@ def seq_from_json(data: Any) -> QsSeq:
         if not isinstance(item, dict) or not set(item) <= {"base", "children"}:
             raise ValueError("tree JSON must be an object with base and optional children")
         base = item.get("base")
-        if not isinstance(base, list) or not all(isinstance(x, str) for x in base):
+        if not isinstance(base, list):
             raise ValueError("tree base must be a list of strings")
         children = item.get("children", [])
         if not isinstance(children, list):
             raise ValueError("tree children must be a list")
-        return QssStratum(frozenset(base), tuple(decode(c) for c in children))
+        return QssStratum(Domain.of(base).label_set, tuple(decode(c) for c in children))
 
-    return QsSeq(tuple(decode(item) for item in data))
+    q = QsSeq(tuple(decode(item) for item in data))
+    bad = seq_violation(q)
+    if bad is not None:
+        raise ValueError(f"invalid sequence: {bad}")
+    return q
 
 
 def format_seq(q: QsSeq) -> str:

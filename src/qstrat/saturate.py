@@ -9,9 +9,8 @@ one stratum-tree encoding (see :mod:`qstrat.qsseq`).
 The saturations of an acyclic structure s are the maximal structures
 that extend it: their order contains s.prec and reverses no pair of
 s.weak.  ``saturations`` generates their stratum trees directly under
-those two constraints instead of filtering every maximal structure over
-the domain; ``all_qsm_structures`` is that filter's input, kept as the
-test oracle.
+those two constraints (through ``qsseq.stratum_trees``) instead of
+filtering every maximal structure over the domain.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from typing import Iterator
 
 from .qsa import csc_components, is_qsa, predominants
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
+from .qsseq import stratum_trees, tree_rows
 from .relcore import (
     BinRel,
     Domain,
@@ -30,7 +30,6 @@ from .relcore import (
     _bits,
     _combined_rows,
     _touching,
-    _untouched,
     new_structure,
     poset_to_structure,
     project,
@@ -146,16 +145,17 @@ class SaturationSet:
 
 def all_qsm_structures(labels: tuple[str, ...]) -> tuple[Structure, ...]:
     """Every maximal structure over the labels, through the order
-    enumeration; the oracle that generated saturations are checked
-    against."""
-    return tuple(qso_to_qsm(o) for o in enumerate_qs_orders(labels, bound=len(labels)))
+    enumeration: the saturations of the empty structure, in the order
+    ``enumerate_qs_orders`` generates them."""
+    return tuple(qso_to_qsm(o) for o in enumerate_qs_orders(labels))
 
 
-def saturations(s: Structure, limit: int | None = None, bound: int = 6) -> SaturationSet:
+def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     """All maximal extensions of an acyclic structure.
 
-    The extensions are generated from s's constraints (see ``_orders``),
-    without duplicates.  An untruncated result is in canonical order:
+    The extensions are generated from s's constraints, one per stratum
+    tree that s allows (see ``qsseq.stratum_trees``), so without
+    duplicates.  An untruncated result is in canonical order:
     sorted by the sorted list of prec pairs (a maximal structure's weak
     pairs follow from its prec pairs).  With a limit, at most limit + 1
     extensions are generated; when there are more than limit, the result
@@ -164,12 +164,12 @@ def saturations(s: Structure, limit: int | None = None, bound: int = 6) -> Satur
     """
     if not is_qsa(s):
         raise ValueError("can only saturate a quasi-stratified acyclic structure")
-    if len(s.domain) > bound:
-        raise ValueError(f"domain size {len(s.domain)} exceeds enumeration bound {bound}")
+    n = len(s.domain)
+    ordered = reindex_structure(s, Domain(tuple(sorted(s.domain.labels))))
+    walk = stratum_trees(n, _touching(ordered.prec), _combined_rows(ordered))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    ordered = reindex_structure(s, Domain(tuple(sorted(s.domain.labels))))
-    found = list(islice(_orders(ordered), None if limit is None else limit + 1))
+    found = [tree_rows(n, trees) for trees in islice(walk, None if limit is None else limit + 1)]
     truncated = limit is not None and len(found) > limit
     if truncated:
         del found[limit:]
@@ -185,64 +185,3 @@ def saturations(s: Structure, limit: int | None = None, bound: int = 6) -> Satur
         ),
         truncated,
     )
-
-
-def _orders(s: Structure) -> Iterator[tuple[int, ...]]:
-    """Precedence rows of the saturations of an acyclic s, one per
-    stratum tree that s allows, over s's label positions.
-
-    A tree is built as its cuts: pairs (earlier, later) of position
-    masks whose products make up the order.  The formation rules of
-    :mod:`qstrat.qsseq`, constrained by s:
-
-    - a sequence over the events left starts with a non-empty block
-      that no combined pair of s enters from the rest of those events;
-    - a leaf stratum holds no precedence pair of s;
-    - a base set is a non-empty set of the stratum's events that no
-      precedence pair of s within the stratum touches;
-    - a body has at least two strata.
-
-    Generation order: leading blocks, and the bases of one stratum, run
-    through the subsets in increasing value of their position mask; a
-    stratum's leaf comes before its nodes; the rest of a sequence varies
-    fastest.
-    """
-    touch, combined = _touching(s.prec), _combined_rows(s)
-
-    def sequences(events: int, body: bool) -> Iterator[tuple[tuple[int, int], ...]]:
-        block = 0
-        while True:
-            block = (block - events) & events
-            if block == 0:
-                return
-            rest = events & ~block
-            if body and not rest:  # a body needs a second stratum
-                return
-            if any(combined[y] & block for y in _bits(rest)):
-                continue
-            for head in strata(block):
-                if not rest:
-                    yield head
-                    continue
-                for tail in sequences(rest, False):
-                    yield head + ((block, rest),) + tail
-
-    def strata(events: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        free = _untouched(touch, events)
-        if free == events:
-            yield ()
-        base = 0
-        while True:
-            base = (base - free) & free
-            if base == 0:
-                return
-            yield from sequences(events & ~base, True)
-
-    n = len(s.domain)
-    # the empty order has no stratum tree; it is its own one saturation
-    for cuts in sequences((1 << n) - 1, False) if n else [()]:
-        rows = [0] * n
-        for earlier, later in cuts:
-            for i in _bits(earlier):
-                rows[i] |= later
-        yield tuple(rows)

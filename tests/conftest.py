@@ -1,13 +1,26 @@
-"""Shared fixtures: the worked examples used across the suite plus
-random structure helpers."""
+"""Shared fixtures: the worked examples used across the suite, random
+structure helpers, and the reference walker of the stratum-tree
+formation rules."""
 
 from __future__ import annotations
 
 import random
+from functools import cache
+from typing import Iterable
 
 import pytest
 
-from qstrat import Structure, new_poset, new_structure
+from qstrat import (
+    Domain,
+    QsSeq,
+    QssStratum,
+    Structure,
+    new_poset,
+    new_structure,
+    poset_to_structure,
+    reindex_poset,
+    seq_to_order,
+)
 
 LABELS = "abcdefgh"
 
@@ -119,3 +132,67 @@ def all_relational_structures(n: int):
         for wm in range(1 << k):
             weak = [slots[i] for i in range(k) if wm >> i & 1]
             yield new_structure(labels, prec, weak)
+
+
+def reference_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:
+    """Every stratum-tree sequence over the labels, by the formation
+    rules over label tuples: ordered partitions of the label set into
+    stratum domains, and for each stratum domain either a leaf or every
+    split into a base plus a body of at least two strata.  The
+    reference that ``qsseq.stratum_trees`` and its views are checked
+    against; it shares no code with them."""
+    label_tuple = tuple(sorted(labels))
+
+    @cache
+    def seqs_over(subset: tuple[str, ...]) -> tuple[QsSeq, ...]:
+        out: list[QsSeq] = []
+        for block, rest in _subsets(subset):
+            heads = strata_over(block)
+            if not rest:
+                out.extend(QsSeq((head,)) for head in heads)
+            else:
+                tails = seqs_over(rest)
+                out.extend(QsSeq((head,) + tail.strata) for head in heads for tail in tails)
+        return tuple(out)
+
+    @cache
+    def strata_over(subset: tuple[str, ...]) -> tuple[QssStratum, ...]:
+        out: list[QssStratum] = [QssStratum(frozenset(subset))]
+        for base, rest in _subsets(subset):
+            if len(rest) < 2:
+                continue
+            for body in seqs_over(rest):
+                if len(body.strata) >= 2:
+                    out.append(QssStratum(frozenset(base), body.strata))
+        return tuple(out)
+
+    return list(seqs_over(label_tuple)) if label_tuple else []
+
+
+def _subsets(labels: tuple[str, ...]):
+    n = len(labels)
+    for mask in range(1, 1 << n):
+        inside = tuple(labels[i] for i in range(n) if mask >> i & 1)
+        outside = tuple(labels[i] for i in range(n) if not mask >> i & 1)
+        yield inside, outside
+
+
+def reference_qsm_structures(
+    labels: tuple[str, ...], seqs: Iterable[QsSeq] | None = None
+) -> tuple[Structure, ...]:
+    """Every maximal structure over the labels, in their declaration
+    order, decoded from the reference sequences (``seqs``, when given,
+    must be ``reference_qs_seqs(labels)``)."""
+    domain = Domain.of(labels)
+    if seqs is None:
+        seqs = reference_qs_seqs(labels)
+    return tuple(poset_to_structure(reindex_poset(seq_to_order(q).poset, domain)) for q in seqs)
+
+
+@pytest.fixture(scope="session")
+def six_event_reference():
+    """Six labels declared out of order, their reference sequences and
+    the maximal structures those decode to, built once per session."""
+    labels = ("f", "c", "a", "e", "b", "d")
+    seqs = reference_qs_seqs(labels)
+    return labels, seqs, reference_qsm_structures(labels, seqs)

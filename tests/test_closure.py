@@ -24,7 +24,7 @@ from qstrat import (
     saturations,
 )
 
-from conftest import random_structure
+from conftest import LABELS, random_structure
 
 
 def test_transactions_closure_is_closed(transactions_closure):
@@ -141,6 +141,11 @@ def test_close_oracle_transactions(transactions, transactions_closure):
 
 def test_close_oracle_of_qsm(maximal_ext):
     assert close_oracle(maximal_ext) == maximal_ext
+
+
+def test_close_oracle_bound():
+    with pytest.raises(ValueError, match="bound"):
+        close_oracle(new_structure("abcdefg"))
 
 
 def test_close_matches_oracle_random():
@@ -272,8 +277,9 @@ def test_property_suite_reports_reversed_weak():
         qsc_property_suite(broken)
 
 
-def test_property_suite_skips_beyond_enum_bound(transactions_closure):
-    results = {c.name: c.status for c in qsc_property_suite(transactions_closure, enum_bound=2)}
+def test_property_suite_skips_beyond_enum_bound():
+    closed = close(random_qsa_structure(LABELS[:7], seed=1)).closed
+    results = {c.name: c.status for c in qsc_property_suite(closed)}
     assert results["open_pair_splits_saturations"] == "not evaluated"
     assert results["prec_implies_weak"] == "pass"
 

@@ -30,7 +30,7 @@ from qstrat import (
     stratified_partition,
 )
 
-from conftest import LABELS
+from conftest import LABELS, reference_qs_seqs, reference_qsm_structures
 
 NESTED_TREE = QsSeq((node({"b"}, [leaf({"a"}), leaf({"c"})]), leaf({"d"})))
 
@@ -218,6 +218,48 @@ def test_enumerate_bound():
         enumerate_qs_seqs(LABELS[:7])
 
 
+def test_views_match_the_reference_walker(six_event_reference):
+    # both views against the label-tuple walker, declared shuffled and
+    # sorted up to five events and shuffled at six
+    labels6, seqs6, structures6 = six_event_reference
+    rng = random.Random(14)
+    for n, count in zip(range(1, 7), (1, 3, 19, 183, 2371, 38703)):
+        if n < 6:
+            shuffled = list(LABELS[:n])
+            rng.shuffle(shuffled)
+            reference = reference_qs_seqs(shuffled)
+            declarations = [tuple(shuffled), tuple(sorted(shuffled))]
+        else:
+            reference = seqs6
+            declarations = [labels6]
+        reference_seqs = set(reference)
+        assert len(reference) == len(reference_seqs) == count
+        for declared in declarations:
+            structures = structures6 if n == 6 else reference_qsm_structures(declared, reference)
+            seqs = enumerate_qs_seqs(declared)
+            assert len(seqs) == count
+            assert set(seqs) == reference_seqs
+            orders = enumerate_qs_orders(declared)
+            assert all(q.domain.labels == declared for q in orders)
+            rows = {q.prec.rows for q in orders}
+            assert len(orders) == len(rows) == count
+            assert rows == {m.prec.rows for m in structures}
+
+
+@pytest.mark.parametrize(
+    "labels", [["", "a"], ["a", "a"], [1, 2]], ids=["empty", "repeated", "int"]
+)
+def test_entry_points_reject_bad_labels(labels):
+    with pytest.raises(ValueError):
+        enumerate_qs_seqs(labels)
+    with pytest.raises(ValueError):
+        enumerate_qs_orders(labels)
+    with pytest.raises(ValueError):
+        random_qs_seq(labels, seed=0)
+    with pytest.raises(ValueError):
+        seq_from_json([{"base": labels}])
+
+
 def test_random_seq_single_label_forced():
     for seed in range(5):
         assert random_qs_seq(["a"], seed=seed) == QsSeq((leaf({"a"}),))
@@ -255,6 +297,17 @@ def test_json_rejects_garbage():
         seq_from_json({"base": ["a"]})
     with pytest.raises(ValueError):
         seq_from_json([{"root": ["a"]}])
+
+
+def test_json_rejects_invalid_sequences():
+    for data in (
+        [],
+        [{"base": []}],
+        [{"base": ["a"]}, {"base": ["a"]}],
+        [{"base": ["a"], "children": [{"base": ["b"]}]}],
+    ):
+        with pytest.raises(ValueError, match="invalid sequence"):
+            seq_from_json(data)
 
 
 def test_format_seq():

@@ -5,7 +5,6 @@ import pytest
 from qstrat import (
     add_prec,
     add_weak,
-    all_qsm_structures,
     extends,
     is_qsa,
     is_qsm,
@@ -23,7 +22,7 @@ from qstrat import (
     stratum_domain,
 )
 
-from conftest import all_relational_structures, random_structure
+from conftest import all_relational_structures, random_structure, reference_qsm_structures
 
 
 def canonical_key(m):
@@ -219,7 +218,7 @@ def test_saturations_match_filter_oracle_exhaustive(n):
         if not is_qsa(s):
             continue
         if universe is None:
-            universe = all_qsm_structures(s.domain.labels)
+            universe = reference_qsm_structures(s.domain.labels)
         assert_matches_oracle(s, universe)
         seen += 1
     assert seen > 0
@@ -227,7 +226,7 @@ def test_saturations_match_filter_oracle_exhaustive(n):
 
 def test_saturations_match_filter_oracle_random():
     rng = random.Random(83)
-    universes = {n: all_qsm_structures(tuple("abcde"[:n])) for n in (4, 5)}
+    universes = {n: reference_qsm_structures(tuple("abcde"[:n])) for n in (4, 5)}
     for _ in range(150):
         n = rng.randint(4, 5)
         labels = list("abcde"[:n])
@@ -238,9 +237,8 @@ def test_saturations_match_filter_oracle_random():
         assert_matches_oracle(s, universes[n])
 
 
-def test_saturations_match_filter_oracle_six_events():
-    labels = ("f", "c", "a", "e", "b", "d")
-    universe = all_qsm_structures(labels)
+def test_saturations_match_filter_oracle_six_events(six_event_reference):
+    labels, _, universe = six_event_reference
     assert len(universe) == 38703
     rng = random.Random(89)
     for density in (0.15, 0.25, 0.35, 0.45, 0.55, 0.65):
