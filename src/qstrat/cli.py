@@ -9,8 +9,11 @@ commands that need a two-relation structure then embed it (unordered
 events become mutually weak).  Unknown keys are rejected.
 
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
-3 internal error (a broken invariant of the library, reported as
-``internal error: ...`` on stderr).
+3 internal error: any unexpected failure, such as a broken invariant of
+the library, reported as ``internal error: ...`` on stderr (with the
+traceback unless it is an ``InternalError``).  Input errors are raised
+as ``InputError`` alone; any other exception, a ``ValueError`` from the
+library included, is internal.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,11 +88,13 @@ def _pair_list(value: object, key: str) -> tuple[tuple[str, str], ...]:
 def read_input(path: str | Path) -> InputFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to decode") from exc
+    except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
@@ -257,6 +263,11 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if not qsa.is_qsa(s):
         print("FAIL: input is not quasi-stratified acyclic")
         return 1
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"limit must be non-negative, got {args.limit}")
+    n = len(s.domain)
+    if n > qsseq.ENUMERATION_BOUND:
+        raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
     sats = saturate.saturations(s, limit=args.limit)
     print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
     for k, m in enumerate(sats, start=1):
@@ -401,6 +412,10 @@ def _selftest_closure_oracle(max_n: int, rng: random.Random) -> bool:
 def cmd_selftest(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
+    if args.max_n > qsa.SUBSET_SCAN_BOUND:
+        raise InputError(
+            f"domain size {args.max_n} exceeds subset-scan bound {qsa.SUBSET_SCAN_BOUND}"
+        )
     rng = random.Random(20240101)
     suites = [
         ("acyclicity: polynomial vs subset scan", lambda: _selftest_qsa_oracle(args.max_n, rng)),
@@ -473,11 +488,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .qsa import (
+    SUBSET_SCAN_BOUND,
     Prober,
     csc_subsets_naive,
     is_csc_subset,
@@ -172,9 +173,11 @@ class PropertyCheck:
 def qsc_property_suite(s: Structure) -> list[PropertyCheck]:
     """Scan the consequence laws of closed structures.
 
-    Reports the first violating tuple per law.  The saturation-counting
-    law needs enumeration and is marked "not evaluated" on domains larger
-    than ``qsseq.ENUMERATION_BOUND``.  Input must be closed.
+    Reports the first violating tuple per law.  The twin-predominant law
+    scans every subset and the saturation-counting law needs enumeration;
+    each is marked "not evaluated" on domains larger than its bound,
+    ``qsa.SUBSET_SCAN_BOUND`` and ``qsseq.ENUMERATION_BOUND``.  Input
+    must be closed.
     """
     bad = qsc_violation(s)
     if bad is not None:
@@ -278,7 +281,7 @@ def qsc_property_suite(s: Structure) -> list[PropertyCheck]:
                 break
     record("weak_cycle_sole_predominant", found)
 
-    if n <= 12:
+    if n <= SUBSET_SCAN_BOUND:
         found = None
         for subset in csc_subsets_naive(s):
             doms = predominants(s, subset)

@@ -9,12 +9,17 @@ would find, so witnesses are deterministic; the scans run on row masks.
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
 searches on two-relation structures that mirror the order classes.
+These share one breadth-first search for the first shortest closed walk
+and differ in its state graph: the vertices under the combined relation
+(total); pairs (vertex, phase), phase 0 leaving only by a precedence
+step (stratified); pairs (vertex, incoming step strong), a weak-only
+step leaving only a strong state (interval).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .relcore import (
     BinRel,
@@ -28,10 +33,7 @@ from .relcore import (
 )
 
 Violation = tuple[str, tuple[str, ...]]
-
-
-def _prec_pairs(rel: BinRel) -> list[tuple[int, int]]:
-    return [(i, j) for i, row in enumerate(rel.rows) for j in _bits(row)]
+State = TypeVar("State", bound=Hashable)
 
 
 def partial_order_violation(rel: BinRel) -> Violation | None:
@@ -180,32 +182,39 @@ def interval_realization(p: Poset) -> dict[str, tuple[int, int]] | None:
     return {x: (b, e) for x, b, e in zip(labels, begins, ends)}
 
 
-def _shortest_cycle(rows: tuple[int, ...], n: int) -> list[int] | None:
-    best: list[int] | None = None
-    for start in range(n):
-        dist = {start: 0}
-        parent: dict[int, int] = {}
+def _shortest_closed_walk(
+    starts: Iterable[State], successors: Callable[[State], Iterable[State]]
+) -> list[State] | None:
+    """First shortest closed walk (start at both ends) of the states, or None.
+
+    A breadth-first search from each start in turn stops at its first
+    step back into the start; a later walk replaces it only if shorter.
+    """
+    best: list[State] | None = None
+    for start in starts:
+        parent: dict[State, State] = {}
         queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in _bits(rows[u]):
-                if v == start:
-                    cycle = [start]
-                    node = u
-                    while node != start:
-                        cycle.append(node)
-                        node = parent[node]
-                    cycle.append(start)
-                    cycle = cycle[::-1]
-                    if best is None or len(cycle) < len(best):
-                        best = cycle
-                    queue.clear()
+        walk: list[State] | None = None
+        while queue and walk is None:
+            state = queue.popleft()
+            for nxt in successors(state):
+                if nxt == start:
+                    walk = [start, state]
+                    while walk[-1] != start:
+                        walk.append(parent[walk[-1]])
                     break
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
+                if nxt not in parent:
+                    parent[nxt] = state
+                    queue.append(nxt)
+        if walk is not None and (best is None or len(walk) < len(best)):
+            best = walk[::-1]
     return best
+
+
+def _combined_relational_rows(s: Structure) -> tuple[int, ...]:
+    if not is_relational(s):
+        raise ValueError("structure is not relational")
+    return _combined_rows(s)
 
 
 def forbidden_cycle_total(s: Structure) -> list[str] | None:
@@ -213,47 +222,30 @@ def forbidden_cycle_total(s: Structure) -> list[str] | None:
 
     Any such cycle rules out a sequential (total order) execution.
     """
-    if not is_relational(s):
-        raise ValueError("structure is not relational")
-    n = len(s.domain)
-    cycle = _shortest_cycle(_combined_rows(s), n)
-    if cycle is None:
-        return None
-    return [s.domain.labels[i] for i in cycle]
+    rows = _combined_relational_rows(s)
+    walk = _shortest_closed_walk(range(len(rows)), lambda u: _bits(rows[u]))
+    return None if walk is None else [s.domain.labels[u] for u in walk]
 
 
 def forbidden_cycle_stratified(s: Structure) -> list[str] | None:
-    """Shortest combined cycle containing a precedence step, or None."""
-    if not is_relational(s):
-        raise ValueError("structure is not relational")
-    rows = _combined_rows(s)
-    labels = s.domain.labels
-    best: list[int] | None = None
-    for u, v in _prec_pairs(s.prec):
-        dist = {v: 0}
-        parent: dict[int, int] = {}
-        queue = deque([v])
-        path: list[int] | None = None
-        while queue:
-            w = queue.popleft()
-            if w == u:
-                path = [u]
-                while path[-1] != v:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                break
-            for t in _bits(rows[w]):
-                if t not in dist:
-                    dist[t] = dist[w] + 1
-                    parent[t] = w
-                    queue.append(t)
-        if path is not None:
-            cycle = [u] + path
-            if best is None or len(cycle) < len(best):
-                best = cycle
-    if best is None:
-        return None
-    return [labels[i] for i in best]
+    """Shortest combined cycle containing a precedence step, or None.
+
+    States (vertex, phase) start in phase 0, which only a precedence
+    step leaves, into phase 1; phase 1 takes any combined step, to
+    phase 1 before phase 0, and so may close the cycle.
+    """
+    rows = _combined_relational_rows(s)
+    prec = s.prec.rows
+
+    def successors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        u, phase = state
+        for v in _bits(rows[u] if phase else prec[u]):
+            yield v, 1
+            if phase:
+                yield v, 0
+
+    walk = _shortest_closed_walk([(u, 0) for u in range(len(rows))], successors)
+    return None if walk is None else [s.domain.labels[u] for u, _ in walk]
 
 
 def forbidden_cycle_interval(s: Structure) -> list[str] | None:
@@ -262,57 +254,35 @@ def forbidden_cycle_interval(s: Structure) -> list[str] | None:
     Steps taken in the precedence relation are strong; a step available
     only through weak precedence is weak.  The walk is forbidden for
     interval executions when every pair of cyclically consecutive steps
-    contains a strong one.  States (vertex, incoming step kind) turn the
-    wrap-around condition into plain cycle search.
+    contains a strong one; states (vertex, incoming step strong) make
+    that a plain closed-walk search.
     """
-    if not is_relational(s):
-        raise ValueError("structure is not relational")
-    n = len(s.domain)
-    labels = s.domain.labels
+    rows = _combined_relational_rows(s)
     prec = s.prec.rows
-    weak_only = tuple(s.weak.rows[i] & ~prec[i] for i in range(n))
 
-    def successors(state: tuple[int, bool]) -> Iterable[tuple[int, bool]]:
+    def successors(state: tuple[int, bool]) -> Iterator[tuple[int, bool]]:
         u, incoming_strong = state
         for v in _bits(prec[u]):
             yield v, True
         if incoming_strong:
-            for v in _bits(weak_only[u]):
+            for v in _bits(rows[u] & ~prec[u]):
                 yield v, False
 
-    best: list[tuple[int, bool]] | None = None
-    for start in [(v, strong) for v in range(n) for strong in (True, False)]:
-        dist = {start: 0}
-        parent: dict[tuple[int, bool], tuple[int, bool]] = {}
-        queue = deque([start])
-        found = False
-        while queue and not found:
-            state = queue.popleft()
-            for nxt in successors(state):
-                if nxt == start:
-                    walk = [start, state]
-                    while walk[-1] != start:
-                        walk.append(parent[walk[-1]])
-                    walk.reverse()
-                    if best is None or len(walk) < len(best):
-                        best = walk
-                    found = True
-                    break
-                if nxt not in dist:
-                    dist[nxt] = dist[state] + 1
-                    parent[nxt] = state
-                    queue.append(nxt)
-    if best is None:
-        return None
-    return [labels[v] for v, _ in best]
+    starts = [(v, strong) for v in range(len(rows)) for strong in (True, False)]
+    walk = _shortest_closed_walk(starts, successors)
+    return None if walk is None else [s.domain.labels[v] for v, _ in walk]
 
 
-def enumerate_posets(labels: Iterable[str], bound: int = 4) -> list[Poset]:
+POSET_ENUMERATION_BOUND = 4
+"""Largest domain ``enumerate_posets`` scans (2^12 relations at 4 events)."""
+
+
+def enumerate_posets(labels: Iterable[str]) -> list[Poset]:
     """All partial orders over the labelled set, by brute force."""
     domain = Domain.of(labels)
     n = len(domain)
-    if n > bound:
-        raise ValueError(f"domain size {n} exceeds enumeration bound {bound}")
+    if n > POSET_ENUMERATION_BOUND:
+        raise ValueError(f"domain size {n} exceeds enumeration bound {POSET_ENUMERATION_BOUND}")
     slots = [(i, j) for i in range(n) for j in range(n) if i != j]
     out: list[Poset] = []
     for mask in range(1 << len(slots)):

@@ -133,14 +133,13 @@ def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
     return out
 
 
-def csc_components(s: Structure, subset: Iterable[str] | None = None) -> list[frozenset[str]]:
+def csc_components(s: Structure) -> list[frozenset[str]]:
     """Strongly connected components of the combined relation, in
     reverse topological order of the condensation."""
-    members = (1 << len(s.domain)) - 1 if subset is None else _label_mask(s.domain, subset)
     labels = s.domain.labels
     return [
         frozenset(labels[i] for i in _bits(mask))
-        for mask in _scc_masks(_combined_rows(s), members)
+        for mask in _scc_masks(_combined_rows(s), (1 << len(labels)) - 1)
     ]
 
 
@@ -150,11 +149,15 @@ def is_csc_subset(s: Structure, subset: Iterable[str]) -> bool:
     return members != 0 and len(_scc_masks(_combined_rows(s), members)) == 1
 
 
-def csc_subsets_naive(s: Structure, bound: int = 12) -> list[frozenset[str]]:
+SUBSET_SCAN_BOUND = 12
+"""Largest domain the subset-scan oracles take (2^12 subsets at 12 events)."""
+
+
+def csc_subsets_naive(s: Structure) -> list[frozenset[str]]:
     """Every CSC subset, smallest first then lexicographic; the oracle."""
     n = len(s.domain)
-    if n > bound:
-        raise ValueError(f"domain size {n} exceeds subset-scan bound {bound}")
+    if n > SUBSET_SCAN_BOUND:
+        raise ValueError(f"domain size {n} exceeds subset-scan bound {SUBSET_SCAN_BOUND}")
     rows = _combined_rows(s)
     out: list[frozenset[str]] = []
     for size in range(1, n + 1):
@@ -167,18 +170,18 @@ def csc_subsets_naive(s: Structure, bound: int = 12) -> list[frozenset[str]]:
     return out
 
 
-def qsa_witness_naive(s: Structure, bound: int = 12) -> CscWitness | None:
+def qsa_witness_naive(s: Structure) -> CscWitness | None:
     """Smallest, lexicographically least CSC subset without pre-dominant."""
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    for subset in csc_subsets_naive(s, bound=bound):
+    for subset in csc_subsets_naive(s):
         if not predominants(s, subset):
             return CscWitness(subset)
     return None
 
 
-def is_qsa_naive(s: Structure, bound: int = 12) -> bool:
-    return is_relational(s) and qsa_witness_naive(s, bound=bound) is None
+def is_qsa_naive(s: Structure) -> bool:
+    return is_relational(s) and qsa_witness_naive(s) is None
 
 
 def qsa_witness(s: Structure) -> CscWitness | None:

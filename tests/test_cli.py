@@ -293,3 +293,51 @@ def test_missing_interval_realization_exits_3(capsys, monkeypatch, argv):
     code, _, err = run(capsys, argv[0], fixture(argv[1]))
     assert code == 3
     assert err.startswith("internal error: ") and "interval realization" in err
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "check", "--class", "qsa", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nests too deeply" in err
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"domain": ["é"], "prec": []}'.encode("latin-1"))
+    code, out, err = run(capsys, "check", "--class", "qsa", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read")
+
+
+def test_saturate_beyond_enumeration_bound_is_input_error(capsys, tmp_path):
+    path = tmp_path / "seven.json"
+    path.write_text(structure_json_text(new_structure("abcdefg")))
+    code, out, err = run(capsys, "saturate", "--limit", "1", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: domain size 7 exceeds enumeration bound 6"
+
+
+def test_selftest_beyond_subset_scan_bound_is_input_error(capsys):
+    code, out, err = run(capsys, "selftest", "--max-n", "13")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: domain size 13 exceeds subset-scan bound 12"
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, TypeError])
+def test_unexpected_library_exception_exits_3(capsys, monkeypatch, exc_type):
+    def broken(s):
+        raise exc_type("closure went wrong")
+
+    monkeypatch.setattr(qstrat.closure, "close", broken)
+    code, out, err = run(capsys, "close", fixture("transactions.json"))
+    assert code == 3
+    assert out == ""
+    first, *trace = err.splitlines()
+    assert first == f"internal error: {exc_type.__name__}: closure went wrong"
+    assert trace[0] == "Traceback (most recent call last):"

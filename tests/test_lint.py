@@ -37,10 +37,6 @@ def test_library_has_no_module_level_caches():
     assert not found, f"module-level caches outlive every call and grow without limit: {found}"
 
 
-# brute-force oracles whose size guard is part of the oracle
-BOUNDED_ORACLES = {"csc_subsets_naive", "qsa_witness_naive", "is_qsa_naive", "enumerate_posets"}
-
-
 def test_library_has_no_bound_parameters():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -48,12 +44,10 @@ def test_library_has_no_bound_parameters():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name in BOUNDED_ORACLES:
-                continue
             args = node.args
             found += [
                 f"{path.name}:{node.lineno} {node.name}({arg.arg})"
                 for arg in args.posonlyargs + args.args + args.kwonlyargs
                 if arg.arg in ("bound", "enum_bound")
             ]
-    assert not found, f"enumeration is bounded by qsseq.ENUMERATION_BOUND alone: {found}"
+    assert not found, f"size bounds are module constants, not parameters: {found}"
