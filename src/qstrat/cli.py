@@ -337,6 +337,8 @@ def default_labels(n: int) -> tuple[str, ...]:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise InputError("--n must be non-negative")
+    if args.n > qsa.GENERATION_BOUND:
+        raise InputError(f"domain size {args.n} exceeds generation bound {qsa.GENERATION_BOUND}")
     if not 0.0 <= args.density <= 1.0:
         raise InputError("--density must lie in [0, 1]")
     s = qsa.random_qsa_structure(default_labels(args.n), seed=args.seed, density=args.density)

@@ -26,13 +26,27 @@ stops at the first one without pre-dominant: the subset ``qsa_witness``
 of the extension returns.  On a structure that is not acyclic every
 probe returns the structure's own witness, which stays forbidden in
 every extension.
+
+A prober grows with its structure: ``Prober.extend`` adds each pair its
+probe accepts and keeps its memos exact instead of starting over, by
+the single-edge lemma.  Adding the edge i -> j changes the reach sets
+inside a member set M only when M holds both i and j.  Then reach_M(j)
+stays as it was, since a walk from j through the new edge comes back to
+j; each reach_M(v) that holds i gains reach_M(j); and nothing changes
+when i already reaches j inside M.  Dually each coreach_M(v) that holds
+j gains coreach_M(i).  A precedence pair between i and j leaves the
+pre-dominants of a component as they were unless the component holds
+both, and then takes exactly i and j out of them.  So the memos of the
+sets holding both that probes used since the last new edge are updated
+in place, and those of the other sets holding both are dropped.  The
+full domain is always kept, so each of its 2n reach and coreach sets is
+spread once per prober.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import combinations
 from typing import Iterable
 
@@ -152,6 +166,10 @@ def is_csc_subset(s: Structure, subset: Iterable[str]) -> bool:
 SUBSET_SCAN_BOUND = 12
 """Largest domain the subset-scan oracles take (2^12 subsets at 12 events)."""
 
+GENERATION_BOUND = 256
+"""Largest domain ``random_qsa_structure`` takes: it lists all 2n(n-1)
+candidate pairs before the first probe."""
+
 
 def csc_subsets_naive(s: Structure) -> list[frozenset[str]]:
     """Every CSC subset, smallest first then lexicographic; the oracle."""
@@ -207,7 +225,8 @@ def is_qsa(s: Structure) -> bool:
 
 
 class Prober:
-    """Single-pair acyclicity probes against one structure.
+    """Single-pair acyclicity probes against one structure, which
+    ``extend`` grows pair by pair.
 
     ``witness`` is ``qsa_witness(s)``, computed once; a structure that
     is not relational raises ValueError.  ``run(i, j, kind)`` takes two
@@ -219,35 +238,32 @@ class Prober:
     pair (module docstring).  The reach sets and pre-dominants it needs
     are memoised per prober: the probes of one structure revisit the
     same few components, and the memos go when the prober does.
+
+    ``extend(i, j, kind)`` runs the same probe and, when it passes, adds
+    the pair to the prober's structure, keeping the memos exact by the
+    single-edge lemma; ``structure()`` returns the structure grown so
+    far.
     """
 
     def __init__(self, s: Structure) -> None:
         self.witness = qsa_witness(s)
+        self._fixed = 0
         if self.witness is not None:
             self._fixed = _label_mask(s.domain, self.witness.subset)
-            return
-        cols = tuple(a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks))
-        self._setup(_combined_rows(s), cols, _touching(s.prec))
-
-    @classmethod
-    def _of_acyclic(
-        cls, rows: tuple[int, ...], cols: tuple[int, ...], touch: tuple[int, ...]
-    ) -> Prober:
-        """A prober for an acyclic structure, without deciding it again:
-        the structure given by its combined successor and predecessor
-        masks and by its ``_touching`` masks of precedence."""
-        prober = cls.__new__(cls)
-        prober.witness = None
-        prober._setup(rows, cols, touch)
-        return prober
-
-    def _setup(self, rows: tuple[int, ...], cols: tuple[int, ...], touch: tuple[int, ...]) -> None:
-        self._fixed = 0
-        self._full = (1 << len(rows)) - 1
-        # (members, v) -> v plus what v reaches, or is reached from, inside members
-        self._reach = cache(lambda members, v: _spread(rows, members, 1 << v))
-        self._coreach = cache(lambda members, v: _spread(cols, members, 1 << v))
-        self._dominants = cache(partial(_untouched, touch))
+        self._domain = s.domain
+        self._full = (1 << len(s.domain)) - 1
+        self._prec, self._weak = list(s.prec.rows), list(s.weak.rows)
+        self._rows = list(_combined_rows(s))
+        self._cols = [a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks)]
+        self._touch = list(_touching(s.prec))
+        # members -> {v: v plus what v reaches, or is reached from, inside members}
+        self._reach: dict[int, dict[int, int]] = {}
+        self._coreach: dict[int, dict[int, int]] = {}
+        # component -> its pre-dominants
+        self._dominants: dict[int, int] = {}
+        # the member sets and components probes used since the last new
+        # combined edge; every probe uses the full domain
+        self._recent: set[int] = set()
 
     def run(self, i: int, j: int, kind: str) -> int:
         if i == j:
@@ -256,21 +272,97 @@ class Prober:
             return self._fixed
         pair = 1 << i | 1 << j
         members = self._full
+        recent = self._recent
         # the component of i and j in the extension, then the one holding
         # both after each peel, until one has no pre-dominant; the searches
         # skip the new edge i -> j, which no path from j to i needs
         while members & pair == pair:
-            ahead = self._reach(members, j)
+            recent.add(members)
+            ahead = _memo_spread(self._reach, self._rows, members, j)
             if not ahead >> i & 1:
                 return 0
-            comp = ahead & self._coreach(members, i)
-            dominants = self._dominants(comp)
+            comp = ahead & _memo_spread(self._coreach, self._cols, members, i)
+            recent.add(comp)
+            dominants = self._dominants.get(comp)
+            if dominants is None:
+                dominants = self._dominants[comp] = _untouched(self._touch, comp)
             if kind == "prec":
                 dominants &= ~pair
             if not dominants:
                 return comp
             members = comp & ~dominants
         return 0
+
+    def extend(self, i: int, j: int, kind: str) -> int:
+        """``run(i, j, kind)``; when it returns 0 the pair joins the
+        structure, so a pair that breaks acyclicity is never added.  The
+        memos stay exact by the single-edge lemma (module docstring)."""
+        mask = self.run(i, j, kind)
+        if mask:
+            return mask
+        bit, pair = 1 << j, 1 << i | 1 << j
+        (self._prec if kind == "prec" else self._weak)[i] |= bit
+        if kind == "prec":
+            self._touch[i] |= bit
+            self._touch[j] |= 1 << i
+            for comp in self._prune(self._dominants, pair):
+                self._dominants[comp] &= ~pair
+        if not self._rows[i] & bit:
+            self._rows[i] |= bit
+            self._cols[j] |= 1 << i
+            self._prune(self._coreach, pair)
+            for members in self._prune(self._reach, pair):
+                ahead, back = self._reach[members], self._coreach.get(members, {})
+                if not (ahead.get(i, 0) >> j & 1 or back.get(j, 0) >> i & 1):
+                    # i did not reach j inside members yet
+                    _grow(ahead, self._rows, members, i, j)
+                    _grow(back, self._cols, members, j, i)
+            self._recent = set()
+        return 0
+
+    def structure(self) -> Structure:
+        """The structure probed, with every pair ``extend`` added."""
+        domain = self._domain
+        return Structure(
+            domain, BinRel(domain, tuple(self._prec)), BinRel(domain, tuple(self._weak))
+        )
+
+    def _prune(self, memo: dict, pair: int) -> list[int]:
+        """The keys of memo holding both events of pair that probes used
+        since the last new combined edge; the other keys holding both are
+        deleted from memo."""
+        kept = []
+        for key in [k for k in memo if k & pair == pair]:
+            if key in self._recent:
+                kept.append(key)
+            else:
+                del memo[key]
+        return kept
+
+
+def _memo_spread(memo: dict[int, dict[int, int]], rows: list[int], members: int, v: int) -> int:
+    """``_spread`` from v inside members, memoised in memo."""
+    known = memo.get(members)
+    if known is None:
+        known = memo[members] = {}
+    found = known.get(v)
+    if found is None:
+        found = known[v] = _spread(rows, members, 1 << v)
+    return found
+
+
+def _grow(known: dict[int, int], rows: list[int], members: int, a: int, b: int) -> None:
+    """Make the spreads inside members in known exact once rows hold the
+    edge a -> b: each one holding a but not b gains b's, which the edge
+    leaves as it was."""
+    ahead = known.get(b)
+    for v, spread in known.items():
+        if spread >> a & 1 and not spread >> b & 1:
+            if ahead is None:
+                ahead = _spread(rows, members, 1 << b)
+            known[v] = spread | ahead
+    if ahead is not None:
+        known[b] = ahead
 
 
 def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
@@ -313,36 +405,21 @@ def random_qsa_structure(
 
     Candidate pairs are visited in a seeded shuffle; each is kept with
     the given probability when the structure stays acyclic, so the
-    result is acyclic by construction.  A ``Prober`` decides each
-    candidate; the probe that accepts a pair proves the extension
-    acyclic, so the next prober does not decide it again.
+    result is acyclic by construction.  One ``Prober`` decides every
+    candidate and grows by the pairs kept.  Raises ValueError beyond
+    ``GENERATION_BOUND``.
     """
     label_tuple = tuple(labels)
+    n = len(label_tuple)
+    if n > GENERATION_BOUND:
+        raise ValueError(f"domain size {n} exceeds generation bound {GENERATION_BOUND}")
     rng = random.Random(seed)
     candidates = [
-        (which, x, y)
-        for which in ("prec", "weak")
-        for x in label_tuple
-        for y in label_tuple
-        if x != y
+        (which, i, j) for which in ("prec", "weak") for i in range(n) for j in range(n) if i != j
     ]
     rng.shuffle(candidates)
-    s = new_structure(label_tuple)
-    prober = Prober(s)
-    position = s.domain.position
-    # the masks of the structure built so far, as Prober takes them
-    prec, weak, rows, cols, touch = ([0] * len(label_tuple) for _ in range(5))
-    for which, x, y in candidates:
-        if rng.random() >= density:
-            continue
-        i, j = position(x), position(y)
-        if prober.run(i, j, which):
-            continue
-        (prec if which == "prec" else weak)[i] |= 1 << j
-        rows[i] |= 1 << j
-        cols[j] |= 1 << i
-        if which == "prec":
-            touch[i] |= 1 << j
-            touch[j] |= 1 << i
-        prober = Prober._of_acyclic(tuple(rows), tuple(cols), tuple(touch))
-    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
+    prober = Prober(new_structure(label_tuple))
+    for which, i, j in candidates:
+        if rng.random() < density:
+            prober.extend(i, j, which)
+    return prober.structure()

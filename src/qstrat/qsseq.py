@@ -181,7 +181,6 @@ def stratum_trees(
     if n > ENUMERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds enumeration bound {ENUMERATION_BOUND}")
     touch = touch or (0,) * n
-    combined = combined or (0,) * n
 
     def sequences(events: int, body: bool) -> Iterator[tuple[Tree, ...]]:
         block = 0
@@ -192,7 +191,7 @@ def stratum_trees(
             rest = events & ~block
             if body and not rest:  # a body needs a second stratum
                 return
-            if any(combined[y] & block for y in _bits(rest)):
+            if combined is not None and any(combined[y] & block for y in _bits(rest)):
                 continue
             for head in strata(block):
                 if not rest:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qstrat.closure
 import qstrat.orders
+import qstrat.qsa
 from qstrat import InternalError, new_structure
 from qstrat.cli import main, read_input, structure_json_text
 
@@ -341,3 +342,15 @@ def test_unexpected_library_exception_exits_3(capsys, monkeypatch, exc_type):
     first, *trace = err.splitlines()
     assert first == f"internal error: {exc_type.__name__}: closure went wrong"
     assert trace[0] == "Traceback (most recent call last):"
+
+
+def test_gen_beyond_generation_bound_is_input_error(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("gen must refuse before generating")
+
+    monkeypatch.setattr(qstrat.qsa, "random_qsa_structure", unreachable)
+    bound = qstrat.qsa.GENERATION_BOUND
+    code, out, err = run(capsys, "gen", "--n", str(bound + 1), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: domain size {bound + 1} exceeds generation bound {bound}"

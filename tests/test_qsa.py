@@ -331,3 +331,77 @@ def test_probe_of_a_non_acyclic_structure_returns_its_own_witness(cycle_structur
     for x, y in [("1", "2"), ("2", "1"), ("1", "3")]:
         for kind in ("prec", "weak"):
             assert probe(s, x, y, kind) == own
+
+
+def _probe_masks(prober, n):
+    return [
+        prober.run(i, j, kind)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for kind in ("prec", "weak")
+    ]
+
+
+def test_grown_prober_matches_a_fresh_prober():
+    # the oracle: after every extend, a prober built from scratch on the
+    # grown structure answers every probe alike.  Probing every pair marks
+    # every memo as in use; ``quiet`` grows alike but is probed only by
+    # its extends until the end, so it also drops memos it did not use
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        density = rng.uniform(0.0, 0.3)
+        s = random_qsa_structure(default_labels(n), seed=rng.randrange(1 << 30), density=density)
+        prober, quiet = Prober(s), Prober(s)
+        for _ in range(rng.randint(1, 40)):
+            i, j = rng.sample(range(n), 2)
+            kind = rng.choice(("prec", "weak"))
+            mask = prober.extend(i, j, kind)
+            assert mask == quiet.extend(i, j, kind) == Prober(s).run(i, j, kind)
+            if not mask:
+                x, y = s.domain.labels[i], s.domain.labels[j]
+                s = add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y)
+            assert prober.structure() == s
+            assert _probe_masks(prober, n) == _probe_masks(Prober(s), n)
+        assert quiet.structure() == s
+        assert _probe_masks(quiet, n) == _probe_masks(Prober(s), n)
+
+
+def test_prober_of_a_non_acyclic_structure_never_grows(cycle_structures):
+    s = cycle_structures["d"]
+    prober = Prober(s)
+    own = prober.run(0, 1, "weak")
+    assert own and prober.witness is not None
+    n = len(s.domain)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for kind in ("prec", "weak"):
+                    assert prober.extend(i, j, kind) == own
+    assert prober.structure() == s
+
+
+def test_gen_spreads_each_full_domain_reach_set_once(monkeypatch):
+    # the full domain's reach and coreach sets are kept across accepted
+    # pairs, so at most 2n spreads run over it; rebuilding the memos
+    # after every accepted pair makes thousands
+    n = 48
+    full = (1 << n) - 1
+    calls = []
+    spread = qstrat.qsa._spread
+
+    def counted(rows, members, start):
+        calls.append(members == full)
+        return spread(rows, members, start)
+
+    monkeypatch.setattr(qstrat.qsa, "_spread", counted)
+    random_qsa_structure(default_labels(n), seed=1, density=0.35)
+    assert 0 < sum(calls) <= 2 * n
+
+
+def test_random_qsa_structure_refuses_domains_beyond_the_generation_bound():
+    bound = qstrat.qsa.GENERATION_BOUND
+    message = f"domain size {bound + 1} exceeds generation bound {bound}"
+    with pytest.raises(ValueError, match=message):
+        random_qsa_structure(default_labels(bound + 1), seed=1)
