@@ -157,37 +157,16 @@ def qso_projection(q: QsOrder, subset: Iterable[str]) -> QsOrder:
 
 
 def factorize_strata(q: QsOrder) -> list[QsOrder]:
-    """The unique factorization of a nonempty order into strata.
+    """The unique factorization of a nonempty order into strata: its
+    projections to the top-level trees of ``qsseq.order_trees``, which
+    raises ValueError when q is not quasi-stratified."""
+    from .qsseq import order_trees
 
-    Sequential cut points force every element before the cut ahead of
-    every element after it in any topological sort, so scanning the
-    prefixes of one fixed sort finds them all; cutting at every one
-    gives the finest, hence the stratum, factorization.
-    """
-    n = len(q)
-    if n == 0:
+    if len(q) == 0:
         raise ValueError("cannot factorize the empty order")
-    cols = q.prec.column_masks
-    order = sorted(range(n), key=lambda i: (cols[i].bit_count(), i))
-    full = (1 << n) - 1
-    segments: list[list[int]] = []
-    segment: list[int] = []
-    prefix = 0
-    for i in order:
-        segment.append(i)
-        prefix |= 1 << i
-        rest = full & ~prefix
-        if rest == 0 or all(rest & ~q.prec.rows[j] == 0 for j in segment):
-            segments.append(segment)
-            segment = []
-            continue
-    factors = []
-    for seg in segments:
-        factor = qso_projection(q, [q.domain.labels[i] for i in seg])
-        if not is_qso_stratum(factor):
-            raise ValueError("factor is not a stratum; input is not quasi-stratified")
-        factors.append(factor)
-    return factors
+    labels = q.domain.labels
+    rels = [q.prec.restrict(labels[i] for i in _bits(top)) for top, _, _ in order_trees(q.prec)]
+    return [QsOrder(Poset(rel.domain, rel)) for rel in rels]
 
 
 def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:

@@ -6,24 +6,25 @@ below them), and an internal node's children form an ordered sequence
 of at least two sub-strata executed sequentially during the lifetime of
 the base.  All base sets across a sequence are disjoint and non-empty.
 
-``stratum_trees`` is the one walker of the formation rules: over
-position masks, optionally constrained by a structure, it generates
-each tree exactly once.  The enumerations of sequences here, of orders
-in :mod:`qstrat.qso` and of saturations in :mod:`qstrat.saturate` are
-views of that walk, so they are duplicate-free because it is.
-``seq_to_order`` decodes a sequence into the order it describes and
-``order_to_seq`` encodes a nonempty order back; the two are mutually
-inverse, so distinct trees are distinct orders.
+Inside the library a tree is one form: strata ``(events, base,
+children)`` over position masks.  ``stratum_trees`` walks the formation
+rules, optionally constrained by a structure, and yields each tree
+once; the enumerations of sequences, orders and saturations are views
+of that walk.  ``tree_rows`` decodes a tree into its order's rows and
+``order_trees`` encodes the rows back; they are mutually inverse, so
+distinct trees are distinct orders.  The ``QsSeq`` codecs, the
+factorization and ``one_saturation`` go through this pair.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from functools import cache
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .qso import QsOrder, factorize_strata, qso_projection, stratum_base
-from .relcore import BinRel, Domain, Poset, _bits, _untouched
+from .qso import QsOrder
+from .relcore import BinRel, Domain, Poset, _bits, _touching, _untouched
 
 
 @dataclass(frozen=True)
@@ -109,40 +110,37 @@ def seq_to_order(q: QsSeq) -> QsOrder:
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
     labels: list[str] = []
-    rows: list[int] = []
-    _decode(q.strata, labels, rows)
-    domain = Domain(tuple(labels))
-    return QsOrder(Poset(domain, BinRel(domain, tuple(rows))))
 
-
-def _decode(strata: tuple[QssStratum, ...], labels: list[str], rows: list[int]) -> None:
-    """Append the events of a sequence of strata and their successor
-    masks; every stratum precedes the later strata of its sequence."""
-    start = len(labels)
-    for st in strata:
+    def place(st: QssStratum) -> Tree:
         first = len(labels)
-        _decode(st.children, labels, rows)
+        children = tuple(map(place, st.children))
+        body = len(labels)
         labels.extend(sorted(st.base))
-        rows.extend([0] * len(st.base))
-        block = (1 << len(labels)) - (1 << first)
-        for k in range(start, first):
-            rows[k] |= block
+        top = 1 << len(labels)
+        return top - (1 << first), top - (1 << body), children
+
+    trees = tuple(map(place, q.strata))
+    domain = Domain(tuple(labels))
+    return QsOrder(Poset(domain, BinRel(domain, tree_rows(len(labels), trees))))
 
 
 def order_to_seq(q: QsOrder) -> QsSeq:
     """Encode a nonempty order as its unique stratum-tree sequence."""
     if len(q) == 0:
         raise ValueError("the empty order has no sequence encoding")
-    return QsSeq(tuple(_encode_stratum(f) for f in factorize_strata(q)))
+    return QsSeq(tuple(map(_converter(q.domain.labels), order_trees(q.prec))))
 
 
-def _encode_stratum(q: QsOrder) -> QssStratum:
-    base = stratum_base(q)
-    rest = q.domain.label_set - base
-    if not rest:
-        return QssStratum(base)
-    body = order_to_seq(qso_projection(q, rest))
-    return QssStratum(base, body.strata)
+def _converter(names: Sequence[str]) -> Callable[[Tree], QssStratum]:
+    """Tree to ``QssStratum`` over positions into names, memoised per
+    converter: the walker's sequences share their subtrees."""
+
+    @cache
+    def stratum(tree: Tree) -> QssStratum:
+        _, base, children = tree
+        return QssStratum(frozenset(names[i] for i in _bits(base)), tuple(map(stratum, children)))
+
+    return stratum
 
 
 ENUMERATION_BOUND = 6
@@ -232,21 +230,49 @@ def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def order_trees(rel: BinRel) -> tuple[Tree, ...]:
+    """The stratum trees of a quasi-stratified order, the inverse of
+    ``tree_rows``; raises ValueError unless ``tree_rows`` of the result
+    gives back rel.rows.  A sequence is cut after the shortest prefix,
+    in predecessor-count order, whose members precede all the rest: a
+    cut point puts every event before it ahead of every event after it
+    in any topological sort, as that order is, so cutting at each gives
+    the finest, the stratum, factorization.  A stratum's base is its
+    events touching no other member; the body is encoded the same way.
+    """
+    rows, touch, cols = rel.rows, _touching(rel), rel.column_masks
+    order = sorted(range(len(rows)), key=lambda i: cols[i].bit_count())  # stable
+
+    def sequence(events: int) -> tuple[Tree, ...]:
+        out = []
+        block, ahead, rest = 0, -1, events
+        for i in order:
+            if rest >> i & 1:
+                block |= 1 << i
+                rest ^= 1 << i
+                ahead &= rows[i]
+                if rest & ~ahead == 0:  # the block precedes the rest
+                    out.append(stratum(block))
+                    block, ahead = 0, -1
+        return tuple(out)
+
+    def stratum(events: int) -> Tree:
+        # no base makes a leaf, which the final check then rejects
+        base = _untouched(touch, events) or events
+        return events, base, sequence(events & ~base)
+
+    trees = sequence((1 << len(rows)) - 1)
+    if tree_rows(len(rows), trees) != rows:
+        raise ValueError("not a quasi-stratified order")
+    return trees
+
+
 def enumerate_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:
     """Every sequence with the given domain, duplicate-free: one per tree
     of ``stratum_trees`` over the labels' declaration positions, in its
     generation order.  The empty domain has none."""
     names = Domain.of(labels).labels
-    converted: dict[Tree, QssStratum] = {}
-
-    def stratum(tree: Tree) -> QssStratum:
-        out = converted.get(tree)
-        if out is None:
-            _, base, children = tree
-            base_labels = frozenset(names[i] for i in _bits(base))
-            out = converted[tree] = QssStratum(base_labels, tuple(map(stratum, children)))
-        return out
-
+    stratum = _converter(names)
     # the empty domain's one tree, the empty sequence, is no QsSeq
     return [QsSeq(tuple(map(stratum, trees))) for trees in stratum_trees(len(names)) if trees]
 

@@ -157,18 +157,9 @@ class BinRel:
 
     def restrict(self, labels: Iterable[str]) -> BinRel:
         """Restriction to a sub-domain, keeping declaration order."""
-        wanted = set(labels)
-        for label in wanted:
-            self.domain.position(label)
-        kept = [i for i, label in enumerate(self.domain.labels) if label in wanted]
+        kept = sorted(set(map(self.domain.position, labels)))
         sub = Domain(tuple(self.domain.labels[i] for i in kept))
-        rows = []
-        for i in kept:
-            row = 0
-            for new_j, old_j in enumerate(kept):
-                if self.rows[i] >> old_j & 1:
-                    row |= 1 << new_j
-            rows.append(row)
+        rows = (sum(1 << k for k, j in enumerate(kept) if self.rows[i] >> j & 1) for i in kept)
         return BinRel(sub, tuple(rows))
 
     def aligned_to(self, domain: Domain) -> BinRel:

@@ -10,7 +10,9 @@ The saturations of an acyclic structure s are the maximal structures
 that extend it: their order contains s.prec and reverses no pair of
 s.weak.  ``saturations`` generates their stratum trees directly under
 those two constraints (through ``qsseq.stratum_trees``) instead of
-filtering every maximal structure over the domain.
+filtering every maximal structure over the domain; ``one_saturation``
+builds one such tree on position masks.  Both decode trees through
+``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .qsa import csc_components, is_qsa, predominants
+from .qsa import _scc_masks, is_qsa
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
-from .qsseq import stratum_trees, tree_rows
+from .qsseq import Tree, stratum_trees, tree_rows
 from .relcore import (
     BinRel,
     Domain,
@@ -30,36 +32,35 @@ from .relcore import (
     _bits,
     _combined_rows,
     _touching,
-    new_structure,
+    _untouched,
     poset_to_structure,
-    project,
     reindex_structure,
 )
 
 
 def qsm_violation(s: Structure) -> tuple[str, tuple[str, ...]] | None:
-    """First witness against maximality, as (axiom id, tuple)."""
+    """First witness against maximality, as (axiom id, tuple): the first
+    wrong row's lowest wrong bit, for each axiom checked on row masks."""
     labels = s.domain.labels
-    n = len(labels)
-    prec, weak = s.prec, s.weak
-    for i in range(n):
-        if weak.holds_idx(i, i):
+    prec, weak = s.prec.rows, s.weak.rows
+    for i, row in enumerate(weak):
+        if row >> i & 1:
             return "qsm:1", (labels[i],)
-    for i in range(n):
-        for j in range(n):
-            if prec.holds_idx(i, j) != (weak.holds_idx(i, j) and not weak.holds_idx(j, i)):
-                return "qsm:2", (labels[i], labels[j])
-    for i in range(n):
-        for j in range(n):
-            related = (
-                prec.holds_idx(i, j)
-                or prec.holds_idx(j, i)
-                or (weak.holds_idx(i, j) and weak.holds_idx(j, i))
-            )
-            if related != (i != j):
-                return "qsm:3", (labels[i], labels[j])
+    # i prec j exactly when i weak j but not j weak i
+    weak_cols = s.weak.column_masks
+    for i, row in enumerate(prec):
+        wrong = row ^ (weak[i] & ~weak_cols[i])
+        if wrong:
+            return "qsm:2", (labels[i], labels[next(_bits(wrong))])
+    # distinct events are ordered one way or mutually weak
+    prec_cols = s.prec.column_masks
+    full = (1 << len(labels)) - 1
+    for i, row in enumerate(prec):
+        wrong = (row | prec_cols[i] | weak[i] & weak_cols[i]) ^ (full & ~(1 << i))
+        if wrong:
+            return "qsm:3", (labels[i], labels[next(_bits(wrong))])
     # prec is irreflexive once qsm:2 holds, so any witness is a quadruple
-    witness = qs_order_violation(prec)
+    witness = qs_order_violation(s.prec)
     if witness is not None:
         return "qsm:4", witness
     return None
@@ -84,45 +85,31 @@ def qsm_to_qso(s: Structure) -> QsOrder:
 
 
 def one_saturation(s: Structure) -> Structure:
-    """One maximal extension of an acyclic structure.
-
-    When the whole domain is strongly connected, the least-labelled
-    pre-dominant becomes a base event, mutually weak with everything
-    else, and the rest is saturated recursively.  Otherwise the domain
-    splits at the first condensation cut and the two sides compose
-    sequentially.
+    """One maximal extension of an acyclic structure, from a stratum
+    tree built on position masks: the next stratum of a sequence is the
+    source component of the combined relation on the events left, and a
+    component of two or more takes its least-labelled pre-dominant as
+    base over the sequence of the rest.  The tree decodes through
+    ``qsseq.tree_rows``; unordered events come out mutually weak.
     """
     if not is_qsa(s):
         raise ValueError("can only saturate a quasi-stratified acyclic structure")
-    prec, weak = _saturate_pairs(s)
-    return new_structure(s.domain.labels, prec, weak)
-
-
-def _saturate_pairs(
-    s: Structure,
-) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
     labels = s.domain.labels
-    if len(labels) <= 1:
-        return set(s.prec.label_pairs), set(s.weak.label_pairs)
-    components = csc_components(s)
-    if len(components) == 1:
-        base = min(predominants(s, labels))
-        rest = [x for x in labels if x != base]
-        prec, weak = _saturate_pairs(project(s, rest))
-        weak.update((base, x) for x in rest)
-        weak.update((x, base) for x in rest)
-        return prec, weak
-    first = components[-1]
-    head = [x for x in labels if x in first]
-    tail = [x for x in labels if x not in first]
-    prec, weak = _saturate_pairs(project(s, head))
-    prec_tail, weak_tail = _saturate_pairs(project(s, tail))
-    prec.update(prec_tail)
-    weak.update(weak_tail)
-    cross = {(x, y) for x in head for y in tail}
-    prec.update(cross)
-    weak.update(cross)
-    return prec, weak
+    combined, touch = _combined_rows(s), _touching(s.prec)
+
+    def sequence(events: int) -> tuple[Tree, ...]:
+        out = []
+        while events:
+            # Tarjan emits a source component last
+            comp = _scc_masks(combined, events)[-1]
+            events &= ~comp
+            # a single event is its own pre-dominant, so a leaf
+            base = 1 << min(_bits(_untouched(touch, comp)), key=labels.__getitem__)
+            out.append((comp, base, sequence(comp & ~base)))
+        return tuple(out)
+
+    rows = tree_rows(len(labels), sequence((1 << len(labels)) - 1))
+    return poset_to_structure(Poset(s.domain, BinRel(s.domain, rows)))
 
 
 @dataclass(frozen=True)

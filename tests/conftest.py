@@ -1,6 +1,7 @@
 """Shared fixtures: the worked examples used across the suite, random
-structure helpers, and the reference walker of the stratum-tree
-formation rules."""
+structure helpers, the reference walker of the stratum-tree formation
+rules, and label-level references for the stratum-tree codec and for
+one saturation."""
 
 from __future__ import annotations
 
@@ -12,14 +13,21 @@ import pytest
 
 from qstrat import (
     Domain,
+    QsOrder,
     QsSeq,
     QssStratum,
     Structure,
+    csc_components,
+    is_qso_stratum,
     new_poset,
     new_structure,
     poset_to_structure,
+    predominants,
+    project,
+    qso_projection,
     reindex_poset,
     seq_to_order,
+    stratum_base,
 )
 
 LABELS = "abcdefgh"
@@ -196,3 +204,80 @@ def six_event_reference():
     labels = ("f", "c", "a", "e", "b", "d")
     seqs = reference_qs_seqs(labels)
     return labels, seqs, reference_qsm_structures(labels, seqs)
+
+
+def reference_factorize_strata(q: QsOrder) -> list[QsOrder]:
+    """The stratum factorization by a label-level cut scan: cut a
+    predecessor-count sort of the events after every prefix whose
+    members precede all the rest, and project the order to each segment
+    through the validating ``qso_projection``."""
+    n = len(q)
+    if n == 0:
+        raise ValueError("cannot factorize the empty order")
+    cols = q.prec.column_masks
+    order = sorted(range(n), key=lambda i: (cols[i].bit_count(), i))
+    full = (1 << n) - 1
+    segments: list[list[int]] = []
+    segment: list[int] = []
+    prefix = 0
+    for i in order:
+        segment.append(i)
+        prefix |= 1 << i
+        rest = full & ~prefix
+        if rest == 0 or all(rest & ~q.prec.rows[j] == 0 for j in segment):
+            segments.append(segment)
+            segment = []
+    factors = [qso_projection(q, [q.domain.labels[i] for i in seg]) for seg in segments]
+    if not all(map(is_qso_stratum, factors)):
+        raise ValueError("factor is not a stratum; input is not quasi-stratified")
+    return factors
+
+
+def reference_order_to_seq(q: QsOrder) -> QsSeq:
+    """The stratum-tree encoding over labels: each stratum of the
+    reference factorization has its ``stratum_base`` as base and the
+    encoding of its projection to the other events as body."""
+
+    def stratum(f: QsOrder) -> QssStratum:
+        base = stratum_base(f)
+        rest = f.domain.label_set - base
+        if not rest:
+            return QssStratum(base)
+        return QssStratum(base, reference_order_to_seq(qso_projection(f, rest)).strata)
+
+    return QsSeq(tuple(map(stratum, reference_factorize_strata(q))))
+
+
+def reference_one_saturation(s: Structure) -> Structure:
+    """One saturation of an acyclic structure by recursion over label
+    sets: a strongly connected domain makes its least-labelled
+    pre-dominant mutually weak with the saturation of the rest;
+    otherwise the source component of the condensation precedes the
+    saturation of the rest."""
+
+    def pairs(s: Structure) -> tuple[set, set]:
+        labels = s.domain.labels
+        if len(labels) <= 1:
+            return set(s.prec.label_pairs), set(s.weak.label_pairs)
+        components = csc_components(s)
+        if len(components) == 1:
+            base = min(predominants(s, labels))
+            rest = [x for x in labels if x != base]
+            prec, weak = pairs(project(s, rest))
+            weak.update((base, x) for x in rest)
+            weak.update((x, base) for x in rest)
+            return prec, weak
+        first = components[-1]
+        head = [x for x in labels if x in first]
+        tail = [x for x in labels if x not in first]
+        prec, weak = pairs(project(s, head))
+        prec_tail, weak_tail = pairs(project(s, tail))
+        prec.update(prec_tail)
+        weak.update(weak_tail)
+        cross = {(x, y) for x in head for y in tail}
+        prec.update(cross)
+        weak.update(cross)
+        return prec, weak
+
+    prec, weak = pairs(s)
+    return new_structure(s.domain.labels, prec, weak)

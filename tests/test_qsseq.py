@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstrat import (
+    BinRel,
+    Domain,
+    QsOrder,
     QsSeq,
     enumerate_qs_orders,
     enumerate_qs_seqs,
+    factorize_strata,
     format_seq,
     is_qso_stratum,
     is_qs_order,
     is_stratified_order,
     is_valid_seq,
     leaf,
+    new_poset,
     node,
     order_to_seq,
     qso_add_isolated,
@@ -22,6 +27,7 @@ from qstrat import (
     qso_from_poset,
     qso_seq_compose,
     random_qs_seq,
+    reindex_poset,
     seq_domain,
     seq_from_json,
     seq_to_json,
@@ -29,8 +35,16 @@ from qstrat import (
     seq_violation,
     stratified_partition,
 )
+from qstrat import qso
+from qstrat.qsseq import order_trees, stratum_trees, tree_rows
 
-from conftest import LABELS, reference_qs_seqs, reference_qsm_structures
+from conftest import (
+    LABELS,
+    reference_factorize_strata,
+    reference_order_to_seq,
+    reference_qs_seqs,
+    reference_qsm_structures,
+)
 
 NESTED_TREE = QsSeq((node({"b"}, [leaf({"a"}), leaf({"c"})]), leaf({"d"})))
 
@@ -153,6 +167,85 @@ def test_round_trip_enumerated_orders():
 def test_round_trip_random_sequences(seed, n):
     seq = random_qs_seq(LABELS[:n], seed=seed)
     assert order_to_seq(seq_to_order(seq)) == seq
+
+
+def _seeded_orders(count, seed):
+    """Seeded orders of 1 to 64 events (the first of 64), declared in a
+    shuffled order."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, 64) if k else 64
+        labels = [f"e{i}" for i in range(n)]
+        order = seq_to_order(random_qs_seq(labels, seed=rng.randrange(1 << 30)))
+        rng.shuffle(labels)
+        yield QsOrder(reindex_poset(order.poset, Domain(tuple(labels))))
+
+
+def assert_codec_matches_the_reference(q):
+    assert order_to_seq(q) == reference_order_to_seq(q)
+    got, expected = factorize_strata(q), reference_factorize_strata(q)
+    assert [(f.domain.labels, f.prec.rows) for f in got] == [
+        (f.domain.labels, f.prec.rows) for f in expected
+    ]
+
+
+def test_codec_matches_the_label_level_reference_up_to_five_events():
+    rng = random.Random(21)
+    for n in range(1, 6):
+        labels = list(LABELS[:n])
+        rng.shuffle(labels)
+        for q in enumerate_qs_orders(labels):
+            assert_codec_matches_the_reference(q)
+
+
+def test_codec_matches_the_label_level_reference_up_to_64_events():
+    for q in _seeded_orders(200, seed=22):
+        assert_codec_matches_the_reference(q)
+
+
+def test_order_trees_inverts_tree_rows():
+    for n in range(6):
+        domain = Domain(tuple(LABELS[:n]))
+        for trees in stratum_trees(n):
+            assert order_trees(BinRel(domain, tree_rows(n, trees))) == trees
+
+
+def test_encoding_rejects_orders_outside_the_class():
+    # 2+2: a poset that is not quasi-stratified, wrapped unchecked
+    two_plus_two = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    with pytest.raises(ValueError, match="not a quasi-stratified order"):
+        order_to_seq(two_plus_two)
+    with pytest.raises(ValueError, match="not a quasi-stratified order"):
+        factorize_strata(two_plus_two)
+    domain = Domain(tuple("abcde"))
+    for rows in (
+        (0b10, 0b100, 0, 0, 0),  # not transitive
+        (0b1, 0, 0, 0, 0),  # a self-loop
+        (0b1000, 0b10000, 0, 0, 0),  # 2+2 beside an isolated event
+        (0b1100, 0b1000, 0, 0, 0),  # interval but not quasi-stratified
+    ):
+        with pytest.raises(ValueError, match="not a quasi-stratified order"):
+            order_trees(BinRel(domain, rows))
+
+
+def test_encoding_revalidates_no_projection(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(qso, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    q = seq_to_order(random_qs_seq([f"e{i}" for i in range(64)], seed=9))
+    for name in ("qs_order_violation", "qso_projection"):
+        monkeypatch.setattr(qso, name, counted(name))
+    seq = order_to_seq(q)
+    assert len(seq.strata) > 1 and any(stratum.children for stratum in seq.strata)
+    assert calls == []
 
 
 def test_decoded_orders_are_qs_with_right_domain():

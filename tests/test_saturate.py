@@ -3,26 +3,37 @@ import random
 import pytest
 
 from qstrat import (
+    Domain,
     add_prec,
     add_weak,
     extends,
     is_qsa,
     is_qsm,
+    new_poset,
     new_structure,
     one_saturation,
     order_to_seq,
+    poset_to_structure,
     project,
     qsm_to_qso,
+    qs_order_violation,
     qsm_violation,
     qso_from_poset,
     qso_to_qsm,
+    random_qs_seq,
     random_qsa_structure,
+    reindex_structure,
     saturations,
     seq_to_order,
     stratum_domain,
 )
 
-from conftest import all_relational_structures, random_structure, reference_qsm_structures
+from conftest import (
+    all_relational_structures,
+    random_structure,
+    reference_one_saturation,
+    reference_qsm_structures,
+)
 
 
 def canonical_key(m):
@@ -57,6 +68,79 @@ def assert_matches_oracle(s, universe):
         cut = saturations(s, limit=3)
         assert cut.truncated
         assert list(cut) == sorted(expected, key=generation_key)[:3]
+
+
+def reference_qsm_violation(s):
+    """``qsm_violation`` by literal double loops over the pairs."""
+    labels = s.domain.labels
+    n = len(labels)
+    prec, weak = s.prec, s.weak
+    for i in range(n):
+        if weak.holds_idx(i, i):
+            return "qsm:1", (labels[i],)
+    for i in range(n):
+        for j in range(n):
+            if prec.holds_idx(i, j) != (weak.holds_idx(i, j) and not weak.holds_idx(j, i)):
+                return "qsm:2", (labels[i], labels[j])
+    for i in range(n):
+        for j in range(n):
+            related = (
+                prec.holds_idx(i, j)
+                or prec.holds_idx(j, i)
+                or (weak.holds_idx(i, j) and weak.holds_idx(j, i))
+            )
+            if related != (i != j):
+                return "qsm:3", (labels[i], labels[j])
+    witness = qs_order_violation(prec)
+    if witness is not None:
+        return "qsm:4", witness
+    return None
+
+
+def _maximality_cases(rng, count):
+    """Seeded structures over shuffled declarations, cycling through
+    kinds meant for each verdict: a maximal structure, one with a weak
+    self-loop, one with weak pairs from one event toggled, one with an
+    event made unrelated to a few others, and the embedding of a random
+    two-dimensional poset."""
+    for k in range(count):
+        n = rng.randint(1, 8)
+        labels = list("abcdefgh"[:n])
+        rng.shuffle(labels)
+        domain = Domain(tuple(labels))
+        kind = k % 5
+        if kind == 4:
+            # the intersection of two random linear orders
+            first, second = rng.sample(labels, n), rng.sample(labels, n)
+            below = {(x, y) for x in labels for y in labels if first.index(x) < first.index(y)}
+            pairs = [(x, y) for x, y in below if second.index(x) < second.index(y)]
+            yield poset_to_structure(new_poset(labels, pairs))
+            continue
+        order = seq_to_order(random_qs_seq(labels, seed=rng.randrange(1 << 30)))
+        m = reindex_structure(qso_to_qsm(order), domain)
+        x = rng.choice(labels)
+        others = rng.sample([y for y in labels if y != x], min(n - 1, rng.randint(1, 3)))
+        if kind == 1:
+            m = add_weak(m, x, x)
+        elif kind == 2:
+            weak = set(m.weak.label_pairs) ^ {(x, y) for y in others}
+            m = new_structure(labels, m.prec.label_pairs, weak)
+        elif kind == 3:
+            apart = {(x, y) for y in others} | {(y, x) for y in others}
+            m = new_structure(labels, m.prec.label_pairs - apart, m.weak.label_pairs - apart)
+        yield m
+
+
+def test_qsm_violation_matches_the_pairwise_reference():
+    rng = random.Random(97)
+    verdicts = set()
+    for s in _maximality_cases(rng, 500):
+        got = qsm_violation(s)
+        assert got == reference_qsm_violation(s)
+        verdicts.add(got and got[0])
+    for s in all_relational_structures(2):
+        assert qsm_violation(s) == reference_qsm_violation(s)
+    assert verdicts == {"qsm:1", "qsm:2", "qsm:3", "qsm:4", None}
 
 
 def test_maximal_extension_is_qsm(maximal_ext):
@@ -125,6 +209,25 @@ def test_one_saturation_empty():
 def test_one_saturation_rejects_non_acyclic(cycle_structures):
     with pytest.raises(ValueError, match="acyclic"):
         one_saturation(cycle_structures["d"])
+
+
+def test_one_saturation_matches_the_label_level_reference():
+    # labels whose sorted order differs from their declaration, so that
+    # the least-labelled pre-dominant is not the one at the lowest position
+    rng = random.Random(101)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        labels = [f"e{i}" for i in range(n)]
+        rng.shuffle(labels)
+        if n > 1 and labels == sorted(labels):
+            labels.reverse()
+        s = random_qsa_structure(
+            labels, seed=rng.randrange(1 << 30), density=rng.uniform(0.02, 0.6)
+        )
+        got, expected = one_saturation(s), reference_one_saturation(s)
+        assert got.domain.labels == expected.domain.labels == tuple(labels)
+        assert got.prec.rows == expected.prec.rows
+        assert got.weak.rows == expected.weak.rows
 
 
 def test_one_saturation_succeeds_iff_qsa():
