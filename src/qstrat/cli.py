@@ -7,6 +7,13 @@ Structure files are single JSON documents::
 ``weak`` may be omitted, which marks the file as a plain partial order;
 commands that need a two-relation structure then embed it (unordered
 events become mutually weak).  Unknown keys are rejected.
+``read_input`` decodes a file once into an ``InputFile``: its prec
+relation and its weak relation (None when omitted) over one domain.
+
+Verdicts are one line, ``PASS: <subject> is <class>`` or
+``FAIL: not <class>; <detail>``.  ``close`` and ``saturate`` print
+``check --class qsa``'s FAIL line on a structure that is not
+quasi-stratified acyclic.
 
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
@@ -33,8 +40,6 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
-    is_relational,
-    new_poset,
     new_structure,
     poset_to_structure,
 )
@@ -46,26 +51,20 @@ class InputError(Exception):
 
 @dataclass(frozen=True)
 class InputFile:
-    labels: tuple[str, ...]
-    prec: tuple[tuple[str, str], ...]
-    weak: tuple[tuple[str, str], ...] | None
-
-    def relation(self) -> BinRel:
-        domain = Domain(self.labels)
-        return BinRel.from_pairs(domain, self.prec)
+    prec: BinRel
+    weak: BinRel | None
 
     def structure(self) -> Structure:
         if self.weak is not None:
-            return new_structure(self.labels, self.prec, self.weak)
+            return Structure(self.prec.domain, self.prec, self.weak)
         try:
-            poset = new_poset(self.labels, self.prec)
+            return poset_to_structure(Poset(self.prec.domain, self.prec))
         except ValueError as exc:
             raise InputError(f"cannot embed as a structure: {exc}") from exc
-        return poset_to_structure(poset)
 
     def poset(self) -> Poset:
         try:
-            return new_poset(self.labels, self.prec)
+            return Poset(self.prec.domain, self.prec)
         except ValueError as exc:
             raise InputError(f"not a partial order: {exc}") from exc
 
@@ -103,19 +102,19 @@ def read_input(path: str | Path) -> InputFile:
         raise InputError(f"unknown keys: {sorted(unknown)}")
     if "domain" not in data or "prec" not in data:
         raise InputError('input needs "domain" and "prec" keys')
-    domain = data["domain"]
-    if not isinstance(domain, list) or not all(isinstance(x, str) for x in domain):
+    labels = data["domain"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InputError('"domain" must be a list of strings')
     prec = _pair_list(data["prec"], "prec")
     weak = _pair_list(data["weak"], "weak") if "weak" in data else None
-    f = InputFile(tuple(domain), prec, weak)
     try:
-        f.relation()
-        if weak is not None:
-            f.structure()
+        domain = Domain(tuple(labels))
+        return InputFile(
+            BinRel.from_pairs(domain, prec),
+            None if weak is None else BinRel.from_pairs(domain, weak),
+        )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return f
 
 
 def structure_json_text(s: Structure) -> str:
@@ -154,12 +153,53 @@ def _fmt_pairs(pairs) -> str:
     return ", ".join(f"{x}->{y}" for x, y in sorted(pairs)) or "(none)"
 
 
-def _self_loop(s: Structure) -> tuple[str, str] | None:
+def _verdict(subject: str, wording: str, detail: str | None) -> int:
+    """Print the verdict line of a class check; detail is None on a pass."""
+    if detail is None:
+        print(f"PASS: {subject} is {wording}")
+        return 0
+    print(f"FAIL: not {wording}; {detail}")
+    return 1
+
+
+def _fails_on(bad: tuple[str, tuple[str, ...]] | None) -> str | None:
+    return None if bad is None else f"{bad[0]} fails on ({', '.join(bad[1])})"
+
+
+def _qso_detail(rel: BinRel) -> str | None:
+    witness = qso.qs_order_violation(rel)
+    return None if witness is None else f"witness ({', '.join(witness)})"
+
+
+def _self_loop_detail(s: Structure) -> str | None:
     for name, rel in [("prec", s.prec), ("weak", s.weak)]:
-        for i, label in enumerate(s.domain.labels):
-            if rel.holds_idx(i, i):
-                return name, label
+        for i, row in enumerate(rel.rows):
+            if row >> i & 1:
+                return f"{name} relates {s.domain.labels[i]} to itself"
     return None
+
+
+def _qsa_detail(s: Structure) -> str | None:
+    """The self-loop, else the subset that ``qsa_witness`` names."""
+    loop = _self_loop_detail(s)
+    if loop is not None:
+        return loop
+    witness = qsa.qsa_witness(s)
+    if witness is None:
+        return None
+    return f"{{{', '.join(sorted(witness.subset))}}} is {witness.note}"
+
+
+def _qsc_detail(s: Structure) -> str | None:
+    bad = closure.qsc_violation(s)
+    if bad is None:
+        return None
+    axiom, (x, y) = bad
+    if axiom == "qsc:4":
+        return f"{axiom}: adding {x} weak {y} breaks acyclicity, so {y} prec {x} is required but missing"
+    if axiom == "qsc:3":
+        return f"{axiom}: adding {x} prec {y} breaks acyclicity, so {y} weak {x} is required but missing"
+    return f"{axiom}: fails on ({x}, {y})"
 
 
 _ORDER_CLASSES = {
@@ -169,83 +209,30 @@ _ORDER_CLASSES = {
     "io": ("an interval order", orders.interval_order_violation),
 }
 
+_STRUCTURE_CLASSES = {
+    "relational": ("relational", _self_loop_detail),
+    "qsa": ("quasi-stratified acyclic", _qsa_detail),
+    "qsm": ("maximal", lambda s: _fails_on(saturate.qsm_violation(s))),
+    "qsc": ("closed", _qsc_detail),
+}
+
 
 def cmd_check(args: argparse.Namespace) -> int:
     f = read_input(args.path)
-    cls = args.cls
-    if cls in _ORDER_CLASSES:
-        wording, finder = _ORDER_CLASSES[cls]
-        bad = finder(f.relation())
-        if bad is None:
-            print(f"PASS: precedence relation is {wording}")
-            return 0
-        axiom, tup = bad
-        print(f"FAIL: not {wording}; {axiom} fails on ({', '.join(tup)})")
-        return 1
-    if cls == "qso":
-        witness = qso.qs_order_violation(f.relation())
-        if witness is None:
-            print("PASS: precedence relation is a quasi-stratified order")
-            return 0
-        print(f"FAIL: not a quasi-stratified order; witness ({', '.join(witness)})")
-        return 1
-    s = f.structure()
-    if cls == "relational":
-        loop = _self_loop(s)
-        if loop is None:
-            print("PASS: structure is relational")
-            return 0
-        print(f"FAIL: not relational; {loop[0]} relates {loop[1]} to itself")
-        return 1
-    if cls == "qsa":
-        loop = _self_loop(s)
-        if loop is not None:
-            print(
-                f"FAIL: not quasi-stratified acyclic; {loop[0]} relates {loop[1]} to itself"
-            )
-            return 1
-        witness = qsa.qsa_witness(s)
-        if witness is None:
-            print("PASS: structure is quasi-stratified acyclic")
-            return 0
-        members = ", ".join(sorted(witness.subset))
-        print(f"FAIL: not quasi-stratified acyclic; {{{members}}} is {witness.note}")
-        return 1
-    if cls == "qsm":
-        bad = saturate.qsm_violation(s)
-        if bad is None:
-            print("PASS: structure is maximal")
-            return 0
-        print(f"FAIL: not maximal; {bad[0]} fails on ({', '.join(bad[1])})")
-        return 1
-    if cls == "qsc":
-        bad = closure.qsc_violation(s)
-        if bad is None:
-            print("PASS: structure is closed")
-            return 0
-        axiom, (x, y) = bad
-        if axiom == "qsc:4":
-            detail = f"adding {x} weak {y} breaks acyclicity, so {y} prec {x} is required but missing"
-        elif axiom == "qsc:3":
-            detail = f"adding {x} prec {y} breaks acyclicity, so {y} weak {x} is required but missing"
-        else:
-            detail = f"fails on ({x}, {y})"
-        print(f"FAIL: not closed; {axiom}: {detail}")
-        return 1
-    raise InputError(f"unknown class flag: {cls}")
+    if args.cls in _ORDER_CLASSES:
+        wording, finder = _ORDER_CLASSES[args.cls]
+        return _verdict("precedence relation", wording, _fails_on(finder(f.prec)))
+    if args.cls == "qso":
+        return _verdict("precedence relation", "a quasi-stratified order", _qso_detail(f.prec))
+    wording, detail = _STRUCTURE_CLASSES[args.cls]
+    return _verdict("structure", wording, detail(f.structure()))
 
 
 def cmd_close(args: argparse.Namespace) -> int:
-    f = read_input(args.path)
-    s = f.structure()
-    if not qsa.is_qsa(s):
-        witness = qsa.qsa_witness(s) if is_relational(s) else None
-        if witness is not None:
-            members = ", ".join(sorted(witness.subset))
-            print(f"FAIL: not quasi-stratified acyclic; {{{members}}} is {witness.note}")
-        else:
-            print("FAIL: not quasi-stratified acyclic; a relation has a self-loop")
-        return 1
+    s = read_input(args.path).structure()
+    detail = _qsa_detail(s)
+    if detail is not None:
+        return _verdict("structure", "quasi-stratified acyclic", detail)
     report = closure.close(s)
     sys.stdout.write(structure_json_text(report.closed))
     if not report.added_prec and not report.added_weak:
@@ -258,13 +245,12 @@ def cmd_close(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
-    f = read_input(args.path)
-    s = f.structure()
-    if not qsa.is_qsa(s):
-        print("FAIL: input is not quasi-stratified acyclic")
-        return 1
     if args.limit is not None and args.limit < 0:
         raise InputError(f"limit must be non-negative, got {args.limit}")
+    s = read_input(args.path).structure()
+    detail = _qsa_detail(s)
+    if detail is not None:
+        return _verdict("structure", "quasi-stratified acyclic", detail)
     n = len(s.domain)
     if n > qsseq.ENUMERATION_BOUND:
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
@@ -274,43 +260,43 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         print(f"-- saturation {k}")
         print(f"   prec: {_fmt_pairs(m.prec.label_pairs)}")
         print(f"   weak: {_fmt_pairs(m.weak.label_pairs)}")
-        order = saturate.qsm_to_qso(m)
-        if len(order) > 0:
+        if n > 0:
+            # maximal by construction; order_to_seq checks it is quasi-stratified
+            order = qso.QsOrder(Poset(m.domain, m.prec))
             print(f"   tree: {qsseq.format_seq(qsseq.order_to_seq(order))}")
             realization = orders.interval_realization(order.poset)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
-            cells = " ".join(
-                f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items())
-            )
+            cells = " ".join(f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items()))
             print(f"   intervals: {cells}")
     return 0
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    f = read_input(args.path)
-    rel = f.relation()
-    witness = qso.qs_order_violation(rel)
-    if witness is not None:
-        print(f"FAIL: not a quasi-stratified order; witness ({', '.join(witness)})")
-        return 1
-    if len(rel.domain) == 0:
+def _print_tree(f: InputFile) -> int:
+    """The stratum-tree text of a quasi-stratified order file."""
+    detail = _qso_detail(f.prec)
+    if detail is not None:
+        return _verdict("precedence relation", "a quasi-stratified order", detail)
+    if len(f.prec.domain) == 0:
         print("(empty)")
         return 0
-    order = qso.QsOrder(f.poset())
-    print(qsseq.format_seq(qsseq.order_to_seq(order)))
+    print(qsseq.format_seq(qsseq.order_to_seq(qso.QsOrder(f.poset()))))
     return 0
+
+
+def cmd_decompose(args: argparse.Namespace) -> int:
+    return _print_tree(read_input(args.path))
 
 
 def cmd_intervals(args: argparse.Namespace) -> int:
     f = read_input(args.path)
-    if orders.interval_order_violation(f.relation()) is not None:
+    if orders.interval_order_violation(f.prec) is not None:
         print("FAIL: not an interval order")
         return 1
     realization = orders.interval_realization(f.poset())
     if realization is None:
         raise InternalError("an interval order got no interval realization")
-    for label in f.labels:
+    for label in f.prec.domain.labels:
         b, e = realization[label]
         print(f"{label}: [{b}, {e}]")
     return 0
@@ -319,7 +305,7 @@ def cmd_intervals(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     f = read_input(args.path)
     if args.format == "tree":
-        return cmd_decompose(args)
+        return _print_tree(f)
     s = f.structure()
     if args.format == "dot":
         sys.stdout.write(dot_text(s))

@@ -26,7 +26,6 @@ from typing import Iterable
 from .relcore import (
     BinRel,
     Domain,
-    InternalError,
     Poset,
     _bits,
     _rows_leaving,
@@ -148,12 +147,12 @@ def is_qso_stratum(q: QsOrder) -> bool:
 
 
 def qso_projection(q: QsOrder, subset: Iterable[str]) -> QsOrder:
-    """Restriction to a label subset; the class is closed under this."""
+    """Restriction to a label subset; the class is closed under this, so
+    a projection that is not quasi-stratified means q was not."""
     prec = q.prec.restrict(subset)
-    out = QsOrder(Poset(prec.domain, prec))
-    if qs_order_violation(out.prec) is not None:
-        raise InternalError("projection left the quasi-stratified orders")
-    return out
+    if qs_order_violation(prec) is not None:
+        raise ValueError("not a quasi-stratified order")
+    return QsOrder(Poset(prec.domain, prec))
 
 
 def factorize_strata(q: QsOrder) -> list[QsOrder]:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 import qstrat.closure
 import qstrat.orders
 import qstrat.qsa
-from qstrat import InternalError, new_structure
+from qstrat import BinRel, InternalError, new_structure
 from qstrat.cli import main, read_input, structure_json_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# stdout and exit code per command line, the file named by its fixture name
+VERDICTS = json.loads((Path(__file__).parent / "cli_verdicts.json").read_text(encoding="utf-8"))
 
 
 def fixture(name: str) -> str:
@@ -162,6 +164,13 @@ def test_saturate_negative_limit_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "limit must be non-negative" in err
+
+
+def test_saturate_negative_limit_is_input_error_before_the_verdict(capsys):
+    code, out, err = run(capsys, "saturate", "--limit", "-1", fixture("forbidden_cycle.json"))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: limit must be non-negative, got -1"
 
 
 def test_saturate_two_element_empty(capsys, tmp_path):
@@ -354,3 +363,40 @@ def test_gen_beyond_generation_bound_is_input_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.strip() == f"error: domain size {bound + 1} exceeds generation bound {bound}"
+
+
+def test_verdict_table_covers_every_fixture():
+    assert {row["argv"][1] for row in VERDICTS} == {p.name for p in FIXTURES.glob("*.json")}
+
+
+@pytest.mark.parametrize("row", VERDICTS, ids=lambda row: " ".join(row["argv"]))
+def test_cli_stdout_and_exit_code_are_pinned(capsys, row):
+    command, name, *options = row["argv"]
+    code, out, _ = run(capsys, command, fixture(name), *options)
+    assert (code, out) == (row["code"], row["stdout"])
+
+
+DECODING_COMMANDS = [("check", "--class", cls) for cls in ("po", "to", "so", "io", "qso")]
+DECODING_COMMANDS += [("check", "--class", cls) for cls in ("relational", "qsa", "qsm", "qsc")]
+DECODING_COMMANDS += [
+    ("close",),
+    ("saturate", "--limit", "3"),
+    ("decompose",),
+    ("intervals",),
+    ("render", "--format", "tree"),
+]
+
+
+@pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
+@pytest.mark.parametrize("command", DECODING_COMMANDS, ids=" ".join)
+def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command, name, relations):
+    real = BinRel.from_pairs.__func__
+    calls = []
+
+    def counting(cls, domain, pairs):
+        calls.append(domain)
+        return real(cls, domain, pairs)
+
+    monkeypatch.setattr(BinRel, "from_pairs", classmethod(counting))
+    run(capsys, command[0], fixture(name), *command[1:])
+    assert len(calls) <= relations

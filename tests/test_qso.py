@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qstrat import (
+    QsOrder,
     enumerate_posets,
     enumerate_qs_orders,
     factorize_strata,
@@ -175,6 +176,13 @@ def test_projection_identity_and_chain(nested_poset):
     assert qso_projection(q, q.domain.labels) == q
     bd = qso_projection(q, {"b", "d"})
     assert sorted(bd.prec.label_pairs) == [("b", "d")]
+
+
+def test_projection_of_an_unchecked_non_qs_order_is_value_error():
+    # the 2+2 order, wrapped without qso_from_poset's check
+    q = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    with pytest.raises(ValueError, match="not a quasi-stratified order"):
+        qso_projection(q, "abcd")
 
 
 def test_projection_commutes_with_composition():
