@@ -15,6 +15,14 @@ Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``check --class qsa``'s FAIL line on a structure that is not
 quasi-stratified acyclic.
 
+``saturate`` prints, for each saturation, the stratum tree that the
+saturation walk built for it, after checking that the tree decodes to
+the printed order.
+
+``main`` can be called many times in one process: it builds the parser
+once, on first use, keeps it (``build_parser``), and dispatches each
+request to the ``cmd_<command>`` function by name.
+
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
 the library, reported as ``internal error: ...`` on stderr (with the
@@ -29,9 +37,12 @@ import argparse
 import json
 import random
 import sys
+import time
 import traceback
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
+from typing import Iterator
 
 from . import closure, orders, qsa, qso, qsseq, saturate
 from .relcore import (
@@ -256,15 +267,19 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
     sats = saturate.saturations(s, limit=args.limit)
     print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
-    for k, m in enumerate(sats, start=1):
+    # the walk's trees are over the positions of the sorted labels
+    ordered = Domain(tuple(sorted(s.domain.labels)))
+    to_seq = qsseq.seq_converter(ordered.labels)
+    for k, (m, trees) in enumerate(zip(sats, sats.trees), start=1):
         print(f"-- saturation {k}")
         print(f"   prec: {_fmt_pairs(m.prec.label_pairs)}")
         print(f"   weak: {_fmt_pairs(m.weak.label_pairs)}")
         if n > 0:
-            # maximal by construction; order_to_seq checks it is quasi-stratified
-            order = qso.QsOrder(Poset(m.domain, m.prec))
-            print(f"   tree: {qsseq.format_seq(qsseq.order_to_seq(order))}")
-            realization = orders.interval_realization(order.poset)
+            poset = Poset(m.domain, m.prec)
+            if qsseq.tree_rows(n, trees) != m.prec.aligned_to(ordered).rows:
+                raise InternalError("a saturation's tree does not decode to its order")
+            print(f"   tree: {qsseq.format_seq(to_seq(trees))}")
+            realization = orders.interval_realization(poset)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
             cells = " ".join(f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items()))
@@ -332,7 +347,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> bool:
+def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
     for n in range(1, min(3, max_n) + 1):
         labels = default_labels(n)
         slots = [(x, y) for x in labels for y in labels if x != y]
@@ -341,8 +356,7 @@ def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> bool:
                 prec = [slots[i] for i in range(len(slots)) if pm >> i & 1]
                 weak = [slots[i] for i in range(len(slots)) if wm >> i & 1]
                 s = new_structure(labels, prec, weak)
-                if qsa.is_qsa(s) != qsa.is_qsa_naive(s):
-                    return False
+                yield qsa.is_qsa(s) == qsa.is_qsa_naive(s)
     for n in range(4, max_n + 1):
         labels = default_labels(n)
         slots = [(x, y) for x in labels for y in labels if x != y]
@@ -351,53 +365,44 @@ def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> bool:
             prec = [p for p in slots if rng.random() < density]
             weak = [p for p in slots if rng.random() < density]
             s = new_structure(labels, prec, weak)
-            if qsa.is_qsa(s) != qsa.is_qsa_naive(s):
-                return False
-    return True
+            yield qsa.is_qsa(s) == qsa.is_qsa_naive(s)
 
 
-def _selftest_axioms_vs_enumeration(max_n: int) -> bool:
+def _selftest_axioms_vs_enumeration(max_n: int) -> Iterator[bool]:
     for n in range(1, min(max_n, 4) + 1):
         labels = default_labels(n)
         enumerated = qso.enumerate_qs_orders(labels)
         generated = {o.prec.label_pairs for o in enumerated}
-        if len(generated) != len(enumerated):
-            return False
         recognized = {
             p.prec.label_pairs
             for p in orders.enumerate_posets(labels)
             if qso.is_qs_order(p.prec)
         }
-        if generated != recognized:
-            return False
-    return True
+        yield len(generated) == len(enumerated) and generated == recognized
 
 
-def _selftest_round_trip(max_n: int, rng: random.Random) -> bool:
+def _selftest_round_trip(max_n: int, rng: random.Random) -> Iterator[bool]:
     for n in range(1, min(max_n, 4) + 1):
         for order in qso.enumerate_qs_orders(default_labels(n)):
-            if qsseq.seq_to_order(qsseq.order_to_seq(order)) != order:
-                return False
+            yield qsseq.seq_to_order(qsseq.order_to_seq(order)) == order
     for _ in range(200):
         n = rng.randint(1, 8)
         seq = qsseq.random_qs_seq(default_labels(n), seed=rng.randrange(1 << 30))
-        if qsseq.order_to_seq(qsseq.seq_to_order(seq)) != seq:
-            return False
-    return True
+        yield qsseq.order_to_seq(qsseq.seq_to_order(seq)) == seq
 
 
-def _selftest_closure_oracle(max_n: int, rng: random.Random) -> bool:
+def _selftest_closure_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
     for _ in range(50):
         n = rng.randint(1, min(max_n, 5))
         s = qsa.random_qsa_structure(
             default_labels(n), seed=rng.randrange(1 << 30), density=rng.uniform(0.1, 0.6)
         )
-        if closure.close(s).closed != closure.close_oracle(s):
-            return False
-    return True
+        yield closure.close(s).closed == closure.close_oracle(s)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    """Run each suite up to its first failing case; a suite's line names
+    the cases it ran and their seconds, and is flushed as it ends."""
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
     if args.max_n > qsa.SUBSET_SCAN_BOUND:
@@ -405,21 +410,33 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             f"domain size {args.max_n} exceeds subset-scan bound {qsa.SUBSET_SCAN_BOUND}"
         )
     rng = random.Random(20240101)
+    # generators: a suite draws from rng only while it runs, so in this order
     suites = [
-        ("acyclicity: polynomial vs subset scan", lambda: _selftest_qsa_oracle(args.max_n, rng)),
-        ("order axioms vs enumeration", lambda: _selftest_axioms_vs_enumeration(args.max_n)),
-        ("tree codec round trips", lambda: _selftest_round_trip(args.max_n, rng)),
-        ("closure vs saturation intersection", lambda: _selftest_closure_oracle(args.max_n, rng)),
+        ("acyclicity: polynomial vs subset scan", _selftest_qsa_oracle(args.max_n, rng)),
+        ("order axioms vs enumeration", _selftest_axioms_vs_enumeration(args.max_n)),
+        ("tree codec round trips", _selftest_round_trip(args.max_n, rng)),
+        ("closure vs saturation intersection", _selftest_closure_oracle(args.max_n, rng)),
     ]
     all_ok = True
-    for name, suite in suites:
-        ok = suite()
+    for name, cases in suites:
+        start = time.perf_counter()
+        ok, count = True, 0
+        for ok in cases:
+            count += 1
+            if not ok:
+                break
         all_ok = all_ok and ok
-        print(f"{name:<40} {'PASS' if ok else 'FAIL'}")
+        seconds = time.perf_counter() - start
+        verdict = "PASS" if ok else "FAIL"
+        print(f"{name:<40} {count:>5} cases {seconds:>7.2f} s  {verdict}", flush=True)
     return 0 if all_ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: it
+    holds no request state, and ``main`` dispatches on the command's
+    name, so a command function patched in later is still the one run."""
     parser = argparse.ArgumentParser(
         prog="qstrat",
         description="Analyse quasi-stratified orders and their specification structures.",
@@ -434,48 +451,39 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["po", "to", "so", "io", "qso", "relational", "qsa", "qsm", "qsc"],
     )
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("close", help="compute the structure closure")
     p.add_argument("path")
-    p.set_defaults(func=cmd_close)
 
     p = sub.add_parser("saturate", help="enumerate all maximal extensions")
     p.add_argument("path")
     p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("decompose", help="print the stratum-tree decomposition")
     p.add_argument("path")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("intervals", help="print an integer interval realization")
     p.add_argument("path")
-    p.set_defaults(func=cmd_intervals)
 
     p = sub.add_parser("render", help="re-serialize an input file")
     p.add_argument("path")
     p.add_argument("--format", choices=["json", "dot", "tree"], default="json")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("gen", help="generate a random acyclic structure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.35)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("selftest", help="run the oracle equivalence suites")
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

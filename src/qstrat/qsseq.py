@@ -13,7 +13,8 @@ once; the enumerations of sequences, orders and saturations are views
 of that walk.  ``tree_rows`` decodes a tree into its order's rows and
 ``order_trees`` encodes the rows back; they are mutually inverse, so
 distinct trees are distinct orders.  The ``QsSeq`` codecs, the
-factorization and ``one_saturation`` go through this pair.
+factorization and ``one_saturation`` go through this pair, and
+``seq_converter`` is the one reading of a tree as a labelled ``QsSeq``.
 """
 
 from __future__ import annotations
@@ -128,19 +129,20 @@ def order_to_seq(q: QsOrder) -> QsSeq:
     """Encode a nonempty order as its unique stratum-tree sequence."""
     if len(q) == 0:
         raise ValueError("the empty order has no sequence encoding")
-    return QsSeq(tuple(map(_converter(q.domain.labels), order_trees(q.prec))))
+    return seq_converter(q.domain.labels)(order_trees(q.prec))
 
 
-def _converter(names: Sequence[str]) -> Callable[[Tree], QssStratum]:
-    """Tree to ``QssStratum`` over positions into names, memoised per
-    converter: the walker's sequences share their subtrees."""
+def seq_converter(names: Sequence[str]) -> Callable[[tuple[Tree, ...]], QsSeq]:
+    """Tree sequence to ``QsSeq``, positions read as indices into names.
+    The strata are memoised per converter, since the walker's sequences
+    share their subtrees; reuse one converter across one walk."""
 
     @cache
     def stratum(tree: Tree) -> QssStratum:
         _, base, children = tree
         return QssStratum(frozenset(names[i] for i in _bits(base)), tuple(map(stratum, children)))
 
-    return stratum
+    return lambda trees: QsSeq(tuple(map(stratum, trees)))
 
 
 ENUMERATION_BOUND = 6
@@ -272,9 +274,9 @@ def enumerate_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:
     of ``stratum_trees`` over the labels' declaration positions, in its
     generation order.  The empty domain has none."""
     names = Domain.of(labels).labels
-    stratum = _converter(names)
+    to_seq = seq_converter(names)
     # the empty domain's one tree, the empty sequence, is no QsSeq
-    return [QsSeq(tuple(map(stratum, trees))) for trees in stratum_trees(len(names)) if trees]
+    return [to_seq(trees) for trees in stratum_trees(len(names)) if trees]
 
 
 def random_qs_seq(labels: Iterable[str], seed: int) -> QsSeq:

@@ -163,12 +163,17 @@ class BinRel:
         return BinRel(sub, tuple(rows))
 
     def aligned_to(self, domain: Domain) -> BinRel:
-        """The same relation re-indexed over a domain with equal label set."""
+        """The same relation re-indexed over a domain with equal label set:
+        rows and their bits move through the position permutation."""
         if domain.labels == self.domain.labels:
             return BinRel(domain, self.rows)
         if domain.label_set != self.domain.label_set:
             raise ValueError("cannot align relations over different label sets")
-        return BinRel.from_pairs(domain, self.pairs())
+        moved = [domain.index[label] for label in self.domain.labels]
+        rows = [0] * len(moved)
+        for i, row in enumerate(self.rows):
+            rows[moved[i]] = sum(1 << moved[j] for j in _bits(row))
+        return BinRel(domain, tuple(rows))
 
     def is_irreflexive(self) -> bool:
         return all(row >> i & 1 == 0 for i, row in enumerate(self.rows))

@@ -13,6 +13,9 @@ those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
 builds one such tree on position masks.  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
+A ``SaturationSet`` keeps the tree the walk built for each saturation
+beside it, so a caller prints that tree instead of encoding the order
+again.
 """
 
 from __future__ import annotations
@@ -115,9 +118,12 @@ def one_saturation(s: Structure) -> Structure:
 @dataclass(frozen=True)
 class SaturationSet:
     """Saturations in canonical order, or, when truncated, the first
-    ones in generation order (see ``saturations``)."""
+    ones in generation order (see ``saturations``).  ``trees[k]`` is the
+    stratum tree the walk built for ``structures[k]``, over the
+    positions of the sorted labels."""
 
     structures: tuple[Structure, ...]
+    trees: tuple[tuple[Tree, ...], ...]
     truncated: bool = False
 
     def __iter__(self) -> Iterator[Structure]:
@@ -156,19 +162,19 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     walk = stratum_trees(n, _touching(ordered.prec), _combined_rows(ordered))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    found = [tree_rows(n, trees) for trees in islice(walk, None if limit is None else limit + 1)]
+    walked = islice(walk, None if limit is None else limit + 1)
+    found = [(tree_rows(n, trees), trees) for trees in walked]
     truncated = limit is not None and len(found) > limit
     if truncated:
         del found[limit:]
     else:
         # position pairs over sorted labels compare as the label pairs do
-        found.sort(key=lambda rows: [(i, j) for i, row in enumerate(rows) for j in _bits(row)])
+        found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
     return SaturationSet(
         tuple(
-            reindex_structure(
-                poset_to_structure(Poset(ordered.domain, BinRel(ordered.domain, rows))), s.domain
-            )
-            for rows in found
+            poset_to_structure(Poset(s.domain, BinRel(ordered.domain, rows).aligned_to(s.domain)))
+            for rows, _ in found
         ),
+        tuple(trees for _, trees in found),
         truncated,
     )

@@ -1,4 +1,9 @@
+import argparse
+import io
 import json
+import random
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,10 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstrat.cli
 import qstrat.closure
 import qstrat.orders
 import qstrat.qsa
-from qstrat import BinRel, InternalError, new_structure
+import qstrat.qso
+import qstrat.qsseq
+import qstrat.saturate
+from qstrat import (
+    BinRel,
+    InternalError,
+    QsOrder,
+    SaturationSet,
+    format_seq,
+    is_qsa,
+    new_poset,
+    new_structure,
+    order_to_seq,
+    random_qsa_structure,
+)
 from qstrat.cli import main, read_input, structure_json_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -400,3 +420,184 @@ def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command,
     monkeypatch.setattr(BinRel, "from_pairs", classmethod(counting))
     run(capsys, command[0], fixture(name), *command[1:])
     assert len(calls) <= relations
+
+
+def outcome(capsys, argv):
+    """Exit code, or the code of a SystemExit, with stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+T = fixture("transactions.json")
+# each command with an option, then again without it
+PARSER_REUSE_SEQUENCE = [
+    ("saturate", "--limit", "2", T),
+    ("saturate", T),
+    ("render", "--format", "dot", T),
+    ("render", T),
+    ("gen", "--n", "4", "--seed", "5", "--density", "0.9"),
+    ("gen", "--n", "4"),
+    ("check", "--class", "bogus", T),
+    ("check", T),
+    ("check", "--class", "qsa", T),
+]
+
+
+def test_a_reused_parser_prints_what_a_first_call_prints(capsys):
+    first = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        qstrat.cli.build_parser.cache_clear()
+        first.append(outcome(capsys, argv))
+    assert first[6][0] == first[7][0] == ("SystemExit", 2)
+    qstrat.cli.build_parser.cache_clear()
+    for argv, expected in zip(PARSER_REUSE_SEQUENCE, first):
+        assert outcome(capsys, argv) == expected, argv
+
+
+def test_repeated_main_calls_construct_no_parser(capsys, monkeypatch):
+    run(capsys, "check", "--class", "qsa", T)
+    real = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in [
+        ("close", T),
+        ("saturate", "--limit", "2", T),
+        ("render", T),
+        ("gen", "--n", "3"),
+        ("check", "--class", "qsm", T),
+    ]:
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_saturate_decodes_each_relation_once_and_reencodes_no_order(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "shuffled.json"
+    path.write_text(
+        json.dumps({"domain": ["d", "b", "a", "c"], "prec": [["b", "a"]], "weak": [["c", "d"]]})
+    )
+    real_from_pairs = BinRel.from_pairs.__func__
+    real_order_trees = qstrat.qsseq.order_trees
+    decoded, encoded = [], []
+
+    def counted_from_pairs(cls, domain, pairs):
+        decoded.append(domain)
+        return real_from_pairs(cls, domain, pairs)
+
+    def counted_order_trees(rel):
+        encoded.append(rel)
+        return real_order_trees(rel)
+
+    monkeypatch.setattr(BinRel, "from_pairs", classmethod(counted_from_pairs))
+    monkeypatch.setattr(qstrat.qsseq, "order_trees", counted_order_trees)
+    code, out, _ = run(capsys, "saturate", "--limit", "10", str(path))
+    assert code == 0
+    assert out.startswith("10 saturation(s) (truncated)\n")
+    assert len(decoded) <= 2
+    assert encoded == []
+
+
+def _printed_saturations(out: str) -> list[tuple[list[tuple[str, str]], str]]:
+    """(prec pairs, tree text) of each saturation that saturate printed."""
+    lines = out.splitlines()
+    found = []
+    for k, line in enumerate(lines):
+        if line.startswith("-- saturation "):
+            body = lines[k + 1].removeprefix("   prec: ")
+            pairs = [] if body == "(none)" else [tuple(p.split("->")) for p in body.split(", ")]
+            found.append((pairs, lines[k + 3].removeprefix("   tree: ")))
+    return found
+
+
+def _assert_trees_encode_printed_orders(capsys, path, labels, *options):
+    code, out, _ = run(capsys, "saturate", str(path), *options)
+    assert code == 0, out
+    printed = _printed_saturations(out)
+    assert len(printed) == int(out.split()[0])
+    for pairs, tree in printed:
+        order = QsOrder(new_poset(labels, pairs))
+        assert tree == format_seq(order_to_seq(order)), (labels, pairs)
+    return len(printed)
+
+
+def test_printed_trees_encode_the_printed_orders_of_every_fixture(capsys):
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        f = read_input(path)
+        if not is_qsa(f.structure()):
+            continue
+        checked += _assert_trees_encode_printed_orders(capsys, path, f.prec.domain.labels)
+    assert checked > 8
+
+
+def test_printed_trees_encode_the_printed_orders_of_random_specs(capsys, tmp_path):
+    rng = random.Random(1105)
+    pool = ["a", "B", "b10", "b2", "z", "é", "c"]
+    checked = 0
+    for case in range(40):
+        n = rng.randint(1, 6)
+        labels = rng.sample(pool, n)  # declared out of sorted order
+        s = random_qsa_structure(labels, seed=case, density=rng.uniform(0.1, 0.6))
+        path = tmp_path / f"spec{case}.json"
+        path.write_text(structure_json_text(s), encoding="utf-8")
+        options = () if n <= 4 else ("--limit", "40")
+        checked += _assert_trees_encode_printed_orders(capsys, path, labels, *options)
+    assert checked > 200
+
+
+def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkeypatch):
+    real = qstrat.saturate.saturations
+
+    def shifted(s, limit=None):
+        sats = real(s, limit)
+        return SaturationSet(sats.structures, sats.trees[1:] + sats.trees[:1], sats.truncated)
+
+    monkeypatch.setattr(qstrat.saturate, "saturations", shifted)
+    code, _, err = run(capsys, "saturate", T)
+    assert code == 3
+    assert err.strip() == "internal error: a saturation's tree does not decode to its order"
+
+
+class _FlushedOnly(io.StringIO):
+    """Stdout whose text counts as shown only once flushed."""
+
+    shown = ""
+
+    def flush(self):
+        self.shown = self.getvalue()
+
+
+def test_selftest_shows_each_suite_line_as_the_suite_ends(monkeypatch):
+    stdout = _FlushedOnly()
+    shown_when_second_suite_starts = []
+    real = qstrat.qso.enumerate_qs_orders
+
+    def spy(labels):
+        shown_when_second_suite_starts.append(stdout.shown)
+        return real(labels)
+
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(qstrat.qso, "enumerate_qs_orders", spy)
+    assert main(["selftest", "--max-n", "2"]) == 0
+    (first,) = shown_when_second_suite_starts[0].splitlines()
+    assert re.fullmatch(r"acyclicity: polynomial vs subset scan +17 cases +\d+\.\d\d s  PASS", first)
+    lines = stdout.shown.splitlines()
+    assert len(lines) == 4
+    assert all(re.search(r" [1-9]\d* cases +\d+\.\d\d s  PASS$", line) for line in lines)
+
+
+def test_selftest_suite_stops_at_its_first_failing_case(capsys, monkeypatch):
+    monkeypatch.setattr(qstrat.qsa, "is_qsa_naive", lambda s: False)
+    code, out, _ = run(capsys, "selftest", "--max-n", "2")
+    assert code == 1
+    first, *rest = out.splitlines()
+    assert re.fullmatch(r"acyclicity: polynomial vs subset scan +1 cases +\d+\.\d\d s  FAIL", first)
+    assert len(rest) == 3 and all(line.endswith("PASS") for line in rest)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from qstrat import (
+    BinRel,
+    Domain,
     add_element,
     add_prec,
     add_weak,
@@ -248,3 +250,19 @@ def test_embed_trichotomy():
                     s.weak.holds(x, y) and s.weak.holds(y, x),
                 ]
                 assert sum(cases) == 1
+
+
+def test_aligned_to_moves_rows_through_the_position_permutation():
+    rng = random.Random(1107)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        labels = list(LABELS[:n])
+        pairs = [(x, y) for x in labels for y in labels if rng.random() < 0.3]
+        rel = new_structure(labels, pairs).prec
+        rng.shuffle(labels)
+        target = Domain(tuple(labels))
+        aligned = rel.aligned_to(target)
+        assert aligned.domain is target
+        assert aligned.rows == BinRel.from_pairs(target, rel.pairs()).rows
+    with pytest.raises(ValueError, match="different label sets"):
+        rel.aligned_to(Domain(tuple(labels) + ("zz",)))

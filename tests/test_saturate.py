@@ -27,6 +27,7 @@ from qstrat import (
     seq_to_order,
     stratum_domain,
 )
+from qstrat.qsseq import tree_rows
 
 from conftest import (
     all_relational_structures,
@@ -430,3 +431,18 @@ def test_saturation_trees_of_transactions(transactions):
         for m in saturations(transactions)
     }
     assert len(trees) == 8
+
+
+def test_saturation_trees_stay_in_step_with_their_structures():
+    rng = random.Random(1106)
+    for case in range(60):
+        n = rng.randint(0, 5)
+        labels = list("edcba"[:n])
+        rng.shuffle(labels)
+        s = random_qsa_structure(labels, seed=case, density=rng.uniform(0.05, 0.6))
+        ordered = Domain(tuple(sorted(labels)))
+        for limit in (None, 3):
+            sats = saturations(s, limit=limit)
+            assert len(sats.trees) == len(sats)
+            for m, trees in zip(sats, sats.trees):
+                assert tree_rows(n, trees) == m.prec.aligned_to(ordered).rows
