@@ -27,7 +27,14 @@ against one ``qsa.Prober`` and so decides the acyclicity of its input
 once.  On acyclic input, adding one pair can only break the chain of
 components through that pair (the ``qsa`` module docstring has the
 argument), so a probe walks that chain instead of re-deciding the
-whole extension.
+whole extension.  The sweep probes a row at a time: for each event x
+and kind, one ``Prober.run_row`` over every y whose forced pair is
+absent.  Only a y that reaches x can close a cycle through x -> y, so
+one mask, the coreach set of x, rules out most of the row at once; the
+y left in one component share their reach set, so they walk one chain
+level together, and for qsc:3 a y that is a pre-dominant of that
+component walks on alone, since the precedence pair makes it touched.
+qsc:1 and qsc:2 are read off row and column masks as well.
 
 ``qsc_property_suite`` evaluates the consequence laws that closed
 structures satisfy, used to probe candidate axiomatisations.
@@ -52,27 +59,30 @@ from .saturate import saturations
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
-    """First witness against qsc:1 or qsc:2."""
+    """First witness against qsc:1 or qsc:2, row by row."""
     labels = s.domain.labels
-    n = len(labels)
-    for i in range(n):
-        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
+    prec = s.prec.rows
+    for i, (p, w) in enumerate(zip(prec, s.weak.rows)):
+        if (p | w) >> i & 1:
             return "qsc:1", (labels[i], labels[i])
-    for i, j in product(range(n), repeat=2):
-        if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
-            return "qsc:2", (labels[i], labels[j])
+    for i, back in enumerate(s.weak.column_masks):
+        hit = prec[i] & back  # the j with i prec j and j weak i
+        if hit:
+            return "qsc:2", (labels[i], labels[(hit & -hit).bit_length() - 1])
     return None
 
 
 def _forced_pairs(s: Structure, prober: Prober):
     """Every (axiom, (x, y)) whose probe against s breaks acyclicity while
-    the pair it forces is absent: qsc:4 pairs first, then qsc:3, row-major."""
+    the pair it forces is absent: qsc:4 pairs first, then qsc:3, row-major.
+    Each row is one ``Prober.run_row``."""
     labels = s.domain.labels
     n = len(labels)
-    run = prober.run
+    full = (1 << n) - 1
     for axiom, kind, forced in (("qsc:4", "weak", s.prec), ("qsc:3", "prec", s.weak)):
-        for i, j in product(range(n), repeat=2):
-            if i != j and not forced.holds_idx(j, i) and run(i, j, kind):
+        for i, present in enumerate(forced.column_masks):
+            found = prober.run_row(i, full & ~present & ~(1 << i), kind)
+            for j in sorted(found):
                 yield axiom, (labels[i], labels[j])
 
 

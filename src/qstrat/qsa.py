@@ -27,6 +27,21 @@ of the extension returns.  On a structure that is not acyclic every
 probe returns the structure's own witness, which stays forbidden in
 every extension.
 
+``Prober.run_row(i, js, kind)`` probes a whole row, the pairs from i to
+every j in the position mask js, and shares what those probes have in
+common.  At each chain level, a member set M holding i, the pair i -> j
+closes a cycle only when j reaches i inside M, so one mask, coreach_M(i),
+rules out every other candidate at once; on the closure's sweeps that
+is four probes in five.  The candidates left that lie in one component
+of M have the same reach set inside M, so they share the level's
+component reach_M(j) & coreach_M(i), its pre-dominants and the next
+level.  The candidates of i's own component reach what i does; any
+other component is found from its lowest candidate j as reach_M(j) &
+coreach_M(j).  A precedence pair also takes j out of the pre-dominants,
+so a candidate that is a pre-dominant of the component walks on alone,
+and the others go on together.  A lone candidate walks its chain as
+``run`` does, spreading reach_M(j) first.
+
 A prober grows with its structure: ``Prober.extend`` adds each pair its
 probe accepts and keeps its memos exact instead of starting over, by
 the single-edge lemma.  Adding the edge i -> j changes the reach sets
@@ -239,6 +254,10 @@ class Prober:
     are memoised per prober: the probes of one structure revisit the
     same few components, and the memos go when the prober does.
 
+    ``run_row(i, js, kind)`` answers ``run(i, j, kind)`` for every
+    position j in the mask js at once, as {j: witness mask} over the j
+    whose pair breaks acyclicity (module docstring).
+
     ``extend(i, j, kind)`` runs the same probe and, when it passes, adds
     the pair to the prober's structure, keeping the memos exact by the
     single-edge lemma; ``structure()`` returns the structure grown so
@@ -270,8 +289,64 @@ class Prober:
             raise ValueError("a probe needs two distinct events")
         if self._fixed:
             return self._fixed
+        return self._chain(i, j, kind, self._full)
+
+    def run_row(self, i: int, js: int, kind: str) -> dict[int, int]:
+        if js >> i & 1:
+            raise ValueError("a probe needs two distinct events")
+        if js & ~self._full:
+            raise ValueError("a row probes positions of the domain only")
+        if self._fixed:
+            return dict.fromkeys(_bits(js), self._fixed)
+        found: dict[int, int] = {}
+        pending = [(self._full, js)]
+        while pending:
+            members, js = pending.pop()
+            if not js & (js - 1):
+                if js:
+                    j = js.bit_length() - 1
+                    mask = self._chain(i, j, kind, members)
+                    if mask:
+                        found[j] = mask
+                continue
+            self._recent.add(members)
+            back = _memo_spread(self._coreach, self._cols, members, i)
+            js &= back  # a j that does not reach i closes no cycle
+            own = _memo_spread(self._reach, self._rows, members, i) if js else 0
+            while js:
+                low = js & -js
+                if own & low:  # i's own component: every member reaches what i does
+                    comp = own & back
+                    group = js & comp
+                else:
+                    j = low.bit_length() - 1
+                    comp = _memo_spread(self._reach, self._rows, members, j) & back
+                    group = js & comp
+                    if group != low:  # keep the candidates of j's own component
+                        group &= _memo_spread(self._coreach, self._cols, members, j)
+                js ^= group
+                dominants = self._dominants_of(comp)
+                if kind == "prec":
+                    dominants &= ~(1 << i)
+                    alone = group & dominants
+                    if alone:  # a pre-dominant j stops being one once it gains the pair
+                        group ^= alone
+                        for j in _bits(alone):
+                            rest = dominants & ~(1 << j)
+                            if rest:
+                                pending.append((comp & ~rest, 1 << j))
+                            else:
+                                found[j] = comp
+                if not dominants:
+                    for j in _bits(group):
+                        found[j] = comp
+                elif not dominants >> i & 1:  # else no deeper level holds i
+                    pending.append((comp & ~dominants, group & ~dominants))
+        return found
+
+    def _chain(self, i: int, j: int, kind: str, members: int) -> int:
+        """The probe of one pair, from the chain level members on."""
         pair = 1 << i | 1 << j
-        members = self._full
         recent = self._recent
         # the component of i and j in the extension, then the one holding
         # both after each peel, until one has no pre-dominant; the searches
@@ -282,16 +357,21 @@ class Prober:
             if not ahead >> i & 1:
                 return 0
             comp = ahead & _memo_spread(self._coreach, self._cols, members, i)
-            recent.add(comp)
-            dominants = self._dominants.get(comp)
-            if dominants is None:
-                dominants = self._dominants[comp] = _untouched(self._touch, comp)
+            dominants = self._dominants_of(comp)
             if kind == "prec":
                 dominants &= ~pair
             if not dominants:
                 return comp
             members = comp & ~dominants
         return 0
+
+    def _dominants_of(self, comp: int) -> int:
+        """The pre-dominants of comp, memoised."""
+        self._recent.add(comp)
+        dominants = self._dominants.get(comp)
+        if dominants is None:
+            dominants = self._dominants[comp] = _untouched(self._touch, comp)
+        return dominants
 
     def extend(self, i: int, j: int, kind: str) -> int:
         """``run(i, j, kind)``; when it returns 0 the pair joins the
@@ -310,12 +390,13 @@ class Prober:
         if not self._rows[i] & bit:
             self._rows[i] |= bit
             self._cols[j] |= 1 << i
-            self._prune(self._coreach, pair)
             for members in self._prune(self._reach, pair):
-                ahead, back = self._reach[members], self._coreach.get(members, {})
-                if not (ahead.get(i, 0) >> j & 1 or back.get(j, 0) >> i & 1):
-                    # i did not reach j inside members yet
+                ahead = self._reach[members]
+                if not ahead.get(i, 0) >> j & 1:  # i did not reach j inside members yet
                     _grow(ahead, self._rows, members, i, j)
+            for members in self._prune(self._coreach, pair):
+                back = self._coreach[members]
+                if not back.get(j, 0) >> i & 1:
                     _grow(back, self._cols, members, j, i)
             self._recent = set()
         return 0

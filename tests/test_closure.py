@@ -1,5 +1,6 @@
 import random
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,12 @@ from qstrat import (
     random_qsa_structure,
     saturations,
 )
+from qstrat.cli import default_labels, read_input
+from qstrat.closure import _pair_violation
 
 from conftest import LABELS, random_structure
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_transactions_closure_is_closed(transactions_closure):
@@ -376,3 +381,64 @@ def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
     report = close(s)
     assert report.iterations >= 2 and report.added_prec
     assert len(calls) <= report.iterations + 1
+
+
+def _reference_pair_violation(s):
+    """The literal double loop over qsc:1 and qsc:2, kept as the
+    reference for the row-mask scan in ``closure._pair_violation``."""
+    labels = s.domain.labels
+    n = len(labels)
+    for i in range(n):
+        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
+            return "qsc:1", (labels[i], labels[i])
+    for i in range(n):
+        for j in range(n):
+            if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
+                return "qsc:2", (labels[i], labels[j])
+    return None
+
+
+def test_pair_violation_matches_the_double_loop():
+    rng = random.Random(1212)
+    structures = [read_input(path).structure() for path in sorted(FIXTURES.glob("*.json"))]
+    assert len(structures) >= 7
+    for _ in range(500):
+        n = rng.randint(0, 8)
+        s = random_structure(rng, n, rng.choice((0.05, 0.2, 0.5, 0.9)))
+        labels = s.domain.labels
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            loop = rng.choice(labels) if labels else None
+            if loop is not None:
+                s = add_weak(s, loop, loop) if rng.random() < 0.5 else add_prec(s, loop, loop)
+        structures.append(s)
+    verdicts = set()
+    for s in structures:
+        expected = _reference_pair_violation(s)
+        assert _pair_violation(s) == expected, s
+        verdicts.add(expected[0] if expected else None)
+    assert verdicts == {"qsc:1", "qsc:2", None}
+
+
+@pytest.mark.parametrize(
+    "n, density", [(16, 0.1), (32, 0.05), (32, 0.3), (48, 0.3), (64, 0.1)]
+)
+def test_row_walks_look_up_fewer_reach_sets_than_pairs(monkeypatch, n, density):
+    # probing pair by pair looks up at least one reach set per probe, so
+    # more than 2 n^2 a sweep on these inputs; a row walk rules out every
+    # j that does not reach i with the one coreach set of i, and the
+    # candidates of one component share their chain level
+    calls = []
+    lookup = qstrat.qsa._memo_spread
+
+    def counted(memo, rows, members, v):
+        calls.append(v)
+        return lookup(memo, rows, members, v)
+
+    s = random_qsa_structure(default_labels(n), seed=1, density=density)
+    monkeypatch.setattr(qstrat.qsa, "_memo_spread", counted)
+    report = close(s)
+    assert report.added_prec or report.added_weak
+    assert 0 < len(calls) <= 2 * n * n * report.iterations
+    calls.clear()
+    assert qsc_violation(report.closed) is None
+    assert 0 < len(calls) <= n * n

@@ -405,3 +405,90 @@ def test_random_qsa_structure_refuses_domains_beyond_the_generation_bound():
     message = f"domain size {bound + 1} exceeds generation bound {bound}"
     with pytest.raises(ValueError, match=message):
         random_qsa_structure(default_labels(bound + 1), seed=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.05, 0.8),
+    acyclic=st.booleans(),
+    data=st.data(),
+)
+def test_row_walk_matches_the_extension_oracle(n, seed, density, acyclic, data):
+    labels = string.ascii_letters[:n]
+    if acyclic:
+        s = random_qsa_structure(labels, seed=seed, density=density)
+    else:
+        rng = random.Random(seed)
+        slots = [(x, y) for x in labels for y in labels if x != y]
+        s = new_structure(
+            labels,
+            [pair for pair in slots if rng.random() < density],
+            [pair for pair in slots if rng.random() < density],
+        )
+    own = qsa_witness(s)
+    prober = Prober(s)
+    for i, x in enumerate(labels):
+        js = data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << i)
+        for kind in ("prec", "weak"):
+            found = prober.run_row(i, js, kind)
+            for j, y in enumerate(labels):
+                if not js >> j & 1:
+                    assert j not in found
+                    continue
+                subset = frozenset(labels[k] for k in range(n) if found.get(j, 0) >> k & 1)
+                if own is not None:
+                    assert subset == own.subset
+                    continue
+                # the oracle: add the pair, then decide the whole extension
+                extension = add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y)
+                expected = qsa_witness(extension)
+                assert subset == (expected.subset if expected else frozenset())
+            with pytest.raises(ValueError, match="distinct"):
+                prober.run_row(i, js | 1 << i, kind)
+    with pytest.raises(ValueError, match="positions of the domain"):
+        prober.run_row(0, 1 << n, "weak")
+
+
+def _assert_memos_exact(prober):
+    rows, cols = tuple(prober._rows), tuple(prober._cols)
+    for memo, edges in ((prober._reach, rows), (prober._coreach, cols)):
+        for members, known in memo.items():
+            for v, spread in known.items():
+                assert spread == qstrat.qsa._spread(edges, members, 1 << v)
+    touch = tuple(prober._touch)
+    for comp, dominants in prober._dominants.items():
+        assert dominants == qstrat.qsa._untouched(touch, comp)
+
+
+def test_extend_keeps_every_memo_exact_between_row_walks():
+    # a row walk spreads the coreach set of i before any reach set, so a
+    # member set can have coreach memos and no reach memo; extend must
+    # grow those as well.  Besides the row walks, each round fills one
+    # coreach set of a random member set alone, as a walk in use since
+    # the last new edge may.  Probing every pair would fill the reach
+    # memos too, so that waits until the end
+    rng = random.Random(12)
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        density = rng.uniform(0.0, 0.6)
+        s = random_qsa_structure(default_labels(n), seed=rng.randrange(1 << 30), density=density)
+        prober = Prober(s)
+        for _ in range(rng.randint(1, 30)):
+            for _ in range(rng.randint(0, 4)):
+                i = rng.randrange(n)
+                kind = rng.choice(("prec", "weak"))
+                prober.run_row(i, rng.randrange(1 << n) & ~(1 << i), kind)
+            members = rng.randrange(1, 1 << n)
+            start = rng.choice([v for v in range(n) if members >> v & 1])
+            qstrat.qsa._memo_spread(prober._coreach, prober._cols, members, start)
+            prober._recent.add(members)
+            i, j = rng.sample(range(n), 2)
+            kind = rng.choice(("prec", "weak"))
+            if not prober.extend(i, j, kind):
+                x, y = s.domain.labels[i], s.domain.labels[j]
+                s = add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y)
+            assert prober.structure() == s
+            _assert_memos_exact(prober)
+        assert _probe_masks(prober, n) == _probe_masks(Prober(s), n)
