@@ -76,6 +76,7 @@ from .qsseq import (
 from .qsa import (
     CscWitness,
     LegalExtensions,
+    NotAcyclicError,
     Prober,
     csc_components,
     csc_subsets_naive,

@@ -13,11 +13,13 @@ relation and its weak relation (None when omitted) over one domain.
 Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``FAIL: not <class>; <detail>``.  ``close`` and ``saturate`` print
 ``check --class qsa``'s FAIL line on a structure that is not
-quasi-stratified acyclic.
+quasi-stratified acyclic, from the witness that the library's refusal
+(``qsa.NotAcyclicError``) carries, so a request decides acyclicity once.
 
 ``saturate`` prints, for each saturation, the stratum tree that the
 saturation walk built for it, after checking that the tree decodes to
-the printed order.
+the printed order, and the order's interval realization, after
+checking once that the order is a partial order (``Poset``).
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each
@@ -28,7 +30,8 @@ Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 the library, reported as ``internal error: ...`` on stderr (with the
 traceback unless it is an ``InternalError``).  Input errors are raised
 as ``InputError`` alone; any other exception, a ``ValueError`` from the
-library included, is internal.
+library included, is internal, except the refusal that ``close`` and
+``saturate`` turn into their FAIL line.
 """
 
 from __future__ import annotations
@@ -190,15 +193,24 @@ def _self_loop_detail(s: Structure) -> str | None:
     return None
 
 
+def _witness_detail(witness: qsa.CscWitness) -> str:
+    return f"{{{', '.join(sorted(witness.subset))}}} is {witness.note}"
+
+
 def _qsa_detail(s: Structure) -> str | None:
     """The self-loop, else the subset that ``qsa_witness`` names."""
     loop = _self_loop_detail(s)
     if loop is not None:
         return loop
     witness = qsa.qsa_witness(s)
-    if witness is None:
-        return None
-    return f"{{{', '.join(sorted(witness.subset))}}} is {witness.note}"
+    return None if witness is None else _witness_detail(witness)
+
+
+def _refused(s: Structure, exc: qsa.NotAcyclicError) -> int:
+    """``check --class qsa``'s FAIL line for a structure that the library
+    refused, from the witness of the refusing decision."""
+    detail = _self_loop_detail(s) if exc.witness is None else _witness_detail(exc.witness)
+    return _verdict("structure", "quasi-stratified acyclic", detail)
 
 
 def _qsc_detail(s: Structure) -> str | None:
@@ -241,10 +253,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_close(args: argparse.Namespace) -> int:
     s = read_input(args.path).structure()
-    detail = _qsa_detail(s)
-    if detail is not None:
-        return _verdict("structure", "quasi-stratified acyclic", detail)
-    report = closure.close(s)
+    try:
+        report = closure.close(s)
+    except qsa.NotAcyclicError as exc:
+        return _refused(s, exc)
     sys.stdout.write(structure_json_text(report.closed))
     if not report.added_prec and not report.added_weak:
         print("already closed, 0 additions", file=sys.stderr)
@@ -259,13 +271,16 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"limit must be non-negative, got {args.limit}")
     s = read_input(args.path).structure()
-    detail = _qsa_detail(s)
-    if detail is not None:
-        return _verdict("structure", "quasi-stratified acyclic", detail)
     n = len(s.domain)
     if n > qsseq.ENUMERATION_BOUND:
+        detail = _qsa_detail(s)  # the verdict comes first at every size
+        if detail is not None:
+            return _verdict("structure", "quasi-stratified acyclic", detail)
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
-    sats = saturate.saturations(s, limit=args.limit)
+    try:
+        sats = saturate.saturations(s, limit=args.limit)
+    except qsa.NotAcyclicError as exc:
+        return _refused(s, exc)
     print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
     # the walk's trees are over the positions of the sorted labels
     ordered = Domain(tuple(sorted(s.domain.labels)))

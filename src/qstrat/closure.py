@@ -47,6 +47,7 @@ from itertools import product
 
 from .qsa import (
     SUBSET_SCAN_BOUND,
+    NotAcyclicError,
     Prober,
     csc_subsets_naive,
     is_csc_subset,
@@ -101,10 +102,12 @@ def is_qsc(s: Structure) -> bool:
 
 def closure_step(s: Structure) -> Structure:
     """One closure step: every probe runs against the input and all
-    additions land simultaneously."""
+    additions land simultaneously.  Input that is not acyclic raises
+    ``NotAcyclicError`` with the witness of the prober's decision."""
     prober = Prober(s) if is_relational(s) else None
     if prober is None or prober.witness is not None:
-        raise ValueError("can only close a quasi-stratified acyclic structure")
+        witness = None if prober is None else prober.witness
+        raise NotAcyclicError("can only close a quasi-stratified acyclic structure", witness)
     index = s.domain.index
     prec_rows = list(s.prec.rows)
     weak_rows = list(s.weak.rows)

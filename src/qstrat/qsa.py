@@ -56,6 +56,34 @@ sets holding both that probes used since the last new edge are updated
 in place, and those of the other sets holding both are dropped.  The
 full domain is always kept, so each of its 2n reach and coreach sets is
 spread once per prober.
+
+``random_qsa_structure`` rejects without a probe each candidate whose
+reverse it already knows to lie in the closure of the structure grown
+so far, the intersection of its saturations (``closure``).  Five steps
+make the rejections exact.  First, adding pairs only removes
+saturations, so the closure only grows while the structure does, and a
+pair once known to lie in it stays there.  Second, two distinct events
+of a saturation are ordered one way or mutually weak (qsm:3), and
+x prec y holds exactly when x weak y does and y weak x does not
+(qsm:2); so a saturation holds y weak x exactly when it lacks x prec y.
+Every acyclic extension lies in some saturation, so when adding
+x prec y breaks acyclicity no saturation holds it, and every saturation
+holds y weak x.  Dually a rejected x weak y puts y prec x in every
+saturation.  Third, the prec of a saturation is transitive, and in each
+saturation P is contained in W, and so are P.W and W.P: from x prec y
+and y weak z, z prec x would give z prec y, and z = x would give
+y weak x, against qsm:2.  So the four laws hold in the intersection
+too.  The generator keeps P, the transitive closure of the precedence
+pairs it knows, and W.P=, where W is the weak pairs it knows and P= is
+P plus the identity; each pair it keeps is known as itself, each
+rejected pair as the reverse pair above.
+Fourth, no saturation holds both x prec y and y weak x, nor both
+x weak y and y prec x: either way {x, y} is strongly connected and both
+events are touched by precedence.  Since every acyclic extension lies in
+some saturation, adding x weak y breaks acyclicity when y P x holds,
+and adding x prec y does when y P x or y (P= . W . P=) x holds.  Last,
+every other candidate is probed, so a pair is kept only when its probe
+passes.
 """
 
 from __future__ import annotations
@@ -84,6 +112,16 @@ class CscWitness:
 
     subset: frozenset[str]
     note: str = "strongly connected over the combined relation, no pre-dominant"
+
+
+class NotAcyclicError(ValueError):
+    """Refusal of a structure that is not quasi-stratified acyclic.
+    ``witness`` is the forbidden subset that the one decision found, or
+    None when the structure is not relational."""
+
+    def __init__(self, message: str, witness: CscWitness | None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 def predominants(s: Structure, subset: Iterable[str]) -> frozenset[str]:
@@ -479,6 +517,42 @@ def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
     )
 
 
+class _ClosureFacts:
+    """Pairs known to lie in the closure of a structure that only grows
+    (module docstring): ``prec`` and ``prec_cols`` hold P, transitively
+    closed, as row and column masks, and ``weak_into`` holds W.P= by
+    columns: weak_into[v] has each a with a W b and b P= v for some b."""
+
+    def __init__(self, n: int) -> None:
+        self.prec, self.prec_cols, self.weak_into = [0] * n, [0] * n, [0] * n
+
+    def learn(self, i: int, j: int, kind: str) -> None:
+        """Record that the closure holds the pair i kind j."""
+        prec, weak_into = self.prec, self.weak_into
+        if kind == "weak":
+            for v in _bits(prec[j] | 1 << j):
+                weak_into[v] |= 1 << i
+        elif not prec[i] >> j & 1:
+            heads, tails = self.prec_cols[i] | 1 << i, prec[j] | 1 << j
+            for a in _bits(heads):
+                prec[a] |= tails
+            # each event of tails gains heads, the events P= below i, so
+            # its W.P= column gains i's
+            gained = weak_into[i]
+            for b in _bits(tails):
+                self.prec_cols[b] |= heads
+                weak_into[b] |= gained
+
+    def forbids(self, i: int, j: int, kind: str) -> bool:
+        """True when the facts put the reverse of the pair i kind j in the
+        closure, so that adding the pair breaks acyclicity: j P i, or for
+        a precedence pair also j P= a W b P= i for some a and b."""
+        ahead = self.prec[j]
+        if ahead >> i & 1:
+            return True
+        return kind == "prec" and bool(self.weak_into[i] & (ahead | 1 << j))
+
+
 def random_qsa_structure(
     labels: Iterable[str], seed: int, density: float = 0.35
 ) -> Structure:
@@ -486,9 +560,11 @@ def random_qsa_structure(
 
     Candidate pairs are visited in a seeded shuffle; each is kept with
     the given probability when the structure stays acyclic, so the
-    result is acyclic by construction.  One ``Prober`` decides every
-    candidate and grows by the pairs kept.  Raises ValueError beyond
-    ``GENERATION_BOUND``.
+    result is acyclic by construction.  One ``Prober`` decides each
+    candidate and grows by the pairs kept, except a candidate whose
+    reverse the pairs learned so far put in the closure: that one breaks
+    acyclicity without a probe (module docstring).  Raises ValueError
+    beyond ``GENERATION_BOUND``.
     """
     label_tuple = tuple(labels)
     n = len(label_tuple)
@@ -500,7 +576,14 @@ def random_qsa_structure(
     ]
     rng.shuffle(candidates)
     prober = Prober(new_structure(label_tuple))
+    facts = _ClosureFacts(n)
     for which, i, j in candidates:
-        if rng.random() < density:
-            prober.extend(i, j, which)
+        if rng.random() >= density or facts.forbids(i, j, which):
+            continue
+        if not prober.extend(i, j, which):
+            facts.learn(i, j, which)
+        elif which == "prec":  # no saturation holds i prec j, so each holds j weak i
+            facts.learn(j, i, "weak")
+        else:
+            facts.learn(j, i, "prec")
     return prober.structure()

@@ -362,11 +362,17 @@ def add_weak(s: Structure, x: str, y: str) -> Structure:
 def poset_to_structure(p: Poset) -> Structure:
     """Embed a partial order: weak precedence holds wherever the reverse
     precedence is absent, so unordered events come out mutually weak."""
-    n = len(p.domain)
+    return _embed_order(p.prec)
+
+
+def _embed_order(prec: BinRel) -> Structure:
+    """``poset_to_structure`` of a relation that is an order by
+    construction, which is not checked again."""
+    n = len(prec.domain)
     full = (1 << n) - 1
-    cols = p.prec.column_masks
+    cols = prec.column_masks
     weak_rows = tuple(full & ~(1 << i) & ~cols[i] for i in range(n))
-    return Structure(p.domain, p.prec, BinRel(p.domain, weak_rows))
+    return Structure(prec.domain, prec, BinRel(prec.domain, weak_rows))
 
 
 def reindex_structure(s: Structure, domain: Domain) -> Structure:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .qsa import _scc_masks, is_qsa
+from .qsa import NotAcyclicError, _scc_masks, is_qsa, qsa_witness
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
 from .qsseq import Tree, stratum_trees, tree_rows
 from .relcore import (
@@ -34,8 +34,10 @@ from .relcore import (
     Structure,
     _bits,
     _combined_rows,
+    _embed_order,
     _touching,
     _untouched,
+    is_relational,
     poset_to_structure,
     reindex_structure,
 )
@@ -153,10 +155,15 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     pairs follow from its prec pairs).  With a limit, at most limit + 1
     extensions are generated; when there are more than limit, the result
     is the first limit in generation order, which depends only on the
-    label set, never on the order the labels were declared in.
+    label set, never on the order the labels were declared in.  The walk
+    builds each order as one, so it is not checked again.  Input that is
+    not acyclic raises ``NotAcyclicError`` with the witness of the one
+    decision.
     """
-    if not is_qsa(s):
-        raise ValueError("can only saturate a quasi-stratified acyclic structure")
+    relational = is_relational(s)
+    witness = qsa_witness(s) if relational else None
+    if not relational or witness is not None:
+        raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
     n = len(s.domain)
     ordered = reindex_structure(s, Domain(tuple(sorted(s.domain.labels))))
     walk = stratum_trees(n, _touching(ordered.prec), _combined_rows(ordered))
@@ -171,10 +178,7 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
         # position pairs over sorted labels compare as the label pairs do
         found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
     return SaturationSet(
-        tuple(
-            poset_to_structure(Poset(s.domain, BinRel(ordered.domain, rows).aligned_to(s.domain)))
-            for rows, _ in found
-        ),
+        tuple(_embed_order(BinRel(ordered.domain, rows).aligned_to(s.domain)) for rows, _ in found),
         tuple(trees for _, trees in found),
         truncated,
     )

@@ -21,6 +21,7 @@ import qstrat.saturate
 from qstrat import (
     BinRel,
     InternalError,
+    Poset,
     QsOrder,
     SaturationSet,
     format_seq,
@@ -564,6 +565,50 @@ def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkey
     code, _, err = run(capsys, "saturate", T)
     assert code == 3
     assert err.strip() == "internal error: a saturation's tree does not decode to its order"
+
+
+def _count_decisions(monkeypatch):
+    """The structures that ``qsa_witness`` decides, through every module
+    that binds it."""
+    calls = []
+    decide = qstrat.qsa.qsa_witness
+
+    def counted(s):
+        calls.append(s)
+        return decide(s)
+
+    for module in (qstrat.qsa, qstrat.closure, qstrat.saturate):
+        monkeypatch.setattr(module, "qsa_witness", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["transactions.json", "forbidden_cycle.json"])
+def test_close_decides_once_per_sweep_and_saturate_once(capsys, monkeypatch, name):
+    # close decides once per sweep, the first sweep deciding the input;
+    # saturate decides once
+    calls = _count_decisions(monkeypatch)
+    code, _, err = run(capsys, "close", fixture(name))
+    sweeps = int(err.rsplit("iterations: ", 1)[1]) if code == 0 else 1
+    assert 0 < len(calls) <= sweeps
+    calls.clear()
+    run(capsys, "saturate", "--limit", "10", fixture(name))
+    assert len(calls) == 1
+
+
+def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
+    checked = []
+    real = Poset.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        real(self)
+
+    monkeypatch.setattr(Poset, "__post_init__", counted)
+    code, out, _ = run(capsys, "saturate", "--limit", "10", T)
+    assert code == 0
+    printed = out.count("-- saturation ")
+    assert printed == 8
+    assert len(checked) == printed
 
 
 class _FlushedOnly(io.StringIO):

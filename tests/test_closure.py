@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qstrat.qsa
 from qstrat import (
+    NotAcyclicError,
     add_prec,
     add_weak,
     close,
@@ -381,6 +382,21 @@ def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
     report = close(s)
     assert report.iterations >= 2 and report.added_prec
     assert len(calls) <= report.iterations + 1
+
+
+def test_refusals_carry_the_witness_of_the_one_decision(cycle_structures):
+    refused = [s for s in cycle_structures.values() if qsa_witness(s) is not None]
+    assert refused
+    for s in refused:
+        for refuse in (close, closure_step, saturations):
+            with pytest.raises(NotAcyclicError) as exc:
+                refuse(s)
+            assert exc.value.witness == qsa_witness(s)
+    looped = new_structure("ab", [("a", "a")])
+    for refuse in (close, saturations):
+        with pytest.raises(NotAcyclicError) as exc:
+            refuse(looped)
+        assert exc.value.witness is None
 
 
 def _reference_pair_violation(s):

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import qstrat.qsa
 from qstrat import (
+    BinRel,
     Prober,
     add_prec,
     add_weak,
+    close_oracle,
     csc_subsets_naive,
     extends,
     intersect,
@@ -253,6 +255,113 @@ def test_gen_decides_acyclicity_at_most_once(monkeypatch, capsys):
     assert main(["gen", "--n", "16", "--seed", "3", "--density", "0.5"]) == 0
     assert capsys.readouterr().out.count("[") > 20
     assert len(calls) <= 1
+
+
+def _prober_reference_random_qsa_structure(labels, seed, density):
+    """The generator probing every drawn candidate against one growing
+    ``Prober``, without the closure facts."""
+    label_tuple = tuple(labels)
+    n = len(label_tuple)
+    rng = random.Random(seed)
+    candidates = [
+        (which, i, j) for which in ("prec", "weak") for i in range(n) for j in range(n) if i != j
+    ]
+    rng.shuffle(candidates)
+    prober = Prober(new_structure(label_tuple))
+    for which, i, j in candidates:
+        if rng.random() < density:
+            prober.extend(i, j, which)
+    return prober.structure()
+
+
+def test_random_qsa_structure_matches_the_probing_loop_on_seeded_cases():
+    # sizes 2 to 64, most of them small: a case costs about n^2 probes
+    rng = random.Random(1313)
+    for _ in range(300):
+        labels = default_labels(2 + round(62 * rng.random() ** 2))
+        seed, density = rng.randrange(1 << 30), rng.uniform(0.05, 1.0)
+        expected = _prober_reference_random_qsa_structure(labels, seed, density)
+        assert random_qsa_structure(labels, seed=seed, density=density) == expected
+
+
+@pytest.mark.parametrize("density", [0.1, 0.35])
+def test_random_qsa_structure_matches_the_probing_loop_at_128_events(density):
+    labels = default_labels(128)
+    for seed in (1, 2):
+        expected = _prober_reference_random_qsa_structure(labels, seed, density)
+        assert random_qsa_structure(labels, seed=seed, density=density) == expected
+
+
+def _closure_facts_hold(facts, closed):
+    # P and W.P= lie in the closure, and prec_cols are P's columns
+    weak_cols = closed.weak.column_masks
+    for i in range(len(closed.domain)):
+        assert facts.prec[i] & ~closed.prec.rows[i] == 0
+        assert facts.weak_into[i] & ~weak_cols[i] == 0
+    assert facts.prec_cols == list(BinRel(closed.domain, tuple(facts.prec)).column_masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    candidates=st.lists(
+        st.tuples(st.sampled_from(("prec", "weak")), st.integers(0, 8), st.integers(0, 8)),
+        min_size=20,
+        max_size=60,
+    ),
+)
+def test_closure_facts_reject_only_what_a_probe_rejects(n, candidates):
+    # grow an acyclic structure as the generator does, over candidates in
+    # any order: a candidate the facts forbid must fail a fresh probe of
+    # the structure grown so far, and every fact learned must lie in the
+    # closure computed by intersecting the saturations: at each step at
+    # n <= 4, and at n <= 6 at the end, as the closure only grows.  At 6
+    # events a sparse structure has thousands of saturations, so each run
+    # draws at least 20 candidates
+    labels = default_labels(n)
+    prober = Prober(new_structure(labels))
+    facts = qstrat.qsa._ClosureFacts(n)
+    closed = None  # close_oracle of the structure grown so far, once needed
+    for which, i, j in candidates:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        if facts.forbids(i, j, which):
+            assert Prober(prober.structure()).run(i, j, which)
+            continue
+        if not prober.extend(i, j, which):
+            facts.learn(i, j, which)
+            closed = None
+        else:
+            facts.learn(j, i, "weak" if which == "prec" else "prec")
+        if n <= 4:
+            closed = closed or close_oracle(prober.structure())
+            _closure_facts_hold(facts, closed)
+    if n <= 6:
+        _closure_facts_hold(facts, close_oracle(prober.structure()))
+
+
+def test_gen_probes_few_of_the_candidates_it_rejects(monkeypatch):
+    # the closure facts decide most rejections; probing every drawn
+    # candidate probes all 696 rejections at these settings
+    calls = []
+    run = Prober.run
+
+    def counted(self, i, j, kind):
+        calls.append((i, j, kind))
+        return run(self, i, j, kind)
+
+    monkeypatch.setattr(Prober, "run", counted)
+    n, density = 48, 0.35
+    s = random_qsa_structure(default_labels(n), seed=1, density=density)
+    kept = sum(row.bit_count() for row in s.prec.rows + s.weak.rows)
+    # the generator's draws: what its shuffle draws depends on the length alone
+    rng = random.Random(1)
+    rng.shuffle([None] * (2 * n * (n - 1)))
+    drawn = sum(rng.random() < density for _ in range(2 * n * (n - 1)))
+    rejected = drawn - kept
+    assert rejected > 0
+    assert len(calls) - kept <= rejected / 4
 
 
 def test_probe_agrees_with_is_qsa_of_the_extension():
