@@ -35,6 +35,6 @@ print()
 report = close(spec)
 print("closure added prec:", sorted(report.added_prec))
 print("closure added weak:", sorted(report.added_weak))
-print("closure reached in", report.iterations, "steps")
+print(f"closure reached in {report.iterations} step: one closure step is the closure")
 assert report.closed == close_oracle(spec)
-print("fixpoint closure equals the intersection of all saturations: ok")
+print("one-step closure equals the intersection of all saturations: ok")

@@ -2,7 +2,7 @@
 
 Every nontrivial decision in the library has an independent oracle:
 the polynomial acyclicity check against the subset scan, the axiomatic
-order recognition against exhaustive enumeration, and the fixpoint
+order recognition against exhaustive enumeration, and the one-step
 closure against the intersection of all saturations.
 """
 
@@ -46,7 +46,7 @@ for n in range(1, 5):
     assert recognized == generated
     print(f"  n={n}: {len(posets)} posets, {len(generated)} quasi-stratified")
 
-print("fixpoint closure vs saturation intersection, 300 random acyclic structures:")
+print("one-step closure vs saturation intersection, 300 random acyclic structures:")
 for i in range(300):
     n = 1 + i % 5
     s = random_qsa_structure("abcde"[:n], seed=i, density=0.35)

@@ -54,6 +54,7 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
+    _aligner,
     new_structure,
     poset_to_structure,
 )
@@ -284,6 +285,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
     # the walk's trees are over the positions of the sorted labels
     ordered = Domain(tuple(sorted(s.domain.labels)))
+    to_sorted = _aligner(s.domain, ordered)
     to_seq = qsseq.seq_converter(ordered.labels)
     for k, (m, trees) in enumerate(zip(sats, sats.trees), start=1):
         print(f"-- saturation {k}")
@@ -291,7 +293,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         print(f"   weak: {_fmt_pairs(m.weak.label_pairs)}")
         if n > 0:
             poset = Poset(m.domain, m.prec)
-            if qsseq.tree_rows(n, trees) != m.prec.aligned_to(ordered).rows:
+            if qsseq.tree_rows(n, trees) != to_sorted(m.prec.rows):
                 raise InternalError("a saturation's tree does not decode to its order")
             print(f"   tree: {qsseq.format_seq(to_seq(trees))}")
             realization = orders.interval_realization(poset)

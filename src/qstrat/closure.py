@@ -4,9 +4,9 @@ A closed structure is the largest acyclic structure with a given set of
 saturations; equivalently it is the component-wise intersection of
 those saturations.  The practical route avoids enumerating saturations:
 a one-step operator adds every pair whose opposite addition would break
-acyclicity, and its fixpoint is the closure.  This generalises the
-classical fact that a partial order is the intersection of its total
-order extensions.
+acyclicity, and that one step already is the closure.  This generalises
+the classical fact that a partial order is the intersection of its
+total order extensions.
 
 The closed structures are characterised by four axioms:
 
@@ -15,12 +15,26 @@ The closed structures are characterised by four axioms:
     qsc:3  if adding x prec y breaks acyclicity, y weak x is present
     qsc:4  if adding x weak y breaks acyclicity, y prec x is present
 
-The closure step adds exactly the pairs that qsc:3 and qsc:4 force,
-so a step that adds nothing is a proof that both hold.  ``close``
-therefore stops at the first step that changes nothing and checks only
-qsc:1 and qsc:2 on the result, in O(n^2); a separate closedness sweep
-would repeat the confirming step's 2 n^2 probes.  ``close_oracle``
-intersects the saturations instead and stays the independent check.
+Why one step is exact, for an acyclic s and its saturations Sat(s).
+First, acyclicity is hereditary and every acyclic extension of s lies
+in some saturation of s, so s plus one pair is acyclic exactly when
+some saturation holds that pair.  In a saturation two distinct events
+are ordered one way or mutually weak (qsm:3), and y prec x holds
+exactly when y weak x does and x weak y does not (qsm:2); so for
+x != y a saturation holds y prec x exactly when it lacks x weak y, and
+y weak x exactly when it lacks x prec y.  Second, y prec x is
+therefore in every saturation exactly when no saturation holds
+x weak y, that is exactly when adding x weak y to s breaks acyclicity:
+the qsc:4 probe.  Dually y weak x is in every saturation exactly when
+adding x prec y breaks acyclicity: the qsc:3 probe.  Saturations are
+irreflexive and extend s, so the step, which keeps s and adds exactly
+what the two probes force, yields the intersection of Sat(s).  Third,
+that intersection lies between s and each saturation of s, so it has
+the same saturations, and a second step adds nothing.  ``close`` is
+therefore one ``closure_step``, followed by an O(n^2) check of qsc:1
+and qsc:2 on its result that guards against a bug, not a hard input.
+``close_oracle`` intersects the saturations instead and stays the
+independent check.
 
 A sweep (``closure_step`` or ``qsc_violation``) probes its 2 n^2 pairs
 against one ``qsa.Prober`` and so decides the acyclicity of its input
@@ -122,8 +136,8 @@ def closure_step(s: Structure) -> Structure:
 @dataclass(frozen=True)
 class ClosureReport:
     """Closure outcome: the closed structure, what was added, and how
-    many operator applications it took (the last one confirms the
-    fixpoint)."""
+    many operator applications it took, which is one for every acyclic
+    input (see the module docstring)."""
 
     closed: Structure
     added_prec: frozenset[tuple[str, str]]
@@ -132,30 +146,16 @@ class ClosureReport:
 
 
 def close(s: Structure) -> ClosureReport:
-    """Iterate the closure step to its fixpoint.
-
-    Each productive application adds at least one pair, so at most
-    2 * n^2 of them can occur; exceeding that bound means a bug, not a
-    hard input.
-    """
-    bound = 2 * len(s.domain) ** 2
-    current = s
-    iterations = 0
-    while True:
-        nxt = closure_step(current)
-        iterations += 1
-        if nxt.prec.rows == current.prec.rows and nxt.weak.rows == current.weak.rows:
-            break
-        current = nxt
-        if iterations > bound:
-            raise InternalError("closure failed to stabilise in the pair bound")
-    if _pair_violation(current) is not None:
-        raise InternalError("closure fixpoint is not closed")
+    """The closure of an acyclic structure: one closure step, which adds
+    exactly the pairs of the intersection of s's saturations."""
+    closed = closure_step(s)
+    if _pair_violation(closed) is not None:
+        raise InternalError("closure step left a qsc:1 or qsc:2 violation")
     return ClosureReport(
-        closed=current,
-        added_prec=current.prec.label_pairs - s.prec.label_pairs,
-        added_weak=current.weak.label_pairs - s.weak.label_pairs,
-        iterations=iterations,
+        closed=closed,
+        added_prec=closed.prec.label_pairs - s.prec.label_pairs,
+        added_weak=closed.weak.label_pairs - s.weak.label_pairs,
+        iterations=1,
     )
 
 

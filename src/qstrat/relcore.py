@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class InternalError(RuntimeError):
@@ -75,6 +75,30 @@ class Domain:
 
     def __contains__(self, label: object) -> bool:
         return label in self.index
+
+
+def _aligner(source: Domain, target: Domain) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Moves rows over ``source`` to rows over ``target``, a domain with
+    equal label set, through the position permutation built once here."""
+    if target.labels == source.labels:
+        return lambda rows: rows
+    if target.label_set != source.label_set:
+        raise ValueError("cannot align relations over different label sets")
+    moved = [target.index[label] for label in source.labels]
+    bit = [1 << k for k in moved]
+
+    def align(rows: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * len(moved)
+        for k, row in zip(moved, rows):
+            acc = 0
+            while row:  # _bits inlined: saturate moves every printed order
+                low = row & -row
+                acc |= bit[low.bit_length() - 1]
+                row ^= low
+            out[k] = acc
+        return tuple(out)
+
+    return align
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +189,7 @@ class BinRel:
     def aligned_to(self, domain: Domain) -> BinRel:
         """The same relation re-indexed over a domain with equal label set:
         rows and their bits move through the position permutation."""
-        if domain.labels == self.domain.labels:
-            return BinRel(domain, self.rows)
-        if domain.label_set != self.domain.label_set:
-            raise ValueError("cannot align relations over different label sets")
-        moved = [domain.index[label] for label in self.domain.labels]
-        rows = [0] * len(moved)
-        for i, row in enumerate(self.rows):
-            rows[moved[i]] = sum(1 << moved[j] for j in _bits(row))
-        return BinRel(domain, tuple(rows))
+        return BinRel(domain, _aligner(self.domain, domain)(self.rows))
 
     def is_irreflexive(self) -> bool:
         return all(row >> i & 1 == 0 for i, row in enumerate(self.rows))

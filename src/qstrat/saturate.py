@@ -32,6 +32,7 @@ from .relcore import (
     Domain,
     Poset,
     Structure,
+    _aligner,
     _bits,
     _combined_rows,
     _embed_order,
@@ -39,7 +40,6 @@ from .relcore import (
     _untouched,
     is_relational,
     poset_to_structure,
-    reindex_structure,
 )
 
 
@@ -165,8 +165,10 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     if not relational or witness is not None:
         raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
     n = len(s.domain)
-    ordered = reindex_structure(s, Domain(tuple(sorted(s.domain.labels))))
-    walk = stratum_trees(n, _touching(ordered.prec), _combined_rows(ordered))
+    ordered = Domain(tuple(sorted(s.domain.labels)))
+    to_sorted, to_declared = _aligner(s.domain, ordered), _aligner(ordered, s.domain)
+    prec = BinRel(ordered, to_sorted(s.prec.rows))
+    walk = stratum_trees(n, _touching(prec), to_sorted(_combined_rows(s)))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     walked = islice(walk, None if limit is None else limit + 1)
@@ -178,7 +180,7 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
         # position pairs over sorted labels compare as the label pairs do
         found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
     return SaturationSet(
-        tuple(_embed_order(BinRel(ordered.domain, rows).aligned_to(s.domain)) for rows, _ in found),
+        tuple(_embed_order(BinRel(s.domain, to_declared(rows))) for rows, _ in found),
         tuple(trees for _, trees in found),
         truncated,
     )

@@ -142,7 +142,7 @@ def test_close_transactions_matches_fixture_bytes(capsys):
     assert code == 0
     assert out == (FIXTURES / "transactions_closure.json").read_text()
     assert "added prec: a->d" in err
-    assert "iterations: 2" in err
+    assert "iterations: 1" in err
 
 
 def test_close_qsm_already_closed(capsys):
@@ -504,6 +504,36 @@ def test_saturate_decodes_each_relation_once_and_reencodes_no_order(capsys, monk
     assert out.startswith("10 saturation(s) (truncated)\n")
     assert len(decoded) <= 2
     assert encoded == []
+
+
+def test_saturate_builds_each_position_permutation_once(capsys, monkeypatch, tmp_path):
+    # moving each printed order on its own built the permutation twice a
+    # saturation: to the declared labels in the library, back to the
+    # sorted ones for the tree check
+    path = tmp_path / "shuffled.json"
+    path.write_text(
+        json.dumps({"domain": ["d", "b", "a", "c"], "prec": [["b", "a"]], "weak": [["c", "d"]]})
+    )
+    real_aligned_to = BinRel.aligned_to
+    real_aligner = qstrat.saturate._aligner
+    built = []
+
+    def counted_aligned_to(rel, domain):
+        built.append(domain)
+        return real_aligned_to(rel, domain)
+
+    def counted_aligner(source, target):
+        built.append(target)
+        return real_aligner(source, target)
+
+    monkeypatch.setattr(BinRel, "aligned_to", counted_aligned_to)
+    for module in (qstrat.saturate, qstrat.cli):
+        monkeypatch.setattr(module, "_aligner", counted_aligner)
+    code, out, _ = run(capsys, "saturate", "--limit", "10", str(path))
+    assert code == 0
+    assert out.count("-- saturation ") == 10
+    # both directions in the library, one for the tree check
+    assert len(built) <= 3
 
 
 def _printed_saturations(out: str) -> list[tuple[list[tuple[str, str]], str]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstrat.closure
 import qstrat.qsa
 from qstrat import (
     NotAcyclicError,
@@ -27,6 +28,7 @@ from qstrat import (
 )
 from qstrat.cli import default_labels, read_input
 from qstrat.closure import _pair_violation
+from qstrat.qsseq import ENUMERATION_BOUND
 
 from conftest import LABELS, random_structure
 
@@ -106,7 +108,7 @@ def test_close_transactions(transactions, transactions_closure):
     assert report.closed == transactions_closure
     assert report.added_prec == {("a", "d")}
     assert report.added_weak == {("a", "c"), ("a", "d"), ("b", "d")}
-    assert report.iterations == 2
+    assert report.iterations == 1
 
 
 def test_close_of_qsm_is_identity(maximal_ext):
@@ -380,8 +382,78 @@ def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
     monkeypatch.setattr(qstrat.qsa, "qsa_witness", counted)
     assert is_qsa(s)
     report = close(s)
-    assert report.iterations >= 2 and report.added_prec
+    assert report.iterations == 1 and report.added_prec
     assert len(calls) <= report.iterations + 1
+
+
+def _reference_close(s):
+    """The closure as the fixpoint of the closure step, kept as the
+    reference for the one-step ``close``."""
+    current = s
+    while True:
+        stepped = closure_step(current)
+        if stepped == current:
+            return current
+        current = stepped
+
+
+def test_close_equals_the_fixpoint_of_the_closure_step():
+    rng = random.Random(1409)
+    for _ in range(300):
+        n = rng.randint(2, 48)
+        s = random_qsa_structure(
+            string.ascii_letters[:n],
+            seed=rng.randrange(1 << 30),
+            density=rng.uniform(0.05, 0.8),
+        )
+        assert close(s).closed == _reference_close(s)
+
+
+@pytest.mark.parametrize("seed, density", [(1, 0.1), (1, 0.3), (2, 0.1), (2, 0.3)])
+def test_close_equals_the_fixpoint_at_128_events(seed, density):
+    s = random_qsa_structure(default_labels(128), seed=seed, density=density)
+    report = close(s)
+    assert report.added_prec or report.added_weak
+    assert report.closed == _reference_close(s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 9), seed=st.integers(0, 2**30), density=st.floats(0.05, 0.8))
+def test_closure_step_is_idempotent_hypothesis(n, seed, density):
+    stepped = closure_step(random_qsa_structure(string.ascii_letters[:n], seed=seed, density=density))
+    assert closure_step(stepped) == stepped
+
+
+@pytest.mark.parametrize("n", range(ENUMERATION_BOUND + 1))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**30), density=st.floats(0.05, 0.8))
+def test_close_matches_the_oracle_at_every_enumerable_size(n, seed, density):
+    s = random_qsa_structure(string.ascii_letters[:n], seed=seed, density=density)
+    assert close(s).closed == close_oracle(s)
+
+
+def test_productive_close_decides_and_scans_once(monkeypatch):
+    # a confirming sweep would decide the closed structure's acyclicity
+    # and scan its pairs a second time
+    s = random_qsa_structure(string.ascii_letters[:16], seed=5, density=0.3)
+    decisions, scans = [], []
+    decide, scan = qstrat.qsa.qsa_witness, qstrat.closure._forced_pairs
+
+    def counted_decide(t):
+        decisions.append(t)
+        return decide(t)
+
+    def counted_scan(t, prober):
+        scans.append(t)
+        return scan(t, prober)
+
+    for module in (qstrat.qsa, qstrat.closure):
+        monkeypatch.setattr(module, "qsa_witness", counted_decide)
+    monkeypatch.setattr(qstrat.closure, "_forced_pairs", counted_scan)
+    report = close(s)
+    assert report.added_prec or report.added_weak
+    assert decisions == [s]
+    assert scans == [s]
 
 
 def test_refusals_carry_the_witness_of_the_one_decision(cycle_structures):
