@@ -84,22 +84,31 @@ class InputFile:
             raise InputError(f"not a partial order: {exc}") from exc
 
 
-def _pair_list(value: object, key: str) -> tuple[tuple[str, str], ...]:
+def _relation(value: object, key: str, domain: Domain) -> BinRel:
+    """The relation a file's list of pairs names, decoded straight into rows."""
     if not isinstance(value, list):
         raise InputError(f'"{key}" must be a list of pairs')
-    out = []
+    index = domain.index
+    rows = [0] * len(domain)
     for item in value:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, str) for x in item)
+        if not (
+            isinstance(item, list)
+            and len(item) == 2
+            and isinstance(item[0], str)
+            and isinstance(item[1], str)
         ):
             raise InputError(f'"{key}" entries must be two-element lists of strings')
-        out.append((item[0], item[1]))
-    return tuple(out)
+        try:
+            rows[index[item[0]]] |= 1 << index[item[1]]
+        except KeyError as exc:
+            raise InputError(f"unknown label: {exc.args[0]!r}") from None
+    return BinRel(domain, tuple(rows))
 
 
 def read_input(path: str | Path) -> InputFile:
+    """Decode a structure file.  A file with several faults reports the
+    first one met: the domain's, then those of "prec", then those of
+    "weak", each list's entries in file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -120,16 +129,12 @@ def read_input(path: str | Path) -> InputFile:
     labels = data["domain"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InputError('"domain" must be a list of strings')
-    prec = _pair_list(data["prec"], "prec")
-    weak = _pair_list(data["weak"], "weak") if "weak" in data else None
     try:
         domain = Domain(tuple(labels))
-        return InputFile(
-            BinRel.from_pairs(domain, prec),
-            None if weak is None else BinRel.from_pairs(domain, weak),
-        )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    prec = _relation(data["prec"], "prec", domain)
+    return InputFile(prec, _relation(data["weak"], "weak", domain) if "weak" in data else None)
 
 
 def structure_json_text(s: Structure) -> str:

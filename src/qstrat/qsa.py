@@ -84,6 +84,25 @@ some saturation, adding x weak y breaks acyclicity when y P x holds,
 and adding x prec y does when y P x or y (P= . W . P=) x holds.  Last,
 every other candidate is probed, so a pair is kept only when its probe
 passes.
+
+The generator's prober holds a basis of the structure it keeps: a
+candidate that the facts put in the closure itself (i P j, or for a
+weak pair also i W.P= j) is kept without a probe, and neither the
+prober nor the facts learn it.  This is exact.  A pair p that lies in
+every saturation of s removes none, so Sat(s + p) = Sat(s), and for
+every set Q of pairs s + p + Q is acyclic exactly when s + Q is (an
+extension is acyclic exactly when it lies in some saturation).  So by
+induction the prober's structure b and the structure kept s have
+Sat(b) = Sat(s) at every step, every probe of b answers as one of s
+would, and the two share one closure.  Skipping ``learn`` changes no
+answer of ``forbids`` either.  For an implied precedence pair ``learn``
+is a no-op.  For a weak pair with i in weak_into[j] it is one too, since
+each column of weak_into is closed to the right under P.  For a weak
+pair implied by i P j alone, ``learn`` would add i to weak_into[v] for
+each v with j P= v, so each bit it adds, and each bit later copied from
+one of those, puts some a in weak_into[v] with a P v.  A ``forbids``
+test of a pair from i' to j' hits such a bit only when v = i' and
+j' P= a, so j' P i' holds and its first test already returns.
 """
 
 from __future__ import annotations
@@ -552,6 +571,11 @@ class _ClosureFacts:
             return True
         return kind == "prec" and bool(self.weak_into[i] & (ahead | 1 << j))
 
+    def implies(self, i: int, j: int, kind: str) -> bool:
+        """True when the facts put the pair i kind j itself in the
+        closure: i P j, or for a weak pair also i W.P= j."""
+        return bool(self.prec[i] >> j & 1) or kind == "weak" and bool(self.weak_into[j] >> i & 1)
+
 
 def random_qsa_structure(
     labels: Iterable[str], seed: int, density: float = 0.35
@@ -561,10 +585,13 @@ def random_qsa_structure(
     Candidate pairs are visited in a seeded shuffle; each is kept with
     the given probability when the structure stays acyclic, so the
     result is acyclic by construction.  One ``Prober`` decides each
-    candidate and grows by the pairs kept, except a candidate whose
-    reverse the pairs learned so far put in the closure: that one breaks
-    acyclicity without a probe (module docstring).  Raises ValueError
-    beyond ``GENERATION_BOUND``.
+    candidate and grows by the pairs its probes accept, except for two
+    kinds of candidate that the pairs learned so far decide (module
+    docstring).  One whose reverse they put in the closure breaks
+    acyclicity without a probe.  One they put in the closure itself is
+    kept without a probe and without growing the prober, which holds a
+    basis with the saturations of the result.  Raises ValueError beyond
+    ``GENERATION_BOUND``.
     """
     label_tuple = tuple(labels)
     n = len(label_tuple)
@@ -575,15 +602,23 @@ def random_qsa_structure(
         (which, i, j) for which in ("prec", "weak") for i in range(n) for j in range(n) if i != j
     ]
     rng.shuffle(candidates)
-    prober = Prober(new_structure(label_tuple))
-    facts = _ClosureFacts(n)
+    empty = new_structure(label_tuple)
+    prober, facts = Prober(empty), _ClosureFacts(n)
+    rows = {"prec": [0] * n, "weak": [0] * n}
     for which, i, j in candidates:
         if rng.random() >= density or facts.forbids(i, j, which):
             continue
-        if not prober.extend(i, j, which):
+        # a pair in the closure removes no saturation: neither the
+        # prober nor the facts need it
+        if not facts.implies(i, j, which):
+            if prober.extend(i, j, which):
+                # no saturation holds the pair, so each holds its reverse:
+                # j weak i for i prec j, j prec i for i weak j
+                facts.learn(j, i, "weak" if which == "prec" else "prec")
+                continue
             facts.learn(i, j, which)
-        elif which == "prec":  # no saturation holds i prec j, so each holds j weak i
-            facts.learn(j, i, "weak")
-        else:
-            facts.learn(j, i, "prec")
-    return prober.structure()
+        rows[which][i] |= 1 << j
+    domain = empty.domain
+    return Structure(
+        domain, BinRel(domain, tuple(rows["prec"])), BinRel(domain, tuple(rows["weak"]))
+    )

@@ -343,15 +343,20 @@ def _untouched(touch: tuple[int, ...], mask: int) -> int:
 
 
 def _rows_leaving(rows: tuple[int, ...]) -> list[int]:
-    """For each x, the mask of the z whose row is not inside rows[x]."""
-    out = []
-    for rx in rows:
-        mask = 0
-        for z, rz in enumerate(rows):
-            if rz & ~rx:
-                mask |= 1 << z
-        out.append(mask)
-    return out
+    """For each x, the mask of the z whose row is not inside rows[x].
+    Events with equal rows share both sides of the test, so the scan
+    runs over the distinct rows, each with the mask of its events."""
+    holders: dict[int, int] = {}
+    for z, rz in enumerate(rows):
+        holders[rz] = holders.get(rz, 0) | 1 << z
+    leaving = {}
+    for rx in holders:
+        outside, mask = ~rx, 0
+        for rz, zs in holders.items():
+            if rz & outside:
+                mask |= zs
+        leaving[rx] = mask
+    return [leaving[rx] for rx in rows]
 
 
 def add_element(s: Structure, x: str) -> Structure:

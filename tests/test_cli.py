@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -423,6 +424,22 @@ def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command,
     assert len(calls) <= relations
 
 
+@pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
+@pytest.mark.parametrize("command", DECODING_COMMANDS, ids=" ".join)
+def test_each_list_of_pairs_is_decoded_into_rows_once(capsys, monkeypatch, command, name, relations):
+    # read_input decodes pairs straight into rows, not through from_pairs
+    real = qstrat.cli._relation
+    calls = []
+
+    def counting(value, key, domain):
+        calls.append(key)
+        return real(value, key, domain)
+
+    monkeypatch.setattr(qstrat.cli, "_relation", counting)
+    run(capsys, command[0], fixture(name), *command[1:])
+    assert len(calls) == relations
+
+
 def outcome(capsys, argv):
     """Exit code, or the code of a SystemExit, with stdout and stderr."""
     try:
@@ -676,3 +693,87 @@ def test_selftest_suite_stops_at_its_first_failing_case(capsys, monkeypatch):
     first, *rest = out.splitlines()
     assert re.fullmatch(r"acyclicity: polynomial vs subset scan +1 cases +\d+\.\d\d s  FAIL", first)
     assert len(rest) == 3 and all(line.endswith("PASS") for line in rest)
+
+
+# sha256 of `qstrat gen --n N --seed S --density D` stdout, (N, D, S)
+GEN_DIGESTS = {
+    (16, 0.1, 1): "5edf581c49050fc1255ab441beeff59204bad0c62d30225bcf6d4d041805f13a",
+    (16, 0.1, 2): "9b6279166f270d911c5015ddcb98246d3b26a685b96fb3c15316b12eac77daa7",
+    (16, 0.35, 1): "043dd90b3c04a9994bfd53cfbcc960b9a7cdc86560ce1299e1d047f9f66e8add",
+    (16, 0.35, 2): "5040aec2652b2e4bb4f6899c94916dbe6c5d5c3105328ecb0ba1e92b07d8d156",
+    (48, 0.1, 1): "acdea1c5621a7c46c083b0fa9ce67a03968bfc00e22d66b97c29f7208377933b",
+    (48, 0.1, 2): "f294676135c069620f96d6ab0ae99c55abf9b50d2a7180ebf0b540d976648b16",
+    (48, 0.35, 1): "f8b896f536e54583828f1b50b120603d9a3a497e00b448c5d80afda0efeceea7",
+    (48, 0.35, 2): "f0e110842f7a2b9ad5e7dfb12459008533adf7410340ddfb042ef8693c28acae",
+    (128, 0.1, 1): "25ae22581a23ab6ab929701d10c5e20c8b312a9f6674a5136d6de637299bd090",
+    (128, 0.1, 2): "95fae762ae24a9291c4c1adf48fe69a3f688555de1cde85fe9602448175b3113",
+    (128, 0.35, 1): "4d750db8630186b100abfa97517b6de4425faebb2a514b0a7d2d74fe1e2fcd62",
+    (128, 0.35, 2): "106f61c88e9ebf2d9abe98ae041fe3986532028efd3d6fd6d63b8fe1f71c13b3",
+}
+
+
+@pytest.mark.parametrize("n, density, seed", sorted(GEN_DIGESTS))
+def test_gen_stdout_bytes_are_pinned(capsys, n, density, seed):
+    argv = ["gen", "--n", str(n), "--seed", str(seed), "--density", str(density)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[n, density, seed]
+
+
+# one fault per file, each with the message it has always had
+INPUT_FAULTS = {
+    "prec not a list": (
+        {"domain": ["a", "b"], "prec": {"a": "b"}},
+        '"prec" must be a list of pairs',
+    ),
+    "entry shape": (
+        {"domain": ["a", "b"], "prec": [["a", "b", "a"]]},
+        '"prec" entries must be two-element lists of strings',
+    ),
+    "non-string member": (
+        {"domain": ["a", "b"], "prec": [], "weak": [["a", 1]]},
+        '"weak" entries must be two-element lists of strings',
+    ),
+    "unknown prec label": (
+        {"domain": ["a", "b"], "prec": [["a", "b"], ["b", "z"]]},
+        "unknown label: 'z'",
+    ),
+    "unknown weak label": (
+        {"domain": ["a", "b"], "prec": [["a", "b"]], "weak": [["y", "a"]]},
+        "unknown label: 'y'",
+    ),
+    "duplicate label": (
+        {"domain": ["a", "b", "a"], "prec": []},
+        "duplicate label: 'a'",
+    ),
+    "empty label": (
+        {"domain": ["a", ""], "prec": []},
+        "labels must be non-empty strings, got ''",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(INPUT_FAULTS))
+def test_each_input_fault_exits_2_with_its_message(capsys, tmp_path, fault):
+    doc, message = INPUT_FAULTS[fault]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "check", "--class", "qsa", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"domain": ["a", "a"], "prec": [["a"]], "weak": 0}, "duplicate label: 'a'"),
+        ({"domain": ["a"], "prec": [["a", "z"]], "weak": 0}, "unknown label: 'z'"),
+        ({"domain": ["a"], "prec": [["a", "z"], ["a"]]}, "unknown label: 'z'"),
+        ({"domain": ["a"], "prec": [["a"], ["a", "z"]]}, '"prec" entries must be two-element lists of strings'),
+    ],
+)
+def test_read_input_reports_the_domain_then_prec_then_weak_in_file_order(tmp_path, doc, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(qstrat.cli.InputError) as caught:
+        read_input(path)
+    assert str(caught.value) == message

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -339,6 +340,65 @@ def test_closure_facts_reject_only_what_a_probe_rejects(n, candidates):
             _closure_facts_hold(facts, closed)
     if n <= 6:
         _closure_facts_hold(facts, close_oracle(prober.structure()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    candidates=st.lists(
+        st.tuples(st.sampled_from(("prec", "weak")), st.integers(0, 5), st.integers(0, 5)),
+        min_size=20,
+        max_size=60,
+    ),
+)
+def test_closure_implied_pairs_leave_the_saturations_as_they_are(n, candidates):
+    # grow a structure as the generator does, the prober holding only the
+    # pairs the facts do not already put in the closure: adding a pair
+    # the facts imply leaves the closure of the structure kept as it
+    # was, and the prober's basis has the saturations of the structure
+    # kept at every step (trivially so while the two are equal).  Each
+    # run draws at least 20 candidates, as a sparse structure on 6 events
+    # has thousands of saturations
+    labels = default_labels(n)
+    prober = Prober(new_structure(labels))
+    facts = qstrat.qsa._ClosureFacts(n)
+    kept = new_structure(labels)
+    for which, i, j in candidates:
+        i, j = i % n, j % n
+        if i == j or facts.forbids(i, j, which):
+            continue
+        x, y = labels[i], labels[j]
+        grown = add_prec(kept, x, y) if which == "prec" else add_weak(kept, x, y)
+        if facts.implies(i, j, which):
+            assert close_oracle(grown) == close_oracle(kept)
+        elif not prober.extend(i, j, which):
+            facts.learn(i, j, which)
+        else:
+            facts.learn(j, i, "weak" if which == "prec" else "prec")
+            continue
+        kept = grown
+        basis = prober.structure()
+        if basis != kept:
+            assert saturations(basis).structures == saturations(kept).structures
+
+
+def test_gen_extends_its_prober_by_few_of_the_pairs_it_keeps(monkeypatch, capsys):
+    # 527 of the 861 pairs kept at these settings lie in the closure of
+    # the pairs kept before them; extending the prober by every drawn
+    # pair the facts do not forbid makes 940 extends
+    calls = []
+    extend = Prober.extend
+
+    def counted(self, i, j, kind):
+        calls.append((i, j, kind))
+        return extend(self, i, j, kind)
+
+    monkeypatch.setattr(Prober, "extend", counted)
+    assert main(["gen", "--n", "48", "--seed", "1", "--density", "0.35"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    kept = len(doc["prec"]) + len(doc["weak"])
+    assert kept == 861
+    assert len(calls) < 0.6 * kept
 
 
 def test_gen_probes_few_of_the_candidates_it_rejects(monkeypatch):

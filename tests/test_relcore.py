@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qstrat import (
     BinRel,
@@ -17,6 +19,7 @@ from qstrat import (
     project,
     saturations,
 )
+from qstrat.relcore import _rows_leaving
 
 from conftest import LABELS
 
@@ -266,3 +269,21 @@ def test_aligned_to_moves_rows_through_the_position_permutation():
         assert aligned.rows == BinRel.from_pairs(target, rel.pairs()).rows
     with pytest.raises(ValueError, match="different label sets"):
         rel.aligned_to(Domain(tuple(labels) + ("zz",)))
+
+
+@st.composite
+def _row_lists(draw):
+    # arbitrary rows, not orders, many of them repeated; past 64 events
+    # a row spans more than one machine word
+    n = draw(st.integers(0, 70))
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max(1, n)))
+    return tuple(draw(st.sampled_from(pool)) for _ in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_lists())
+def test_rows_leaving_is_its_definition(rows):
+    leaving = _rows_leaving(rows)
+    assert len(leaving) == len(rows)
+    for rx, mask in zip(rows, leaving):
+        assert mask == sum(1 << z for z, rz in enumerate(rows) if rz & ~rx)
