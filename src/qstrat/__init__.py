@@ -13,7 +13,6 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
-    add_element,
     add_prec,
     add_weak,
     extends,
@@ -23,11 +22,8 @@ from .relcore import (
     new_structure,
     poset_to_structure,
     project,
-    reindex_poset,
-    reindex_structure,
 )
 from .orders import (
-    enumerate_posets,
     forbidden_cycle_interval,
     forbidden_cycle_stratified,
     forbidden_cycle_total,
@@ -47,13 +43,8 @@ from .qso import (
     enumerate_qs_orders,
     factorize_strata,
     is_qs_order,
-    is_qso_stratum,
     qs_order_violation,
-    qso_add_isolated,
-    qso_empty,
     qso_from_poset,
-    qso_projection,
-    qso_seq_compose,
     stratum_base,
 )
 from .qsseq import (
@@ -79,15 +70,12 @@ from .qsa import (
     NotAcyclicError,
     Prober,
     csc_components,
-    csc_subsets_naive,
     is_csc_subset,
     is_qsa,
-    is_qsa_naive,
     legal_extensions,
     predominants,
     probe,
     qsa_witness,
-    qsa_witness_naive,
     random_qsa_structure,
 )
 from .saturate import (
@@ -102,13 +90,27 @@ from .saturate import (
 )
 from .closure import (
     ClosureReport,
-    PropertyCheck,
     close,
-    close_oracle,
     closure_step,
     is_qsc,
-    qsc_property_suite,
     qsc_violation,
+)
+from .oracles import (
+    PropertyCheck,
+    add_element,
+    close_oracle,
+    csc_subsets_naive,
+    enumerate_posets,
+    is_qsa_naive,
+    is_qso_stratum,
+    qsa_witness_naive,
+    qsc_property_suite,
+    qso_add_isolated,
+    qso_empty,
+    qso_projection,
+    qso_seq_compose,
+    reindex_poset,
+    reindex_structure,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

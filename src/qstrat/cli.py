@@ -47,7 +47,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterator
 
-from . import closure, orders, qsa, qso, qsseq, saturate
+from . import closure, oracles, orders, qsa, qso, qsseq, saturate
 from .relcore import (
     BinRel,
     Domain,
@@ -133,6 +133,11 @@ def read_input(path: str | Path) -> InputFile:
         domain = Domain(tuple(labels))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    for label in labels:  # a lone surrogate decodes from JSON but prints nowhere
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"label {label!r} is not encodable as UTF-8") from None
     prec = _relation(data["prec"], "prec", domain)
     return InputFile(prec, _relation(data["weak"], "weak", domain) if "weak" in data else None)
 
@@ -269,7 +274,6 @@ def cmd_close(args: argparse.Namespace) -> int:
     else:
         print(f"added prec: {_fmt_pairs(report.added_prec)}", file=sys.stderr)
         print(f"added weak: {_fmt_pairs(report.added_weak)}", file=sys.stderr)
-    print(f"iterations: {report.iterations}", file=sys.stderr)
     return 0
 
 
@@ -378,7 +382,7 @@ def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
                 prec = [slots[i] for i in range(len(slots)) if pm >> i & 1]
                 weak = [slots[i] for i in range(len(slots)) if wm >> i & 1]
                 s = new_structure(labels, prec, weak)
-                yield qsa.is_qsa(s) == qsa.is_qsa_naive(s)
+                yield qsa.is_qsa(s) == oracles.is_qsa_naive(s)
     for n in range(4, max_n + 1):
         labels = default_labels(n)
         slots = [(x, y) for x in labels for y in labels if x != y]
@@ -387,7 +391,7 @@ def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
             prec = [p for p in slots if rng.random() < density]
             weak = [p for p in slots if rng.random() < density]
             s = new_structure(labels, prec, weak)
-            yield qsa.is_qsa(s) == qsa.is_qsa_naive(s)
+            yield qsa.is_qsa(s) == oracles.is_qsa_naive(s)
 
 
 def _selftest_axioms_vs_enumeration(max_n: int) -> Iterator[bool]:
@@ -397,7 +401,7 @@ def _selftest_axioms_vs_enumeration(max_n: int) -> Iterator[bool]:
         generated = {o.prec.label_pairs for o in enumerated}
         recognized = {
             p.prec.label_pairs
-            for p in orders.enumerate_posets(labels)
+            for p in oracles.enumerate_posets(labels)
             if qso.is_qs_order(p.prec)
         }
         yield len(generated) == len(enumerated) and generated == recognized
@@ -419,7 +423,7 @@ def _selftest_closure_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
         s = qsa.random_qsa_structure(
             default_labels(n), seed=rng.randrange(1 << 30), density=rng.uniform(0.1, 0.6)
         )
-        yield closure.close(s).closed == closure.close_oracle(s)
+        yield closure.close(s).closed == oracles.close_oracle(s)
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -427,9 +431,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     the cases it ran and their seconds, and is flushed as it ends."""
     if args.max_n < 1:
         raise InputError("--max-n must be at least 1")
-    if args.max_n > qsa.SUBSET_SCAN_BOUND:
+    if args.max_n > oracles.SUBSET_SCAN_BOUND:
         raise InputError(
-            f"domain size {args.max_n} exceeds subset-scan bound {qsa.SUBSET_SCAN_BOUND}"
+            f"domain size {args.max_n} exceeds subset-scan bound {oracles.SUBSET_SCAN_BOUND}"
         )
     rng = random.Random(20240101)
     # generators: a suite draws from rng only while it runs, so in this order

@@ -33,8 +33,8 @@ that intersection lies between s and each saturation of s, so it has
 the same saturations, and a second step adds nothing.  ``close`` is
 therefore one ``closure_step``, followed by an O(n^2) check of qsc:1
 and qsc:2 on its result that guards against a bug, not a hard input.
-``close_oracle`` intersects the saturations instead and stays the
-independent check.
+``oracles.close_oracle`` intersects the saturations instead and stays
+the independent check.
 
 A sweep (``closure_step`` or ``qsc_violation``) probes its 2 n^2 pairs
 against one ``qsa.Prober`` and so decides the acyclicity of its input
@@ -49,28 +49,19 @@ y left in one component share their reach set, so they walk one chain
 level together, and for qsc:3 a y that is a pre-dominant of that
 component walks on alone, since the precedence pair makes it touched.
 qsc:1 and qsc:2 are read off row and column masks as well.
-
-``qsc_property_suite`` evaluates the consequence laws that closed
-structures satisfy, used to probe candidate axiomatisations.
+``oracles.qsc_property_suite`` scans the laws closed structures obey.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .qsa import (
-    SUBSET_SCAN_BOUND,
     NotAcyclicError,
     Prober,
-    csc_subsets_naive,
-    is_csc_subset,
-    predominants,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .qsseq import ENUMERATION_BOUND
-from .relcore import BinRel, InternalError, Structure, add_prec, add_weak, is_relational
-from .saturate import saturations
+from .relcore import BinRel, InternalError, Structure, is_relational
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -135,14 +126,11 @@ def closure_step(s: Structure) -> Structure:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Closure outcome: the closed structure, what was added, and how
-    many operator applications it took, which is one for every acyclic
-    input (see the module docstring)."""
+    """Closure outcome: the closed structure and what was added."""
 
     closed: Structure
     added_prec: frozenset[tuple[str, str]]
     added_weak: frozenset[tuple[str, str]]
-    iterations: int
 
 
 def close(s: Structure) -> ClosureReport:
@@ -155,183 +143,5 @@ def close(s: Structure) -> ClosureReport:
         closed=closed,
         added_prec=closed.prec.label_pairs - s.prec.label_pairs,
         added_weak=closed.weak.label_pairs - s.weak.label_pairs,
-        iterations=1,
     )
 
-
-def close_oracle(s: Structure) -> Structure:
-    """Closure by definition: intersect all saturations component-wise."""
-    sats = saturations(s)
-    n = len(s.domain)
-    prec_rows = [(1 << n) - 1] * n
-    weak_rows = [(1 << n) - 1] * n
-    for m in sats:
-        for i in range(n):
-            prec_rows[i] &= m.prec.rows[i]
-            weak_rows[i] &= m.weak.rows[i]
-    return Structure(
-        s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))
-    )
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    """Outcome of one derived-property scan."""
-
-    name: str
-    status: str  # "pass", "fail", or "not evaluated"
-    witness: tuple[str, ...] | None = None
-
-
-def qsc_property_suite(s: Structure) -> list[PropertyCheck]:
-    """Scan the consequence laws of closed structures.
-
-    Reports the first violating tuple per law.  The twin-predominant law
-    scans every subset and the saturation-counting law needs enumeration;
-    each is marked "not evaluated" on domains larger than its bound,
-    ``qsa.SUBSET_SCAN_BOUND`` and ``qsseq.ENUMERATION_BOUND``.  Input
-    must be closed.
-    """
-    bad = qsc_violation(s)
-    if bad is not None:
-        raise ValueError(
-            f"the property suite needs a closed structure; {bad[0]} fails on {bad[1]}"
-        )
-    labels = s.domain.labels
-    n = len(labels)
-    p = s.prec.holds_idx
-    w = s.weak.holds_idx
-    checks: list[PropertyCheck] = []
-
-    def record(name: str, found: tuple[str, ...] | None) -> None:
-        checks.append(PropertyCheck(name, "fail" if found else "pass", found))
-
-    def scan(name: str, arity: int, violated) -> None:
-        for combo in product(range(n), repeat=arity):
-            if violated(*combo):
-                record(name, tuple(labels[i] for i in combo))
-                return
-        record(name, None)
-
-    scan("prec_implies_weak", 2, lambda x, y: p(x, y) and not w(x, y))
-    scan(
-        "prec_weak_prec_gives_prec",
-        4,
-        lambda x, y, z, t: p(x, y) and w(y, z) and p(z, t) and not p(x, t),
-    )
-    scan(
-        "mixed_chain_gives_weak",
-        3,
-        lambda x, y, z: ((w(x, y) and p(y, z)) or (p(x, y) and w(y, z))) and not w(x, z),
-    )
-    scan(
-        "weak_prec_weak_gives_weak",
-        4,
-        lambda x, y, z, t: w(x, y) and p(y, z) and w(z, t) and t != x and not w(x, t),
-    )
-    scan(
-        "weak_cycle_orients_base",
-        3,
-        lambda x, y, z: w(x, z)
-        and p(z, y)
-        and w(y, x)
-        and not (w(z, x) and w(x, y)),
-    )
-    scan(
-        "prec_into_weak_cycle",
-        4,
-        lambda x, y, z, t: p(t, x)
-        and w(x, z)
-        and p(z, y)
-        and w(y, x)
-        and not (p(t, z) and p(t, y)),
-    )
-    scan(
-        "prec_out_of_weak_cycle",
-        4,
-        lambda x, y, z, t: w(x, z)
-        and p(z, y)
-        and w(y, x)
-        and p(x, t)
-        and not (p(z, t) and p(y, t)),
-    )
-    scan(
-        "weak_into_weak_cycle",
-        4,
-        lambda x, y, z, t: x != t
-        and w(t, y)
-        and w(y, x)
-        and w(x, z)
-        and p(z, y)
-        and not w(t, x),
-    )
-    scan(
-        "weak_out_of_weak_cycle",
-        4,
-        lambda x, y, z, t: p(z, y)
-        and w(y, x)
-        and w(x, z)
-        and w(z, t)
-        and t != x
-        and not w(x, t),
-    )
-    scan(
-        "double_route_gives_prec",
-        4,
-        lambda x, y, z, t: p(x, z)
-        and w(z, y)
-        and w(x, t)
-        and p(t, y)
-        and not p(x, y),
-    )
-
-    found = None
-    for x, y, z in product(range(n), repeat=3):
-        if w(x, y) and p(y, z) and w(z, x):
-            triple = frozenset((labels[x], labels[y], labels[z]))
-            if not is_csc_subset(s, triple) or predominants(s, triple) != {labels[x]}:
-                found = (labels[x], labels[y], labels[z])
-                break
-    record("weak_cycle_sole_predominant", found)
-
-    if n <= SUBSET_SCAN_BOUND:
-        found = None
-        for subset in csc_subsets_naive(s):
-            doms = predominants(s, subset)
-            if len(doms) == 2:
-                a, b = sorted(doms)
-                if not (s.weak.holds(a, b) and s.weak.holds(b, a)):
-                    found = (a, b)
-                    break
-        record("twin_predominants_mutually_weak", found)
-    else:
-        checks.append(PropertyCheck("twin_predominants_mutually_weak", "not evaluated"))
-
-    run = Prober(s).run
-    found = None
-    acyclic_pairs = []
-    for x, y in product(range(n), repeat=2):
-        if x == y or p(x, y) or w(y, x):
-            continue
-        if run(y, x, "weak") or run(x, y, "prec"):
-            if found is None:
-                found = (labels[x], labels[y])
-        else:
-            acyclic_pairs.append((labels[x], labels[y]))
-    record("open_pair_stays_acyclic", found)
-
-    if n <= ENUMERATION_BOUND:
-        total = len(saturations(s))
-        found = None
-        for x, y in acyclic_pairs:
-            if (
-                len(saturations(add_weak(s, y, x))) >= total
-                or len(saturations(add_prec(s, x, y))) >= total
-            ):
-                found = (x, y)
-                break
-        record("open_pair_splits_saturations", found)
-    else:
-        checks.append(PropertyCheck("open_pair_splits_saturations", "not evaluated"))
-
-    return checks

@@ -23,7 +23,6 @@ from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .relcore import (
     BinRel,
-    Domain,
     Poset,
     Structure,
     _bits,
@@ -271,26 +270,3 @@ def forbidden_cycle_interval(s: Structure) -> list[str] | None:
     starts = [(v, strong) for v in range(len(rows)) for strong in (True, False)]
     walk = _shortest_closed_walk(starts, successors)
     return None if walk is None else [s.domain.labels[v] for v, _ in walk]
-
-
-POSET_ENUMERATION_BOUND = 4
-"""Largest domain ``enumerate_posets`` scans (2^12 relations at 4 events)."""
-
-
-def enumerate_posets(labels: Iterable[str]) -> list[Poset]:
-    """All partial orders over the labelled set, by brute force."""
-    domain = Domain.of(labels)
-    n = len(domain)
-    if n > POSET_ENUMERATION_BOUND:
-        raise ValueError(f"domain size {n} exceeds enumeration bound {POSET_ENUMERATION_BOUND}")
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out: list[Poset] = []
-    for mask in range(1 << len(slots)):
-        rows = [0] * n
-        for k, (i, j) in enumerate(slots):
-            if mask >> k & 1:
-                rows[i] |= 1 << j
-        rel = BinRel(domain, tuple(rows))
-        if rel.is_transitive():
-            out.append(Poset(domain, rel))
-    return out

@@ -6,12 +6,12 @@ which every member is touched by a precedence pair, so no member can
 serve as the base of a nested stratum.  A member untouched by
 precedence inside the subset is a pre-dominant.
 
-Two deciders are provided.  The naive one scans all subsets and is the
-oracle; the polynomial one peels pre-dominants off strongly connected
-components:  any strongly connected subset lies inside one component,
-any subset meeting the component's pre-dominants inherits one (being a
+The decider peels pre-dominants off strongly connected components:
+any strongly connected subset lies inside one component, any subset
+meeting the component's pre-dominants inherits one (being a
 pre-dominant survives restriction), and the remaining subsets live in
-the component minus its pre-dominants.
+the component minus its pre-dominants.  ``oracles.qsa_witness_naive``
+scans all subsets instead and is its check.
 
 Single-pair probes ("does adding x prec y, or x weak y, break
 acyclicity?") do not re-decide the extension.  Adding the combined edge
@@ -109,7 +109,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .relcore import (
@@ -235,43 +234,9 @@ def is_csc_subset(s: Structure, subset: Iterable[str]) -> bool:
     return members != 0 and len(_scc_masks(_combined_rows(s), members)) == 1
 
 
-SUBSET_SCAN_BOUND = 12
-"""Largest domain the subset-scan oracles take (2^12 subsets at 12 events)."""
-
 GENERATION_BOUND = 256
 """Largest domain ``random_qsa_structure`` takes: it lists all 2n(n-1)
 candidate pairs before the first probe."""
-
-
-def csc_subsets_naive(s: Structure) -> list[frozenset[str]]:
-    """Every CSC subset, smallest first then lexicographic; the oracle."""
-    n = len(s.domain)
-    if n > SUBSET_SCAN_BOUND:
-        raise ValueError(f"domain size {n} exceeds subset-scan bound {SUBSET_SCAN_BOUND}")
-    rows = _combined_rows(s)
-    out: list[frozenset[str]] = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            members = 0
-            for i in combo:
-                members |= 1 << i
-            if len(_scc_masks(rows, members)) == 1:
-                out.append(frozenset(s.domain.labels[i] for i in combo))
-    return out
-
-
-def qsa_witness_naive(s: Structure) -> CscWitness | None:
-    """Smallest, lexicographically least CSC subset without pre-dominant."""
-    if not is_relational(s):
-        raise ValueError("structure is not relational")
-    for subset in csc_subsets_naive(s):
-        if not predominants(s, subset):
-            return CscWitness(subset)
-    return None
-
-
-def is_qsa_naive(s: Structure) -> bool:
-    return is_relational(s) and qsa_witness_naive(s) is None
 
 
 def qsa_witness(s: Structure) -> CscWitness | None:

@@ -34,7 +34,7 @@ from .relcore import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QsOrder:
     """A quasi-stratified order; wraps the underlying partial order."""
 
@@ -50,14 +50,6 @@ class QsOrder:
 
     def __len__(self) -> int:
         return len(self.poset.domain)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QsOrder):
-            return NotImplemented
-        return self.poset == other.poset
-
-    def __hash__(self) -> int:
-        return hash(self.poset)
 
 
 def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
@@ -112,47 +104,10 @@ def qso_from_poset(p: Poset) -> QsOrder:
     return QsOrder(p)
 
 
-def qso_empty() -> QsOrder:
-    domain = Domain(())
-    return QsOrder(Poset(domain, BinRel.empty(domain)))
-
-
-def qso_add_isolated(q: QsOrder, x: str) -> QsOrder:
-    """Add x unordered with every existing element."""
-    if x in q.domain:
-        raise ValueError(f"label already in domain: {x!r}")
-    domain = Domain(q.domain.labels + (x,))
-    return QsOrder(Poset(domain, BinRel(domain, q.prec.rows + (0,))))
-
-
-def qso_seq_compose(q: QsOrder, r: QsOrder) -> QsOrder:
-    """Sequential composition: everything in q precedes everything in r."""
-    if q.domain.label_set & r.domain.label_set:
-        raise ValueError("sequential composition requires disjoint domains")
-    domain = Domain(q.domain.labels + r.domain.labels)
-    nq = len(q.domain)
-    tail = ((1 << len(r.domain)) - 1) << nq
-    rows = tuple(row | tail for row in q.prec.rows) + tuple(row << nq for row in r.prec.rows)
-    return QsOrder(Poset(domain, BinRel(domain, rows)))
-
-
 def stratum_base(q: QsOrder) -> frozenset[str]:
     """Elements with no precedence relation to any other element."""
     labels = q.domain.labels
     return frozenset(labels[i] for i in _bits(_untouched(_touching(q.prec), (1 << len(labels)) - 1)))
-
-
-def is_qso_stratum(q: QsOrder) -> bool:
-    return len(q) > 0 and bool(stratum_base(q))
-
-
-def qso_projection(q: QsOrder, subset: Iterable[str]) -> QsOrder:
-    """Restriction to a label subset; the class is closed under this, so
-    a projection that is not quasi-stratified means q was not."""
-    prec = q.prec.restrict(subset)
-    if qs_order_violation(prec) is not None:
-        raise ValueError("not a quasi-stratified order")
-    return QsOrder(Poset(prec.domain, prec))
 
 
 def factorize_strata(q: QsOrder) -> list[QsOrder]:

@@ -164,11 +164,6 @@ class BinRel:
         rows[i] |= 1 << j
         return BinRel(self.domain, tuple(rows))
 
-    def union(self, other: BinRel) -> BinRel:
-        if other.domain is not self.domain and other.domain.labels != self.domain.labels:
-            raise ValueError("relation union requires identical domains")
-        return BinRel(self.domain, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
     def intersection(self, other: BinRel) -> BinRel:
         if other.domain is not self.domain and other.domain.labels != self.domain.labels:
             raise ValueError("relation intersection requires identical domains")
@@ -286,13 +281,10 @@ def is_relational(s: Structure) -> bool:
 
 def extends(base: Structure, ext: Structure) -> bool:
     """True when ext refines base: same label set, both relations enlarged."""
-    if base.domain.labels == ext.domain.labels:
-        return base.prec.is_subrelation_of(ext.prec) and base.weak.is_subrelation_of(ext.weak)
-    if base.domain.label_set != ext.domain.label_set:
-        return False
     return (
-        base.prec.label_pairs <= ext.prec.label_pairs
-        and base.weak.label_pairs <= ext.weak.label_pairs
+        base.domain.label_set == ext.domain.label_set
+        and base.prec.is_subrelation_of(ext.prec)
+        and base.weak.is_subrelation_of(ext.weak)
     )
 
 
@@ -359,15 +351,6 @@ def _rows_leaving(rows: tuple[int, ...]) -> list[int]:
     return [leaving[rx] for rx in rows]
 
 
-def add_element(s: Structure, x: str) -> Structure:
-    if x in s.domain:
-        raise ValueError(f"label already in domain: {x!r}")
-    domain = Domain(s.domain.labels + (x,))
-    prec = BinRel(domain, s.prec.rows + (0,))
-    weak = BinRel(domain, s.weak.rows + (0,))
-    return Structure(domain, prec, weak)
-
-
 def add_prec(s: Structure, x: str, y: str) -> Structure:
     """Structure with x prec y added; a no-op when already present."""
     prec = s.prec.with_pair(x, y)
@@ -394,12 +377,3 @@ def _embed_order(prec: BinRel) -> Structure:
     cols = prec.column_masks
     weak_rows = tuple(full & ~(1 << i) & ~cols[i] for i in range(n))
     return Structure(prec.domain, prec, BinRel(prec.domain, weak_rows))
-
-
-def reindex_structure(s: Structure, domain: Domain) -> Structure:
-    """The same structure over a domain with equal label set."""
-    return Structure(domain, s.prec.aligned_to(domain), s.weak.aligned_to(domain))
-
-
-def reindex_poset(p: Poset, domain: Domain) -> Poset:
-    return Poset(domain, p.prec.aligned_to(domain))

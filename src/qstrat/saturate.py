@@ -20,6 +20,7 @@ again.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -155,7 +156,8 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     pairs follow from its prec pairs).  With a limit, at most limit + 1
     extensions are generated; when there are more than limit, the result
     is the first limit in generation order, which depends only on the
-    label set, never on the order the labels were declared in.  The walk
+    label set, never on the order the labels were declared in; a limit of
+    ``sys.maxsize`` or more, which no walk reaches, is no limit.  The walk
     builds each order as one, so it is not checked again.  Input that is
     not acyclic raises ``NotAcyclicError`` with the witness of the one
     decision.
@@ -171,6 +173,8 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     walk = stratum_trees(n, _touching(prec), to_sorted(_combined_rows(s)))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
+    if limit is not None and limit >= sys.maxsize:
+        limit = None
     walked = islice(walk, None if limit is None else limit + 1)
     found = [(tree_rows(n, trees), trees) for trees in walked]
     truncated = limit is not None and len(found) > limit

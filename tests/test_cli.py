@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import qstrat.cli
 import qstrat.closure
+import qstrat.oracles
 import qstrat.orders
 import qstrat.qsa
 import qstrat.qso
@@ -142,8 +143,7 @@ def test_close_transactions_matches_fixture_bytes(capsys):
     code, out, err = run(capsys, "close", fixture("transactions.json"))
     assert code == 0
     assert out == (FIXTURES / "transactions_closure.json").read_text()
-    assert "added prec: a->d" in err
-    assert "iterations: 1" in err
+    assert err == "added prec: a->d\nadded weak: a->c, a->d, b->d\n"
 
 
 def test_close_qsm_already_closed(capsys):
@@ -193,6 +193,34 @@ def test_saturate_negative_limit_is_input_error_before_the_verdict(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: limit must be non-negative, got -1"
+
+
+def test_saturate_limit_beyond_any_index_is_no_limit(capsys):
+    transactions = fixture("transactions.json")
+    code, out, err = run(capsys, "saturate", "--limit", "99999999999999999999999", transactions)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "saturate", transactions)[1]
+    assert out.startswith("8 saturation(s)\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("decompose",),
+        ("render", "--format", "dot"),
+        ("saturate", "--limit", "2"),
+        ("close",),
+        ("check", "--class", "qsa"),
+    ],
+    ids=" ".join,
+)
+def test_a_label_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
+    # a lone surrogate decodes from JSON but encodes to no output stream
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"domain": ["\\ud800", "b"], "prec": [["\\ud800", "b"]]}')
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: label '\\ud800' is not encodable as UTF-8\n"
 
 
 def test_saturate_two_element_empty(capsys, tmp_path):
@@ -412,6 +440,8 @@ DECODING_COMMANDS += [
 @pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
 @pytest.mark.parametrize("command", DECODING_COMMANDS, ids=" ".join)
 def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command, name, relations):
+    # no relation of the file is decoded a second time through from_pairs:
+    # read_input builds rows directly, so the count is zero, below `relations`
     real = BinRel.from_pairs.__func__
     calls = []
 
@@ -422,6 +452,7 @@ def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command,
     monkeypatch.setattr(BinRel, "from_pairs", classmethod(counting))
     run(capsys, command[0], fixture(name), *command[1:])
     assert len(calls) <= relations
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
@@ -634,8 +665,8 @@ def test_close_decides_once_per_sweep_and_saturate_once(capsys, monkeypatch, nam
     # close decides once per sweep, the first sweep deciding the input;
     # saturate decides once
     calls = _count_decisions(monkeypatch)
-    code, _, err = run(capsys, "close", fixture(name))
-    sweeps = int(err.rsplit("iterations: ", 1)[1]) if code == 0 else 1
+    run(capsys, "close", fixture(name))
+    sweeps = 1  # close is one sweep
     assert 0 < len(calls) <= sweeps
     calls.clear()
     run(capsys, "saturate", "--limit", "10", fixture(name))
@@ -687,7 +718,7 @@ def test_selftest_shows_each_suite_line_as_the_suite_ends(monkeypatch):
 
 
 def test_selftest_suite_stops_at_its_first_failing_case(capsys, monkeypatch):
-    monkeypatch.setattr(qstrat.qsa, "is_qsa_naive", lambda s: False)
+    monkeypatch.setattr(qstrat.oracles, "is_qsa_naive", lambda s: False)
     code, out, _ = run(capsys, "selftest", "--max-n", "2")
     assert code == 1
     first, *rest = out.splitlines()

@@ -88,10 +88,24 @@ def test_closure_step_empty():
     assert closure_step(empty) == empty
 
 
-def test_close_empty():
+@pytest.fixture
+def scans(monkeypatch):
+    """The structures that ``closure._forced_pairs`` scans, in order."""
+    seen = []
+    scan = qstrat.closure._forced_pairs
+
+    def counted(t, prober):
+        seen.append(t)
+        return scan(t, prober)
+
+    monkeypatch.setattr(qstrat.closure, "_forced_pairs", counted)
+    return seen
+
+
+def test_close_empty(scans):
     report = close(new_structure([]))
     assert report.closed == new_structure([])
-    assert report.iterations == 1
+    assert scans == [new_structure([])]
     assert not report.added_prec and not report.added_weak
 
 
@@ -103,18 +117,18 @@ def test_closure_step_fixed_iff_closed():
         assert (closure_step(s) == s) == is_qsc(s)
 
 
-def test_close_transactions(transactions, transactions_closure):
+def test_close_transactions(transactions, transactions_closure, scans):
     report = close(transactions)
     assert report.closed == transactions_closure
     assert report.added_prec == {("a", "d")}
     assert report.added_weak == {("a", "c"), ("a", "d"), ("b", "d")}
-    assert report.iterations == 1
+    assert scans == [transactions]
 
 
-def test_close_of_qsm_is_identity(maximal_ext):
+def test_close_of_qsm_is_identity(maximal_ext, scans):
     report = close(maximal_ext)
     assert report.closed == maximal_ext
-    assert report.iterations == 1
+    assert scans == [maximal_ext]
     assert not report.added_prec and not report.added_weak
 
 
@@ -123,7 +137,7 @@ def test_close_rejects_non_acyclic(cycle_structures):
         close(cycle_structures["d"])
 
 
-def test_close_idempotent_and_extensive():
+def test_close_idempotent_and_extensive(scans):
     rng = random.Random(89)
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -132,15 +146,20 @@ def test_close_idempotent_and_extensive():
         assert extends(s, closed)
         assert close(closed).closed == closed
         assert is_qsc(closed)
-        assert close(closed).iterations == 1
+        scans.clear()
+        close(closed)
+        assert scans == [closed]
 
 
-def test_close_iteration_bound():
+def test_close_iteration_bound(scans):
+    # close is one sweep: it scans the pairs of its input once
     rng = random.Random(97)
     for _ in range(100):
         n = rng.randint(1, 5)
         s = random_qsa_structure("abcde"[:n], seed=rng.randrange(1 << 30))
-        assert close(s).iterations <= max(2 * n * n, 1)
+        scans.clear()
+        close(s)
+        assert scans == [s]
 
 
 def test_close_oracle_transactions(transactions, transactions_closure):
@@ -369,7 +388,7 @@ def test_closure_matches_the_oracle_at_workload_sizes(n):
         assert qsc_violation(closed) is None
 
 
-def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
+def test_close_decides_acyclicity_once_per_sweep(monkeypatch, scans):
     # per-pair probing through qsa_witness would make 2 n^2 calls a sweep
     s = random_qsa_structure(string.ascii_letters[:16], seed=5, density=0.3)
     calls = []
@@ -382,8 +401,8 @@ def test_close_decides_acyclicity_once_per_sweep(monkeypatch):
     monkeypatch.setattr(qstrat.qsa, "qsa_witness", counted)
     assert is_qsa(s)
     report = close(s)
-    assert report.iterations == 1 and report.added_prec
-    assert len(calls) <= report.iterations + 1
+    assert scans == [s] and report.added_prec
+    assert len(calls) <= 1 + 1  # is_qsa's decision, then one per sweep
 
 
 def _reference_close(s):
@@ -526,7 +545,7 @@ def test_row_walks_look_up_fewer_reach_sets_than_pairs(monkeypatch, n, density):
     monkeypatch.setattr(qstrat.qsa, "_memo_spread", counted)
     report = close(s)
     assert report.added_prec or report.added_weak
-    assert 0 < len(calls) <= 2 * n * n * report.iterations
+    assert 0 < len(calls) <= 2 * n * n * 1  # one sweep
     calls.clear()
     assert qsc_violation(report.closed) is None
     assert 0 < len(calls) <= n * n

@@ -35,7 +35,7 @@ from qstrat import (
     seq_violation,
     stratified_partition,
 )
-from qstrat import qso
+from qstrat import oracles, qso
 from qstrat.qsseq import order_trees, stratum_trees, tree_rows
 
 from conftest import (
@@ -231,8 +231,8 @@ def test_encoding_rejects_orders_outside_the_class():
 def test_encoding_revalidates_no_projection(monkeypatch):
     calls = []
 
-    def counted(name):
-        original = getattr(qso, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls.append(name)
@@ -241,8 +241,8 @@ def test_encoding_revalidates_no_projection(monkeypatch):
         return wrapper
 
     q = seq_to_order(random_qs_seq([f"e{i}" for i in range(64)], seed=9))
-    for name in ("qs_order_violation", "qso_projection"):
-        monkeypatch.setattr(qso, name, counted(name))
+    for module, name in ((qso, "qs_order_violation"), (oracles, "qso_projection")):
+        monkeypatch.setattr(module, name, counted(module, name))
     seq = order_to_seq(q)
     assert len(seq.strata) > 1 and any(stratum.children for stratum in seq.strata)
     assert calls == []

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -307,6 +308,14 @@ def test_saturations_limit_zero_and_negative(transactions):
     assert saturations(transactions, limit=0).truncated
     with pytest.raises(ValueError, match="non-negative"):
         saturations(transactions, limit=-1)
+
+
+@pytest.mark.parametrize("limit", [sys.maxsize - 1, sys.maxsize, 10**23])
+def test_saturations_with_a_limit_no_walk_reaches(transactions, limit):
+    sats = saturations(transactions, limit=limit)
+    assert not sats.truncated
+    assert list(sats) == list(saturations(transactions))
+    assert sats.trees == saturations(transactions).trees
 
 
 def test_saturations_of_empty_domain():
