@@ -45,7 +45,7 @@ for name, poset in examples.items():
     strata = stratified_partition(poset)
     if strata is not None:
         print("   strata:", " | ".join("{" + ",".join(sorted(s)) + "}" for s in strata))
-    intervals = interval_realization(poset)
+    intervals = interval_realization(poset.prec)
     if intervals is not None:
         cells = "  ".join(f"{x}:[{b},{e}]" for x, (b, e) in sorted(intervals.items()))
         print("   intervals:", cells)

@@ -27,7 +27,7 @@ sats = saturations(spec)
 print(f"{len(sats)} maximal extensions (executions):")
 for m in sats:
     order = qsm_to_qso(m)
-    intervals = interval_realization(order.poset)
+    intervals = interval_realization(order.prec)
     cells = " ".join(f"{x}[{b},{e}]" for x, (b, e) in sorted(intervals.items()))
     print(f"  {format_seq(order_to_seq(order)):<18} intervals: {cells}")
 print()

@@ -18,8 +18,14 @@ quasi-stratified acyclic, from the witness that the library's refusal
 
 ``saturate`` prints, for each saturation, the stratum tree that the
 saturation walk built for it, after checking that the tree decodes to
-the printed order, and the order's interval realization, after
-checking once that the order is a partial order (``Poset``).
+the printed order, and the order's interval realization, which checks
+itself against the order.
+
+``check --class qso``, ``decompose`` and ``render --format tree``
+decide by encoding the order as stratum trees, ``check --class io``
+and ``intervals`` by building its interval realization; the axiom scans
+run only when the construction fails, to name the witness of the FAIL
+line, and a scan that finds none is an internal error.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each
@@ -76,12 +82,6 @@ class InputFile:
             return poset_to_structure(Poset(self.prec.domain, self.prec))
         except ValueError as exc:
             raise InputError(f"cannot embed as a structure: {exc}") from exc
-
-    def poset(self) -> Poset:
-        try:
-            return Poset(self.prec.domain, self.prec)
-        except ValueError as exc:
-            raise InputError(f"not a partial order: {exc}") from exc
 
 
 def _relation(value: object, key: str, domain: Domain) -> BinRel:
@@ -191,9 +191,9 @@ def _fails_on(bad: tuple[str, tuple[str, ...]] | None) -> str | None:
     return None if bad is None else f"{bad[0]} fails on ({', '.join(bad[1])})"
 
 
-def _qso_detail(rel: BinRel) -> str | None:
-    witness = qso.qs_order_violation(rel)
-    return None if witness is None else f"witness ({', '.join(witness)})"
+def _qso_verdict(witness: tuple[str, ...] | None) -> int:
+    detail = None if witness is None else f"witness ({', '.join(witness)})"
+    return _verdict("precedence relation", "a quasi-stratified order", detail)
 
 
 def _self_loop_detail(s: Structure) -> str | None:
@@ -257,7 +257,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         wording, finder = _ORDER_CLASSES[args.cls]
         return _verdict("precedence relation", wording, _fails_on(finder(f.prec)))
     if args.cls == "qso":
-        return _verdict("precedence relation", "a quasi-stratified order", _qso_detail(f.prec))
+        return _qso_verdict(qso.qs_order_violation(f.prec))
     wording, detail = _STRUCTURE_CLASSES[args.cls]
     return _verdict("structure", wording, detail(f.structure()))
 
@@ -301,11 +301,10 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         print(f"   prec: {_fmt_pairs(m.prec.label_pairs)}")
         print(f"   weak: {_fmt_pairs(m.weak.label_pairs)}")
         if n > 0:
-            poset = Poset(m.domain, m.prec)
             if qsseq.tree_rows(n, trees) != to_sorted(m.prec.rows):
                 raise InternalError("a saturation's tree does not decode to its order")
             print(f"   tree: {qsseq.format_seq(to_seq(trees))}")
-            realization = orders.interval_realization(poset)
+            realization = orders.interval_realization(m.prec)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
             cells = " ".join(f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items()))
@@ -314,14 +313,16 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def _print_tree(f: InputFile) -> int:
-    """The stratum-tree text of a quasi-stratified order file."""
-    detail = _qso_detail(f.prec)
-    if detail is not None:
-        return _verdict("precedence relation", "a quasi-stratified order", detail)
-    if len(f.prec.domain) == 0:
+    """The stratum-tree text of a quasi-stratified order file, from its
+    one encoding, which also decides the class."""
+    try:
+        trees = qsseq.order_trees(f.prec)
+    except ValueError:
+        return _qso_verdict(qso._witness(f.prec))
+    if not trees:
         print("(empty)")
         return 0
-    print(qsseq.format_seq(qsseq.order_to_seq(qso.QsOrder(f.poset()))))
+    print(qsseq.format_seq(qsseq.seq_converter(f.prec.domain.labels)(trees)))
     return 0
 
 
@@ -331,12 +332,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_intervals(args: argparse.Namespace) -> int:
     f = read_input(args.path)
-    if orders.interval_order_violation(f.prec) is not None:
+    realization = orders.interval_realization(f.prec)
+    if realization is None:
+        orders._interval_witness(f.prec)  # raises InternalError when it finds none
         print("FAIL: not an interval order")
         return 1
-    realization = orders.interval_realization(f.poset())
-    if realization is None:
-        raise InternalError("an interval order got no interval realization")
     for label in f.prec.domain.labels:
         b, e = realization[label]
         print(f"{label}: [{b}, {e}]")

@@ -5,6 +5,8 @@ stratified order is interval, every interval order is partial.  Each
 ``*_violation`` function returns the first offending tuple that a
 literal quantifier scan of its axiom set, in domain declaration order,
 would find, so witnesses are deterministic; the scans run on row masks.
+``interval_order_violation`` decides by building the interval
+realization and scans only when there is none, to name the witness.
 
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
@@ -23,6 +25,7 @@ from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .relcore import (
     BinRel,
+    InternalError,
     Poset,
     Structure,
     _bits,
@@ -87,13 +90,24 @@ def stratified_order_violation(rel: BinRel) -> Violation | None:
 
 
 def interval_order_violation(rel: BinRel) -> Violation | None:
-    """First witness against the interval-order axioms, or None.
+    """None when rel is an interval order, decided by building its
+    ``interval_realization``, else the first witness that
+    ``_interval_witness`` names."""
+    if interval_realization(rel) is not None:
+        return None
+    return _interval_witness(rel)
+
+
+def _interval_witness(rel: BinRel) -> Violation:
+    """The first witness against the interval-order axioms of a relation
+    that has no interval realization.
 
     io:1 names the first self-loop.  io:2 names the first 2+2, pairs
     x < y and z < w with neither x < w nor z < y, in row-major order
     of (x, y), then of (z, w): the scan over every pair of pairs finds
     the same one.  A pair (x, y) fails exactly when some z whose row
-    leaves rows[x] is not below y.
+    leaves rows[x] is not below y.  Raises InternalError when there is
+    none.
     """
     labels = rel.domain.labels
     rows = rel.rows
@@ -109,7 +123,7 @@ def interval_order_violation(rel: BinRel) -> Violation | None:
                 z = next(_bits(outside))
                 w = next(_bits(rows[z] & ~rx))
                 return "io:2", (labels[x], labels[y], labels[z], labels[w])
-    return None
+    raise InternalError("no interval realization for an order the 2+2 scan passes")
 
 
 def is_partial_order(rel: BinRel) -> bool:
@@ -152,19 +166,27 @@ def stratified_partition(p: Poset) -> list[frozenset[str]] | None:
     return strata
 
 
-def interval_realization(p: Poset) -> dict[str, tuple[int, int]] | None:
-    """Integer interval endpoints realizing an interval order, or None.
+def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
+    """Integer interval endpoints realizing rel, or None when rel is not
+    an interval order.
 
-    Begins are the inclusion ranks of the distinct predecessor sets,
-    ends the ranks of the distinct successor sets.  The construction is
-    checked against the order, one row per event: the successors of i
-    must be exactly the events whose begin lies after i's end.  It
-    checks out exactly on interval orders (irreflexivity then puts
-    every begin at or before its end), so None means p is not one.
+    A self-loop gets None.  Otherwise begins are the inclusion ranks of
+    the distinct predecessor sets, ends the ranks of the distinct
+    successor sets, and the construction is checked against rel, one
+    row per event: the successors of i must be exactly the events whose
+    begin lies after i's end.  When the check passes, i is not among
+    its own successors, so its begin lies at or before its end, and x
+    precedes y exactly when x's interval ends before y's begins: rel is
+    an interval order.  On an interval order the predecessor sets, and
+    the successor sets, form chains under inclusion, and the ranks
+    realize it (Fishburn 1970), so the check passes exactly on interval
+    orders.
     """
-    labels = p.domain.labels
-    pred = p.prec.column_masks
-    succ = p.prec.rows
+    if any(row >> i & 1 for i, row in enumerate(rel.rows)):
+        return None
+    labels = rel.domain.labels
+    pred = rel.column_masks
+    succ = rel.rows
     begin_rank = {m: r for r, m in enumerate(sorted(set(pred), key=lambda m: m.bit_count()))}
     end_rank = {m: r for r, m in enumerate(sorted(set(succ), key=lambda m: -m.bit_count()))}
     begins = [begin_rank[m] for m in pred]

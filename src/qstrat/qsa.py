@@ -563,15 +563,22 @@ def random_qsa_structure(
     if n > GENERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds generation bound {GENERATION_BOUND}")
     rng = random.Random(seed)
-    candidates = [
-        (which, i, j) for which in ("prec", "weak") for i in range(n) for j in range(n) if i != j
-    ]
+    # candidate k is (which, i, j) in the order "prec" then "weak", i,
+    # then j != i; a shuffle depends only on the length, so shuffling
+    # the indices draws what shuffling the tuples would
+    candidates = list(range(2 * n * (n - 1)))
     rng.shuffle(candidates)
     empty = new_structure(label_tuple)
     prober, facts = Prober(empty), _ClosureFacts(n)
     rows = {"prec": [0] * n, "weak": [0] * n}
-    for which, i, j in candidates:
-        if rng.random() >= density or facts.forbids(i, j, which):
+    for k in candidates:
+        if rng.random() >= density:
+            continue
+        kind, pair = divmod(k, n * (n - 1))
+        i, j = divmod(pair, n - 1)
+        j += j >= i
+        which = ("prec", "weak")[kind]
+        if facts.forbids(i, j, which):
             continue
         # a pair in the closure removes no saturation: neither the
         # prober nor the facts need it

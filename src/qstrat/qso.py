@@ -16,6 +16,20 @@ quasi-stratified exactly when every pair of precedence pairs
 Each nonempty quasi-stratified order factorizes uniquely into strata,
 where a stratum is an order containing at least one element unordered
 with everything else.
+
+Membership is decided by building that factorization.
+``qsseq.order_trees`` cuts the events into stratum trees and checks
+that they decode (``qsseq.tree_rows``) back to the relation.  The trees
+partition the events, and decoding a tree is the two constructions: its
+base is added as isolated elements to the sequential composition of its
+children, and a sequence composes its trees.  So whatever the trees,
+their decoding is quasi-stratified, and a relation equal to it is too;
+conversely ``order_trees`` succeeds on every quasi-stratified order, as
+``tree_rows`` inverts it.  A tree that decodes back is thus a membership
+proof, and building it compares no pairs of pairs.  The scan of the
+axioms over pairs of pairs runs only after the construction failed, to
+name the witness; when it finds none, the two disagree and the library
+is at fault (``InternalError``).
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from typing import Iterable
 from .relcore import (
     BinRel,
     Domain,
+    InternalError,
     Poset,
     _bits,
     _rows_leaving,
@@ -53,10 +68,25 @@ class QsOrder:
 
 
 def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
-    """First witness against the axioms: (x,) for the first self-loop,
-    else the first quadruple (x, y, z, t) with x<y and z<t admitting no
+    """None when rel is quasi-stratified, decided by its stratum trees
+    (module docstring), else the first witness against the axioms that
+    ``_witness`` names."""
+    from .qsseq import order_trees
+
+    try:
+        order_trees(rel)
+    except ValueError:
+        return _witness(rel)
+    return None
+
+
+def _witness(rel: BinRel) -> tuple[str, ...]:
+    """The first witness against the axioms of a relation whose stratum
+    trees did not decode back to it: (x,) for the first self-loop, else
+    the first quadruple (x, y, z, t) with x<y and z<t admitting no
     resolution, in row-major order of (x, y), then of (z, t): the scan
-    over every pair of pairs finds the same one.
+    over every pair of pairs finds the same one.  Raises InternalError
+    when there is none.
 
     For a pair (x, y) and an event z, the t that some resolution covers
     are rows[x] & rows[y], all of rows[x] once x < z, and rows[x] |
@@ -89,7 +119,7 @@ def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
                 covered = rx if rx >> z & 1 else rx & rows[y]
                 t = next(_bits(rows[z] & ~covered))
                 return labels[x], labels[y], labels[z], labels[t]
-    return None
+    raise InternalError("the stratum trees fail on an order the axiom scan passes")
 
 
 def is_qs_order(rel: BinRel) -> bool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .qso import QsOrder
@@ -135,14 +134,39 @@ def order_to_seq(q: QsOrder) -> QsSeq:
 def seq_converter(names: Sequence[str]) -> Callable[[tuple[Tree, ...]], QsSeq]:
     """Tree sequence to ``QsSeq``, positions read as indices into names.
     The strata are memoised per converter, since the walker's sequences
-    share their subtrees; reuse one converter across one walk."""
+    share their subtrees; reuse one converter across one walk.
 
-    @cache
-    def stratum(tree: Tree) -> QssStratum:
-        _, base, children = tree
-        return QssStratum(frozenset(names[i] for i in _bits(base)), tuple(map(stratum, children)))
+    The trees are listed from an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit.  Read backwards, that
+    list has each tree after its children, in order, so their strata
+    are the last ones converted.  A leaf is memoised under its base, a
+    node under its base and the identities of its children's memoised
+    strata: equal trees get one key without hashing whole subtrees.
+    """
+    memo: dict[int | tuple[int, ...], QssStratum] = {}
 
-    return lambda trees: QsSeq(tuple(map(stratum, trees)))
+    def convert(trees: tuple[Tree, ...]) -> QsSeq:
+        todo, stack = [], list(trees)
+        while stack:
+            tree = stack.pop()
+            todo.append(tree)
+            stack.extend(tree[2])
+        done: list[QssStratum] = []
+        for _, base, children in reversed(todo):
+            if children:
+                first = len(done) - len(children)
+                body = tuple(done[first:])
+                del done[first:]
+                key: int | tuple[int, ...] = (base, *map(id, body))
+            else:
+                body, key = (), base
+            stratum = memo.get(key)
+            if stratum is None:
+                stratum = memo[key] = QssStratum(frozenset(names[i] for i in _bits(base)), body)
+            done.append(stratum)
+        return QsSeq(tuple(done))
+
+    return convert
 
 
 ENUMERATION_BOUND = 6
@@ -241,30 +265,39 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     in any topological sort, as that order is, so cutting at each gives
     the finest, the stratum, factorization.  A stratum's base is its
     events touching no other member; the body is encoded the same way.
+
+    The sequences are cut outermost first, each body queued as a new
+    sequence, and the trees are then built innermost first, so nesting
+    depth is not bounded by the interpreter's recursion limit.
     """
     rows, touch, cols = rel.rows, _touching(rel), rel.column_masks
-    order = sorted(range(len(rows)), key=lambda i: cols[i].bit_count())  # stable
-
-    def sequence(events: int) -> tuple[Tree, ...]:
-        out = []
-        block, ahead, rest = 0, -1, events
-        for i in order:
-            if rest >> i & 1:
-                block |= 1 << i
-                rest ^= 1 << i
-                ahead &= rows[i]
-                if rest & ~ahead == 0:  # the block precedes the rest
-                    out.append(stratum(block))
-                    block, ahead = 0, -1
-        return tuple(out)
-
-    def stratum(events: int) -> Tree:
-        # no base makes a leaf, which the final check then rejects
-        base = _untouched(touch, events) or events
-        return events, base, sequence(events & ~base)
-
-    trees = sequence((1 << len(rows)) - 1)
-    if tree_rows(len(rows), trees) != rows:
+    # each sequence to cut: its events as a mask and in predecessor-count order
+    n = len(rows)
+    sequences = [((1 << n) - 1, sorted(range(n), key=lambda i: cols[i].bit_count()))]  # stable
+    # per sequence, its strata (events, base, index of the body's sequence or 0)
+    strata: list[list[tuple[int, int, int]]] = []
+    for rest, events in sequences:  # grows with each body
+        cut: list[tuple[int, int, int]] = []
+        block, ahead, start = 0, -1, 0
+        for end, i in enumerate(events, start=1):
+            block |= 1 << i
+            rest ^= 1 << i
+            ahead &= rows[i]
+            if rest & ~ahead == 0:  # the block precedes the rest
+                # no base makes a leaf, which the final check then rejects
+                base = _untouched(touch, block) or block
+                body = block & ~base
+                cut.append((block, base, len(sequences) if body else 0))
+                if body:
+                    sequences.append((body, [j for j in events[start:end] if body >> j & 1]))
+                block, ahead, start = 0, -1, end
+        strata.append(cut)
+    # a body's sequence comes after its stratum's, so build from the last
+    built: list[tuple[Tree, ...]] = [()] * len(strata)
+    for k in reversed(range(len(strata))):
+        built[k] = tuple((block, base, built[body]) for block, base, body in strata[k])
+    trees = built[0]
+    if tree_rows(n, trees) != rows:
         raise ValueError("not a quasi-stratified order")
     return trees
 
@@ -343,12 +376,26 @@ def seq_from_json(data: Any) -> QsSeq:
 
 
 def format_seq(q: QsSeq) -> str:
-    """One-line rendering: strata joined by " ; ", nodes as "(base | children)"."""
+    """One-line rendering: strata joined by " ; ", nodes as "(base | children)".
+    Written left to right from an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit."""
+    out: list[str] = []
+    todo: list[str | QssStratum] = []  # text and nodes still to write, the next last
 
-    def fmt(st: QssStratum) -> str:
-        base = ",".join(sorted(st.base))
-        if st.is_leaf:
-            return base
-        return f"({base} | {' '.join(fmt(c) for c in st.children)})"
+    def push(strata: tuple[QssStratum, ...], sep: str) -> None:
+        for k in reversed(range(len(strata))):
+            st = strata[k]
+            todo.append(st if st.children else ",".join(sorted(st.base)))
+            if k:
+                todo.append(sep)
 
-    return " ; ".join(fmt(st) for st in q.strata)
+    push(q.strata, " ; ")
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        out.append(f"({','.join(sorted(item.base))} | ")
+        todo.append(")")
+        push(item.children, " ")
+    return "".join(out)

@@ -148,8 +148,11 @@ class BinRel:
     def column_masks(self) -> tuple[int, ...]:
         cols = [0] * len(self.domain)
         for i, row in enumerate(self.rows):
-            for j in _bits(row):
-                cols[j] |= 1 << i
+            bit = 1 << i
+            while row:  # _bits inlined: every order check transposes its rows
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(cols)
 
     def count(self) -> int:

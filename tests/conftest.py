@@ -281,3 +281,35 @@ def reference_one_saturation(s: Structure) -> Structure:
 
     prec, weak = pairs(s)
     return new_structure(s.domain.labels, prec, weak)
+
+
+def deep_chain_trees(depth: int) -> tuple[int, tuple]:
+    """(event count, trees) of a chain of nodes nested depth levels deep,
+    over positions: level k has base {2k} over the sequence (level k+1,
+    leaf {2k+1}), and the innermost level is the leaf {2·depth}.  Built
+    innermost first, without recursion."""
+    tree: tuple = (1 << 2 * depth, 1 << 2 * depth, ())
+    for k in reversed(range(depth)):
+        leaf = (1 << 2 * k + 1, 1 << 2 * k + 1, ())
+        tree = (tree[0] | leaf[0] | 1 << 2 * k, 1 << 2 * k, (tree, leaf))
+    return 2 * depth + 1, (tree,)
+
+
+def deep_chain_text(depth: int, names) -> str:
+    """``format_seq`` of ``deep_chain_trees(depth)``, positions read as
+    indices into names."""
+    text = names[2 * depth]
+    for k in reversed(range(depth)):
+        text = f"({names[2 * k]} | {text} {names[2 * k + 1]})"
+    return text
+
+
+def flat_trees(trees: tuple) -> list[tuple[int, int, int]]:
+    """(events, base, child count) of each tree in preorder, listed
+    without recursion, so deep trees compare without it too."""
+    out, stack = [], list(reversed(trees))
+    while stack:
+        events, base, children = stack.pop()
+        out.append((events, base, len(children)))
+        stack.extend(reversed(children))
+    return out

@@ -31,9 +31,14 @@ from qstrat import (
     new_poset,
     new_structure,
     order_to_seq,
+    random_qs_seq,
     random_qsa_structure,
+    seq_to_order,
 )
 from qstrat.cli import main, read_input, structure_json_text
+from qstrat.qsseq import tree_rows
+
+from conftest import deep_chain_text, deep_chain_trees
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # stdout and exit code per command line, the file named by its fixture name
@@ -355,6 +360,106 @@ def test_missing_interval_realization_exits_3(capsys, monkeypatch, argv):
     assert err.startswith("internal error: ") and "interval realization" in err
 
 
+def test_order_trees_failing_on_a_qs_order_is_internal(capsys, monkeypatch):
+    # the construction and the axiom scan disagree: a library fault
+    def broken(rel):
+        raise ValueError("not a quasi-stratified order")
+
+    monkeypatch.setattr(qstrat.qsseq, "order_trees", broken)
+    for argv in (("check", "--class", "qso"), ("decompose",)):
+        code, out, err = run(capsys, *argv, fixture("nested_order.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ")
+
+
+def test_missing_realization_of_an_interval_order_is_internal(capsys, monkeypatch):
+    monkeypatch.setattr(qstrat.orders, "interval_realization", lambda rel: None)
+    code, out, err = run(capsys, "check", "--class", "io", fixture("nested_order.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
+
+
+def test_self_loop_beside_an_unrelated_event_is_no_interval_order(capsys, tmp_path):
+    # a prec a beside b passes the realization's row check as a: [1, 0]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"domain": ["a", "b"], "prec": [["a", "a"]]}))
+    assert run(capsys, "intervals", str(path)) == (1, "FAIL: not an interval order\n", "")
+    assert run(capsys, "check", "--class", "io", str(path)) == (
+        1,
+        "FAIL: not an interval order; io:1 fails on (a)\n",
+        "",
+    )
+
+
+def _write_order(path: Path, labels, rows) -> str:
+    n = len(rows)
+    pairs = [[labels[i], labels[j]] for i, row in enumerate(rows) for j in range(n) if row >> j & 1]
+    path.write_text(json.dumps({"domain": list(labels), "prec": pairs}))
+    return str(path)
+
+
+def test_passing_order_checks_scan_no_pair_and_decompose_encodes_once(
+    capsys, monkeypatch, tmp_path
+):
+    scans, encodings = [], []
+    real_rows_leaving = qstrat.qso._rows_leaving
+    real_order_trees = qstrat.qsseq.order_trees
+
+    def counted_rows_leaving(rows):
+        scans.append(rows)
+        return real_rows_leaving(rows)
+
+    def counted_order_trees(rel):
+        encodings.append(rel)
+        return real_order_trees(rel)
+
+    for module in (qstrat.qso, qstrat.orders):
+        monkeypatch.setattr(module, "_rows_leaving", counted_rows_leaving)
+    monkeypatch.setattr(qstrat.qsseq, "order_trees", counted_order_trees)
+    labels = [f"e{i}" for i in range(64)]
+    rows = seq_to_order(random_qs_seq(labels, seed=64)).prec.rows
+    large = _write_order(tmp_path / "large.json", labels, rows)
+    qso_passes = [fixture("maximal.json"), fixture("nested_order.json"), large]
+    io_passes = qso_passes + [fixture("interval_only_order.json"), fixture("transactions_closure.json")]
+    for path in qso_passes:
+        assert run(capsys, "check", "--class", "qso", path)[0] == 0
+        encodings.clear()
+        assert run(capsys, "decompose", path)[0] == 0
+        assert len(encodings) == 1
+    for path in io_passes:
+        assert run(capsys, "check", "--class", "io", path)[0] == 0
+        assert run(capsys, "intervals", path)[0] == 0
+    assert scans == []
+    # a failure still names its witness by the scan
+    assert run(capsys, "check", "--class", "qso", fixture("transactions.json"))[0] == 1
+    assert scans
+
+
+@pytest.fixture(scope="module")
+def deep_order_file(tmp_path_factory):
+    # 510 nested levels, 1,021 events: encoding recursively took two
+    # frames a level
+    depth = 510
+    n, trees = deep_chain_trees(depth)
+    labels = [f"e{i}" for i in range(n)]
+    path = _write_order(tmp_path_factory.mktemp("deep") / "deep.json", labels, tree_rows(n, trees))
+    return path, deep_chain_text(depth, labels)
+
+
+def test_a_deep_order_passes_check_qso(capsys, deep_order_file):
+    path, _ = deep_order_file
+    assert run(capsys, "check", "--class", "qso", path) == (
+        0,
+        "PASS: precedence relation is a quasi-stratified order\n",
+        "",
+    )
+
+
+def test_a_deep_order_decomposes(capsys, deep_order_file):
+    path, text = deep_order_file
+    assert run(capsys, "decompose", path) == (0, text + "\n", "")
+
+
 def test_deeply_nested_json_is_input_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
@@ -674,19 +779,28 @@ def test_close_decides_once_per_sweep_and_saturate_once(capsys, monkeypatch, nam
 
 
 def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
-    checked = []
-    real = Poset.__post_init__
+    # the realization checks itself against the order, so no Poset
+    # re-validates what the walk built as an order
+    validated, realized = [], []
+    real_post_init = Poset.__post_init__
+    real_realization = qstrat.orders.interval_realization
 
-    def counted(self):
-        checked.append(self)
-        real(self)
+    def counted_post_init(self):
+        validated.append(self)
+        real_post_init(self)
 
-    monkeypatch.setattr(Poset, "__post_init__", counted)
+    def counted_realization(rel):
+        realized.append(rel)
+        return real_realization(rel)
+
+    monkeypatch.setattr(Poset, "__post_init__", counted_post_init)
+    monkeypatch.setattr(qstrat.orders, "interval_realization", counted_realization)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
     printed = out.count("-- saturation ")
     assert printed == 8
-    assert len(checked) == printed
+    assert validated == []
+    assert len(realized) == printed
 
 
 class _FlushedOnly(io.StringIO):

@@ -117,12 +117,12 @@ def test_stratified_partition_agrees_and_rebuilds():
 
 
 def test_interval_realization_chain():
-    out = interval_realization(new_poset(["a", "b"], [("a", "b")]))
+    out = interval_realization(new_poset(["a", "b"], [("a", "b")]).prec)
     assert out == {"a": (0, 0), "b": (1, 1)}
 
 
 def test_interval_realization_nested(nested_poset):
-    out = interval_realization(nested_poset)
+    out = interval_realization(nested_poset.prec)
     assert out is not None
     # b spans a and c; d comes after everything
     assert out["b"][0] <= out["a"][0] and out["a"][1] <= out["b"][1]
@@ -131,12 +131,12 @@ def test_interval_realization_nested(nested_poset):
 
 
 def test_interval_realization_none_for_two_plus_two(hierarchy_posets):
-    assert interval_realization(hierarchy_posets["d"]) is None
+    assert interval_realization(hierarchy_posets["d"].prec) is None
 
 
 def test_interval_realization_biconditional():
     for poset in enumerate_posets(LABELS[:4]):
-        out = interval_realization(poset)
+        out = interval_realization(poset.prec)
         assert (out is not None) == is_interval_order(poset.prec)
         if out is None:
             continue
@@ -417,6 +417,27 @@ def test_kernels_match_the_literal_scans_on_large_orders(n):
     for candidate in (rel, flipped):
         for kernel, reference in KERNELS:
             assert kernel(candidate) == reference(candidate)
+
+
+def test_deciders_match_the_literal_scans_on_every_relation_up_to_4():
+    # self-loops included: there the realization's row check alone
+    # would accept, e.g. a prec a beside b as a: [1, 0]
+    count = 0
+    for n in range(5):
+        for rel in all_relations(n):
+            count += 1
+            assert qs_order_violation(rel) == _reference_qs_order_violation(rel)
+            expected = _reference_interval_order_violation(rel)
+            assert interval_order_violation(rel) == expected
+            assert (interval_realization(rel) is not None) == (expected is None)
+    assert count == 66_067
+
+
+def test_realization_refuses_a_self_loop_beside_an_unrelated_event():
+    rel = BinRel.from_pairs(Domain(("a", "b")), [("a", "a")])
+    assert interval_realization(rel) is None
+    assert interval_order_violation(rel) == ("io:1", ("a",))
+    assert qs_order_violation(rel) == ("a",)
 
 
 # The three breadth-first searches that the one closed-walk search

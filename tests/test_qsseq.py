@@ -35,11 +35,15 @@ from qstrat import (
     seq_violation,
     stratified_partition,
 )
-from qstrat import oracles, qso
-from qstrat.qsseq import order_trees, stratum_trees, tree_rows
+from qstrat import oracles, qs_order_violation, qso
+from qstrat.orders import interval_order_violation
+from qstrat.qsseq import order_trees, seq_converter, stratum_trees, tree_rows
 
 from conftest import (
     LABELS,
+    deep_chain_text,
+    deep_chain_trees,
+    flat_trees,
     reference_factorize_strata,
     reference_order_to_seq,
     reference_qs_seqs,
@@ -208,6 +212,28 @@ def test_order_trees_inverts_tree_rows():
         domain = Domain(tuple(LABELS[:n]))
         for trees in stratum_trees(n):
             assert order_trees(BinRel(domain, tree_rows(n, trees))) == trees
+
+
+@pytest.fixture(scope="module")
+def deep_chain():
+    # 1,000 nested levels, 2,001 events, a million pairs
+    depth = 1000
+    n, trees = deep_chain_trees(depth)
+    rel = BinRel(Domain(tuple(f"e{i}" for i in range(n))), tree_rows(n, trees))
+    return depth, trees, rel
+
+
+def test_order_trees_encodes_a_thousand_levels(deep_chain):
+    depth, trees, rel = deep_chain
+    assert flat_trees(order_trees(rel)) == flat_trees(trees)
+    assert qs_order_violation(rel) is None
+    assert interval_order_violation(rel) is None
+
+
+def test_a_thousand_levels_convert_and_format(deep_chain):
+    depth, trees, rel = deep_chain
+    seq = seq_converter(rel.domain.labels)(trees)
+    assert format_seq(seq) == deep_chain_text(depth, rel.domain.labels)
 
 
 def test_encoding_rejects_orders_outside_the_class():
