@@ -36,18 +36,32 @@ and qsc:2 on its result that guards against a bug, not a hard input.
 ``oracles.close_oracle`` intersects the saturations instead and stays
 the independent check.
 
-A sweep (``closure_step`` or ``qsc_violation``) probes its 2 n^2 pairs
-against one ``qsa.Prober`` and so decides the acyclicity of its input
-once.  On acyclic input, adding one pair can only break the chain of
-components through that pair (the ``qsa`` module docstring has the
-argument), so a probe walks that chain instead of re-deciding the
-whole extension.  The sweep probes a row at a time: for each event x
-and kind, one ``Prober.run_row`` over every y whose forced pair is
-absent.  Only a y that reaches x can close a cycle through x -> y, so
-one mask, the coreach set of x, rules out most of the row at once; the
-y left in one component share their reach set, so they walk one chain
-level together, and for qsc:3 a y that is a pre-dominant of that
-component walks on alone, since the precedence pair makes it touched.
+Most of the closure follows from four laws without a probe.  The third
+step of the ``qsa`` module docstring shows that each saturation, and so
+the intersection, has a transitive P with P, P.W and W.P inside W.  The
+law closure of s, the least structure holding s that obeys them (P the
+transitive closure of s's precedence, W := P=.(W u P).P=, with P= the
+reflexive P), therefore lies between s and its closure, and so it has
+the same saturations and the same closure.  ``closure_step`` starts
+from it: a pair in it needs no probe, and the probe of a pair in it
+passes, since adding a pair of every saturation removes none.  The
+probes still run against s, so the one decision and a refusal's witness
+are s's own.
+
+A sweep (``closure_step`` or ``qsc_violation``) probes pairs against
+one ``qsa.Prober`` and so decides the acyclicity of its input once.  On
+acyclic input, adding one pair can only break the chain of components
+through that pair (the ``qsa`` module docstring has the argument), so a
+probe walks that chain instead of re-deciding the whole extension.  The
+sweep probes a row at a time: for each event x and kind, one
+``Prober.run_row`` over every y whose forced pair is absent, leaving
+out on acyclic input the pairs already held, by s in ``qsc_violation``
+and by the law closure in ``closure_step``, whose probes pass.  Only a
+y that reaches x can close a cycle through x -> y, so one mask, the
+coreach set of x, rules out most of the row at once; the y left in one
+component share their reach set, so they walk one chain level
+together, and for qsc:3 a y that is a pre-dominant of that component
+walks on alone, since the precedence pair makes it touched.
 qsc:1 and qsc:2 are read off row and column masks as well.
 ``oracles.qsc_property_suite`` scans the laws closed structures obey.
 """
@@ -61,7 +75,7 @@ from .qsa import (
     Prober,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, InternalError, Structure, is_relational
+from .relcore import BinRel, InternalError, Structure, _bits, is_relational
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -78,16 +92,47 @@ def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     return None
 
 
-def _forced_pairs(s: Structure, prober: Prober):
+def law_closure(s: Structure) -> Structure:
+    """The least structure holding s that obeys the four laws of every
+    saturation (module docstring): P, the transitive closure of s's
+    precedence pairs, and W := P=.(W u P).P=, which is P u P=.W.P=."""
+    prec = list(s.prec.rows)
+    for k in range(len(prec)):  # Warshall
+        bit, row = 1 << k, prec[k]
+        prec = [r | row if r & bit else r for r in prec]
+    right = []  # W.P=
+    for row in s.weak.rows:
+        out = row
+        for b in _bits(row):
+            out |= prec[b]
+        right.append(out)
+    weak = []  # P u P=.W.P=
+    for p, out in zip(prec, right):
+        out |= p
+        for c in _bits(p):
+            out |= right[c]
+        weak.append(out)
+    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
+
+
+def _forced_pairs(s: Structure, prober: Prober, law: Structure | None = None):
     """Every (axiom, (x, y)) whose probe against s breaks acyclicity while
     the pair it forces is absent: qsc:4 pairs first, then qsc:3, row-major.
-    Each row is one ``Prober.run_row``."""
+    Each row is one ``Prober.run_row``.  Given law, the law closure of s,
+    a pair counts as absent only when law lacks it.  On acyclic s a row
+    leaves out the probes of the pairs that s, or law when given, holds:
+    they lie in every saturation, so adding one keeps s acyclic."""
     labels = s.domain.labels
     n = len(labels)
     full = (1 << n) - 1
-    for axiom, kind, forced in (("qsc:4", "weak", s.prec), ("qsc:3", "prec", s.weak)):
-        for i, present in enumerate(forced.column_masks):
-            found = prober.run_row(i, full & ~present & ~(1 << i), kind)
+    known = s if law is None else law
+    for axiom, kind, forced, probed in (
+        ("qsc:4", "weak", known.prec, known.weak),
+        ("qsc:3", "prec", known.weak, known.prec),
+    ):
+        passing = probed.rows if prober.witness is None else (0,) * n
+        for i, (present, held) in enumerate(zip(forced.column_masks, passing)):
+            found = prober.run_row(i, full & ~present & ~held & ~(1 << i), kind)
             for j in sorted(found):
                 yield axiom, (labels[i], labels[j])
 
@@ -106,17 +151,19 @@ def is_qsc(s: Structure) -> bool:
 
 
 def closure_step(s: Structure) -> Structure:
-    """One closure step: every probe runs against the input and all
-    additions land simultaneously.  Input that is not acyclic raises
+    """One closure step: the law closure of the input, plus every pair
+    that a probe against the input forces among those the laws leave
+    open (module docstring).  Input that is not acyclic raises
     ``NotAcyclicError`` with the witness of the prober's decision."""
     prober = Prober(s) if is_relational(s) else None
     if prober is None or prober.witness is not None:
         witness = None if prober is None else prober.witness
         raise NotAcyclicError("can only close a quasi-stratified acyclic structure", witness)
+    law = law_closure(s)
     index = s.domain.index
-    prec_rows = list(s.prec.rows)
-    weak_rows = list(s.weak.rows)
-    for axiom, (x, y) in _forced_pairs(s, prober):
+    prec_rows = list(law.prec.rows)
+    weak_rows = list(law.weak.rows)
+    for axiom, (x, y) in _forced_pairs(s, prober, law):
         rows = prec_rows if axiom == "qsc:4" else weak_rows
         rows[index[y]] |= 1 << index[x]
     return Structure(
@@ -141,7 +188,17 @@ def close(s: Structure) -> ClosureReport:
         raise InternalError("closure step left a qsc:1 or qsc:2 violation")
     return ClosureReport(
         closed=closed,
-        added_prec=closed.prec.label_pairs - s.prec.label_pairs,
-        added_weak=closed.weak.label_pairs - s.weak.label_pairs,
+        added_prec=_gained(closed.prec, s.prec),
+        added_weak=_gained(closed.weak, s.weak),
+    )
+
+
+def _gained(after: BinRel, before: BinRel) -> frozenset[tuple[str, str]]:
+    """The label pairs of after that before lacks, over one domain."""
+    labels = after.domain.labels
+    return frozenset(
+        (labels[i], labels[j])
+        for i, (a, b) in enumerate(zip(after.rows, before.rows))
+        for j in _bits(a & ~b)
     )
 

@@ -86,23 +86,27 @@ every other candidate is probed, so a pair is kept only when its probe
 passes.
 
 The generator's prober holds a basis of the structure it keeps: a
-candidate that the facts put in the closure itself (i P j, or for a
-weak pair also i W.P= j) is kept without a probe, and neither the
-prober nor the facts learn it.  This is exact.  A pair p that lies in
-every saturation of s removes none, so Sat(s + p) = Sat(s), and for
-every set Q of pairs s + p + Q is acyclic exactly when s + Q is (an
-extension is acyclic exactly when it lies in some saturation).  So by
-induction the prober's structure b and the structure kept s have
-Sat(b) = Sat(s) at every step, every probe of b answers as one of s
-would, and the two share one closure.  Skipping ``learn`` changes no
-answer of ``forbids`` either.  For an implied precedence pair ``learn``
-is a no-op.  For a weak pair with i in weak_into[j] it is one too, since
-each column of weak_into is closed to the right under P.  For a weak
-pair implied by i P j alone, ``learn`` would add i to weak_into[v] for
-each v with j P= v, so each bit it adds, and each bit later copied from
-one of those, puts some a in weak_into[v] with a P v.  A ``forbids``
-test of a pair from i' to j' hits such a bit only when v = i' and
-j' P= a, so j' P i' holds and its first test already returns.
+candidate that the facts put in the closure itself is kept without a
+probe, and neither the prober nor the facts learn it.  The facts imply
+every pair of the law closure of what they learned, P for a precedence
+pair and L = P u P=.W.P= for a weak one, which the four laws put in the
+closure (``closure.law_closure`` computes it in one batch).  This is
+exact.  A pair p that lies in every saturation of s removes none, so
+Sat(s + p) = Sat(s), and for every set Q of pairs s + p + Q is acyclic
+exactly when s + Q is (an extension is acyclic exactly when it lies in
+some saturation).  So by induction the prober's structure b and the
+structure kept s have Sat(b) = Sat(s) at every step, every probe of b
+answers as one of s would, and the two share one closure.  Skipping
+``learn`` changes no answer of ``forbids`` or ``implies`` either.
+``learn`` keeps weak_into equal to W.P= for the W learned, so both read
+only P and L: ``forbids`` tests j P i, or for a precedence pair j L i,
+and ``implies`` tests i P j, or for a weak pair i L j.  Learning an
+implied precedence pair is a no-op.  Learning an implied weak pair p
+adds P=.p.P= to L, which lies in P=.L.P= = L since P is transitive;
+after any later pairs are learned, with P' and L' in place of P and L,
+p still lies in L' and adds nothing to it either.  Weak pairs never
+change P, so whether p is learned or skipped the facts hold the same P
+and the same L at every step.
 """
 
 from __future__ import annotations
@@ -170,51 +174,54 @@ def _spread(rows: tuple[int, ...], members: int, start: int) -> int:
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
     """Strongly connected components of the induced subgraph, as masks,
-    in Tarjan emission order (reverse topological order)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    out: list[int] = []
+    in Tarjan emission order (reverse topological order).
 
-    for root in _bits(members):
-        if root in index:
-            continue
-        work: list[tuple[int, Iterable[int]]] = [(root, iter(_bits(rows[root] & members)))]
-        index[root] = low[root] = counter
+    Tarjan's pass on bitmasks: DFS numbers and low links are lists over
+    positions, the stack is the mask ``on_stack``, and each event keeps
+    the mask below it, so a component is popped as one mask difference.
+    Successors are taken lowest first, as a list of them would be."""
+    size = members.bit_length()
+    index, low, below = [0] * size, [0] * size, [0] * size  # index 0: unvisited
+    visited = on_stack = counter = 0
+    out: list[int] = []
+    rest = members
+    while rest:
+        bit = rest & -rest
+        v = bit.bit_length() - 1
         counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, successors = work[-1]
-            advanced = False
-            for w in successors:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(_bits(rows[w] & members))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+        index[v] = low[v] = counter
+        below[v], on_stack, visited = on_stack, on_stack | bit, visited | bit
+        path, succs = [v], [rows[v] & members]
+        while path:
+            v, succ = path[-1], succs[-1]
+            fresh = succ & ~visited
+            bit = fresh & -fresh
+            # the successors before the next fresh one (all, when none is
+            # left) are visited already
+            hits = succ & (bit - 1) & on_stack
+            while hits:
+                h = hits & -hits
+                seen = index[h.bit_length() - 1]
+                if seen < low[v]:
+                    low[v] = seen
+                hits ^= h
+            if bit:
+                succs[-1] = succ & ~((bit << 1) - 1)
+                w = bit.bit_length() - 1
+                counter += 1
+                index[w] = low[w] = counter
+                below[w], on_stack, visited = on_stack, on_stack | bit, visited | bit
+                path.append(w)
+                succs.append(rows[w] & members)
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            path.pop()
+            succs.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
             if low[v] == index[v]:
-                comp = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp |= 1 << w
-                    if w == v:
-                        break
-                out.append(comp)
+                out.append(on_stack & ~below[v])
+                on_stack = below[v]
+        rest &= ~visited
     return out
 
 
@@ -538,8 +545,12 @@ class _ClosureFacts:
 
     def implies(self, i: int, j: int, kind: str) -> bool:
         """True when the facts put the pair i kind j itself in the
-        closure: i P j, or for a weak pair also i W.P= j."""
-        return bool(self.prec[i] >> j & 1) or kind == "weak" and bool(self.weak_into[j] >> i & 1)
+        closure: i P j, or for a weak pair also i P= a W b P= j for some
+        a and b."""
+        ahead = self.prec[i]
+        if ahead >> j & 1:
+            return True
+        return kind == "weak" and bool(self.weak_into[j] & (ahead | 1 << i))
 
 
 def random_qsa_structure(

@@ -54,27 +54,33 @@ def node(base: Iterable[str], children: Iterable[QssStratum]) -> QssStratum:
     return QssStratum(frozenset(base), tuple(children))
 
 
-def stratum_domain(st: QssStratum) -> frozenset[str]:
-    out = st.base
-    for child in st.children:
-        out |= stratum_domain(child)
+def _preorder(strata: Iterable[QssStratum]) -> list[QssStratum]:
+    """The strata and all their descendants, each before its children and
+    the children in order, listed from an explicit stack, so nesting depth
+    is not bounded by the interpreter's recursion limit."""
+    out, stack = [], list(strata)[::-1]
+    while stack:
+        st = stack.pop()
+        out.append(st)
+        stack.extend(reversed(st.children))
     return out
+
+
+def stratum_domain(st: QssStratum) -> frozenset[str]:
+    return frozenset().union(*(t.base for t in _preorder((st,))))
 
 
 def seq_domain(q: QsSeq) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for st in q.strata:
-        out |= stratum_domain(st)
-    return out
+    return frozenset().union(*(st.base for st in _preorder(q.strata)))
 
 
 def seq_violation(q: QsSeq) -> str | None:
-    """Description of the first formation-rule violation, or None."""
+    """Description of the first formation-rule violation, in preorder, or
+    None."""
     if not q.strata:
         return "a sequence needs at least one stratum"
     seen: set[str] = set()
-
-    def walk(st: QssStratum) -> str | None:
+    for st in _preorder(q.strata):
         if not st.base:
             return "empty base set"
         if seen & st.base:
@@ -83,16 +89,6 @@ def seq_violation(q: QsSeq) -> str | None:
         seen.update(st.base)
         if len(st.children) == 1:
             return "an internal node needs at least two child strata"
-        for child in st.children:
-            bad = walk(child)
-            if bad is not None:
-                return bad
-        return None
-
-    for st in q.strata:
-        bad = walk(st)
-        if bad is not None:
-            return bad
     return None
 
 
@@ -110,16 +106,27 @@ def seq_to_order(q: QsSeq) -> QsOrder:
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
     labels: list[str] = []
-
-    def place(st: QssStratum) -> Tree:
-        first = len(labels)
-        children = tuple(map(place, st.children))
+    # each stratum is placed after its children, in order, from an
+    # explicit stack; first holds the label count at which each stratum
+    # entered and not yet placed began
+    placed: list[Tree] = []
+    first: list[int] = []
+    stack = [(st, False) for st in reversed(q.strata)]
+    while stack:
+        st, ready = stack.pop()
+        if not ready:
+            first.append(len(labels))
+            stack.append((st, True))
+            stack.extend((child, False) for child in reversed(st.children))
+            continue
+        k = len(placed) - len(st.children)
+        children = tuple(placed[k:])
+        del placed[k:]
         body = len(labels)
         labels.extend(sorted(st.base))
         top = 1 << len(labels)
-        return top - (1 << first), top - (1 << body), children
-
-    trees = tuple(map(place, q.strata))
+        placed.append((top - (1 << first.pop()), top - (1 << body), children))
+    trees = tuple(placed)
     domain = Domain(tuple(labels))
     return QsOrder(Poset(domain, BinRel(domain, tree_rows(len(labels), trees))))
 

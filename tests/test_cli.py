@@ -865,6 +865,28 @@ def test_gen_stdout_bytes_are_pinned(capsys, n, density, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[n, density, seed]
 
 
+# sha256 of `qstrat close` stdout then stderr on the output of
+# `qstrat gen --n N --seed 1 --density D`, (N, D)
+CLOSE_DIGESTS = {
+    (32, 0.1): "8c97185f28557053191a29653c3da632ad92d437aded208618b2a4b08da800b5",
+    (32, 0.3): "1f6a7a62dff8d0cbcf19ee02e25b0ca8b24d1ac20175f3c8f3b5329200278988",
+    (128, 0.1): "2d06ac0f7fadae3f3ba9d348acf513c3906169dcee23d22a7fc579f29644288f",
+    (128, 0.3): "5fdc3c348c09652dcd517e43b5bd1e1f27b44b799606acf0e17b71aa0e6ce379",
+    (256, 0.3): "91754f649695d47693e785f9e7290ef73acd8780d88b699fa86f4537f96b6343",
+}
+
+
+@pytest.mark.parametrize("n, density", sorted(CLOSE_DIGESTS))
+def test_close_output_bytes_are_pinned(capsys, tmp_path, n, density):
+    code, spec, _ = run(capsys, "gen", "--n", str(n), "--seed", "1", "--density", str(density))
+    assert code == 0
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    code, out, err = run(capsys, "close", str(path))
+    assert code == 0
+    assert hashlib.sha256((out + err).encode()).hexdigest() == CLOSE_DIGESTS[n, density]
+
+
 # one fault per file, each with the message it has always had
 INPUT_FAULTS = {
     "prec not a list": (

@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +31,13 @@ from qstrat import (
     saturations,
 )
 
-from qstrat.cli import default_labels, main
+from qstrat.cli import default_labels, main, read_input
+from qstrat.closure import law_closure
+from qstrat.relcore import _combined_rows
 
 from conftest import all_relational_structures, random_structure
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_predominants_singleton():
@@ -661,3 +666,80 @@ def test_extend_keeps_every_memo_exact_between_row_walks():
             assert prober.structure() == s
             _assert_memos_exact(prober)
         assert _probe_masks(prober, n) == _probe_masks(Prober(s), n)
+
+
+@pytest.mark.parametrize("n, density, seed", [(8, 0.35, 1), (16, 0.1, 2), (16, 0.35, 3), (32, 0.2, 4)])
+def test_closure_facts_hold_the_law_closure_of_what_they_learned(monkeypatch, n, density, seed):
+    # after every learn, P is the kernel's precedence and P u P=.(W.P=)
+    # its weak relation, on the structure of the pairs learned so far;
+    # implies answers membership of that law closure
+    labels = default_labels(n)
+    learned = {"prec": [], "weak": []}
+    learn = qstrat.qsa._ClosureFacts.learn
+
+    def checked(facts, i, j, kind):
+        learn(facts, i, j, kind)
+        learned[kind].append((labels[i], labels[j]))
+        law = law_closure(new_structure(labels, learned["prec"], learned["weak"]))
+        assert facts.prec == list(law.prec.rows)
+        weak_then_prec = BinRel(law.domain, tuple(facts.weak_into)).column_masks  # W.P= by rows
+        weak = []
+        for a, ahead in enumerate(facts.prec):
+            row = ahead | weak_then_prec[a]
+            for c in range(n):
+                if ahead >> c & 1:
+                    row |= weak_then_prec[c]
+            weak.append(row)
+        assert weak == list(law.weak.rows)
+        if n <= 16:
+            for x in range(n):
+                for y in range(n):
+                    if x != y:
+                        assert facts.implies(x, y, "prec") == law.prec.holds_idx(x, y)
+                        assert facts.implies(x, y, "weak") == law.weak.holds_idx(x, y)
+
+    monkeypatch.setattr(qstrat.qsa._ClosureFacts, "learn", checked)
+    random_qsa_structure(labels, seed=seed, density=density)
+    assert learned["prec"] and learned["weak"]
+
+
+def _textbook_scc(rows, members):
+    """Tarjan's recursive pass over the members, roots and successors in
+    increasing position: the reference for the bitmask ``_scc_masks``."""
+    index, low, stack, out = {}, {}, [], []
+
+    def connect(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        for w in range(len(rows)):
+            if not (rows[v] & members) >> w & 1:
+                continue
+            if w not in index:
+                connect(w)
+                low[v] = min(low[v], low[w])
+            elif w in stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = 0
+            while not comp >> v & 1:
+                comp |= 1 << stack.pop()
+            out.append(comp)
+
+    for v in range(len(rows)):
+        if members >> v & 1 and v not in index:
+            connect(v)
+    return out
+
+
+def test_scc_masks_match_the_textbook_pass():
+    rng = random.Random(4242)
+    graphs = [_combined_rows(read_input(path).structure()) for path in sorted(FIXTURES.glob("*.json"))]
+    assert len(graphs) >= 7
+    for _ in range(1500):
+        n = rng.randint(0, 14)
+        density = rng.choice((0.05, 0.15, 0.3, 0.6))
+        graphs.append(tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
+    for rows in graphs:
+        full = (1 << len(rows)) - 1
+        for members in (full, *(rng.randrange(full + 1) for _ in range(4))):
+            assert qstrat.qsa._scc_masks(rows, members) == _textbook_scc(rows, members)

@@ -34,6 +34,7 @@ from qstrat import (
     seq_to_order,
     seq_violation,
     stratified_partition,
+    stratum_domain,
 )
 from qstrat import oracles, qs_order_violation, qso
 from qstrat.orders import interval_order_violation
@@ -234,6 +235,22 @@ def test_a_thousand_levels_convert_and_format(deep_chain):
     depth, trees, rel = deep_chain
     seq = seq_converter(rel.domain.labels)(trees)
     assert format_seq(seq) == deep_chain_text(depth, rel.domain.labels)
+
+
+def test_a_thousand_nested_strata_check_and_decode():
+    # the sequence is never hashed or compared: the dataclass-generated
+    # __hash__ and __eq__ of QssStratum still recurse once per level
+    st = leaf({"z"})
+    for k in range(1000):
+        st = node({f"x{k}"}, [st, leaf({f"z{k}"})])
+    q = QsSeq((st,))
+    assert seq_violation(q) is None
+    labels = {"z"} | {f"{c}{k}" for c in "xz" for k in range(1000)}
+    assert seq_domain(q) == stratum_domain(st) == labels
+    order = seq_to_order(q)
+    assert order.domain.labels[:3] == ("z", "z0", "x0") and len(order) == 2001
+    # level k puts its first stratum, 2k + 1 events, before z{k}
+    assert order.prec.count() == 1000**2
 
 
 def test_encoding_rejects_orders_outside_the_class():
