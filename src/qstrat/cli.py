@@ -90,17 +90,18 @@ def _relation(value: object, key: str, domain: Domain) -> BinRel:
         raise InputError(f'"{key}" must be a list of pairs')
     index = domain.index
     rows = [0] * len(domain)
+    shape = f'"{key}" entries must be two-element lists of strings'
     for item in value:
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and isinstance(item[0], str)
-            and isinstance(item[1], str)
-        ):
-            raise InputError(f'"{key}" entries must be two-element lists of strings')
+        if type(item) is not list or len(item) != 2:
+            raise InputError(shape)
+        x, y = item
+        # the labels are strings, so the lookups fail on every member
+        # that is not one: only then are the members' types checked
         try:
-            rows[index[item[0]]] |= 1 << index[item[1]]
-        except KeyError as exc:
+            rows[index[x]] |= 1 << index[y]
+        except (KeyError, TypeError) as exc:
+            if type(x) is not str or type(y) is not str:
+                raise InputError(shape) from None
             raise InputError(f"unknown label: {exc.args[0]!r}") from None
     return BinRel(domain, tuple(rows))
 

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from typing import Iterable
 
 from .closure import qsc_violation
-from .qsa import CscWitness, Prober, _scc_masks, is_csc_subset, predominants
+from .qsa import CscWitness, Prober, is_csc_subset, predominants
 from .qso import QsOrder, qs_order_violation, stratum_base
 from .qsseq import ENUMERATION_BOUND
 from .relcore import (
@@ -26,6 +26,7 @@ from .relcore import (
     Poset,
     Structure,
     _combined_rows,
+    _scc_masks,
     add_prec,
     add_weak,
     is_relational,

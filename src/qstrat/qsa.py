@@ -53,9 +53,25 @@ j gains coreach_M(i).  A precedence pair between i and j leaves the
 pre-dominants of a component as they were unless the component holds
 both, and then takes exactly i and j out of them.  So the memos of the
 sets holding both that probes used since the last new edge are updated
-in place, and those of the other sets holding both are dropped.  The
-full domain is always kept, so each of its 2n reach and coreach sets is
-spread once per prober.
+in place, and those of the other sets holding both are dropped.
+
+The full domain, level 0 of every chain, is not memoised: the prober
+holds its reach and coreach sets as two lists by position, ahead and
+back, exact at all times, so no spread runs over it.  They are built
+from the condensation of the one Tarjan pass over the whole domain,
+which the structure keeps for its decision (``Structure._components``,
+read by ``qsa_witness`` too).  In emission order each component comes
+after its successors, so its members reach the component and what its
+successors reach; in the reverse order each comes after its
+predecessors, and coreach sets are built the same way.  A new edge
+i -> j with j outside ahead[i] grows them by Italiano's rule (G. F.
+Italiano, "Amortized efficiency of a path retrieval data structure",
+TCS 1986).  A path v -> x that the edge creates runs through it, and a
+shortest one uses it once, so it exists exactly when v reaches i and j
+reaches x without the edge.  So every v in back[i] gains ahead[j] and
+every x in ahead[j] gains back[i], and only the rows of the v outside
+back[j] and of the x outside ahead[i] change; both masks are taken
+before any row is written.
 
 ``random_qsa_structure`` rejects without a probe each candidate whose
 reverse it already knows to lie in the closure of the structure grown
@@ -113,6 +129,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from .relcore import (
@@ -121,6 +138,7 @@ from .relcore import (
     _bits,
     _combined_rows,
     _label_mask,
+    _scc_masks,
     _touching,
     _untouched,
     is_relational,
@@ -172,66 +190,13 @@ def _spread(rows: tuple[int, ...], members: int, start: int) -> int:
     return seen
 
 
-def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
-    """Strongly connected components of the induced subgraph, as masks,
-    in Tarjan emission order (reverse topological order).
-
-    Tarjan's pass on bitmasks: DFS numbers and low links are lists over
-    positions, the stack is the mask ``on_stack``, and each event keeps
-    the mask below it, so a component is popped as one mask difference.
-    Successors are taken lowest first, as a list of them would be."""
-    size = members.bit_length()
-    index, low, below = [0] * size, [0] * size, [0] * size  # index 0: unvisited
-    visited = on_stack = counter = 0
-    out: list[int] = []
-    rest = members
-    while rest:
-        bit = rest & -rest
-        v = bit.bit_length() - 1
-        counter += 1
-        index[v] = low[v] = counter
-        below[v], on_stack, visited = on_stack, on_stack | bit, visited | bit
-        path, succs = [v], [rows[v] & members]
-        while path:
-            v, succ = path[-1], succs[-1]
-            fresh = succ & ~visited
-            bit = fresh & -fresh
-            # the successors before the next fresh one (all, when none is
-            # left) are visited already
-            hits = succ & (bit - 1) & on_stack
-            while hits:
-                h = hits & -hits
-                seen = index[h.bit_length() - 1]
-                if seen < low[v]:
-                    low[v] = seen
-                hits ^= h
-            if bit:
-                succs[-1] = succ & ~((bit << 1) - 1)
-                w = bit.bit_length() - 1
-                counter += 1
-                index[w] = low[w] = counter
-                below[w], on_stack, visited = on_stack, on_stack | bit, visited | bit
-                path.append(w)
-                succs.append(rows[w] & members)
-                continue
-            path.pop()
-            succs.pop()
-            if path and low[v] < low[path[-1]]:
-                low[path[-1]] = low[v]
-            if low[v] == index[v]:
-                out.append(on_stack & ~below[v])
-                on_stack = below[v]
-        rest &= ~visited
-    return out
-
-
 def csc_components(s: Structure) -> list[frozenset[str]]:
     """Strongly connected components of the combined relation, in
     reverse topological order of the condensation."""
     labels = s.domain.labels
     return [
         frozenset(labels[i] for i in _bits(mask))
-        for mask in _scc_masks(_combined_rows(s), (1 << len(labels)) - 1)
+        for mask in s._components
     ]
 
 
@@ -251,17 +216,18 @@ def qsa_witness(s: Structure) -> CscWitness | None:
     if not is_relational(s):
         raise ValueError("structure is not relational")
     rows, touch = _combined_rows(s), _touching(s.prec)
-    pending = [(1 << len(s.domain)) - 1]
-    while pending:
-        members = pending.pop()
-        for comp in _scc_masks(rows, members):
+    level, pending = s._components, []
+    while True:
+        for comp in level:
             if comp.bit_count() < 2:
                 continue
             dominants = _untouched(touch, comp)
             if dominants == 0:
                 return _witness(s, comp)
             pending.append(comp & ~dominants)
-    return None
+        if not pending:
+            return None
+        level = _scc_masks(rows, pending.pop())
 
 
 def is_qsa(s: Structure) -> bool:
@@ -279,9 +245,10 @@ class Prober:
     j creates, or 0 when the extension stays acyclic.  On a structure
     that is not acyclic it returns the mask of ``witness`` for every
     pair.  Each probe walks only the chain of components through the
-    pair (module docstring).  The reach sets and pre-dominants it needs
-    are memoised per prober: the probes of one structure revisit the
-    same few components, and the memos go when the prober does.
+    pair (module docstring).  It holds every reach and coreach set of
+    the whole domain; the reach sets below it and the pre-dominants it
+    needs are memoised per prober: the probes of one structure revisit
+    the same few components, and the memos go when the prober does.
 
     ``run_row(i, js, kind)`` answers ``run(i, j, kind)`` for every
     position j in the mask js at once, as {j: witness mask} over the j
@@ -289,8 +256,8 @@ class Prober:
 
     ``extend(i, j, kind)`` runs the same probe and, when it passes, adds
     the pair to the prober's structure, keeping the memos exact by the
-    single-edge lemma; ``structure()`` returns the structure grown so
-    far.
+    single-edge lemma and the whole domain's sets by Italiano's rule;
+    ``structure()`` returns the structure grown so far.
     """
 
     def __init__(self, s: Structure) -> None:
@@ -304,13 +271,17 @@ class Prober:
         self._rows = list(_combined_rows(s))
         self._cols = [a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks)]
         self._touch = list(_touching(s.prec))
-        # members -> {v: v plus what v reaches, or is reached from, inside members}
+        # position -> what it reaches, or is reached from, in the whole
+        # domain, itself included; kept exact by extend
+        self._ahead, self._back = _reach_tables(self._rows, self._cols, s._components)
+        # members -> {v: v plus what v reaches, or is reached from, inside
+        # members}, for the member sets below the full domain
         self._reach: dict[int, dict[int, int]] = {}
         self._coreach: dict[int, dict[int, int]] = {}
         # component -> its pre-dominants
         self._dominants: dict[int, int] = {}
         # the member sets and components probes used since the last new
-        # combined edge; every probe uses the full domain
+        # combined edge
         self._recent: set[int] = set()
 
     def run(self, i: int, j: int, kind: str) -> int:
@@ -338,10 +309,15 @@ class Prober:
                     if mask:
                         found[j] = mask
                 continue
-            self._recent.add(members)
-            back = _memo_spread(self._coreach, self._cols, members, i)
+            if members == self._full:
+                reach, coreach = self._ahead.__getitem__, self._back.__getitem__
+            else:
+                self._recent.add(members)
+                reach = partial(_memo_spread, self._reach, self._rows, members)
+                coreach = partial(_memo_spread, self._coreach, self._cols, members)
+            back = coreach(i)
             js &= back  # a j that does not reach i closes no cycle
-            own = _memo_spread(self._reach, self._rows, members, i) if js else 0
+            own = reach(i) if js else 0
             while js:
                 low = js & -js
                 if own & low:  # i's own component: every member reaches what i does
@@ -349,10 +325,10 @@ class Prober:
                     group = js & comp
                 else:
                     j = low.bit_length() - 1
-                    comp = _memo_spread(self._reach, self._rows, members, j) & back
+                    comp = reach(j) & back
                     group = js & comp
                     if group != low:  # keep the candidates of j's own component
-                        group &= _memo_spread(self._coreach, self._cols, members, j)
+                        group &= coreach(j)
                 js ^= group
                 dominants = self._dominants_of(comp)
                 if kind == "prec":
@@ -381,11 +357,17 @@ class Prober:
         # both after each peel, until one has no pre-dominant; the searches
         # skip the new edge i -> j, which no path from j to i needs
         while members & pair == pair:
-            recent.add(members)
-            ahead = _memo_spread(self._reach, self._rows, members, j)
-            if not ahead >> i & 1:
-                return 0
-            comp = ahead & _memo_spread(self._coreach, self._cols, members, i)
+            if members == self._full:
+                ahead, back = self._ahead[j], self._back[i]
+                if not ahead >> i & 1:
+                    return 0
+            else:
+                recent.add(members)
+                ahead = _memo_spread(self._reach, self._rows, members, j)
+                if not ahead >> i & 1:
+                    return 0
+                back = _memo_spread(self._coreach, self._cols, members, i)
+            comp = ahead & back
             dominants = self._dominants_of(comp)
             if kind == "prec":
                 dominants &= ~pair
@@ -405,7 +387,8 @@ class Prober:
     def extend(self, i: int, j: int, kind: str) -> int:
         """``run(i, j, kind)``; when it returns 0 the pair joins the
         structure, so a pair that breaks acyclicity is never added.  The
-        memos stay exact by the single-edge lemma (module docstring)."""
+        memos stay exact by the single-edge lemma, and the whole domain's
+        sets by Italiano's rule (module docstring)."""
         mask = self.run(i, j, kind)
         if mask:
             return mask
@@ -419,6 +402,8 @@ class Prober:
         if not self._rows[i] & bit:
             self._rows[i] |= bit
             self._cols[j] |= 1 << i
+            if not self._ahead[i] & bit:
+                _connect(self._ahead, self._back, i, j)
             for members in self._prune(self._reach, pair):
                 ahead = self._reach[members]
                 if not ahead.get(i, 0) >> j & 1:  # i did not reach j inside members yet
@@ -448,6 +433,54 @@ class Prober:
             else:
                 del memo[key]
         return kept
+
+
+def _reach_tables(
+    rows: list[int], cols: list[int], comps: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
+    """Each position's reach and coreach set in the whole domain, itself
+    included, from comps, the domain's components in Tarjan emission
+    order: there a component's successors come first, so its reach set
+    is itself plus theirs, and in the reverse order its coreach set is
+    itself plus its predecessors'."""
+    n = len(rows)
+    ahead, back = [0] * n, [0] * n
+    for table, edges, order in ((ahead, rows, comps), (back, cols, comps[::-1])):
+        for comp in order:
+            out, rest = 0, comp
+            while rest:
+                low = rest & -rest
+                out |= edges[low.bit_length() - 1]
+                rest ^= low
+            spread, out = comp, out & ~comp
+            while out:  # each event out of comp has its final set already
+                low = out & -out
+                spread |= table[low.bit_length() - 1]
+                out &= ~(spread | low)
+            rest = comp
+            while rest:
+                low = rest & -rest
+                table[low.bit_length() - 1] = spread
+                rest ^= low
+    return ahead, back
+
+
+def _connect(ahead: list[int], back: list[int], i: int, j: int) -> None:
+    """Make the whole domain's reach and coreach sets exact once the edge
+    i -> j joins, j outside ahead[i] before (Italiano's rule, module
+    docstring): each v in back[i] gains ahead[j], and each x in ahead[j]
+    gains back[i].  Only the v outside back[j] and the x outside ahead[i]
+    change, and both masks are taken before any row is written."""
+    gain_ahead, gain_back = ahead[j], back[i]
+    sources, targets = gain_back & ~back[j], gain_ahead & ~ahead[i]
+    while sources:
+        low = sources & -sources
+        ahead[low.bit_length() - 1] |= gain_ahead
+        sources ^= low
+    while targets:
+        low = targets & -targets
+        back[low.bit_length() - 1] |= gain_back
+        targets ^= low
 
 
 def _memo_spread(memo: dict[int, dict[int, int]], rows: list[int], members: int, v: int) -> int:
@@ -521,18 +554,27 @@ class _ClosureFacts:
         """Record that the closure holds the pair i kind j."""
         prec, weak_into = self.prec, self.weak_into
         if kind == "weak":
-            for v in _bits(prec[j] | 1 << j):
-                weak_into[v] |= 1 << i
+            bit, tails = 1 << i, prec[j] | 1 << j
+            while tails:  # _bits inlined, as in the loops below
+                low = tails & -tails
+                weak_into[low.bit_length() - 1] |= bit
+                tails ^= low
         elif not prec[i] >> j & 1:
             heads, tails = self.prec_cols[i] | 1 << i, prec[j] | 1 << j
-            for a in _bits(heads):
-                prec[a] |= tails
+            rest = heads
+            while rest:
+                low = rest & -rest
+                prec[low.bit_length() - 1] |= tails
+                rest ^= low
             # each event of tails gains heads, the events P= below i, so
             # its W.P= column gains i's
-            gained = weak_into[i]
-            for b in _bits(tails):
-                self.prec_cols[b] |= heads
+            prec_cols, gained = self.prec_cols, weak_into[i]
+            while tails:
+                low = tails & -tails
+                b = low.bit_length() - 1
+                prec_cols[b] |= heads
                 weak_into[b] |= gained
+                tails ^= low
 
     def forbids(self, i: int, j: int, kind: str) -> bool:
         """True when the facts put the reverse of the pair i kind j in the
@@ -551,6 +593,25 @@ class _ClosureFacts:
         if ahead >> j & 1:
             return True
         return kind == "weak" and bool(self.weak_into[j] & (ahead | 1 << i))
+
+
+def _shuffle(rng: random.Random, items: list) -> None:
+    """``rng.shuffle(items)`` written out, without a Python frame per
+    element: Fisher-Yates from the top, each swap index drawn below
+    top + 1 by rejection from ``getrandbits`` of that bound's bit
+    length, the draws ``random.Random.shuffle`` makes on CPython 3.11.
+    The bounds are taken in runs of one bit length."""
+    getrandbits = rng.getrandbits
+    size = len(items)
+    while size > 1:
+        width = size.bit_length()
+        floor = 1 << (width - 1)  # the least bound of this bit length
+        for top in range(size - 1, floor - 2, -1):
+            k = getrandbits(width)
+            while k > top:
+                k = getrandbits(width)
+            items[top], items[k] = items[k], items[top]
+        size = floor - 1
 
 
 def random_qsa_structure(
@@ -578,13 +639,14 @@ def random_qsa_structure(
     # then j != i; a shuffle depends only on the length, so shuffling
     # the indices draws what shuffling the tuples would
     candidates = list(range(2 * n * (n - 1)))
-    rng.shuffle(candidates)
+    _shuffle(rng, candidates)
+    # one draw per candidate, in shuffled order; the loop draws nothing
+    draw = rng.random
+    drawn = [k for k in candidates if draw() < density]
     empty = new_structure(label_tuple)
     prober, facts = Prober(empty), _ClosureFacts(n)
     rows = {"prec": [0] * n, "weak": [0] * n}
-    for k in candidates:
-        if rng.random() >= density:
-            continue
+    for k in drawn:
         kind, pair = divmod(k, n * (n - 1))
         i, j = divmod(pair, n - 1)
         j += j >= i

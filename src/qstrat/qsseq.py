@@ -349,22 +349,31 @@ def _random_stratum(rng: random.Random, pool: list[str]) -> QssStratum:
 
 
 def seq_to_json(q: QsSeq) -> list[dict[str, Any]]:
-    """JSON form: a list of trees, base members sorted, leaves omit children."""
-
-    def encode(st: QssStratum) -> dict[str, Any]:
-        out: dict[str, Any] = {"base": sorted(st.base)}
+    """JSON form: a list of trees, base members sorted, leaves omit
+    children.  Built in preorder from an explicit stack, so nesting depth
+    is not bounded by the interpreter's recursion limit."""
+    out: list[dict[str, Any]] = []
+    stack = [(st, out) for st in reversed(q.strata)]  # each with its siblings' list
+    while stack:
+        st, siblings = stack.pop()
+        item: dict[str, Any] = {"base": sorted(st.base)}
+        siblings.append(item)
         if st.children:
-            out["children"] = [encode(c) for c in st.children]
-        return out
-
-    return [encode(st) for st in q.strata]
+            children = item["children"] = []
+            stack.extend((child, children) for child in reversed(st.children))
+    return out
 
 
 def seq_from_json(data: Any) -> QsSeq:
+    """The sequence of a JSON form.  Each tree is checked as it is met in
+    preorder, so the first fault in preorder is the one reported, and the
+    strata are built innermost first; neither step recurses."""
     if not isinstance(data, list):
         raise ValueError("sequence JSON must be a list of trees")
-
-    def decode(item: Any) -> QssStratum:
+    met: list[tuple[frozenset[str], int]] = []  # per tree in preorder: base, child count
+    stack = list(reversed(data))
+    while stack:
+        item = stack.pop()
         if not isinstance(item, dict) or not set(item) <= {"base", "children"}:
             raise ValueError("tree JSON must be an object with base and optional children")
         base = item.get("base")
@@ -373,9 +382,15 @@ def seq_from_json(data: Any) -> QsSeq:
         children = item.get("children", [])
         if not isinstance(children, list):
             raise ValueError("tree children must be a list")
-        return QssStratum(Domain.of(base).label_set, tuple(decode(c) for c in children))
-
-    q = QsSeq(tuple(decode(item) for item in data))
+        met.append((Domain.of(base).label_set, len(children)))
+        stack.extend(reversed(children))
+    # in reverse preorder each tree follows its subtrees, whose strata
+    # are then on top of built, the first child topmost
+    built: list[QssStratum] = []
+    for base, count in reversed(met):
+        children = tuple(built.pop() for _ in range(count))
+        built.append(QssStratum(base, children))
+    q = QsSeq(tuple(reversed(built)))
     bad = seq_violation(q)
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")

@@ -237,6 +237,13 @@ class Structure:
     def __hash__(self) -> int:
         return hash((self.domain.label_set, self.prec, self.weak))
 
+    @cached_property
+    def _components(self) -> tuple[int, ...]:
+        """The strongly connected components of the combined relation over
+        the whole domain, as ``_scc_masks`` lists them: computed once, for
+        the structure's acyclicity decision and its prober's reach sets."""
+        return tuple(_scc_masks(_combined_rows(self), (1 << len(self.domain)) - 1))
+
 
 @dataclass(frozen=True, eq=False)
 class Poset:
@@ -311,6 +318,59 @@ def intersect(s: Structure, t: Structure) -> Structure:
 def _combined_rows(s: Structure) -> tuple[int, ...]:
     """Successor masks of the union of both relations."""
     return tuple(a | b for a, b in zip(s.prec.rows, s.weak.rows))
+
+
+def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
+    """Strongly connected components of the induced subgraph, as masks,
+    in Tarjan emission order (reverse topological order).
+
+    Tarjan's pass on bitmasks: DFS numbers and low links are lists over
+    positions, the stack is the mask ``on_stack``, and each event keeps
+    the mask below it, so a component is popped as one mask difference.
+    Successors are taken lowest first, as a list of them would be."""
+    size = members.bit_length()
+    index, low, below = [0] * size, [0] * size, [0] * size  # index 0: unvisited
+    visited = on_stack = counter = 0
+    out: list[int] = []
+    rest = members
+    while rest:
+        bit = rest & -rest
+        v = bit.bit_length() - 1
+        counter += 1
+        index[v] = low[v] = counter
+        below[v], on_stack, visited = on_stack, on_stack | bit, visited | bit
+        path, succs = [v], [rows[v] & members]
+        while path:
+            v, succ = path[-1], succs[-1]
+            fresh = succ & ~visited
+            bit = fresh & -fresh
+            # the successors before the next fresh one (all, when none is
+            # left) are visited already
+            hits = succ & (bit - 1) & on_stack
+            while hits:
+                h = hits & -hits
+                seen = index[h.bit_length() - 1]
+                if seen < low[v]:
+                    low[v] = seen
+                hits ^= h
+            if bit:
+                succs[-1] = succ & ~((bit << 1) - 1)
+                w = bit.bit_length() - 1
+                counter += 1
+                index[w] = low[w] = counter
+                below[w], on_stack, visited = on_stack, on_stack | bit, visited | bit
+                path.append(w)
+                succs.append(rows[w] & members)
+                continue
+            path.pop()
+            succs.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                out.append(on_stack & ~below[v])
+                on_stack = below[v]
+        rest &= ~visited
+    return out
 
 
 def _label_mask(domain: Domain, labels: Iterable[str]) -> int:

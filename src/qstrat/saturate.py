@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .qsa import NotAcyclicError, _scc_masks, is_qsa, qsa_witness
+from .qsa import NotAcyclicError, is_qsa, qsa_witness
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
 from .qsseq import Tree, stratum_trees, tree_rows
 from .relcore import (
@@ -37,6 +37,7 @@ from .relcore import (
     _bits,
     _combined_rows,
     _embed_order,
+    _scc_masks,
     _touching,
     _untouched,
     is_relational,

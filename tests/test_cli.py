@@ -901,6 +901,18 @@ INPUT_FAULTS = {
         {"domain": ["a", "b"], "prec": [], "weak": [["a", 1]]},
         '"weak" entries must be two-element lists of strings',
     ),
+    "unknown label beside a non-string member": (
+        {"domain": ["b"], "prec": [["a", 5]]},
+        '"prec" entries must be two-element lists of strings',
+    ),
+    "boolean member": (
+        {"domain": ["a"], "prec": [[True, "a"]]},
+        '"prec" entries must be two-element lists of strings',
+    ),
+    "unhashable member": (
+        {"domain": ["a"], "prec": [], "weak": [[["x"], "a"]]},
+        '"weak" entries must be two-element lists of strings',
+    ),
     "unknown prec label": (
         {"domain": ["a", "b"], "prec": [["a", "b"], ["b", "z"]]},
         "unknown label: 'z'",

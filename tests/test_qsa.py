@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qstrat.qsa
+import qstrat.relcore
 from qstrat import (
     BinRel,
     Prober,
     add_prec,
     add_weak,
     close_oracle,
+    csc_components,
     csc_subsets_naive,
     extends,
     intersect,
@@ -556,10 +558,11 @@ def test_prober_of_a_non_acyclic_structure_never_grows(cycle_structures):
     assert prober.structure() == s
 
 
-def test_gen_spreads_each_full_domain_reach_set_once(monkeypatch):
-    # the full domain's reach and coreach sets are kept across accepted
-    # pairs, so at most 2n spreads run over it; rebuilding the memos
-    # after every accepted pair makes thousands
+def test_gen_spreads_nothing_over_the_full_domain(monkeypatch):
+    # the full domain's reach and coreach sets come from the condensation
+    # and grow by Italiano's rule, so no spread runs over it; spreading
+    # them on demand made up to 2n, and rebuilding them after every
+    # accepted pair thousands.  The member sets below it still spread
     n = 48
     full = (1 << n) - 1
     calls = []
@@ -571,7 +574,7 @@ def test_gen_spreads_each_full_domain_reach_set_once(monkeypatch):
 
     monkeypatch.setattr(qstrat.qsa, "_spread", counted)
     random_qsa_structure(default_labels(n), seed=1, density=0.35)
-    assert 0 < sum(calls) <= 2 * n
+    assert sum(calls) == 0 < len(calls)
 
 
 def test_random_qsa_structure_refuses_domains_beyond_the_generation_bound():
@@ -627,6 +630,9 @@ def test_row_walk_matches_the_extension_oracle(n, seed, density, acyclic, data):
 
 def _assert_memos_exact(prober):
     rows, cols = tuple(prober._rows), tuple(prober._cols)
+    full = (1 << len(rows)) - 1
+    assert prober._ahead == [qstrat.qsa._spread(rows, full, 1 << v) for v in range(len(rows))]
+    assert prober._back == [qstrat.qsa._spread(cols, full, 1 << v) for v in range(len(cols))]
     for memo, edges in ((prober._reach, rows), (prober._coreach, cols)):
         for members, known in memo.items():
             for v, spread in known.items():
@@ -731,15 +737,70 @@ def _textbook_scc(rows, members):
     return out
 
 
-def test_scc_masks_match_the_textbook_pass():
-    rng = random.Random(4242)
+def _kernel_graphs(rng):
+    """The fixtures' combined rows, then 1,500 random graphs of up to 14
+    events, self-loops included."""
     graphs = [_combined_rows(read_input(path).structure()) for path in sorted(FIXTURES.glob("*.json"))]
     assert len(graphs) >= 7
     for _ in range(1500):
         n = rng.randint(0, 14)
         density = rng.choice((0.05, 0.15, 0.3, 0.6))
         graphs.append(tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
-    for rows in graphs:
+    return graphs
+
+
+def test_scc_masks_match_the_textbook_pass():
+    rng = random.Random(4242)
+    for rows in _kernel_graphs(rng):
         full = (1 << len(rows)) - 1
         for members in (full, *(rng.randrange(full + 1) for _ in range(4))):
             assert qstrat.qsa._scc_masks(rows, members) == _textbook_scc(rows, members)
+
+
+def test_reach_tables_match_a_spread_from_each_event():
+    spread = qstrat.qsa._spread
+    for rows in _kernel_graphs(random.Random(4343)):
+        n = len(rows)
+        full = (1 << n) - 1
+        cols = tuple(sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n))
+        comps = tuple(qstrat.qsa._scc_masks(rows, full))
+        ahead, back = qstrat.qsa._reach_tables(list(rows), list(cols), comps)
+        assert ahead == [spread(rows, full, 1 << v) for v in range(n)]
+        assert back == [spread(cols, full, 1 << v) for v in range(n)]
+
+
+def test_a_prober_shares_the_full_domain_pass_of_its_decision(monkeypatch):
+    # the reach tables are built from the components the decision found
+    # over the whole domain, not from a second pass over it
+    s = random_qsa_structure(default_labels(24), seed=7, density=0.3)
+    full = (1 << 24) - 1
+    passes = []
+    scc = qstrat.relcore._scc_masks
+
+    def counted(rows, members):
+        passes.append(members == full)
+        return scc(rows, members)
+
+    monkeypatch.setattr(qstrat.relcore, "_scc_masks", counted)
+    monkeypatch.setattr(qstrat.qsa, "_scc_masks", counted)
+    prober = Prober(s)
+    assert prober.witness is None and passes.count(True) == 1
+    assert csc_components(s) and passes.count(True) == 1
+
+
+def test_written_out_shuffle_draws_what_the_stdlib_shuffle_does():
+    # per seed: lengths 0-40, both sides of each power of two up to 4,096
+    # (the bound picks the bits drawn), gen's largest benchmark size 4,512
+    # (n = 48), 4,600 and one at random; the generator's state must end
+    # where the stdlib's does
+    for seed in range(50):
+        rng = random.Random(seed)
+        lengths = [*range(41), *(m + d for k in range(6, 13) for m in [1 << k] for d in (-1, 0, 1))]
+        lengths += [4512, 4600, rng.randrange(4601)]
+        for length in lengths:
+            expected, written = list(range(length)), list(range(length))
+            stdlib, ours = random.Random(seed * 7919 + length), random.Random(seed * 7919 + length)
+            stdlib.shuffle(expected)
+            qstrat.qsa._shuffle(ours, written)
+            assert written == expected
+            assert ours.getstate() == stdlib.getstate()

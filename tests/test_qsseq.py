@@ -253,6 +253,33 @@ def test_a_thousand_nested_strata_check_and_decode():
     assert order.prec.count() == 1000**2
 
 
+def _json_preorder(trees):
+    """(base, child count) of each tree of a sequence's JSON form, in
+    preorder, from an explicit stack."""
+    out, stack = [], list(reversed(trees))
+    while stack:
+        item = stack.pop()
+        children = item.get("children", [])
+        out.append((item["base"], len(children)))
+        stack.extend(reversed(children))
+    return out
+
+
+def test_a_thousand_nested_strata_round_trip_through_json():
+    # compared through flat forms only: == on the nested JSON, as the
+    # dataclass-generated __eq__ and __hash__, recurses once per level
+    st = leaf({"z"})
+    for k in range(1000):
+        st = node({f"x{k}"}, [st, leaf({f"z{k}"})])
+    q = QsSeq((st,))
+    data = seq_to_json(q)
+    flat = _json_preorder(data)
+    expected = [([f"x{k}"], 2) for k in reversed(range(1000))]
+    expected += [(["z"], 0)] + [([f"z{k}"], 0) for k in range(1000)]
+    assert flat == expected
+    assert _json_preorder(seq_to_json(seq_from_json(data))) == flat
+
+
 def test_encoding_rejects_orders_outside_the_class():
     # 2+2: a poset that is not quasi-stratified, wrapped unchecked
     two_plus_two = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
