@@ -16,10 +16,15 @@ Verdicts are one line, ``PASS: <subject> is <class>`` or
 quasi-stratified acyclic, from the witness that the library's refusal
 (``qsa.NotAcyclicError``) carries, so a request decides acyclicity once.
 
-``saturate`` prints, for each saturation, the stratum tree that the
-saturation walk built for it, after checking that the tree decodes to
-the printed order, and the order's interval realization, which checks
-itself against the order.
+``saturate`` prints each saturation from the walk's rows and tree over
+the positions of the sorted labels (``saturate.saturation_rows``): its
+pairs, the stratum tree that the walk built for it, after checking that
+the tree decodes to the rows, and the order's interval realization,
+which checks itself against the rows.  One lister (``_pair_lister``)
+gives the pairs of rows in sorted-label order to every pair printer:
+``saturate``, ``close``'s added pairs and the JSON and DOT writers.
+Text outputs show each label through ``relcore.show_label``, which
+quotes a label that holds a separator of those outputs.
 
 ``check --class qso``, ``decompose`` and ``render --format tree``
 decide by encoding the order as stratum trees, ``check --class io``
@@ -51,7 +56,7 @@ import traceback
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import closure, oracles, orders, qsa, qso, qsseq, saturate
 from .relcore import (
@@ -60,9 +65,11 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
-    _aligner,
+    _columns,
+    _embedded_weak,
     new_structure,
     poset_to_structure,
+    show_label,
 )
 
 
@@ -143,17 +150,54 @@ def read_input(path: str | Path) -> InputFile:
     return InputFile(prec, _relation(data["weak"], "weak", domain) if "weak" in data else None)
 
 
+def _pair_lister(
+    labels: Sequence[str], names: Sequence[str]
+) -> Callable[[Sequence[int]], list[tuple[str, str]]]:
+    """Lists the pairs of rows over the labels' positions in sorted-label
+    order, each as ``(names[i], names[j])``.  Each row's bits move to the
+    ranks of their labels, unless the labels are sorted already, so a
+    row's lowest bit is its least label; the ranks are computed once
+    here, for every relation of one request."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = 1 << r
+    ranked = [names[i] for i in order]
+    moves = order != list(range(len(order)))
+
+    def pairs(rows: Sequence[int]) -> list[tuple[str, str]]:
+        out = []
+        for i in order:
+            row = rows[i]
+            if moves:
+                moved = 0
+                while row:  # _bits inlined: saturate lists every printed order
+                    low = row & -row
+                    moved |= rank[low.bit_length() - 1]
+                    row ^= low
+                row = moved
+            x = names[i]
+            while row:
+                low = row & -row
+                out.append((x, ranked[low.bit_length() - 1]))
+                row ^= low
+        return out
+
+    return pairs
+
+
 def structure_json_text(s: Structure) -> str:
     """Canonical file form: domain order preserved, pairs sorted, one
     line per key."""
-    domain = json.dumps(list(s.domain.labels))
-    prec = json.dumps([list(p) for p in sorted(s.prec.label_pairs)])
-    weak = json.dumps([list(p) for p in sorted(s.weak.label_pairs)])
+    names = [json.dumps(label) for label in s.domain.labels]
+    pairs = _pair_lister(s.domain.labels, names)
+    prec = ", ".join(f"[{x}, {y}]" for x, y in pairs(s.prec.rows))
+    weak = ", ".join(f"[{x}, {y}]" for x, y in pairs(s.weak.rows))
     return (
         "{\n"
-        f'  "domain": {domain},\n'
-        f'  "prec": {prec},\n'
-        f'  "weak": {weak}\n'
+        f'  "domain": [{", ".join(names)}],\n'
+        f'  "prec": [{prec}],\n'
+        f'  "weak": [{weak}]\n'
         "}\n"
     )
 
@@ -164,19 +208,22 @@ def _dot_id(label: str) -> str:
 
 def dot_text(s: Structure) -> str:
     """DOT rendering: solid arrows for precedence, dashed for weak."""
+    names = [_dot_id(label) for label in s.domain.labels]
+    pairs = _pair_lister(s.domain.labels, names)
     lines = ["digraph structure {", "  rankdir=LR;"]
-    for label in s.domain.labels:
-        lines.append(f"  {_dot_id(label)};")
-    for x, y in sorted(s.prec.label_pairs):
-        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)};")
-    for x, y in sorted(s.weak.label_pairs):
-        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)} [style=dashed];")
+    lines += [f"  {x};" for x in names]
+    lines += [f"  {x} -> {y};" for x, y in pairs(s.prec.rows)]
+    lines += [f"  {x} -> {y} [style=dashed];" for x, y in pairs(s.weak.rows)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _fmt_pairs(pairs) -> str:
-    return ", ".join(f"{x}->{y}" for x, y in sorted(pairs)) or "(none)"
+def _shown(labels: Sequence[str]) -> list[str]:
+    return [show_label(label) for label in labels]
+
+
+def _fmt_pairs(pairs: list[tuple[str, str]]) -> str:
+    return ", ".join(f"{x}->{y}" for x, y in pairs) or "(none)"
 
 
 def _verdict(subject: str, wording: str, detail: str | None) -> int:
@@ -189,11 +236,11 @@ def _verdict(subject: str, wording: str, detail: str | None) -> int:
 
 
 def _fails_on(bad: tuple[str, tuple[str, ...]] | None) -> str | None:
-    return None if bad is None else f"{bad[0]} fails on ({', '.join(bad[1])})"
+    return None if bad is None else f"{bad[0]} fails on ({', '.join(_shown(bad[1]))})"
 
 
 def _qso_verdict(witness: tuple[str, ...] | None) -> int:
-    detail = None if witness is None else f"witness ({', '.join(witness)})"
+    detail = None if witness is None else f"witness ({', '.join(_shown(witness))})"
     return _verdict("precedence relation", "a quasi-stratified order", detail)
 
 
@@ -201,12 +248,12 @@ def _self_loop_detail(s: Structure) -> str | None:
     for name, rel in [("prec", s.prec), ("weak", s.weak)]:
         for i, row in enumerate(rel.rows):
             if row >> i & 1:
-                return f"{name} relates {s.domain.labels[i]} to itself"
+                return f"{name} relates {show_label(s.domain.labels[i])} to itself"
     return None
 
 
 def _witness_detail(witness: qsa.CscWitness) -> str:
-    return f"{{{', '.join(sorted(witness.subset))}}} is {witness.note}"
+    return f"{{{', '.join(_shown(sorted(witness.subset)))}}} is {witness.note}"
 
 
 def _qsa_detail(s: Structure) -> str | None:
@@ -230,6 +277,7 @@ def _qsc_detail(s: Structure) -> str | None:
     if bad is None:
         return None
     axiom, (x, y) = bad
+    x, y = show_label(x), show_label(y)
     if axiom == "qsc:4":
         return f"{axiom}: adding {x} weak {y} breaks acyclicity, so {y} prec {x} is required but missing"
     if axiom == "qsc:3":
@@ -269,12 +317,17 @@ def cmd_close(args: argparse.Namespace) -> int:
         report = closure.close(s)
     except qsa.NotAcyclicError as exc:
         return _refused(s, exc)
-    sys.stdout.write(structure_json_text(report.closed))
-    if not report.added_prec and not report.added_weak:
+    closed = report.closed
+    sys.stdout.write(structure_json_text(closed))
+    added_prec = [a & ~b for a, b in zip(closed.prec.rows, s.prec.rows)]
+    added_weak = [a & ~b for a, b in zip(closed.weak.rows, s.weak.rows)]
+    if not any(added_prec) and not any(added_weak):
         print("already closed, 0 additions", file=sys.stderr)
     else:
-        print(f"added prec: {_fmt_pairs(report.added_prec)}", file=sys.stderr)
-        print(f"added weak: {_fmt_pairs(report.added_weak)}", file=sys.stderr)
+        labels = s.domain.labels
+        pairs = _pair_lister(labels, _shown(labels))
+        print(f"added prec: {_fmt_pairs(pairs(added_prec))}", file=sys.stderr)
+        print(f"added weak: {_fmt_pairs(pairs(added_weak))}", file=sys.stderr)
     return 0
 
 
@@ -289,27 +342,31 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             return _verdict("structure", "quasi-stratified acyclic", detail)
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
     try:
-        sats = saturate.saturations(s, limit=args.limit)
+        ordered, found, truncated = saturate.saturation_rows(s, limit=args.limit)
     except qsa.NotAcyclicError as exc:
         return _refused(s, exc)
-    print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
-    # the walk's trees are over the positions of the sorted labels
-    ordered = Domain(tuple(sorted(s.domain.labels)))
-    to_sorted = _aligner(s.domain, ordered)
-    to_seq = qsseq.seq_converter(ordered.labels)
-    for k, (m, trees) in enumerate(zip(sats, sats.trees), start=1):
-        print(f"-- saturation {k}")
-        print(f"   prec: {_fmt_pairs(m.prec.label_pairs)}")
-        print(f"   weak: {_fmt_pairs(m.weak.label_pairs)}")
+    print(f"{len(found)} saturation(s){' (truncated)' if truncated else ''}")
+    # rows and trees are over the positions of the sorted labels, so a
+    # position's pairs, base members and interval print in label order
+    names = _shown(ordered.labels)
+    pairs = _pair_lister(ordered.labels, names)
+    for k, (rows, trees) in enumerate(found, start=1):
+        cols = _columns(rows)
+        lines = [
+            f"-- saturation {k}",
+            f"   prec: {_fmt_pairs(pairs(rows))}",
+            f"   weak: {_fmt_pairs(pairs(_embedded_weak(cols)))}",
+        ]
         if n > 0:
-            if qsseq.tree_rows(n, trees) != to_sorted(m.prec.rows):
+            if qsseq.tree_rows(n, trees) != rows:
                 raise InternalError("a saturation's tree does not decode to its order")
-            print(f"   tree: {qsseq.format_seq(to_seq(trees))}")
-            realization = orders.interval_realization(m.prec)
+            realization = orders._realization(rows, cols)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
-            cells = " ".join(f"{x}:[{b},{e}]" for x, (b, e) in sorted(realization.items()))
-            print(f"   intervals: {cells}")
+            cells = " ".join(f"{x}:[{b},{e}]" for x, b, e in zip(names, *realization))
+            tree = qsseq.format_trees(trees, ordered.labels, names)
+            lines += [f"   tree: {tree}", f"   intervals: {cells}"]
+        print("\n".join(lines))
     return 0
 
 
@@ -323,7 +380,8 @@ def _print_tree(f: InputFile) -> int:
     if not trees:
         print("(empty)")
         return 0
-    print(qsseq.format_seq(qsseq.seq_converter(f.prec.domain.labels)(trees)))
+    labels = f.prec.domain.labels
+    print(qsseq.format_trees(trees, labels, _shown(labels)))
     return 0
 
 
@@ -340,7 +398,7 @@ def cmd_intervals(args: argparse.Namespace) -> int:
         return 1
     for label in f.prec.domain.labels:
         b, e = realization[label]
-        print(f"{label}: [{b}, {e}]")
+        print(f"{show_label(label)}: [{b}, {e}]")
     return 0
 
 

@@ -21,7 +21,7 @@ step leaving only a strong state (interval).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .relcore import (
     BinRel,
@@ -167,30 +167,38 @@ def stratified_partition(p: Poset) -> list[frozenset[str]] | None:
 
 
 def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
-    """Integer interval endpoints realizing rel, or None when rel is not
-    an interval order.
+    """Integer interval endpoints realizing rel, per label, or None when
+    rel is not an interval order: ``_realization`` of its rows."""
+    found = _realization(rel.rows, rel.column_masks)
+    if found is None:
+        return None
+    return dict(zip(rel.domain.labels, zip(*found)))
+
+
+def _realization(
+    rows: Sequence[int], cols: Sequence[int]
+) -> tuple[list[int], list[int]] | None:
+    """The interval begins and ends of each position of a relation, given
+    its rows and column masks, or None when it is not an interval order.
 
     A self-loop gets None.  Otherwise begins are the inclusion ranks of
     the distinct predecessor sets, ends the ranks of the distinct
-    successor sets, and the construction is checked against rel, one
-    row per event: the successors of i must be exactly the events whose
+    successor sets, and the construction is checked against the rows,
+    one per event: the successors of i must be exactly the events whose
     begin lies after i's end.  When the check passes, i is not among
     its own successors, so its begin lies at or before its end, and x
-    precedes y exactly when x's interval ends before y's begins: rel is
-    an interval order.  On an interval order the predecessor sets, and
-    the successor sets, form chains under inclusion, and the ranks
-    realize it (Fishburn 1970), so the check passes exactly on interval
-    orders.
+    precedes y exactly when x's interval ends before y's begins: the
+    relation is an interval order.  On an interval order the
+    predecessor sets, and the successor sets, form chains under
+    inclusion, and the ranks realize it (Fishburn 1970), so the check
+    passes exactly on interval orders.
     """
-    if any(row >> i & 1 for i, row in enumerate(rel.rows)):
+    if any(row >> i & 1 for i, row in enumerate(rows)):
         return None
-    labels = rel.domain.labels
-    pred = rel.column_masks
-    succ = rel.rows
-    begin_rank = {m: r for r, m in enumerate(sorted(set(pred), key=lambda m: m.bit_count()))}
-    end_rank = {m: r for r, m in enumerate(sorted(set(succ), key=lambda m: -m.bit_count()))}
-    begins = [begin_rank[m] for m in pred]
-    ends = [end_rank[m] for m in succ]
+    begin_rank = {m: r for r, m in enumerate(sorted(set(cols), key=lambda m: m.bit_count()))}
+    end_rank = {m: r for r, m in enumerate(sorted(set(rows), key=lambda m: -m.bit_count()))}
+    begins = [begin_rank[m] for m in cols]
+    ends = [end_rank[m] for m in rows]
     # later[r]: the events whose begin lies after r
     later = [0] * (max(ends, default=0) + 1)
     for i, b in enumerate(begins):
@@ -198,9 +206,9 @@ def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
             later[min(b, len(later)) - 1] |= 1 << i
     for r in range(len(later) - 2, -1, -1):
         later[r] |= later[r + 1]
-    if any(row != later[e] for row, e in zip(succ, ends)):
+    if any(row != later[e] for row, e in zip(rows, ends)):
         return None
-    return {x: (b, e) for x, b, e in zip(labels, begins, ends)}
+    return begins, ends
 
 
 def _shortest_closed_walk(

@@ -628,12 +628,14 @@ def random_qsa_structure(
     acyclicity without a probe.  One they put in the closure itself is
     kept without a probe and without growing the prober, which holds a
     basis with the saturations of the result.  Raises ValueError beyond
-    ``GENERATION_BOUND``.
+    ``GENERATION_BOUND`` and for a density outside [0, 1], NaN included.
     """
     label_tuple = tuple(labels)
     n = len(label_tuple)
     if n > GENERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds generation bound {GENERATION_BOUND}")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     # candidate k is (which, i, j) in the order "prec" then "weak", i,
     # then j != i; a shuffle depends only on the length, so shuffling

@@ -15,24 +15,56 @@ of that walk.  ``tree_rows`` decodes a tree into its order's rows and
 distinct trees are distinct orders.  The ``QsSeq`` codecs, the
 factorization and ``one_saturation`` go through this pair, and
 ``seq_converter`` is the one reading of a tree as a labelled ``QsSeq``.
+One renderer writes the one-line text, of a ``QsSeq`` (``format_seq``)
+or straight from position trees and the shown labels (``format_trees``).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .qso import QsOrder
-from .relcore import BinRel, Domain, Poset, _bits, _touching, _untouched
+from .relcore import BinRel, Domain, Poset, _bits, _touching, _untouched, show_label
+
+S = TypeVar("S")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QssStratum:
-    """One tree: a base set plus zero or at least two child strata."""
+    """One tree: a base set plus zero or at least two child strata.
+
+    Two trees are equal when their bases are equal and their children
+    are, pairwise.  The hash is computed once, at construction, from the
+    base and the children's hashes, which exist already; equality
+    compares pairs of subtrees from an explicit stack.  Neither recurses,
+    so nesting depth is not bounded by the interpreter's recursion limit.
+    """
 
     base: frozenset[str]
     children: tuple[QssStratum, ...] = ()
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.base, *(c._hash for c in self.children))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QssStratum):
+            return NotImplemented
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.base != b.base or len(a.children) != len(b.children):
+                return False
+            pending.extend(zip(a.children, b.children))
+        return True
 
     @property
     def is_leaf(self) -> bool:
@@ -398,26 +430,52 @@ def seq_from_json(data: Any) -> QsSeq:
 
 
 def format_seq(q: QsSeq) -> str:
-    """One-line rendering: strata joined by " ; ", nodes as "(base | children)".
-    Written left to right from an explicit stack, so nesting depth is not
-    bounded by the interpreter's recursion limit."""
-    out: list[str] = []
-    todo: list[str | QssStratum] = []  # text and nodes still to write, the next last
+    """One-line rendering: strata joined by " ; ", nodes as "(base | children)",
+    each base's labels sorted and shown through ``relcore.show_label``."""
+    return _render(
+        q.strata, lambda st: ",".join(map(show_label, sorted(st.base))), attrgetter("children")
+    )
 
-    def push(strata: tuple[QssStratum, ...], sep: str) -> None:
+
+def format_trees(trees: tuple[Tree, ...], labels: Sequence[str], names: Sequence[str]) -> str:
+    """``format_seq``'s line for a tree sequence over the positions of
+    labels, ``names[i]`` the shown label of position i: no ``QsSeq`` is
+    built."""
+
+    def base(tree: Tree) -> str:
+        members = tree[1]
+        if members & (members - 1) == 0:  # one member
+            return names[members.bit_length() - 1]
+        return ",".join([names[i] for i in sorted(_bits(members), key=labels.__getitem__)])
+
+    return _render(trees, base, itemgetter(2))
+
+
+def _render(
+    strata: Sequence[S], base: Callable[[S], str], children: Callable[[S], Sequence[S]]
+) -> str:
+    """The line of ``format_seq`` for strata of any form, given each one's
+    base text and children.  Written left to right from an explicit stack,
+    so nesting depth is not bounded by the interpreter's recursion limit."""
+    out: list[str] = []
+    todo: list[str | tuple[S, Sequence[S]]] = []  # text and nodes still to write, the next last
+
+    def push(strata: Sequence[S], sep: str) -> None:
         for k in reversed(range(len(strata))):
             st = strata[k]
-            todo.append(st if st.children else ",".join(sorted(st.base)))
+            below = children(st)
+            todo.append((st, below) if below else base(st))
             if k:
                 todo.append(sep)
 
-    push(q.strata, " ; ")
+    push(strata, " ; ")
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        out.append(f"({','.join(sorted(item.base))} | ")
+        st, below = item
+        out.append(f"({base(st)} | ")
         todo.append(")")
-        push(item.children, " ")
+        push(below, " ")
     return "".join(out)

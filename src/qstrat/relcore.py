@@ -16,9 +16,10 @@ follow it deterministically.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InternalError(RuntimeError):
@@ -75,6 +76,32 @@ class Domain:
 
     def __contains__(self, label: object) -> bool:
         return label in self.index
+
+
+# a printable character is whitespace only when it is the space
+_UNSAFE = frozenset(' "\\,;|()[]:')
+
+
+def show_label(label: str) -> str:
+    """A label as the text outputs print it: bare when it is printable and
+    holds no whitespace, no quote or backslash and no separator of those
+    outputs (``, ; | ( ) [ ] :`` or ``->``), else as its JSON string, so
+    every printed token names one label."""
+    if label.isprintable() and _UNSAFE.isdisjoint(label) and "->" not in label:
+        return label
+    return json.dumps(label)
+
+
+def _columns(rows: Sequence[int]) -> tuple[int, ...]:
+    """Column masks of a relation's rows: the predecessors of each position."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:  # _bits inlined: every order check transposes its rows
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
 
 
 def _aligner(source: Domain, target: Domain) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
@@ -146,14 +173,7 @@ class BinRel:
 
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
-        cols = [0] * len(self.domain)
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            while row:  # _bits inlined: every order check transposes its rows
-                low = row & -row
-                cols[low.bit_length() - 1] |= bit
-                row ^= low
-        return tuple(cols)
+        return _columns(self.rows)
 
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
@@ -435,8 +455,11 @@ def poset_to_structure(p: Poset) -> Structure:
 def _embed_order(prec: BinRel) -> Structure:
     """``poset_to_structure`` of a relation that is an order by
     construction, which is not checked again."""
-    n = len(prec.domain)
-    full = (1 << n) - 1
-    cols = prec.column_masks
-    weak_rows = tuple(full & ~(1 << i) & ~cols[i] for i in range(n))
-    return Structure(prec.domain, prec, BinRel(prec.domain, weak_rows))
+    return Structure(prec.domain, prec, BinRel(prec.domain, _embedded_weak(prec.column_masks)))
+
+
+def _embedded_weak(cols: Sequence[int]) -> tuple[int, ...]:
+    """The weak rows of an order's embedding, from the order's column
+    masks: i is weak before every other j that does not precede it."""
+    full = (1 << len(cols)) - 1
+    return tuple(full & ~(1 << i) & ~col for i, col in enumerate(cols))

@@ -13,9 +13,19 @@ those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
 builds one such tree on position masks.  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
-A ``SaturationSet`` keeps the tree the walk built for each saturation
-beside it, so a caller prints that tree instead of encoding the order
-again.
+
+``saturation_rows`` is the one producer.  It returns the walk's own
+results over the positions of the sorted labels: each saturation's
+precedence rows beside the tree that the walk built for it.
+``saturations`` moves those rows back to the declared positions and
+embeds each order as a ``Structure``; a ``SaturationSet`` keeps each
+tree beside its structure.  The ``saturate`` command prints straight
+from the rows and trees.  Positions of sorted labels compare as the
+labels do, so a row lists its pairs, and a base its members, in label
+order, and no structure, label pair or ``QsSeq`` is built per printed
+saturation.  Before printing one, the command checks that its tree
+decodes to its rows and that its order has an interval realization,
+and exits 3 when either fails.
 """
 
 from __future__ import annotations
@@ -161,15 +171,33 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     ``sys.maxsize`` or more, which no walk reaches, is no limit.  The walk
     builds each order as one, so it is not checked again.  Input that is
     not acyclic raises ``NotAcyclicError`` with the witness of the one
-    decision.
+    decision.  The results are ``saturation_rows``'s, moved back to the
+    declared positions and embedded.
     """
+    ordered, found, truncated = saturation_rows(s, limit)
+    to_declared = _aligner(ordered, s.domain)
+    return SaturationSet(
+        tuple(_embed_order(BinRel(s.domain, to_declared(rows))) for rows, _ in found),
+        tuple(trees for _, trees in found),
+        truncated,
+    )
+
+
+def saturation_rows(
+    s: Structure, limit: int | None = None
+) -> tuple[Domain, list[tuple[tuple[int, ...], tuple[Tree, ...]]], bool]:
+    """The saturations of ``saturations``, in its order, over the
+    positions of the sorted labels: that domain, each saturation's
+    precedence rows beside the stratum tree the walk built for it, and
+    whether the list was truncated.  Positions of sorted labels compare
+    as the labels do, so the rows list their pairs in label order."""
     relational = is_relational(s)
     witness = qsa_witness(s) if relational else None
     if not relational or witness is not None:
         raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
     n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
-    to_sorted, to_declared = _aligner(s.domain, ordered), _aligner(ordered, s.domain)
+    to_sorted = _aligner(s.domain, ordered)
     prec = BinRel(ordered, to_sorted(s.prec.rows))
     walk = stratum_trees(n, _touching(prec), to_sorted(_combined_rows(s)))
     if limit is not None and limit < 0:
@@ -184,8 +212,4 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     else:
         # position pairs over sorted labels compare as the label pairs do
         found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
-    return SaturationSet(
-        tuple(_embed_order(BinRel(s.domain, to_declared(rows))) for rows, _ in found),
-        tuple(trees for _, trees in found),
-        truncated,
-    )
+    return ordered, found, truncated

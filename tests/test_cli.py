@@ -25,7 +25,7 @@ from qstrat import (
     InternalError,
     Poset,
     QsOrder,
-    SaturationSet,
+    QssStratum,
     format_seq,
     is_qsa,
     new_poset,
@@ -37,6 +37,7 @@ from qstrat import (
 )
 from qstrat.cli import main, read_input, structure_json_text
 from qstrat.qsseq import tree_rows
+from qstrat.relcore import show_label
 
 from conftest import deep_chain_text, deep_chain_trees
 
@@ -350,11 +351,16 @@ def test_internal_error_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [("intervals", "nested_order.json"), ("saturate", "transactions.json")]
+    "argv",
+    [
+        ("intervals", "nested_order.json", "interval_realization"),
+        ("saturate", "transactions.json", "_realization"),
+    ],
 )
 def test_missing_interval_realization_exits_3(capsys, monkeypatch, argv):
-    # both commands only ask for realizations of interval orders
-    monkeypatch.setattr(qstrat.orders, "interval_realization", lambda p: None)
+    # both commands only ask for realizations of interval orders: intervals
+    # through the labelled realization, saturate through the rows-level one
+    monkeypatch.setattr(qstrat.orders, argv[2], lambda *rel: None)
     code, _, err = run(capsys, argv[0], fixture(argv[1]))
     assert code == 3
     assert err.startswith("internal error: ") and "interval realization" in err
@@ -680,13 +686,13 @@ def test_saturate_builds_each_position_permutation_once(capsys, monkeypatch, tmp
         return real_aligner(source, target)
 
     monkeypatch.setattr(BinRel, "aligned_to", counted_aligned_to)
-    for module in (qstrat.saturate, qstrat.cli):
-        monkeypatch.setattr(module, "_aligner", counted_aligner)
+    monkeypatch.setattr(qstrat.saturate, "_aligner", counted_aligner)
     code, out, _ = run(capsys, "saturate", "--limit", "10", str(path))
     assert code == 0
     assert out.count("-- saturation ") == 10
-    # both directions in the library, one for the tree check
-    assert len(built) <= 3
+    # the spec's move to the sorted positions, which the CLI prints from
+    assert not hasattr(qstrat.cli, "_aligner")
+    assert len(built) <= 1
 
 
 def _printed_saturations(out: str) -> list[tuple[list[tuple[str, str]], str]]:
@@ -738,13 +744,14 @@ def test_printed_trees_encode_the_printed_orders_of_random_specs(capsys, tmp_pat
 
 
 def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkeypatch):
-    real = qstrat.saturate.saturations
+    real = qstrat.saturate.saturation_rows
 
     def shifted(s, limit=None):
-        sats = real(s, limit)
-        return SaturationSet(sats.structures, sats.trees[1:] + sats.trees[:1], sats.truncated)
+        ordered, found, truncated = real(s, limit)
+        trees = [trees for _, trees in found]
+        return ordered, list(zip([rows for rows, _ in found], trees[1:] + trees[:1])), truncated
 
-    monkeypatch.setattr(qstrat.saturate, "saturations", shifted)
+    monkeypatch.setattr(qstrat.saturate, "saturation_rows", shifted)
     code, _, err = run(capsys, "saturate", T)
     assert code == 3
     assert err.strip() == "internal error: a saturation's tree does not decode to its order"
@@ -783,24 +790,172 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
     # re-validates what the walk built as an order
     validated, realized = [], []
     real_post_init = Poset.__post_init__
-    real_realization = qstrat.orders.interval_realization
+    real_realization = qstrat.orders._realization
 
     def counted_post_init(self):
         validated.append(self)
         real_post_init(self)
 
-    def counted_realization(rel):
-        realized.append(rel)
-        return real_realization(rel)
+    def counted_realization(rows, cols):
+        realized.append(rows)
+        return real_realization(rows, cols)
 
     monkeypatch.setattr(Poset, "__post_init__", counted_post_init)
-    monkeypatch.setattr(qstrat.orders, "interval_realization", counted_realization)
+    monkeypatch.setattr(qstrat.orders, "_realization", counted_realization)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
     printed = out.count("-- saturation ")
     assert printed == 8
     assert validated == []
     assert len(realized) == printed
+
+
+def _count_inits(monkeypatch, *classes):
+    """Constructions of each class, counted through its __init__."""
+    built = dict.fromkeys(classes, 0)
+
+    def counting(cls, real):
+        def init(self, *args, **kwargs):
+            built[cls] += 1
+            real(self, *args, **kwargs)
+
+        return init
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    return built
+
+
+def test_saturate_builds_as_many_relations_at_every_limit_and_no_strata(capsys, monkeypatch):
+    # each saturation prints from the walk's rows and trees: no BinRel,
+    # Structure or QsSeq per printed saturation
+    counts = {}
+    for limit, printed in ((2, 2), (10, 8)):
+        built = _count_inits(monkeypatch, BinRel, QssStratum)
+        code, out, _ = run(capsys, "saturate", "--limit", str(limit), T)
+        assert code == 0 and out.count("-- saturation ") == printed
+        counts[limit] = built[BinRel]
+        assert built[QssStratum] == 0
+        monkeypatch.undo()
+    assert counts[2] == counts[10]
+
+
+# labels whose sort differs from their declared order (e10 < e2), and
+# labels that need quoting in the text outputs
+_SATURATE_LABELS = ["e2", "e10", "e1", "e11", "e3", "e20", "a ; b", "d\ne", 'q"', "é"]
+
+
+def _reference_saturate_text(s, limit):
+    """saturate's stdout built from the library's labelled results:
+    sorted label pairs, the trees as QsSeq and the realization dict."""
+    sats = qstrat.saturate.saturations(s, limit)
+    to_seq = qstrat.qsseq.seq_converter(sorted(s.domain.labels))
+
+    def pairs(rel):
+        shown = [f"{show_label(x)}->{show_label(y)}" for x, y in sorted(rel.label_pairs)]
+        return ", ".join(shown) or "(none)"
+
+    lines = [f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}"]
+    for k, (m, trees) in enumerate(zip(sats, sats.trees), start=1):
+        realization = sorted(qstrat.orders.interval_realization(m.prec).items())
+        lines += [
+            f"-- saturation {k}",
+            f"   prec: {pairs(m.prec)}",
+            f"   weak: {pairs(m.weak)}",
+            f"   tree: {format_seq(to_seq(trees))}",
+            "   intervals: " + " ".join(f"{show_label(x)}:[{b},{e}]" for x, (b, e) in realization),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(_SATURATE_LABELS), min_size=1, max_size=6, unique=True),
+    seed=st.integers(0, 10**6),
+    density=st.floats(0.0, 0.7),
+    limit=st.one_of(st.none(), st.integers(0, 40)),
+)
+def test_saturate_prints_what_the_labelled_results_render(labels, seed, density, limit):
+    if limit is None and len(labels) > 4:
+        limit = 40  # six free events have 38,703 saturations
+    s = random_qsa_structure(labels, seed=seed, density=density)
+    argv = ["saturate"] + ([] if limit is None else ["--limit", str(limit)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(structure_json_text(s), encoding="utf-8")
+        out = io.StringIO()
+        real_stdout, sys.stdout = sys.stdout, out
+        try:
+            code = main(argv + [str(path)])
+        finally:
+            sys.stdout = real_stdout
+    assert code == 0
+    assert out.getvalue() == _reference_saturate_text(s, limit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_structure_files())
+def test_file_writers_list_the_sorted_label_pairs(doc):
+    s = new_structure(doc["domain"], map(tuple, doc["prec"]), map(tuple, doc["weak"]))
+    prec, weak = sorted(s.prec.label_pairs), sorted(s.weak.label_pairs)
+    assert structure_json_text(s) == (
+        "{\n"
+        f'  "domain": {json.dumps(doc["domain"])},\n'
+        f'  "prec": {json.dumps([list(p) for p in prec])},\n'
+        f'  "weak": {json.dumps([list(p) for p in weak])}\n'
+        "}\n"
+    )
+    dot = qstrat.cli._dot_id
+    lines = [
+        "digraph structure {",
+        "  rankdir=LR;",
+        *(f"  {dot(x)};" for x in doc["domain"]),
+        *(f"  {dot(x)} -> {dot(y)};" for x, y in prec),
+        *(f"  {dot(x)} -> {dot(y)} [style=dashed];" for x, y in weak),
+        "}",
+    ]
+    assert qstrat.cli.dot_text(s) == "\n".join(lines) + "\n"
+
+
+# the domain ["a ; b", "c", "d\ne"] with "a ; b" prec c: its text outputs
+# split lines and tokens unless the labels are quoted
+_SEPARATOR_OUTPUTS = {
+    ("saturate", "--limit", "2"): (
+        "stdout",
+        '2 saturation(s) (truncated)\n'
+        '-- saturation 1\n'
+        '   prec: "a ; b"->c, "a ; b"->"d\\ne", c->"d\\ne"\n'
+        '   weak: "a ; b"->c, "a ; b"->"d\\ne", c->"d\\ne"\n'
+        '   tree: "a ; b" ; c ; "d\\ne"\n'
+        '   intervals: "a ; b":[0,0] c:[1,1] "d\\ne":[2,2]\n'
+        '-- saturation 2\n'
+        '   prec: "a ; b"->c, "a ; b"->"d\\ne", "d\\ne"->c\n'
+        '   weak: "a ; b"->c, "a ; b"->"d\\ne", "d\\ne"->c\n'
+        '   tree: "a ; b" ; "d\\ne" ; c\n'
+        '   intervals: "a ; b":[0,0] c:[2,2] "d\\ne":[1,1]\n',
+    ),
+    ("decompose",): ("stdout", '("d\\ne" | "a ; b" c)\n'),
+    ("intervals",): ("stdout", '"a ; b": [0, 0]\nc: [1, 1]\n"d\\ne": [0, 1]\n'),
+    ("close",): ("stderr", 'added prec: (none)\nadded weak: "a ; b"->c\n'),
+    ("check", "--class", "qsc"): (
+        "stdout",
+        'FAIL: not closed; qsc:3: adding c prec "a ; b" breaks acyclicity, '
+        'so "a ; b" weak c is required but missing\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_SEPARATOR_OUTPUTS), ids=" ".join)
+def test_labels_with_separators_print_quoted(capsys, tmp_path, argv):
+    doc = {"domain": ["a ; b", "c", "d\ne"], "prec": [["a ; b", "c"]]}
+    if argv[0] in ("saturate", "close", "check"):
+        doc["weak"] = []
+    path = tmp_path / "separators.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    stream, expected = _SEPARATOR_OUTPUTS[argv]
+    assert code == (1 if argv[0] == "check" else 0)
+    assert (out if stream == "stdout" else err) == expected
 
 
 class _FlushedOnly(io.StringIO):

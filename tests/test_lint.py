@@ -90,6 +90,22 @@ def test_closure_imports_only_qsa_relcore_and_the_standard_library():
     assert others <= sys.stdlib_module_names
 
 
+def test_cli_reads_label_pairs_only_in_selftest():
+    # the printers list pairs from rows (cli._pair_lister); label-pair
+    # frozensets stay with the oracle suites
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and "selftest" in top.name:
+            continue
+        found += [
+            f"cli.py:{node.lineno}"
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "label_pairs"
+        ]
+    assert not found, f"cli.py reads label_pairs outside selftest: {found}"
+
+
 # the names exported before the oracles had a module of their own, plus
 # that module: a name that moves between modules stays importable from qstrat
 PUBLIC_NAMES = {

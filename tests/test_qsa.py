@@ -216,6 +216,18 @@ def test_random_qsa_structure_deterministic_and_acyclic():
         assert is_qsa(random_qsa_structure("abcde", seed=seed, density=0.5))
 
 
+@pytest.mark.parametrize("density", [float("nan"), -3.0, -1e-9, 1.0 + 1e-9, 7.0, float("inf")])
+def test_random_qsa_structure_refuses_a_density_outside_the_unit_interval(density):
+    with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
+        random_qsa_structure("abcdef", seed=1, density=density)
+
+
+def test_random_qsa_structure_takes_both_ends_of_the_unit_interval():
+    assert random_qsa_structure("abcdef", seed=1, density=0.0).prec.count() == 0
+    full = random_qsa_structure("abcdef", seed=1, density=1.0)
+    assert is_qsa(full) and full.prec.count() + full.weak.count() > 0
+
+
 def _reference_random_qsa_structure(labels, seed, density):
     """The generator deciding every candidate on its full extension."""
     label_tuple = tuple(labels)

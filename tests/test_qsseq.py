@@ -38,7 +38,8 @@ from qstrat import (
 )
 from qstrat import oracles, qs_order_violation, qso
 from qstrat.orders import interval_order_violation
-from qstrat.qsseq import order_trees, seq_converter, stratum_trees, tree_rows
+from qstrat.qsseq import format_trees, order_trees, seq_converter, stratum_trees, tree_rows
+from qstrat.relcore import show_label
 
 from conftest import (
     LABELS,
@@ -235,14 +236,63 @@ def test_a_thousand_levels_convert_and_format(deep_chain):
     depth, trees, rel = deep_chain
     seq = seq_converter(rel.domain.labels)(trees)
     assert format_seq(seq) == deep_chain_text(depth, rel.domain.labels)
+    labels = rel.domain.labels
+    assert format_trees(trees, labels, labels) == deep_chain_text(depth, labels)
+
+
+def test_position_trees_format_as_their_sequences():
+    # declared out of sorted order, with bases of several members and
+    # labels that print quoted
+    rng = random.Random(2026)
+    pool = ["e2", "e10", "e1", "b c", "a;b", "é", 'q"', "x->y", "z"]
+    for case in range(300):
+        labels = rng.sample(pool, rng.randint(1, len(pool)))
+        order = seq_to_order(random_qs_seq(labels, seed=case))
+        rel = order.prec.aligned_to(Domain(tuple(labels)))
+        trees = order_trees(rel)
+        names = [show_label(x) for x in labels]
+        assert format_trees(trees, labels, names) == format_seq(seq_converter(labels)(trees))
+
+
+def _deep_stratum(depth, innermost="z"):
+    """A stratum nested depth levels deep, built innermost first."""
+    st = leaf({innermost})
+    for k in range(depth):
+        st = node({f"x{k}"}, [st, leaf({f"z{k}"})])
+    return st
+
+
+def test_a_thousand_nested_strata_hash_and_compare():
+    st, twin = _deep_stratum(1000), _deep_stratum(1000)
+    assert st is not twin
+    assert hash(st) == hash(twin) and st == twin
+    assert len({st, twin}) == 1 and QsSeq((st,)) in {QsSeq((twin,))}
+    # a difference at the deepest leaf alone
+    other = _deep_stratum(1000, innermost="y")
+    assert st != other and not st == other
+    assert len({st, other}) == 2
+
+
+def test_strata_equal_exactly_when_their_preorders_are():
+    rng = random.Random(2024)
+    seqs = [random_qs_seq(LABELS[: rng.randint(1, 6)], seed=k) for k in range(300)]
+
+    def preorder(q):
+        out, stack = [], list(reversed(q.strata))
+        while stack:
+            st = stack.pop()
+            out.append((st.base, len(st.children)))
+            stack.extend(reversed(st.children))
+        return out
+
+    for a, b in zip(seqs, seqs[1:] + seqs[:1]):
+        assert (a == b) == (preorder(a) == preorder(b))
+        twin = seq_from_json(seq_to_json(a))
+        assert twin == a and hash(twin) == hash(a)
 
 
 def test_a_thousand_nested_strata_check_and_decode():
-    # the sequence is never hashed or compared: the dataclass-generated
-    # __hash__ and __eq__ of QssStratum still recurse once per level
-    st = leaf({"z"})
-    for k in range(1000):
-        st = node({f"x{k}"}, [st, leaf({f"z{k}"})])
+    st = _deep_stratum(1000)
     q = QsSeq((st,))
     assert seq_violation(q) is None
     labels = {"z"} | {f"{c}{k}" for c in "xz" for k in range(1000)}
@@ -266,11 +316,8 @@ def _json_preorder(trees):
 
 
 def test_a_thousand_nested_strata_round_trip_through_json():
-    # compared through flat forms only: == on the nested JSON, as the
-    # dataclass-generated __eq__ and __hash__, recurses once per level
-    st = leaf({"z"})
-    for k in range(1000):
-        st = node({f"x{k}"}, [st, leaf({f"z{k}"})])
+    # the JSON form is compared flat: == on nested lists and dicts recurses
+    st = _deep_stratum(1000)
     q = QsSeq((st,))
     data = seq_to_json(q)
     flat = _json_preorder(data)
@@ -278,6 +325,7 @@ def test_a_thousand_nested_strata_round_trip_through_json():
     expected += [(["z"], 0)] + [([f"z{k}"], 0) for k in range(1000)]
     assert flat == expected
     assert _json_preorder(seq_to_json(seq_from_json(data))) == flat
+    assert seq_from_json(data) == q
 
 
 def test_encoding_rejects_orders_outside_the_class():

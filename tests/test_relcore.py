@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from qstrat import (
     project,
     saturations,
 )
-from qstrat.relcore import _rows_leaving
+from qstrat.relcore import _rows_leaving, show_label
 
 from conftest import LABELS
 
@@ -287,3 +288,39 @@ def test_rows_leaving_is_its_definition(rows):
     assert len(leaving) == len(rows)
     for rx, mask in zip(rows, leaving):
         assert mask == sum(1 << z for z, rz in enumerate(rows) if rz & ~rx)
+
+
+@pytest.mark.parametrize("label", ["a", "e10", "x-y", "a>b", "-", "é", "a.b", "λ", "1"])
+def test_a_plain_label_shows_bare(label):
+    assert show_label(label) == label
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["a ; b", "a b", "d\ne", "\t", "\u00a0x", "\x7f", 'q"', "b\\c", "a,b", "a;b", "a|b",
+     "(a", "a)", "[a", "a]", "a:b", "a->b", "->"],
+)
+def test_a_label_with_a_separator_or_an_unprintable_shows_as_json(label):
+    shown = show_label(label)
+    assert shown == json.dumps(label) and json.loads(shown) == label
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(min_size=1))
+def test_a_shown_label_is_one_token_that_names_its_label(label):
+    # a JSON string keeps a space as it is, and escapes every other
+    # whitespace, so a shown label never breaks a line
+    shown = show_label(label)
+    assert shown.isprintable()
+    if shown != label:
+        assert json.loads(shown) == label
+    else:
+        assert not any(c.isspace() for c in shown)
+        assert not any(sep in shown for sep in (",", ";", "|", "(", ")", "[", "]", ":", "->", '"'))
+
+
+def test_every_whitespace_character_is_quoted():
+    spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        assert show_label(f"a{c}b") == json.dumps(f"a{c}b")
