@@ -16,8 +16,8 @@ Verdicts are one line, ``PASS: <subject> is <class>`` or
 quasi-stratified acyclic, from the witness that the library's refusal
 (``qsa.NotAcyclicError``) carries, so a request decides acyclicity once.
 
-``saturate`` prints each saturation from the walk's rows and tree over
-the positions of the sorted labels (``saturate.saturation_rows``): its
+``saturate`` prints each saturation from the rows and tree over sorted
+labels that ``saturate.saturations`` keeps, building no structure: its
 pairs, the stratum tree that the walk built for it, after checking that
 the tree decodes to the rows, and the order's interval realization,
 which checks itself against the rows.  One lister (``_pair_lister``)
@@ -342,15 +342,15 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             return _verdict("structure", "quasi-stratified acyclic", detail)
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
     try:
-        ordered, found, truncated = saturate.saturation_rows(s, limit=args.limit)
+        sats = saturate.saturations(s, limit=args.limit)
     except qsa.NotAcyclicError as exc:
         return _refused(s, exc)
-    print(f"{len(found)} saturation(s){' (truncated)' if truncated else ''}")
+    print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
     # rows and trees are over the positions of the sorted labels, so a
     # position's pairs, base members and interval print in label order
-    names = _shown(ordered.labels)
-    pairs = _pair_lister(ordered.labels, names)
-    for k, (rows, trees) in enumerate(found, start=1):
+    names = _shown(sats.ordered.labels)
+    pairs = _pair_lister(sats.ordered.labels, names)
+    for k, (rows, trees) in enumerate(zip(sats.rows, sats.trees), start=1):
         cols = _columns(rows)
         lines = [
             f"-- saturation {k}",
@@ -364,7 +364,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
             cells = " ".join(f"{x}:[{b},{e}]" for x, b, e in zip(names, *realization))
-            tree = qsseq.format_trees(trees, ordered.labels, names)
+            tree = qsseq.format_trees(trees, sats.ordered.labels, names)
             lines += [f"   tree: {tree}", f"   intervals: {cells}"]
         print("\n".join(lines))
     return 0

@@ -69,13 +69,14 @@ qsc:1 and qsc:2 are read off row and column masks as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .qsa import (
-    NotAcyclicError,
     Prober,
+    _acyclic_prober,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, InternalError, Structure, _bits, is_relational
+from .relcore import BinRel, InternalError, Structure, _bits
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -155,10 +156,7 @@ def closure_step(s: Structure) -> Structure:
     that a probe against the input forces among those the laws leave
     open (module docstring).  Input that is not acyclic raises
     ``NotAcyclicError`` with the witness of the prober's decision."""
-    prober = Prober(s) if is_relational(s) else None
-    if prober is None or prober.witness is not None:
-        witness = None if prober is None else prober.witness
-        raise NotAcyclicError("can only close a quasi-stratified acyclic structure", witness)
+    prober = _acyclic_prober(s, "can only close a quasi-stratified acyclic structure")
     law = law_closure(s)
     index = s.domain.index
     prec_rows = list(law.prec.rows)
@@ -173,11 +171,19 @@ def closure_step(s: Structure) -> Structure:
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """Closure outcome: the closed structure and what was added."""
+    """Closure outcome: the closed structure beside the given one, and
+    the label pairs it added, built on first read."""
 
     closed: Structure
-    added_prec: frozenset[tuple[str, str]]
-    added_weak: frozenset[tuple[str, str]]
+    given: Structure
+
+    @cached_property
+    def added_prec(self) -> frozenset[tuple[str, str]]:
+        return _gained(self.closed.prec, self.given.prec)
+
+    @cached_property
+    def added_weak(self) -> frozenset[tuple[str, str]]:
+        return _gained(self.closed.weak, self.given.weak)
 
 
 def close(s: Structure) -> ClosureReport:
@@ -186,11 +192,7 @@ def close(s: Structure) -> ClosureReport:
     closed = closure_step(s)
     if _pair_violation(closed) is not None:
         raise InternalError("closure step left a qsc:1 or qsc:2 violation")
-    return ClosureReport(
-        closed=closed,
-        added_prec=_gained(closed.prec, s.prec),
-        added_weak=_gained(closed.weak, s.weak),
-    )
+    return ClosureReport(closed, s)
 
 
 def _gained(after: BinRel, before: BinRel) -> frozenset[tuple[str, str]]:

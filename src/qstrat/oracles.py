@@ -25,7 +25,10 @@ from .relcore import (
     Domain,
     Poset,
     Structure,
+    _aligner,
+    _columns,
     _combined_rows,
+    _embedded_weak,
     _scc_masks,
     add_prec,
     add_weak,
@@ -148,18 +151,19 @@ def is_qsa_naive(s: Structure) -> bool:
 
 
 def close_oracle(s: Structure) -> Structure:
-    """Closure by definition: intersect all saturations component-wise."""
+    """Closure by definition: intersect all saturations component-wise,
+    on their rows.  prec is the AND of the orders' rows; weak is the
+    embedding of their OR, as the meet of embeddings is the embedding
+    of the join."""
     sats = saturations(s)
     n = len(s.domain)
-    prec_rows = [(1 << n) - 1] * n
-    weak_rows = [(1 << n) - 1] * n
-    for m in sats:
-        for i in range(n):
-            prec_rows[i] &= m.prec.rows[i]
-            weak_rows[i] &= m.weak.rows[i]
-    return Structure(
-        s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))
-    )
+    meet, join = [(1 << n) - 1] * n, [0] * n
+    for rows in sats.rows:
+        meet = [a & b for a, b in zip(meet, rows)]
+        join = [a | b for a, b in zip(join, rows)]
+    to_declared = _aligner(sats.ordered, s.domain)
+    prec = BinRel(s.domain, to_declared(tuple(meet)))
+    return Structure(s.domain, prec, BinRel(s.domain, to_declared(_embedded_weak(_columns(join)))))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
+from .qsseq import order_trees
 from .relcore import (
     BinRel,
     InternalError,
@@ -145,25 +146,18 @@ def is_interval_order(rel: BinRel) -> bool:
 def stratified_partition(p: Poset) -> list[frozenset[str]] | None:
     """Strata of a stratified order, earliest first, or None.
 
-    The strata are the equivalence classes of the incomparability
-    relation; for a stratified order they are exactly the layers peeled
-    off by repeatedly removing the minimal elements.
+    A stratified order is exactly a quasi-stratified order whose
+    top-level strata are all leaves, and those leaves are its strata:
+    the top level of its stratum trees (``qsseq.order_trees``).
     """
-    if stratified_order_violation(p.prec) is not None:
+    try:
+        trees = order_trees(p.prec)
+    except ValueError:  # not quasi-stratified
+        return None
+    if any(children for _, _, children in trees):
         return None
     labels = p.domain.labels
-    n = len(labels)
-    cols = p.prec.column_masks
-    remaining = (1 << n) - 1
-    strata: list[frozenset[str]] = []
-    while remaining:
-        layer = 0
-        for i in _bits(remaining):
-            if cols[i] & remaining == 0:
-                layer |= 1 << i
-        strata.append(frozenset(labels[i] for i in _bits(layer)))
-        remaining &= ~layer
-    return strata
+    return [frozenset(labels[i] for i in _bits(events)) for events, _, _ in trees]
 
 
 def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:

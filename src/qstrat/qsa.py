@@ -528,10 +528,18 @@ class LegalExtensions:
     weak_ok: bool
 
 
-def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
+def _acyclic_prober(s: Structure, message: str) -> Prober:
+    """A prober of s, or ``NotAcyclicError`` with its witness when s is
+    not acyclic (None when s is not relational)."""
     prober = Prober(s) if is_relational(s) else None
     if prober is None or prober.witness is not None:
-        raise ValueError("legality probes need a quasi-stratified acyclic structure")
+        raise NotAcyclicError(message, None if prober is None else prober.witness)
+    return prober
+
+
+def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
+    """Input that is not acyclic raises ``NotAcyclicError``."""
+    prober = _acyclic_prober(s, "legality probes need a quasi-stratified acyclic structure")
     if x == y:
         raise ValueError("legality probes need two distinct elements")
     i, j = s.domain.position(x), s.domain.position(y)

@@ -39,8 +39,9 @@ class QssStratum:
     Two trees are equal when their bases are equal and their children
     are, pairwise.  The hash is computed once, at construction, from the
     base and the children's hashes, which exist already; equality
-    compares pairs of subtrees from an explicit stack.  Neither recurses,
-    so nesting depth is not bounded by the interpreter's recursion limit.
+    compares pairs of subtrees from an explicit stack; the repr is the
+    ``format_seq`` line.  None recurses, so nesting depth is not bounded
+    by the interpreter's recursion limit.
     """
 
     base: frozenset[str]
@@ -52,6 +53,9 @@ class QssStratum:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"<QssStratum {format_seq(QsSeq((self,)))}>"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QssStratum):

@@ -14,28 +14,24 @@ filtering every maximal structure over the domain; ``one_saturation``
 builds one such tree on position masks.  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 
-``saturation_rows`` is the one producer.  It returns the walk's own
-results over the positions of the sorted labels: each saturation's
-precedence rows beside the tree that the walk built for it.
-``saturations`` moves those rows back to the declared positions and
-embeds each order as a ``Structure``; a ``SaturationSet`` keeps each
-tree beside its structure.  The ``saturate`` command prints straight
-from the rows and trees.  Positions of sorted labels compare as the
-labels do, so a row lists its pairs, and a base its members, in label
-order, and no structure, label pair or ``QsSeq`` is built per printed
-saturation.  Before printing one, the command checks that its tree
-decodes to its rows and that its order has an interval realization,
-and exits 3 when either fails.
+``saturations`` is the one producer of saturations.  Its
+``SaturationSet`` keeps what the walk built over the positions of the
+sorted labels, which compare as the labels do: each saturation's
+precedence rows and stratum tree.  Counting, intersecting and comparing
+saturations read the rows; ``structures`` embeds each order over the
+declared domain on first read only, and the ``saturate`` command prints
+straight from the rows and trees.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from .qsa import NotAcyclicError, is_qsa, qsa_witness
+from .qsa import NotAcyclicError, qsa_witness
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
 from .qsseq import Tree, stratum_trees, tree_rows
 from .relcore import (
@@ -101,6 +97,14 @@ def qsm_to_qso(s: Structure) -> QsOrder:
     return QsOrder(Poset(s.domain, s.prec))
 
 
+def _refuse_unless_acyclic(s: Structure) -> None:
+    """``NotAcyclicError`` with the one decision's witness, unless s is acyclic."""
+    relational = is_relational(s)
+    witness = qsa_witness(s) if relational else None
+    if not relational or witness is not None:
+        raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
+
+
 def one_saturation(s: Structure) -> Structure:
     """One maximal extension of an acyclic structure, from a stratum
     tree built on position masks: the next stratum of a sequence is the
@@ -108,9 +112,9 @@ def one_saturation(s: Structure) -> Structure:
     component of two or more takes its least-labelled pre-dominant as
     base over the sequence of the rest.  The tree decodes through
     ``qsseq.tree_rows``; unordered events come out mutually weak.
+    Input that is not acyclic raises ``NotAcyclicError``.
     """
-    if not is_qsa(s):
-        raise ValueError("can only saturate a quasi-stratified acyclic structure")
+    _refuse_unless_acyclic(s)
     labels = s.domain.labels
     combined, touch = _combined_rows(s), _touching(s.prec)
 
@@ -131,23 +135,27 @@ def one_saturation(s: Structure) -> Structure:
 
 @dataclass(frozen=True)
 class SaturationSet:
-    """Saturations in canonical order, or, when truncated, the first
-    ones in generation order (see ``saturations``).  ``trees[k]`` is the
-    stratum tree the walk built for ``structures[k]``, over the
-    positions of the sorted labels."""
+    """Saturations as ``saturations`` orders them: ``rows[k]`` and
+    ``trees[k]`` are the precedence rows and stratum tree the walk built
+    over ``ordered``, the sorted labels.  ``structures``, which iterating
+    reads, embeds them over the declared ``domain`` on first read."""
 
-    structures: tuple[Structure, ...]
+    ordered: Domain
+    rows: tuple[tuple[int, ...], ...]
     trees: tuple[tuple[Tree, ...], ...]
+    domain: Domain
     truncated: bool = False
+
+    @cached_property
+    def structures(self) -> tuple[Structure, ...]:
+        to_declared = _aligner(self.ordered, self.domain)
+        return tuple(_embed_order(BinRel(self.domain, to_declared(rows))) for rows in self.rows)
 
     def __iter__(self) -> Iterator[Structure]:
         return iter(self.structures)
 
     def __len__(self) -> int:
-        return len(self.structures)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self.structures
+        return len(self.rows)
 
 
 def all_qsm_structures(labels: tuple[str, ...]) -> tuple[Structure, ...]:
@@ -171,35 +179,14 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     ``sys.maxsize`` or more, which no walk reaches, is no limit.  The walk
     builds each order as one, so it is not checked again.  Input that is
     not acyclic raises ``NotAcyclicError`` with the witness of the one
-    decision.  The results are ``saturation_rows``'s, moved back to the
-    declared positions and embedded.
+    decision.  The walk runs over sorted-label positions, which compare
+    as the labels do.
     """
-    ordered, found, truncated = saturation_rows(s, limit)
-    to_declared = _aligner(ordered, s.domain)
-    return SaturationSet(
-        tuple(_embed_order(BinRel(s.domain, to_declared(rows))) for rows, _ in found),
-        tuple(trees for _, trees in found),
-        truncated,
-    )
-
-
-def saturation_rows(
-    s: Structure, limit: int | None = None
-) -> tuple[Domain, list[tuple[tuple[int, ...], tuple[Tree, ...]]], bool]:
-    """The saturations of ``saturations``, in its order, over the
-    positions of the sorted labels: that domain, each saturation's
-    precedence rows beside the stratum tree the walk built for it, and
-    whether the list was truncated.  Positions of sorted labels compare
-    as the labels do, so the rows list their pairs in label order."""
-    relational = is_relational(s)
-    witness = qsa_witness(s) if relational else None
-    if not relational or witness is not None:
-        raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
+    _refuse_unless_acyclic(s)
     n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)
-    prec = BinRel(ordered, to_sorted(s.prec.rows))
-    walk = stratum_trees(n, _touching(prec), to_sorted(_combined_rows(s)))
+    walk = stratum_trees(n, to_sorted(_touching(s.prec)), to_sorted(_combined_rows(s)))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if limit is not None and limit >= sys.maxsize:
@@ -210,6 +197,6 @@ def saturation_rows(
     if truncated:
         del found[limit:]
     else:
-        # position pairs over sorted labels compare as the label pairs do
         found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
-    return ordered, found, truncated
+    rows, trees = tuple(zip(*found)) or ((), ())
+    return SaturationSet(ordered, rows, trees, s.domain, truncated)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -744,14 +745,13 @@ def test_printed_trees_encode_the_printed_orders_of_random_specs(capsys, tmp_pat
 
 
 def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkeypatch):
-    real = qstrat.saturate.saturation_rows
+    real = qstrat.saturate.saturations
 
     def shifted(s, limit=None):
-        ordered, found, truncated = real(s, limit)
-        trees = [trees for _, trees in found]
-        return ordered, list(zip([rows for rows, _ in found], trees[1:] + trees[:1])), truncated
+        sats = real(s, limit)
+        return dataclasses.replace(sats, trees=sats.trees[1:] + sats.trees[:1])
 
-    monkeypatch.setattr(qstrat.saturate, "saturation_rows", shifted)
+    monkeypatch.setattr(qstrat.saturate, "saturations", shifted)
     code, _, err = run(capsys, "saturate", T)
     assert code == 3
     assert err.strip() == "internal error: a saturation's tree does not decode to its order"

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 import qstrat.closure
 import qstrat.qsa
 from qstrat import (
+    BinRel,
     NotAcyclicError,
     Prober,
+    Structure,
     add_prec,
     add_weak,
     close,
@@ -20,7 +22,9 @@ from qstrat import (
     is_qsa,
     is_qsc,
     is_qsm,
+    legal_extensions,
     new_structure,
+    one_saturation,
     qsc_property_suite,
     qsa_witness,
     qsc_violation,
@@ -31,7 +35,7 @@ from qstrat.cli import default_labels, read_input
 from qstrat.closure import _pair_violation, law_closure
 from qstrat.qsseq import ENUMERATION_BOUND
 
-from conftest import LABELS, random_structure
+from conftest import LABELS, all_relational_structures, random_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,6 +178,38 @@ def test_close_oracle_of_qsm(maximal_ext):
 def test_close_oracle_bound():
     with pytest.raises(ValueError, match="bound"):
         close_oracle(new_structure("abcdefg"))
+
+
+def _intersected_saturations(s):
+    """The closure as the component-wise intersection of the embedded
+    saturations, ``saturations(s).structures``: the reference that the
+    row-level ``close_oracle`` is checked against."""
+    n = len(s.domain)
+    prec, weak = [(1 << n) - 1] * n, [(1 << n) - 1] * n
+    for m in saturations(s).structures:
+        prec = [a & b for a, b in zip(prec, m.prec.rows)]
+        weak = [a & b for a, b in zip(weak, m.weak.rows)]
+    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_close_oracle_intersects_the_structures_of_every_spec(n):
+    checked = 0
+    for s in all_relational_structures(n):
+        if is_qsa(s):
+            assert close_oracle(s) == _intersected_saturations(s)
+            checked += 1
+    assert checked > (0 if n < 3 else 100)
+
+
+def test_close_oracle_intersects_the_structures_of_random_specs():
+    # labels declared out of sorted order, so the rows move back
+    rng = random.Random(2201)
+    for case in range(300):
+        n = rng.randint(4, 5)
+        labels = rng.sample("edcba", n)
+        s = random_qsa_structure(labels, seed=case, density=rng.uniform(0.05, 0.7))
+        assert close_oracle(s) == _intersected_saturations(s)
 
 
 def test_close_matches_oracle_random():
@@ -476,16 +512,21 @@ def test_productive_close_decides_and_scans_once(monkeypatch):
     assert scans == [s]
 
 
+def _legal_first_pair(s):
+    return legal_extensions(s, *s.domain.labels[:2])
+
+
 def test_refusals_carry_the_witness_of_the_one_decision(cycle_structures):
     refused = [s for s in cycle_structures.values() if qsa_witness(s) is not None]
     assert refused
+    everyone = (close, closure_step, saturations, one_saturation, _legal_first_pair)
     for s in refused:
-        for refuse in (close, closure_step, saturations):
+        for refuse in everyone:
             with pytest.raises(NotAcyclicError) as exc:
                 refuse(s)
             assert exc.value.witness == qsa_witness(s)
     looped = new_structure("ab", [("a", "a")])
-    for refuse in (close, saturations):
+    for refuse in everyone:
         with pytest.raises(NotAcyclicError) as exc:
             refuse(looped)
         assert exc.value.witness is None
@@ -654,3 +695,20 @@ def test_qsc_violation_names_the_first_witness_of_every_probe():
         assert qsc_violation(s) == expected, s
         verdicts.add(expected and expected[0])
     assert verdicts == {"qsc:1", "qsc:2", "qsc:3", "qsc:4", None}
+
+
+def test_close_builds_the_added_label_pairs_only_when_read(monkeypatch, transactions):
+    calls = []
+    gained = qstrat.closure._gained
+
+    def counted(after, before):
+        calls.append(after)
+        return gained(after, before)
+
+    monkeypatch.setattr(qstrat.closure, "_gained", counted)
+    report = close(transactions)
+    assert calls == []
+    assert report.added_prec == {("a", "d")}
+    assert len(calls) == 1
+    assert report.added_prec == {("a", "d")}
+    assert len(calls) == 1

@@ -100,11 +100,21 @@ def test_stratified_partition_none_for_interval(hierarchy_posets):
 
 
 def test_stratified_partition_agrees_and_rebuilds():
-    for poset in enumerate_posets(LABELS[:3]):
+    # every order on 3 events, and quasi-stratified orders up to 12
+    rng = random.Random(2202)
+    labels = [f"e{k}" for k in range(12)]
+    random_orders = [
+        seq_to_order(random_qs_seq(labels[: rng.randint(1, 12)], seed=case)).poset
+        for case in range(300)
+    ]
+    stratified = 0
+    for poset in enumerate_posets(LABELS[:3]) + random_orders:
         strata = stratified_partition(poset)
-        assert (strata is not None) == is_stratified_order(poset.prec)
+        assert (strata is None) == (stratified_order_violation(poset.prec) is not None)
         if strata is None:
             continue
+        stratified += 1
+        assert sorted(x for stratum in strata for x in stratum) == sorted(poset.domain.labels)
         rebuilt = {
             (x, y)
             for i, si in enumerate(strata)
@@ -114,6 +124,7 @@ def test_stratified_partition_agrees_and_rebuilds():
             for y in sj
         }
         assert rebuilt == set(poset.prec.label_pairs)
+    assert stratified > 40
 
 
 def test_interval_realization_chain():

@@ -398,7 +398,8 @@ def test_closure_implied_pairs_leave_the_saturations_as_they_are(n, candidates):
         kept = grown
         basis = prober.structure()
         if basis != kept:
-            assert saturations(basis).structures == saturations(kept).structures
+            # one domain, so equal rows are equal structures
+            assert saturations(basis).rows == saturations(kept).rows
 
 
 def test_gen_extends_its_prober_by_few_of_the_pairs_it_keeps(monkeypatch, capsys):

@@ -273,6 +273,20 @@ def test_a_thousand_nested_strata_hash_and_compare():
     assert len({st, other}) == 2
 
 
+def test_a_thousand_nested_strata_repr():
+    st = _deep_stratum(1000)
+    text = repr(st)
+    assert text == f"<QssStratum {format_seq(QsSeq((st,)))}>"
+    assert text.startswith("<QssStratum (x999 | (x998 | ") and text.endswith(" z999)>")
+    assert repr(QsSeq((st,))) == f"QsSeq(strata=({text},))"
+
+
+def test_stratum_repr_is_its_line():
+    st = node({"b", "a"}, [leaf({"c"}), node({"d"}, [leaf({"f", "e"}), leaf({"g"})])])
+    assert repr(st) == "<QssStratum (a,b | c (d | e,f g))>"
+    assert repr(leaf({"x y"})) == '<QssStratum "x y">'
+
+
 def test_strata_equal_exactly_when_their_preorders_are():
     rng = random.Random(2024)
     seqs = [random_qs_seq(LABELS[: rng.randint(1, 6)], seed=k) for k in range(300)]

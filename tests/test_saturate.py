@@ -3,10 +3,12 @@ import sys
 
 import pytest
 
+import qstrat.saturate
 from qstrat import (
     Domain,
     add_prec,
     add_weak,
+    close_oracle,
     extends,
     is_qsa,
     is_qsm,
@@ -243,6 +245,36 @@ def test_one_saturation_succeeds_iff_qsa():
         else:
             with pytest.raises(ValueError):
                 one_saturation(s)
+
+
+def _count_embeddings(monkeypatch):
+    """The orders ``saturate`` embeds as structures."""
+    calls = []
+    embed = qstrat.saturate._embed_order
+
+    def counted(prec):
+        calls.append(prec)
+        return embed(prec)
+
+    monkeypatch.setattr(qstrat.saturate, "_embed_order", counted)
+    return calls
+
+
+def test_counting_and_the_close_oracle_embed_no_saturation(monkeypatch, transactions):
+    calls = _count_embeddings(monkeypatch)
+    assert len(saturations(transactions)) == 8
+    close_oracle(transactions)
+    assert calls == []
+
+
+def test_saturations_embed_each_saturation_once_on_first_read(monkeypatch, transactions):
+    calls = _count_embeddings(monkeypatch)
+    sats = saturations(transactions)
+    first = list(sats)
+    assert len(calls) == 8
+    assert list(sats) == first and sats.structures == tuple(first)
+    assert first[0] in sats
+    assert len(calls) == 8
 
 
 def test_saturations_transactions_count(transactions):
