@@ -58,10 +58,12 @@ def total_order_violation(rel: BinRel) -> Violation | None:
     if bad is not None:
         return ("to:" + bad[0][3:], bad[1])
     labels = rel.domain.labels
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            if i != j and not rel.holds_idx(i, j) and not rel.holds_idx(j, i):
-                return "to:3", (labels[i], labels[j])
+    rows, cols = rel.rows, rel.column_masks
+    full = (1 << len(rows)) - 1
+    for i, row in enumerate(rows):
+        apart = full & ~(row | cols[i] | 1 << i)
+        if apart:
+            return "to:3", (labels[i], labels[next(_bits(apart))])
     return None
 
 

@@ -17,6 +17,10 @@ Each nonempty quasi-stratified order factorizes uniquely into strata,
 where a stratum is an order containing at least one element unordered
 with everything else.
 
+``QsOrder`` itself is defined in ``relcore`` and re-bound here, so
+``qsseq`` needs nothing from this module; this module calls ``qsseq``
+through the module, so a patched ``qsseq`` function is the one run.
+
 Membership is decided by building that factorization.
 ``qsseq.order_trees`` cuts the events into stratum trees and checks
 that they decode (``qsseq.tree_rows``) back to the relation.  The trees
@@ -34,14 +38,15 @@ is at fault (``InternalError``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from . import qsseq
 from .relcore import (
     BinRel,
     Domain,
     InternalError,
     Poset,
+    QsOrder,
     _bits,
     _rows_leaving,
     _touching,
@@ -49,32 +54,12 @@ from .relcore import (
 )
 
 
-@dataclass(frozen=True)
-class QsOrder:
-    """A quasi-stratified order; wraps the underlying partial order."""
-
-    poset: Poset
-
-    @property
-    def domain(self) -> Domain:
-        return self.poset.domain
-
-    @property
-    def prec(self) -> BinRel:
-        return self.poset.prec
-
-    def __len__(self) -> int:
-        return len(self.poset.domain)
-
-
 def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
     """None when rel is quasi-stratified, decided by its stratum trees
     (module docstring), else the first witness against the axioms that
     ``_witness`` names."""
-    from .qsseq import order_trees
-
     try:
-        order_trees(rel)
+        qsseq.order_trees(rel)
     except ValueError:
         return _witness(rel)
     return None
@@ -144,12 +129,11 @@ def factorize_strata(q: QsOrder) -> list[QsOrder]:
     """The unique factorization of a nonempty order into strata: its
     projections to the top-level trees of ``qsseq.order_trees``, which
     raises ValueError when q is not quasi-stratified."""
-    from .qsseq import order_trees
-
     if len(q) == 0:
         raise ValueError("cannot factorize the empty order")
     labels = q.domain.labels
-    rels = [q.prec.restrict(labels[i] for i in _bits(top)) for top, _, _ in order_trees(q.prec)]
+    trees = qsseq.order_trees(q.prec)
+    rels = [q.prec.restrict(labels[i] for i in _bits(top)) for top, _, _ in trees]
     return [QsOrder(Poset(rel.domain, rel)) for rel in rels]
 
 
@@ -159,10 +143,9 @@ def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
     positions, in its generation order; the empty set has the empty
     order.  Nothing is kept between calls.
     """
-    from .qsseq import stratum_trees, tree_rows
-
     domain = Domain.of(labels)
     n = len(domain)
     return [
-        QsOrder(Poset(domain, BinRel(domain, tree_rows(n, trees)))) for trees in stratum_trees(n)
+        QsOrder(Poset(domain, BinRel(domain, qsseq.tree_rows(n, trees))))
+        for trees in qsseq.stratum_trees(n)
     ]

@@ -15,6 +15,9 @@ of that walk.  ``tree_rows`` decodes a tree into its order's rows and
 distinct trees are distinct orders.  The ``QsSeq`` codecs, the
 factorization and ``one_saturation`` go through this pair, and
 ``seq_converter`` is the one reading of a tree as a labelled ``QsSeq``.
+Every tree is built by one fold, ``_fold``, innermost first and without
+recursion: the decoder ``seq_to_order``, the converter, the JSON codecs,
+the encoder ``order_trees`` and ``saturate.one_saturation``.
 One renderer writes the one-line text, of a ``QsSeq`` (``format_seq``)
 or straight from position trees and the shown labels (``format_trees``).
 """
@@ -26,10 +29,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .qso import QsOrder
-from .relcore import BinRel, Domain, Poset, _bits, _touching, _untouched, show_label
+from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _touching, _untouched, show_label
 
 S = TypeVar("S")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +43,7 @@ class QssStratum:
     are, pairwise.  The hash is computed once, at construction, from the
     base and the children's hashes, which exist already; equality
     compares pairs of subtrees from an explicit stack; the repr is the
-    ``format_seq`` line.  None recurses, so nesting depth is not bounded
-    by the interpreter's recursion limit.
+    ``format_seq`` line.
     """
 
     base: frozenset[str]
@@ -92,14 +94,41 @@ def node(base: Iterable[str], children: Iterable[QssStratum]) -> QssStratum:
 
 def _preorder(strata: Iterable[QssStratum]) -> list[QssStratum]:
     """The strata and all their descendants, each before its children and
-    the children in order, listed from an explicit stack, so nesting depth
-    is not bounded by the interpreter's recursion limit."""
+    the children in order, listed from an explicit stack."""
     out, stack = [], list(strata)[::-1]
     while stack:
         st = stack.pop()
         out.append(st)
         stack.extend(reversed(st.children))
     return out
+
+
+def _fold(
+    roots: Iterable[S], children: Callable[[S], Sequence[S]], build: Callable[[S, tuple[R, ...]], R]
+) -> tuple[R, ...]:
+    """The roots' results, where a node's result is ``build(node, its
+    children's results)``, built innermost first and siblings in order.
+    The nodes are listed from an explicit stack with their child counts,
+    so ``children`` runs once per node and nesting depth is not bounded
+    by the interpreter's recursion limit.  Each is listed before its
+    descendants and its children last to first, so read backwards the
+    list has each node right after its children, in order."""
+    nodes: list[S] = []
+    counts: list[int] = []
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        below = children(node)
+        nodes.append(node)
+        counts.append(len(below))
+        stack += below
+    done: list[R] = []
+    for node, count in zip(reversed(nodes), reversed(counts)):
+        if count:
+            done[-count:] = [build(node, tuple(done[-count:]))]
+        else:
+            done.append(build(node, ()))
+    return tuple(done)
 
 
 def stratum_domain(st: QssStratum) -> frozenset[str]:
@@ -142,27 +171,16 @@ def seq_to_order(q: QsSeq) -> QsOrder:
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
     labels: list[str] = []
-    # each stratum is placed after its children, in order, from an
-    # explicit stack; first holds the label count at which each stratum
-    # entered and not yet placed began
-    placed: list[Tree] = []
-    first: list[int] = []
-    stack = [(st, False) for st in reversed(q.strata)]
-    while stack:
-        st, ready = stack.pop()
-        if not ready:
-            first.append(len(labels))
-            stack.append((st, True))
-            stack.extend((child, False) for child in reversed(st.children))
-            continue
-        k = len(placed) - len(st.children)
-        children = tuple(placed[k:])
-        del placed[k:]
-        body = len(labels)
+
+    def place(st: QssStratum, body: tuple[Tree, ...]) -> Tree:
+        # the base takes the positions right after its body's; the masks
+        # are disjoint, so their sum is their union
+        start = len(labels)
         labels.extend(sorted(st.base))
-        top = 1 << len(labels)
-        placed.append((top - (1 << first.pop()), top - (1 << body), children))
-    trees = tuple(placed)
+        base = (1 << len(labels)) - (1 << start)
+        return sum(events for events, _, _ in body) + base, base, body
+
+    trees = _fold(q.strata, attrgetter("children"), place)
     domain = Domain(tuple(labels))
     return QsOrder(Poset(domain, BinRel(domain, tree_rows(len(labels), trees))))
 
@@ -177,39 +195,22 @@ def order_to_seq(q: QsOrder) -> QsSeq:
 def seq_converter(names: Sequence[str]) -> Callable[[tuple[Tree, ...]], QsSeq]:
     """Tree sequence to ``QsSeq``, positions read as indices into names.
     The strata are memoised per converter, since the walker's sequences
-    share their subtrees; reuse one converter across one walk.
-
-    The trees are listed from an explicit stack, so nesting depth is not
-    bounded by the interpreter's recursion limit.  Read backwards, that
-    list has each tree after its children, in order, so their strata
-    are the last ones converted.  A leaf is memoised under its base, a
-    node under its base and the identities of its children's memoised
-    strata: equal trees get one key without hashing whole subtrees.
+    share their subtrees; reuse one converter across one walk.  A leaf
+    is memoised under its base, a node under its base and the identities
+    of its children's memoised strata: equal trees get one key without
+    hashing whole subtrees.
     """
     memo: dict[int | tuple[int, ...], QssStratum] = {}
 
-    def convert(trees: tuple[Tree, ...]) -> QsSeq:
-        todo, stack = [], list(trees)
-        while stack:
-            tree = stack.pop()
-            todo.append(tree)
-            stack.extend(tree[2])
-        done: list[QssStratum] = []
-        for _, base, children in reversed(todo):
-            if children:
-                first = len(done) - len(children)
-                body = tuple(done[first:])
-                del done[first:]
-                key: int | tuple[int, ...] = (base, *map(id, body))
-            else:
-                body, key = (), base
-            stratum = memo.get(key)
-            if stratum is None:
-                stratum = memo[key] = QssStratum(frozenset(names[i] for i in _bits(base)), body)
-            done.append(stratum)
-        return QsSeq(tuple(done))
+    def build(tree: Tree, body: tuple[QssStratum, ...]) -> QssStratum:
+        base = tree[1]
+        key = (base, *map(id, body)) if body else base
+        stratum = memo.get(key)
+        if stratum is None:
+            stratum = memo[key] = QssStratum(frozenset(names[i] for i in _bits(base)), body)
+        return stratum
 
-    return convert
+    return lambda trees: QsSeq(_fold(trees, itemgetter(2), build))
 
 
 ENUMERATION_BOUND = 6
@@ -247,7 +248,6 @@ def stratum_trees(
     """
     if n > ENUMERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds enumeration bound {ENUMERATION_BOUND}")
-    touch = touch or (0,) * n
 
     def sequences(events: int, body: bool) -> Iterator[tuple[Tree, ...]]:
         block = 0
@@ -268,7 +268,7 @@ def stratum_trees(
                     yield (head,) + tail
 
     def strata(events: int) -> Iterator[Tree]:
-        free = _untouched(touch, events)
+        free = _untouched(touch, events) if touch else events
         if free == events:
             yield events, events, ()
         base = 0
@@ -308,19 +308,13 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     in any topological sort, as that order is, so cutting at each gives
     the finest, the stratum, factorization.  A stratum's base is its
     events touching no other member; the body is encoded the same way.
-
-    The sequences are cut outermost first, each body queued as a new
-    sequence, and the trees are then built innermost first, so nesting
-    depth is not bounded by the interpreter's recursion limit.
     """
     rows, touch, cols = rel.rows, _touching(rel), rel.column_masks
-    # each sequence to cut: its events as a mask and in predecessor-count order
-    n = len(rows)
-    sequences = [((1 << n) - 1, sorted(range(n), key=lambda i: cols[i].bit_count()))]  # stable
-    # per sequence, its strata (events, base, index of the body's sequence or 0)
-    strata: list[list[tuple[int, int, int]]] = []
-    for rest, events in sequences:  # grows with each body
-        cut: list[tuple[int, int, int]] = []
+
+    def cut(rest: int, events: list[int]) -> list[tuple[int, int, int, list[int]]]:
+        # the strata of the sequence over rest, whose events are listed in
+        # predecessor-count order: (events, base, body, the body's events)
+        out = []
         block, ahead, start = 0, -1, 0
         for end, i in enumerate(events, start=1):
             block |= 1 << i
@@ -330,16 +324,16 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
                 # no base makes a leaf, which the final check then rejects
                 base = _untouched(touch, block) or block
                 body = block & ~base
-                cut.append((block, base, len(sequences) if body else 0))
-                if body:
-                    sequences.append((body, [j for j in events[start:end] if body >> j & 1]))
+                inner = [j for j in events[start:end] if body >> j & 1] if body else []
+                out.append((block, base, body, inner))
                 block, ahead, start = 0, -1, end
-        strata.append(cut)
-    # a body's sequence comes after its stratum's, so build from the last
-    built: list[tuple[Tree, ...]] = [()] * len(strata)
-    for k in reversed(range(len(strata))):
-        built[k] = tuple((block, base, built[body]) for block, base, body in strata[k])
-    trees = built[0]
+        return out
+
+    n = len(rows)
+    order = sorted(range(n), key=lambda i: cols[i].bit_count())  # stable
+    trees = _fold(
+        cut((1 << n) - 1, order), lambda st: cut(st[2], st[3]), lambda st, body: (*st[:2], body)
+    )
     if tree_rows(n, trees) != rows:
         raise ValueError("not a quasi-stratified order")
     return trees
@@ -386,27 +380,23 @@ def _random_stratum(rng: random.Random, pool: list[str]) -> QssStratum:
 
 def seq_to_json(q: QsSeq) -> list[dict[str, Any]]:
     """JSON form: a list of trees, base members sorted, leaves omit
-    children.  Built in preorder from an explicit stack, so nesting depth
-    is not bounded by the interpreter's recursion limit."""
-    out: list[dict[str, Any]] = []
-    stack = [(st, out) for st in reversed(q.strata)]  # each with its siblings' list
-    while stack:
-        st, siblings = stack.pop()
+    children."""
+
+    def build(st: QssStratum, body: tuple[dict[str, Any], ...]) -> dict[str, Any]:
         item: dict[str, Any] = {"base": sorted(st.base)}
-        siblings.append(item)
-        if st.children:
-            children = item["children"] = []
-            stack.extend((child, children) for child in reversed(st.children))
-    return out
+        if body:
+            item["children"] = list(body)
+        return item
+
+    return list(_fold(q.strata, attrgetter("children"), build))
 
 
 def seq_from_json(data: Any) -> QsSeq:
     """The sequence of a JSON form.  Each tree is checked as it is met in
     preorder, so the first fault in preorder is the one reported, and the
-    strata are built innermost first; neither step recurses."""
+    strata are then built by ``_fold``."""
     if not isinstance(data, list):
         raise ValueError("sequence JSON must be a list of trees")
-    met: list[tuple[frozenset[str], int]] = []  # per tree in preorder: base, child count
     stack = list(reversed(data))
     while stack:
         item = stack.pop()
@@ -418,15 +408,15 @@ def seq_from_json(data: Any) -> QsSeq:
         children = item.get("children", [])
         if not isinstance(children, list):
             raise ValueError("tree children must be a list")
-        met.append((Domain.of(base).label_set, len(children)))
+        Domain.of(base)  # labels are distinct non-empty strings
         stack.extend(reversed(children))
-    # in reverse preorder each tree follows its subtrees, whose strata
-    # are then on top of built, the first child topmost
-    built: list[QssStratum] = []
-    for base, count in reversed(met):
-        children = tuple(built.pop() for _ in range(count))
-        built.append(QssStratum(base, children))
-    q = QsSeq(tuple(reversed(built)))
+    q = QsSeq(
+        _fold(
+            data,
+            lambda item: item.get("children", ()),
+            lambda item, body: QssStratum(frozenset(item["base"]), body),
+        )
+    )
     bad = seq_violation(q)
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
@@ -459,8 +449,7 @@ def _render(
     strata: Sequence[S], base: Callable[[S], str], children: Callable[[S], Sequence[S]]
 ) -> str:
     """The line of ``format_seq`` for strata of any form, given each one's
-    base text and children.  Written left to right from an explicit stack,
-    so nesting depth is not bounded by the interpreter's recursion limit."""
+    base text and children, written left to right from an explicit stack."""
     out: list[str] = []
     todo: list[str | tuple[S, Sequence[S]]] = []  # text and nodes still to write, the next last
 

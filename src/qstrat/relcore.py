@@ -289,6 +289,24 @@ class Poset:
         return hash((self.domain.label_set, self.prec))
 
 
+@dataclass(frozen=True)
+class QsOrder:
+    """A quasi-stratified order (decided in ``qso``); wraps the partial order."""
+
+    poset: Poset
+
+    @property
+    def domain(self) -> Domain:
+        return self.poset.domain
+
+    @property
+    def prec(self) -> BinRel:
+        return self.poset.prec
+
+    def __len__(self) -> int:
+        return len(self.poset.domain)
+
+
 def new_structure(
     labels: Iterable[str],
     prec: Iterable[tuple[str, str]] = (),

@@ -11,7 +11,8 @@ that extend it: their order contains s.prec and reverses no pair of
 s.weak.  ``saturations`` generates their stratum trees directly under
 those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
-builds one such tree on position masks.  Both decode trees through
+builds one such tree on position masks, nested as deep as the spec
+needs (through ``qsseq._fold``).  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 
 ``saturations`` is the one producer of saturations.  Its
@@ -33,7 +34,7 @@ from typing import Iterator
 
 from .qsa import NotAcyclicError, qsa_witness
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
-from .qsseq import Tree, stratum_trees, tree_rows
+from .qsseq import Tree, _fold, stratum_trees, tree_rows
 from .relcore import (
     BinRel,
     Domain,
@@ -110,26 +111,28 @@ def one_saturation(s: Structure) -> Structure:
     tree built on position masks: the next stratum of a sequence is the
     source component of the combined relation on the events left, and a
     component of two or more takes its least-labelled pre-dominant as
-    base over the sequence of the rest.  The tree decodes through
-    ``qsseq.tree_rows``; unordered events come out mutually weak.
-    Input that is not acyclic raises ``NotAcyclicError``.
+    base over the sequence of the rest, its body.  The tree is built by
+    ``qsseq._fold`` and decodes through ``qsseq.tree_rows``; unordered
+    events come out mutually weak.  Input that is not acyclic raises
+    ``NotAcyclicError``.
     """
     _refuse_unless_acyclic(s)
     labels = s.domain.labels
     combined, touch = _combined_rows(s), _touching(s.prec)
 
-    def sequence(events: int) -> tuple[Tree, ...]:
-        out = []
+    def strata(events: int) -> list[tuple[int, int]]:
+        out = []  # (events, base) per stratum of the sequence over events
         while events:
             # Tarjan emits a source component last
             comp = _scc_masks(combined, events)[-1]
             events &= ~comp
             # a single event is its own pre-dominant, so a leaf
-            base = 1 << min(_bits(_untouched(touch, comp)), key=labels.__getitem__)
-            out.append((comp, base, sequence(comp & ~base)))
-        return tuple(out)
+            out.append((comp, 1 << min(_bits(_untouched(touch, comp)), key=labels.__getitem__)))
+        return out
 
-    rows = tree_rows(len(labels), sequence((1 << len(labels)) - 1))
+    full = (1 << len(labels)) - 1
+    trees = _fold(strata(full), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
+    rows = tree_rows(len(labels), trees)
     return poset_to_structure(Poset(s.domain, BinRel(s.domain, rows)))
 
 

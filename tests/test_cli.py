@@ -494,6 +494,58 @@ def test_saturate_beyond_enumeration_bound_is_input_error(capsys, tmp_path):
     assert err.strip() == "error: domain size 7 exceeds enumeration bound 6"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--n", "-1"], "--n must be non-negative"),
+        (["selftest", "--max-n", "0"], "--max-n must be at least 1"),
+    ],
+)
+def test_option_values_below_their_range_are_input_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "prec, code, out, err",
+    [
+        (
+            [["a", "b"], ["b", "c"], ["c", "a"]],
+            1,
+            "FAIL: not quasi-stratified acyclic; {a, b, c} is strongly connected over the"
+            " combined relation, no pre-dominant\n",
+            "",
+        ),
+        ([["a", "b"]], 2, "", "error: domain size 7 exceeds enumeration bound 6\n"),
+    ],
+)
+def test_saturate_beyond_the_bound_gives_the_verdict_first(capsys, tmp_path, prec, code, out, err):
+    path = tmp_path / "seven.json"
+    path.write_text(json.dumps({"domain": list("abcdefg"), "prec": prec, "weak": []}))
+    assert run(capsys, "saturate", "--limit", "3", str(path)) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["render", "--format", "tree"]], ids=" ".join)
+def test_the_empty_order_prints_empty(capsys, tmp_path, argv):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"domain": [], "prec": []}))
+    assert run(capsys, *argv, str(path)) == (0, "(empty)\n", "")
+
+
+def test_close_refuses_a_step_that_leaves_a_pair_violation(capsys, monkeypatch):
+    # x prec y beside y weak x breaks qsc:1 or qsc:2
+    def broken(s):
+        x, y = s.domain.labels[:2]
+        return new_structure(s.domain.labels, [(x, y)], [(y, x)])
+
+    monkeypatch.setattr(qstrat.closure, "closure_step", broken)
+    s = new_structure("ab")
+    with pytest.raises(InternalError, match="closure step left a qsc:1 or qsc:2 violation"):
+        qstrat.closure.close(s)
+    code, out, err = run(capsys, "close", fixture("transactions.json"))
+    assert (code, out) == (3, "")
+    assert err == "internal error: closure step left a qsc:1 or qsc:2 violation\n"
+
+
 def test_selftest_beyond_subset_scan_bound_is_input_error(capsys):
     code, out, err = run(capsys, "selftest", "--max-n", "13")
     assert code == 2
@@ -1043,7 +1095,18 @@ def test_close_output_bytes_are_pinned(capsys, tmp_path, n, density):
 
 
 # one fault per file, each with the message it has always had
+# per fault, the file (a string is written as it is, anything else as
+# JSON) and the message; "{path}" stands for the file's path, and a
+# message ending in "..." pins a prefix, the rest being the json module's
 INPUT_FAULTS = {
+    "invalid JSON": ("not json", "{path} is not valid JSON: ..."),
+    "JSON array": ([], "input must be a JSON object"),
+    "no prec": ({"domain": ["a"]}, 'input needs "domain" and "prec" keys'),
+    "non-string label": ({"domain": ["a", 1], "prec": []}, '"domain" must be a list of strings'),
+    "no weak, prec a 2-cycle": (
+        {"domain": ["a", "b"], "prec": [["a", "b"], ["b", "a"]]},
+        "cannot embed as a structure: partial order must be transitive",
+    ),
     "prec not a list": (
         {"domain": ["a", "b"], "prec": {"a": "b"}},
         '"prec" must be a list of pairs',
@@ -1091,9 +1154,15 @@ INPUT_FAULTS = {
 def test_each_input_fault_exits_2_with_its_message(capsys, tmp_path, fault):
     doc, message = INPUT_FAULTS[fault]
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "check", "--class", "qsa", str(path))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    expected = f"error: {message.replace('{path}', str(path))}\n"
+    for command in (["check", "--class", "qsa"], ["close"]):
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        if expected.endswith("...\n"):
+            assert err.startswith(expected[:-4]) and err.count("\n") == 1
+        else:
+            assert err == expected
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Source checks: guards that survive ``python -O``, no module-level
-caches, no enumeration bound knobs, fast modules kept apart from the
-oracles, and the public names."""
+caches, no enumeration bound knobs, no recursion as deep as the input,
+fast modules kept apart from the oracles, and the public names."""
 
 import ast
 import sys
@@ -132,3 +132,127 @@ PUBLIC_NAMES = {
 
 def test_the_public_names_are_pinned():
     assert set(qstrat.__all__) == PUBLIC_NAMES
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_WALK = "depth at most ENUMERATION_BOUND; revisit when the bound is lifted (ROADMAP item 1)"
+_DRAW = "depth at most half the labels; a rewrite would change what seeded tests draw"
+# the recursions kept on purpose, each with the reason its depth is safe
+RECURSION_ALLOWED = {
+    "qsseq.stratum_trees.sequences": _WALK,
+    "qsseq.stratum_trees.strata": _WALK,
+    "qsseq._random_seq": _DRAW,
+    "qsseq._random_stratum": _DRAW,
+}
+
+
+def _call_graph(path: Path) -> dict[str, set[str]]:
+    """Per function of a module, nested ones included, the functions of
+    the module that it calls by name: a name resolves to a function
+    defined in the caller, then in each enclosing function, then at
+    module level; ``self.name`` and ``cls.name`` resolve to a method of
+    the enclosing class."""
+    module = path.stem
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls: dict[str, set[str]] = {}
+
+    def defined(nodes: list[ast.AST], prefix: str) -> dict[str, str]:
+        return {node.name: prefix + node.name for node in nodes if isinstance(node, _FUNCTIONS)}
+
+    def own_nodes(fn: ast.AST) -> list[ast.AST]:
+        """The nodes of fn's body outside the functions nested in it."""
+        out, stack = [], list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        return out
+
+    def visit(fn: ast.AST, name: str, scopes: list[dict[str, str]], methods: dict[str, str]) -> None:
+        nodes = own_nodes(fn)
+        scopes = [defined(nodes, name + "."), *scopes]
+        found = calls.setdefault(name, set())
+        for node in nodes:
+            if isinstance(node, _FUNCTIONS):
+                visit(node, name + "." + node.name, scopes, {})
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                for scope in scopes:
+                    if func.id in scope:
+                        found.add(scope[func.id])
+                        break
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in ("self", "cls")
+                and func.attr in methods
+            ):
+                found.add(methods[func.attr])
+
+    top = defined(tree.body, f"{module}.")
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS):
+            visit(node, f"{module}.{node.name}", [top], {})
+        elif isinstance(node, ast.ClassDef):
+            methods = defined(node.body, f"{module}.{node.name}.")
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS):
+                    visit(item, methods[item.name], [top], methods)
+    return calls
+
+
+def _recursive_functions(calls: dict[str, set[str]]) -> set[str]:
+    """The functions that reach themselves through the call graph."""
+    found = set()
+    for start in calls:
+        seen, stack = set(), list(calls[start])
+        while stack:
+            name = stack.pop()
+            if name == start:
+                found.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                stack.extend(calls.get(name, ()))
+    return found
+
+
+def test_no_library_function_calls_itself():
+    # deep nesting is valid input: a function that recurses per level
+    # fails on it with RecursionError
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _recursive_functions(_call_graph(path))
+    assert found - set(RECURSION_ALLOWED) == set(), "recursion bounded only by the input"
+    assert set(RECURSION_ALLOWED) <= found, "an allowed recursion is gone; drop its entry"
+
+
+def test_the_recursion_lint_sees_direct_mutual_and_method_recursion(tmp_path):
+    source = '''
+def direct(n):
+    return direct(n - 1) if n else 0
+
+def outer():
+    def inner(k):
+        return other(k)
+    def other(k):
+        return inner(k - 1) if k else 0
+    return inner(3)
+
+def helper():
+    def direct():
+        return 0
+    return direct()
+
+class Walker:
+    def step(self, n):
+        return self.step(n - 1) if n else 0
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _recursive_functions(_call_graph(path)) == {
+        "sample.direct", "sample.outer.inner", "sample.outer.other", "sample.Walker.step"
+    }

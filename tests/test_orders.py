@@ -28,6 +28,7 @@ from qstrat import (
     seq_to_order,
     stratified_order_violation,
     stratified_partition,
+    total_order_violation,
 )
 
 from conftest import LABELS, all_relational_structures, random_structure
@@ -305,6 +306,18 @@ def test_enumerate_posets_bound():
 # references: every kernel must return the same first witness.
 
 
+def _reference_total_order_violation(rel):
+    bad = partial_order_violation(rel)
+    if bad is not None:
+        return ("to:" + bad[0][3:], bad[1])
+    labels = rel.domain.labels
+    for i in range(len(labels)):
+        for j in range(len(labels)):
+            if i != j and not rel.holds_idx(i, j) and not rel.holds_idx(j, i):
+                return "to:3", (labels[i], labels[j])
+    return None
+
+
 def _reference_stratified_order_violation(rel):
     bad = partial_order_violation(rel)
     if bad is not None:
@@ -363,6 +376,7 @@ def _reference_qs_order_violation(rel):
 
 
 KERNELS = [
+    (total_order_violation, _reference_total_order_violation),
     (qs_order_violation, _reference_qs_order_violation),
     (interval_order_violation, _reference_interval_order_violation),
     (stratified_order_violation, _reference_stratified_order_violation),
@@ -438,10 +452,36 @@ def test_deciders_match_the_literal_scans_on_every_relation_up_to_4():
         for rel in all_relations(n):
             count += 1
             assert qs_order_violation(rel) == _reference_qs_order_violation(rel)
+            assert total_order_violation(rel) == _reference_total_order_violation(rel)
             expected = _reference_interval_order_violation(rel)
             assert interval_order_violation(rel) == expected
             assert (interval_realization(rel) is not None) == (expected is None)
     assert count == 66_067
+
+
+def test_total_order_violation_matches_the_literal_scan_up_to_12():
+    # random relations, and chains with a pair or two flipped, so that
+    # every axiom fails somewhere and some relations pass
+    rng = random.Random(12)
+    outcomes = set()
+    for k in range(800):
+        n = rng.randint(1, 12)
+        if k % 2:
+            density = rng.uniform(0.05, 0.7)
+            rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        else:
+            order = rng.sample(range(n), n)
+            rows = [0] * n
+            for at, i in enumerate(order):
+                for j in order[at + 1 :]:
+                    rows[i] |= 1 << j
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        rel = BinRel(Domain(tuple(f"e{i}" for i in range(n))), tuple(rows))
+        expected = _reference_total_order_violation(rel)
+        assert total_order_violation(rel) == expected
+        outcomes.add(None if expected is None else expected[0])
+    assert outcomes == {None, "to:1", "to:2", "to:3"}
 
 
 def test_realization_refuses_a_self_loop_beside_an_unrelated_event():

@@ -524,6 +524,23 @@ def test_json_rejects_garbage():
         seq_from_json([{"root": ["a"]}])
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([{"base": "a"}], "tree base must be a list of strings"),
+        ([{"base": ["a"], "children": {"base": ["b"]}}], "tree children must be a list"),
+        # the first fault in preorder: the parent's children before a later tree's base
+        (
+            [{"base": ["a"], "children": [{"base": ["b"], "children": 0}]}, {"base": 1}],
+            "tree children must be a list",
+        ),
+    ],
+)
+def test_json_rejects_a_base_or_children_of_the_wrong_type(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        seq_from_json(data)
+
+
 def test_json_rejects_invalid_sequences():
     for data in (
         [],

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qstrat import (
     BinRel,
     Domain,
+    Poset,
+    Structure,
     add_element,
     add_prec,
     add_weak,
@@ -23,6 +25,34 @@ from qstrat import (
 from qstrat.relcore import _rows_leaving, show_label
 
 from conftest import LABELS
+
+
+AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BinRel(AB, (0,)), "row count does not match domain size"),
+        (lambda: BinRel(AB, (0b100, 0)), "relation references positions outside the domain"),
+        (lambda: Structure(AB, BinRel.empty(AB), BinRel.empty(ABC)), "both relations must share"),
+        (lambda: Structure(ABC, BinRel.empty(AB), BinRel.empty(AB)), "both relations must share"),
+        (lambda: Poset(ABC, BinRel.empty(AB)), "relation must share the poset's domain"),
+        (lambda: Poset(AB, BinRel(AB, (0b1, 0))), "partial order must be irreflexive"),
+        (lambda: Poset(ABC, BinRel(ABC, (0b10, 0b100, 0))), "partial order must be transitive"),
+        (
+            lambda: BinRel.empty(AB).intersection(BinRel.empty(Domain(("b", "a")))),
+            "relation intersection requires identical domains",
+        ),
+    ],
+    ids=[
+        "row count", "outside", "weak domain", "structure domain", "poset domain",
+        "reflexive", "intransitive", "intersection",
+    ],
+)
+def test_constructors_refuse_malformed_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_new_structure_basic():

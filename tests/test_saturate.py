@@ -234,6 +234,25 @@ def test_one_saturation_matches_the_label_level_reference():
         assert got.weak.rows == expected.weak.rows
 
 
+def test_one_saturation_survives_a_path_of_400_mutual_weak_pairs():
+    # each weak pair both ways is a component of two, so the tree nests
+    # one level per event, deeper than the recursion limit allows here
+    labels = [f"e{i:04d}" for i in range(400)]
+    pairs = list(zip(labels, labels[1:]))
+    s = new_structure(labels, weak=pairs + [(y, x) for x, y in pairs])
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 200)
+    try:
+        m = one_saturation(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert is_qsm(m)
+    assert extends(s, m)
+
+
 def test_one_saturation_succeeds_iff_qsa():
     rng = random.Random(67)
     for _ in range(300):
