@@ -542,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("saturate", help="enumerate all maximal extensions")
     p.add_argument("path")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument(
+        "--limit", type=int, metavar="N", help="print the first N saturations in generation order"
+    )
 
     p = sub.add_parser("decompose", help="print the stratum-tree decomposition")
     p.add_argument("path")

@@ -449,26 +449,9 @@ def _render(
     strata: Sequence[S], base: Callable[[S], str], children: Callable[[S], Sequence[S]]
 ) -> str:
     """The line of ``format_seq`` for strata of any form, given each one's
-    base text and children, written left to right from an explicit stack."""
-    out: list[str] = []
-    todo: list[str | tuple[S, Sequence[S]]] = []  # text and nodes still to write, the next last
+    base text and children, built through ``_fold``."""
 
-    def push(strata: Sequence[S], sep: str) -> None:
-        for k in reversed(range(len(strata))):
-            st = strata[k]
-            below = children(st)
-            todo.append((st, below) if below else base(st))
-            if k:
-                todo.append(sep)
+    def build(st: S, body: tuple[str, ...]) -> str:
+        return f"({base(st)} | {' '.join(body)})" if body else base(st)
 
-    push(strata, " ; ")
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        st, below = item
-        out.append(f"({base(st)} | ")
-        todo.append(")")
-        push(below, " ")
-    return "".join(out)
+    return " ; ".join(_fold(strata, children, build))

@@ -138,16 +138,17 @@ def one_saturation(s: Structure) -> Structure:
 
 @dataclass(frozen=True)
 class SaturationSet:
-    """Saturations as ``saturations`` orders them: ``rows[k]`` and
-    ``trees[k]`` are the precedence rows and stratum tree the walk built
-    over ``ordered``, the sorted labels.  ``structures``, which iterating
-    reads, embeds them over the declared ``domain`` on first read."""
+    """Saturations in the walk's generation order: ``rows[k]`` and
+    ``trees[k]`` are the precedence rows and stratum tree of the k-th
+    order the walk built over ``ordered``, the sorted labels.
+    ``structures``, which iterating reads, embeds them over the declared
+    ``domain`` on first read."""
 
     ordered: Domain
     rows: tuple[tuple[int, ...], ...]
     trees: tuple[tuple[Tree, ...], ...]
     domain: Domain
-    truncated: bool = False
+    truncated: bool
 
     @cached_property
     def structures(self) -> tuple[Structure, ...]:
@@ -169,21 +170,19 @@ def all_qsm_structures(labels: tuple[str, ...]) -> tuple[Structure, ...]:
 
 
 def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
-    """All maximal extensions of an acyclic structure.
+    """All maximal extensions of an acyclic structure, in generation order.
 
     The extensions are generated from s's constraints, one per stratum
     tree that s allows (see ``qsseq.stratum_trees``), so without
-    duplicates.  An untruncated result is in canonical order:
-    sorted by the sorted list of prec pairs (a maximal structure's weak
-    pairs follow from its prec pairs).  With a limit, at most limit + 1
-    extensions are generated; when there are more than limit, the result
-    is the first limit in generation order, which depends only on the
-    label set, never on the order the labels were declared in; a limit of
-    ``sys.maxsize`` or more, which no walk reaches, is no limit.  The walk
-    builds each order as one, so it is not checked again.  Input that is
-    not acyclic raises ``NotAcyclicError`` with the witness of the one
-    decision.  The walk runs over sorted-label positions, which compare
-    as the labels do.
+    duplicates.  The walk runs over sorted-label positions, which compare
+    as the labels do, so its order depends only on the label set, never
+    on the order the labels were declared in.  With a limit, at most
+    limit + 1 extensions are generated and the result is the first limit
+    of the full list, ``truncated`` when there were more; a limit of
+    ``sys.maxsize`` or more, which no walk reaches, is no limit.  The
+    walk builds each order as one, so it is not checked again.  Input
+    that is not acyclic raises ``NotAcyclicError`` with the witness of
+    the one decision.
     """
     _refuse_unless_acyclic(s)
     n = len(s.domain)
@@ -194,12 +193,7 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if limit is not None and limit >= sys.maxsize:
         limit = None
-    walked = islice(walk, None if limit is None else limit + 1)
-    found = [(tree_rows(n, trees), trees) for trees in walked]
-    truncated = limit is not None and len(found) > limit
-    if truncated:
-        del found[limit:]
-    else:
-        found.sort(key=lambda hit: [(i, j) for i, row in enumerate(hit[0]) for j in _bits(row)])
-    rows, trees = tuple(zip(*found)) or ((), ())
-    return SaturationSet(ordered, rows, trees, s.domain, truncated)
+    walked = tuple(islice(walk, None if limit is None else limit + 1))
+    trees = walked[:limit]
+    rows = tuple(tree_rows(n, tree) for tree in trees)
+    return SaturationSet(ordered, rows, trees, s.domain, len(walked) > len(trees))

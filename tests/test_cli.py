@@ -945,6 +945,34 @@ def test_saturate_prints_what_the_labelled_results_render(labels, seed, density,
     assert out.getvalue() == _reference_saturate_text(s, limit)
 
 
+def _saturation_blocks(out):
+    """saturate's stdout after its header line, one block per saturation."""
+    return re.split(r"(?m)^(?=-- saturation )", out.partition("\n")[2])[1:]
+
+
+def test_saturate_limit_prints_the_first_blocks_of_the_full_list(capsys, tmp_path):
+    paths = [fixture(name) for name in ("maximal.json", "nested_order.json")]
+    paths += [fixture(name) for name in ("transactions.json", "transactions_closure.json")]
+    rng = random.Random(31)
+    for case in range(60):
+        labels = rng.sample(_SATURATE_LABELS, rng.randint(1, 6))
+        s = random_qsa_structure(labels, seed=case, density=rng.uniform(0.3, 0.7))
+        paths.append(tmp_path / f"spec{case}.json")
+        paths[-1].write_text(structure_json_text(s), encoding="utf-8")
+    for path in paths:
+        code, out, _ = run(capsys, "saturate", str(path))
+        assert code == 0
+        count = int(out.split(" ", 1)[0])
+        blocks = _saturation_blocks(out)
+        assert len(blocks) == count
+        for k in {1, 2, 3, count - 1, count}:
+            code, cut, _ = run(capsys, "saturate", "--limit", str(k), str(path))
+            assert code == 0
+            truncated = " (truncated)" if k < count else ""
+            assert cut.partition("\n")[0] == f"{min(k, count)} saturation(s){truncated}"
+            assert _saturation_blocks(cut) == blocks[:k]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_structure_files())
 def test_file_writers_list_the_sorted_label_pairs(doc):

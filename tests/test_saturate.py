@@ -40,11 +40,6 @@ from conftest import (
 )
 
 
-def canonical_key(m):
-    """The order of an untruncated saturation set."""
-    return (sorted(m.prec.label_pairs), sorted(m.weak.label_pairs))
-
-
 def generation_key(m):
     """Rank of a saturation in the documented generation order, read off
     its stratum tree: per stratum, its domain's mask over the sorted
@@ -67,7 +62,7 @@ def assert_matches_oracle(s, universe):
     """Check saturations of s against the filter oracle: the maximal
     structures over the domain (universe) that extend s."""
     expected = [m for m in universe if extends(s, m)]
-    assert list(saturations(s)) == sorted(expected, key=canonical_key)
+    assert list(saturations(s)) == sorted(expected, key=generation_key)
     if len(expected) > 3:
         cut = saturations(s, limit=3)
         assert cut.truncated
@@ -349,9 +344,42 @@ def test_saturations_limit_ignores_declaration_order(transactions):
     shuffled = new_structure(
         ["d", "b", "c", "a"], transactions.prec.label_pairs, transactions.weak.label_pairs
     )
-    for k in (1, 3, 5):
+    for k in (1, 3, 5, None):
         assert list(saturations(shuffled, limit=k)) == list(saturations(transactions, limit=k))
         assert all(m.domain == shuffled.domain for m in saturations(shuffled, limit=k))
+
+
+def assert_limits_cut_the_full_list(s):
+    """Every limit, up to one past the count, keeps the first k of the
+    unlimited list and is truncated exactly when it drops some."""
+    full = saturations(s)
+    assert not full.truncated
+    for k in range(len(full) + 2):
+        cut = saturations(s, limit=k)
+        assert cut.trees == full.trees[:k]
+        assert cut.rows == full.rows[:k]
+        assert cut.truncated == (k < len(full))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_saturations_limit_cuts_the_full_list_exhaustive(n):
+    seen = 0
+    for s in all_relational_structures(n):
+        if is_qsa(s):
+            assert_limits_cut_the_full_list(s)
+            seen += 1
+    assert seen > 0
+
+
+def test_saturations_limit_cuts_the_full_list_random():
+    rng = random.Random(29)
+    for case in range(200):
+        n = rng.randint(4, 6)
+        labels = list("abcdef"[:n])
+        while labels == sorted(labels):
+            rng.shuffle(labels)
+        s = random_qsa_structure(labels, seed=case, density=rng.uniform(0.3, 0.6))
+        assert_limits_cut_the_full_list(s)
 
 
 def test_saturations_limit_zero_and_negative(transactions):
