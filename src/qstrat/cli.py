@@ -39,7 +39,10 @@ request to the ``cmd_<command>`` function by name.
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
 the library, reported as ``internal error: ...`` on stderr (with the
-traceback unless it is an ``InternalError``).  Input errors are raised
+traceback unless it is an ``InternalError``), 141 stdout closed by its
+reader, as when a pipe into ``head`` ends early: the output stops and
+nothing is printed (141 is what a shell reports for a process that
+SIGPIPE ended).  Input errors are raised
 as ``InputError`` alone; any other exception, a ``ValueError`` from the
 library included, is internal, except the refusal that ``close`` and
 ``saturate`` turn into their FAIL line.
@@ -49,12 +52,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
 import traceback
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -96,21 +102,29 @@ def _relation(value: object, key: str, domain: Domain) -> BinRel:
     if not isinstance(value, list):
         raise InputError(f'"{key}" must be a list of pairs')
     index = domain.index
-    rows = [0] * len(domain)
+    if set(map(type, value)) <= {list}:
+        # every entry is a list: unpacking checks its length, and the
+        # lookups fail on every member that is not a label (labels are
+        # strings), so a well-formed list is decoded without a check per entry
+        rows = [0] * len(domain)
+        bit = {label: 1 << i for label, i in index.items()}
+        try:
+            for x, y in value:
+                rows[index[x]] |= bit[y]
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            return BinRel(domain, tuple(rows))
+    # name the first fault in file order; an entry's shape comes before
+    # its labels
     shape = f'"{key}" entries must be two-element lists of strings'
     for item in value:
-        if type(item) is not list or len(item) != 2:
+        if type(item) is not list or len(item) != 2 or {type(x) for x in item} != {str}:
             raise InputError(shape)
-        x, y = item
-        # the labels are strings, so the lookups fail on every member
-        # that is not one: only then are the members' types checked
-        try:
-            rows[index[x]] |= 1 << index[y]
-        except (KeyError, TypeError) as exc:
-            if type(x) is not str or type(y) is not str:
-                raise InputError(shape) from None
-            raise InputError(f"unknown label: {exc.args[0]!r}") from None
-    return BinRel(domain, tuple(rows))
+        for label in item:
+            if label not in index:
+                raise InputError(f"unknown label: {label!r}")
+    raise InternalError(f'"{key}" did not decode, but no entry is at fault')
 
 
 def read_input(path: str | Path) -> InputFile:
@@ -141,11 +155,13 @@ def read_input(path: str | Path) -> InputFile:
         domain = Domain(tuple(labels))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    for label in labels:  # a lone surrogate decodes from JSON but prints nowhere
-        try:
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InputError(f"label {label!r} is not encodable as UTF-8") from None
+    try:  # a lone surrogate decodes from JSON but prints nowhere
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # labels are not empty, so the first bad character's label is
+        # the first whose end lies past it
+        label = labels[bisect_right(list(accumulate(map(len, labels))), exc.start)]
+        raise InputError(f"label {label!r} is not encodable as UTF-8") from None
     prec = _relation(data["prec"], "prec", domain)
     return InputFile(prec, _relation(data["weak"], "weak", domain) if "weak" in data else None)
 
@@ -570,7 +586,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point the descriptor at the null
+        # device, so that the flush at exit has nowhere left to fail
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

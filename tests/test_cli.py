@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -1200,6 +1202,21 @@ def test_each_input_fault_exits_2_with_its_message(capsys, tmp_path, fault):
         ({"domain": ["a"], "prec": [["a", "z"]], "weak": 0}, "unknown label: 'z'"),
         ({"domain": ["a"], "prec": [["a", "z"], ["a"]]}, "unknown label: 'z'"),
         ({"domain": ["a"], "prec": [["a"], ["a", "z"]]}, '"prec" entries must be two-element lists of strings'),
+        # entries a bare "for x, y in entries" would take for a pair
+        ({"domain": ["a", "b"], "prec": ["ab"]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [{"a": 0, "b": 1}]}, '"prec" entries must be two-element lists of strings'),
+        # a shape fault comes before a label fault in the same entry
+        ({"domain": ["a", "b"], "prec": [["a", "b", "a"]]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [["z", 1]]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [], "weak": [[None, "z"]]}, '"weak" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [["a", ["b"]]]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [[{"a": 0}, "z"]]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [["z", "y"], ["a", 1]]}, "unknown label: 'z'"),
+        ({"domain": ["a", "b"], "prec": [["a", 1], ["z", "y"]]}, '"prec" entries must be two-element lists of strings'),
+        # a fault after a thousand good entries
+        ({"domain": ["a", "b"], "prec": [["a", "b"]] * 1000 + [["a", "z"], "ab"]}, "unknown label: 'z'"),
+        ({"domain": ["a", "b"], "prec": [["a", "b"]] * 1000 + ["ab", ["a", "z"]]}, '"prec" entries must be two-element lists of strings'),
+        ({"domain": ["a", "b"], "prec": [], "weak": [["b", "a"]] * 1000 + [["a", ["b"]]]}, '"weak" entries must be two-element lists of strings'),
     ],
 )
 def test_read_input_reports_the_domain_then_prec_then_weak_in_file_order(tmp_path, doc, message):
@@ -1208,3 +1225,78 @@ def test_read_input_reports_the_domain_then_prec_then_weak_in_file_order(tmp_pat
     with pytest.raises(qstrat.cli.InputError) as caught:
         read_input(path)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["saturate", fixture("transactions.json")],
+        ["check", "--class", "qsa", fixture("transactions.json")],
+        ["gen", "--n", "40"],
+    ],
+    ids=["saturate", "check", "gen"],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # a pipe whose read end is closed, as when "| head -1" has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    script = "import sys; from qstrat.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(qstrat.__file__).parent.parent)}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def _option_values(valid, huge):
+    """Text for a numeric option: a valid value, or a negative, huge
+    (from ``huge`` on), NaN, infinite or malformed one."""
+    return st.one_of(
+        valid.map(str),
+        st.integers(max_value=-1).map(str),
+        st.integers(min_value=huge).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "0x10", " 3 ", "", "9" * 5000]),
+    )
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    real, sys.stdout, sys.stderr = (sys.stdout, sys.stderr), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a value by exiting
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = real
+    assert "internal error" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=_option_values(st.integers(0, 16), huge=qstrat.qsa.GENERATION_BOUND + 1),
+    seed=_option_values(st.integers(), huge=0),
+    density=_option_values(st.floats(0.0, 1.0), huge=2),
+)
+def test_gen_refuses_or_accepts_every_numeric_option(n, seed, density):
+    assert _exit_code(["gen", f"--n={n}", f"--seed={seed}", f"--density={density}"]) in {0, 2}
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=_option_values(st.integers(0, 20), huge=0))
+def test_saturate_refuses_or_accepts_every_limit(limit):
+    assert _exit_code(["saturate", f"--limit={limit}", fixture("transactions.json")]) in {0, 2}
+
+
+@settings(max_examples=15, deadline=None)
+@given(max_n=_option_values(st.integers(1, 3), huge=qstrat.oracles.SUBSET_SCAN_BOUND + 1))
+def test_selftest_refuses_or_accepts_every_max_n(max_n):
+    assert _exit_code(["selftest", f"--max-n={max_n}"]) in {0, 2}

@@ -22,7 +22,7 @@ from qstrat import (
     project,
     saturations,
 )
-from qstrat.relcore import _rows_leaving, show_label
+from qstrat.relcore import _columns, _columns_by_bits, _columns_by_text, _rows_leaving, show_label
 
 from conftest import LABELS
 
@@ -318,6 +318,30 @@ def test_rows_leaving_is_its_definition(rows):
     assert len(leaving) == len(rows)
     for rx, mask in zip(rows, leaving):
         assert mask == sum(1 << z for z, rz in enumerate(rows) if rz & ~rx)
+
+
+def _transpose_cases(n, rng):
+    """Rows on both sides of ``_columns``'s switch: empty, full, the top
+    position alone (its bit string needs no padding) or the bottom one
+    alone (all padding), and random rows from sparse to nearly full."""
+    cases = [(0,) * n, ((1 << n) - 1,) * n, (1 << max(n - 1, 0),) * n, (1,) * n]
+    for density in (0.02, 0.1, 0.3, 0.7):
+        cases.append(tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
+    return cases
+
+
+def test_both_transpose_routes_match_the_per_bit_transpose():
+    rng = random.Random(2511)
+    for n in range(71):
+        sides = set()
+        for rows in _transpose_cases(n, rng):
+            expected = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+            assert _columns_by_bits(rows) == expected
+            assert _columns_by_text(rows) == expected
+            assert _columns(rows) == expected
+            sides.add(sum(map(int.bit_count, rows)) > 4 * n + n * n // 100)
+        # full rows take the string route from 5 events on, empty ones never
+        assert sides == ({False, True} if n >= 5 else {False})
 
 
 @pytest.mark.parametrize("label", ["a", "e10", "x-y", "a>b", "-", "é", "a.b", "λ", "1"])
