@@ -98,17 +98,17 @@ def show_label(label: str) -> str:
 def _columns(rows: Sequence[int]) -> tuple[int, ...]:
     """Column masks of a relation's rows: the predecessors of each position.
 
-    Two routes give the same masks.  Rows with more than 4 pairs each on
-    average, plus 1% of the matrix, are transposed through one bit
-    string (``_columns_by_text``), sparser ones bit by bit
+    Two routes give the same masks.  From 8 events on, rows with more
+    than 4 pairs each on average, plus 1% of the matrix, are transposed
+    through one bit string (``_columns_by_text``); all others bit by bit
     (``_columns_by_bits``).  The switch is where the two costs meet when
-    timed (2-core machine, Python 3.11): 4-5 pairs per row at 16-64
-    events, 7 at 256, 9 at 512, 14 at 1,024.  The string route costs
-    O(n²) character work whatever the density, so at 4-6 events it is
-    3-4x slower than the loop, and on a dense 1,024-event order it takes
-    7 ms against 176 ms."""
+    timed (2-core machine, Python 3.11.7): 4-5 pairs per row at 16-64
+    events, 7 at 256, 9 at 512 and 14 at 1,024, because the string route
+    costs O(n²) character work whatever the density.  Below 8 events the
+    loop is never slower, and the string route is 3-4x slower on sparse
+    rows; on a dense 1,024-event order it takes 7 ms against 176 ms."""
     n = len(rows)
-    if sum(map(int.bit_count, rows)) > 4 * n + n * n // 100:
+    if n >= 8 and sum(map(int.bit_count, rows)) > 4 * n + n * n // 100:
         return _columns_by_text(rows)
     return _columns_by_bits(rows)
 

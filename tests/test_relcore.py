@@ -339,9 +339,9 @@ def test_both_transpose_routes_match_the_per_bit_transpose():
             assert _columns_by_bits(rows) == expected
             assert _columns_by_text(rows) == expected
             assert _columns(rows) == expected
-            sides.add(sum(map(int.bit_count, rows)) > 4 * n + n * n // 100)
-        # full rows take the string route from 5 events on, empty ones never
-        assert sides == ({False, True} if n >= 5 else {False})
+            sides.add(n >= 8 and sum(map(int.bit_count, rows)) > 4 * n + n * n // 100)
+        # full rows take the string route from 8 events on, empty ones never
+        assert sides == ({False, True} if n >= 8 else {False})
 
 
 @pytest.mark.parametrize("label", ["a", "e10", "x-y", "a>b", "-", "é", "a.b", "λ", "1"])
