@@ -39,13 +39,13 @@ request to the ``cmd_<command>`` function by name.
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
 the library, reported as ``internal error: ...`` on stderr (with the
-traceback unless it is an ``InternalError``), 141 stdout closed by its
-reader, as when a pipe into ``head`` ends early: the output stops and
-nothing is printed (141 is what a shell reports for a process that
-SIGPIPE ended).  Input errors are raised
+traceback unless it is an ``InternalError``).  Input errors are raised
 as ``InputError`` alone; any other exception, a ``ValueError`` from the
 library included, is internal, except the refusal that ``close`` and
-``saturate`` turn into their FAIL line.
+``saturate`` turn into their FAIL line.  141: stdout was closed by its
+reader, as when a pipe into ``head`` ends early; the output stops and
+nothing is printed on stderr (a shell reports 141 for a process that
+SIGPIPE ended).
 """
 
 from __future__ import annotations

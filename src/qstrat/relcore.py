@@ -127,8 +127,9 @@ def _columns_by_bits(rows: Sequence[int]) -> tuple[int, ...]:
 
 def _columns_by_text(rows: Sequence[int]) -> tuple[int, ...]:
     """``_columns`` through the rows written as one bit string, the last
-    row first and each row's highest position first, so that column j
-    is the strided slice that starts at that row's character for j."""
+    row first and each row as an n-digit binary numeral.  Column j is
+    then every n-th character from position n - 1 - j: the column's own
+    binary numeral, the last row's bit first."""
     n = len(rows)
     text = "".join([format(row, "b").zfill(n) for row in reversed(rows)])
     return tuple([int(text[n - 1 - j :: n], 2) for j in range(n)])

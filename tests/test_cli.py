@@ -1276,7 +1276,7 @@ def _exit_code(argv):
         code = exc.code
     finally:
         sys.stdout, sys.stderr = real
-    assert "internal error" not in err.getvalue()
+    assert "internal error" not in err.getvalue(), err.getvalue()
     return code
 
 
