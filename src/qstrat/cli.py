@@ -21,8 +21,9 @@ labels that ``saturate.saturations`` keeps, building no structure: its
 pairs, the stratum tree that the walk built for it, after checking that
 the tree decodes to the rows, and the order's interval realization,
 which checks itself against the rows.  One lister (``_pair_lister``)
-gives the pairs of rows in sorted-label order to every pair printer:
-``saturate``, ``close``'s added pairs and the JSON and DOT writers.
+writes the pairs of rows in sorted-label order, in each printer's pair
+form, for every pair printer: ``saturate``, ``close``'s added pairs and
+the JSON and DOT writers; it writes each distinct row of a request once.
 Text outputs show each label through ``relcore.show_label``, which
 quotes a label that holds a separator of those outputs.
 
@@ -61,6 +62,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -167,48 +169,63 @@ def read_input(path: str | Path) -> InputFile:
 
 
 def _pair_lister(
-    labels: Sequence[str], names: Sequence[str]
-) -> Callable[[Sequence[int]], list[tuple[str, str]]]:
-    """Lists the pairs of rows over the labels' positions in sorted-label
-    order, each as ``(names[i], names[j])``.  Each row's bits move to the
-    ranks of their labels, unless the labels are sorted already, so a
-    row's lowest bit is its least label; the ranks are computed once
-    here, for every relation of one request."""
+    labels: Sequence[str], names: Sequence[str], pair: str, sep: str
+) -> Callable[[Sequence[int]], str]:
+    """Writes the pairs of rows over the labels' positions in sorted-label
+    order, each as ``pair.format(names[i], names[j])``, joined by sep.
+    Each row's bits move to the ranks of their labels, unless the labels
+    are sorted already, so a row's lowest bit is its least label; the
+    ranks are computed once here, for every relation of one request.  A
+    row's text is kept under its position and value for the life of the
+    lister, so each distinct row of a request is written once: the
+    orders that one ``saturate`` request prints share most of their
+    rows."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = 1 << r
     ranked = [names[i] for i in order]
     moves = order != list(range(len(order)))
+    before, middle, after = pair.split("{}")
+    memos: list[dict[int, str]] = [{} for _ in order]  # per position, by row
 
-    def pairs(rows: Sequence[int]) -> list[tuple[str, str]]:
+    def text(rows: Sequence[int]) -> str:
         out = []
         for i in order:
             row = rows[i]
-            if moves:
-                moved = 0
-                while row:  # _bits inlined: saturate lists every printed order
-                    low = row & -row
-                    moved |= rank[low.bit_length() - 1]
-                    row ^= low
-                row = moved
-            x = names[i]
-            while row:
-                low = row & -row
-                out.append((x, ranked[low.bit_length() - 1]))
-                row ^= low
-        return out
+            if not row:
+                continue
+            texts = memos[i]
+            line = texts.get(row)
+            if line is None:
+                bits = row
+                if moves:
+                    moved = 0
+                    while bits:  # _bits inlined: saturate lists every printed order
+                        low = bits & -bits
+                        moved |= rank[low.bit_length() - 1]
+                        bits ^= low
+                    bits = moved
+                seconds = []
+                while bits:
+                    low = bits & -bits
+                    seconds.append(ranked[low.bit_length() - 1])
+                    bits ^= low
+                head = before + names[i] + middle
+                line = texts[row] = head + (after + sep + head).join(seconds) + after
+            out.append(line)
+        return sep.join(out)
 
-    return pairs
+    return text
 
 
 def structure_json_text(s: Structure) -> str:
     """Canonical file form: domain order preserved, pairs sorted, one
     line per key."""
-    names = [json.dumps(label) for label in s.domain.labels]
-    pairs = _pair_lister(s.domain.labels, names)
-    prec = ", ".join(f"[{x}, {y}]" for x, y in pairs(s.prec.rows))
-    weak = ", ".join(f"[{x}, {y}]" for x, y in pairs(s.weak.rows))
+    # json.dumps' own encoder for a string, without its per-call set-up
+    names = [encode_basestring_ascii(label) for label in s.domain.labels]
+    pairs = _pair_lister(s.domain.labels, names, "[{}, {}]", ", ")
+    prec, weak = pairs(s.prec.rows), pairs(s.weak.rows)
     return (
         "{\n"
         f'  "domain": [{", ".join(names)}],\n'
@@ -224,22 +241,25 @@ def _dot_id(label: str) -> str:
 
 def dot_text(s: Structure) -> str:
     """DOT rendering: solid arrows for precedence, dashed for weak."""
-    names = [_dot_id(label) for label in s.domain.labels]
-    pairs = _pair_lister(s.domain.labels, names)
-    lines = ["digraph structure {", "  rankdir=LR;"]
-    lines += [f"  {x};" for x in names]
-    lines += [f"  {x} -> {y};" for x, y in pairs(s.prec.rows)]
-    lines += [f"  {x} -> {y} [style=dashed];" for x, y in pairs(s.weak.rows)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = s.domain.labels
+    names = [_dot_id(label) for label in labels]
+    solid = _pair_lister(labels, names, "  {} -> {};\n", "")
+    dashed = _pair_lister(labels, names, "  {} -> {} [style=dashed];\n", "")
+    lines = ["digraph structure {\n  rankdir=LR;\n"]
+    lines += [f"  {x};\n" for x in names]
+    lines += [solid(s.prec.rows), dashed(s.weak.rows), "}\n"]
+    return "".join(lines)
 
 
 def _shown(labels: Sequence[str]) -> list[str]:
     return [show_label(label) for label in labels]
 
 
-def _fmt_pairs(pairs: list[tuple[str, str]]) -> str:
-    return ", ".join(f"{x}->{y}" for x, y in pairs) or "(none)"
+def _arrow_lister(labels: Sequence[str], names: Sequence[str]) -> Callable[[Sequence[int]], str]:
+    """The ``x->y`` list of rows that ``close`` and ``saturate`` print,
+    "(none)" for no pairs."""
+    pairs = _pair_lister(labels, names, "{}->{}", ", ")
+    return lambda rows: pairs(rows) or "(none)"
 
 
 def _verdict(subject: str, wording: str, detail: str | None) -> int:
@@ -341,9 +361,9 @@ def cmd_close(args: argparse.Namespace) -> int:
         print("already closed, 0 additions", file=sys.stderr)
     else:
         labels = s.domain.labels
-        pairs = _pair_lister(labels, _shown(labels))
-        print(f"added prec: {_fmt_pairs(pairs(added_prec))}", file=sys.stderr)
-        print(f"added weak: {_fmt_pairs(pairs(added_weak))}", file=sys.stderr)
+        arrows = _arrow_lister(labels, _shown(labels))
+        print(f"added prec: {arrows(added_prec)}", file=sys.stderr)
+        print(f"added weak: {arrows(added_weak)}", file=sys.stderr)
     return 0
 
 
@@ -365,13 +385,13 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     # rows and trees are over the positions of the sorted labels, so a
     # position's pairs, base members and interval print in label order
     names = _shown(sats.ordered.labels)
-    pairs = _pair_lister(sats.ordered.labels, names)
+    arrows = _arrow_lister(sats.ordered.labels, names)
     for k, (rows, trees) in enumerate(zip(sats.rows, sats.trees), start=1):
         cols = _columns(rows)
         lines = [
             f"-- saturation {k}",
-            f"   prec: {_fmt_pairs(pairs(rows))}",
-            f"   weak: {_fmt_pairs(pairs(_embedded_weak(cols)))}",
+            f"   prec: {arrows(rows)}",
+            f"   weak: {arrows(_embedded_weak(cols))}",
         ]
         if n > 0:
             if qsseq.tree_rows(n, trees) != rows:
@@ -379,7 +399,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             realization = orders._realization(rows, cols)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
-            cells = " ".join(f"{x}:[{b},{e}]" for x, b, e in zip(names, *realization))
+            cells = " ".join([f"{x}:[{b},{e}]" for x, b, e in zip(names, *realization)])
             tree = qsseq.format_trees(trees, sats.ordered.labels, names)
             lines += [f"   tree: {tree}", f"   intervals: {cells}"]
         print("\n".join(lines))

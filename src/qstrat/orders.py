@@ -177,24 +177,31 @@ def _realization(
     """The interval begins and ends of each position of a relation, given
     its rows and column masks, or None when it is not an interval order.
 
-    A self-loop gets None.  Otherwise begins are the inclusion ranks of
-    the distinct predecessor sets, ends the ranks of the distinct
-    successor sets, and the construction is checked against the rows,
-    one per event: the successors of i must be exactly the events whose
-    begin lies after i's end.  When the check passes, i is not among
-    its own successors, so its begin lies at or before its end, and x
-    precedes y exactly when x's interval ends before y's begins: the
+    A self-loop gets None.  Otherwise an event's begin is the rank of
+    its predecessor count among the distinct predecessor counts,
+    smallest first, and its end the rank of its successor count among
+    the distinct successor counts, largest first.  The construction is
+    then checked against the rows, one per event: the successors of i
+    must be exactly the events whose begin lies after i's end.  When
+    the check passes, i is not among its own successors, so its begin
+    lies at or before its end, and x precedes y exactly when x's
+    interval ends before y's begins: whatever the endpoints, the
     relation is an interval order.  On an interval order the
     predecessor sets, and the successor sets, form chains under
-    inclusion, and the ranks realize it (Fishburn 1970), so the check
-    passes exactly on interval orders.
+    inclusion, and the inclusion ranks of the distinct sets realize it
+    (Fishburn 1970).  Along a chain distinct sets have distinct sizes,
+    so the count ranks are those inclusion ranks and the check passes:
+    it passes exactly on interval orders.
     """
-    if any(row >> i & 1 for i, row in enumerate(rows)):
-        return None
-    begin_rank = {m: r for r, m in enumerate(sorted(set(cols), key=lambda m: m.bit_count()))}
-    end_rank = {m: r for r, m in enumerate(sorted(set(rows), key=lambda m: -m.bit_count()))}
-    begins = [begin_rank[m] for m in cols]
-    ends = [end_rank[m] for m in rows]
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return None
+    preds = list(map(int.bit_count, cols))
+    succs = list(map(int.bit_count, rows))
+    begin_rank = {c: r for r, c in enumerate(sorted(set(preds)))}
+    end_rank = {c: r for r, c in enumerate(sorted(set(succs), reverse=True))}
+    begins = [begin_rank[c] for c in preds]
+    ends = [end_rank[c] for c in succs]
     # later[r]: the events whose begin lies after r
     later = [0] * (max(ends, default=0) + 1)
     for i, b in enumerate(begins):
@@ -202,7 +209,7 @@ def _realization(
             later[min(b, len(later)) - 1] |= 1 << i
     for r in range(len(later) - 2, -1, -1):
         later[r] |= later[r + 1]
-    if any(row != later[e] for row, e in zip(rows, ends)):
+    if [later[e] for e in ends] != list(rows):
         return None
     return begins, ends
 

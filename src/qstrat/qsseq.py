@@ -20,6 +20,19 @@ recursion: the decoder ``seq_to_order``, the converter, the JSON codecs,
 the encoder ``order_trees`` and ``saturate.one_saturation``.
 One renderer writes the one-line text, of a ``QsSeq`` (``format_seq``)
 or straight from position trees and the shown labels (``format_trees``).
+
+A constrained walk tests each leading block against one table built per
+call: ``leaving[m]``, for every subset m of the positions, is the union
+of ``combined[y]`` over the members y of m.  It is filled in 2^n steps,
+one position at a time, as ``leaving[m - 2^y] | combined[y]`` for m's
+highest member y (Knuth, TAOCP 4A §7.1.3).  A combined pair from an
+event left over enters the block exactly when ``leaving[rest] & block``
+is non-zero, so the table answers the test that a scan over the members
+of ``rest`` would, and the walk yields the same trees in the same
+order.  The unconstrained walk builds no table.  The table has 2^n
+entries, 64 within ``ENUMERATION_BOUND``; a walk allowed past that
+bound (ROADMAP item 1) must cap n where the table is built, or test
+blocks without it.
 """
 
 from __future__ import annotations
@@ -104,15 +117,22 @@ def _preorder(strata: Iterable[QssStratum]) -> list[QssStratum]:
 
 
 def _fold(
-    roots: Iterable[S], children: Callable[[S], Sequence[S]], build: Callable[[S, tuple[R, ...]], R]
+    roots: Iterable[S],
+    children: Callable[[S], Sequence[S]],
+    build: Callable[[S, tuple[R, ...]], R],
+    build_leaf: Callable[[S], R] | None = None,
 ) -> tuple[R, ...]:
     """The roots' results, where a node's result is ``build(node, its
-    children's results)``, built innermost first and siblings in order.
-    The nodes are listed from an explicit stack with their child counts,
-    so ``children`` runs once per node and nesting depth is not bounded
-    by the interpreter's recursion limit.  Each is listed before its
-    descendants and its children last to first, so read backwards the
-    list has each node right after its children, in order."""
+    children's results)``, built innermost first and siblings in order;
+    a node without children is built by ``build_leaf(node)`` when that
+    is given.  The nodes are listed from an explicit stack with their
+    child counts, so ``children`` runs once per node and nesting depth
+    is not bounded by the interpreter's recursion limit.  Each is listed
+    before its descendants and its children last to first, so read
+    backwards the list has each node right after its children, in
+    order.  Most nodes of a walk's trees are leaves (155,225 of the
+    200,045 over six events); ``build_leaf`` lets a caller build those
+    in one call, without the empty body that ``build`` would take."""
     nodes: list[S] = []
     counts: list[int] = []
     stack = list(roots)
@@ -126,8 +146,10 @@ def _fold(
     for node, count in zip(reversed(nodes), reversed(counts)):
         if count:
             done[-count:] = [build(node, tuple(done[-count:]))]
-        else:
+        elif build_leaf is None:
             done.append(build(node, ()))
+        else:
+            done.append(build_leaf(node))
     return tuple(done)
 
 
@@ -234,7 +256,8 @@ def stratum_trees(
     them every tree is walked.  The formation rules, constrained:
 
     - a sequence over the events left starts with a non-empty block
-      that no combined pair enters from the rest of those events;
+      that no combined pair enters from the rest of those events (one
+      lookup in the subset table of the module docstring);
     - a leaf stratum holds no two events that touch;
     - a base set is a non-empty set of the stratum's events that touch
       none of its events;
@@ -248,6 +271,14 @@ def stratum_trees(
     """
     if n > ENUMERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds enumeration bound {ENUMERATION_BOUND}")
+    leaving = None
+    if combined is not None:
+        # leaving[m]: the events that a combined pair from a member of m
+        # enters; the subsets holding y as their highest member follow
+        # those of the lower positions
+        leaving = [0]
+        for c in combined:
+            leaving += [m | c for m in leaving]
 
     def sequences(events: int, body: bool) -> Iterator[tuple[Tree, ...]]:
         block = 0
@@ -258,7 +289,7 @@ def stratum_trees(
             rest = events & ~block
             if body and not rest:  # a body needs a second stratum
                 return
-            if combined is not None and any(combined[y] & block for y in _bits(rest)):
+            if leaving is not None and leaving[rest] & block:
                 continue
             for head in strata(block):
                 if not rest:
@@ -291,8 +322,11 @@ def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
         later = 0
         for events, _, children in reversed(pending.pop()):
             if later:
-                for i in _bits(events):
-                    rows[i] |= later
+                rest = events
+                while rest:  # _bits inlined: saturate decodes each printed tree twice
+                    low = rest & -rest
+                    rows[low.bit_length() - 1] |= later
+                    rest ^= low
             later |= events
             if children:
                 pending.append(children)
@@ -452,6 +486,6 @@ def _render(
     base text and children, built through ``_fold``."""
 
     def build(st: S, body: tuple[str, ...]) -> str:
-        return f"({base(st)} | {' '.join(body)})" if body else base(st)
+        return f"({base(st)} | {' '.join(body)})"
 
-    return " ; ".join(_fold(strata, children, build))
+    return " ; ".join(_fold(strata, children, build, base))

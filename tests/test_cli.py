@@ -25,10 +25,12 @@ import qstrat.qsseq
 import qstrat.saturate
 from qstrat import (
     BinRel,
+    Domain,
     InternalError,
     Poset,
     QsOrder,
     QssStratum,
+    Structure,
     format_seq,
     is_qsa,
     new_poset,
@@ -997,6 +999,64 @@ def test_file_writers_list_the_sorted_label_pairs(doc):
         "}",
     ]
     assert qstrat.cli.dot_text(s) == "\n".join(lines) + "\n"
+
+
+def _plain_pairs(labels, names, rows):
+    """The pairs of rows in sorted-label order, one step per pair and no
+    memo: the reference for ``cli._pair_lister``."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return [(names[i], names[j]) for i in order for j in order if rows[i] >> j & 1]
+
+
+# labels that show_label quotes, then plain ones
+_LISTER_LABELS = ["b c", "x->y", 'q"', "a;b", "[k]", "d\ne", "z:1", "(", "é", "a", "e10", "e2"]
+
+
+def _lister_rows(rng, n):
+    """Random rows, with one value repeated at several positions, so a
+    memo keyed on the row alone would print another position's head."""
+    rows = [sum(1 << j for j in range(n) if rng.random() < rng.choice((0.05, 0.3, 0.8))) for _ in range(n)]
+    if n:
+        shared = rng.getrandbits(n)
+        for i in rng.sample(range(n), min(n, 4)):
+            rows[i] = shared
+    return tuple(rows)
+
+
+def test_the_row_memo_writes_what_a_plain_pair_listing_writes():
+    rng = random.Random(2701)
+    for n in range(71):
+        pool = _LISTER_LABELS + [f"e{k}" for k in range(20, 20 + n)]
+        declared = sorted(pool[:n])
+        for labels in (declared, rng.sample(declared, n)):
+            domain = Domain(tuple(labels))
+            prec, weak = _lister_rows(rng, n), _lister_rows(rng, n)
+            s = Structure(domain, BinRel(domain, prec), BinRel(domain, weak))
+            names = [json.dumps(x) for x in labels]
+            assert structure_json_text(s) == (
+                "{\n"
+                f'  "domain": [{", ".join(names)}],\n'
+                f'  "prec": [{", ".join(f"[{x}, {y}]" for x, y in _plain_pairs(labels, names, prec))}],\n'
+                f'  "weak": [{", ".join(f"[{x}, {y}]" for x, y in _plain_pairs(labels, names, weak))}]\n'
+                "}\n"
+            )
+            dot = [qstrat.cli._dot_id(x) for x in labels]
+            lines = [
+                "digraph structure {",
+                "  rankdir=LR;",
+                *(f"  {x};" for x in dot),
+                *(f"  {x} -> {y};" for x, y in _plain_pairs(labels, dot, prec)),
+                *(f"  {x} -> {y} [style=dashed];" for x, y in _plain_pairs(labels, dot, weak)),
+                "}",
+            ]
+            assert qstrat.cli.dot_text(s) == "\n".join(lines) + "\n"
+            # one lister for several relations, as saturate keeps one per
+            # request: rows seen before come from the memo
+            shown = [show_label(x) for x in labels]
+            arrows = qstrat.cli._arrow_lister(labels, shown)
+            for rows in (prec, weak, prec, (0,) * n, weak, _lister_rows(rng, n)):
+                expected = ", ".join(f"{x}->{y}" for x, y in _plain_pairs(labels, shown, rows))
+                assert arrows(rows) == (expected or "(none)")
 
 
 # the domain ["a ; b", "c", "d\ne"] with "a ; b" prec c: its text outputs

@@ -30,6 +30,7 @@ from qstrat import (
     stratified_partition,
     total_order_violation,
 )
+from qstrat.orders import _realization
 
 from conftest import LABELS, all_relational_structures, random_structure
 
@@ -489,6 +490,73 @@ def test_realization_refuses_a_self_loop_beside_an_unrelated_event():
     assert interval_realization(rel) is None
     assert interval_order_violation(rel) == ("io:1", ("a",))
     assert qs_order_violation(rel) == ("a",)
+
+
+def _set_rank_realization(rows, cols):
+    """``orders._realization`` as it ranked endpoints before the count
+    ranks: begins are the inclusion ranks of the distinct predecessor
+    sets, ends those of the distinct successor sets."""
+    if any(row >> i & 1 for i, row in enumerate(rows)):
+        return None
+    begin_rank = {m: r for r, m in enumerate(sorted(set(cols), key=lambda m: m.bit_count()))}
+    end_rank = {m: r for r, m in enumerate(sorted(set(rows), key=lambda m: -m.bit_count()))}
+    begins = [begin_rank[m] for m in cols]
+    ends = [end_rank[m] for m in rows]
+    later = [0] * (max(ends, default=0) + 1)
+    for i, b in enumerate(begins):
+        if b:
+            later[min(b, len(later)) - 1] |= 1 << i
+    for r in range(len(later) - 2, -1, -1):
+        later[r] |= later[r + 1]
+    if any(row != later[e] for row, e in zip(rows, ends)):
+        return None
+    return begins, ends
+
+
+def _random_interval_rows(rng, n):
+    """The rows of n random integer intervals, x before y when x ends
+    before y begins; short and long intervals, so some share endpoints."""
+    spans = []
+    for _ in range(n):
+        b = rng.randrange(2 * n + 1)
+        spans.append((b, b + rng.choice((0, 1, rng.randrange(n + 1)))))
+    return tuple(sum(1 << j for j, (b, _) in enumerate(spans) if e < b) for _, e in spans)
+
+
+def _partial_orders_up_to_five():
+    """Every partial order on at most five events: those of
+    ``enumerate_posets``, which stops at four, and each order on four
+    events with a fifth added above one set of them and below another."""
+    for n in range(5):
+        yield from (poset.prec for poset in enumerate_posets(LABELS[:n]))
+    domain = Domain(tuple(LABELS[:5]))
+    for poset in enumerate_posets(LABELS[:4]):
+        for below in range(16):
+            lifted = [row | (below >> i & 1) << 4 for i, row in enumerate(poset.prec.rows)]
+            for above in range(16):
+                rel = BinRel(domain, (*lifted, above))
+                if is_partial_order(rel):
+                    yield rel
+
+
+def test_count_ranks_give_the_set_ranks_endpoints():
+    orders = refused = 0
+    for rel in _partial_orders_up_to_five():
+        rows, cols = rel.rows, rel.column_masks
+        expected = _set_rank_realization(rows, cols)
+        assert _realization(rows, cols) == expected
+        orders += 1
+        refused += expected is None
+    # labelled partial orders on 0..5 events, and those with a 2+2 (12 on
+    # four events, 780 on five): the others are interval orders
+    assert (orders, refused) == (1 + 1 + 3 + 19 + 219 + 4_231, 12 + 780)
+    rng = random.Random(2702)
+    for n in range(65):
+        for _ in range(12):
+            rows = _random_interval_rows(rng, n)
+            cols = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+            found = _realization(rows, cols)
+            assert found is not None and found == _set_rank_realization(rows, cols)
 
 
 # The three breadth-first searches that the one closed-walk search

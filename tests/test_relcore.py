@@ -22,6 +22,7 @@ from qstrat import (
     project,
     saturations,
 )
+from qstrat import relcore
 from qstrat.relcore import _columns, _columns_by_bits, _columns_by_text, _rows_leaving, show_label
 
 from conftest import LABELS
@@ -342,6 +343,34 @@ def test_both_transpose_routes_match_the_per_bit_transpose():
             sides.add(n >= 8 and sum(map(int.bit_count, rows)) > 4 * n + n * n // 100)
         # full rows take the string route from 8 events on, empty ones never
         assert sides == ({False, True} if n >= 8 else {False})
+
+
+# (n, the most pairs that stay on the per-bit route): 4n + n²/100 from 8
+# events on, every pair of the matrix below that
+_SWITCH_POINTS = [(1, 1), (7, 49), (8, 32), (9, 36), (16, 66), (64, 296), (80, 384), (256, 1679)]
+
+
+@pytest.mark.parametrize("n, most", _SWITCH_POINTS)
+def test_the_transpose_route_switches_where_the_two_costs_meet(monkeypatch, n, most):
+    taken = []
+
+    def recorded(name):
+        real = getattr(relcore, name)
+        return lambda rows: taken.append(name) or real(rows)
+
+    for name in ("_columns_by_bits", "_columns_by_text"):
+        monkeypatch.setattr(relcore, name, recorded(name))
+    for pairs in (most - 1, most, most + 1):
+        if pairs > n * n:
+            continue
+        # the first pairs of the matrix in row-major order
+        rows = [0] * n
+        for k in range(pairs):
+            rows[k // n] |= 1 << k % n
+        expected = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+        taken.clear()
+        assert _columns(rows) == expected
+        assert taken == ["_columns_by_text" if pairs > most else "_columns_by_bits"], (n, pairs)
 
 
 @pytest.mark.parametrize("label", ["a", "e10", "x-y", "a>b", "-", "é", "a.b", "λ", "1"])
