@@ -75,6 +75,7 @@ from .relcore import (
     Structure,
     _columns,
     _embedded_weak,
+    _gather,
     new_structure,
     poset_to_structure,
     show_label,
@@ -198,14 +199,7 @@ def _pair_lister(
             texts = memos[i]
             line = texts.get(row)
             if line is None:
-                bits = row
-                if moves:
-                    moved = 0
-                    while bits:  # _bits inlined: saturate lists every printed order
-                        low = bits & -bits
-                        moved |= rank[low.bit_length() - 1]
-                        bits ^= low
-                    bits = moved
+                bits = _gather(rank, row) if moves else row
                 seconds = []
                 while bits:
                     low = bits & -bits

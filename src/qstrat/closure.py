@@ -76,7 +76,7 @@ from .qsa import (
     _acyclic_prober,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, InternalError, Structure, _bits
+from .relcore import BinRel, InternalError, Structure, _bits, _gather
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -101,30 +101,20 @@ def law_closure(s: Structure) -> Structure:
     for k in range(len(prec)):  # Warshall
         bit, row = 1 << k, prec[k]
         prec = [r | row if r & bit else r for r in prec]
-    right = []  # W.P=
-    for row in s.weak.rows:
-        out = row
-        for b in _bits(row):
-            out |= prec[b]
-        right.append(out)
-    weak = []  # P u P=.W.P=
-    for p, out in zip(prec, right):
-        out |= p
-        for c in _bits(p):
-            out |= right[c]
-        weak.append(out)
+    right = [w | _gather(prec, w) for w in s.weak.rows]  # W.P=
+    weak = [p | r | _gather(right, p) for p, r in zip(prec, right)]  # P u P=.W.P=
     return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
 
 
 def _forced_pairs(s: Structure, prober: Prober, law: Structure | None = None):
-    """Every (axiom, (x, y)) whose probe against s breaks acyclicity while
-    the pair it forces is absent: qsc:4 pairs first, then qsc:3, row-major.
+    """Every (axiom, i, j), by positions, whose probe against s breaks
+    acyclicity while the pair it forces is absent: qsc:4 pairs first,
+    then qsc:3, row-major.
     Each row is one ``Prober.run_row``.  Given law, the law closure of s,
     a pair counts as absent only when law lacks it.  On acyclic s a row
     leaves out the probes of the pairs that s, or law when given, holds:
     they lie in every saturation, so adding one keeps s acyclic."""
-    labels = s.domain.labels
-    n = len(labels)
+    n = len(s.domain)
     full = (1 << n) - 1
     known = s if law is None else law
     for axiom, kind, forced, probed in (
@@ -135,7 +125,7 @@ def _forced_pairs(s: Structure, prober: Prober, law: Structure | None = None):
         for i, (present, held) in enumerate(zip(forced.column_masks, passing)):
             found = prober.run_row(i, full & ~present & ~held & ~(1 << i), kind)
             for j in sorted(found):
-                yield axiom, (labels[i], labels[j])
+                yield axiom, i, j
 
 
 def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -144,7 +134,12 @@ def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     Probe axioms are scanned with qsc:4 ahead of qsc:3, so a missing
     precedence pair is reported before the weak pairs it entails.
     """
-    return _pair_violation(s) or next(_forced_pairs(s, Prober(s)), None)
+    found = _pair_violation(s)
+    if found is None:
+        labels = s.domain.labels
+        for axiom, i, j in _forced_pairs(s, Prober(s)):
+            return axiom, (labels[i], labels[j])
+    return found
 
 
 def is_qsc(s: Structure) -> bool:
@@ -158,12 +153,10 @@ def closure_step(s: Structure) -> Structure:
     ``NotAcyclicError`` with the witness of the prober's decision."""
     prober = _acyclic_prober(s, "can only close a quasi-stratified acyclic structure")
     law = law_closure(s)
-    index = s.domain.index
     prec_rows = list(law.prec.rows)
     weak_rows = list(law.weak.rows)
-    for axiom, (x, y) in _forced_pairs(s, prober, law):
-        rows = prec_rows if axiom == "qsc:4" else weak_rows
-        rows[index[y]] |= 1 << index[x]
+    for axiom, i, j in _forced_pairs(s, prober, law):
+        (prec_rows if axiom == "qsc:4" else weak_rows)[j] |= 1 << i
     return Structure(
         s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))
     )

@@ -137,7 +137,9 @@ from .relcore import (
     Structure,
     _bits,
     _combined_rows,
+    _gather,
     _label_mask,
+    _scatter,
     _scc_masks,
     _touching,
     _untouched,
@@ -180,12 +182,7 @@ def _spread(rows: tuple[int, ...], members: int, start: int) -> int:
     """The start mask plus every member it reaches along rows inside members."""
     seen = frontier = start
     while frontier:
-        step = 0
-        while frontier:  # _bits inlined: this loop is the probes' hot spot
-            low = frontier & -frontier
-            step |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & members & ~seen
+        frontier = _gather(rows, frontier) & members & ~seen
         seen |= frontier
     return seen
 
@@ -447,21 +444,12 @@ def _reach_tables(
     ahead, back = [0] * n, [0] * n
     for table, edges, order in ((ahead, rows, comps), (back, cols, comps[::-1])):
         for comp in order:
-            out, rest = 0, comp
-            while rest:
-                low = rest & -rest
-                out |= edges[low.bit_length() - 1]
-                rest ^= low
-            spread, out = comp, out & ~comp
+            spread, out = comp, _gather(edges, comp) & ~comp
             while out:  # each event out of comp has its final set already
                 low = out & -out
                 spread |= table[low.bit_length() - 1]
                 out &= ~(spread | low)
-            rest = comp
-            while rest:
-                low = rest & -rest
-                table[low.bit_length() - 1] = spread
-                rest ^= low
+            _scatter(table, comp, spread)  # comp's entries are still 0
     return ahead, back
 
 
@@ -473,14 +461,8 @@ def _connect(ahead: list[int], back: list[int], i: int, j: int) -> None:
     change, and both masks are taken before any row is written."""
     gain_ahead, gain_back = ahead[j], back[i]
     sources, targets = gain_back & ~back[j], gain_ahead & ~ahead[i]
-    while sources:
-        low = sources & -sources
-        ahead[low.bit_length() - 1] |= gain_ahead
-        sources ^= low
-    while targets:
-        low = targets & -targets
-        back[low.bit_length() - 1] |= gain_back
-        targets ^= low
+    _scatter(ahead, sources, gain_ahead)
+    _scatter(back, targets, gain_back)
 
 
 def _memo_spread(memo: dict[int, dict[int, int]], rows: list[int], members: int, v: int) -> int:
@@ -562,20 +544,13 @@ class _ClosureFacts:
         """Record that the closure holds the pair i kind j."""
         prec, weak_into = self.prec, self.weak_into
         if kind == "weak":
-            bit, tails = 1 << i, prec[j] | 1 << j
-            while tails:  # _bits inlined, as in the loops below
-                low = tails & -tails
-                weak_into[low.bit_length() - 1] |= bit
-                tails ^= low
+            _scatter(weak_into, prec[j] | 1 << j, 1 << i)
         elif not prec[i] >> j & 1:
             heads, tails = self.prec_cols[i] | 1 << i, prec[j] | 1 << j
-            rest = heads
-            while rest:
-                low = rest & -rest
-                prec[low.bit_length() - 1] |= tails
-                rest ^= low
+            _scatter(prec, heads, tails)
             # each event of tails gains heads, the events P= below i, so
-            # its W.P= column gains i's
+            # its W.P= column gains i's; one loop for both tables, as two
+            # scatters cost gen about 2%
             prec_cols, gained = self.prec_cols, weak_into[i]
             while tails:
                 low = tails & -tails

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _touching, _untouched, show_label
+from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, _touching, _untouched, show_label
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -322,11 +322,7 @@ def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
         later = 0
         for events, _, children in reversed(pending.pop()):
             if later:
-                rest = events
-                while rest:  # _bits inlined: saturate decodes each printed tree twice
-                    low = rest & -rest
-                    rows[low.bit_length() - 1] |= later
-                    rest ^= low
+                _scatter(rows, events, later)
             later |= events
             if children:
                 pending.append(children)

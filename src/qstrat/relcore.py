@@ -7,7 +7,9 @@ subset tests, unions and intersections are one integer operation per
 row.  The enumerations stop at a few events, but the file commands read,
 close and check structures of a thousand events and more, whose rows
 span many machine words; ``_columns`` transposes such a matrix in whole
-rows.
+rows.  Two helpers walk a row mask's set positions for every layer:
+``_gather`` takes the union of a table's entries at them, and
+``_scatter`` ORs one value into the table's entries at them.
 
 Values are immutable and safe to share.  Every operation returns a new
 value.  Equality on relations, structures and posets is semantic: two
@@ -33,6 +35,28 @@ def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
+        mask ^= low
+
+
+def _gather(table: Sequence[int], mask: int) -> int:
+    """The union of ``table[i]`` over the positions i of mask.
+
+    This and ``_scatter`` are ``_bits`` written out, without a generator
+    step per position: the probes' spreads, the transposes and the
+    printing of every order run them once per set bit."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _scatter(table: list[int], mask: int, value: int) -> None:
+    """``table[i] |= value`` for each position i of mask."""
+    while mask:
+        low = mask & -mask
+        table[low.bit_length() - 1] |= value
         mask ^= low
 
 
@@ -117,11 +141,7 @@ def _columns_by_bits(rows: Sequence[int]) -> tuple[int, ...]:
     """``_columns`` one set bit at a time."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:  # _bits inlined: every order check transposes its rows
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
+        _scatter(cols, row, 1 << i)
     return tuple(cols)
 
 
@@ -148,12 +168,7 @@ def _aligner(source: Domain, target: Domain) -> Callable[[tuple[int, ...]], tupl
     def align(rows: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * len(moved)
         for k, row in zip(moved, rows):
-            acc = 0
-            while row:  # _bits inlined: saturate moves every printed order
-                low = row & -row
-                acc |= bit[low.bit_length() - 1]
-                row ^= low
-            out[k] = acc
+            out[k] = _gather(bit, row)
         return tuple(out)
 
     return align
@@ -458,7 +473,7 @@ def _untouched(touch: tuple[int, ...], mask: int) -> int:
     ``_touching``."""
     out = 0
     rest = mask
-    while rest:  # _bits inlined: every probe's peel runs this
+    while rest:
         low = rest & -rest
         if touch[low.bit_length() - 1] & mask == 0:
             out |= low

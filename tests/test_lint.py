@@ -256,3 +256,101 @@ class Walker:
     assert _recursive_functions(_call_graph(path)) == {
         "sample.direct", "sample.outer.inner", "sample.outer.other", "sample.Walker.step"
     }
+
+
+# the lowest-set-bit loops kept beside relcore's gather and scatter,
+# each with the reason it is not one of them
+LOW_BIT_LOOPS_ALLOWED = {
+    "relcore._bits": "the generator of positions that every other walk uses",
+    "relcore._gather": "the one gather: the union of a table's entries over a mask",
+    "relcore._scatter": "the one scatter: one value ORed into a table's entries over a mask",
+    "relcore._untouched": "a filter: keeps the members whose touch row misses the mask",
+    "relcore._scc_masks": "Tarjan's pass: takes fresh successors and on-stack hits one at a time",
+    "qsa.Prober.run_row": "groups the candidates by component, dropping a group per step",
+    "qsa._reach_tables": "the skip-ahead spread drops each event its union already holds",
+    "qsa._ClosureFacts.learn": "two scatters over tails fused: as two, gen ran 2% slower (A/B)",
+    "cli._pair_lister.text": "lists a row's label texts in rank order",
+}
+
+
+def _is_low_bit(node: ast.AST) -> bool:
+    """True for ``x & -x``, the lowest set bit of x."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.UnaryOp)
+        and isinstance(node.right.op, ast.USub)
+        and ast.dump(node.left) == ast.dump(node.right.operand)
+    )
+
+
+def _low_bit_loops(path: Path) -> set[str]:
+    """The functions of a module, nested ones and methods included, with
+    a ``while`` loop of their own that assigns ``x & -x``."""
+    found = set()
+    stack: list[tuple[ast.AST, str]] = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    while stack:
+        node, name = stack.pop()
+        own, inner = [], list(ast.iter_child_nodes(node))
+        while inner:
+            child = inner.pop()
+            if isinstance(child, (*_FUNCTIONS, ast.ClassDef)):
+                stack.append((child, f"{name}.{child.name}"))
+            else:
+                own.append(child)
+                inner.extend(ast.iter_child_nodes(child))
+        for loop in own:
+            if not isinstance(loop, ast.While) or not isinstance(node, _FUNCTIONS):
+                continue
+            for sub in ast.walk(loop):
+                if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and _is_low_bit(sub.value):
+                    found.add(name)
+    return found
+
+
+def test_row_masks_are_walked_through_gather_and_scatter():
+    # one copy of the lowest-set-bit loop per access pattern: a plain
+    # union over a mask is relcore._gather, a plain OR into a table over
+    # a mask is relcore._scatter
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _low_bit_loops(path)
+    assert found - set(LOW_BIT_LOOPS_ALLOWED) == set(), "use relcore._gather or relcore._scatter"
+    assert set(LOW_BIT_LOOPS_ALLOWED) <= found, "an allowed low-bit loop is gone; drop its entry"
+
+
+def test_the_low_bit_lint_sees_functions_methods_and_nested_loops(tmp_path):
+    source = '''
+def gather(table, mask):
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+def outer(rows):
+    def inner(mask):
+        while mask:
+            if (low := mask & -mask):
+                mask ^= low
+    return inner
+
+class Walker:
+    def step(self, mask):
+        for row in mask:
+            while row:
+                row &= ~(row & -row)
+                top = row & -row
+
+def once(mask):
+    first = mask & -mask
+    return first
+
+def other(a, b):
+    while a:
+        a = a & -b
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _low_bit_loops(path) == {"sample.gather", "sample.outer.inner", "sample.Walker.step"}

@@ -782,6 +782,32 @@ def test_reach_tables_match_a_spread_from_each_event():
         assert back == [spread(cols, full, 1 << v) for v in range(n)]
 
 
+def test_connect_matches_the_reach_tables_of_the_grown_graph():
+    # Italiano's rule against a recomputation from the new rows; both
+    # gain masks are taken before either table is written
+    rng = random.Random(2813)
+    grown = 0
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.01, 0.03, 0.08, 0.2))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        full = (1 << n) - 1
+        cols = [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+        comps = tuple(qstrat.qsa._scc_masks(tuple(rows), full))
+        ahead, back = qstrat.qsa._reach_tables(rows, cols, comps)
+        edges = [(i, j) for i in range(n) for j in range(n) if not ahead[i] >> j & 1]
+        if not edges:
+            continue
+        i, j = rng.choice(edges)
+        rows[i] |= 1 << j
+        cols[j] |= 1 << i
+        qstrat.qsa._connect(ahead, back, i, j)
+        comps = tuple(qstrat.qsa._scc_masks(tuple(rows), full))
+        assert (ahead, back) == qstrat.qsa._reach_tables(rows, cols, comps)
+        grown += 1
+    assert grown > 300
+
+
 def test_a_prober_shares_the_full_domain_pass_of_its_decision(monkeypatch):
     # the reach tables are built from the components the decision found
     # over the whole domain, not from a second pass over it

@@ -23,7 +23,16 @@ from qstrat import (
     saturations,
 )
 from qstrat import relcore
-from qstrat.relcore import _columns, _columns_by_bits, _columns_by_text, _rows_leaving, show_label
+from qstrat.relcore import (
+    _bits,
+    _columns,
+    _columns_by_bits,
+    _columns_by_text,
+    _gather,
+    _rows_leaving,
+    _scatter,
+    show_label,
+)
 
 from conftest import LABELS
 
@@ -343,6 +352,28 @@ def test_both_transpose_routes_match_the_per_bit_transpose():
             sides.add(n >= 8 and sum(map(int.bit_count, rows)) > 4 * n + n * n // 100)
         # full rows take the string route from 8 events on, empty ones never
         assert sides == ({False, True} if n >= 8 else {False})
+
+
+def test_gather_and_scatter_match_a_walk_over_bits():
+    rng = random.Random(2812)
+    for n in range(201):
+        full = (1 << n) - 1
+        table = [rng.getrandbits(n + 1) for _ in range(n)]
+        for mask in (0, full, full & 1 << max(n - 1, 0), rng.getrandbits(n), rng.getrandbits(n)):
+            union = 0
+            for i in _bits(mask):
+                union |= table[i]
+            assert _gather(table, mask) == union
+            for value in (0, rng.getrandbits(n + 1)):
+                expected = list(table)
+                for i in _bits(mask):
+                    expected[i] |= value
+                scattered = list(table)
+                _scatter(scattered, mask, value)
+                assert scattered == expected
+                assert [t for i, t in enumerate(scattered) if not mask >> i & 1] == [
+                    t for i, t in enumerate(table) if not mask >> i & 1
+                ]
 
 
 # (n, the most pairs that stay on the per-bit route): 4n + n²/100 from 8
