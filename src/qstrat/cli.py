@@ -24,6 +24,9 @@ which checks itself against the rows.  One lister (``_pair_lister``)
 writes the pairs of rows in sorted-label order, in each printer's pair
 form, for every pair printer: ``saturate``, ``close``'s added pairs and
 the JSON and DOT writers; it writes each distinct row of a request once.
+It picks a row's second labels from the row's binary numeral, read in
+sorted-label order by one ``itemgetter`` per lister, with
+``itertools.compress``, so no Python step is taken per pair.
 Text outputs show each label through ``relcore.show_label``, which
 quotes a label that holds a separator of those outputs.
 
@@ -61,8 +64,9 @@ import traceback
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -75,7 +79,6 @@ from .relcore import (
     Structure,
     _columns,
     _embedded_weak,
-    _gather,
     new_structure,
     poset_to_structure,
     show_label,
@@ -174,19 +177,21 @@ def _pair_lister(
 ) -> Callable[[Sequence[int]], str]:
     """Writes the pairs of rows over the labels' positions in sorted-label
     order, each as ``pair.format(names[i], names[j])``, joined by sep.
-    Each row's bits move to the ranks of their labels, unless the labels
-    are sorted already, so a row's lowest bit is its least label; the
-    ranks are computed once here, for every relation of one request.  A
-    row's text is kept under its position and value for the life of the
-    lister, so each distinct row of a request is written once: the
-    orders that one ``saturate`` request prints share most of their
+    A row's second labels are picked from its binary numeral, with no
+    Python step per pair: the numeral is written as bytes of 0 and 1
+    (byte k is bit n - 1 - k), one ``itemgetter`` built here reads them
+    in sorted-label order, and ``compress`` keeps the names whose byte is
+    1.  A row's text is kept under its position and value for the life
+    of the lister, so each distinct row of a request is written once:
+    the orders that one ``saturate`` request prints share most of their
     rows."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = 1 << r
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
     ranked = [names[i] for i in order]
-    moves = order != list(range(len(order)))
+    # the trailing index keeps pick's result a tuple at n <= 1; compress
+    # stops after the n names
+    pick = itemgetter(*[n - 1 - i for i in order], 0)
+    digits = bytes.maketrans(b"01", b"\0\1")
     before, middle, after = pair.split("{}")
     memos: list[dict[int, str]] = [{} for _ in order]  # per position, by row
 
@@ -199,13 +204,9 @@ def _pair_lister(
             texts = memos[i]
             line = texts.get(row)
             if line is None:
-                bits = _gather(rank, row) if moves else row
-                seconds = []
-                while bits:
-                    low = bits & -bits
-                    seconds.append(ranked[low.bit_length() - 1])
-                    bits ^= low
+                numeral = format(row, "b").zfill(n).encode().translate(digits)
                 head = before + names[i] + middle
+                seconds = compress(ranked, pick(numeral))
                 line = texts[row] = head + (after + sep + head).join(seconds) + after
             out.append(line)
         return sep.join(out)

@@ -42,8 +42,8 @@ def _gather(table: Sequence[int], mask: int) -> int:
     """The union of ``table[i]`` over the positions i of mask.
 
     This and ``_scatter`` are ``_bits`` written out, without a generator
-    step per position: the probes' spreads, the transposes and the
-    printing of every order run them once per set bit."""
+    step per position: the probes' spreads and reach tables, the law
+    closure, the transposes and the aligner run them once per set bit."""
     out = 0
     while mask:
         low = mask & -mask

@@ -338,6 +338,16 @@ def test_selftest_small(capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_selftest_default_runs_the_random_acyclicity_cases_at_four_events(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.strip()]
+    assert len(lines) == 4
+    assert all(line.endswith("PASS") for line in lines)
+    # every structure on 1, 2 and 3 events, then 300 random ones on 4
+    assert lines[0].split()[-5:-3] == [str(1 + 4**2 + 64**2 + 300), "cases"]
+
+
 def test_unknown_class_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--class", "bogus", fixture("transactions.json")])

@@ -269,7 +269,6 @@ LOW_BIT_LOOPS_ALLOWED = {
     "qsa.Prober.run_row": "groups the candidates by component, dropping a group per step",
     "qsa._reach_tables": "the skip-ahead spread drops each event its union already holds",
     "qsa._ClosureFacts.learn": "two scatters over tails fused: as two, gen ran 2% slower (A/B)",
-    "cli._pair_lister.text": "lists a row's label texts in rank order",
 }
 
 

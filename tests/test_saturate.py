@@ -8,7 +8,9 @@ from qstrat import (
     Domain,
     add_prec,
     add_weak,
+    all_qsm_structures,
     close_oracle,
+    enumerate_qs_orders,
     extends,
     is_qsa,
     is_qsm,
@@ -299,6 +301,17 @@ def test_saturations_of_qsm_is_itself(maximal_ext):
     sats = saturations(maximal_ext)
     assert len(sats) == 1
     assert list(sats) == [maximal_ext]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_qsm_structures_are_the_embedded_orders_and_the_saturations_of_nothing(n):
+    declared = tuple("abcd"[:n])
+    # seed 0 declares every domain of two or more labels out of order
+    for labels in (declared, tuple(random.Random(0).sample(declared, n))):
+        every = all_qsm_structures(labels)
+        assert every == tuple(qso_to_qsm(o) for o in enumerate_qs_orders(labels))
+        assert all(m.domain.labels == labels and is_qsm(m) for m in every)
+        assert set(every) == set(saturations(new_structure(labels)))
 
 
 def test_saturations_two_element_empty():
