@@ -48,20 +48,25 @@ passes, since adding a pair of every saturation removes none.  The
 probes still run against s, so the one decision and a refusal's witness
 are s's own.
 
-A sweep (``closure_step`` or ``qsc_violation``) probes pairs against
-one ``qsa.Prober`` and so decides the acyclicity of its input once.  On
+A sweep (``closure_step`` or ``qsc_violation``) probes pairs against one
+``qsa.Prober`` and so decides the acyclicity of its input once.  On
 acyclic input, adding one pair can only break the chain of components
 through that pair (the ``qsa`` module docstring has the argument), so a
 probe walks that chain instead of re-deciding the whole extension.  The
 sweep probes a row at a time: for each event x and kind, one
-``Prober.run_row`` over every y whose forced pair is absent, leaving
-out on acyclic input the pairs already held, by s in ``qsc_violation``
-and by the law closure in ``closure_step``, whose probes pass.  Only a
-y that reaches x can close a cycle through x -> y, so one mask, the
-coreach set of x, rules out most of the row at once; the y left in one
-component share their reach set, so they walk one chain level
-together, and for qsc:3 a y that is a pre-dominant of that component
-walks on alone, since the precedence pair makes it touched.
+``Prober.run_row`` over every y whose forced pair is absent, leaving out
+on acyclic input the pairs already held, by s in ``qsc_violation`` and
+by the law closure in ``closure_step``, whose probes pass.  Only a y
+that reaches x can close a cycle through x -> y, so one mask, the
+coreach set of x, rules out most of the row at once.  A y left outside
+the component of x passes at once when it fails one of two certificates
+(the ``qsa`` module docstring has both and their proof): for qsc:4, x or
+y has no precedence pair inside reach(y) & coreach(x); for qsc:3, y has
+no edge into the events that reach x through events touched by
+precedence inside the union of those sets.  The y left in one component
+share their reach set, so they walk one chain level together, and for
+qsc:3 a y that is a pre-dominant of that component walks on alone, since
+the precedence pair makes it touched.
 qsc:1 and qsc:2 are read off row and column masks as well.
 ``oracles.qsc_property_suite`` scans the laws closed structures obey.
 """

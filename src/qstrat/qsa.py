@@ -42,6 +42,31 @@ so a candidate that is a pre-dominant of the component walks on alone,
 and the others go on together.  A lone candidate walks its chain as
 ``run`` does, spreading reach_M(j) first.
 
+On the full domain, before any grouping, ``run_row`` settles most
+candidates outside i's own component from its masks, by two
+certificates, each a necessary condition for a failing probe.  Both rest
+on one fact about a forbidden subset X of the extension.  X holds i and
+j (above).  Every member of X is reached from j, and reaches i, along a
+shortest path inside X, and such a path skips the new edge, which would
+make it revisit j or pass i before its end; so X lies inside
+comp = reach(j) & coreach(i) in s.  And every member of X other than
+the ends of a new precedence pair has a precedence pair of s inside X.
+For a weak pair both ends need one, so j passes when touch[i] & comp or
+touch[j] & comp is empty, touch[v] being the events v has a precedence
+pair with; at level 0 this is exact, since it says that i or j is a
+pre-dominant of the level's component.  For a precedence pair, take the
+shortest path from j to i inside X: its inner events are touched inside
+X, so inside U, the union of comp over the row's candidates outside i's
+component, and each reaches i through the ones after it.  So its second
+event lies in R, i plus the events that reach i through events touched
+inside U, and j passes when rows[j] & R is empty.  R costs one spread
+over columns per row, and the columns it gathers on the way hold exactly
+the j with an edge into R; U, where coreach(i) would also do, keeps that
+spread as small as the candidates' own components.  The candidates of
+i's own component go on to the grouping, which takes them in one step
+where a certificate would take one each: on dense structures that
+component holds most of the row.
+
 A prober grows with its structure: ``Prober.extend`` adds each pair its
 probe accepts and keeps its memos exact instead of starting over, by
 the single-edge lemma.  Adding the edge i -> j changes the reach sets
@@ -295,6 +320,31 @@ class Prober:
             raise ValueError("a row probes positions of the domain only")
         if self._fixed:
             return dict.fromkeys(_bits(js), self._fixed)
+        # the full domain first: a j that does not reach i closes no cycle,
+        # and a j outside i's own component passes when it fails a
+        # certificate (module docstring)
+        back, own, touch = self._back[i], self._ahead[i], self._touch
+        js &= back
+        others = js & ~own
+        if others and kind == "weak":
+            ahead, mine = self._ahead, touch[i] & back
+            while others:
+                low = others & -others
+                j = low.bit_length() - 1
+                comp = ahead[j] & back
+                if not (mine & comp and touch[j] & comp):
+                    js ^= low
+                others ^= low
+        elif others:  # keep the j with an edge into R
+            union = _gather(self._ahead, others) & back  # U, the union of their comps
+            inside = union & ~_untouched(touch, union) | 1 << i
+            into, seen, frontier = 0, 1 << i, 1 << i
+            while frontier:  # R is seen once this spread ends
+                step = _gather(self._cols, frontier)
+                into |= step
+                frontier = step & inside & ~seen
+                seen |= frontier
+            js &= own | into
         found: dict[int, int] = {}
         pending = [(self._full, js)]
         while pending:

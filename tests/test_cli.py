@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -232,6 +233,50 @@ def test_a_label_that_is_not_utf8_is_an_input_error(capsys, tmp_path, command):
     code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert (code, out) == (2, "")
     assert err == "error: label '\\ud800' is not encodable as UTF-8\n"
+
+
+def _run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(
+        st.text(st.characters(blacklist_categories=()), min_size=1),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.0, 0.6),
+)
+def test_close_and_check_qsc_write_utf8_for_every_label(labels, seed, density):
+    # surrogates, quotes, separators and control characters included; a
+    # label that no output stream can encode is an input error
+    s = random_qsa_structure(labels, seed=seed, density=density)
+    doc = {
+        "domain": labels,
+        "prec": [list(p) for p in s.prec.pairs()],
+        "weak": [list(p) for p in s.weak.pairs()],
+    }
+    encodable = all(not any("\ud800" <= c <= "\udfff" for c in label) for label in labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run_quietly("close", str(path))
+        assert code == (0 if encodable else 2)
+        out.encode("utf-8"), err.encode("utf-8")
+        if code == 0:
+            assert json.loads(out)["domain"] == labels
+            closed = Path(tmp) / "closed.json"
+            closed.write_text(out, encoding="utf-8")
+            assert _run_quietly("check", "--class", "qsc", str(closed))[0] == 0
+        code, out, err = _run_quietly("check", "--class", "qsc", str(path))
+        assert code in ((0, 1) if encodable else (2,))
+        out.encode("utf-8"), err.encode("utf-8")
 
 
 def test_saturate_two_element_empty(capsys, tmp_path):

@@ -266,7 +266,10 @@ LOW_BIT_LOOPS_ALLOWED = {
     "relcore._scatter": "the one scatter: one value ORed into a table's entries over a mask",
     "relcore._untouched": "a filter: keeps the members whose touch row misses the mask",
     "relcore._scc_masks": "Tarjan's pass: takes fresh successors and on-stack hits one at a time",
-    "qsa.Prober.run_row": "groups the candidates by component, dropping a group per step",
+    "qsa.Prober.run_row": (
+        "groups the candidates by component, dropping a group per step; before that, the"
+        " weak-pair certificate tests each candidate outside i's component on its own comp"
+    ),
     "qsa._reach_tables": "the skip-ahead spread drops each event its union already holds",
     "qsa._ClosureFacts.learn": "two scatters over tails fused: as two, gen ran 2% slower (A/B)",
 }

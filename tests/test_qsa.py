@@ -24,18 +24,21 @@ from qstrat import (
     is_qsa_naive,
     legal_extensions,
     new_structure,
+    poset_to_structure,
     predominants,
     probe,
     project,
     qsa_witness,
     qsa_witness_naive,
+    random_qs_seq,
     random_qsa_structure,
     saturations,
+    seq_to_order,
 )
 
 from qstrat.cli import default_labels, main, read_input
 from qstrat.closure import law_closure
-from qstrat.relcore import _combined_rows
+from qstrat.relcore import _combined_rows, _touching
 
 from conftest import all_relational_structures, random_structure
 
@@ -639,6 +642,66 @@ def test_row_walk_matches_the_extension_oracle(n, seed, density, acyclic, data):
                 prober.run_row(i, js | 1 << i, kind)
     with pytest.raises(ValueError, match="positions of the domain"):
         prober.run_row(0, 1 << n, "weak")
+
+
+def _certified(s, i, kind):
+    """The candidates of a full row i outside i's own component that a
+    pass certificate settles (qsa module docstring), read off the
+    definitions: comp = reach(j) & coreach(i); for a weak pair, i or j
+    untouched inside comp; for a precedence pair, no edge from j into R,
+    the events that reach i through events touched inside the union of
+    comp over those candidates."""
+    n, spread = len(s.domain), qstrat.qsa._spread
+    full = (1 << n) - 1
+    rows, touch = _combined_rows(s), _touching(s.prec)
+    cols = tuple(p | w for p, w in zip(s.prec.column_masks, s.weak.column_masks))
+    back, ahead = spread(cols, full, 1 << i), spread(rows, full, 1 << i)
+    others = [j for j in range(n) if back >> j & 1 and not ahead >> j & 1]
+    comps = {j: spread(rows, full, 1 << j) & back for j in others}
+    union = 0
+    for comp in comps.values():
+        union |= comp
+    inside = sum(1 << v for v in range(n) if union >> v & 1 and touch[v] & union)
+    into_i = spread(cols, inside | 1 << i, 1 << i)  # R
+    settled = 0
+    for j, comp in comps.items():
+        if kind == "weak":
+            settled |= (not (touch[i] & comp and touch[j] & comp)) << j
+        else:
+            settled |= (not rows[j] & into_i) << j
+    return settled
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 14), seed=st.integers(0, 2**30), keep=st.floats(0.0, 1.0))
+def test_row_walk_matches_the_extension_oracle_on_specifications(n, seed, keep):
+    # specifications as the close workload draws them: a random subset of
+    # the pairs of one execution's maximal structure.  Their components
+    # are mostly single events, so most candidates of a row lie outside
+    # i's own component, where the pass certificates act; the structures
+    # of the test above have few such candidates
+    labels = string.ascii_letters[:n]
+    m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
+    rng = random.Random(seed)
+    s = new_structure(
+        labels,
+        [pair for pair in m.prec.pairs() if rng.random() < keep],
+        [pair for pair in m.weak.pairs() if rng.random() < keep],
+    )
+    prober = Prober(s)
+    for i, x in enumerate(labels):
+        for kind in ("prec", "weak"):
+            found = prober.run_row(i, ((1 << n) - 1) & ~(1 << i), kind)
+            settled = _certified(s, i, kind)
+            for j, y in enumerate(labels):
+                if j == i:
+                    continue
+                extension = add_prec(s, x, y) if kind == "prec" else add_weak(s, x, y)
+                expected = qsa_witness(extension)
+                subset = frozenset(labels[k] for k in range(n) if found.get(j, 0) >> k & 1)
+                assert subset == (expected.subset if expected else frozenset())
+                if settled >> j & 1:
+                    assert expected is None
 
 
 def _assert_memos_exact(prober):
