@@ -55,6 +55,7 @@ SIGPIPE ended).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -141,12 +142,20 @@ def read_input(path: str | Path) -> InputFile:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    # the parse builds a list per pair, and the cyclic collector would
+    # scan them again and again as they pile up: it is paused, if on,
+    # and restored whatever the parse raises
+    paused = gc.isenabled()
+    gc.disable()
     try:
         data = json.loads(text)
     except RecursionError as exc:
         raise InputError(f"{path} nests too deeply to decode") from exc
     except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if paused:
+            gc.enable()
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     unknown = set(data) - {"domain", "prec", "weak"}

@@ -329,12 +329,11 @@ class Prober:
         if others and kind == "weak":
             ahead, mine = self._ahead, touch[i] & back
             while others:
-                low = others & -others
-                j = low.bit_length() - 1
+                j = others.bit_length() - 1
                 comp = ahead[j] & back
                 if not (mine & comp and touch[j] & comp):
-                    js ^= low
-                others ^= low
+                    js ^= 1 << j
+                others ^= 1 << j
         elif others:  # keep the j with an edge into R
             union = _gather(self._ahead, others) & back  # U, the union of their comps
             inside = union & ~_untouched(touch, union) | 1 << i
@@ -495,10 +494,11 @@ def _reach_tables(
     for table, edges, order in ((ahead, rows, comps), (back, cols, comps[::-1])):
         for comp in order:
             spread, out = comp, _gather(edges, comp) & ~comp
-            while out:  # each event out of comp has its final set already
-                low = out & -out
-                spread |= table[low.bit_length() - 1]
-                out &= ~(spread | low)
+            # each event out of comp has its final set already, itself
+            # included, so the spread drops every event it then holds
+            while out:
+                spread |= table[out.bit_length() - 1]
+                out &= ~spread
             _scatter(table, comp, spread)  # comp's entries are still 0
     return ahead, back
 
@@ -603,11 +603,10 @@ class _ClosureFacts:
             # scatters cost gen about 2%
             prec_cols, gained = self.prec_cols, weak_into[i]
             while tails:
-                low = tails & -tails
-                b = low.bit_length() - 1
+                b = tails.bit_length() - 1
                 prec_cols[b] |= heads
                 weak_into[b] |= gained
-                tails ^= low
+                tails ^= 1 << b
 
     def forbids(self, i: int, j: int, kind: str) -> bool:
         """True when the facts put the reverse of the pair i kind j in the
@@ -681,22 +680,25 @@ def random_qsa_structure(
     empty = new_structure(label_tuple)
     prober, facts = Prober(empty), _ClosureFacts(n)
     rows = {"prec": [0] * n, "weak": [0] * n}
+    # per-candidate constants and bound methods, taken once
+    pairs, kinds = n * (n - 1), ("prec", "weak")
+    forbids, implies, learn, extend = facts.forbids, facts.implies, facts.learn, prober.extend
     for k in drawn:
-        kind, pair = divmod(k, n * (n - 1))
+        kind, pair = divmod(k, pairs)
         i, j = divmod(pair, n - 1)
         j += j >= i
-        which = ("prec", "weak")[kind]
-        if facts.forbids(i, j, which):
+        which = kinds[kind]
+        if forbids(i, j, which):
             continue
         # a pair in the closure removes no saturation: neither the
         # prober nor the facts need it
-        if not facts.implies(i, j, which):
-            if prober.extend(i, j, which):
+        if not implies(i, j, which):
+            if extend(i, j, which):
                 # no saturation holds the pair, so each holds its reverse:
                 # j weak i for i prec j, j prec i for i weak j
-                facts.learn(j, i, "weak" if which == "prec" else "prec")
+                learn(j, i, kinds[1 - kind])
                 continue
-            facts.learn(i, j, which)
+            learn(i, j, which)
         rows[which][i] |= 1 << j
     domain = empty.domain
     return Structure(

@@ -11,6 +11,19 @@ rows.  Two helpers walk a row mask's set positions for every layer:
 ``_gather`` takes the union of a table's entries at them, and
 ``_scatter`` ORs one value into the table's entries at them.
 
+A walk whose result does not depend on the order it visits positions
+(a union, an OR, a filter per position) steps down from the highest set
+bit, ``i = mask.bit_length() - 1`` then ``mask ^= 1 << i``: one big int
+fewer per step than isolating the lowest bit with ``mask & -mask``.
+``_gather``, ``_scatter`` and ``_untouched`` walk so, as do three
+loops of ``qsa``: the reach tables' skip-ahead spread, the weak-pair
+certificate of a probe row and the fused scatter of the facts ``gen``
+learns.  The walks whose output follows their order stay ascending:
+``_bits`` yields positions lowest first, ``_scc_masks`` takes
+successors lowest first, which fixes the emission order and with it the
+witnesses and the FAIL lines, and a probe row groups its candidates by
+component lowest first, the order in which its results come.
+
 Values are immutable and safe to share.  Every operation returns a new
 value.  Equality on relations, structures and posets is semantic: two
 values are equal when they have the same label set and relate the same
@@ -43,21 +56,23 @@ def _gather(table: Sequence[int], mask: int) -> int:
 
     This and ``_scatter`` are ``_bits`` written out, without a generator
     step per position: the probes' spreads and reach tables, the law
-    closure, the transposes and the aligner run them once per set bit."""
+    closure, the transposes and the aligner run them once per set bit.
+    Both walk down from the highest set bit, since a union and an OR
+    come out the same in any order (module docstring)."""
     out = 0
     while mask:
-        low = mask & -mask
-        out |= table[low.bit_length() - 1]
-        mask ^= low
+        i = mask.bit_length() - 1
+        out |= table[i]
+        mask ^= 1 << i
     return out
 
 
 def _scatter(table: list[int], mask: int, value: int) -> None:
     """``table[i] |= value`` for each position i of mask."""
     while mask:
-        low = mask & -mask
-        table[low.bit_length() - 1] |= value
-        mask ^= low
+        i = mask.bit_length() - 1
+        table[i] |= value
+        mask ^= 1 << i
 
 
 @dataclass(frozen=True)
@@ -474,10 +489,10 @@ def _untouched(touch: tuple[int, ...], mask: int) -> int:
     out = 0
     rest = mask
     while rest:
-        low = rest & -rest
-        if touch[low.bit_length() - 1] & mask == 0:
-            out |= low
-        rest ^= low
+        i = rest.bit_length() - 1
+        if touch[i] & mask == 0:
+            out |= 1 << i
+        rest ^= 1 << i
     return out
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -91,6 +92,48 @@ def test_read_write_round_trip_arbitrary_labels(doc):
         again = read_input(second).structure()
     assert again == s
     assert again.domain.labels == s.domain.labels
+
+
+# one file per InputError that read_input raises, in the order it checks
+_READ_FAULTS = [
+    (None, "cannot read"),
+    (b'{"domain": ["\xff"]}', "cannot read"),
+    ("[" * 100_000, "nests too deeply"),
+    ("not json", "is not valid JSON"),
+    ("[]", "input must be a JSON object"),
+    ('{"domain": [], "prec": [], "extra": 1}', "unknown keys"),
+    ('{"domain": []}', "needs"),
+    ('{"domain": [1], "prec": []}', "must be a list of strings"),
+    ('{"domain": ["a", "a"], "prec": []}', "duplicate label"),
+    ('{"domain": ["\\ud800"], "prec": []}', "not encodable"),
+    ('{"domain": ["a"], "prec": {}}', "must be a list of pairs"),
+    ('{"domain": ["a"], "prec": [["a"]]}', "two-element"),
+    ('{"domain": ["a"], "prec": [["a", "z"]]}', "unknown label"),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_read_input_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    # the parse runs with the cyclic collector paused; a caller's setting
+    # survives both a good file and every fault
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        good = tmp_path / "good.json"
+        good.write_text('{"domain": ["a", "b"], "prec": [["a", "b"]]}', encoding="utf-8")
+        assert list(read_input(good).prec.pairs()) == [("a", "b")]
+        assert gc.isenabled() is enabled
+        for k, (content, message) in enumerate(_READ_FAULTS):
+            path = tmp_path / f"fault{k}.json"
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            elif content is not None:
+                path.write_text(content, encoding="utf-8")
+            with pytest.raises(qstrat.cli.InputError, match=message):
+                read_input(path)
+            assert gc.isenabled() is enabled, message
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_read_rejects_unknown_keys(tmp_path):
@@ -277,6 +320,121 @@ def test_close_and_check_qsc_write_utf8_for_every_label(labels, seed, density):
         code, out, err = _run_quietly("check", "--class", "qsc", str(path))
         assert code in ((0, 1) if encodable else (2,))
         out.encode("utf-8"), err.encode("utf-8")
+
+
+# the words of the text outputs' own templates, which are not labels
+_TEMPLATE_WORDS = frozenset(
+    """PASS FAIL not is a an structure precedence relation partial total
+    stratified interval order quasi-stratified acyclic relational maximal
+    closed fails on witness relates to itself strongly connected over the
+    combined no pre-dominant adding weak prec breaks acyclicity so required
+    but missing saturation s truncated -- tree intervals none empty po to so
+    io qso qsa qsm qsc { }""".split()
+)
+_SEPARATORS = frozenset(" \n,;|()[]:")
+
+
+def _text_tokens(text):
+    """The tokens of a text output, each as (text, quoted): a JSON string
+    decoded, or a bare run between separators (``, ; | ( ) [ ] :``, ``->``
+    and whitespace), the forms ``show_label`` prints a label in."""
+    decode = json.JSONDecoder().raw_decode
+    tokens, k = [], 0
+    while k < len(text):
+        if text[k] == '"':
+            token, k = decode(text, k)
+            tokens.append((token, True))
+        elif text[k] in _SEPARATORS or text.startswith("->", k):
+            k += 2 if text.startswith("->", k) else 1
+        else:
+            end = k
+            while end < len(text) and text[end] not in _SEPARATORS and text[end] != '"':
+                if text.startswith("->", end):
+                    break
+                end += 1
+            tokens.append((text[k:end], False))
+            k = end
+    return tokens
+
+
+def _foreign_tokens(text, labels):
+    """The tokens of a text output that are neither a domain label nor a
+    word or number of the templates; a quoted token is always a label.
+    A witness set is printed in braces, so one brace may cling to the
+    bare labels at its ends."""
+    domain = set(labels)
+    foreign = []
+    for token, quoted in _text_tokens(text):
+        if quoted:
+            if token not in domain:
+                foreign.append(token)
+            continue
+        if token in _TEMPLATE_WORDS or token.lstrip("-").isdigit():
+            continue
+        trimmed = {token, token.removeprefix("{"), token.removesuffix("}")}
+        trimmed.add(token.removeprefix("{").removesuffix("}"))
+        if not trimmed & domain:
+            foreign.append(token)
+    return foreign
+
+
+def _dot_labels(text):
+    """The labels of a DOT rendering: its quoted ids, unescaped."""
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', text, flags=re.DOTALL)
+    return {re.sub(r"\\(.)", r"\1", name, flags=re.DOTALL) for name in ids}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    labels=st.lists(
+        st.text(st.characters(blacklist_categories=()), min_size=1),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    ),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.0, 0.6),
+)
+def test_every_other_command_writes_utf8_and_only_domain_labels(labels, seed, density):
+    # the property of close and check --class qsc above, for the other
+    # commands that read a file: on a random acyclic structure and on a
+    # quasi-stratified order, each exits 0, 1 or 2, writes UTF-8, and
+    # prints no label token that is not a domain label
+    s = random_qsa_structure(labels, seed=seed, density=density)
+    order = seq_to_order(random_qs_seq(labels, seed=seed))
+    docs = {
+        "structure": {
+            "domain": labels,
+            "prec": [list(p) for p in s.prec.pairs()],
+            "weak": [list(p) for p in s.weak.pairs()],
+        },
+        "order": {"domain": labels, "prec": [list(p) for p in order.prec.pairs()]},
+    }
+    encodable = all(not any("\ud800" <= c <= "\udfff" for c in label) for label in labels)
+    classes = ["po", "to", "so", "io", "qso", "relational", "qsa", "qsm"]
+    commands = [["saturate", "--limit", "3"], ["decompose"], ["intervals"], ["render", "--format", "tree"]]
+    commands += [["check", "--class", cls] for cls in classes]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for command in commands:
+                code, out, err = _run_quietly(command[0], str(path), *command[1:])
+                assert code in ((0, 1, 2) if encodable else (2,)), (command, err)
+                out.encode("utf-8"), err.encode("utf-8")
+                assert _foreign_tokens(out, labels) == [], command
+            for form in ("json", "dot"):
+                code, out, err = _run_quietly("render", str(path), "--format", form)
+                assert code == (0 if encodable else 2), (form, err)
+                out.encode("utf-8"), err.encode("utf-8")
+                if code:
+                    assert out == ""
+                elif form == "json":
+                    rendered = json.loads(out)
+                    assert rendered["domain"] == labels
+                    assert {x for pair in rendered["prec"] + rendered["weak"] for x in pair} <= set(labels)
+                else:
+                    assert _dot_labels(out) <= set(labels)
 
 
 def test_saturate_two_element_empty(capsys, tmp_path):

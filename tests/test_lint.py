@@ -6,6 +6,7 @@ import ast
 import sys
 from fnmatch import fnmatch
 from pathlib import Path
+from typing import Callable
 
 import qstrat
 
@@ -258,37 +259,65 @@ class Walker:
     }
 
 
-# the lowest-set-bit loops kept beside relcore's gather and scatter,
-# each with the reason it is not one of them
+# the row-mask loops kept beside relcore's gather and scatter, one list
+# per step shape, each loop with the reason it is not one of them.
+# Lowest set bit first (``low = m & -m``): the walks whose output follows
+# their order.
 LOW_BIT_LOOPS_ALLOWED = {
-    "relcore._bits": "the generator of positions that every other walk uses",
+    "relcore._bits": "the generator of positions that every other walk uses, lowest first",
+    "relcore._scc_masks": (
+        "Tarjan's pass: takes fresh successors and on-stack hits lowest first, which fixes"
+        " the emission order, the witnesses and the FAIL lines"
+    ),
+    "qsa.Prober.run_row": "groups the candidates by component, lowest first, dropping a group per step",
+}
+# Highest set bit first (``i = m.bit_length() - 1`` on the loop's own
+# mask m): the walks whose result is the same in any order.
+HIGH_BIT_LOOPS_ALLOWED = {
     "relcore._gather": "the one gather: the union of a table's entries over a mask",
     "relcore._scatter": "the one scatter: one value ORed into a table's entries over a mask",
     "relcore._untouched": "a filter: keeps the members whose touch row misses the mask",
-    "relcore._scc_masks": "Tarjan's pass: takes fresh successors and on-stack hits one at a time",
     "qsa.Prober.run_row": (
-        "groups the candidates by component, dropping a group per step; before that, the"
-        " weak-pair certificate tests each candidate outside i's component on its own comp"
+        "the weak-pair certificate tests each candidate outside i's component on its own comp"
     ),
     "qsa._reach_tables": "the skip-ahead spread drops each event its union already holds",
     "qsa._ClosureFacts.learn": "two scatters over tails fused: as two, gen ran 2% slower (A/B)",
 }
 
 
-def _is_low_bit(node: ast.AST) -> bool:
-    """True for ``x & -x``, the lowest set bit of x."""
+def _is_low_bit(loop: ast.While, node: ast.AST) -> bool:
+    """True for an assignment of ``x & -x``, the lowest set bit of x."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+        return False
+    value = node.value
     return (
-        isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.BitAnd)
-        and isinstance(node.right, ast.UnaryOp)
-        and isinstance(node.right.op, ast.USub)
-        and ast.dump(node.left) == ast.dump(node.right.operand)
+        isinstance(value, ast.BinOp)
+        and isinstance(value.op, ast.BitAnd)
+        and isinstance(value.right, ast.UnaryOp)
+        and isinstance(value.right.op, ast.USub)
+        and ast.dump(value.left) == ast.dump(value.right.operand)
     )
 
 
-def _low_bit_loops(path: Path) -> set[str]:
+def _is_high_bit(loop: ast.While, node: ast.AST) -> bool:
+    """True for ``m.bit_length() - 1``, the position of the highest set
+    bit of m, where m is the loop's own test."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+        and isinstance(node.left, ast.Call)
+        and not node.left.args
+        and isinstance(node.left.func, ast.Attribute)
+        and node.left.func.attr == "bit_length"
+        and ast.dump(node.left.func.value) == ast.dump(loop.test)
+    )
+
+
+def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[str]:
     """The functions of a module, nested ones and methods included, with
-    a ``while`` loop of their own that assigns ``x & -x``."""
+    a ``while`` loop of their own that holds a step of the given shape."""
     found = set()
     stack: list[tuple[ast.AST, str]] = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     while stack:
@@ -304,21 +333,21 @@ def _low_bit_loops(path: Path) -> set[str]:
         for loop in own:
             if not isinstance(loop, ast.While) or not isinstance(node, _FUNCTIONS):
                 continue
-            for sub in ast.walk(loop):
-                if isinstance(sub, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and _is_low_bit(sub.value):
-                    found.add(name)
+            if any(step(loop, sub) for sub in ast.walk(loop)):
+                found.add(name)
     return found
 
 
 def test_row_masks_are_walked_through_gather_and_scatter():
-    # one copy of the lowest-set-bit loop per access pattern: a plain
-    # union over a mask is relcore._gather, a plain OR into a table over
-    # a mask is relcore._scatter
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= _low_bit_loops(path)
-    assert found - set(LOW_BIT_LOOPS_ALLOWED) == set(), "use relcore._gather or relcore._scatter"
-    assert set(LOW_BIT_LOOPS_ALLOWED) <= found, "an allowed low-bit loop is gone; drop its entry"
+    # one copy of each row-mask loop per access pattern: a plain union
+    # over a mask is relcore._gather, a plain OR into a table over a mask
+    # is relcore._scatter
+    for step, allowed in ((_is_low_bit, LOW_BIT_LOOPS_ALLOWED), (_is_high_bit, HIGH_BIT_LOOPS_ALLOWED)):
+        found = set()
+        for path in sorted(SRC.glob("*.py")):
+            found |= _bit_loops(path, step)
+        assert found - set(allowed) == set(), "use relcore._gather or relcore._scatter"
+        assert set(allowed) <= found, f"an allowed {step.__name__[4:]} loop is gone; drop its entry"
 
 
 def test_the_low_bit_lint_sees_functions_methods_and_nested_loops(tmp_path):
@@ -352,7 +381,42 @@ def once(mask):
 def other(a, b):
     while a:
         a = a & -b
+
+def scatter(table, mask, value):
+    while mask:
+        i = mask.bit_length() - 1
+        table[i] |= value
+        mask ^= 1 << i
+
+def spread(table, out):
+    seen = 0
+    while out:
+        seen |= table[out.bit_length() - 1]
+        out &= ~seen
+
+class Table:
+    def fill(self, rows):
+        for row in rows:
+            while row:
+                self.cells[row.bit_length() - 1] = 1
+                row &= row - 1
+
+class Prober:
+    def pick(self, pending, js):
+        while pending:
+            js = pending.pop()
+            if js:
+                top = js.bit_length() - 1
+        while js:
+            j = js.bit_length() - 2
+            js &= js - 1
+
+def last(mask):
+    return mask.bit_length() - 1
 '''
     path = tmp_path / "sample.py"
     path.write_text(source, encoding="utf-8")
-    assert _low_bit_loops(path) == {"sample.gather", "sample.outer.inner", "sample.Walker.step"}
+    assert _bit_loops(path, _is_low_bit) == {
+        "sample.gather", "sample.outer.inner", "sample.Walker.step"
+    }
+    assert _bit_loops(path, _is_high_bit) == {"sample.scatter", "sample.spread", "sample.Table.fill"}

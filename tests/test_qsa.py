@@ -593,6 +593,26 @@ def test_gen_spreads_nothing_over_the_full_domain(monkeypatch):
     assert sum(calls) == 0 < len(calls)
 
 
+def test_gen_does_no_more_prober_work_than_it_did(monkeypatch):
+    # a timing-free guard for changes made only for speed: the numbers
+    # are the calls one 48-event generation made when it was last
+    # measured, so a change that adds work to the probes fails here
+    calls = dict.fromkeys(("_memo_spread", "_spread", "_dominants_of", "_untouched"), 0)
+    for name in calls:
+        owner = qstrat.qsa.Prober if name == "_dominants_of" else qstrat.qsa
+
+        def counted(*args, f=getattr(owner, name), name=name):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    random_qsa_structure(default_labels(48), seed=1, density=0.35)
+    assert 0 < calls["_memo_spread"] <= 1250
+    assert 0 < calls["_spread"] <= 695
+    assert 0 < calls["_dominants_of"] <= 824
+    assert 0 < calls["_untouched"] <= 151
+
+
 def test_random_qsa_structure_refuses_domains_beyond_the_generation_bound():
     bound = qstrat.qsa.GENERATION_BOUND
     message = f"domain size {bound + 1} exceeds generation bound {bound}"

@@ -31,6 +31,7 @@ from qstrat.relcore import (
     _gather,
     _rows_leaving,
     _scatter,
+    _untouched,
     show_label,
 )
 
@@ -355,18 +356,29 @@ def test_both_transpose_routes_match_the_per_bit_transpose():
 
 
 def test_gather_and_scatter_match_a_walk_over_bits():
+    # every size to 200 events, then the sizes of the file commands around
+    # a machine-word boundary; masks holding bit 0, the top bit, both and
+    # neither, since the walks step down from the top and _bits up from 0
     rng = random.Random(2812)
-    for n in range(201):
-        full = (1 << n) - 1
+    for n in [*range(201), 1023, 1024, 1025, 2048]:
+        full, ends = (1 << n) - 1, (1 << max(n - 1, 0)) | 1
         table = [rng.getrandbits(n + 1) for _ in range(n)]
-        for mask in (0, full, full & 1 << max(n - 1, 0), rng.getrandbits(n), rng.getrandbits(n)):
+        # touch rows that are empty, one event or random, so that some
+        # members of a mask touch none of it
+        touch = [(0, 1 << rng.randrange(n), rng.getrandbits(n))[i % 3] for i in range(n)]
+        picked = rng.getrandbits(n)
+        masks = (0, full, full & 1 << max(n - 1, 0), full & 1, full & ends)
+        for mask in masks + (picked | full & ends, picked & ~ends, rng.getrandbits(n)):
+            positions = [i for i in range(n) if mask >> i & 1]
+            assert list(_bits(mask)) == positions  # ascending
             union = 0
-            for i in _bits(mask):
+            for i in positions:
                 union |= table[i]
             assert _gather(table, mask) == union
+            assert _untouched(touch, mask) == sum(1 << i for i in positions if not touch[i] & mask)
             for value in (0, rng.getrandbits(n + 1)):
                 expected = list(table)
-                for i in _bits(mask):
+                for i in positions:
                     expected[i] |= value
                 scattered = list(table)
                 _scatter(scattered, mask, value)
