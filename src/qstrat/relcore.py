@@ -121,14 +121,14 @@ class Domain:
 
 
 # a printable character is whitespace only when it is the space
-_UNSAFE = frozenset(' "\\,;|()[]:')
+_UNSAFE = frozenset(' "\\,;|()[]{}:')
 
 
 def show_label(label: str) -> str:
     """A label as the text outputs print it: bare when it is printable and
     holds no whitespace, no quote or backslash and no separator of those
-    outputs (``, ; | ( ) [ ] :`` or ``->``), else as its JSON string, so
-    every printed token names one label."""
+    outputs (``, ; | ( ) [ ] { } :`` or ``->``), else as its JSON string,
+    so every printed token names one label."""
     if label.isprintable() and _UNSAFE.isdisjoint(label) and "->" not in label:
         return label
     return json.dumps(label)

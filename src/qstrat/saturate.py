@@ -15,6 +15,17 @@ builds one such tree on position masks, nested as deep as the spec
 needs (through ``qsseq._fold``).  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 
+``one_saturation`` runs one Tarjan pass per sequence of its tree.
+Tarjan emits the components of the combined relation in reverse
+topological order, so read from the last emitted to the first each is
+a source of the events after it: no pair runs from a later component
+into it, and removing it leaves the later components as they were.  It
+chooses the saturation whose every sequence lists its components in
+that order, each of two or more events with its least-labelled
+pre-dominant as base.  Nesting stays quadratic in its depth: each node
+runs a pass over its whole body, and a chain of mutually weak pairs
+nests one level per event.
+
 ``saturations`` is the one producer of saturations.  Its
 ``SaturationSet`` keeps what the walk built over the positions of the
 sorted labels, which compare as the labels do: each saturation's
@@ -38,6 +49,7 @@ from .qsseq import Tree, _fold, stratum_trees, tree_rows
 from .relcore import (
     BinRel,
     Domain,
+    InternalError,
     Poset,
     Structure,
     _aligner,
@@ -47,6 +59,7 @@ from .relcore import (
     _scc_masks,
     _touching,
     _untouched,
+    extends,
     is_relational,
     poset_to_structure,
 )
@@ -108,12 +121,16 @@ def _refuse_unless_acyclic(s: Structure) -> None:
 
 def one_saturation(s: Structure) -> Structure:
     """One maximal extension of an acyclic structure, from a stratum
-    tree built on position masks: the next stratum of a sequence is the
-    source component of the combined relation on the events left, and a
+    tree built on position masks: the strata of a sequence are the
+    components of the combined relation on its events, from one
+    ``_scc_masks`` pass read from the last emitted to the first, and a
     component of two or more takes its least-labelled pre-dominant as
     base over the sequence of the rest, its body.  The tree is built by
-    ``qsseq._fold`` and decodes through ``qsseq.tree_rows``; unordered
-    events come out mutually weak.  Input that is not acyclic raises
+    ``qsseq._fold`` and decodes through ``qsseq.tree_rows``, which makes
+    a quasi-stratified order of any tree, so the order is not checked
+    again; unordered events come out mutually weak.  The result is
+    checked to extend s, in one pass over the rows, and raises
+    ``InternalError`` if it does not.  Input that is not acyclic raises
     ``NotAcyclicError``.
     """
     _refuse_unless_acyclic(s)
@@ -121,19 +138,18 @@ def one_saturation(s: Structure) -> Structure:
     combined, touch = _combined_rows(s), _touching(s.prec)
 
     def strata(events: int) -> list[tuple[int, int]]:
-        out = []  # (events, base) per stratum of the sequence over events
-        while events:
-            # Tarjan emits a source component last
-            comp = _scc_masks(combined, events)[-1]
-            events &= ~comp
-            # a single event is its own pre-dominant, so a leaf
-            out.append((comp, 1 << min(_bits(_untouched(touch, comp)), key=labels.__getitem__)))
-        return out
+        # (events, base) per stratum of the sequence over events, from one
+        # Tarjan pass read backwards; a single event is its own
+        # pre-dominant, so a leaf, and its empty body runs no pass
+        comps = reversed(_scc_masks(combined, events)) if events else ()
+        return [(c, 1 << min(_bits(_untouched(touch, c)), key=labels.__getitem__)) for c in comps]
 
     full = (1 << len(labels)) - 1
     trees = _fold(strata(full), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
-    rows = tree_rows(len(labels), trees)
-    return poset_to_structure(Poset(s.domain, BinRel(s.domain, rows)))
+    m = _embed_order(BinRel(s.domain, tree_rows(len(labels), trees)))
+    if not extends(s, m):
+        raise InternalError("a saturation does not extend its structure")
+    return m
 
 
 @dataclass(frozen=True)

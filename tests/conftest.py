@@ -252,8 +252,9 @@ def reference_one_saturation(s: Structure) -> Structure:
     """One saturation of an acyclic structure by recursion over label
     sets: a strongly connected domain makes its least-labelled
     pre-dominant mutually weak with the saturation of the rest;
-    otherwise the source component of the condensation precedes the
-    saturation of the rest."""
+    otherwise each component of the condensation, read from the last
+    emitted to the first, precedes the components read after it, and
+    each is saturated on its own."""
 
     def pairs(s: Structure) -> tuple[set, set]:
         labels = s.domain.labels
@@ -267,16 +268,15 @@ def reference_one_saturation(s: Structure) -> Structure:
             weak.update((base, x) for x in rest)
             weak.update((x, base) for x in rest)
             return prec, weak
-        first = components[-1]
-        head = [x for x in labels if x in first]
-        tail = [x for x in labels if x not in first]
-        prec, weak = pairs(project(s, head))
-        prec_tail, weak_tail = pairs(project(s, tail))
-        prec.update(prec_tail)
-        weak.update(weak_tail)
-        cross = {(x, y) for x in head for y in tail}
-        prec.update(cross)
-        weak.update(cross)
+        prec, weak, later = set(), set(), []
+        # emitted first is read last, so it follows every other component
+        for component in components:
+            head = [x for x in labels if x in component]
+            prec_head, weak_head = pairs(project(s, head))
+            cross = {(x, y) for x in head for y in later}
+            prec.update(prec_head, cross)
+            weak.update(weak_head, cross)
+            later += head
         return prec, weak
 
     prec, weak = pairs(s)

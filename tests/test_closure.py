@@ -690,7 +690,7 @@ def test_close_reports_the_pairs_it_added():
         assert report.added_weak == report.closed.weak.label_pairs - s.weak.label_pairs
 
 
-def _reference_qsc_violation(s):
+def _reference_qsc_violation_by_probes(s):
     """``qsc_violation`` by one probe per pair, no probe left out."""
     bad = _reference_pair_violation(s)
     if bad is not None:
@@ -719,7 +719,7 @@ def test_qsc_violation_names_the_first_witness_of_every_probe():
         structures += [s, closed, new_structure(closed.domain.labels, kept, closed.weak.pairs())]
     verdicts = set()
     for s in structures:
-        expected = _reference_qsc_violation(s)
+        expected = _reference_qsc_violation_by_probes(s)
         assert qsc_violation(s) == expected, s
         verdicts.add(expected and expected[0])
     assert verdicts == {"qsc:1", "qsc:2", "qsc:3", "qsc:4", None}

@@ -420,3 +420,66 @@ def last(mask):
         "sample.gather", "sample.outer.inner", "sample.Walker.step"
     }
     assert _bit_loops(path, _is_high_bit) == {"sample.scatter", "sample.spread", "sample.Table.fill"}
+
+
+# every module whose top-level definitions a test or a run can reach
+LINTED_DIRS = ("src/qstrat", "tests", "tools", "demos")
+
+
+def _defined_twice(path: Path) -> list[str]:
+    """The top-level function and class names the module defines again,
+    each with the line of the later definition."""
+    seen: set[str] = set()
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            if node.name in seen:
+                found.append(f"{node.name}:{node.lineno}")
+            seen.add(node.name)
+    return found
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    # the later definition silently shadows the earlier one, so every
+    # caller before it runs code nobody reads under that name
+    root = SRC.parent.parent
+    found = [
+        f"{path.relative_to(root)}:{name}"
+        for folder in LINTED_DIRS
+        for path in sorted((root / folder).rglob("*.py"))
+        for name in _defined_twice(path)
+    ]
+    assert not found, f"a later definition shadows an earlier one: {found}"
+
+
+def test_the_duplicate_name_lint_sees_functions_and_classes(tmp_path):
+    source = '''
+def reference(s):
+    return 1
+
+class Walker:
+    def step(self):
+        def reference(s):
+            return 2
+        return reference
+
+class Other:
+    def step(self):
+        return 3
+
+async def fetch():
+    return 4
+
+def reference(s):
+    return 5
+
+class fetch:
+    pass
+
+if True:
+    def Walker():
+        return 6
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _defined_twice(path) == ["reference:18", "fetch:21"]

@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qstrat.saturate
 from qstrat import (
@@ -32,7 +34,9 @@ from qstrat import (
     seq_to_order,
     stratum_domain,
 )
+from qstrat.cli import default_labels
 from qstrat.qsseq import tree_rows
+from qstrat.relcore import InternalError
 
 from conftest import (
     all_relational_structures,
@@ -261,6 +265,93 @@ def test_one_saturation_succeeds_iff_qsa():
         else:
             with pytest.raises(ValueError):
                 one_saturation(s)
+
+
+def _spec(labels, seed, keep):
+    """A specification as the close workload draws it: a random subset
+    of the pairs of one execution's maximal structure."""
+    m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
+    rng = random.Random(seed)
+    return new_structure(
+        labels,
+        [pair for pair in m.prec.pairs() if rng.random() < keep],
+        [pair for pair in m.weak.pairs() if rng.random() < keep],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.integers(1, 6).flatmap(lambda n: st.permutations("abcdef"[:n])),
+    seed=st.integers(0, 2**30),
+    density=st.floats(0.0, 0.8),
+    spec=st.booleans(),
+)
+def test_one_saturation_is_one_of_the_saturations(labels, seed, density, spec):
+    s = _spec(labels, seed, density) if spec else random_qsa_structure(labels, seed=seed, density=density)
+    m = one_saturation(s)
+    walked = saturations(s)
+    # a maximal structure's weak pairs follow from its order
+    assert is_qsm(m)
+    assert m.prec.aligned_to(walked.ordered).rows in walked.rows
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_one_saturation_is_a_maximal_extension_at_larger_sizes(n):
+    labels = default_labels(n)
+    inputs = [
+        new_structure(labels, list(zip(labels, labels[1:]))),
+        new_structure(labels),
+        _spec(labels, n, 0.05),
+        _spec(labels, n + 1, 0.5),
+        random_qsa_structure(labels, seed=n, density=0.02 if n == 256 else 8 / n),
+    ]
+    for s in inputs:
+        m = one_saturation(s)
+        assert qsm_violation(m) is None
+        assert extends(s, m)
+
+
+def test_one_saturation_runs_one_tarjan_pass_per_sequence(monkeypatch):
+    # one pass per sequence of the tree, the top one and each node's
+    # body; a leaf's empty body runs none
+    calls, trees = [], []
+    scc, fold = qstrat.saturate._scc_masks, qstrat.saturate._fold
+
+    def counted(rows, members):
+        calls.append(members != 0)
+        return scc(rows, members)
+
+    def kept(*args):
+        trees.append(fold(*args))
+        return trees[-1]
+
+    def internal_nodes(strata):
+        return sum(1 + internal_nodes(body) for _, _, body in strata if body)
+
+    monkeypatch.setattr(qstrat.saturate, "_scc_masks", counted)
+    monkeypatch.setattr(qstrat.saturate, "_fold", kept)
+    chain = default_labels(200)
+    cases = [
+        (new_structure(chain, list(zip(chain, chain[1:]))), 1),
+        (new_structure(chain), 1),
+        (random_qsa_structure(default_labels(64), seed=1, density=0.1), 22),
+    ]
+    for s, passes in cases:
+        calls.clear()
+        trees.clear()
+        one_saturation(s)
+        assert calls == [True] * passes
+        assert passes == 1 + internal_nodes(trees[0])
+
+
+def test_one_saturation_refuses_a_result_that_does_not_extend_its_input(monkeypatch):
+    # components in topological order, not Tarjan's reverse one, put the
+    # chain's sink first: the decoded order reverses every pair
+    scc = qstrat.saturate._scc_masks
+    monkeypatch.setattr(qstrat.saturate, "_scc_masks", lambda rows, members: scc(rows, members)[::-1])
+    labels = default_labels(8)
+    with pytest.raises(InternalError, match="does not extend"):
+        one_saturation(new_structure(labels, list(zip(labels, labels[1:]))))
 
 
 def _count_embeddings(monkeypatch):
