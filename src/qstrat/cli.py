@@ -473,24 +473,26 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _selftest_qsa_oracle(max_n: int, rng: random.Random) -> Iterator[bool]:
-    for n in range(1, min(3, max_n) + 1):
-        labels = default_labels(n)
+    """Every structure on up to 3 events, then 300 random ones per size;
+    after each size a line on stderr names its cases and seconds, as the
+    larger sizes run long."""
+    for n in range(1, max_n + 1):
+        start, labels = time.perf_counter(), default_labels(n)
         slots = [(x, y) for x in labels for y in labels if x != y]
-        for pm in range(1 << len(slots)):
-            for wm in range(1 << len(slots)):
+        count = 4 ** len(slots) if n <= 3 else 300
+        for k in range(count):
+            if n <= 3:
+                pm, wm = divmod(k, 1 << len(slots))
                 prec = [slots[i] for i in range(len(slots)) if pm >> i & 1]
                 weak = [slots[i] for i in range(len(slots)) if wm >> i & 1]
-                s = new_structure(labels, prec, weak)
-                yield qsa.is_qsa(s) == oracles.is_qsa_naive(s)
-    for n in range(4, max_n + 1):
-        labels = default_labels(n)
-        slots = [(x, y) for x in labels for y in labels if x != y]
-        for _ in range(300):
-            density = rng.uniform(0.05, 0.5)
-            prec = [p for p in slots if rng.random() < density]
-            weak = [p for p in slots if rng.random() < density]
+            else:
+                density = rng.uniform(0.05, 0.5)
+                prec = [p for p in slots if rng.random() < density]
+                weak = [p for p in slots if rng.random() < density]
             s = new_structure(labels, prec, weak)
             yield qsa.is_qsa(s) == oracles.is_qsa_naive(s)
+        seconds = time.perf_counter() - start
+        print(f"selftest: acyclicity n={n}: {count} cases, {seconds:.2f} s", file=sys.stderr, flush=True)
 
 
 def _selftest_axioms_vs_enumeration(max_n: int) -> Iterator[bool]:

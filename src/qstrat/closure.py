@@ -101,11 +101,16 @@ def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
 def law_closure(s: Structure) -> Structure:
     """The least structure holding s that obeys the four laws of every
     saturation (module docstring): P, the transitive closure of s's
-    precedence pairs, and W := P=.(W u P).P=, which is P u P=.W.P=."""
+    precedence pairs, and W := P=.(W u P).P=, which is P u P=.W.P=.
+
+    Warshall skips a pivot whose row is empty when the loop reaches it:
+    OR-ing it into the rows that hold the pivot changes none of them."""
     prec = list(s.prec.rows)
     for k in range(len(prec)):  # Warshall
+        # the row as the earlier pivots grew it: one empty in s may not be
         bit, row = 1 << k, prec[k]
-        prec = [r | row if r & bit else r for r in prec]
+        if row:
+            prec = [r | row if r & bit else r for r in prec]
     right = [w | _gather(prec, w) for w in s.weak.rows]  # W.P=
     weak = [p | r | _gather(right, p) for p, r in zip(prec, right)]  # P u P=.W.P=
     return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
@@ -129,7 +134,7 @@ def _forced_pairs(s: Structure, prober: Prober, law: Structure | None = None):
         passing = probed.rows if prober.witness is None else (0,) * n
         for i, (present, held) in enumerate(zip(forced.column_masks, passing)):
             found = prober.run_row(i, full & ~present & ~held & ~(1 << i), kind)
-            for j in sorted(found):
+            for j in sorted(found) if found else ():  # most rows find nothing
                 yield axiom, i, j
 
 

@@ -201,7 +201,9 @@ class BinRel:
         if len(self.rows) != n:
             raise ValueError("row count does not match domain size")
         full = (1 << n) - 1
-        if any(row & ~full for row in self.rows):
+        # row & ~full is nonzero exactly for a row above full or below 0;
+        # two C-level passes cost less than a generator step per row
+        if self.rows and (max(self.rows) > full or min(self.rows) < 0):
             raise ValueError("relation references positions outside the domain")
 
     @classmethod

@@ -12,6 +12,7 @@ from typing import Iterable
 import pytest
 
 from qstrat import (
+    BinRel,
     Domain,
     QsOrder,
     QsSeq,
@@ -25,6 +26,7 @@ from qstrat import (
     predominants,
     project,
     qso_projection,
+    random_qs_seq,
     reindex_poset,
     seq_to_order,
     stratum_base,
@@ -128,6 +130,32 @@ def random_structure(rng: random.Random, n: int, density: float | None = None) -
     prec = [p for p in slots if rng.random() < density]
     weak = [p for p in slots if rng.random() < density]
     return new_structure(labels, prec, weak)
+
+
+def spec_structure(labels, seed: int, keep: float) -> Structure:
+    """A specification as the close workload draws it: a random subset
+    of the pairs of one execution's maximal structure, each kept with
+    probability keep, prec pairs first."""
+    m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
+    rng = random.Random(seed)
+    return new_structure(
+        labels,
+        [pair for pair in m.prec.pairs() if rng.random() < keep],
+        [pair for pair in m.weak.pairs() if rng.random() < keep],
+    )
+
+
+def dense_structure(labels, seed: int = 1) -> Structure:
+    """The "dense n" input: one execution's maximal structure with each
+    pair kept with probability 1/2, drawn row by row, a row's prec pairs
+    before its weak pairs."""
+    m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
+    rng = random.Random(seed)
+    prec, weak = [], []
+    for p, w in zip(m.prec.rows, m.weak.rows):
+        for kept, row in ((prec, p), (weak, w)):
+            kept.append(sum(1 << j for j in range(len(labels)) if row >> j & 1 and rng.random() < 0.5))
+    return Structure(m.domain, BinRel(m.domain, tuple(prec)), BinRel(m.domain, tuple(weak)))
 
 
 def all_relational_structures(n: int):

@@ -1353,6 +1353,18 @@ def test_selftest_shows_each_suite_line_as_the_suite_ends(monkeypatch):
     assert all(re.search(r" [1-9]\d* cases +\d+\.\d\d s  PASS$", line) for line in lines)
 
 
+def test_selftest_reports_each_acyclicity_size_on_stderr(capsys):
+    code, out, err = run(capsys, "selftest", "--max-n", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    # every structure on 1, 2 and 3 events, then 300 random ones per size
+    cases = [1, 4**2, 64**2, 300, 300]
+    lines = err.splitlines()
+    assert len(lines) == len(cases)
+    for n, (count, line) in enumerate(zip(cases, lines), 1):
+        assert re.fullmatch(rf"selftest: acyclicity n={n}: {count} cases, \d+\.\d\d s", line), line
+
+
 def test_selftest_suite_stops_at_its_first_failing_case(capsys, monkeypatch):
     monkeypatch.setattr(qstrat.oracles, "is_qsa_naive", lambda s: False)
     code, out, _ = run(capsys, "selftest", "--max-n", "2")

@@ -613,6 +613,22 @@ def test_gen_does_no_more_prober_work_than_it_did(monkeypatch):
     assert 0 < calls["_untouched"] <= 151
 
 
+def test_chain_passes_at_once_where_j_has_no_edge_into_the_member_set(monkeypatch):
+    # b reaches a through c in the whole domain, but the member set {a, b}
+    # holds no edge from b, so b reaches nothing there and the walk ends
+    # without a spread; the set still counts as used, so that extend keeps
+    # its memos
+    s = new_structure("abc", [], [("b", "c"), ("c", "a")])
+    prober = Prober(s)
+    calls = []
+    lookup = qstrat.qsa._memo_spread
+    monkeypatch.setattr(qstrat.qsa, "_memo_spread", lambda *args: calls.append(1) or lookup(*args))
+    members = 0b011
+    assert prober._chain(0, 1, "prec", members) == 0
+    assert calls == []
+    assert members in prober._recent
+
+
 def test_random_qsa_structure_refuses_domains_beyond_the_generation_bound():
     bound = qstrat.qsa.GENERATION_BOUND
     message = f"domain size {bound + 1} exceeds generation bound {bound}"

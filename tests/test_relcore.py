@@ -46,6 +46,7 @@ AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
     [
         (lambda: BinRel(AB, (0,)), "row count does not match domain size"),
         (lambda: BinRel(AB, (0b100, 0)), "relation references positions outside the domain"),
+        (lambda: BinRel(AB, (0, -1)), "relation references positions outside the domain"),
         (lambda: Structure(AB, BinRel.empty(AB), BinRel.empty(ABC)), "both relations must share"),
         (lambda: Structure(ABC, BinRel.empty(AB), BinRel.empty(AB)), "both relations must share"),
         (lambda: Poset(ABC, BinRel.empty(AB)), "relation must share the poset's domain"),
@@ -57,7 +58,7 @@ AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
         ),
     ],
     ids=[
-        "row count", "outside", "weak domain", "structure domain", "poset domain",
+        "row count", "outside", "negative row", "weak domain", "structure domain", "poset domain",
         "reflexive", "intransitive", "intersection",
     ],
 )

@@ -43,6 +43,7 @@ from conftest import (
     random_structure,
     reference_one_saturation,
     reference_qsm_structures,
+    spec_structure,
 )
 
 
@@ -267,18 +268,6 @@ def test_one_saturation_succeeds_iff_qsa():
                 one_saturation(s)
 
 
-def _spec(labels, seed, keep):
-    """A specification as the close workload draws it: a random subset
-    of the pairs of one execution's maximal structure."""
-    m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
-    rng = random.Random(seed)
-    return new_structure(
-        labels,
-        [pair for pair in m.prec.pairs() if rng.random() < keep],
-        [pair for pair in m.weak.pairs() if rng.random() < keep],
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     labels=st.integers(1, 6).flatmap(lambda n: st.permutations("abcdef"[:n])),
@@ -287,7 +276,7 @@ def _spec(labels, seed, keep):
     spec=st.booleans(),
 )
 def test_one_saturation_is_one_of_the_saturations(labels, seed, density, spec):
-    s = _spec(labels, seed, density) if spec else random_qsa_structure(labels, seed=seed, density=density)
+    s = spec_structure(labels, seed, density) if spec else random_qsa_structure(labels, seed=seed, density=density)
     m = one_saturation(s)
     walked = saturations(s)
     # a maximal structure's weak pairs follow from its order
@@ -301,8 +290,8 @@ def test_one_saturation_is_a_maximal_extension_at_larger_sizes(n):
     inputs = [
         new_structure(labels, list(zip(labels, labels[1:]))),
         new_structure(labels),
-        _spec(labels, n, 0.05),
-        _spec(labels, n + 1, 0.5),
+        spec_structure(labels, n, 0.05),
+        spec_structure(labels, n + 1, 0.5),
         random_qsa_structure(labels, seed=n, density=0.02 if n == 256 else 8 / n),
     ]
     for s in inputs:

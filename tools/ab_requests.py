@@ -1,0 +1,137 @@
+"""Compare two source trees of qstrat request by request, in one process.
+
+Loads ``qstrat`` from ``A/src`` and from ``B/src`` under two module
+names, builds one perfbench workload's requests through
+``perfbench/workloads.py`` of this checkout, and runs each request on A
+and on B back to back, alternating which goes first, ``--repeat`` times.
+A request's time on each side is its fastest run.  Where a request
+writes a file that a later one reads, A's output is written.  Prints
+whether every exit code and stdout agreed, the sum, p50 and p90 of the
+per-request minima of each side, and on how many requests B was faster::
+
+    python tools/ab_requests.py PARENT_CHECKOUT . --workload close --cycles 5 --repeat 6
+
+The speed of a shared machine drifts over seconds, which moves whole
+benchmark runs; two versions timed back to back on the same request
+drift together, so the per-request comparison shows a change of a few
+percent that run-level medians cannot.  Exits 1 when the outputs differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import math
+import random
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def load_cli(src: Path, name: str):
+    """``qstrat.cli`` of the package under src, imported as ``name.cli``."""
+    package = src / "qstrat"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"error: no qstrat package under {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def load_workloads():
+    """perfbench's workloads module, imported without writing bytecode
+    beside it."""
+    sys.path.insert(0, str(PERFBENCH))
+    before, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = before
+    return workloads
+
+
+def call(cli, argv: list[str]) -> tuple[float, int | None, str]:
+    out = io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except (Exception, SystemExit) as exc:  # a failed request is an output too
+        code, out = None, io.StringIO(f"{type(exc).__name__}: {exc}")
+    return time.perf_counter() - start, code, out.getvalue()
+
+
+def nearest_rank(sorted_values: list[float], pct: float) -> float:
+    return sorted_values[max(0, math.ceil(pct / 100 * len(sorted_values)) - 1)]
+
+
+def compare(clis, requests, repeat: int, flip: bool) -> tuple[list[float], list[float], int]:
+    """Per-request minima of A and B over repeat back-to-back runs each,
+    and the number of requests whose outputs differ.  flip makes B go
+    first on the first run."""
+    best: tuple[list[float], list[float]] = ([], [])
+    differ = 0
+    for request in requests:
+        times, outputs = [math.inf, math.inf], [None, None]
+        for k in range(repeat):
+            order = (1, 0) if (k % 2 == 0) == flip else (0, 1)
+            for side in order:
+                seconds, code, out = call(clis[side], request.argv)
+                times[side] = min(times[side], seconds)
+                outputs[side] = (code, out)
+        differ += outputs[0] != outputs[1]
+        if request.produces is not None:
+            request.produces.write_text(outputs[0][1], encoding="utf-8")
+        for side in (0, 1):
+            best[side].append(times[side])
+    return best[0], best[1], differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path, help="checkout holding src/qstrat, the baseline")
+    parser.add_argument("b", type=Path, help="checkout holding src/qstrat, the change")
+    parser.add_argument("--workload", default="close")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=6)
+    args = parser.parse_args(argv)
+    if args.cycles < 1 or args.repeat < 1:
+        parser.error("--cycles and --repeat must be at least 1")
+    workloads = load_workloads()
+    if args.workload not in workloads.WORKLOADS:
+        parser.error(f"--workload must be one of {sorted(workloads.WORKLOADS)}")
+    tag = f"ab{time.monotonic_ns()}"
+    clis = (load_cli(args.a / "src", f"{tag}a"), load_cli(args.b / "src", f"{tag}b"))
+    workload, rng = workloads.WORKLOADS[args.workload](), random.Random(args.seed)
+    a, b, differ = [], [], 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for cycle in range(args.cycles):
+            requests = workload.cycle(rng, Path(workdir), f"{tag}{cycle}", tag)
+            best_a, best_b, wrong = compare(clis, requests, args.repeat, cycle % 2 == 1)
+            a, b, differ = a + best_a, b + best_b, differ + wrong
+    print(f"workload {args.workload}, seed {args.seed}: {len(a)} requests, "
+          f"{args.repeat} runs per side each, fastest kept")  # fmt: skip
+    print(f"outputs identical: {'yes' if not differ else f'no, {differ} requests differ'}")
+    for name, times in (("A", a), ("B", b)):
+        ranked = sorted(times)
+        print(f"{name}: sum {sum(ranked) * 1e3:.1f} ms, p50 {statistics.median(ranked) * 1e3:.3f} ms, "
+              f"p90 {nearest_rank(ranked, 90) * 1e3:.3f} ms")  # fmt: skip
+    faster = sum(y < x for x, y in zip(a, b))
+    print(f"B faster on {faster} of {len(a)} requests")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
