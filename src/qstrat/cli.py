@@ -18,9 +18,12 @@ quasi-stratified acyclic, from the witness that the library's refusal
 
 ``saturate`` prints each saturation from the rows and tree over sorted
 labels that ``saturate.saturations`` keeps, building no structure: its
-pairs, the stratum tree that the walk built for it, after checking that
-the tree decodes to the rows, and the order's interval realization,
-which checks itself against the rows.  One lister (``_pair_lister``)
+pairs, the stratum tree that the walk built for it, and the order's
+interval realization, which checks itself against the rows.  One decode
+of the tree gives the rows, checked against the walk's, and the column
+masks that the weak pairs and the realization read.  The distinct
+top-level trees of a request are rendered in one fold, and the listing
+goes to stdout in one write.  One lister (``_pair_lister``)
 writes the pairs of rows in sorted-label order, in each printer's pair
 form, for every pair printer: ``saturate``, ``close``'s added pairs and
 the JSON and DOT writers; it writes each distinct row of a request once.
@@ -38,7 +41,12 @@ line, and a scan that finds none is an internal error.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each
-request to the ``cmd_<command>`` function by name.
+request to the ``cmd_<command>`` function by name.  It parses a request
+with the named command's own parser, at half the top-level parser's
+cost, and hands what that parser cannot settle alone (no command, an
+unknown one, an option before it, an argument left over) to the
+top-level parser, so every usage line, message and exit code is the
+top-level parser's (``_parse``).
 
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
@@ -65,7 +73,7 @@ import traceback
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -78,7 +86,6 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
-    _columns,
     _embedded_weak,
     new_structure,
     poset_to_structure,
@@ -372,6 +379,13 @@ def cmd_close(args: argparse.Namespace) -> int:
 
 
 def cmd_saturate(args: argparse.Namespace) -> int:
+    """Lists the saturations of the input, written to stdout at once.
+    Each one's tree is decoded once, into its rows, which must be the
+    walk's, and its column masks, which give the weak rows and the
+    interval realization.  The pair rows and the top-level tree texts
+    are each written once per request, as the saturations share most of
+    them; no printed order is transposed and no structure is built per
+    saturation."""
     if args.limit is not None and args.limit < 0:
         raise InputError(f"limit must be non-negative, got {args.limit}")
     s = read_input(args.path).structure()
@@ -385,28 +399,28 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         sats = saturate.saturations(s, limit=args.limit)
     except qsa.NotAcyclicError as exc:
         return _refused(s, exc)
-    print(f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}")
+    out = [f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}"]
     # rows and trees are over the positions of the sorted labels, so a
     # position's pairs, base members and interval print in label order
-    names = _shown(sats.ordered.labels)
-    arrows = _arrow_lister(sats.ordered.labels, names)
+    labels = sats.ordered.labels
+    names = _shown(labels)
+    arrows = _arrow_lister(labels, names)
+    # the distinct top-level trees of the request, rendered in one fold
+    tops = dict.fromkeys(chain.from_iterable(sats.trees))
+    texts = dict(zip(tops, qsseq.tree_texts(tuple(tops), labels, names)))
     for k, (rows, trees) in enumerate(zip(sats.rows, sats.trees), start=1):
-        cols = _columns(rows)
-        lines = [
-            f"-- saturation {k}",
-            f"   prec: {arrows(rows)}",
-            f"   weak: {arrows(_embedded_weak(cols))}",
-        ]
+        cols = [0] * n
+        if qsseq.tree_rows(n, trees, cols) != rows:
+            raise InternalError("a saturation's tree does not decode to its order")
+        out += [f"-- saturation {k}", f"   prec: {arrows(rows)}", f"   weak: {arrows(_embedded_weak(cols))}"]
         if n > 0:
-            if qsseq.tree_rows(n, trees) != rows:
-                raise InternalError("a saturation's tree does not decode to its order")
             realization = orders._realization(rows, cols)
             if realization is None:
                 raise InternalError("a saturation's order has no interval realization")
-            cells = " ".join([f"{x}:[{b},{e}]" for x, b, e in zip(names, *realization)])
-            tree = qsseq.format_trees(trees, sats.ordered.labels, names)
-            lines += [f"   tree: {tree}", f"   intervals: {cells}"]
-        print("\n".join(lines))
+            out.append(f"   tree: {' ; '.join(map(texts.__getitem__, trees))}")
+            out.append(f"   intervals: {' '.join(['%s:[%d,%d]' % c for c in zip(names, *realization)])}")
+    out.append("")
+    sys.stdout.write("\n".join(out))
     return 0
 
 
@@ -606,11 +620,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the oracle equivalence suites")
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
 
+    parser.commands = sub.choices  # each command's parser, by name, for main
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The request that argv names, parsed by the named command's own
+    parser, which costs half what the top-level parser does.  What that
+    parser cannot settle alone goes to the top-level parser, which then
+    prints the usage line and message and exits as it always has: no
+    command, an unknown one, an option before it, or an argument left
+    over.  A command parser's own errors and help are what the top-level
+    parser would print, since it hands the same arguments to the same
+    command parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

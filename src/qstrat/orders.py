@@ -21,6 +21,8 @@ step leaving only a strong state (interval).
 from __future__ import annotations
 
 from collections import deque
+from itertools import accumulate, count
+from operator import le, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .qsseq import order_trees
@@ -177,39 +179,40 @@ def _realization(
     """The interval begins and ends of each position of a relation, given
     its rows and column masks, or None when it is not an interval order.
 
-    A self-loop gets None.  Otherwise an event's begin is the rank of
-    its predecessor count among the distinct predecessor counts,
-    smallest first, and its end the rank of its successor count among
-    the distinct successor counts, largest first.  The construction is
-    then checked against the rows, one per event: the successors of i
-    must be exactly the events whose begin lies after i's end.  When
-    the check passes, i is not among its own successors, so its begin
-    lies at or before its end, and x precedes y exactly when x's
-    interval ends before y's begins: whatever the endpoints, the
-    relation is an interval order.  On an interval order the
-    predecessor sets, and the successor sets, form chains under
-    inclusion, and the inclusion ranks of the distinct sets realize it
-    (Fishburn 1970).  Along a chain distinct sets have distinct sizes,
-    so the count ranks are those inclusion ranks and the check passes:
-    it passes exactly on interval orders.
+    An event's begin is the rank of its predecessor count among the
+    distinct predecessor counts, smallest first, and its end the rank of
+    its successor count among the distinct successor counts, largest
+    first.  The construction is then checked against the rows: the
+    successors of each event i must be exactly the events whose begin
+    lies after i's end, and i's begin must lie at or before its end.
+    Given the first, the second holds exactly when i is not among its
+    own successors, so a self-loop gets None.  When both hold, x
+    precedes y exactly when x's interval ends before y's begins:
+    whatever the endpoints, the relation is an interval order.  On an
+    interval order the predecessor sets, and the successor sets, form
+    chains under inclusion, and the inclusion ranks of the distinct sets
+    realize it (Fishburn 1970).  Along a chain distinct sets have
+    distinct sizes, so the count ranks are those inclusion ranks and the
+    check passes: it passes exactly on interval orders.
+
+    The counts are ranked through one dict each and the check compares
+    whole lists, so the only Python step per event files it under its
+    begin.
     """
-    for i, row in enumerate(rows):
-        if row >> i & 1:
-            return None
     preds = list(map(int.bit_count, cols))
     succs = list(map(int.bit_count, rows))
-    begin_rank = {c: r for r, c in enumerate(sorted(set(preds)))}
-    end_rank = {c: r for r, c in enumerate(sorted(set(succs), reverse=True))}
-    begins = [begin_rank[c] for c in preds]
-    ends = [end_rank[c] for c in succs]
-    # later[r]: the events whose begin lies after r
-    later = [0] * (max(ends, default=0) + 1)
-    for i, b in enumerate(begins):
-        if b:
-            later[min(b, len(later)) - 1] |= 1 << i
-    for r in range(len(later) - 2, -1, -1):
-        later[r] |= later[r + 1]
-    if [later[e] for e in ends] != list(rows):
+    firsts, lasts = sorted(set(preds)), sorted(set(succs), reverse=True)
+    begins = list(map(dict(zip(firsts, count())).__getitem__, preds))
+    ends = list(map(dict(zip(lasts, count())).__getitem__, succs))
+    # at[b]: the events whose begin is b; later[r]: those whose begin
+    # lies after r.  Begins and ends are ranks of at most n values, so n
+    # entries hold them all.
+    at, bit = [0] * len(rows), 1
+    for b in begins:
+        at[b] |= bit
+        bit <<= 1
+    later = list(accumulate(reversed(at), or_, initial=0))[-2::-1]
+    if tuple(map(later.__getitem__, ends)) != tuple(rows) or not all(map(le, begins, ends)):
         return None
     return begins, ends
 

@@ -11,7 +11,8 @@ children)`` over position masks.  ``stratum_trees`` walks the formation
 rules, optionally constrained by a structure, and yields each tree
 once; the enumerations of sequences, orders and saturations are views
 of that walk.  ``tree_rows`` decodes a tree into its order's rows and
-``order_trees`` encodes the rows back; they are mutually inverse, so
+``order_trees`` encodes the rows back (``tree_rows`` writes the
+columns too, when asked); they are mutually inverse, so
 distinct trees are distinct orders.  The ``QsSeq`` codecs, the
 factorization and ``one_saturation`` go through this pair, and
 ``seq_converter`` is the one reading of a tree as a labelled ``QsSeq``.
@@ -19,7 +20,8 @@ Every tree is built by one fold, ``_fold``, innermost first and without
 recursion: the decoder ``seq_to_order``, the converter, the JSON codecs,
 the encoder ``order_trees`` and ``saturate.one_saturation``.
 One renderer writes the one-line text, of a ``QsSeq`` (``format_seq``)
-or straight from position trees and the shown labels (``format_trees``).
+or straight from position trees and the shown labels (``format_trees``,
+and ``tree_texts``, the text of each of many trees in one fold).
 
 A constrained walk tests each leading block against one table built per
 call: ``leaving[m]``, for every subset m of the positions, is the union
@@ -313,20 +315,36 @@ def stratum_trees(
     return sequences((1 << n) - 1, False) if n else iter([()])
 
 
-def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
+def tree_rows(n: int, trees: tuple[Tree, ...], cols: list[int] | None = None) -> tuple[int, ...]:
     """Precedence rows of the order a walked sequence describes: each
-    stratum's events precede the later strata of its sequence."""
+    stratum's events precede the later strata of its sequence.  Given
+    cols, a list of n zeros, the order's column masks are written into
+    it too, so no transpose is needed."""
     rows = [0] * n
-    pending = [trees]
-    while pending:
-        later = 0
-        for events, _, children in reversed(pending.pop()):
-            if later:
-                _scatter(rows, events, later)
-            later |= events
-            if children:
-                pending.append(children)
+    _fill(rows, trees, True)
+    if cols is not None:
+        _fill(cols, trees, False)
     return tuple(rows)
+
+
+def _fill(table: list[int], trees: tuple[Tree, ...], backward: bool) -> None:
+    """Writes what follows each event (backward) or what precedes it: the
+    strata after (before) its base in the base's sequence and in each
+    enclosing one.  Every event lies in one base, so each entry is
+    written once, whatever the nesting depth, and a sequence is read
+    once, last stratum first (first stratum first), carrying what
+    follows (precedes) it from the enclosing sequences."""
+    pending = [(trees, 0)]
+    while pending:
+        seq, outside = pending.pop()
+        for events, base, children in reversed(seq) if backward else seq:
+            if children:
+                pending.append((children, outside))
+            if base & (base - 1):
+                _scatter(table, base, outside)
+            else:  # one member, as most bases have
+                table[base.bit_length() - 1] = outside
+            outside |= events
 
 
 def order_trees(rel: BinRel) -> tuple[Tree, ...]:
@@ -456,8 +474,8 @@ def seq_from_json(data: Any) -> QsSeq:
 def format_seq(q: QsSeq) -> str:
     """One-line rendering: strata joined by " ; ", nodes as "(base | children)",
     each base's labels sorted and shown through ``relcore.show_label``."""
-    return _render(
-        q.strata, lambda st: ",".join(map(show_label, sorted(st.base))), attrgetter("children")
+    return " ; ".join(
+        _render(q.strata, lambda st: ",".join(map(show_label, sorted(st.base))), attrgetter("children"))
     )
 
 
@@ -465,6 +483,12 @@ def format_trees(trees: tuple[Tree, ...], labels: Sequence[str], names: Sequence
     """``format_seq``'s line for a tree sequence over the positions of
     labels, ``names[i]`` the shown label of position i: no ``QsSeq`` is
     built."""
+    return " ; ".join(tree_texts(trees, labels, names))
+
+
+def tree_texts(trees: Sequence[Tree], labels: Sequence[str], names: Sequence[str]) -> tuple[str, ...]:
+    """The text of each tree, over the positions of labels, as
+    ``format_trees`` writes it, all in one fold."""
 
     def base(tree: Tree) -> str:
         members = tree[1]
@@ -477,11 +501,12 @@ def format_trees(trees: tuple[Tree, ...], labels: Sequence[str], names: Sequence
 
 def _render(
     strata: Sequence[S], base: Callable[[S], str], children: Callable[[S], Sequence[S]]
-) -> str:
-    """The line of ``format_seq`` for strata of any form, given each one's
-    base text and children, built through ``_fold``."""
+) -> tuple[str, ...]:
+    """The text of each of the strata, of any form, as ``format_seq``
+    writes it, given each one's base text and children, built through
+    ``_fold``."""
 
     def build(st: S, body: tuple[str, ...]) -> str:
         return f"({base(st)} | {' '.join(body)})"
 
-    return " ; ".join(_fold(strata, children, build, base))
+    return _fold(strata, children, build, base)

@@ -238,6 +238,11 @@ class BinRel:
     def column_masks(self) -> tuple[int, ...]:
         return _columns(self.rows)
 
+    @cached_property
+    def _touch(self) -> tuple[int, ...]:
+        """Computed once per relation, and read through ``_touching``."""
+        return tuple(a | b for a, b in zip(self.rows, self.column_masks))
+
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
@@ -319,6 +324,11 @@ class Structure:
 
     def __hash__(self) -> int:
         return hash((self.domain.label_set, self.prec, self.weak))
+
+    @cached_property
+    def _combined(self) -> tuple[int, ...]:
+        """Computed once per structure, and read through ``_combined_rows``."""
+        return tuple(a | b for a, b in zip(self.prec.rows, self.weak.rows))
 
     @cached_property
     def _components(self) -> tuple[int, ...]:
@@ -417,8 +427,10 @@ def intersect(s: Structure, t: Structure) -> Structure:
 
 
 def _combined_rows(s: Structure) -> tuple[int, ...]:
-    """Successor masks of the union of both relations."""
-    return tuple(a | b for a, b in zip(s.prec.rows, s.weak.rows))
+    """Successor masks of the union of both relations, kept on the
+    structure: its acyclicity decision, its prober and the saturation
+    walks all read them."""
+    return s._combined
 
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
@@ -481,8 +493,9 @@ def _label_mask(domain: Domain, labels: Iterable[str]) -> int:
 
 def _touching(rel: BinRel) -> tuple[int, ...]:
     """For each element, the mask of the elements it has a pair of rel
-    to or from."""
-    return tuple(a | b for a, b in zip(rel.rows, rel.column_masks))
+    to or from, kept on the relation, as ``_combined_rows`` is on the
+    structure."""
+    return rel._touch
 
 
 def _untouched(touch: tuple[int, ...], mask: int) -> int:
@@ -543,4 +556,4 @@ def _embedded_weak(cols: Sequence[int]) -> tuple[int, ...]:
     """The weak rows of an order's embedding, from the order's column
     masks: i is weak before every other j that does not precede it."""
     full = (1 << len(cols)) - 1
-    return tuple(full & ~(1 << i) & ~col for i, col in enumerate(cols))
+    return tuple([full & ~(1 << i) & ~col for i, col in enumerate(cols)])

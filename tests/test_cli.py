@@ -903,6 +903,57 @@ def test_repeated_main_calls_construct_no_parser(capsys, monkeypatch):
     assert built == []
 
 
+# every route through the parsing: no command, top-level help, an unknown
+# command, an option before the command, a command's own errors and help,
+# an argument left over, "--", an abbreviated option, a bad value, and
+# repeated or misplaced options
+PARSE_PARITY_ARGV = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("bogus",),
+    ("-x", "close", T),
+    ("close",),
+    ("close", "-h"),
+    ("close", T, "extra"),
+    ("close", "--", T),
+    ("gen", "--n", "3", "--bogus"),
+    ("saturate", T, "--lim", "2"),
+    ("saturate", T, "--limit", "x"),
+    ("check", T),
+    ("check", "--class", "bogus", T),
+    ("check", "--class", "qsc", T, "--class", "qsa"),
+    ("selftest", "--max-n", "x"),
+]
+
+
+def _argv_id(argv) -> str:
+    return " ".join(Path(a).name if a == T else a for a in argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", PARSE_PARITY_ARGV, ids=_argv_id)
+def test_main_parses_as_the_top_level_parser_does(capsys, monkeypatch, argv):
+    # the reference: the top-level parser alone, then the command, under
+    # main's own handling of what the command raises
+    got = outcome(capsys, argv)
+    monkeypatch.setattr(qstrat.cli, "_parse", lambda args: qstrat.cli.build_parser().parse_args(args))
+    assert got == outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [("close", T), ("saturate", "--limit", "2", T), ("gen", "--n", "3")])
+def test_a_command_call_parses_once(capsys, monkeypatch, argv):
+    real = argparse.ArgumentParser.parse_known_args
+    parses = []
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert parses == [f"qstrat {argv[0]}"]
+
+
 def test_saturate_decodes_each_relation_once_and_reencodes_no_order(capsys, monkeypatch, tmp_path):
     path = tmp_path / "shuffled.json"
     path.write_text(
@@ -1015,8 +1066,9 @@ def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkey
         return dataclasses.replace(sats, trees=sats.trees[1:] + sats.trees[:1])
 
     monkeypatch.setattr(qstrat.saturate, "saturations", shifted)
-    code, _, err = run(capsys, "saturate", T)
+    code, out, err = run(capsys, "saturate", T)
     assert code == 3
+    assert out == ""  # the listing is written whole or not at all
     assert err.strip() == "internal error: a saturation's tree does not decode to its order"
 
 
@@ -1071,6 +1123,29 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
     assert printed == 8
     assert validated == []
     assert len(realized) == printed
+
+
+def test_saturate_prints_without_a_transpose(capsys, monkeypatch):
+    # each printed order's columns come from the decode of its tree: once
+    # the walk has returned, no row set is transposed
+    transposed = []
+    real_columns, real_saturations = qstrat.relcore._columns, qstrat.saturate.saturations
+
+    def counted_columns(rows):
+        transposed.append(rows)
+        return real_columns(rows)
+
+    def walked(s, limit=None):
+        sats = real_saturations(s, limit)
+        transposed.clear()
+        return sats
+
+    monkeypatch.setattr(qstrat.relcore, "_columns", counted_columns)
+    monkeypatch.setattr(qstrat.saturate, "saturations", walked)
+    assert not hasattr(qstrat.cli, "_columns")
+    code, out, _ = run(capsys, "saturate", "--limit", "10", T)
+    assert code == 0 and out.count("-- saturation ") == 8
+    assert transposed == []
 
 
 def _count_inits(monkeypatch, *classes):

@@ -11,6 +11,7 @@ from qstrat import (
     add_prec,
     add_weak,
     enumerate_posets,
+    enumerate_qs_orders,
     forbidden_cycle_interval,
     forbidden_cycle_stratified,
     forbidden_cycle_total,
@@ -557,6 +558,96 @@ def test_count_ranks_give_the_set_ranks_endpoints():
             cols = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
             found = _realization(rows, cols)
             assert found is not None and found == _set_rank_realization(rows, cols)
+
+
+def _per_event_realization(rows, cols):
+    """``orders._realization`` as it was written with a Python step per
+    event in each pass: the self-loop scan first, the count ranks through
+    comprehensions, the later-begin table filled event by event, and the
+    check as a list of lookups."""
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return None
+    preds = list(map(int.bit_count, cols))
+    succs = list(map(int.bit_count, rows))
+    begin_rank = {c: r for r, c in enumerate(sorted(set(preds)))}
+    end_rank = {c: r for r, c in enumerate(sorted(set(succs), reverse=True))}
+    begins = [begin_rank[c] for c in preds]
+    ends = [end_rank[c] for c in succs]
+    later = [0] * (max(ends, default=0) + 1)
+    for i, b in enumerate(begins):
+        if b:
+            later[min(b, len(later)) - 1] |= 1 << i
+    for r in range(len(later) - 2, -1, -1):
+        later[r] |= later[r + 1]
+    if [later[e] for e in ends] != list(rows):
+        return None
+    return begins, ends
+
+
+def _span_rows(rng, n, inverted):
+    """The rows of n random integer spans, x before y when x ends before
+    y begins; a share ``inverted`` of them end before they begin, so
+    they precede themselves."""
+    spans = []
+    for _ in range(n):
+        b = rng.randrange(2 * n + 1)
+        e = b + rng.choice((0, 1, rng.randrange(n + 1)))
+        spans.append((e, b) if e > b and rng.random() < inverted else (b, e))
+    return tuple(sum(1 << j for j, (b, _) in enumerate(spans) if e < b) for _, e in spans)
+
+
+def _columns_of(rows):
+    n = len(rows)
+    return tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
+
+
+def test_realization_matches_the_per_event_formulation():
+    orders = []
+    for n in range(6):
+        orders += [q.prec.rows for q in enumerate_qs_orders(LABELS[:n])]
+    assert len(orders) == 1 + 1 + 3 + 19 + 183 + 2371  # quasi-stratified orders on 0..5 events
+    rng = random.Random(3403)
+    relations = []
+    for n in range(32, 65):
+        relations.append(_span_rows(rng, n, 0))  # an interval order
+        relations.append(_span_rows(rng, n, 0.1))  # with self-loops
+        flipped = list(_span_rows(rng, n, 0))
+        i, j = rng.sample(range(n), 2)
+        flipped[i] ^= 1 << j  # a pair more or less
+        relations.append(tuple(flipped))
+        density = rng.choice((0.05, 0.3, 0.7))
+        relations.append(tuple(sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)))
+    realized = 0
+    for rows in orders + relations:
+        cols = _columns_of(rows)
+        expected = _per_event_realization(rows, cols)
+        assert _realization(rows, cols) == expected
+        realized += expected is not None
+    # every quasi-stratified order is an interval order; the random
+    # relations give both answers
+    assert len(orders) + 33 <= realized < len(orders + relations) - 33
+    # self-loops that the successor check alone would pass: the
+    # begin-before-end test refuses them
+    passing_loops = 0
+    for n in range(1, 8):
+        for _ in range(300):
+            rows = _span_rows(rng, n, 0.5)
+            if any(row >> i & 1 for i, row in enumerate(rows)):
+                cols = _columns_of(rows)
+                assert _realization(rows, cols) is None
+                passing_loops += _counts_check_passes(rows, cols)
+    assert passing_loops > 0
+
+
+def _counts_check_passes(rows, cols):
+    """The count construction's check of the successor sets alone,
+    without the begin-before-end test."""
+    preds, succs = [c.bit_count() for c in cols], [r.bit_count() for r in rows]
+    firsts, lasts = sorted(set(preds)), sorted(set(succs), reverse=True)
+    begins = [firsts.index(c) for c in preds]
+    ends = [lasts.index(c) for c in succs]
+    return all(row == sum(1 << j for j, b in enumerate(begins) if b > e) for row, e in zip(rows, ends))
 
 
 # The three breadth-first searches that the one closed-walk search

@@ -39,7 +39,7 @@ from qstrat import (
 from qstrat import oracles, qs_order_violation, qso
 from qstrat.orders import interval_order_violation
 from qstrat.qsseq import format_trees, order_trees, seq_converter, stratum_trees, tree_rows
-from qstrat.relcore import show_label
+from qstrat.relcore import _columns, show_label
 
 from conftest import (
     LABELS,
@@ -214,6 +214,41 @@ def test_order_trees_inverts_tree_rows():
         domain = Domain(tuple(LABELS[:n]))
         for trees in stratum_trees(n):
             assert order_trees(BinRel(domain, tree_rows(n, trees))) == trees
+
+
+def _reference_tree_rows(n, trees):
+    """``tree_rows`` as it was written before it gave columns: every
+    stratum's events ORed into the rows of each earlier stratum of its
+    sequence, level by level."""
+    rows = [0] * n
+    pending = [trees]
+    while pending:
+        later = 0
+        for events, _, children in reversed(pending.pop()):
+            for i in range(n):
+                if events >> i & 1:
+                    rows[i] |= later
+            later |= events
+            if children:
+                pending.append(children)
+    return tuple(rows)
+
+
+def _decoded(n, trees):
+    cols = [0] * n
+    return tree_rows(n, trees, cols), tuple(cols)
+
+
+def test_one_decode_gives_the_rows_and_their_columns():
+    for n in range(6):
+        for trees in stratum_trees(n):
+            rows = _reference_tree_rows(n, trees)
+            assert _decoded(n, trees) == (rows, _columns(rows))
+            assert tree_rows(n, trees) == rows
+    n, trees = deep_chain_trees(1000)
+    rows = _reference_tree_rows(n, trees)
+    assert _decoded(n, trees) == (rows, _columns(rows))
+    assert tree_rows(n, trees) == rows
 
 
 @pytest.fixture(scope="module")

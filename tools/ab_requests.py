@@ -7,7 +7,10 @@ and on B back to back, alternating which goes first, ``--repeat`` times.
 A request's time on each side is its fastest run.  Where a request
 writes a file that a later one reads, A's output is written.  Prints
 whether every exit code and stdout agreed, the sum, p50 and p90 of the
-per-request minima of each side, and on how many requests B was faster::
+per-request minima of each side, on how many requests B was faster,
+and the sum and p50 of each request kind (``saturate n=6``, ``intervals
+n=64``), so a change shows where its gain lands and which kinds did not
+move::
 
     python tools/ab_requests.py PARENT_CHECKOUT . --workload close --cycles 5 --repeat 6
 
@@ -115,12 +118,13 @@ def main(argv: list[str] | None = None) -> int:
     tag = f"ab{time.monotonic_ns()}"
     clis = (load_cli(args.a / "src", f"{tag}a"), load_cli(args.b / "src", f"{tag}b"))
     workload, rng = workloads.WORKLOADS[args.workload](), random.Random(args.seed)
-    a, b, differ = [], [], 0
+    a, b, kinds, differ = [], [], [], 0
     with tempfile.TemporaryDirectory() as workdir:
         for cycle in range(args.cycles):
             requests = workload.cycle(rng, Path(workdir), f"{tag}{cycle}", tag)
             best_a, best_b, wrong = compare(clis, requests, args.repeat, cycle % 2 == 1)
             a, b, differ = a + best_a, b + best_b, differ + wrong
+            kinds += [request.kind for request in requests]
     print(f"workload {args.workload}, seed {args.seed}: {len(a)} requests, "
           f"{args.repeat} runs per side each, fastest kept")  # fmt: skip
     print(f"outputs identical: {'yes' if not differ else f'no, {differ} requests differ'}")
@@ -130,7 +134,19 @@ def main(argv: list[str] | None = None) -> int:
               f"p90 {nearest_rank(ranked, 90) * 1e3:.3f} ms")  # fmt: skip
     faster = sum(y < x for x, y in zip(a, b))
     print(f"B faster on {faster} of {len(a)} requests")
+    print_by_kind(kinds, a, b)
     return 1 if differ else 0
+
+
+def print_by_kind(kinds: list[str], a: list[float], b: list[float]) -> None:
+    """One line per request kind, in name order: the sum and p50 of each
+    side's per-request minima, and B's share of A's sum."""
+    for kind in sorted(set(kinds)):
+        times = [(x, y) for k, x, y in zip(kinds, a, b) if k == kind]
+        ta, tb = [x for x, _ in times], [y for _, y in times]
+        print(f"  {kind}: {len(times)} requests, A sum {sum(ta) * 1e3:.2f} ms p50 {statistics.median(ta) * 1e3:.3f} ms, "
+              f"B sum {sum(tb) * 1e3:.2f} ms p50 {statistics.median(tb) * 1e3:.3f} ms, "
+              f"B/A {sum(tb) / sum(ta):.3f}")  # fmt: skip
 
 
 if __name__ == "__main__":
