@@ -27,7 +27,6 @@ from .relcore import (
     Structure,
     _aligner,
     _columns,
-    _combined_rows,
     _embedded_weak,
     _scc_masks,
     add_prec,
@@ -124,7 +123,7 @@ def csc_subsets_naive(s: Structure) -> list[frozenset[str]]:
     n = len(s.domain)
     if n > SUBSET_SCAN_BOUND:
         raise ValueError(f"domain size {n} exceeds subset-scan bound {SUBSET_SCAN_BOUND}")
-    rows = _combined_rows(s)
+    rows = s._combined
     out: list[frozenset[str]] = []
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):

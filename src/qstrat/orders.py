@@ -32,7 +32,6 @@ from .relcore import (
     Poset,
     Structure,
     _bits,
-    _combined_rows,
     _rows_leaving,
     is_relational,
 )
@@ -249,7 +248,7 @@ def _shortest_closed_walk(
 def _combined_relational_rows(s: Structure) -> tuple[int, ...]:
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    return _combined_rows(s)
+    return s._combined
 
 
 def forbidden_cycle_total(s: Structure) -> list[str] | None:

@@ -173,12 +173,10 @@ from .relcore import (
     BinRel,
     Structure,
     _bits,
-    _combined_rows,
     _gather,
     _label_mask,
     _scatter,
     _scc_masks,
-    _touching,
     _untouched,
     is_relational,
     new_structure,
@@ -208,7 +206,7 @@ def predominants(s: Structure, subset: Iterable[str]) -> frozenset[str]:
     mask = _label_mask(s.domain, subset)
     if not mask:
         raise ValueError("pre-dominants are defined for non-empty subsets")
-    return frozenset(s.domain.labels[i] for i in _bits(_untouched(_touching(s.prec), mask)))
+    return frozenset(s.domain.labels[i] for i in _bits(_untouched(s.prec._touch, mask)))
 
 
 def _witness(s: Structure, mask: int) -> CscWitness:
@@ -237,7 +235,7 @@ def csc_components(s: Structure) -> list[frozenset[str]]:
 def is_csc_subset(s: Structure, subset: Iterable[str]) -> bool:
     """True when the subset induces a strongly connected combined graph."""
     members = _label_mask(s.domain, subset)
-    return members != 0 and len(_scc_masks(_combined_rows(s), members)) == 1
+    return members != 0 and len(_scc_masks(s._combined, members)) == 1
 
 
 GENERATION_BOUND = 256
@@ -249,7 +247,7 @@ def qsa_witness(s: Structure) -> CscWitness | None:
     """Polynomial decision; returns the failing component as witness."""
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    rows, touch = _combined_rows(s), _touching(s.prec)
+    rows, touch = s._combined, s.prec._touch
     level, pending = s._components, []
     while True:
         for comp in level:
@@ -302,9 +300,9 @@ class Prober:
         self._domain = s.domain
         self._full = (1 << len(s.domain)) - 1
         self._prec, self._weak = list(s.prec.rows), list(s.weak.rows)
-        self._rows = list(_combined_rows(s))
+        self._rows = list(s._combined)
         self._cols = [a | b for a, b in zip(s.prec.column_masks, s.weak.column_masks)]
-        self._touch = list(_touching(s.prec))
+        self._touch = list(s.prec._touch)
         # position -> what it reaches, or is reached from, in the whole
         # domain, itself included; kept exact by extend
         self._ahead, self._back = _reach_tables(self._rows, self._cols, s._components)

@@ -49,7 +49,6 @@ from .relcore import (
     QsOrder,
     _bits,
     _rows_leaving,
-    _touching,
     _untouched,
 )
 
@@ -122,7 +121,7 @@ def qso_from_poset(p: Poset) -> QsOrder:
 def stratum_base(q: QsOrder) -> frozenset[str]:
     """Elements with no precedence relation to any other element."""
     labels = q.domain.labels
-    return frozenset(labels[i] for i in _bits(_untouched(_touching(q.prec), (1 << len(labels)) - 1)))
+    return frozenset(labels[i] for i in _bits(_untouched(q.prec._touch, (1 << len(labels)) - 1)))
 
 
 def factorize_strata(q: QsOrder) -> list[QsOrder]:

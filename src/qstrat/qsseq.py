@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, _touching, _untouched, show_label
+from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, _untouched, show_label
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -253,9 +253,10 @@ def stratum_trees(
     all of its events and it has no children.
 
     The constraints are a structure's: ``touch``, per event, the events
-    its precedence pairs join it to either way (``relcore._touching``),
-    and ``combined``, the successor masks of both relations.  Without
-    them every tree is walked.  The formation rules, constrained:
+    its precedence pairs join it to either way (``BinRel._touch``, a
+    symmetric table, as ``relcore._untouched`` needs), and ``combined``,
+    the successor masks of both relations.  Without them every tree is
+    walked.  The formation rules, constrained:
 
     - a sequence over the events left starts with a non-empty block
       that no combined pair enters from the rest of those events (one
@@ -357,7 +358,7 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     the finest, the stratum, factorization.  A stratum's base is its
     events touching no other member; the body is encoded the same way.
     """
-    rows, touch, cols = rel.rows, _touching(rel), rel.column_masks
+    rows, touch, cols = rel.rows, rel._touch, rel.column_masks
 
     def cut(rest: int, events: list[int]) -> list[tuple[int, int, int, list[int]]]:
         # the strata of the sequence over rest, whose events are listed in

@@ -9,20 +9,22 @@ close and check structures of a thousand events and more, whose rows
 span many machine words; ``_columns`` transposes such a matrix in whole
 rows.  Two helpers walk a row mask's set positions for every layer:
 ``_gather`` takes the union of a table's entries at them, and
-``_scatter`` ORs one value into the table's entries at them.
+``_scatter`` ORs one value into the table's entries at them.  The
+pre-dominant filter ``_untouched`` is one ``_gather`` over a symmetric
+touch table, with no walk of its own.
 
 A walk whose result does not depend on the order it visits positions
 (a union, an OR, a filter per position) steps down from the highest set
 bit, ``i = mask.bit_length() - 1`` then ``mask ^= 1 << i``: one big int
 fewer per step than isolating the lowest bit with ``mask & -mask``.
-``_gather``, ``_scatter`` and ``_untouched`` walk so, as do three
-loops of ``qsa``: the reach tables' skip-ahead spread, the weak-pair
-certificate of a probe row and the fused scatter of the facts ``gen``
-learns.  The walks whose output follows their order stay ascending:
-``_bits`` yields positions lowest first, ``_scc_masks`` takes
-successors lowest first, which fixes the emission order and with it the
-witnesses and the FAIL lines, and a probe row groups its candidates by
-component lowest first, the order in which its results come.
+``_gather`` and ``_scatter`` walk so, as do three loops of ``qsa``: the
+reach tables' skip-ahead spread, the weak-pair certificate of a probe
+row and the fused scatter of the facts ``gen`` learns.  The walks whose
+output follows their order stay ascending: ``_bits`` yields positions
+lowest first, ``_scc_masks`` takes successors lowest first, which fixes
+the emission order and with it the witnesses and the FAIL lines, and a
+probe row groups its candidates by component lowest first, the order in
+which its results come.
 
 Values are immutable and safe to share.  Every operation returns a new
 value.  Equality on relations, structures and posets is semantic: two
@@ -240,7 +242,10 @@ class BinRel:
 
     @cached_property
     def _touch(self) -> tuple[int, ...]:
-        """Computed once per relation, and read through ``_touching``."""
+        """For each element, the mask of the elements it has a pair of
+        the relation to or from: rows | columns, so the table is
+        symmetric.  Computed once per relation; pre-dominants are read
+        from it (``_untouched``)."""
         return tuple(a | b for a, b in zip(self.rows, self.column_masks))
 
     def count(self) -> int:
@@ -327,7 +332,9 @@ class Structure:
 
     @cached_property
     def _combined(self) -> tuple[int, ...]:
-        """Computed once per structure, and read through ``_combined_rows``."""
+        """Successor masks of the union of both relations, computed once
+        per structure: its acyclicity decision, its prober and the
+        saturation walks all read them."""
         return tuple(a | b for a, b in zip(self.prec.rows, self.weak.rows))
 
     @cached_property
@@ -335,7 +342,7 @@ class Structure:
         """The strongly connected components of the combined relation over
         the whole domain, as ``_scc_masks`` lists them: computed once, for
         the structure's acyclicity decision and its prober's reach sets."""
-        return tuple(_scc_masks(_combined_rows(self), (1 << len(self.domain)) - 1))
+        return tuple(_scc_masks(self._combined, (1 << len(self.domain)) - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,13 +433,6 @@ def intersect(s: Structure, t: Structure) -> Structure:
     return Structure(a.domain, prec, weak)
 
 
-def _combined_rows(s: Structure) -> tuple[int, ...]:
-    """Successor masks of the union of both relations, kept on the
-    structure: its acyclicity decision, its prober and the saturation
-    walks all read them."""
-    return s._combined
-
-
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
     """Strongly connected components of the induced subgraph, as masks,
     in Tarjan emission order (reverse topological order).
@@ -491,24 +491,17 @@ def _label_mask(domain: Domain, labels: Iterable[str]) -> int:
     return sum(1 << i for i in set(map(domain.position, labels)))
 
 
-def _touching(rel: BinRel) -> tuple[int, ...]:
-    """For each element, the mask of the elements it has a pair of rel
-    to or from, kept on the relation, as ``_combined_rows`` is on the
-    structure."""
-    return rel._touch
+def _untouched(touch: Sequence[int], mask: int) -> int:
+    """Members of the mask touching no member, the pre-dominants when
+    touch is a precedence relation's ``BinRel._touch``.
 
-
-def _untouched(touch: tuple[int, ...], mask: int) -> int:
-    """Members of the mask touching no member, ``touch`` as from
-    ``_touching``."""
-    out = 0
-    rest = mask
-    while rest:
-        i = rest.bit_length() - 1
-        if touch[i] & mask == 0:
-            out |= 1 << i
-        rest ^= 1 << i
-    return out
+    The table must be symmetric: j lies in ``touch[i]`` exactly when i
+    lies in ``touch[j]``.  Then a member j is touched by some member
+    exactly when j lies in the union of the members' entries, so one
+    ``_gather`` answers for every member at once.  ``BinRel._touch``
+    is rows | columns, ``stratum_trees`` gets that table permuted, and
+    the prober's copy stays symmetric under ``extend``."""
+    return mask & ~_gather(touch, mask)
 
 
 def _rows_leaving(rows: tuple[int, ...]) -> list[int]:

@@ -54,10 +54,9 @@ from .relcore import (
     Structure,
     _aligner,
     _bits,
-    _combined_rows,
     _embed_order,
+    _embedded_weak,
     _scc_masks,
-    _touching,
     _untouched,
     extends,
     is_relational,
@@ -128,14 +127,16 @@ def one_saturation(s: Structure) -> Structure:
     base over the sequence of the rest, its body.  The tree is built by
     ``qsseq._fold`` and decodes through ``qsseq.tree_rows``, which makes
     a quasi-stratified order of any tree, so the order is not checked
-    again; unordered events come out mutually weak.  The result is
+    again.  The decode writes the order's columns too, and the weak rows
+    come from them (``relcore._embedded_weak``), so no row set is
+    transposed; unordered events come out mutually weak.  The result is
     checked to extend s, in one pass over the rows, and raises
     ``InternalError`` if it does not.  Input that is not acyclic raises
     ``NotAcyclicError``.
     """
     _refuse_unless_acyclic(s)
     labels = s.domain.labels
-    combined, touch = _combined_rows(s), _touching(s.prec)
+    combined, touch = s._combined, s.prec._touch
 
     def strata(events: int) -> list[tuple[int, int]]:
         # (events, base) per stratum of the sequence over events, from one
@@ -144,9 +145,11 @@ def one_saturation(s: Structure) -> Structure:
         comps = reversed(_scc_masks(combined, events)) if events else ()
         return [(c, 1 << min(_bits(_untouched(touch, c)), key=labels.__getitem__)) for c in comps]
 
-    full = (1 << len(labels)) - 1
-    trees = _fold(strata(full), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
-    m = _embed_order(BinRel(s.domain, tree_rows(len(labels), trees)))
+    n = len(labels)
+    trees = _fold(strata((1 << n) - 1), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
+    cols = [0] * n
+    prec = BinRel(s.domain, tree_rows(n, trees, cols))
+    m = Structure(s.domain, prec, BinRel(s.domain, _embedded_weak(cols)))
     if not extends(s, m):
         raise InternalError("a saturation does not extend its structure")
     return m
@@ -204,7 +207,7 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)
-    walk = stratum_trees(n, to_sorted(_touching(s.prec)), to_sorted(_combined_rows(s)))
+    walk = stratum_trees(n, to_sorted(s.prec._touch), to_sorted(s._combined))
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     if limit is not None and limit >= sys.maxsize:

@@ -276,7 +276,6 @@ LOW_BIT_LOOPS_ALLOWED = {
 HIGH_BIT_LOOPS_ALLOWED = {
     "relcore._gather": "the one gather: the union of a table's entries over a mask",
     "relcore._scatter": "the one scatter: one value ORed into a table's entries over a mask",
-    "relcore._untouched": "a filter: keeps the members whose touch row misses the mask",
     "qsa.Prober.run_row": (
         "the weak-pair certificate tests each candidate outside i's component on its own comp"
     ),
@@ -483,3 +482,81 @@ if True:
     path = tmp_path / "sample.py"
     path.write_text(source, encoding="utf-8")
     assert _defined_twice(path) == ["reference:18", "fetch:21"]
+
+
+def _attribute_wrappers(path: Path) -> list[str]:
+    """The module-level functions whose body, after an optional
+    docstring, is one ``return`` of an attribute of a parameter
+    (``return s.x``, or a chain such as ``return s.x.y``), each with its
+    line."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if not isinstance(node, _FUNCTIONS):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if not isinstance(value, ast.Attribute):
+            continue
+        while isinstance(value, ast.Attribute):
+            value = value.value
+        args = node.args
+        params = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+        if isinstance(value, ast.Name) and value.id in params:
+            found.append(f"{node.name}:{node.lineno}")
+    return found
+
+
+def test_no_library_function_only_returns_an_attribute():
+    # a function that hands back what its argument already holds adds a
+    # name and a call for nothing: read the attribute where it is needed
+    found = [
+        f"{path.name}:{name}" for path in sorted(SRC.glob("*.py")) for name in _attribute_wrappers(path)
+    ]
+    assert not found, f"read the attribute directly: {found}"
+
+
+def test_the_wrapper_lint_sees_attribute_returns_with_or_without_a_docstring(tmp_path):
+    source = '''
+def rows_of(s):
+    return s._combined
+
+def touch_of(rel):
+    """The touch table, kept on the relation."""
+    return rel._touch
+
+def deep(s):
+    return s.prec._touch
+
+async def fetched(x):
+    return x.value
+
+def called(s):
+    return s.rows()
+
+def indexed(s):
+    return s.rows[0]
+
+def global_attr(s):
+    return math.pi
+
+def two_steps(s):
+    rows = s.rows
+    return rows
+
+def docstring_only(s):
+    """s.rows"""
+
+class Holder:
+    def rows(self):
+        return self._rows
+
+def outer(s):
+    def inner(t):
+        return t.rows
+    return inner
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _attribute_wrappers(path) == ["rows_of:2", "touch_of:5", "deep:9", "fetched:12"]

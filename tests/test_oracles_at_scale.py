@@ -10,7 +10,7 @@ import pytest
 from qstrat import BinRel, Structure
 from qstrat.cli import default_labels
 from qstrat.closure import law_closure
-from qstrat.relcore import _bits, _combined_rows, _scc_masks
+from qstrat.relcore import _bits, _scc_masks
 
 from conftest import dense_structure, spec_structure
 
@@ -87,7 +87,7 @@ def _assert_components(rows, members):
 def test_scc_masks_match_networkx(n):
     rng = random.Random(n)
     full = (1 << n) - 1
-    graphs = [_combined_rows(s) for s in _inputs(n)]
+    graphs = [s._combined for s in _inputs(n)]
     # raw random graphs near the giant-component threshold, so components
     # of every size show up
     graphs += [

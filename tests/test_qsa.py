@@ -38,7 +38,7 @@ from qstrat import (
 
 from qstrat.cli import default_labels, main, read_input
 from qstrat.closure import law_closure
-from qstrat.relcore import _combined_rows, _touching
+from qstrat.relcore import _columns
 
 from conftest import all_relational_structures, random_structure
 
@@ -424,6 +424,24 @@ def test_gen_extends_its_prober_by_few_of_the_pairs_it_keeps(monkeypatch, capsys
     assert len(calls) < 0.6 * kept
 
 
+@pytest.mark.parametrize("n, seed, density", [(24, 1, 0.35), (40, 2, 0.1), (40, 3, 0.6)])
+def test_prober_touch_table_stays_symmetric_under_extend(monkeypatch, n, seed, density):
+    # relcore._untouched reads the prober's pre-dominants from its touch
+    # table in one gather, which is exact only on a symmetric table
+    grown = []
+    extend = Prober.extend
+
+    def checked(self, i, j, kind):
+        mask = extend(self, i, j, kind)
+        assert self._touch == list(_columns(self._touch)), (i, j, kind)
+        grown.append(not mask and kind == "prec")
+        return mask
+
+    monkeypatch.setattr(Prober, "extend", checked)
+    random_qsa_structure(default_labels(n), seed=seed, density=density)
+    assert any(grown)  # some precedence pair joined the table
+
+
 def test_gen_probes_few_of_the_candidates_it_rejects(monkeypatch):
     # the closure facts decide most rejections; probing every drawn
     # candidate probes all 696 rejections at these settings
@@ -689,7 +707,7 @@ def _certified(s, i, kind):
     comp over those candidates."""
     n, spread = len(s.domain), qstrat.qsa._spread
     full = (1 << n) - 1
-    rows, touch = _combined_rows(s), _touching(s.prec)
+    rows, touch = s._combined, s.prec._touch
     cols = tuple(p | w for p, w in zip(s.prec.column_masks, s.weak.column_masks))
     back, ahead = spread(cols, full, 1 << i), spread(rows, full, 1 << i)
     others = [j for j in range(n) if back >> j & 1 and not ahead >> j & 1]
@@ -852,7 +870,7 @@ def _textbook_scc(rows, members):
 def _kernel_graphs(rng):
     """The fixtures' combined rows, then 1,500 random graphs of up to 14
     events, self-loops included."""
-    graphs = [_combined_rows(read_input(path).structure()) for path in sorted(FIXTURES.glob("*.json"))]
+    graphs = [read_input(path).structure()._combined for path in sorted(FIXTURES.glob("*.json"))]
     assert len(graphs) >= 7
     for _ in range(1500):
         n = rng.randint(0, 14)

@@ -364,9 +364,14 @@ def test_gather_and_scatter_match_a_walk_over_bits():
     for n in [*range(201), 1023, 1024, 1025, 2048]:
         full, ends = (1 << n) - 1, (1 << max(n - 1, 0)) | 1
         table = [rng.getrandbits(n + 1) for _ in range(n)]
-        # touch rows that are empty, one event or random, so that some
+        # a symmetric touch table, as _untouched needs: a random
+        # relation's rows | columns, its rows empty, one event or random,
+        # and the events of one random mask in no pair, so that some
         # members of a mask touch none of it
-        touch = [(0, 1 << rng.randrange(n), rng.getrandbits(n))[i % 3] for i in range(n)]
+        quiet = rng.getrandbits(n)
+        rows = [(0, 1 << rng.randrange(n), rng.getrandbits(n))[i % 3] & ~quiet for i in range(n)]
+        rows = [0 if quiet >> i & 1 else row for i, row in enumerate(rows)]
+        touch = [a | b for a, b in zip(rows, _columns(rows))]
         picked = rng.getrandbits(n)
         masks = (0, full, full & 1 << max(n - 1, 0), full & 1, full & ends)
         for mask in masks + (picked | full & ends, picked & ~ends, rng.getrandbits(n)):
@@ -387,6 +392,22 @@ def test_gather_and_scatter_match_a_walk_over_bits():
                 assert [t for i, t in enumerate(scattered) if not mask >> i & 1] == [
                     t for i, t in enumerate(table) if not mask >> i & 1
                 ]
+
+
+def test_a_relations_touch_table_is_symmetric():
+    # _untouched is exact only on a symmetric table: BinRel._touch is
+    # rows | columns, self-loops included, at sizes on both of _columns'
+    # routes and across a machine word
+    rng = random.Random(3612)
+    for n in [*range(1, 40), 64, 65, 200]:
+        domain = Domain(tuple(f"e{i}" for i in range(n)))
+        for density in (0.05, 0.5):
+            rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            k = rng.randrange(n)
+            rows[k] |= 1 << k  # at least one self-loop
+            touch = BinRel(domain, tuple(rows))._touch
+            assert touch == _columns(touch)
+            assert all(touch[i] >> i & 1 == rows[i] >> i & 1 for i in range(n))
 
 
 # (n, the most pairs that stay on the per-bit route): 4n + n²/100 from 8

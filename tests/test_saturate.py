@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qstrat.relcore
 import qstrat.saturate
 from qstrat import (
     Domain,
@@ -234,6 +235,30 @@ def test_one_saturation_matches_the_label_level_reference():
         assert got.domain.labels == expected.domain.labels == tuple(labels)
         assert got.prec.rows == expected.prec.rows
         assert got.weak.rows == expected.weak.rows
+
+
+def test_one_saturation_transposes_nothing_once_the_tables_are_warm(monkeypatch):
+    # the decode writes the order's columns and the weak rows come from
+    # them, so once s's own cached tables exist no row set is transposed
+    transposed = []
+    real_columns = qstrat.relcore._columns
+
+    def counted_columns(rows):
+        transposed.append(rows)
+        return real_columns(rows)
+
+    inputs = [
+        new_structure(default_labels(300)),
+        random_qsa_structure(default_labels(64), seed=5, density=0.1),
+        spec_structure(default_labels(64), seed=5, keep=0.3),
+    ]
+    for s in inputs:
+        s.prec._touch, s._components  # the decision's cached tables
+        monkeypatch.setattr(qstrat.relcore, "_columns", counted_columns)
+        m = one_saturation(s)
+        monkeypatch.undo()
+        assert transposed == []
+        assert m.weak.rows == qstrat.relcore._embedded_weak(real_columns(m.prec.rows))
 
 
 def test_one_saturation_survives_a_path_of_400_mutual_weak_pairs():
