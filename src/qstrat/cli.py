@@ -366,8 +366,8 @@ def cmd_close(args: argparse.Namespace) -> int:
         return _refused(s, exc)
     closed = report.closed
     sys.stdout.write(structure_json_text(closed))
-    added_prec = [a & ~b for a, b in zip(closed.prec.rows, s.prec.rows)]
-    added_weak = [a & ~b for a, b in zip(closed.weak.rows, s.weak.rows)]
+    added_prec = closure._gained(closed.prec, s.prec)
+    added_weak = closure._gained(closed.weak, s.weak)
     if not any(added_prec) and not any(added_weak):
         print("already closed, 0 additions", file=sys.stderr)
     else:

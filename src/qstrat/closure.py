@@ -81,7 +81,7 @@ from .qsa import (
     _acyclic_prober,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
-from .relcore import BinRel, InternalError, Structure, _bits, _gather
+from .relcore import BinRel, InternalError, Structure, _gather
 
 
 def _pair_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
@@ -116,20 +116,19 @@ def law_closure(s: Structure) -> Structure:
     return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
 
 
-def _forced_pairs(s: Structure, prober: Prober, law: Structure | None = None):
+def _forced_pairs(s: Structure, prober: Prober, law: Structure):
     """Every (axiom, i, j), by positions, whose probe against s breaks
-    acyclicity while the pair it forces is absent: qsc:4 pairs first,
-    then qsc:3, row-major.
-    Each row is one ``Prober.run_row``.  Given law, the law closure of s,
-    a pair counts as absent only when law lacks it.  On acyclic s a row
-    leaves out the probes of the pairs that s, or law when given, holds:
-    they lie in every saturation, so adding one keeps s acyclic."""
+    acyclicity while law lacks the pair it forces: qsc:4 pairs first,
+    then qsc:3, row-major.  law holds s and lies in s's closure: s
+    itself, or its law closure.
+    Each row is one ``Prober.run_row``.  On acyclic s a row leaves out
+    the probes of the pairs that law holds: they lie in every
+    saturation, so adding one keeps s acyclic."""
     n = len(s.domain)
     full = (1 << n) - 1
-    known = s if law is None else law
     for axiom, kind, forced, probed in (
-        ("qsc:4", "weak", known.prec, known.weak),
-        ("qsc:3", "prec", known.weak, known.prec),
+        ("qsc:4", "weak", law.prec, law.weak),
+        ("qsc:3", "prec", law.weak, law.prec),
     ):
         passing = probed.rows if prober.witness is None else (0,) * n
         for i, (present, held) in enumerate(zip(forced.column_masks, passing)):
@@ -147,7 +146,7 @@ def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     found = _pair_violation(s)
     if found is None:
         labels = s.domain.labels
-        for axiom, i, j in _forced_pairs(s, Prober(s)):
+        for axiom, i, j in _forced_pairs(s, Prober(s), s):
             return axiom, (labels[i], labels[j])
     return found
 
@@ -175,18 +174,19 @@ def closure_step(s: Structure) -> Structure:
 @dataclass(frozen=True)
 class ClosureReport:
     """Closure outcome: the closed structure beside the given one, and
-    the label pairs it added, built on first read."""
+    the label pairs it added (the rows of ``_gained``), built on first
+    read."""
 
     closed: Structure
     given: Structure
 
     @cached_property
     def added_prec(self) -> frozenset[tuple[str, str]]:
-        return _gained(self.closed.prec, self.given.prec)
+        return BinRel(self.given.domain, _gained(self.closed.prec, self.given.prec)).label_pairs
 
     @cached_property
     def added_weak(self) -> frozenset[tuple[str, str]]:
-        return _gained(self.closed.weak, self.given.weak)
+        return BinRel(self.given.domain, _gained(self.closed.weak, self.given.weak)).label_pairs
 
 
 def close(s: Structure) -> ClosureReport:
@@ -198,12 +198,8 @@ def close(s: Structure) -> ClosureReport:
     return ClosureReport(closed, s)
 
 
-def _gained(after: BinRel, before: BinRel) -> frozenset[tuple[str, str]]:
-    """The label pairs of after that before lacks, over one domain."""
-    labels = after.domain.labels
-    return frozenset(
-        (labels[i], labels[j])
-        for i, (a, b) in enumerate(zip(after.rows, before.rows))
-        for j in _bits(a & ~b)
-    )
+def _gained(after: BinRel, before: BinRel) -> tuple[int, ...]:
+    """The rows of the pairs that after holds and before lacks, over one
+    domain: what ``close`` added to a relation of its input."""
+    return tuple(a & ~b for a, b in zip(after.rows, before.rows))
 

@@ -111,14 +111,15 @@ back[j] and of the x outside ahead[i] change; both masks are taken
 before any row is written.
 
 ``random_qsa_structure`` rejects without a probe each candidate whose
-reverse it already knows to lie in the closure of the structure grown
-so far, the intersection of its saturations (``closure``).  Five steps
-make the rejections exact.  First, adding pairs only removes
-saturations, so the closure only grows while the structure does, and a
-pair once known to lie in it stays there.  Second, two distinct events
-of a saturation are ordered one way or mutually weak (qsm:3), and
-x prec y holds exactly when x weak y does and y weak x does not
-(qsm:2); so a saturation holds y weak x exactly when it lacks x prec y.
+reverse pair of the other kind it already knows to lie in the closure
+of the structure grown so far, the intersection of its saturations
+(``closure``).  Five steps make the rejections exact.  First, adding
+pairs only removes saturations, so the closure only grows while the
+structure does, and a pair once known to lie in it stays there.
+Second, two distinct events of a saturation are ordered one way or
+mutually weak (qsm:3), and x prec y holds exactly when x weak y does
+and y weak x does not (qsm:2); so a saturation holds y weak x exactly
+when it lacks x prec y.
 Every acyclic extension lies in some saturation, so when adding
 x prec y breaks acyclicity no saturation holds it, and every saturation
 holds y weak x.  Dually a rejected x weak y puts y prec x in every
@@ -130,13 +131,17 @@ too.  The generator keeps P, the transitive closure of the precedence
 pairs it knows, and W.P=, where W is the weak pairs it knows and P= is
 P plus the identity; each pair it keeps is known as itself, each
 rejected pair as the reverse pair above.
-Fourth, no saturation holds both x prec y and y weak x, nor both
-x weak y and y prec x: either way {x, y} is strongly connected and both
-events are touched by precedence.  Since every acyclic extension lies in
-some saturation, adding x weak y breaks acyclicity when y P x holds,
-and adding x prec y does when y P x or y (P= . W . P=) x holds.  Last,
-every other candidate is probed, so a pair is kept only when its probe
-passes.
+Fourth, the converse of the second step: by qsm:2 a saturation that
+holds y weak x lacks x prec y, and one that holds y prec x lacks
+x weak y.  Since every acyclic extension lies in some saturation,
+adding x prec y breaks acyclicity exactly when the closure holds
+y weak x, and adding x weak y does exactly when it holds y prec x.  So
+one question, whether the facts put a pair in the closure, rejects a
+candidate when asked of its reverse pair of the other kind, and the
+facts of the third step answer it: a candidate of either kind is
+rejected when y P x holds, and a candidate x prec y also when
+y (P= . W . P=) x does.  Last, every other candidate is probed, so a
+pair is kept only when its probe passes.
 
 The generator's prober holds a basis of the structure it keeps: a
 candidate that the facts put in the closure itself is kept without a
@@ -150,10 +155,10 @@ exactly when s + Q is (an extension is acyclic exactly when it lies in
 some saturation).  So by induction the prober's structure b and the
 structure kept s have Sat(b) = Sat(s) at every step, every probe of b
 answers as one of s would, and the two share one closure.  Skipping
-``learn`` changes no answer of ``forbids`` or ``implies`` either.
-``learn`` keeps weak_into equal to W.P= for the W learned, so both read
-only P and L: ``forbids`` tests j P i, or for a precedence pair j L i,
-and ``implies`` tests i P j, or for a weak pair i L j.  Learning an
+``learn`` changes no answer of ``implies`` either, for the candidate or
+for its reverse pair.  ``learn`` keeps weak_into equal to W.P= for the
+W learned, so ``implies`` reads only P and L: it tests i P j for a
+precedence pair i prec j and i L j for a weak pair.  Learning an
 implied precedence pair is a no-op.  Learning an implied weak pair p
 adds P=.p.P= to L, which lies in P=.L.P= = L since P is transitive;
 after any later pairs are learned, with P' and L' in place of P and L,
@@ -276,11 +281,12 @@ class Prober:
     adding the pair (kind "prec" or "weak") from position i to position
     j creates, or 0 when the extension stays acyclic.  On a structure
     that is not acyclic it returns the mask of ``witness`` for every
-    pair.  Each probe walks only the chain of components through the
-    pair (module docstring).  It holds every reach and coreach set of
-    the whole domain; the reach sets below it and the pre-dominants it
-    needs are memoised per prober: the probes of one structure revisit
-    the same few components, and the memos go when the prober does.
+    pair.  Any other kind raises ValueError, in ``run_row`` too.  Each
+    probe walks only the chain of components through the pair (module
+    docstring).  It holds every reach and coreach set of the whole
+    domain; the reach sets below it and the pre-dominants it needs are
+    memoised per prober: the probes of one structure revisit the same
+    few components, and the memos go when the prober does.
 
     ``run_row(i, js, kind)`` answers ``run(i, j, kind)`` for every
     position j in the mask js at once, as {j: witness mask} over the j
@@ -317,6 +323,8 @@ class Prober:
         self._recent: set[int] = set()
 
     def run(self, i: int, j: int, kind: str) -> int:
+        if kind not in ("prec", "weak"):
+            raise ValueError(f"unknown probe kind: {kind!r}")
         if i == j:
             raise ValueError("a probe needs two distinct events")
         if self._fixed:
@@ -324,6 +332,8 @@ class Prober:
         return self._chain(i, j, kind, self._full)
 
     def run_row(self, i: int, js: int, kind: str) -> dict[int, int]:
+        if kind not in ("prec", "weak"):
+            raise ValueError(f"unknown probe kind: {kind!r}")
         if js >> i & 1:
             raise ValueError("a probe needs two distinct events")
         if js & ~self._full:
@@ -467,13 +477,9 @@ class Prober:
             if not self._ahead[i] & bit:
                 _connect(self._ahead, self._back, i, j)
             for members in self._prune(self._reach, pair):
-                ahead = self._reach[members]
-                if not ahead.get(i, 0) >> j & 1:  # i did not reach j inside members yet
-                    _grow(ahead, self._rows, members, i, j)
+                _grow(self._reach[members], self._rows, members, i, j)
             for members in self._prune(self._coreach, pair):
-                back = self._coreach[members]
-                if not back.get(j, 0) >> i & 1:
-                    _grow(back, self._cols, members, j, i)
+                _grow(self._coreach[members], self._cols, members, j, i)
             self._recent = set()
         return 0
 
@@ -551,7 +557,10 @@ def _memo_spread(memo: dict[int, dict[int, int]], rows: list[int], members: int,
 def _grow(known: dict[int, int], rows: list[int], members: int, a: int, b: int) -> None:
     """Make the spreads inside members in known exact once rows hold the
     edge a -> b: each one holding a but not b gains b's, which the edge
-    leaves as it was."""
+    leaves as it was.  When a already reaches b inside members nothing
+    changes: a spread holding a is closed under reach, so it holds b."""
+    if known.get(a, 0) >> b & 1:
+        return
     ahead = known.get(b)
     for v, spread in known.items():
         if spread >> a & 1 and not spread >> b & 1:
@@ -568,9 +577,11 @@ def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
 
     A one-shot ``Prober``: build one yourself to probe many pairs of the
     same structure.  When s itself is not acyclic, the witness is s's
-    own, since it stays forbidden in every extension.
+    own, since it stays forbidden in every extension.  An unknown label
+    or kind raises ValueError before s is decided.
     """
-    mask = Prober(s).run(s.domain.position(x), s.domain.position(y), kind)
+    i, j = s.domain.position(x), s.domain.position(y)
+    mask = Prober(s).run(i, j, kind)
     return _witness(s, mask) if mask else None
 
 
@@ -592,11 +603,12 @@ def _acyclic_prober(s: Structure, message: str) -> Prober:
 
 
 def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
-    """Input that is not acyclic raises ``NotAcyclicError``."""
-    prober = _acyclic_prober(s, "legality probes need a quasi-stratified acyclic structure")
+    """Input that is not acyclic raises ``NotAcyclicError``, once the
+    two labels are known to be distinct labels of s."""
     if x == y:
         raise ValueError("legality probes need two distinct elements")
     i, j = s.domain.position(x), s.domain.position(y)
+    prober = _acyclic_prober(s, "legality probes need a quasi-stratified acyclic structure")
     return LegalExtensions(
         prec_ok=not prober.run(i, j, "prec"),
         weak_ok=not prober.run(i, j, "weak"),
@@ -607,7 +619,10 @@ class _ClosureFacts:
     """Pairs known to lie in the closure of a structure that only grows
     (module docstring): ``prec`` and ``prec_cols`` hold P, transitively
     closed, as row and column masks, and ``weak_into`` holds W.P= by
-    columns: weak_into[v] has each a with a W b and b P= v for some b."""
+    columns: weak_into[v] has each a with a W b and b P= v for some b.
+    ``implies`` is the one query: asked of a candidate's reverse pair of
+    the other kind, it says that adding the candidate breaks
+    acyclicity."""
 
     def __init__(self, n: int) -> None:
         self.prec, self.prec_cols, self.weak_into = [0] * n, [0] * n, [0] * n
@@ -629,15 +644,6 @@ class _ClosureFacts:
                 prec_cols[b] |= heads
                 weak_into[b] |= gained
                 tails ^= 1 << b
-
-    def forbids(self, i: int, j: int, kind: str) -> bool:
-        """True when the facts put the reverse of the pair i kind j in the
-        closure, so that adding the pair breaks acyclicity: j P i, or for
-        a precedence pair also j P= a W b P= i for some a and b."""
-        ahead = self.prec[j]
-        if ahead >> i & 1:
-            return True
-        return kind == "prec" and bool(self.weak_into[i] & (ahead | 1 << j))
 
     def implies(self, i: int, j: int, kind: str) -> bool:
         """True when the facts put the pair i kind j itself in the
@@ -678,11 +684,12 @@ def random_qsa_structure(
     result is acyclic by construction.  One ``Prober`` decides each
     candidate and grows by the pairs its probes accept, except for two
     kinds of candidate that the pairs learned so far decide (module
-    docstring).  One whose reverse they put in the closure breaks
-    acyclicity without a probe.  One they put in the closure itself is
-    kept without a probe and without growing the prober, which holds a
-    basis with the saturations of the result.  Raises ValueError beyond
-    ``GENERATION_BOUND`` and for a density outside [0, 1], NaN included.
+    docstring).  One whose reverse pair of the other kind they put in
+    the closure breaks acyclicity without a probe.  One they put in the
+    closure itself is kept without a probe and without growing the
+    prober, which holds a basis with the saturations of the result.
+    Raises ValueError beyond ``GENERATION_BOUND`` and for a density
+    outside [0, 1], NaN included.
     """
     label_tuple = tuple(labels)
     n = len(label_tuple)
@@ -703,14 +710,16 @@ def random_qsa_structure(
     prober, facts = Prober(empty), _ClosureFacts(n)
     rows = {"prec": [0] * n, "weak": [0] * n}
     # per-candidate constants and bound methods, taken once
-    pairs, kinds = n * (n - 1), ("prec", "weak")
-    forbids, implies, learn, extend = facts.forbids, facts.implies, facts.learn, prober.extend
+    pairs, kinds = n * (n - 1), (("prec", "weak"), ("weak", "prec"))
+    implies, learn, extend = facts.implies, facts.learn, prober.extend
     for k in drawn:
         kind, pair = divmod(k, pairs)
         i, j = divmod(pair, n - 1)
         j += j >= i
-        which = kinds[kind]
-        if forbids(i, j, which):
+        which, other = kinds[kind]
+        # when the closure holds the reverse pair of the other kind, no
+        # saturation holds this one
+        if implies(j, i, other):
             continue
         # a pair in the closure removes no saturation: neither the
         # prober nor the facts need it
@@ -718,7 +727,7 @@ def random_qsa_structure(
             if extend(i, j, which):
                 # no saturation holds the pair, so each holds its reverse:
                 # j weak i for i prec j, j prec i for i weak j
-                learn(j, i, kinds[1 - kind])
+                learn(j, i, other)
                 continue
             learn(i, j, which)
         rows[which][i] |= 1 << j

@@ -199,17 +199,18 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     limit + 1 extensions are generated and the result is the first limit
     of the full list, ``truncated`` when there were more; a limit of
     ``sys.maxsize`` or more, which no walk reaches, is no limit.  The
-    walk builds each order as one, so it is not checked again.  Input
-    that is not acyclic raises ``NotAcyclicError`` with the witness of
-    the one decision.
+    walk builds each order as one, so it is not checked again.  A
+    negative limit raises ValueError first; then input that is not
+    acyclic raises ``NotAcyclicError`` with the witness of the one
+    decision.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     _refuse_unless_acyclic(s)
     n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)
     walk = stratum_trees(n, to_sorted(s.prec._touch), to_sorted(s._combined))
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
     if limit is not None and limit >= sys.maxsize:
         limit = None
     walked = tuple(islice(walk, None if limit is None else limit + 1))

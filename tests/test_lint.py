@@ -1,6 +1,7 @@
 """Source checks: guards that survive ``python -O``, no module-level
 caches, no enumeration bound knobs, no recursion as deep as the input,
-fast modules kept apart from the oracles, and the public names."""
+fast modules kept apart from the oracles, the public names, and
+internal defaulted parameters that calls both give and omit."""
 
 import ast
 import sys
@@ -560,3 +561,116 @@ def outer(s):
     path = tmp_path / "sample.py"
     path.write_text(source, encoding="utf-8")
     assert _attribute_wrappers(path) == ["rows_of:2", "touch_of:5", "deep:9", "fetched:12"]
+
+
+
+def _one_valued_options(paths: list[Path], exempt: set[str]) -> list[str]:
+    """The defaulted parameters of the functions defined in paths that
+    the calls in paths all give or all omit, each as
+    ``module.function(parameter): every call gives it`` or ``...: no call
+    gives it``.  A function is exempt when its name, or its name under
+    its module (``module.function``, ``module.Class.method``), is in
+    exempt.  Calls are matched to definitions by function name alone,
+    ``f(...)`` and ``x.f(...)`` alike, so functions that share a name
+    share their calls.  A method's first parameter is its receiver, and
+    a ``*`` or ``**`` argument gives every parameter."""
+    defined: dict[str, list[tuple[str, list[str], list[str]]]] = {}
+    calls: list[ast.Call] = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        owner = {
+            id(item): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, _FUNCTIONS):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [arg.arg for arg in positional[len(positional) - len(args.defaults):]]
+            defaulted += [arg.arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            qualname = ".".join(filter(None, (path.stem, owner.get(id(node)), node.name)))
+            if defaulted and not {node.name, qualname} & exempt:
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                skip = id(node) in owner and not static
+                names = [arg.arg for arg in positional[skip:]]
+                defined.setdefault(node.name, []).append((qualname, names, defaulted))
+    given: dict[str, set[bool]] = {}
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        spread = any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            keyword.arg is None for keyword in call.keywords
+        )
+        named = {keyword.arg for keyword in call.keywords}
+        for qualname, names, defaulted in defined.get(name, ()):
+            for param in defaulted:
+                gives = spread or param in named or param in names[: len(call.args)]
+                given.setdefault(f"{qualname}({param})", set()).add(gives)
+    found = []
+    for entries in defined.values():
+        for qualname, _, defaulted in entries:
+            for param in defaulted:
+                key = f"{qualname}({param})"
+                if given.get(key) != {True, False}:
+                    verdict = "every call gives it" if given.get(key) == {True} else "no call gives it"
+                    found.append(f"{key}: {verdict}")
+    return found
+
+
+def test_no_internal_option_has_one_value_in_use():
+    # a default that every call overrides is a required parameter in
+    # disguise, and one that no call overrides is an option nobody uses;
+    # either way the signature promises a choice the library never makes.
+    # The public names are options for the library's users, and
+    # cli.main's argv is the command line's.  Calls are matched to
+    # definitions by function name alone
+    found = _one_valued_options(sorted(SRC.glob("*.py")), set(qstrat.__all__) | {"cli.main"})
+    assert not found, f"make the parameter required, or drop it: {found}"
+
+
+def test_the_option_lint_sees_dead_options_and_dead_defaults(tmp_path):
+    source = '''
+def dead(a, b=1):
+    return a + b
+
+def fixed(a, b=1, *, c=None):
+    return a + b
+
+def used(a, b=1, *, c=None):
+    return a
+
+class Walker:
+    def step(self, n, k=0):
+        return n
+
+    @staticmethod
+    def jump(n, k=0):
+        return n
+
+def public(a, b=1):
+    return a
+
+def caller(walker, rest, opts):
+    dead(1)
+    dead(a=2)
+    fixed(1, 2, c=3)
+    fixed(1, b=2, c=None)
+    used(1)
+    used(1, 2, c=3)
+    used(*rest)
+    walker.step(1)
+    walker.step(1, 2)
+    Walker.jump(1)
+    Walker.jump(**opts)
+    public(1)
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _one_valued_options([path], {"public"}) == [
+        "sample.dead(b): no call gives it",
+        "sample.fixed(b): every call gives it",
+        "sample.fixed(c): every call gives it",
+    ]

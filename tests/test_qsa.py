@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import string
@@ -335,10 +336,11 @@ def _closure_facts_hold(facts, closed):
 )
 def test_closure_facts_reject_only_what_a_probe_rejects(n, candidates):
     # grow an acyclic structure as the generator does, over candidates in
-    # any order: a candidate the facts forbid must fail a fresh probe of
-    # the structure grown so far, and every fact learned must lie in the
-    # closure computed by intersecting the saturations: at each step at
-    # n <= 4, and at n <= 6 at the end, as the closure only grows.  At 6
+    # any order: a candidate whose reverse pair of the other kind the
+    # facts imply must fail a fresh probe of the structure grown so far,
+    # and every fact learned must lie in the closure computed by
+    # intersecting the saturations: at each step at n <= 4, and at
+    # n <= 6 at the end, as the closure only grows.  At 6
     # events a sparse structure has thousands of saturations, so each run
     # draws at least 20 candidates
     labels = default_labels(n)
@@ -349,14 +351,15 @@ def test_closure_facts_reject_only_what_a_probe_rejects(n, candidates):
         i, j = i % n, j % n
         if i == j:
             continue
-        if facts.forbids(i, j, which):
+        other = "weak" if which == "prec" else "prec"
+        if facts.implies(j, i, other):
             assert Prober(prober.structure()).run(i, j, which)
             continue
         if not prober.extend(i, j, which):
             facts.learn(i, j, which)
             closed = None
         else:
-            facts.learn(j, i, "weak" if which == "prec" else "prec")
+            facts.learn(j, i, other)
         if n <= 4:
             closed = closed or close_oracle(prober.structure())
             _closure_facts_hold(facts, closed)
@@ -380,29 +383,36 @@ def test_closure_implied_pairs_leave_the_saturations_as_they_are(n, candidates):
     # was, and the prober's basis has the saturations of the structure
     # kept at every step (trivially so while the two are equal).  Each
     # run draws at least 20 candidates, as a sparse structure on 6 events
-    # has thousands of saturations
+    # has thousands of saturations, so each structure's closure and
+    # saturations are computed once: a kept structure was the previous
+    # step's grown one, and the basis repeats until it grows
     labels = default_labels(n)
     prober = Prober(new_structure(labels))
     facts = qstrat.qsa._ClosureFacts(n)
     kept = new_structure(labels)
+    # per structure, its close_oracle and its saturations' rows, each
+    # computed once in this example
+    closure_of = functools.cache(close_oracle)
+    rows_of = functools.cache(lambda s: saturations(s).rows)
     for which, i, j in candidates:
         i, j = i % n, j % n
-        if i == j or facts.forbids(i, j, which):
+        other = "weak" if which == "prec" else "prec"
+        if i == j or facts.implies(j, i, other):
             continue
         x, y = labels[i], labels[j]
         grown = add_prec(kept, x, y) if which == "prec" else add_weak(kept, x, y)
         if facts.implies(i, j, which):
-            assert close_oracle(grown) == close_oracle(kept)
+            assert closure_of(grown) == closure_of(kept)
         elif not prober.extend(i, j, which):
             facts.learn(i, j, which)
         else:
-            facts.learn(j, i, "weak" if which == "prec" else "prec")
+            facts.learn(j, i, other)
             continue
         kept = grown
         basis = prober.structure()
         if basis != kept:
             # one domain, so equal rows are equal structures
-            assert saturations(basis).rows == saturations(kept).rows
+            assert rows_of(basis) == rows_of(kept)
 
 
 def test_gen_extends_its_prober_by_few_of_the_pairs_it_keeps(monkeypatch, capsys):
@@ -590,6 +600,38 @@ def test_prober_of_a_non_acyclic_structure_never_grows(cycle_structures):
                 for kind in ("prec", "weak"):
                     assert prober.extend(i, j, kind) == own
     assert prober.structure() == s
+
+
+@pytest.mark.parametrize("name", ["acyclic", "cycle"])
+def test_an_unknown_probe_kind_raises_before_any_work(cycle_structures, transactions, name):
+    # on a structure that is not acyclic every probe used to return its
+    # witness before the kind was read; on any structure a kind other
+    # than "prec" was taken as "weak"
+    s = transactions if name == "acyclic" else cycle_structures["d"]
+    prober, labels = Prober(s), s.domain.labels
+    for kind in ("bogus", "PREC", "x"):
+        with pytest.raises(ValueError, match=f"unknown probe kind: {kind!r}"):
+            probe(s, labels[2], labels[0], kind)
+        with pytest.raises(ValueError, match="unknown probe kind"):
+            prober.run(0, 2, kind)
+        with pytest.raises(ValueError, match="unknown probe kind"):
+            prober.extend(0, 2, kind)
+        with pytest.raises(ValueError, match="unknown probe kind"):
+            prober.run_row(1, 0b101, kind)
+    assert prober.structure() == s
+
+
+def test_probe_and_legal_extensions_check_their_labels_before_deciding(cycle_structures):
+    looped = new_structure(["a", "b"], [("a", "a")], [("a", "b")])
+    with pytest.raises(ValueError, match="unknown label"):
+        probe(looped, "a", "z", "prec")
+    s = cycle_structures["d"]
+    with pytest.raises(ValueError, match="two distinct elements"):
+        legal_extensions(s, "1", "1")
+    with pytest.raises(ValueError, match="unknown label"):
+        legal_extensions(s, "1", "z")
+    with pytest.raises(ValueError, match="unknown label"):
+        legal_extensions(looped, "z", "a")
 
 
 def test_gen_spreads_nothing_over_the_full_domain(monkeypatch):

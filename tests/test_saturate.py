@@ -458,6 +458,15 @@ def test_saturations_limit(transactions):
             assert list(cut) == list(full)
 
 
+def test_saturations_checks_its_limit_before_deciding_or_walking(cycle_structures):
+    # a negative limit is refused before the acyclicity decision and the
+    # enumeration bound: both used to raise their own error first
+    beyond = new_structure(default_labels(7))
+    for s in (cycle_structures["d"], beyond):
+        with pytest.raises(ValueError, match="limit must be non-negative, got -1"):
+            saturations(s, limit=-1)
+
+
 def test_saturations_limit_ignores_declaration_order(transactions):
     shuffled = new_structure(
         ["d", "b", "c", "a"], transactions.prec.label_pairs, transactions.weak.label_pairs
