@@ -12,9 +12,12 @@ relation and its weak relation (None when omitted) over one domain.
 
 Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``FAIL: not <class>; <detail>``.  ``close`` and ``saturate`` print
-``check --class qsa``'s FAIL line on a structure that is not
-quasi-stratified acyclic, from the witness that the library's refusal
-(``qsa.NotAcyclicError``) carries, so a request decides acyclicity once.
+``check --class qsa``'s verdict (``_qsa_detail``) before they call the
+library, and stop at its FAIL line on a structure that is not
+quasi-stratified acyclic.  The decision is a table the structure caches
+(``relcore.Structure._forbidden``), so the library's calls read it
+again and a request decides acyclicity once; every FAIL line about
+acyclicity comes from ``_qsa_detail`` alone.
 
 ``saturate`` prints each saturation from the rows and tree over sorted
 labels that ``saturate.saturations`` keeps, building no structure: its
@@ -53,11 +56,11 @@ Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 the library, reported as ``internal error: ...`` on stderr (with the
 traceback unless it is an ``InternalError``).  Input errors are raised
 as ``InputError`` alone; any other exception, a ``ValueError`` from the
-library included, is internal, except the refusal that ``close`` and
-``saturate`` turn into their FAIL line.  141: stdout was closed by its
-reader, as when a pipe into ``head`` ends early; the output stops and
-nothing is printed on stderr (a shell reports 141 for a process that
-SIGPIPE ended).
+library included, is internal, as a refusal (``qsa.NotAcyclicError``)
+after a passing verdict would be.  141: stdout was closed by its reader,
+as when a pipe into ``head`` ends early; the output stops and nothing is
+printed on stderr (a shell reports 141 for a process that SIGPIPE
+ended).
 """
 
 from __future__ import annotations
@@ -304,19 +307,12 @@ def _witness_detail(witness: qsa.CscWitness) -> str:
 
 
 def _qsa_detail(s: Structure) -> str | None:
-    """The self-loop, else the subset that ``qsa_witness`` names."""
-    loop = _self_loop_detail(s)
-    if loop is not None:
-        return loop
-    witness = qsa.qsa_witness(s)
-    return None if witness is None else _witness_detail(witness)
-
-
-def _refused(s: Structure, exc: qsa.NotAcyclicError) -> int:
-    """``check --class qsa``'s FAIL line for a structure that the library
-    refused, from the witness of the refusing decision."""
-    detail = _self_loop_detail(s) if exc.witness is None else _witness_detail(exc.witness)
-    return _verdict("structure", "quasi-stratified acyclic", detail)
+    """None when s is acyclic, else its self-loop or the subset that
+    ``qsa_witness`` names: the structure's one decision, asked first so
+    that acyclic input pays for no self-loop scan."""
+    if qsa.is_qsa(s):
+        return None
+    return _self_loop_detail(s) or _witness_detail(qsa.qsa_witness(s))
 
 
 def _qsc_detail(s: Structure) -> str | None:
@@ -360,11 +356,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_close(args: argparse.Namespace) -> int:
     s = read_input(args.path).structure()
-    try:
-        report = closure.close(s)
-    except qsa.NotAcyclicError as exc:
-        return _refused(s, exc)
-    closed = report.closed
+    detail = _qsa_detail(s)
+    if detail is not None:
+        return _verdict("structure", "quasi-stratified acyclic", detail)
+    closed = closure.close(s).closed
     sys.stdout.write(structure_json_text(closed))
     added_prec = closure._gained(closed.prec, s.prec)
     added_weak = closure._gained(closed.weak, s.weak)
@@ -389,16 +384,13 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise InputError(f"limit must be non-negative, got {args.limit}")
     s = read_input(args.path).structure()
+    detail = _qsa_detail(s)  # the verdict comes first at every size
+    if detail is not None:
+        return _verdict("structure", "quasi-stratified acyclic", detail)
     n = len(s.domain)
     if n > qsseq.ENUMERATION_BOUND:
-        detail = _qsa_detail(s)  # the verdict comes first at every size
-        if detail is not None:
-            return _verdict("structure", "quasi-stratified acyclic", detail)
         raise InputError(f"domain size {n} exceeds enumeration bound {qsseq.ENUMERATION_BOUND}")
-    try:
-        sats = saturate.saturations(s, limit=args.limit)
-    except qsa.NotAcyclicError as exc:
-        return _refused(s, exc)
+    sats = saturate.saturations(s, limit=args.limit)
     out = [f"{len(sats)} saturation(s){' (truncated)' if sats.truncated else ''}"]
     # rows and trees are over the positions of the sorted labels, so a
     # position's pairs, base members and interval print in label order

@@ -78,7 +78,7 @@ from functools import cached_property
 
 from .qsa import (
     Prober,
-    _acyclic_prober,
+    _refuse_unless_acyclic,
     qsa_witness,  # noqa: F401 - perfbench/test_perfbench.py traces this binding
 )
 from .relcore import BinRel, InternalError, Structure, _gather
@@ -159,8 +159,9 @@ def closure_step(s: Structure) -> Structure:
     """One closure step: the law closure of the input, plus every pair
     that a probe against the input forces among those the laws leave
     open (module docstring).  Input that is not acyclic raises
-    ``NotAcyclicError`` with the witness of the prober's decision."""
-    prober = _acyclic_prober(s, "can only close a quasi-stratified acyclic structure")
+    ``NotAcyclicError`` with the witness of its one decision."""
+    _refuse_unless_acyclic(s, "can only close a quasi-stratified acyclic structure")
+    prober = Prober(s)
     law = law_closure(s)
     prec_rows = list(law.prec.rows)
     weak_rows = list(law.weak.rows)

@@ -11,7 +11,12 @@ any strongly connected subset lies inside one component, any subset
 meeting the component's pre-dominants inherits one (being a
 pre-dominant survives restriction), and the remaining subsets live in
 the component minus its pre-dominants.  ``oracles.qsa_witness_naive``
-scans all subsets instead and is its check.
+scans all subsets instead and is its check.  The decision is a table
+the structure caches, ``relcore.Structure._forbidden`` (the peel is
+``relcore._peel``): the mask of the first component without a
+pre-dominant, or 0.  ``qsa_witness``, ``is_qsa``, ``Prober`` and the
+one refusal helper, ``_refuse_unless_acyclic``, all read it, so no
+caller decides the same structure twice.
 
 Single-pair probes ("does adding x prec y, or x weak y, break
 acyclicity?") do not re-decide the extension.  Adding the combined edge
@@ -172,7 +177,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import ClassVar, Iterable, NoReturn
 
 from .relcore import (
     BinRel,
@@ -193,7 +198,7 @@ class CscWitness:
     """Certificate against quasi-stratified acyclicity."""
 
     subset: frozenset[str]
-    note: str = "strongly connected over the combined relation, no pre-dominant"
+    note: ClassVar[str] = "strongly connected over the combined relation, no pre-dominant"
 
 
 class NotAcyclicError(ValueError):
@@ -249,39 +254,37 @@ candidate pairs before the first probe."""
 
 
 def qsa_witness(s: Structure) -> CscWitness | None:
-    """Polynomial decision; returns the failing component as witness."""
+    """The failing component of s's one decision (``Structure._forbidden``)
+    as witness, or None when s is acyclic."""
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    rows, touch = s._combined, s.prec._touch
-    level, pending = s._components, []
-    while True:
-        for comp in level:
-            if comp.bit_count() < 2:
-                continue
-            dominants = _untouched(touch, comp)
-            if dominants == 0:
-                return _witness(s, comp)
-            pending.append(comp & ~dominants)
-        if not pending:
-            return None
-        level = _scc_masks(rows, pending.pop())
+    return _witness(s, s._forbidden) if s._forbidden else None
 
 
 def is_qsa(s: Structure) -> bool:
-    return is_relational(s) and qsa_witness(s) is None
+    return is_relational(s) and not s._forbidden
+
+
+def _refuse_unless_acyclic(s: Structure, message: str) -> None:
+    """``NotAcyclicError`` with s's witness, None when s is not
+    relational, unless s is acyclic."""
+    if not is_relational(s):
+        raise NotAcyclicError(message, None)
+    if s._forbidden:
+        raise NotAcyclicError(message, _witness(s, s._forbidden))
 
 
 class Prober:
     """Single-pair acyclicity probes against one structure, which
     ``extend`` grows pair by pair.
 
-    ``witness`` is ``qsa_witness(s)``, computed once; a structure that
-    is not relational raises ValueError.  ``run(i, j, kind)`` takes two
-    distinct positions and returns the bitmask of the witness that
-    adding the pair (kind "prec" or "weak") from position i to position
-    j creates, or 0 when the extension stays acyclic.  On a structure
-    that is not acyclic it returns the mask of ``witness`` for every
-    pair.  Any other kind raises ValueError, in ``run_row`` too.  Each
+    ``witness`` is ``qsa_witness(s)``, read from s's one decision; a
+    structure that is not relational raises ValueError.
+    ``run(i, j, kind)`` takes two distinct positions and returns the
+    bitmask of the witness that adding the pair (kind "prec" or "weak")
+    from position i to position j creates, or 0 when the extension stays
+    acyclic.  On a structure that is not acyclic it returns the mask of
+    ``witness`` (``Structure._forbidden``) for every pair.  Any other kind raises ValueError, in ``run_row`` too.  Each
     probe walks only the chain of components through the pair (module
     docstring).  It holds every reach and coreach set of the whole
     domain; the reach sets below it and the pre-dominants it needs are
@@ -300,9 +303,7 @@ class Prober:
 
     def __init__(self, s: Structure) -> None:
         self.witness = qsa_witness(s)
-        self._fixed = 0
-        if self.witness is not None:
-            self._fixed = _label_mask(s.domain, self.witness.subset)
+        self._fixed = s._forbidden
         self._domain = s.domain
         self._full = (1 << len(s.domain)) - 1
         self._prec, self._weak = list(s.prec.rows), list(s.weak.rows)
@@ -323,19 +324,15 @@ class Prober:
         self._recent: set[int] = set()
 
     def run(self, i: int, j: int, kind: str) -> int:
-        if kind not in ("prec", "weak"):
-            raise ValueError(f"unknown probe kind: {kind!r}")
-        if i == j:
-            raise ValueError("a probe needs two distinct events")
+        if i == j or kind not in ("prec", "weak"):
+            _refuse_probe(kind)
         if self._fixed:
             return self._fixed
         return self._chain(i, j, kind, self._full)
 
     def run_row(self, i: int, js: int, kind: str) -> dict[int, int]:
-        if kind not in ("prec", "weak"):
-            raise ValueError(f"unknown probe kind: {kind!r}")
-        if js >> i & 1:
-            raise ValueError("a probe needs two distinct events")
+        if js >> i & 1 or kind not in ("prec", "weak"):
+            _refuse_probe(kind)
         if js & ~self._full:
             raise ValueError("a row probes positions of the domain only")
         if self._fixed:
@@ -503,6 +500,14 @@ class Prober:
         return kept
 
 
+def _refuse_probe(kind: str) -> NoReturn:
+    """The ValueError of a probe that names a kind other than "prec" or
+    "weak", else of one whose two events are not distinct."""
+    if kind not in ("prec", "weak"):
+        raise ValueError(f"unknown probe kind: {kind!r}")
+    raise ValueError("a probe needs two distinct events")
+
+
 def _reach_tables(
     rows: list[int], cols: list[int], comps: tuple[int, ...]
 ) -> tuple[list[int], list[int]]:
@@ -578,9 +583,11 @@ def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
     A one-shot ``Prober``: build one yourself to probe many pairs of the
     same structure.  When s itself is not acyclic, the witness is s's
     own, since it stays forbidden in every extension.  An unknown label
-    or kind raises ValueError before s is decided.
+    or kind, or two equal labels, raise ValueError before s is decided.
     """
     i, j = s.domain.position(x), s.domain.position(y)
+    if i == j or kind not in ("prec", "weak"):
+        _refuse_probe(kind)
     mask = Prober(s).run(i, j, kind)
     return _witness(s, mask) if mask else None
 
@@ -593,22 +600,14 @@ class LegalExtensions:
     weak_ok: bool
 
 
-def _acyclic_prober(s: Structure, message: str) -> Prober:
-    """A prober of s, or ``NotAcyclicError`` with its witness when s is
-    not acyclic (None when s is not relational)."""
-    prober = Prober(s) if is_relational(s) else None
-    if prober is None or prober.witness is not None:
-        raise NotAcyclicError(message, None if prober is None else prober.witness)
-    return prober
-
-
 def legal_extensions(s: Structure, x: str, y: str) -> LegalExtensions:
     """Input that is not acyclic raises ``NotAcyclicError``, once the
     two labels are known to be distinct labels of s."""
     if x == y:
         raise ValueError("legality probes need two distinct elements")
     i, j = s.domain.position(x), s.domain.position(y)
-    prober = _acyclic_prober(s, "legality probes need a quasi-stratified acyclic structure")
+    _refuse_unless_acyclic(s, "legality probes need a quasi-stratified acyclic structure")
+    prober = Prober(s)
     return LegalExtensions(
         prec_ok=not prober.run(i, j, "prec"),
         weak_ok=not prober.run(i, j, "weak"),

@@ -13,6 +13,14 @@ rows.  Two helpers walk a row mask's set positions for every layer:
 pre-dominant filter ``_untouched`` is one ``_gather`` over a symmetric
 touch table, with no walk of its own.
 
+A structure caches the tables its acyclicity decision reads, the
+combined rows (``Structure._combined``) and their components
+(``_components``), and the decision itself: ``Structure._forbidden``,
+which ``_peel`` computes once, is the mask of the first component
+without a pre-dominant, or 0 when the structure is acyclic (the ``qsa``
+module docstring has the argument).  Every verdict, witness and refusal
+of ``qsa`` reads that table.
+
 A walk whose result does not depend on the order it visits positions
 (a union, an OR, a filter per position) steps down from the highest set
 bit, ``i = mask.bit_length() - 1`` then ``mask ^= 1 << i``: one big int
@@ -248,9 +256,6 @@ class BinRel:
         from it (``_untouched``)."""
         return tuple(a | b for a, b in zip(self.rows, self.column_masks))
 
-    def count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
     def with_pair(self, x: str, y: str) -> BinRel:
         """Relation with (x, y) added; a no-op when already present."""
         i, j = self.domain.position(x), self.domain.position(y)
@@ -343,6 +348,13 @@ class Structure:
         the whole domain, as ``_scc_masks`` lists them: computed once, for
         the structure's acyclicity decision and its prober's reach sets."""
         return tuple(_scc_masks(self._combined, (1 << len(self.domain)) - 1))
+
+    @cached_property
+    def _forbidden(self) -> int:
+        """The structure's acyclicity decision, made once (``_peel``):
+        the mask of the first component without a pre-dominant, or 0.
+        ``qsa`` reads every verdict, witness and refusal from it."""
+        return _peel(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,6 +496,27 @@ def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
                 on_stack = below[v]
         rest &= ~visited
     return out
+
+
+def _peel(s: Structure) -> int:
+    """The acyclicity decision behind ``Structure._forbidden``: peel the
+    pre-dominants off each component of two or more events and split
+    what is left into its components, until one has no pre-dominant
+    (``qsa`` module docstring).  Returns that component's mask, or 0
+    when none is left.  Meaningful on a relational structure only."""
+    rows, touch = s._combined, s.prec._touch
+    level, pending = s._components, []
+    while True:
+        for comp in level:
+            if comp.bit_count() < 2:
+                continue
+            dominants = _untouched(touch, comp)
+            if dominants == 0:
+                return comp
+            pending.append(comp & ~dominants)
+        if not pending:
+            return 0
+        level = _scc_masks(rows, pending.pop())
 
 
 def _label_mask(domain: Domain, labels: Iterable[str]) -> int:

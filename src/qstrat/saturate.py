@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from .qsa import NotAcyclicError, qsa_witness
+from .qsa import _refuse_unless_acyclic
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
 from .qsseq import Tree, _fold, stratum_trees, tree_rows
 from .relcore import (
@@ -59,7 +59,6 @@ from .relcore import (
     _scc_masks,
     _untouched,
     extends,
-    is_relational,
     poset_to_structure,
 )
 
@@ -110,14 +109,6 @@ def qsm_to_qso(s: Structure) -> QsOrder:
     return QsOrder(Poset(s.domain, s.prec))
 
 
-def _refuse_unless_acyclic(s: Structure) -> None:
-    """``NotAcyclicError`` with the one decision's witness, unless s is acyclic."""
-    relational = is_relational(s)
-    witness = qsa_witness(s) if relational else None
-    if not relational or witness is not None:
-        raise NotAcyclicError("can only saturate a quasi-stratified acyclic structure", witness)
-
-
 def one_saturation(s: Structure) -> Structure:
     """One maximal extension of an acyclic structure, from a stratum
     tree built on position masks: the strata of a sequence are the
@@ -134,7 +125,7 @@ def one_saturation(s: Structure) -> Structure:
     ``InternalError`` if it does not.  Input that is not acyclic raises
     ``NotAcyclicError``.
     """
-    _refuse_unless_acyclic(s)
+    _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
     labels = s.domain.labels
     combined, touch = s._combined, s.prec._touch
 
@@ -206,7 +197,7 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    _refuse_unless_acyclic(s)
+    _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
     n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)

@@ -11,6 +11,7 @@ from typing import Iterable
 
 import pytest
 
+import qstrat.relcore
 from qstrat import (
     BinRel,
     Domain,
@@ -33,6 +34,22 @@ from qstrat import (
 )
 
 LABELS = "abcdefgh"
+
+
+@pytest.fixture
+def decisions(monkeypatch) -> list[Structure]:
+    """The structures whose acyclicity is decided, in order: each call of
+    the peel that ``Structure._forbidden`` caches (``relcore._peel``) is
+    one decision, however often the verdict is read afterwards."""
+    seen = []
+    peel = qstrat.relcore._peel
+
+    def counted(s):
+        seen.append(s)
+        return peel(s)
+
+    monkeypatch.setattr(qstrat.relcore, "_peel", counted)
+    return seen
 
 
 @pytest.fixture

@@ -1072,32 +1072,17 @@ def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkey
     assert err.strip() == "internal error: a saturation's tree does not decode to its order"
 
 
-def _count_decisions(monkeypatch):
-    """The structures that ``qsa_witness`` decides, through every module
-    that binds it."""
-    calls = []
-    decide = qstrat.qsa.qsa_witness
-
-    def counted(s):
-        calls.append(s)
-        return decide(s)
-
-    for module in (qstrat.qsa, qstrat.closure, qstrat.saturate):
-        monkeypatch.setattr(module, "qsa_witness", counted, raising=False)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["transactions.json", "forbidden_cycle.json"])
-def test_close_decides_once_per_sweep_and_saturate_once(capsys, monkeypatch, name):
+def test_close_decides_once_per_sweep_and_saturate_once(capsys, decisions, name):
     # close decides once per sweep, the first sweep deciding the input;
-    # saturate decides once
-    calls = _count_decisions(monkeypatch)
+    # saturate and the acyclicity and closedness checks decide once
     run(capsys, "close", fixture(name))
     sweeps = 1  # close is one sweep
-    assert 0 < len(calls) <= sweeps
-    calls.clear()
-    run(capsys, "saturate", "--limit", "10", fixture(name))
-    assert len(calls) == 1
+    assert 0 < len(decisions) <= sweeps
+    for argv in (["saturate", "--limit", "10"], ["check", "--class", "qsa"], ["check", "--class", "qsc"]):
+        decisions.clear()
+        run(capsys, *argv, fixture(name))
+        assert len(decisions) == 1, argv
 
 
 def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):

@@ -428,21 +428,15 @@ def test_closure_matches_the_oracle_at_workload_sizes(n):
         assert qsc_violation(closed) is None
 
 
-def test_close_decides_acyclicity_once_per_sweep(monkeypatch, scans):
-    # per-pair probing through qsa_witness would make 2 n^2 calls a sweep
+def test_close_decides_acyclicity_once_per_sweep(decisions, scans):
+    # per-pair probing that re-decided each extension would make 2 n^2
+    # decisions a sweep
     s = random_qsa_structure(string.ascii_letters[:16], seed=5, density=0.3)
-    calls = []
-    decide = qstrat.qsa.qsa_witness
-
-    def counted(t):
-        calls.append(t)
-        return decide(t)
-
-    monkeypatch.setattr(qstrat.qsa, "qsa_witness", counted)
+    decisions.clear()  # the generator's own decision
     assert is_qsa(s)
     report = close(s)
     assert scans == [s] and report.added_prec
-    assert len(calls) <= 1 + 1  # is_qsa's decision, then one per sweep
+    assert decisions == [s]  # is_qsa's decision, which the sweep reads again
 
 
 def _reference_close(s):
@@ -491,24 +485,11 @@ def test_close_matches_the_oracle_at_every_enumerable_size(n, seed, density):
     assert close(s).closed == close_oracle(s)
 
 
-def test_productive_close_decides_and_scans_once(monkeypatch):
+def test_productive_close_decides_and_scans_once(decisions, scans):
     # a confirming sweep would decide the closed structure's acyclicity
     # and scan its pairs a second time
     s = random_qsa_structure(string.ascii_letters[:16], seed=5, density=0.3)
-    decisions, scans = [], []
-    decide, scan = qstrat.qsa.qsa_witness, qstrat.closure._forced_pairs
-
-    def counted_decide(t):
-        decisions.append(t)
-        return decide(t)
-
-    def counted_scan(t, prober, law=None):
-        scans.append(t)
-        return scan(t, prober, law)
-
-    for module in (qstrat.qsa, qstrat.closure):
-        monkeypatch.setattr(module, "qsa_witness", counted_decide)
-    monkeypatch.setattr(qstrat.closure, "_forced_pairs", counted_scan)
+    decisions.clear()  # the generator's own decision
     report = close(s)
     assert report.added_prec or report.added_weak
     assert decisions == [s]

@@ -674,3 +674,62 @@ def caller(walker, rest, opts):
         "sample.fixed(b): every call gives it",
         "sample.fixed(c): every call gives it",
     ]
+
+
+def _catches(path: Path, name: str) -> list[int]:
+    """The lines of the except clauses in path that name the exception
+    class name: bare, as a module attribute (``qsa.NotAcyclicError``) or
+    in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(c, "id", None) == name or getattr(c, "attr", None) == name for c in caught):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_library_module_catches_a_refusal():
+    # a verdict on acyclicity is read from the structure's one decision
+    # (relcore.Structure._forbidden), never from a refusal caught on the way
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _catches(path, "NotAcyclicError")
+    ]
+    assert not found, f"ask the structure's decision instead: {found}"
+
+
+def test_the_refusal_lint_sees_bare_dotted_and_tuple_clauses(tmp_path):
+    source = '''
+def bare(s):
+    try:
+        return close(s)
+    except NotAcyclicError:
+        return None
+
+def dotted(s):
+    try:
+        return close(s)
+    except qsa.NotAcyclicError as exc:
+        return exc.witness
+
+def grouped(s):
+    try:
+        return close(s)
+    except (KeyError, NotAcyclicError):
+        return None
+
+def others(s):
+    try:
+        return close(s)
+    except ValueError:
+        return None
+    except NotAcyclicErrorLike:
+        return None
+    except:
+        raise
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _catches(path, "NotAcyclicError") == [5, 11, 17]

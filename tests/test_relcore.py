@@ -71,7 +71,7 @@ def test_new_structure_basic():
     s = new_structure(["a", "b"], [("a", "b")], [])
     assert s.prec.holds("a", "b")
     assert not s.prec.holds("b", "a")
-    assert s.weak.count() == 0
+    assert not any(s.weak.rows)
 
 
 def test_duplicate_label_rejected():
@@ -86,7 +86,7 @@ def test_unknown_label_in_pair_rejected():
 
 def test_duplicate_pairs_collapse():
     s = new_structure(["a", "b"], [("a", "b"), ("a", "b")], [])
-    assert s.prec.count() == 1
+    assert sum(map(int.bit_count, s.prec.rows)) == 1
 
 
 def test_transactions_constructs(transactions):
