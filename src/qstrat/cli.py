@@ -19,12 +19,15 @@ quasi-stratified acyclic.  The decision is a table the structure caches
 again and a request decides acyclicity once; every FAIL line about
 acyclicity comes from ``_qsa_detail`` alone.
 
-``saturate`` prints each saturation from the rows and tree over sorted
-labels that ``saturate.saturations`` keeps, building no structure: its
-pairs, the stratum tree that the walk built for it, and the order's
-interval realization, which checks itself against the rows.  One decode
-of the tree gives the rows, checked against the walk's, and the column
-masks that the weak pairs and the realization read.  The distinct
+``saturate`` prints each saturation from the tree over sorted labels
+that ``saturate.saturations`` keeps, building no structure: its pairs,
+the stratum tree that the walk built for it, and the order's interval
+realization.  One decode of the tree gives the rows and the column
+masks that the weak pairs and the realization read.  The realization
+is the order's count ranks (``orders._count_ranks``), not checked at
+run time: every tree decodes to a quasi-stratified order, so an
+interval order, which those ranks realize; an exhaustive test checks
+them on every order the command can print.  The distinct
 top-level trees of a request are rendered in one fold, and the listing
 goes to stdout in one write.  One lister (``_pair_lister``)
 writes the pairs of rows in sorted-label order, in each printer's pair
@@ -375,12 +378,13 @@ def cmd_close(args: argparse.Namespace) -> int:
 
 def cmd_saturate(args: argparse.Namespace) -> int:
     """Lists the saturations of the input, written to stdout at once.
-    Each one's tree is decoded once, into its rows, which must be the
-    walk's, and its column masks, which give the weak rows and the
-    interval realization.  The pair rows and the top-level tree texts
-    are each written once per request, as the saturations share most of
-    them; no printed order is transposed and no structure is built per
-    saturation."""
+    Each one's tree is decoded once, into its rows and its column masks,
+    which give the weak rows and the interval realization: the count
+    ranks, printed unchecked, as every tree decodes to an interval order
+    (the ``saturate`` module docstring).  The pair rows and the
+    top-level tree texts are each written once per request, as the
+    saturations share most of them; no printed order is transposed and
+    no structure is built per saturation."""
     if args.limit is not None and args.limit < 0:
         raise InputError(f"limit must be non-negative, got {args.limit}")
     s = read_input(args.path).structure()
@@ -400,17 +404,18 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     # the distinct top-level trees of the request, rendered in one fold
     tops = dict.fromkeys(chain.from_iterable(sats.trees))
     texts = dict(zip(tops, qsseq.tree_texts(tuple(tops), labels, names)))
-    for k, (rows, trees) in enumerate(zip(sats.rows, sats.trees), start=1):
+    # the intervals line with the names in place, filled by one % per order
+    intervals = " ".join([f"{name.replace('%', '%%')}:[%d,%d]" for name in names])
+    for k, trees in enumerate(sats.trees, start=1):
         cols = [0] * n
-        if qsseq.tree_rows(n, trees, cols) != rows:
-            raise InternalError("a saturation's tree does not decode to its order")
+        rows = qsseq.tree_rows(n, trees, cols)
         out += [f"-- saturation {k}", f"   prec: {arrows(rows)}", f"   weak: {arrows(_embedded_weak(cols))}"]
         if n > 0:
-            realization = orders._realization(rows, cols)
-            if realization is None:
-                raise InternalError("a saturation's order has no interval realization")
             out.append(f"   tree: {' ; '.join(map(texts.__getitem__, trees))}")
-            out.append(f"   intervals: {' '.join(['%s:[%d,%d]' % c for c in zip(names, *realization)])}")
+            begins, ends = orders._count_ranks(rows, cols)
+            bounds = begins + ends
+            bounds[::2], bounds[1::2] = begins, ends
+            out.append(f"   intervals: {intervals % tuple(bounds)}")
     out.append("")
     sys.stdout.write("\n".join(out))
     return 0

@@ -176,33 +176,20 @@ def _realization(
     rows: Sequence[int], cols: Sequence[int]
 ) -> tuple[list[int], list[int]] | None:
     """The interval begins and ends of each position of a relation, given
-    its rows and column masks, or None when it is not an interval order.
+    its rows and column masks, or None when it is not an interval order:
+    the ``_count_ranks`` of the relation, checked against its rows.
 
-    An event's begin is the rank of its predecessor count among the
-    distinct predecessor counts, smallest first, and its end the rank of
-    its successor count among the distinct successor counts, largest
-    first.  The construction is then checked against the rows: the
-    successors of each event i must be exactly the events whose begin
-    lies after i's end, and i's begin must lie at or before its end.
-    Given the first, the second holds exactly when i is not among its
-    own successors, so a self-loop gets None.  When both hold, x
+    The successors of each event i must be exactly the events whose
+    begin lies after i's end, and i's begin must lie at or before its
+    end.  Given the first, the second holds exactly when i is not among
+    its own successors, so a self-loop gets None.  When both hold, x
     precedes y exactly when x's interval ends before y's begins:
     whatever the endpoints, the relation is an interval order.  On an
-    interval order the predecessor sets, and the successor sets, form
-    chains under inclusion, and the inclusion ranks of the distinct sets
-    realize it (Fishburn 1970).  Along a chain distinct sets have
-    distinct sizes, so the count ranks are those inclusion ranks and the
-    check passes: it passes exactly on interval orders.
-
-    The counts are ranked through one dict each and the check compares
-    whole lists, so the only Python step per event files it under its
-    begin.
+    interval order the check always passes (see ``_count_ranks``), so it
+    passes exactly on interval orders.  It compares whole lists, so the
+    only Python step per event files it under its begin.
     """
-    preds = list(map(int.bit_count, cols))
-    succs = list(map(int.bit_count, rows))
-    firsts, lasts = sorted(set(preds)), sorted(set(succs), reverse=True)
-    begins = list(map(dict(zip(firsts, count())).__getitem__, preds))
-    ends = list(map(dict(zip(lasts, count())).__getitem__, succs))
+    begins, ends = _count_ranks(rows, cols)
     # at[b]: the events whose begin is b; later[r]: those whose begin
     # lies after r.  Begins and ends are ranks of at most n values, so n
     # entries hold them all.
@@ -213,6 +200,31 @@ def _realization(
     later = list(accumulate(reversed(at), or_, initial=0))[-2::-1]
     if tuple(map(later.__getitem__, ends)) != tuple(rows) or not all(map(le, begins, ends)):
         return None
+    return begins, ends
+
+
+def _count_ranks(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The interval begins and ends that realize an interval order, given
+    its rows and column masks, unchecked.
+
+    An event's begin is the rank of its predecessor count among the
+    distinct predecessor counts, smallest first, and its end the rank of
+    its successor count among the distinct successor counts, largest
+    first.  On an interval order the predecessor sets, and the successor
+    sets, form chains under inclusion, and the inclusion ranks of the
+    distinct sets realize it (Fishburn 1970).  Along a chain distinct
+    sets have distinct sizes, so the count ranks are those inclusion
+    ranks.  ``_realization`` checks them against the rows, to decide the
+    class; ``saturate`` prints them unchecked, as every order it prints
+    is quasi-stratified, so an interval order (the exhaustive test in
+    ``tests/test_orders.py`` checks the ranks of every order it can
+    print).  The counts are ranked through one dict each.
+    """
+    preds = list(map(int.bit_count, cols))
+    succs = list(map(int.bit_count, rows))
+    firsts, lasts = sorted(set(preds)), sorted(set(succs), reverse=True)
+    begins = list(map(dict(zip(firsts, count())).__getitem__, preds))
+    ends = list(map(dict(zip(lasts, count())).__getitem__, succs))
     return begins, ends
 
 

@@ -256,6 +256,13 @@ class BinRel:
         from it (``_untouched``)."""
         return tuple(a | b for a, b in zip(self.rows, self.column_masks))
 
+    @cached_property
+    def _loops(self) -> int:
+        """The mask of the elements related to themselves, computed once
+        per relation: a request asks ``is_irreflexive`` of its input more
+        than once (its verdict, its refusal, its prober)."""
+        return sum(row & 1 << i for i, row in enumerate(self.rows))
+
     def with_pair(self, x: str, y: str) -> BinRel:
         """Relation with (x, y) added; a no-op when already present."""
         i, j = self.domain.position(x), self.domain.position(y)
@@ -288,7 +295,7 @@ class BinRel:
         return BinRel(domain, _aligner(self.domain, domain)(self.rows))
 
     def is_irreflexive(self) -> bool:
-        return all(row >> i & 1 == 0 for i, row in enumerate(self.rows))
+        return not self._loops
 
     def is_transitive(self) -> bool:
         for row in self.rows:

@@ -29,10 +29,15 @@ nests one level per event.
 ``saturations`` is the one producer of saturations.  Its
 ``SaturationSet`` keeps what the walk built over the positions of the
 sorted labels, which compare as the labels do: each saturation's
-precedence rows and stratum tree.  Counting, intersecting and comparing
-saturations read the rows; ``structures`` embeds each order over the
-declared domain on first read only, and the ``saturate`` command prints
-straight from the rows and trees.
+stratum tree, and nothing decoded.  Counting reads the trees;
+intersecting and comparing saturations read ``rows``, which decodes the
+trees on first read, and ``structures`` embeds each order over the
+declared domain on first read only.  The ``saturate`` command prints
+straight from the trees, one decode each, and prints the interval
+realization of each order unchecked: every tree decodes to a
+quasi-stratified order, so an interval order, which its count ranks
+realize (``orders._count_ranks``; an exhaustive test checks every
+order the command can print).
 """
 
 from __future__ import annotations
@@ -148,17 +153,22 @@ def one_saturation(s: Structure) -> Structure:
 
 @dataclass(frozen=True)
 class SaturationSet:
-    """Saturations in the walk's generation order: ``rows[k]`` and
-    ``trees[k]`` are the precedence rows and stratum tree of the k-th
-    order the walk built over ``ordered``, the sorted labels.
-    ``structures``, which iterating reads, embeds them over the declared
+    """Saturations in the walk's generation order: ``trees[k]`` is the
+    stratum tree of the k-th order the walk built over ``ordered``, the
+    sorted labels.  ``rows``, the orders' precedence rows over
+    ``ordered``, decodes the trees on first read, and ``structures``,
+    which iterating reads, embeds those orders over the declared
     ``domain`` on first read."""
 
     ordered: Domain
-    rows: tuple[tuple[int, ...], ...]
     trees: tuple[tuple[Tree, ...], ...]
     domain: Domain
     truncated: bool
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        n = len(self.ordered)
+        return tuple(tree_rows(n, trees) for trees in self.trees)
 
     @cached_property
     def structures(self) -> tuple[Structure, ...]:
@@ -169,7 +179,7 @@ class SaturationSet:
         return iter(self.structures)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.trees)
 
 
 def all_qsm_structures(labels: tuple[str, ...]) -> tuple[Structure, ...]:
@@ -190,7 +200,9 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     limit + 1 extensions are generated and the result is the first limit
     of the full list, ``truncated`` when there were more; a limit of
     ``sys.maxsize`` or more, which no walk reaches, is no limit.  The
-    walk builds each order as one, so it is not checked again.  A
+    walk builds each order as one, so it is not checked again, and
+    keeps its trees undecoded: ``SaturationSet.rows`` decodes them on
+    first read, and the ``saturate`` command decodes each itself.  A
     negative limit raises ValueError first; then input that is not
     acyclic raises ``NotAcyclicError`` with the witness of the one
     decision.
@@ -206,5 +218,4 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
         limit = None
     walked = tuple(islice(walk, None if limit is None else limit + 1))
     trees = walked[:limit]
-    rows = tuple(tree_rows(n, tree) for tree in trees)
-    return SaturationSet(ordered, rows, trees, s.domain, len(walked) > len(trees))
+    return SaturationSet(ordered, trees, s.domain, len(walked) > len(trees))

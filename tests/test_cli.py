@@ -1,6 +1,6 @@
 import argparse
 import contextlib
-import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -562,18 +563,10 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err.strip() == "internal error: closure fixpoint is not closed"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("intervals", "nested_order.json", "interval_realization"),
-        ("saturate", "transactions.json", "_realization"),
-    ],
-)
-def test_missing_interval_realization_exits_3(capsys, monkeypatch, argv):
-    # both commands only ask for realizations of interval orders: intervals
-    # through the labelled realization, saturate through the rows-level one
-    monkeypatch.setattr(qstrat.orders, argv[2], lambda *rel: None)
-    code, _, err = run(capsys, argv[0], fixture(argv[1]))
+def test_missing_interval_realization_exits_3(capsys, monkeypatch):
+    # intervals only asks for realizations of interval orders
+    monkeypatch.setattr(qstrat.orders, "interval_realization", lambda rel: None)
+    code, _, err = run(capsys, "intervals", fixture("nested_order.json"))
     assert code == 3
     assert err.startswith("internal error: ") and "interval realization" in err
 
@@ -1059,17 +1052,21 @@ def test_printed_trees_encode_the_printed_orders_of_random_specs(capsys, tmp_pat
 
 
 def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkeypatch):
-    real = qstrat.saturate.saturations
+    # a failure while listing, here in the third saturation's decode,
+    # leaves stdout empty: the listing is written whole or not at all
+    real, decoded = qstrat.qsseq.tree_rows, []
 
-    def shifted(s, limit=None):
-        sats = real(s, limit)
-        return dataclasses.replace(sats, trees=sats.trees[1:] + sats.trees[:1])
+    def failing_third(n, trees, cols=None):
+        decoded.append(trees)
+        if len(decoded) == 3:
+            raise InternalError("a saturation's tree does not decode")
+        return real(n, trees, cols)
 
-    monkeypatch.setattr(qstrat.saturate, "saturations", shifted)
+    monkeypatch.setattr(qstrat.qsseq, "tree_rows", failing_third)
     code, out, err = run(capsys, "saturate", T)
     assert code == 3
-    assert out == ""  # the listing is written whole or not at all
-    assert err.strip() == "internal error: a saturation's tree does not decode to its order"
+    assert out == ""
+    assert err.strip() == "internal error: a saturation's tree does not decode"
 
 
 @pytest.mark.parametrize("name", ["transactions.json", "forbidden_cycle.json"])
@@ -1085,29 +1082,60 @@ def test_close_decides_once_per_sweep_and_saturate_once(capsys, decisions, name)
         assert len(decisions) == 1, argv
 
 
+@pytest.mark.parametrize("command", ["close", "saturate"])
+def test_each_relation_is_scanned_for_self_loops_once(capsys, monkeypatch, command):
+    # a close request asks its input's relations whether they are
+    # irreflexive three times (its verdict, its refusal, its prober),
+    # saturate twice; each relation computes its self-loop mask once
+    scanned, asked = [], []
+    real_loops, real_irreflexive = BinRel._loops.func, BinRel.is_irreflexive
+
+    def counted_loops(rel):
+        scanned.append(rel)
+        return real_loops(rel)
+
+    def counted_irreflexive(rel):
+        asked.append(rel)
+        return real_irreflexive(rel)
+
+    loops = functools.cached_property(counted_loops)
+    loops.__set_name__(BinRel, "_loops")
+    monkeypatch.setattr(BinRel, "_loops", loops)
+    monkeypatch.setattr(BinRel, "is_irreflexive", counted_irreflexive)
+    code, _, _ = run(capsys, command, T)
+    assert code == 0
+    # the input's two relations are the only ones asked, each more than once
+    times_asked = Counter(map(id, asked))
+    assert len(times_asked) == 2 and min(times_asked.values()) > 1
+    assert sorted(Counter(map(id, scanned)).values()) == [1, 1]
+
+
 def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
-    # the realization checks itself against the order, so no Poset
-    # re-validates what the walk built as an order
-    validated, realized = [], []
-    real_post_init = Poset.__post_init__
-    real_realization = qstrat.orders._realization
+    # each printed tree is decoded once, by the printer: the walk keeps
+    # its trees undecoded, its realization is printed unchecked and no
+    # Poset re-validates what the walk built as an order
+    validated, realized, decoded = [], [], []
+    real_post_init, real_tree_rows = Poset.__post_init__, qstrat.qsseq.tree_rows
 
     def counted_post_init(self):
         validated.append(self)
         real_post_init(self)
 
-    def counted_realization(rows, cols):
-        realized.append(rows)
-        return real_realization(rows, cols)
+    def counted_tree_rows(n, trees, cols=None):
+        decoded.append(trees)
+        return real_tree_rows(n, trees, cols)
 
     monkeypatch.setattr(Poset, "__post_init__", counted_post_init)
-    monkeypatch.setattr(qstrat.orders, "_realization", counted_realization)
+    monkeypatch.setattr(qstrat.orders, "_realization", lambda *args: realized.append(args))
+    monkeypatch.setattr(qstrat.qsseq, "tree_rows", counted_tree_rows)
+    monkeypatch.setattr(qstrat.saturate, "tree_rows", counted_tree_rows)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
     printed = out.count("-- saturation ")
     assert printed == 8
+    assert len(decoded) == printed
+    assert realized == []
     assert validated == []
-    assert len(realized) == printed
 
 
 def test_saturate_prints_without_a_transpose(capsys, monkeypatch):
@@ -1163,9 +1191,10 @@ def test_saturate_builds_as_many_relations_at_every_limit_and_no_strata(capsys, 
     assert counts[2] == counts[10]
 
 
-# labels whose sort differs from their declared order (e10 < e2), and
-# labels that need quoting in the text outputs
-_SATURATE_LABELS = ["e2", "e10", "e1", "e11", "e3", "e20", "a ; b", "d\ne", 'q"', "é"]
+# labels whose sort differs from their declared order (e10 < e2),
+# labels that need quoting in the text outputs, and one that a
+# %-format would read as a conversion
+_SATURATE_LABELS = ["e2", "e10", "e1", "e11", "e3", "e20", "a ; b", "d\ne", 'q"', "é", "5%d"]
 
 
 def _reference_saturate_text(s, limit):

@@ -31,7 +31,8 @@ from qstrat import (
     stratified_partition,
     total_order_violation,
 )
-from qstrat.orders import _realization
+from qstrat.orders import _count_ranks, _realization
+from qstrat.qsseq import ENUMERATION_BOUND, stratum_trees, tree_rows
 
 from conftest import LABELS, all_relational_structures, random_structure
 
@@ -811,3 +812,34 @@ def test_cycle_finders_match_the_reference_searches():
             )
             found.add((finder.__name__, expected is None))
     assert len(found) == 2 * len(FINDERS)
+
+
+def test_count_ranks_realize_every_order_saturate_can_print():
+    """``saturate`` prints the count ranks of each order unchecked, on
+    this argument:
+
+    1. ``qsseq.tree_rows`` makes a quasi-stratified order of any stratum
+       tree sequence (the ``qsseq`` module docstring);
+    2. every quasi-stratified order is an interval order (the paper's
+       hierarchy: stratified, quasi-stratified, interval);
+    3. the count ranks realize any interval order (``_count_ranks``,
+       after Fishburn 1970).
+
+    The argument holds at every size.  ``saturate`` refuses more than
+    ``ENUMERATION_BOUND`` events, so this checks every sequence it could
+    print, the walk's unconstrained sequences at every size up to the
+    bound, by plain loops over the pairs rather than through
+    ``_realization``: x precedes y exactly when x's end is below y's
+    begin, and every begin is at or below its own end."""
+    checked = 0
+    for n in range(ENUMERATION_BOUND + 1):
+        events = range(n)
+        for trees in stratum_trees(n):
+            cols = [0] * n
+            rows = tree_rows(n, trees, cols)
+            begins, ends = _count_ranks(rows, cols)
+            for x in events:
+                assert begins[x] <= ends[x]
+                assert rows[x] == sum(1 << y for y in events if ends[x] < begins[y])
+            checked += 1
+    assert checked == 1 + 1 + 3 + 19 + 183 + 2371 + 38703  # quasi-stratified orders on 0..6 events
