@@ -28,7 +28,6 @@ from .relcore import (
     _aligner,
     _columns,
     _embedded_weak,
-    _scc_masks,
     add_prec,
     add_weak,
     is_relational,
@@ -127,12 +126,27 @@ def csc_subsets_naive(s: Structure) -> list[frozenset[str]]:
     out: list[frozenset[str]] = []
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            members = 0
-            for i in combo:
-                members |= 1 << i
-            if len(_scc_masks(rows, members)) == 1:
+            if _strongly_connected(rows, combo):
                 out.append(frozenset(s.domain.labels[i] for i in combo))
     return out
+
+
+def _strongly_connected(rows: tuple[int, ...], members: tuple[int, ...]) -> bool:
+    """True when the members, listed lowest first, reach one another
+    inside their subset: a spread from the lowest along the edges, then
+    one against them, each by plain loops over the members, covers the
+    subset both times.  Shares no code with the fast ``_scc_masks``."""
+    for edge in (lambda a, b: rows[a] >> b & 1, lambda a, b: rows[b] >> a & 1):
+        reached, todo = {members[0]}, [members[0]]
+        while todo:
+            a = todo.pop()
+            for b in members:
+                if b not in reached and edge(a, b):
+                    reached.add(b)
+                    todo.append(b)
+        if len(reached) < len(members):
+            return False
+    return True
 
 
 def qsa_witness_naive(s: Structure) -> CscWitness | None:

@@ -100,20 +100,20 @@ in place, and those of the other sets holding both are dropped.
 The full domain, level 0 of every chain, is not memoised: the prober
 holds its reach and coreach sets as two lists by position, ahead and
 back, exact at all times, so no spread runs over it.  They are built
-from the condensation of the one Tarjan pass over the whole domain,
-which the structure keeps for its decision (``Structure._components``,
-read by ``qsa_witness`` too).  In emission order each component comes
-after its successors, so its members reach the component and what its
-successors reach; in the reverse order each comes after its
-predecessors, and coreach sets are built the same way.  A new edge
-i -> j with j outside ahead[i] grows them by Italiano's rule (G. F.
-Italiano, "Amortized efficiency of a path retrieval data structure",
-TCS 1986).  A path v -> x that the edge creates runs through it, and a
-shortest one uses it once, so it exists exactly when v reaches i and j
-reaches x without the edge.  So every v in back[i] gains ahead[j] and
-every x in ahead[j] gains back[i], and only the rows of the v outside
-back[j] and of the x outside ahead[i] change; both masks are taken
-before any row is written.
+from the condensation of the one ``_scc_masks`` pass over the whole
+domain, which the structure keeps for its decision
+(``Structure._components``, read by ``qsa_witness`` too).  In emission
+order each component comes after its successors, so its members reach
+the component and what its successors reach; in the reverse order each
+comes after its predecessors, and coreach sets are built the same way.
+A new edge i -> j with j outside ahead[i] grows them by Italiano's rule
+(G. F. Italiano, "Amortized efficiency of a path retrieval data
+structure", TCS 1986).  A path v -> x that the edge creates runs
+through it, and a shortest one uses it once, so it exists exactly when
+v reaches i and j reaches x without the edge.  So every v in back[i]
+gains ahead[j] and every x in ahead[j] gains back[i], and only the rows
+of the v outside back[j] and of the x outside ahead[i] change; both
+masks are taken before any row is written.
 
 ``random_qsa_structure`` rejects without a probe each candidate whose
 reverse pair of the other kind it already knows to lie in the closure
@@ -512,10 +512,10 @@ def _reach_tables(
     rows: list[int], cols: list[int], comps: tuple[int, ...]
 ) -> tuple[list[int], list[int]]:
     """Each position's reach and coreach set in the whole domain, itself
-    included, from comps, the domain's components in Tarjan emission
-    order: there a component's successors come first, so its reach set
-    is itself plus theirs, and in the reverse order its coreach set is
-    itself plus its predecessors'."""
+    included, from comps, the domain's components in ``_scc_masks``
+    emission order: there a component's successors come first, so its
+    reach set is itself plus theirs, and in the reverse order its
+    coreach set is itself plus its predecessors'."""
     n = len(rows)
     ahead, back = [0] * n, [0] * n
     for table, edges, order in ((ahead, rows, comps), (back, cols, comps[::-1])):

@@ -454,54 +454,51 @@ def intersect(s: Structure, t: Structure) -> Structure:
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
     """Strongly connected components of the induced subgraph, as masks,
-    in Tarjan emission order (reverse topological order).
+    in reverse topological order: each component is emitted after every
+    component it reaches.
 
-    Tarjan's pass on bitmasks: DFS numbers and low links are lists over
-    positions, the stack is the mask ``on_stack``, and each event keeps
-    the mask below it, so a component is popped as one mask difference.
-    Successors are taken lowest first, as a list of them would be."""
-    size = members.bit_length()
-    index, low, below = [0] * size, [0] * size, [0] * size  # index 0: unvisited
-    visited = on_stack = counter = 0
+    Gabow's path-based pass on bitmasks (H. N. Gabow, "Path-based
+    depth-first search for strong and biconnected components", IPL
+    2000).  The stack is the mask ``on_stack``, and each event keeps the
+    mask below it, so an on-stack event was pushed before v exactly when
+    it lies in ``below[v]``.  ``bounds`` holds the first event of each
+    tentative component on the stack: meeting on-stack successors merges
+    every tentative component pushed after the earliest of them, and an
+    event that finishes as the top boundary pops its component as one
+    mask difference.  Each boundary is pushed and popped once, so a pass
+    takes a few Python steps per event, each a whole-row mask operation,
+    and none per edge.  Successors are taken lowest first, as a list of
+    them would be, so the components come in the order Tarjan's pass
+    emits them."""
+    below = [0] * members.bit_length()
+    visited = on_stack = 0
     out: list[int] = []
-    rest = members
-    while rest:
-        bit = rest & -rest
-        v = bit.bit_length() - 1
-        counter += 1
-        index[v] = low[v] = counter
-        below[v], on_stack, visited = on_stack, on_stack | bit, visited | bit
-        path, succs = [v], [rows[v] & members]
-        while path:
-            v, succ = path[-1], succs[-1]
-            fresh = succ & ~visited
-            bit = fresh & -fresh
-            # the successors before the next fresh one (all, when none is
-            # left) are visited already
-            hits = succ & (bit - 1) & on_stack
-            while hits:
-                h = hits & -hits
-                seen = index[h.bit_length() - 1]
-                if seen < low[v]:
-                    low[v] = seen
-                hits ^= h
-            if bit:
-                succs[-1] = succ & ~((bit << 1) - 1)
-                w = bit.bit_length() - 1
-                counter += 1
-                index[w] = low[w] = counter
-                below[w], on_stack, visited = on_stack, on_stack | bit, visited | bit
-                path.append(w)
-                succs.append(rows[w] & members)
-                continue
-            path.pop()
-            succs.pop()
-            if path and low[v] < low[path[-1]]:
-                low[path[-1]] = low[v]
-            if low[v] == index[v]:
-                out.append(on_stack & ~below[v])
-                on_stack = below[v]
-        rest &= ~visited
+    # the path starts at a virtual root, -1, whose successors are the
+    # members; it is never a boundary
+    path, succs, bounds = [-1], [members], []
+    while path:
+        succ = succs[-1]
+        fresh = succ & ~visited
+        bit = fresh & -fresh
+        # the successors before the next fresh one (all, when none is
+        # left) are visited already
+        hits = succ & (bit - 1) & on_stack
+        while hits and hits & below[bounds[-1]]:
+            bounds.pop()
+        if bit:
+            succs[-1] = succ & ~((bit << 1) - 1)
+            w = bit.bit_length() - 1
+            below[w], on_stack, visited = on_stack, on_stack | bit, visited | bit
+            path.append(w)
+            succs.append(rows[w] & members)
+            bounds.append(w)
+            continue
+        v = path.pop()
+        succs.pop()
+        if bounds and bounds[-1] == v:
+            bounds.pop()
+            out.append(on_stack & ~below[v])
+            on_stack = below[v]
     return out
 
 

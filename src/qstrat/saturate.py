@@ -15,16 +15,18 @@ builds one such tree on position masks, nested as deep as the spec
 needs (through ``qsseq._fold``).  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 
-``one_saturation`` runs one Tarjan pass per sequence of its tree.
-Tarjan emits the components of the combined relation in reverse
-topological order, so read from the last emitted to the first each is
-a source of the events after it: no pair runs from a later component
-into it, and removing it leaves the later components as they were.  It
-chooses the saturation whose every sequence lists its components in
-that order, each of two or more events with its least-labelled
-pre-dominant as base.  Nesting stays quadratic in its depth: each node
-runs a pass over its whole body, and a chain of mutually weak pairs
-nests one level per event.
+``one_saturation`` runs one ``_scc_masks`` pass per sequence of its
+tree.  The pass emits the components of the combined relation in
+reverse topological order, so read from the last emitted to the first
+each is a source of the events after it: no pair runs from a later
+component into it, and removing it leaves the later components as they
+were.  It chooses the saturation whose every sequence lists its
+components in that order, each of two or more events with its
+least-labelled pre-dominant as base.  Each node runs a pass over its
+whole body, and a pass takes a few Python steps per event, each a
+whole-row mask operation, so a tree nested k deep over n events takes
+at most k·n steps.  A chain of mutually weak pairs nests one level per
+event, so it is quadratic in its length.
 
 ``saturations`` is the one producer of saturations.  Its
 ``SaturationSet`` keeps what the walk built over the positions of the
@@ -136,8 +138,8 @@ def one_saturation(s: Structure) -> Structure:
 
     def strata(events: int) -> list[tuple[int, int]]:
         # (events, base) per stratum of the sequence over events, from one
-        # Tarjan pass read backwards; a single event is its own
-        # pre-dominant, so a leaf, and its empty body runs no pass
+        # pass read backwards; a single event is its own pre-dominant, so
+        # a leaf, and its empty body runs no pass
         comps = reversed(_scc_masks(combined, events)) if events else ()
         return [(c, 1 << min(_bits(_untouched(touch, c)), key=labels.__getitem__)) for c in comps]
 

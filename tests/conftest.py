@@ -21,12 +21,15 @@ from qstrat import (
     Structure,
     csc_components,
     is_qso_stratum,
+    leaf,
     new_poset,
     new_structure,
+    node,
     poset_to_structure,
     predominants,
     project,
     qso_projection,
+    qso_to_qsm,
     random_qs_seq,
     reindex_poset,
     seq_to_order,
@@ -173,6 +176,18 @@ def dense_structure(labels, seed: int = 1) -> Structure:
         for kept, row in ((prec, p), (weak, w)):
             kept.append(sum(1 << j for j in range(len(labels)) if row >> j & 1 and rng.random() < 0.5))
     return Structure(m.domain, BinRel(m.domain, tuple(prec)), BinRel(m.domain, tuple(weak)))
+
+
+def nested_structure(k: int) -> Structure:
+    """The "nested k" input, 2k - 1 events: the maximal structure of a
+    one-stratum order nested k levels deep, each level a base a{i} over
+    the sequence (level below, leaf b{i}).  Built innermost first,
+    without recursion.  Its acyclicity decision peels one level per
+    base, each over a component of nearly every event left."""
+    st = leaf({"b0"})
+    for i in range(1, k):
+        st = node({f"a{i}"}, [st, leaf({f"b{i}"})])
+    return qso_to_qsm(seq_to_order(QsSeq((st,))))
 
 
 def all_relational_structures(n: int):

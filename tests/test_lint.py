@@ -267,7 +267,7 @@ class Walker:
 LOW_BIT_LOOPS_ALLOWED = {
     "relcore._bits": "the generator of positions that every other walk uses, lowest first",
     "relcore._scc_masks": (
-        "Tarjan's pass: takes fresh successors and on-stack hits lowest first, which fixes"
+        "the path-based pass: its DFS takes fresh successors lowest first, which fixes"
         " the emission order, the witnesses and the FAIL lines"
     ),
     "qsa.Prober.run_row": "groups the candidates by component, lowest first, dropping a group per step",

@@ -1,6 +1,6 @@
 """Independent oracles past the sizes the brute-force ones reach: numpy's
 boolean matrix products for the law closure and networkx's strongly
-connected components for the Tarjan pass, at 64, 128 and 256 events.
+connected components for the path-based pass, at 64, 128 and 256 events.
 Both packages are test-only; without them these tests skip."""
 
 import random
@@ -12,7 +12,7 @@ from qstrat.cli import default_labels
 from qstrat.closure import law_closure
 from qstrat.relcore import _bits, _scc_masks
 
-from conftest import dense_structure, spec_structure
+from conftest import dense_structure, nested_structure, spec_structure
 
 np = pytest.importorskip("numpy")
 nx = pytest.importorskip("networkx")
@@ -78,7 +78,7 @@ def _assert_components(rows, members):
     found = _scc_masks(rows, members)
     expected = {sum(1 << v for v in comp) for comp in nx.strongly_connected_components(graph)}
     assert len(found) == len(expected) and set(found) == expected
-    # Tarjan emission order: every edge leads to a component emitted no later
+    # reverse topological order: every edge leads to a component emitted no later
     emitted = {v: k for k, comp in enumerate(found) for v in _bits(comp)}
     assert all(emitted[j] <= emitted[i] for i, j in graph.edges)
 
@@ -86,7 +86,6 @@ def _assert_components(rows, members):
 @pytest.mark.parametrize("n", SIZES)
 def test_scc_masks_match_networkx(n):
     rng = random.Random(n)
-    full = (1 << n) - 1
     graphs = [s._combined for s in _inputs(n)]
     # raw random graphs near the giant-component threshold, so components
     # of every size show up
@@ -94,6 +93,10 @@ def test_scc_masks_match_networkx(n):
         tuple(sum(1 << j for j in range(n) if j != i and rng.random() < c / n) for i in range(n))
         for c in (1.0, 1.5, 3.0)
     ]
+    # nested n/2, n - 1 events: one component over the domain, and one
+    # of about half of them inside a random member mask
+    graphs.append(nested_structure(n // 2)._combined)
     for rows in graphs:
+        full = (1 << len(rows)) - 1
         _assert_components(rows, full)
-        _assert_components(rows, rng.getrandbits(n) | 1)
+        _assert_components(rows, rng.getrandbits(len(rows)) | 1)

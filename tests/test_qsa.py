@@ -2,6 +2,7 @@ import functools
 import json
 import random
 import string
+import sys
 import unittest.mock
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from qstrat.cli import default_labels, main, read_input
 from qstrat.closure import law_closure
 from qstrat.relcore import _columns
 
-from conftest import all_relational_structures, random_structure
+from conftest import all_relational_structures, nested_structure, random_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -928,6 +929,36 @@ def test_scc_masks_match_the_textbook_pass():
         full = (1 << len(rows)) - 1
         for members in (full, *(rng.randrange(full + 1) for _ in range(4))):
             assert qstrat.qsa._scc_masks(rows, members) == _textbook_scc(rows, members)
+
+
+def _decision_steps(s):
+    """The ``int.bit_length`` calls that a profile hook sees while s's
+    acyclicity decision runs (``relcore._peel``): every bit walk of a
+    pass and of the pre-dominant filter makes one per step, so they
+    count the decision's Python-level steps without a clock."""
+    steps = 0
+
+    def hook(frame, event, arg):
+        nonlocal steps
+        if event == "c_call" and arg.__name__ == "bit_length":
+            steps += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        qstrat.relcore._peel(s)
+    finally:
+        sys.setprofile(outer)
+    return steps
+
+
+def test_the_decision_stays_quadratic_in_the_depth_of_nested_input():
+    # nested k peels about k levels, each a pass over nearly every event
+    # left: one step per event makes doubling k about quadruple the
+    # steps (7,318 at k = 60, 29,038 at 120); Tarjan's low links, one
+    # step per on-stack hit, grow them eightfold (217,948 and 1,735,498)
+    small, large = (_decision_steps(nested_structure(k)) for k in (60, 120))
+    assert large <= 5 * small
 
 
 def test_reach_tables_match_a_spread_from_each_event():

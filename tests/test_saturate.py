@@ -12,6 +12,7 @@ from qstrat import (
     add_prec,
     add_weak,
     all_qsm_structures,
+    close,
     close_oracle,
     enumerate_qs_orders,
     extends,
@@ -41,6 +42,7 @@ from qstrat.relcore import InternalError
 
 from conftest import (
     all_relational_structures,
+    nested_structure,
     random_structure,
     reference_one_saturation,
     reference_qsm_structures,
@@ -280,6 +282,18 @@ def test_one_saturation_survives_a_path_of_400_mutual_weak_pairs():
     assert extends(s, m)
 
 
+def test_nested_250_is_its_own_closure_and_only_saturation():
+    # 499 events, past the reach of every brute-force oracle: a maximal
+    # structure is acyclic and maximal, closes to itself with no pair
+    # added, and is the saturation it extends
+    s = nested_structure(250)
+    assert is_qsa(s)
+    assert qsm_violation(s) is None
+    report = close(s)
+    assert report.closed == s and not report.added_prec and not report.added_weak
+    assert one_saturation(s) == s
+
+
 def test_one_saturation_succeeds_iff_qsa():
     rng = random.Random(67)
     for _ in range(300):
@@ -359,7 +373,7 @@ def test_one_saturation_runs_one_tarjan_pass_per_sequence(monkeypatch):
 
 
 def test_one_saturation_refuses_a_result_that_does_not_extend_its_input(monkeypatch):
-    # components in topological order, not Tarjan's reverse one, put the
+    # components in topological order, not the pass's reverse one, put the
     # chain's sink first: the decoded order reverses every pair
     scc = qstrat.saturate._scc_masks
     monkeypatch.setattr(qstrat.saturate, "_scc_masks", lambda rows, members: scc(rows, members)[::-1])
