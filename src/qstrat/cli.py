@@ -92,6 +92,7 @@ from .relcore import (
     InternalError,
     Poset,
     Structure,
+    _bits,
     _embedded_weak,
     new_structure,
     poset_to_structure,
@@ -299,9 +300,9 @@ def _qso_verdict(witness: tuple[str, ...] | None) -> int:
 
 def _self_loop_detail(s: Structure) -> str | None:
     for name, rel in [("prec", s.prec), ("weak", s.weak)]:
-        for i, row in enumerate(rel.rows):
-            if row >> i & 1:
-                return f"{name} relates {show_label(s.domain.labels[i])} to itself"
+        if rel._loops:
+            first = s.domain.labels[next(_bits(rel._loops))]
+            return f"{name} relates {show_label(first)} to itself"
     return None
 
 

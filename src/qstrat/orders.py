@@ -5,6 +5,9 @@ stratified order is interval, every interval order is partial.  Each
 ``*_violation`` function returns the first offending tuple that a
 literal quantifier scan of its axiom set, in domain declaration order,
 would find, so witnesses are deterministic; the scans run on row masks.
+po, and with it to:1-2 and so:1-2, scans nothing itself: it reads two
+tables each relation caches (``relcore`` module docstring), ``_loops``
+for po:1 and ``_transitivity_gap`` for po:2.
 ``interval_order_violation`` decides by building the interval
 realization and scans only when there is none, to name the witness.
 
@@ -41,16 +44,14 @@ State = TypeVar("State", bound=Hashable)
 
 
 def partial_order_violation(rel: BinRel) -> Violation | None:
+    """The first self-loop (po:1), else the relation's transitivity gap
+    (po:2), or None: both read from the relation's cached tables."""
     labels = rel.domain.labels
-    for i, row in enumerate(rel.rows):
-        if row >> i & 1:
-            return "po:1", (labels[i],)
-    for i, row in enumerate(rel.rows):
-        for j in _bits(row):
-            missing = rel.rows[j] & ~row
-            if missing:
-                k = next(_bits(missing))
-                return "po:2", (labels[i], labels[j], labels[k])
+    if rel._loops:
+        return "po:1", (labels[next(_bits(rel._loops))],)
+    gap = rel._transitivity_gap
+    if gap is not None:
+        return "po:2", tuple(map(labels.__getitem__, gap))
     return None
 
 
@@ -115,9 +116,8 @@ def _interval_witness(rel: BinRel) -> Violation:
     """
     labels = rel.domain.labels
     rows = rel.rows
-    for i, row in enumerate(rows):
-        if row >> i & 1:
-            return "io:1", (labels[i],)
+    if rel._loops:
+        return "io:1", (labels[next(_bits(rel._loops))],)
     cols = rel.column_masks
     leaving = _rows_leaving(rows)
     for x, rx in enumerate(rows):

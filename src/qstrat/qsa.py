@@ -177,7 +177,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar, Iterable, NoReturn
+from typing import ClassVar, Iterable
 
 from .relcore import (
     BinRel,
@@ -284,12 +284,15 @@ class Prober:
     bitmask of the witness that adding the pair (kind "prec" or "weak")
     from position i to position j creates, or 0 when the extension stays
     acyclic.  On a structure that is not acyclic it returns the mask of
-    ``witness`` (``Structure._forbidden``) for every pair.  Any other kind raises ValueError, in ``run_row`` too.  Each
-    probe walks only the chain of components through the pair (module
-    docstring).  It holds every reach and coreach set of the whole
-    domain; the reach sets below it and the pre-dominants it needs are
-    memoised per prober: the probes of one structure revisit the same
-    few components, and the memos go when the prober does.
+    ``witness`` (``Structure._forbidden``) for every pair.  Any other
+    kind, two equal positions or a position outside the domain raise
+    ValueError before any state is read or written, in ``run_row`` and
+    ``extend`` too (``_check_probe``).  Each probe walks only the chain
+    of components through the pair (module docstring).  It holds every
+    reach and coreach set of the whole domain; the reach sets below it
+    and the pre-dominants it needs are memoised per prober: the probes
+    of one structure revisit the same few components, and the memos go
+    when the prober does.
 
     ``run_row(i, js, kind)`` answers ``run(i, j, kind)`` for every
     position j in the mask js at once, as {j: witness mask} over the j
@@ -324,17 +327,14 @@ class Prober:
         self._recent: set[int] = set()
 
     def run(self, i: int, j: int, kind: str) -> int:
-        if i == j or kind not in ("prec", "weak"):
-            _refuse_probe(kind)
+        n = len(self._rows)
+        _check_probe(n, i, 1 << j if 0 <= j < n else -1, kind)
         if self._fixed:
             return self._fixed
         return self._chain(i, j, kind, self._full)
 
     def run_row(self, i: int, js: int, kind: str) -> dict[int, int]:
-        if js >> i & 1 or kind not in ("prec", "weak"):
-            _refuse_probe(kind)
-        if js & ~self._full:
-            raise ValueError("a row probes positions of the domain only")
+        _check_probe(len(self._rows), i, js, kind)
         if self._fixed:
             return dict.fromkeys(_bits(js), self._fixed)
         # the full domain first: a j that does not reach i closes no cycle,
@@ -500,12 +500,18 @@ class Prober:
         return kept
 
 
-def _refuse_probe(kind: str) -> NoReturn:
-    """The ValueError of a probe that names a kind other than "prec" or
-    "weak", else of one whose two events are not distinct."""
+def _check_probe(n: int, i: int, js: int, kind: str) -> None:
+    """Refuses with ValueError a probe from position i to the positions
+    of the mask js, over n events, that names a kind other than "prec"
+    or "weak", else a position outside the domain (js -1 stands for
+    one), else i among js.  Every probe checks here before it reads or
+    writes any state."""
     if kind not in ("prec", "weak"):
         raise ValueError(f"unknown probe kind: {kind!r}")
-    raise ValueError("a probe needs two distinct events")
+    if not 0 <= i < n or js < 0 or js >> n:
+        raise ValueError("a probe names positions of the domain only")
+    if js >> i & 1:
+        raise ValueError("a probe needs two distinct events")
 
 
 def _reach_tables(
@@ -586,8 +592,7 @@ def probe(s: Structure, x: str, y: str, kind: str) -> CscWitness | None:
     or kind, or two equal labels, raise ValueError before s is decided.
     """
     i, j = s.domain.position(x), s.domain.position(y)
-    if i == j or kind not in ("prec", "weak"):
-        _refuse_probe(kind)
+    _check_probe(len(s.domain), i, 1 << j, kind)
     mask = Prober(s).run(i, j, kind)
     return _witness(s, mask) if mask else None
 

@@ -80,9 +80,8 @@ def _witness(rel: BinRel) -> tuple[str, ...]:
     """
     labels = rel.domain.labels
     rows = rel.rows
-    for i, row in enumerate(rows):
-        if row >> i & 1:
-            return (labels[i],)
+    if rel._loops:
+        return (labels[next(_bits(rel._loops))],)
     cols = rel.column_masks
     leaving = _rows_leaving(rows)
     for x, rx in enumerate(rows):

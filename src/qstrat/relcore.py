@@ -13,6 +13,20 @@ rows.  Two helpers walk a row mask's set positions for every layer:
 pre-dominant filter ``_untouched`` is one ``_gather`` over a symmetric
 touch table, with no walk of its own.
 
+A relation computes each of these tables once, on first read:
+
+- ``column_masks``, the predecessors of each element: the order and
+  maximality scans, the prober's columns and the embedding of an order;
+- ``_touch``, rows | columns: the pre-dominants of the acyclicity
+  decision, the prober and the stratum trees;
+- ``_loops``, the mask of its self-loops: ``is_irreflexive`` and every
+  first-self-loop witness (po:1, io:1, the ``qso`` witness, qsm:1 and
+  the CLI's detail);
+- ``_transitivity_gap``, the first i -> j -> k without i -> k:
+  ``is_transitive`` and po:2;
+- ``label_pairs``: equality and hashing across declaration orders, and
+  the pairs ``close`` reports.
+
 A structure caches the tables its acyclicity decision reads, the
 combined rows (``Structure._combined``) and their components
 (``_components``), and the decision itself: ``Structure._forbidden``,
@@ -263,6 +277,20 @@ class BinRel:
         than once (its verdict, its refusal, its prober)."""
         return sum(row & 1 << i for i, row in enumerate(self.rows))
 
+    @cached_property
+    def _transitivity_gap(self) -> tuple[int, int, int] | None:
+        """The first (i, j, k) with i -> j and j -> k but not i -> k, in
+        row-major order of (i, j) with k lowest, or None when the
+        relation is transitive; computed once per relation.  One
+        ``_gather`` per row finds i, and a scan of that row alone names
+        j and k."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if _gather(rows, row) & ~row:
+                j = next(j for j in _bits(row) if rows[j] & ~row)
+                return i, j, next(_bits(rows[j] & ~row))
+        return None
+
     def with_pair(self, x: str, y: str) -> BinRel:
         """Relation with (x, y) added; a no-op when already present."""
         i, j = self.domain.position(x), self.domain.position(y)
@@ -298,11 +326,7 @@ class BinRel:
         return not self._loops
 
     def is_transitive(self) -> bool:
-        for row in self.rows:
-            for j in _bits(row):
-                if self.rows[j] & ~row:
-                    return False
-        return True
+        return self._transitivity_gap is None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinRel):

@@ -75,9 +75,8 @@ def qsm_violation(s: Structure) -> tuple[str, tuple[str, ...]] | None:
     wrong row's lowest wrong bit, for each axiom checked on row masks."""
     labels = s.domain.labels
     prec, weak = s.prec.rows, s.weak.rows
-    for i, row in enumerate(weak):
-        if row >> i & 1:
-            return "qsm:1", (labels[i],)
+    if s.weak._loops:
+        return "qsm:1", (labels[next(_bits(s.weak._loops))],)
     # i prec j exactly when i weak j but not j weak i
     weak_cols = s.weak.column_masks
     for i, row in enumerate(prec):

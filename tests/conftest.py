@@ -178,6 +178,26 @@ def dense_structure(labels, seed: int = 1) -> Structure:
     return Structure(m.domain, BinRel(m.domain, tuple(prec)), BinRel(m.domain, tuple(weak)))
 
 
+def forward_structure(labels, seed: int, density: float) -> Structure:
+    """The "forward n, d" input: each pair running forward in one random
+    order of the labels is a precedence pair with probability density,
+    and a weak pair with the same probability, drawn independently.
+    Every cycle of the combined relation would have to run backward
+    somewhere, so there is none and the structure is acyclic."""
+    rng = random.Random(seed)
+    n = len(labels)
+    order = rng.sample(range(n), n)
+    prec, weak = [0] * n, [0] * n
+    for at, x in enumerate(order):
+        for y in order[at + 1 :]:
+            if rng.random() < density:
+                prec[x] |= 1 << y
+            if rng.random() < density:
+                weak[x] |= 1 << y
+    domain = Domain.of(labels)
+    return Structure(domain, BinRel(domain, tuple(prec)), BinRel(domain, tuple(weak)))
+
+
 def nested_structure(k: int) -> Structure:
     """The "nested k" input, 2k - 1 events: the maximal structure of a
     one-stratum order nested k levels deep, each level a base a{i} over

@@ -7,7 +7,7 @@ import ast
 import sys
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import qstrat
 
@@ -315,10 +315,10 @@ def _is_high_bit(loop: ast.While, node: ast.AST) -> bool:
     )
 
 
-def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[str]:
-    """The functions of a module, nested ones and methods included, with
-    a ``while`` loop of their own that holds a step of the given shape."""
-    found = set()
+def _functions(path: Path) -> Iterator[tuple[str, list[ast.AST]]]:
+    """The functions of a module, nested ones and methods included, each
+    by its dotted name with the nodes that belong to it and to no
+    function or class inside it."""
     stack: list[tuple[ast.AST, str]] = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     while stack:
         node, name = stack.pop()
@@ -330,12 +330,19 @@ def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[st
             else:
                 own.append(child)
                 inner.extend(ast.iter_child_nodes(child))
-        for loop in own:
-            if not isinstance(loop, ast.While) or not isinstance(node, _FUNCTIONS):
-                continue
-            if any(step(loop, sub) for sub in ast.walk(loop)):
-                found.add(name)
-    return found
+        if isinstance(node, _FUNCTIONS):
+            yield name, own
+
+
+def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[str]:
+    """The functions of a module, nested ones and methods included, with
+    a ``while`` loop of their own that holds a step of the given shape."""
+    return {
+        name
+        for name, own in _functions(path)
+        for loop in own
+        if isinstance(loop, ast.While) and any(step(loop, sub) for sub in ast.walk(loop))
+    }
 
 
 def test_row_masks_are_walked_through_gather_and_scatter():
@@ -420,6 +427,137 @@ def last(mask):
         "sample.gather", "sample.outer.inner", "sample.Walker.step"
     }
     assert _bit_loops(path, _is_high_bit) == {"sample.scatter", "sample.spread", "sample.Table.fill"}
+
+
+# the self-loop scans kept beside the cached mask of each relation, each
+# with the reason it does not read that mask
+SELF_LOOP_SCANS_ALLOWED = {
+    "relcore.BinRel._loops": "the one scan: each relation's mask of self-loops, cached",
+    "closure._pair_violation": (
+        "qsc:1 fused over both relations of close's result, which computes no mask of"
+        " its own: only the input's two relations do"
+        " (test_each_relation_is_scanned_for_self_loops_once)"
+    ),
+}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _is_one(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def _tests_own_bit(node: ast.AST, i: str, rows: set[str]) -> bool:
+    """True for ``row >> i & 1`` or ``row & 1 << i``, either way round,
+    where the row names some of rows and nothing else."""
+    if not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.BitAnd):
+        return False
+    left, right = node.left, node.right
+    tests = []  # (row, shift) pairs
+    if _is_one(right) and isinstance(left, ast.BinOp) and isinstance(left.op, ast.RShift):
+        tests.append((left.left, left.right))
+    for bit, row in ((right, left), (left, right)):
+        if isinstance(bit, ast.BinOp) and isinstance(bit.op, ast.LShift) and _is_one(bit.left):
+            tests.append((row, bit.right))
+    return any(_names(shift) == {i} and set() < _names(row) <= rows for row, shift in tests)
+
+
+def _self_loop_scans(path: Path) -> set[str]:
+    """The functions of a module that test bit i of a row where i and
+    the row come from one ``enumerate``, in a ``for`` loop's body or in
+    a comprehension: each is a scan for self-loops."""
+    found = set()
+    for name, own in _functions(path):
+        for node in own:
+            if isinstance(node, ast.For):
+                loops, scope = [node], node.body
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                loops, scope = node.generators, [node]
+            else:
+                continue
+            for loop in loops:
+                call, target = loop.iter, loop.target
+                if not (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "enumerate"
+                    and isinstance(target, ast.Tuple)
+                    and len(target.elts) == 2
+                    and isinstance(target.elts[0], ast.Name)
+                ):
+                    continue
+                i, rows = target.elts[0].id, _names(target.elts[1])
+                if any(_tests_own_bit(sub, i, rows) for part in scope for sub in ast.walk(part)):
+                    found.add(name)
+    return found
+
+
+def test_self_loops_are_read_from_the_cached_mask():
+    # every first-self-loop witness reads BinRel._loops: po:1 (and so to:1
+    # and so:1), io:1, the qso witness, qsm:1 and the CLI's detail
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _self_loop_scans(path)
+    assert found - set(SELF_LOOP_SCANS_ALLOWED) == set(), "read BinRel._loops"
+    assert set(SELF_LOOP_SCANS_ALLOWED) <= found, "an allowed scan is gone; drop its entry"
+
+
+def test_the_self_loop_lint_sees_loops_comprehensions_and_methods(tmp_path):
+    source = '''
+def first(rows):
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            return i
+
+def mask(rows):
+    return sum(row & 1 << i for i, row in enumerate(rows))
+
+def fused(prec, weak):
+    return [i for i, (p, w) in enumerate(zip(prec, weak)) if 1 << i & (p | w)]
+
+class Rel:
+    def loops(self):
+        return {i: row for i, row in enumerate(self.rows) if (row >> i) & 1}
+
+def outer(rows):
+    def inner():
+        for k, (row, col) in enumerate(zip(rows, rows)):
+            if col & (1 << k):
+                return k
+    return inner
+
+def other_position(rows, j):
+    for i, row in enumerate(rows):
+        if row >> j & 1 or row & 1 << j:
+            return i
+
+def other_row(rows, table):
+    for i, row in enumerate(rows):
+        if table[0] >> i & 1:
+            return i
+
+def not_enumerated(rows):
+    for i in range(len(rows)):
+        if rows[i] >> i & 1:
+            return i
+
+def cleared(rows, full):
+    return [full & ~(1 << i) & ~row for i, row in enumerate(rows)]
+
+def spread(cols):
+    for i, row in enumerate(cols):
+        scatter(cols, row, 1 << i)
+
+def constant(rows):
+    return [i for i, row in enumerate(rows) if 5 >> i & 1 or 5 & 1 << i]
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _self_loop_scans(path) == {
+        "sample.first", "sample.mask", "sample.fused", "sample.Rel.loops", "sample.outer.inner"
+    }
 
 
 # every module whose top-level definitions a test or a run can reach

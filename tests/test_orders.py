@@ -309,8 +309,32 @@ def test_enumerate_posets_bound():
 # references: every kernel must return the same first witness.
 
 
+def _reference_transitivity_gap(rel):
+    rows = rel.rows
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if not rows[i] >> j & 1:
+                continue
+            for k in range(n):
+                if rows[j] >> k & 1 and not rows[i] >> k & 1:
+                    return i, j, k
+    return None
+
+
+def _reference_partial_order_violation(rel):
+    labels = rel.domain.labels
+    for i in range(len(labels)):
+        if rel.holds_idx(i, i):
+            return "po:1", (labels[i],)
+    gap = _reference_transitivity_gap(rel)
+    if gap is not None:
+        return "po:2", tuple(labels[i] for i in gap)
+    return None
+
+
 def _reference_total_order_violation(rel):
-    bad = partial_order_violation(rel)
+    bad = _reference_partial_order_violation(rel)
     if bad is not None:
         return ("to:" + bad[0][3:], bad[1])
     labels = rel.domain.labels
@@ -322,7 +346,7 @@ def _reference_total_order_violation(rel):
 
 
 def _reference_stratified_order_violation(rel):
-    bad = partial_order_violation(rel)
+    bad = _reference_partial_order_violation(rel)
     if bad is not None:
         return ("so:" + bad[0][3:], bad[1])
     labels = rel.domain.labels
@@ -379,11 +403,20 @@ def _reference_qs_order_violation(rel):
 
 
 KERNELS = [
+    (partial_order_violation, _reference_partial_order_violation),
     (total_order_violation, _reference_total_order_violation),
     (qs_order_violation, _reference_qs_order_violation),
     (interval_order_violation, _reference_interval_order_violation),
     (stratified_order_violation, _reference_stratified_order_violation),
 ]
+
+
+def _check_kernels(rel):
+    """Every kernel against its literal scan, and ``is_transitive``
+    against the literal scan for a transitivity gap."""
+    for kernel, reference in KERNELS:
+        assert kernel(rel) == reference(rel)
+    assert rel.is_transitive() == (_reference_transitivity_gap(rel) is None)
 
 
 def _relation(n, rows, shape):
@@ -411,9 +444,7 @@ def _bits_of(mask):
     shape=st.sampled_from(["any", "irreflexive", "order"]),
 )
 def test_kernels_match_the_literal_scans(n, rows, shape):
-    rel = _relation(n, rows[:n], shape)
-    for kernel, reference in KERNELS:
-        assert kernel(rel) == reference(rel)
+    _check_kernels(_relation(n, rows[:n], shape))
 
 
 def test_kernels_match_the_literal_scans_on_both_verdicts():
@@ -428,7 +459,10 @@ def test_kernels_match_the_literal_scans_on_both_verdicts():
             expected = reference(rel)
             assert kernel(rel) == expected
             outcomes.add((kernel.__name__, expected is None))
-    assert len(outcomes) == 2 * len(KERNELS)
+        transitive = rel.is_transitive()
+        assert transitive == (_reference_transitivity_gap(rel) is None)
+        outcomes.add(("is_transitive", transitive))
+    assert len(outcomes) == 2 * len(KERNELS) + 2
 
 
 @pytest.mark.parametrize("n", [32, 48, 64])
@@ -443,8 +477,7 @@ def test_kernels_match_the_literal_scans_on_large_orders(n):
     rows[i] ^= 1 << j
     flipped = BinRel(rel.domain, tuple(rows))
     for candidate in (rel, flipped):
-        for kernel, reference in KERNELS:
-            assert kernel(candidate) == reference(candidate)
+        _check_kernels(candidate)
 
 
 def test_deciders_match_the_literal_scans_on_every_relation_up_to_4():

@@ -636,6 +636,34 @@ def test_probe_and_legal_extensions_check_their_labels_before_deciding(cycle_str
         legal_extensions(looped, "z", "a")
 
 
+@pytest.mark.parametrize("name", ["acyclic", "cycle"])
+def test_a_probe_outside_the_domain_raises_before_any_state_is_written(cycle_structures, name):
+    # every position is checked before a probe reads or writes state, on
+    # acyclic input and on input whose every probe returns its witness
+    s = cycle_structures["d"]
+    if name == "acyclic":
+        s = new_structure("abc", [("a", "b")], [("b", "c")])
+    n = len(s.domain)
+    prober = Prober(s)
+    calls = [
+        (prober.run, 0, n), (prober.run, -1, 0), (prober.run, 0, -1), (prober.run, n, 0),
+        (prober.extend, 0, n), (prober.extend, -1, 0), (prober.extend, n, 1),
+        (prober.run_row, n, 1), (prober.run_row, -1, 1), (prober.run_row, 0, -2),
+        (prober.run_row, 0, 1 << n),
+    ]
+    for call, i, j in calls:
+        for kind in ("prec", "weak"):
+            with pytest.raises(ValueError, match="positions of the domain"):
+                call(i, j, kind)
+    grown = prober.structure()
+    assert (grown.prec.rows, grown.weak.rows) == (s.prec.rows, s.weak.rows)
+    # an unknown kind is still named first, equal positions last
+    with pytest.raises(ValueError, match="unknown probe kind"):
+        prober.run(0, n, "bogus")
+    with pytest.raises(ValueError, match="two distinct events"):
+        prober.extend(1, 1, "prec")
+
+
 def test_gen_spreads_nothing_over_the_full_domain(monkeypatch):
     # the full domain's reach and coreach sets come from the condensation
     # and grow by Italiano's rule, so no spread runs over it; spreading
