@@ -433,7 +433,7 @@ def _print_tree(f: InputFile) -> int:
         print("(empty)")
         return 0
     labels = f.prec.domain.labels
-    print(qsseq.format_trees(trees, labels, _shown(labels)))
+    print(" ; ".join(qsseq.tree_texts(trees, labels, _shown(labels))))
     return 0
 
 

@@ -95,10 +95,10 @@ def stratified_order_violation(rel: BinRel) -> Violation | None:
 
 
 def interval_order_violation(rel: BinRel) -> Violation | None:
-    """None when rel is an interval order, decided by building its
-    ``interval_realization``, else the first witness that
-    ``_interval_witness`` names."""
-    if interval_realization(rel) is not None:
+    """None when rel is an interval order, decided by ``_realization``
+    of its rows, else the first witness that ``_interval_witness``
+    names."""
+    if _realization(rel.rows, rel.column_masks) is not None:
         return None
     return _interval_witness(rel)
 

@@ -145,5 +145,5 @@ def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
     n = len(domain)
     return [
         QsOrder(Poset(domain, BinRel(domain, qsseq.tree_rows(n, trees))))
-        for trees in qsseq.stratum_trees(n)
+        for trees in qsseq.stratum_trees((0,) * n, (0,) * n)
     ]

@@ -8,33 +8,36 @@ the base.  All base sets across a sequence are disjoint and non-empty.
 
 Inside the library a tree is one form: strata ``(events, base,
 children)`` over position masks.  ``stratum_trees`` walks the formation
-rules, optionally constrained by a structure, and yields each tree
-once; the enumerations of sequences, orders and saturations are views
-of that walk.  ``tree_rows`` decodes a tree into its order's rows and
+rules under a structure's tables and yields each tree once; the
+enumerations of sequences, orders and saturations are views of that
+walk, the unconstrained ones under the empty structure's all-zero
+tables.  ``tree_rows`` decodes a tree into its order's rows and
 ``order_trees`` encodes the rows back (``tree_rows`` writes the
-columns too, when asked); they are mutually inverse, so
-distinct trees are distinct orders.  The ``QsSeq`` codecs, the
-factorization and ``one_saturation`` go through this pair, and
-``seq_converter`` is the one reading of a tree as a labelled ``QsSeq``.
-Every tree is built by one fold, ``_fold``, innermost first and without
-recursion: the decoder ``seq_to_order``, the converter, the JSON codecs,
-the encoder ``order_trees`` and ``saturate.one_saturation``.
-One renderer writes the one-line text, of a ``QsSeq`` (``format_seq``)
-or straight from position trees and the shown labels (``format_trees``,
-and ``tree_texts``, the text of each of many trees in one fold).
+columns too, when asked); they are mutually inverse, so distinct trees
+are distinct orders.  The ``QsSeq`` codecs, the factorization and
+``one_saturation`` go through this pair, and ``seq_converter`` is the
+one reading of a tree as a labelled ``QsSeq``.  Every tree is built by
+one fold, ``_fold``, innermost first and without recursion: the decoder
+``seq_to_order``, the converter, the JSON codecs, the encoder
+``order_trees`` and ``saturate.one_saturation``.  One renderer writes
+the one-line text, of a ``QsSeq`` (``format_seq``) or straight from
+position trees and the shown labels (``tree_texts``, the text of each
+of many trees in one fold).
 
-A constrained walk tests each leading block against one table built per
-call: ``leaving[m]``, for every subset m of the positions, is the union
-of ``combined[y]`` over the members y of m.  It is filled in 2^n steps,
-one position at a time, as ``leaving[m - 2^y] | combined[y]`` for m's
-highest member y (Knuth, TAOCP 4A §7.1.3).  A combined pair from an
-event left over enters the block exactly when ``leaving[rest] & block``
-is non-zero, so the table answers the test that a scan over the members
-of ``rest`` would, and the walk yields the same trees in the same
-order.  The unconstrained walk builds no table.  The table has 2^n
-entries, 64 within ``ENUMERATION_BOUND``; a walk allowed past that
-bound (ROADMAP item 1) must cap n where the table is built, or test
-blocks without it.
+The walk reads two subset tables built per call.  ``leaving[m]``, for
+every subset m of the positions, is the union of ``combined[y]`` over
+the members y of m, and ``touching[m]`` the union of ``touch[y]``.
+Each is filled in 2^n steps, one position at a time, as
+``leaving[m - 2^y] | combined[y]`` for m's highest member y (Knuth,
+TAOCP 4A §7.1.3).  A combined pair from an event left over enters the
+block exactly when ``leaving[rest] & block`` is non-zero, and, touch
+being symmetric, the members of a stratum that touch none of its
+members are ``events & ~touching[events]`` (``relcore._untouched``);
+so the tables answer the tests that scans over the members would, and
+the walk yields the same trees in the same order.  Every walk builds
+both tables, of 2^n entries each, 64 within ``ENUMERATION_BOUND``; a
+walk allowed past that bound (ROADMAP item 1) must cap n where the
+tables are built, or test blocks and bases without them.
 """
 
 from __future__ import annotations
@@ -119,22 +122,16 @@ def _preorder(strata: Iterable[QssStratum]) -> list[QssStratum]:
 
 
 def _fold(
-    roots: Iterable[S],
-    children: Callable[[S], Sequence[S]],
-    build: Callable[[S, tuple[R, ...]], R],
-    build_leaf: Callable[[S], R] | None = None,
+    roots: Iterable[S], children: Callable[[S], Sequence[S]], build: Callable[[S, tuple[R, ...]], R]
 ) -> tuple[R, ...]:
     """The roots' results, where a node's result is ``build(node, its
     children's results)``, built innermost first and siblings in order;
-    a node without children is built by ``build_leaf(node)`` when that
-    is given.  The nodes are listed from an explicit stack with their
-    child counts, so ``children`` runs once per node and nesting depth
-    is not bounded by the interpreter's recursion limit.  Each is listed
-    before its descendants and its children last to first, so read
-    backwards the list has each node right after its children, in
-    order.  Most nodes of a walk's trees are leaves (155,225 of the
-    200,045 over six events); ``build_leaf`` lets a caller build those
-    in one call, without the empty body that ``build`` would take."""
+    a node without children gets an empty tuple.  The nodes are listed
+    from an explicit stack with their child counts, so ``children`` runs
+    once per node and nesting depth is not bounded by the interpreter's
+    recursion limit.  Each is listed before its descendants and its
+    children last to first, so read backwards the list has each node
+    right after its children, in order."""
     nodes: list[S] = []
     counts: list[int] = []
     stack = list(roots)
@@ -148,10 +145,8 @@ def _fold(
     for node, count in zip(reversed(nodes), reversed(counts)):
         if count:
             done[-count:] = [build(node, tuple(done[-count:]))]
-        elif build_leaf is None:
-            done.append(build(node, ()))
         else:
-            done.append(build_leaf(node))
+            done.append(build(node, ()))
     return tuple(done)
 
 
@@ -244,26 +239,25 @@ enumeration built on it (there are 38,703 trees over 6 events)."""
 Tree = tuple[int, int, tuple["Tree", ...]]
 
 
-def stratum_trees(
-    n: int, touch: Sequence[int] | None = None, combined: Sequence[int] | None = None
-) -> Iterator[tuple[Tree, ...]]:
-    """Every stratum-tree sequence over the positions 0..n-1 that the
-    constraints allow, each exactly once, as a tuple of strata
-    ``(events, base, children)`` over position masks; a leaf's base is
-    all of its events and it has no children.
+def stratum_trees(touch: Sequence[int], combined: Sequence[int]) -> Iterator[tuple[Tree, ...]]:
+    """Every stratum-tree sequence over the positions 0..n-1, n the
+    length of the tables, that a structure's tables allow, each exactly
+    once, as a tuple of strata ``(events, base, children)`` over
+    position masks; a leaf's base is all of its events and it has no
+    children.
 
-    The constraints are a structure's: ``touch``, per event, the events
-    its precedence pairs join it to either way (``BinRel._touch``, a
-    symmetric table, as ``relcore._untouched`` needs), and ``combined``,
-    the successor masks of both relations.  Without them every tree is
-    walked.  The formation rules, constrained:
+    The tables are a structure's: ``touch``, per event, the events its
+    precedence pairs join it to either way (``BinRel._touch``, a
+    symmetric table, as the base test needs), and ``combined``, the
+    successor masks of both relations.  All-zero tables, the empty
+    structure's, allow every tree.  The formation rules, constrained:
 
     - a sequence over the events left starts with a non-empty block
       that no combined pair enters from the rest of those events (one
-      lookup in the subset table of the module docstring);
+      lookup in a subset table of the module docstring);
     - a leaf stratum holds no two events that touch;
     - a base set is a non-empty set of the stratum's events that touch
-      none of its events;
+      none of its events (one lookup in the other table);
     - a body has at least two strata.
 
     Generation order: leading blocks, and the bases of one stratum, run
@@ -272,16 +266,17 @@ def stratum_trees(
     fastest.  The empty domain has one tree, the empty sequence.
     Raises ValueError beyond ``ENUMERATION_BOUND``.
     """
+    n = len(combined)
     if n > ENUMERATION_BOUND:
         raise ValueError(f"domain size {n} exceeds enumeration bound {ENUMERATION_BOUND}")
-    leaving = None
-    if combined is not None:
-        # leaving[m]: the events that a combined pair from a member of m
-        # enters; the subsets holding y as their highest member follow
-        # those of the lower positions
-        leaving = [0]
-        for c in combined:
-            leaving += [m | c for m in leaving]
+    # leaving[m]: the events that a combined pair from a member of m
+    # enters; touching[m]: the events that touch a member of m.  The
+    # subsets holding y as their highest member follow those of the lower
+    # positions
+    leaving, touching = [0], [0]
+    for c, t in zip(combined, touch):
+        leaving += [m | c for m in leaving]
+        touching += [m | t for m in touching]
 
     def sequences(events: int, body: bool) -> Iterator[tuple[Tree, ...]]:
         block = 0
@@ -292,7 +287,7 @@ def stratum_trees(
             rest = events & ~block
             if body and not rest:  # a body needs a second stratum
                 return
-            if leaving is not None and leaving[rest] & block:
+            if leaving[rest] & block:
                 continue
             for head in strata(block):
                 if not rest:
@@ -302,7 +297,7 @@ def stratum_trees(
                     yield (head,) + tail
 
     def strata(events: int) -> Iterator[Tree]:
-        free = _untouched(touch, events) if touch else events
+        free = events & ~touching[events]
         if free == events:
             yield events, events, ()
         base = 0
@@ -394,8 +389,9 @@ def enumerate_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:
     generation order.  The empty domain has none."""
     names = Domain.of(labels).labels
     to_seq = seq_converter(names)
+    zeros = (0,) * len(names)
     # the empty domain's one tree, the empty sequence, is no QsSeq
-    return [to_seq(trees) for trees in stratum_trees(len(names)) if trees]
+    return [to_seq(trees) for trees in stratum_trees(zeros, zeros) if trees]
 
 
 def random_qs_seq(labels: Iterable[str], seed: int) -> QsSeq:
@@ -480,16 +476,11 @@ def format_seq(q: QsSeq) -> str:
     )
 
 
-def format_trees(trees: tuple[Tree, ...], labels: Sequence[str], names: Sequence[str]) -> str:
-    """``format_seq``'s line for a tree sequence over the positions of
-    labels, ``names[i]`` the shown label of position i: no ``QsSeq`` is
-    built."""
-    return " ; ".join(tree_texts(trees, labels, names))
-
-
 def tree_texts(trees: Sequence[Tree], labels: Sequence[str], names: Sequence[str]) -> tuple[str, ...]:
     """The text of each tree, over the positions of labels, as
-    ``format_trees`` writes it, all in one fold."""
+    ``format_seq`` writes its stratum, ``names[i]`` the shown label of
+    position i, all in one fold: no ``QsSeq`` is built.  Joined by
+    " ; ", the texts of a sequence's trees are its line."""
 
     def base(tree: Tree) -> str:
         members = tree[1]
@@ -505,9 +496,9 @@ def _render(
 ) -> tuple[str, ...]:
     """The text of each of the strata, of any form, as ``format_seq``
     writes it, given each one's base text and children, built through
-    ``_fold``."""
+    ``_fold``: a leaf is its base text alone."""
 
     def build(st: S, body: tuple[str, ...]) -> str:
-        return f"({base(st)} | {' '.join(body)})"
+        return f"({base(st)} | {' '.join(body)})" if body else base(st)
 
-    return _fold(strata, children, build, base)
+    return _fold(strata, children, build)

@@ -245,6 +245,8 @@ class BinRel:
         return bool(self.rows[self.domain.position(x)] >> self.domain.position(y) & 1)
 
     def holds_idx(self, i: int, j: int) -> bool:
+        if not (0 <= i < len(self.rows) and 0 <= j < len(self.rows)):
+            raise ValueError(f"positions ({i}, {j}) lie outside a domain of {len(self.rows)}")
         return bool(self.rows[i] >> j & 1)
 
     def pairs(self) -> Iterator[tuple[str, str]]:
@@ -560,8 +562,9 @@ def _untouched(touch: Sequence[int], mask: int) -> int:
     lies in ``touch[j]``.  Then a member j is touched by some member
     exactly when j lies in the union of the members' entries, so one
     ``_gather`` answers for every member at once.  ``BinRel._touch``
-    is rows | columns, ``stratum_trees`` gets that table permuted, and
-    the prober's copy stays symmetric under ``extend``."""
+    is rows | columns, ``qsseq.stratum_trees`` reads the same union from
+    a subset table of that table permuted, and the prober's copy stays
+    symmetric under ``extend``."""
     return mask & ~_gather(touch, mask)
 
 

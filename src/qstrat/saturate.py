@@ -211,10 +211,9 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
-    n = len(s.domain)
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)
-    walk = stratum_trees(n, to_sorted(s.prec._touch), to_sorted(s._combined))
+    walk = stratum_trees(to_sorted(s.prec._touch), to_sorted(s._combined))
     if limit is not None and limit >= sys.maxsize:
         limit = None
     walked = tuple(islice(walk, None if limit is None else limit + 1))

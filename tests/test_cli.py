@@ -584,7 +584,9 @@ def test_order_trees_failing_on_a_qs_order_is_internal(capsys, monkeypatch):
 
 
 def test_missing_realization_of_an_interval_order_is_internal(capsys, monkeypatch):
-    monkeypatch.setattr(qstrat.orders, "interval_realization", lambda rel: None)
+    # the check decides with the rows' realization, as intervals' does
+    # through interval_realization
+    monkeypatch.setattr(qstrat.orders, "_realization", lambda rows, cols: None)
     code, out, err = run(capsys, "check", "--class", "io", fixture("nested_order.json"))
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ")

@@ -1,7 +1,8 @@
 """Source checks: guards that survive ``python -O``, no module-level
 caches, no enumeration bound knobs, no recursion as deep as the input,
-fast modules kept apart from the oracles, the public names, and
-internal defaulted parameters that calls both give and omit."""
+fast modules kept apart from the oracles, the public names, internal
+defaulted parameters that calls both give and omit, and each None
+default listed with its reason."""
 
 import ast
 import sys
@@ -315,10 +316,10 @@ def _is_high_bit(loop: ast.While, node: ast.AST) -> bool:
     )
 
 
-def _functions(path: Path) -> Iterator[tuple[str, list[ast.AST]]]:
+def _functions(path: Path) -> Iterator[tuple[str, ast.AST, list[ast.AST]]]:
     """The functions of a module, nested ones and methods included, each
-    by its dotted name with the nodes that belong to it and to no
-    function or class inside it."""
+    by its dotted name with its definition and the nodes that belong to
+    it and to no function or class inside it."""
     stack: list[tuple[ast.AST, str]] = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
     while stack:
         node, name = stack.pop()
@@ -331,7 +332,7 @@ def _functions(path: Path) -> Iterator[tuple[str, list[ast.AST]]]:
                 own.append(child)
                 inner.extend(ast.iter_child_nodes(child))
         if isinstance(node, _FUNCTIONS):
-            yield name, own
+            yield name, node, own
 
 
 def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[str]:
@@ -339,7 +340,7 @@ def _bit_loops(path: Path, step: Callable[[ast.While, ast.AST], bool]) -> set[st
     a ``while`` loop of their own that holds a step of the given shape."""
     return {
         name
-        for name, own in _functions(path)
+        for name, _, own in _functions(path)
         for loop in own
         if isinstance(loop, ast.While) and any(step(loop, sub) for sub in ast.walk(loop))
     }
@@ -469,7 +470,7 @@ def _self_loop_scans(path: Path) -> set[str]:
     the row come from one ``enumerate``, in a ``for`` loop's body or in
     a comprehension: each is a scan for self-loops."""
     found = set()
-    for name, own in _functions(path):
+    for name, _, own in _functions(path):
         for node in own:
             if isinstance(node, ast.For):
                 loops, scope = [node], node.body
@@ -812,6 +813,78 @@ def caller(walker, rest, opts):
         "sample.fixed(b): every call gives it",
         "sample.fixed(c): every call gives it",
     ]
+
+
+# the parameters that default to None, each with the reason it stays: a
+# None default is a second mode of its function, a path that each caller
+# may or may not take and that the tests must walk as well
+NONE_DEFAULTS_ALLOWED = {
+    "qsseq.tree_rows(cols)": (
+        "only the saturate printer wants the columns; writing them on every decode made"
+        " check --class qso and decompose 3% slower at 64 events"
+    ),
+    "saturate.saturations(limit)": "public: no limit lists every saturation",
+    "cli.main(argv)": "public: the command line's arguments, sys.argv when omitted",
+}
+
+
+def _none_defaults(path: Path) -> set[str]:
+    """The parameters of the functions of a module, nested ones and
+    methods included, that default to None, positional and keyword-only
+    alike, each as ``module.function(parameter)``."""
+    found = set()
+    for name, fn, _ in _functions(path):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaults = [*zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+        defaults += zip(args.kwonlyargs, args.kw_defaults)
+        found |= {
+            f"{name}({arg.arg})"
+            for arg, default in defaults
+            if isinstance(default, ast.Constant) and default.value is None
+        }
+    return found
+
+
+def test_every_none_default_is_listed_with_its_reason():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _none_defaults(path)
+    extra = sorted(found - set(NONE_DEFAULTS_ALLOWED))
+    assert not extra, f"make the parameter required, or list it with its reason: {extra}"
+    assert set(NONE_DEFAULTS_ALLOWED) <= found, "an allowed None default is gone; drop its entry"
+
+
+def test_the_none_default_lint_sees_positional_keyword_nested_and_method_defaults(tmp_path):
+    source = '''
+def walk(n, touch=None, combined=None):
+    return n
+
+def rows(n, cols=0, *, limit=None, seed=1, tag):
+    return n
+
+async def fetch(url, timeout=None, /):
+    return url
+
+def outer(a=None):
+    def inner(b, c=None):
+        return b
+    return inner, lambda d=None: d
+
+class Walker:
+    def step(self, n, k=None):
+        return n
+
+    def jump(self, n, k="None", m=False):
+        return n
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _none_defaults(path) == {
+        "sample.walk(touch)", "sample.walk(combined)", "sample.rows(limit)",
+        "sample.fetch(timeout)", "sample.outer(a)", "sample.outer.inner(c)",
+        "sample.Walker.step(k)",
+    }
 
 
 def _catches(path: Path, name: str) -> list[int]:

@@ -867,7 +867,7 @@ def test_count_ranks_realize_every_order_saturate_can_print():
     checked = 0
     for n in range(ENUMERATION_BOUND + 1):
         events = range(n)
-        for trees in stratum_trees(n):
+        for trees in stratum_trees((0,) * n, (0,) * n):
             cols = [0] * n
             rows = tree_rows(n, trees, cols)
             begins, ends = _count_ranks(rows, cols)

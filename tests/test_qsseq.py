@@ -38,7 +38,7 @@ from qstrat import (
 )
 from qstrat import oracles, qs_order_violation, qso
 from qstrat.orders import interval_order_violation
-from qstrat.qsseq import format_trees, order_trees, seq_converter, stratum_trees, tree_rows
+from qstrat.qsseq import order_trees, seq_converter, stratum_trees, tree_rows, tree_texts
 from qstrat.relcore import _columns, show_label
 
 from conftest import (
@@ -212,7 +212,7 @@ def test_codec_matches_the_label_level_reference_up_to_64_events():
 def test_order_trees_inverts_tree_rows():
     for n in range(6):
         domain = Domain(tuple(LABELS[:n]))
-        for trees in stratum_trees(n):
+        for trees in stratum_trees((0,) * n, (0,) * n):
             assert order_trees(BinRel(domain, tree_rows(n, trees))) == trees
 
 
@@ -241,7 +241,7 @@ def _decoded(n, trees):
 
 def test_one_decode_gives_the_rows_and_their_columns():
     for n in range(6):
-        for trees in stratum_trees(n):
+        for trees in stratum_trees((0,) * n, (0,) * n):
             rows = _reference_tree_rows(n, trees)
             assert _decoded(n, trees) == (rows, _columns(rows))
             assert tree_rows(n, trees) == rows
@@ -272,7 +272,7 @@ def test_a_thousand_levels_convert_and_format(deep_chain):
     seq = seq_converter(rel.domain.labels)(trees)
     assert format_seq(seq) == deep_chain_text(depth, rel.domain.labels)
     labels = rel.domain.labels
-    assert format_trees(trees, labels, labels) == deep_chain_text(depth, labels)
+    assert " ; ".join(tree_texts(trees, labels, labels)) == deep_chain_text(depth, labels)
 
 
 def test_position_trees_format_as_their_sequences():
@@ -286,7 +286,8 @@ def test_position_trees_format_as_their_sequences():
         rel = order.prec.aligned_to(Domain(tuple(labels)))
         trees = order_trees(rel)
         names = [show_label(x) for x in labels]
-        assert format_trees(trees, labels, names) == format_seq(seq_converter(labels)(trees))
+        text = " ; ".join(tree_texts(trees, labels, names))
+        assert text == format_seq(seq_converter(labels)(trees))
 
 
 def _deep_stratum(depth, innermost="z"):

@@ -84,6 +84,16 @@ def test_unknown_label_in_pair_rejected():
         new_structure(["a", "b"], [("a", "c")], [])
 
 
+def test_a_position_outside_the_domain_is_refused():
+    # below and past the domain on each side: each is refused as holds
+    # refuses an unknown label, none reads another row or bit
+    prec = new_structure("abc", [("c", "a")]).prec
+    for i, j in ((-1, 0), (0, -1), (3, 0), (0, 5)):
+        with pytest.raises(ValueError, match="outside a domain of 3"):
+            prec.holds_idx(i, j)
+    assert prec.holds_idx(2, 0) and not prec.holds_idx(0, 2)
+
+
 def test_duplicate_pairs_collapse():
     s = new_structure(["a", "b"], [("a", "b"), ("a", "b")], [])
     assert sum(map(int.bit_count, s.prec.rows)) == 1
