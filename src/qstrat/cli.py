@@ -15,7 +15,7 @@ Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``check --class qsa``'s verdict (``_qsa_detail``) before they call the
 library, and stop at its FAIL line on a structure that is not
 quasi-stratified acyclic.  The decision is a table the structure caches
-(``relcore.Structure._forbidden``), so the library's calls read it
+(``relcore.Structure._decision``), so the library's calls read it
 again and a request decides acyclicity once; every FAIL line about
 acyclicity comes from ``_qsa_detail`` alone.
 

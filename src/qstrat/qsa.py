@@ -12,11 +12,12 @@ meeting the component's pre-dominants inherits one (being a
 pre-dominant survives restriction), and the remaining subsets live in
 the component minus its pre-dominants.  ``oracles.qsa_witness_naive``
 scans all subsets instead and is its check.  The decision is a table
-the structure caches, ``relcore.Structure._forbidden`` (the peel is
+the structure caches, ``relcore.Structure._decision`` (the peel is
 ``relcore._peel``): the mask of the first component without a
-pre-dominant, or 0.  ``qsa_witness``, ``is_qsa``, ``Prober`` and the
-one refusal helper, ``_refuse_unless_acyclic``, all read it, so no
-caller decides the same structure twice.
+pre-dominant, or 0, with the levels the peel split.  ``qsa_witness``,
+``is_qsa``, ``Prober`` and the one refusal helper,
+``_refuse_unless_acyclic``, all read the mask, so no caller decides
+the same structure twice; ``saturate.one_saturation`` reads the levels.
 
 Single-pair probes ("does adding x prec y, or x weak y, break
 acyclicity?") do not re-decide the extension.  Adding the combined edge
@@ -254,24 +255,22 @@ candidate pairs before the first probe."""
 
 
 def qsa_witness(s: Structure) -> CscWitness | None:
-    """The failing component of s's one decision (``Structure._forbidden``)
+    """The failing component of s's one decision (``Structure._decision``)
     as witness, or None when s is acyclic."""
     if not is_relational(s):
         raise ValueError("structure is not relational")
-    return _witness(s, s._forbidden) if s._forbidden else None
+    return _witness(s, s._decision.forbidden) if s._decision.forbidden else None
 
 
 def is_qsa(s: Structure) -> bool:
-    return is_relational(s) and not s._forbidden
+    return is_relational(s) and not s._decision.forbidden
 
 
 def _refuse_unless_acyclic(s: Structure, message: str) -> None:
     """``NotAcyclicError`` with s's witness, None when s is not
     relational, unless s is acyclic."""
-    if not is_relational(s):
-        raise NotAcyclicError(message, None)
-    if s._forbidden:
-        raise NotAcyclicError(message, _witness(s, s._forbidden))
+    if not is_qsa(s):
+        raise NotAcyclicError(message, qsa_witness(s) if is_relational(s) else None)
 
 
 class Prober:
@@ -284,7 +283,7 @@ class Prober:
     bitmask of the witness that adding the pair (kind "prec" or "weak")
     from position i to position j creates, or 0 when the extension stays
     acyclic.  On a structure that is not acyclic it returns the mask of
-    ``witness`` (``Structure._forbidden``) for every pair.  Any other
+    ``witness`` (``Structure._decision``) for every pair.  Any other
     kind, two equal positions or a position outside the domain raise
     ValueError before any state is read or written, in ``run_row`` and
     ``extend`` too (``_check_probe``).  Each probe walks only the chain
@@ -306,7 +305,7 @@ class Prober:
 
     def __init__(self, s: Structure) -> None:
         self.witness = qsa_witness(s)
-        self._fixed = s._forbidden
+        self._fixed = s._decision.forbidden
         self._domain = s.domain
         self._full = (1 << len(s.domain)) - 1
         self._prec, self._weak = list(s.prec.rows), list(s.weak.rows)

@@ -29,11 +29,13 @@ A relation computes each of these tables once, on first read:
 
 A structure caches the tables its acyclicity decision reads, the
 combined rows (``Structure._combined``) and their components
-(``_components``), and the decision itself: ``Structure._forbidden``,
-which ``_peel`` computes once, is the mask of the first component
+(``_components``), and the decision itself: ``Structure._decision``,
+which ``_peel`` computes once, holds the mask of the first component
 without a pre-dominant, or 0 when the structure is acyclic (the ``qsa``
-module docstring has the argument).  Every verdict, witness and refusal
-of ``qsa`` reads that table.
+module docstring has the argument), and the levels the peel split.
+Every verdict, witness and refusal of ``qsa`` reads that mask, and
+``saturate.one_saturation`` builds its stratum tree from those levels,
+with no pass of its own: the peel is the library's one.
 
 A walk whose result does not depend on the order it visits positions
 (a union, an OR, a filter per position) steps down from the highest set
@@ -61,7 +63,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class InternalError(RuntimeError):
@@ -383,10 +385,11 @@ class Structure:
         return tuple(_scc_masks(self._combined, (1 << len(self.domain)) - 1))
 
     @cached_property
-    def _forbidden(self) -> int:
-        """The structure's acyclicity decision, made once (``_peel``):
-        the mask of the first component without a pre-dominant, or 0.
-        ``qsa`` reads every verdict, witness and refusal from it."""
+    def _decision(self) -> Peel:
+        """The structure's acyclicity decision, made once (``_peel``).
+        ``qsa`` reads every verdict, witness and refusal from its
+        ``forbidden`` mask, and ``saturate.one_saturation`` its tree
+        from its ``levels``."""
         return _peel(self)
 
 
@@ -528,25 +531,43 @@ def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
     return out
 
 
-def _peel(s: Structure) -> int:
-    """The acyclicity decision behind ``Structure._forbidden``: peel the
+class Peel(NamedTuple):
+    """What ``_peel`` finds.  ``forbidden`` is the mask of the first
+    component without a pre-dominant, or 0 when the structure is
+    acyclic.  ``levels`` maps the event mask of each sequence the peel
+    split to its components, as ``_scc_masks`` emits them: the whole
+    domain to ``Structure._components``, and the body of each component
+    it peeled, what is left once its pre-dominants are removed, to the
+    components of that body.  On an acyclic structure every body has
+    its entry."""
+
+    forbidden: int
+    levels: dict[int, Sequence[int]]
+
+
+def _peel(s: Structure) -> Peel:
+    """The acyclicity decision behind ``Structure._decision``: peel the
     pre-dominants off each component of two or more events and split
     what is left into its components, until one has no pre-dominant
-    (``qsa`` module docstring).  Returns that component's mask, or 0
-    when none is left.  Meaningful on a relational structure only."""
+    (``qsa`` module docstring).  Each level is visited in emission
+    order and the pending bodies last in, first out, which fixes the
+    component found and with it every witness and FAIL line.
+    Meaningful on a relational structure only."""
     rows, touch = s._combined, s.prec._touch
     level, pending = s._components, []
+    levels: dict[int, Sequence[int]] = {(1 << len(rows)) - 1: level}
     while True:
         for comp in level:
             if comp.bit_count() < 2:
                 continue
             dominants = _untouched(touch, comp)
             if dominants == 0:
-                return comp
+                return Peel(comp, levels)
             pending.append(comp & ~dominants)
         if not pending:
-            return 0
-        level = _scc_masks(rows, pending.pop())
+            return Peel(0, levels)
+        body = pending.pop()
+        level = levels[body] = _scc_masks(rows, body)
 
 
 def _label_mask(domain: Domain, labels: Iterable[str]) -> int:

@@ -11,22 +11,24 @@ that extend it: their order contains s.prec and reverses no pair of
 s.weak.  ``saturations`` generates their stratum trees directly under
 those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
-builds one such tree on position masks, nested as deep as the spec
-needs (through ``qsseq._fold``).  Both decode trees through
+builds one such tree on position masks, nested as deep as the
+decision's peel (through ``qsseq._fold``).  Both decode trees through
 ``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
 
-``one_saturation`` runs one ``_scc_masks`` pass per sequence of its
-tree.  The pass emits the components of the combined relation in
-reverse topological order, so read from the last emitted to the first
-each is a source of the events after it: no pair runs from a later
-component into it, and removing it leaves the later components as they
-were.  It chooses the saturation whose every sequence lists its
-components in that order, each of two or more events with its
-least-labelled pre-dominant as base.  Each node runs a pass over its
-whole body, and a pass takes a few Python steps per event, each a
-whole-row mask operation, so a tree nested k deep over n events takes
-at most k·n steps.  A chain of mutually weak pairs nests one level per
-event, so it is quadratic in its length.
+``one_saturation`` reads its tree off the levels of s's acyclicity
+decision (``relcore.Peel``) and runs no pass of its own.  A pass emits
+the components of the combined relation in reverse topological order,
+so read from the last emitted to the first each is a source of the
+events after it: no pair runs from a later component into it.  A
+component of two or more events takes as base all of its
+pre-dominants, exactly the events the peel removed from it, over a
+body of the rest, which the peel split in turn.  A pre-dominant has no
+precedence pair inside its component, so making it mutually weak with
+the rest of the component reverses no pair of s, and every tree built
+so decodes to a saturation that extends s.  Reading the levels takes
+one pre-dominant filter per component, and the decision bounds its
+steps: a path of mutually weak pairs is one component of
+pre-dominants, so one leaf.
 
 ``saturations`` is the one producer of saturations.  Its
 ``SaturationSet`` keeps what the walk built over the positions of the
@@ -63,7 +65,6 @@ from .relcore import (
     _bits,
     _embed_order,
     _embedded_weak,
-    _scc_masks,
     _untouched,
     extends,
     poset_to_structure,
@@ -117,32 +118,31 @@ def qsm_to_qso(s: Structure) -> QsOrder:
 
 def one_saturation(s: Structure) -> Structure:
     """One maximal extension of an acyclic structure, from a stratum
-    tree built on position masks: the strata of a sequence are the
-    components of the combined relation on its events, from one
-    ``_scc_masks`` pass read from the last emitted to the first, and a
-    component of two or more takes its least-labelled pre-dominant as
-    base over the sequence of the rest, its body.  The tree is built by
-    ``qsseq._fold`` and decodes through ``qsseq.tree_rows``, which makes
-    a quasi-stratified order of any tree, so the order is not checked
-    again.  The decode writes the order's columns too, and the weak rows
-    come from them (``relcore._embedded_weak``), so no row set is
-    transposed; unordered events come out mutually weak.  The result is
-    checked to extend s, in one pass over the rows, and raises
-    ``InternalError`` if it does not.  Input that is not acyclic raises
-    ``NotAcyclicError``.
+    tree built on position masks out of the levels of s's acyclicity
+    decision (``relcore.Peel``), with no pass of its own: the strata of
+    a sequence are the components the peel split it into, read from the
+    last emitted to the first, and a component of two or more events
+    takes all of its pre-dominants, the events the peel removed from
+    it, as base over the sequence of the rest, its body, which the peel
+    split in turn.  The tree is built by ``qsseq._fold`` and decodes
+    through ``qsseq.tree_rows``, which makes a quasi-stratified order of
+    any tree, so the order is not checked again.  The decode writes the
+    order's columns too, and the weak rows come from them
+    (``relcore._embedded_weak``), so no row set is transposed; unordered
+    events come out mutually weak.  The result is checked to extend s,
+    in one pass over the rows, and raises ``InternalError`` if it does
+    not.  Input that is not acyclic raises ``NotAcyclicError``.
     """
     _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
-    labels = s.domain.labels
-    combined, touch = s._combined, s.prec._touch
+    levels, touch = s._decision.levels, s.prec._touch
 
     def strata(events: int) -> list[tuple[int, int]]:
-        # (events, base) per stratum of the sequence over events, from one
-        # pass read backwards; a single event is its own pre-dominant, so
-        # a leaf, and its empty body runs no pass
-        comps = reversed(_scc_masks(combined, events)) if events else ()
-        return [(c, 1 << min(_bits(_untouched(touch, c)), key=labels.__getitem__)) for c in comps]
+        # (events, base) per stratum of the sequence over events; a
+        # component of pre-dominants alone, a single event among them, is
+        # a leaf, and its empty body has no level
+        return [(c, _untouched(touch, c)) for c in reversed(levels[events])] if events else []
 
-    n = len(labels)
+    n = len(s.domain)
     trees = _fold(strata((1 << n) - 1), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
     cols = [0] * n
     prec = BinRel(s.domain, tree_rows(n, trees, cols))

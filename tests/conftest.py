@@ -6,6 +6,7 @@ one saturation."""
 from __future__ import annotations
 
 import random
+import sys
 from functools import cache
 from typing import Iterable
 
@@ -42,8 +43,9 @@ LABELS = "abcdefgh"
 @pytest.fixture
 def decisions(monkeypatch) -> list[Structure]:
     """The structures whose acyclicity is decided, in order: each call of
-    the peel that ``Structure._forbidden`` caches (``relcore._peel``) is
-    one decision, however often the verdict is read afterwards."""
+    the peel that ``Structure._decision`` caches (``relcore._peel``) is
+    one decision, however often its verdict or its levels are read
+    afterwards, ``one_saturation`` reading the levels too."""
     seen = []
     peel = qstrat.relcore._peel
 
@@ -210,6 +212,36 @@ def nested_structure(k: int) -> Structure:
     return qso_to_qsm(seq_to_order(QsSeq((st,))))
 
 
+def mutual_weak_path(n: int) -> Structure:
+    """A path of n events, each mutually weak with the next and with no
+    precedence pair: one component in which every event is a
+    pre-dominant."""
+    labels = [f"e{i:04d}" for i in range(n)]
+    pairs = list(zip(labels, labels[1:]))
+    return new_structure(labels, weak=pairs + [(y, x) for x, y in pairs])
+
+
+def bit_length_calls(run) -> int:
+    """The ``int.bit_length`` calls that a profile hook sees while run()
+    runs.  Every bit walk of a pass, of the pre-dominant filter and of
+    the decode makes one per step, so they count Python-level steps
+    without a clock."""
+    steps = 0
+
+    def hook(frame, event, arg):
+        nonlocal steps
+        if event == "c_call" and arg.__name__ == "bit_length":
+            steps += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+    return steps
+
+
 def all_relational_structures(n: int):
     """Every relational structure on the first n labels."""
     labels = LABELS[:n]
@@ -330,8 +362,8 @@ def reference_order_to_seq(q: QsOrder) -> QsSeq:
 
 def reference_one_saturation(s: Structure) -> Structure:
     """One saturation of an acyclic structure by recursion over label
-    sets: a strongly connected domain makes its least-labelled
-    pre-dominant mutually weak with the saturation of the rest;
+    sets: a strongly connected domain makes all its pre-dominants
+    mutually weak with every other event and saturates the rest;
     otherwise each component of the condensation, read from the last
     emitted to the first, precedes the components read after it, and
     each is saturated on its own."""
@@ -342,11 +374,11 @@ def reference_one_saturation(s: Structure) -> Structure:
             return set(s.prec.label_pairs), set(s.weak.label_pairs)
         components = csc_components(s)
         if len(components) == 1:
-            base = min(predominants(s, labels))
-            rest = [x for x in labels if x != base]
+            base = predominants(s, labels)
+            rest = [x for x in labels if x not in base]
             prec, weak = pairs(project(s, rest))
-            weak.update((base, x) for x in rest)
-            weak.update((x, base) for x in rest)
+            weak.update((b, x) for b in base for x in labels if x != b)
+            weak.update((x, b) for b in base for x in labels if x != b)
             return prec, weak
         prec, weak, later = set(), set(), []
         # emitted first is read last, so it follows every other component

@@ -902,7 +902,7 @@ def _catches(path: Path, name: str) -> list[int]:
 
 def test_no_library_module_catches_a_refusal():
     # a verdict on acyclicity is read from the structure's one decision
-    # (relcore.Structure._forbidden), never from a refusal caught on the way
+    # (relcore.Structure._decision), never from a refusal caught on the way
     found = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))

@@ -2,7 +2,6 @@ import functools
 import json
 import random
 import string
-import sys
 import unittest.mock
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from qstrat.cli import default_labels, main, read_input
 from qstrat.closure import law_closure
 from qstrat.relcore import _columns
 
-from conftest import all_relational_structures, nested_structure, random_structure
+from conftest import all_relational_structures, bit_length_calls, nested_structure, random_structure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -963,21 +962,10 @@ def _decision_steps(s):
     """The ``int.bit_length`` calls that a profile hook sees while s's
     acyclicity decision runs (``relcore._peel``): every bit walk of a
     pass and of the pre-dominant filter makes one per step, so they
-    count the decision's Python-level steps without a clock."""
-    steps = 0
-
-    def hook(frame, event, arg):
-        nonlocal steps
-        if event == "c_call" and arg.__name__ == "bit_length":
-            steps += 1
-
-    outer = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        qstrat.relcore._peel(s)
-    finally:
-        sys.setprofile(outer)
-    return steps
+    count the decision's Python-level steps without a clock.  The
+    decision's levels are all that ``one_saturation`` reads, so they
+    bound its steps too, but for the decode."""
+    return bit_length_calls(lambda: qstrat.relcore._peel(s))
 
 
 def test_the_decision_stays_quadratic_in_the_depth_of_nested_input():

@@ -37,11 +37,14 @@ from qstrat import (
     stratum_domain,
 )
 from qstrat.cli import default_labels
+from qstrat.qsa import GENERATION_BOUND
 from qstrat.qsseq import tree_rows
 from qstrat.relcore import InternalError
 
 from conftest import (
     all_relational_structures,
+    bit_length_calls,
+    mutual_weak_path,
     nested_structure,
     random_structure,
     reference_one_saturation,
@@ -221,8 +224,6 @@ def test_one_saturation_rejects_non_acyclic(cycle_structures):
 
 
 def test_one_saturation_matches_the_label_level_reference():
-    # labels whose sorted order differs from their declaration, so that
-    # the least-labelled pre-dominant is not the one at the lowest position
     rng = random.Random(101)
     for _ in range(300):
         n = rng.randint(1, 40)
@@ -263,23 +264,19 @@ def test_one_saturation_transposes_nothing_once_the_tables_are_warm(monkeypatch)
         assert m.weak.rows == qstrat.relcore._embedded_weak(real_columns(m.prec.rows))
 
 
-def test_one_saturation_survives_a_path_of_400_mutual_weak_pairs():
-    # each weak pair both ways is a component of two, so the tree nests
-    # one level per event, deeper than the recursion limit allows here
-    labels = [f"e{i:04d}" for i in range(400)]
-    pairs = list(zip(labels, labels[1:]))
-    s = new_structure(labels, weak=pairs + [(y, x) for x, y in pairs])
-    limit = sys.getrecursionlimit()
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    sys.setrecursionlimit(depth + 200)
-    try:
-        m = one_saturation(s)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert is_qsm(m)
-    assert extends(s, m)
+def test_one_saturation_grows_linearly_along_a_mutual_weak_path():
+    # the path is one component, every event a pre-dominant, so the tree
+    # is one leaf: doubling the path doubles the steps (3,002 at 600
+    # events, 6,002 at 1,200).  A base of one pre-dominant per level
+    # would nest the tree one level per event, a pass each over the
+    # events left, and quadruple them (543,902 and 2,167,802)
+    steps, found = [], []
+    for n in (600, 1200):
+        s = mutual_weak_path(n)
+        steps.append(bit_length_calls(lambda: found.append(one_saturation(s))))
+        assert not any(found[-1].prec.rows)
+        assert extends(s, found[-1])
+    assert steps[1] <= 2.5 * steps[0]
 
 
 def test_nested_250_is_its_own_closure_and_only_saturation():
@@ -323,7 +320,7 @@ def test_one_saturation_is_one_of_the_saturations(labels, seed, density, spec):
     assert m.prec.aligned_to(walked.ordered).rows in walked.rows
 
 
-@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
 def test_one_saturation_is_a_maximal_extension_at_larger_sizes(n):
     labels = default_labels(n)
     inputs = [
@@ -331,52 +328,61 @@ def test_one_saturation_is_a_maximal_extension_at_larger_sizes(n):
         new_structure(labels),
         spec_structure(labels, n, 0.05),
         spec_structure(labels, n + 1, 0.5),
-        random_qsa_structure(labels, seed=n, density=0.02 if n == 256 else 8 / n),
     ]
+    if n <= GENERATION_BOUND:
+        inputs.append(random_qsa_structure(labels, seed=n, density=0.02 if n == 256 else 8 / n))
+    else:
+        inputs.append(mutual_weak_path(2500))
     for s in inputs:
         m = one_saturation(s)
         assert qsm_violation(m) is None
         assert extends(s, m)
 
 
-def test_one_saturation_runs_one_tarjan_pass_per_sequence(monkeypatch):
-    # one pass per sequence of the tree, the top one and each node's
-    # body; a leaf's empty body runs none
-    calls, trees = [], []
-    scc, fold = qstrat.saturate._scc_masks, qstrat.saturate._fold
+def test_one_saturation_makes_no_pass_once_the_decision_is_made(monkeypatch):
+    # the tree's sequences are the ones the decision split, the whole
+    # domain and each node's body, and reading their levels runs no pass;
+    # a pass of its own per sequence, with one pre-dominant as each base,
+    # would run 22 on the random input, after the decision's 17
+    passes, trees = [], []
+    scc, fold = qstrat.relcore._scc_masks, qstrat.saturate._fold
 
     def counted(rows, members):
-        calls.append(members != 0)
+        passes.append(members)
         return scc(rows, members)
 
     def kept(*args):
         trees.append(fold(*args))
         return trees[-1]
 
-    def internal_nodes(strata):
-        return sum(1 + internal_nodes(body) for _, _, body in strata if body)
+    def bodies(strata):
+        return [m for events, base, body in strata if body for m in (events & ~base, *bodies(body))]
 
-    monkeypatch.setattr(qstrat.saturate, "_scc_masks", counted)
+    monkeypatch.setattr(qstrat.relcore, "_scc_masks", counted)
     monkeypatch.setattr(qstrat.saturate, "_fold", kept)
     chain = default_labels(200)
     cases = [
         (new_structure(chain, list(zip(chain, chain[1:]))), 1),
         (new_structure(chain), 1),
-        (random_qsa_structure(default_labels(64), seed=1, density=0.1), 22),
+        (random_qsa_structure(default_labels(64), seed=1, density=0.1), 17),
     ]
-    for s, passes in cases:
-        calls.clear()
-        trees.clear()
+    for s, split in cases:
+        passes.clear()
+        assert is_qsa(s)
+        decided = [m for m in passes if m]
+        passes.clear()
         one_saturation(s)
-        assert calls == [True] * passes
-        assert passes == 1 + internal_nodes(trees[0])
+        assert passes == []
+        assert len(decided) == split
+        assert sorted(decided) == sorted([(1 << len(s.domain)) - 1, *bodies(trees[-1])])
 
 
 def test_one_saturation_refuses_a_result_that_does_not_extend_its_input(monkeypatch):
-    # components in topological order, not the pass's reverse one, put the
-    # chain's sink first: the decoded order reverses every pair
-    scc = qstrat.saturate._scc_masks
-    monkeypatch.setattr(qstrat.saturate, "_scc_masks", lambda rows, members: scc(rows, members)[::-1])
+    # the decision's levels in topological order, not the pass's reverse
+    # one, put the chain's sink first: the decoded order reverses every
+    # pair
+    scc = qstrat.relcore._scc_masks
+    monkeypatch.setattr(qstrat.relcore, "_scc_masks", lambda rows, members: scc(rows, members)[::-1])
     labels = default_labels(8)
     with pytest.raises(InternalError, match="does not extend"):
         one_saturation(new_structure(labels, list(zip(labels, labels[1:]))))
