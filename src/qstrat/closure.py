@@ -116,15 +116,15 @@ def law_closure(s: Structure) -> Structure:
     return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
 
 
-def _forced_pairs(s: Structure, prober: Prober, law: Structure):
-    """Every (axiom, i, j), by positions, whose probe against s breaks
-    acyclicity while law lacks the pair it forces: qsc:4 pairs first,
-    then qsc:3, row-major.  law holds s and lies in s's closure: s
-    itself, or its law closure.
+def _forced_pairs(prober: Prober, law: Structure):
+    """Every (axiom, i, j), by positions, whose probe against the
+    prober's structure s breaks acyclicity while law lacks the pair it
+    forces: qsc:4 pairs first, then qsc:3, row-major.  law holds s and
+    lies in s's closure: s itself, or its law closure.
     Each row is one ``Prober.run_row``.  On acyclic s a row leaves out
     the probes of the pairs that law holds: they lie in every
     saturation, so adding one keeps s acyclic."""
-    n = len(s.domain)
+    n = len(law.domain)
     full = (1 << n) - 1
     for axiom, kind, forced, probed in (
         ("qsc:4", "weak", law.prec, law.weak),
@@ -146,7 +146,7 @@ def qsc_violation(s: Structure) -> tuple[str, tuple[str, str]] | None:
     found = _pair_violation(s)
     if found is None:
         labels = s.domain.labels
-        for axiom, i, j in _forced_pairs(s, Prober(s), s):
+        for axiom, i, j in _forced_pairs(Prober(s), s):
             return axiom, (labels[i], labels[j])
     return found
 
@@ -165,7 +165,7 @@ def closure_step(s: Structure) -> Structure:
     law = law_closure(s)
     prec_rows = list(law.prec.rows)
     weak_rows = list(law.weak.rows)
-    for axiom, i, j in _forced_pairs(s, prober, law):
+    for axiom, i, j in _forced_pairs(prober, law):
         (prec_rows if axiom == "qsc:4" else weak_rows)[j] |= 1 << i
     return Structure(
         s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))

@@ -14,11 +14,14 @@ realization and scans only when there is none, to name the witness.
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
 searches on two-relation structures that mirror the order classes.
-These share one breadth-first search for the first shortest closed walk
-and differ in its state graph: the vertices under the combined relation
-(total); pairs (vertex, phase), phase 0 leaving only by a precedence
-step (stratified); pairs (vertex, incoming step strong), a weak-only
-step leaving only a strong state (interval).
+All three run through one search, ``_shortest_closed_walk``: it
+refuses a structure that is not relational, finds the first shortest
+closed walk breadth first and returns it as the labels of the events
+that lead its states.  Each search gives only its starts and its
+successors, the state graph: 1-tuples (vertex,) under the combined
+relation (total); pairs (vertex, phase), phase 0 leaving only by a
+precedence step (stratified); pairs (vertex, incoming step strong), a
+weak-only step leaving only a strong state (interval).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import accumulate, count
 from operator import le, or_
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .qsseq import order_trees
 from .relcore import (
@@ -40,7 +43,7 @@ from .relcore import (
 )
 
 Violation = tuple[str, tuple[str, ...]]
-State = TypeVar("State", bound=Hashable)
+State = TypeVar("State", bound=tuple)
 
 
 def partial_order_violation(rel: BinRel) -> Violation | None:
@@ -229,13 +232,17 @@ def _count_ranks(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[int], l
 
 
 def _shortest_closed_walk(
-    starts: Iterable[State], successors: Callable[[State], Iterable[State]]
-) -> list[State] | None:
-    """First shortest closed walk (start at both ends) of the states, or None.
+    s: Structure, starts: Iterable[State], successors: Callable[[State], Iterable[State]]
+) -> list[str] | None:
+    """The first shortest closed walk (start at both ends) over the states
+    of one of s's forbidden-cycle searches, as the labels of the events
+    that lead its states, or None; s must be relational.
 
     A breadth-first search from each start in turn stops at its first
     step back into the start; a later walk replaces it only if shorter.
     """
+    if not is_relational(s):
+        raise ValueError("structure is not relational")
     best: list[State] | None = None
     for start in starts:
         parent: dict[State, State] = {}
@@ -254,13 +261,7 @@ def _shortest_closed_walk(
                     queue.append(nxt)
         if walk is not None and (best is None or len(walk) < len(best)):
             best = walk[::-1]
-    return best
-
-
-def _combined_relational_rows(s: Structure) -> tuple[int, ...]:
-    if not is_relational(s):
-        raise ValueError("structure is not relational")
-    return s._combined
+    return None if best is None else [s.domain.labels[state[0]] for state in best]
 
 
 def forbidden_cycle_total(s: Structure) -> list[str] | None:
@@ -268,9 +269,9 @@ def forbidden_cycle_total(s: Structure) -> list[str] | None:
 
     Any such cycle rules out a sequential (total order) execution.
     """
-    rows = _combined_relational_rows(s)
-    walk = _shortest_closed_walk(range(len(rows)), lambda u: _bits(rows[u]))
-    return None if walk is None else [s.domain.labels[u] for u in walk]
+    rows = s._combined
+    # zip over one iterable yields its items as the 1-tuples (u,)
+    return _shortest_closed_walk(s, zip(range(len(rows))), lambda state: zip(_bits(rows[state[0]])))
 
 
 def forbidden_cycle_stratified(s: Structure) -> list[str] | None:
@@ -280,8 +281,7 @@ def forbidden_cycle_stratified(s: Structure) -> list[str] | None:
     step leaves, into phase 1; phase 1 takes any combined step, to
     phase 1 before phase 0, and so may close the cycle.
     """
-    rows = _combined_relational_rows(s)
-    prec = s.prec.rows
+    rows, prec = s._combined, s.prec.rows
 
     def successors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
         u, phase = state
@@ -290,8 +290,7 @@ def forbidden_cycle_stratified(s: Structure) -> list[str] | None:
             if phase:
                 yield v, 0
 
-    walk = _shortest_closed_walk([(u, 0) for u in range(len(rows))], successors)
-    return None if walk is None else [s.domain.labels[u] for u, _ in walk]
+    return _shortest_closed_walk(s, [(u, 0) for u in range(len(rows))], successors)
 
 
 def forbidden_cycle_interval(s: Structure) -> list[str] | None:
@@ -303,8 +302,7 @@ def forbidden_cycle_interval(s: Structure) -> list[str] | None:
     contains a strong one; states (vertex, incoming step strong) make
     that a plain closed-walk search.
     """
-    rows = _combined_relational_rows(s)
-    prec = s.prec.rows
+    rows, prec = s._combined, s.prec.rows
 
     def successors(state: tuple[int, bool]) -> Iterator[tuple[int, bool]]:
         u, incoming_strong = state
@@ -315,5 +313,4 @@ def forbidden_cycle_interval(s: Structure) -> list[str] | None:
                 yield v, False
 
     starts = [(v, strong) for v in range(len(rows)) for strong in (True, False)]
-    walk = _shortest_closed_walk(starts, successors)
-    return None if walk is None else [s.domain.labels[v] for v, _ in walk]
+    return _shortest_closed_walk(s, starts, successors)

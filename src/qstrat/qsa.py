@@ -102,8 +102,8 @@ The full domain, level 0 of every chain, is not memoised: the prober
 holds its reach and coreach sets as two lists by position, ahead and
 back, exact at all times, so no spread runs over it.  They are built
 from the condensation of the one ``_scc_masks`` pass over the whole
-domain, which the structure keeps for its decision
-(``Structure._components``, read by ``qsa_witness`` too).  In emission
+domain, the first level of the structure's decision
+(``Structure._decision``, whose mask ``qsa_witness`` reads).  In emission
 order each component comes after its successors, so its members reach
 the component and what its successors reach; in the reverse order each
 comes after its predecessors, and coreach sets are built the same way.
@@ -178,7 +178,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import ClassVar, Iterable
+from typing import ClassVar, Iterable, Sequence
 
 from .relcore import (
     BinRel,
@@ -239,7 +239,7 @@ def csc_components(s: Structure) -> list[frozenset[str]]:
     labels = s.domain.labels
     return [
         frozenset(labels[i] for i in _bits(mask))
-        for mask in s._components
+        for mask in s._decision.levels[(1 << len(s.domain)) - 1]
     ]
 
 
@@ -314,7 +314,7 @@ class Prober:
         self._touch = list(s.prec._touch)
         # position -> what it reaches, or is reached from, in the whole
         # domain, itself included; kept exact by extend
-        self._ahead, self._back = _reach_tables(self._rows, self._cols, s._components)
+        self._ahead, self._back = _reach_tables(self._rows, self._cols, s._decision.levels[self._full])
         # members -> {v: v plus what v reaches, or is reached from, inside
         # members}, for the member sets below the full domain
         self._reach: dict[int, dict[int, int]] = {}
@@ -514,7 +514,7 @@ def _check_probe(n: int, i: int, js: int, kind: str) -> None:
 
 
 def _reach_tables(
-    rows: list[int], cols: list[int], comps: tuple[int, ...]
+    rows: list[int], cols: list[int], comps: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Each position's reach and coreach set in the whole domain, itself
     included, from comps, the domain's components in ``_scc_masks``

@@ -27,15 +27,18 @@ A relation computes each of these tables once, on first read:
 - ``label_pairs``: equality and hashing across declaration orders, and
   the pairs ``close`` reports.
 
-A structure caches the tables its acyclicity decision reads, the
-combined rows (``Structure._combined``) and their components
-(``_components``), and the decision itself: ``Structure._decision``,
-which ``_peel`` computes once, holds the mask of the first component
-without a pre-dominant, or 0 when the structure is acyclic (the ``qsa``
-module docstring has the argument), and the levels the peel split.
-Every verdict, witness and refusal of ``qsa`` reads that mask, and
-``saturate.one_saturation`` builds its stratum tree from those levels,
-with no pass of its own: the peel is the library's one.
+A structure caches two tables: the combined rows
+(``Structure._combined``) and its acyclicity decision
+(``Structure._decision``), which ``_peel`` computes once.  The decision
+holds the mask of the first component without a pre-dominant, or 0
+when the structure is acyclic (the ``qsa`` module docstring has the
+argument), and the components of every level the peel split, the whole
+domain's first.  Every verdict, witness and refusal of ``qsa`` reads
+that mask, the prober's reach sets and ``qsa.csc_components`` read the
+whole domain's level, and ``saturate.one_saturation`` builds its
+stratum tree from the levels, with no pass of its own: the peel is the
+library's one, and its first level the one ``_scc_masks`` pass over
+the whole domain that all of them share.
 
 A walk whose result does not depend on the order it visits positions
 (a union, an OR, a filter per position) steps down from the highest set
@@ -378,18 +381,11 @@ class Structure:
         return tuple(a | b for a, b in zip(self.prec.rows, self.weak.rows))
 
     @cached_property
-    def _components(self) -> tuple[int, ...]:
-        """The strongly connected components of the combined relation over
-        the whole domain, as ``_scc_masks`` lists them: computed once, for
-        the structure's acyclicity decision and its prober's reach sets."""
-        return tuple(_scc_masks(self._combined, (1 << len(self.domain)) - 1))
-
-    @cached_property
     def _decision(self) -> Peel:
         """The structure's acyclicity decision, made once (``_peel``).
         ``qsa`` reads every verdict, witness and refusal from its
-        ``forbidden`` mask, and ``saturate.one_saturation`` its tree
-        from its ``levels``."""
+        ``forbidden`` mask and the whole domain's components from its
+        ``levels``, and ``saturate.one_saturation`` its tree from them."""
         return _peel(self)
 
 
@@ -536,27 +532,30 @@ class Peel(NamedTuple):
     component without a pre-dominant, or 0 when the structure is
     acyclic.  ``levels`` maps the event mask of each sequence the peel
     split to its components, as ``_scc_masks`` emits them: the whole
-    domain to ``Structure._components``, and the body of each component
-    it peeled, what is left once its pre-dominants are removed, to the
-    components of that body.  On an acyclic structure every body has
-    its entry."""
+    domain, always present, to its components, and the body of each
+    component it peeled, what is left once its pre-dominants are
+    removed, to the components of that body.  On an acyclic structure
+    every body has its entry."""
 
     forbidden: int
     levels: dict[int, Sequence[int]]
 
 
 def _peel(s: Structure) -> Peel:
-    """The acyclicity decision behind ``Structure._decision``: peel the
-    pre-dominants off each component of two or more events and split
-    what is left into its components, until one has no pre-dominant
-    (``qsa`` module docstring).  Each level is visited in emission
-    order and the pending bodies last in, first out, which fixes the
-    component found and with it every witness and FAIL line.
-    Meaningful on a relational structure only."""
+    """The acyclicity decision behind ``Structure._decision``: split the
+    whole domain into its components, the structure's one whole-domain
+    ``_scc_masks`` pass, then peel the pre-dominants off each component
+    of two or more events and split what is left the same way, until
+    one has no pre-dominant (``qsa`` module docstring).  Each level is
+    visited in emission order and the pending bodies last in, first
+    out, which fixes the component found and with it every witness and
+    FAIL line.  Meaningful on a relational structure only."""
     rows, touch = s._combined, s.prec._touch
-    level, pending = s._components, []
-    levels: dict[int, Sequence[int]] = {(1 << len(rows)) - 1: level}
-    while True:
+    levels: dict[int, Sequence[int]] = {}
+    pending = [(1 << len(rows)) - 1]
+    while pending:
+        body = pending.pop()
+        levels[body] = level = _scc_masks(rows, body)
         for comp in level:
             if comp.bit_count() < 2:
                 continue
@@ -564,10 +563,7 @@ def _peel(s: Structure) -> Peel:
             if dominants == 0:
                 return Peel(comp, levels)
             pending.append(comp & ~dominants)
-        if not pending:
-            return Peel(0, levels)
-        body = pending.pop()
-        level = levels[body] = _scc_masks(rows, body)
+    return Peel(0, levels)
 
 
 def _label_mask(domain: Domain, labels: Iterable[str]) -> int:

@@ -36,6 +36,7 @@ from qstrat import (
     seq_to_order,
     stratum_base,
 )
+from qstrat.relcore import _aligner, _bits
 
 LABELS = "abcdefgh"
 
@@ -157,14 +158,19 @@ def random_structure(rng: random.Random, n: int, density: float | None = None) -
 def spec_structure(labels, seed: int, keep: float) -> Structure:
     """A specification as the close workload draws it: a random subset
     of the pairs of one execution's maximal structure, each kept with
-    probability keep, prec pairs first."""
+    probability keep, prec pairs first.  One draw per pair, taken in the
+    order ``BinRel.pairs`` yields the pairs: each row of m in turn, its
+    positions lowest first.  The kept rows are built as masks over m's
+    domain and moved to the labels' order."""
     m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
-    rng = random.Random(seed)
-    return new_structure(
-        labels,
-        [pair for pair in m.prec.pairs() if rng.random() < keep],
-        [pair for pair in m.weak.pairs() if rng.random() < keep],
-    )
+    draw = random.Random(seed).random
+    domain = Domain.of(labels)
+    align = _aligner(m.domain, domain)
+
+    def kept(rel: BinRel) -> BinRel:
+        return BinRel(domain, align(tuple(sum(1 << j for j in _bits(row) if draw() < keep) for row in rel.rows)))
+
+    return Structure(domain, kept(m.prec), kept(m.weak))
 
 
 def dense_structure(labels, seed: int = 1) -> Structure:

@@ -110,9 +110,9 @@ def scans(monkeypatch):
     seen = []
     scan = qstrat.closure._forced_pairs
 
-    def counted(t, prober, law=None):
-        seen.append(t)
-        return scan(t, prober, law)
+    def counted(prober, law):
+        seen.append(prober.structure())
+        return scan(prober, law)
 
     monkeypatch.setattr(qstrat.closure, "_forced_pairs", counted)
     return seen
@@ -624,6 +624,27 @@ def test_close_path_spreads_little_on_specifications(monkeypatch):
         report = close(spec_structure(default_labels(n), k, keep))
         assert qsc_violation(report.closed) is None
     assert 0 < len(calls) <= 3200
+
+
+def test_spec_structure_draws_what_the_pair_lists_drew():
+    # the helper builds the kept rows as masks, one draw per pair in
+    # ``BinRel.pairs`` order; the pair lists it replaced are the
+    # reference, so every specification the suite draws stays the same
+    moved = 0
+    for n, seed, keep in ((1, 3, 0.5), (12, 0, 0.05), (24, 1, 0.3), (32, 7, 0.3), (64, 5, 0.3), (64, 11, 0.9)):
+        labels = default_labels(n)[::-1] if seed % 2 else default_labels(n)
+        m = poset_to_structure(seq_to_order(random_qs_seq(labels, seed)))
+        moved += m.domain.labels != tuple(labels)
+        rng = random.Random(seed)
+        expected = new_structure(
+            labels,
+            [pair for pair in m.prec.pairs() if rng.random() < keep],
+            [pair for pair in m.weak.pairs() if rng.random() < keep],
+        )
+        got = spec_structure(labels, seed, keep)
+        assert got.domain.labels == expected.domain.labels
+        assert (got.prec.rows, got.weak.rows) == (expected.prec.rows, expected.weak.rows)
+    assert moved  # the rows were moved to the labels' order somewhere
 
 
 def _reference_law_closure(s):

@@ -219,10 +219,11 @@ def test_mutual_weak_pair_allowed_beyond_total():
     assert forbidden_cycle_interval(s) is None
 
 
-def test_forbidden_cycles_require_relational():
+@pytest.mark.parametrize("search", [forbidden_cycle_total, forbidden_cycle_stratified, forbidden_cycle_interval])
+def test_forbidden_cycles_require_relational(search):
     s = new_structure(["a"], [("a", "a")], [])
     with pytest.raises(ValueError, match="not relational"):
-        forbidden_cycle_total(s)
+        search(s)
 
 
 def _forbidden_walk_exists(s, kind):

@@ -27,6 +27,7 @@ from qstrat import (
     is_qsa_naive,
     legal_extensions,
     new_structure,
+    one_saturation,
     poset_to_structure,
     predominants,
     probe,
@@ -1016,10 +1017,10 @@ def test_connect_matches_the_reach_tables_of_the_grown_graph():
 
 
 def test_a_prober_shares_the_full_domain_pass_of_its_decision(monkeypatch):
-    # the reach tables are built from the components the decision found
-    # over the whole domain, not from a second pass over it
-    s = random_qsa_structure(default_labels(24), seed=7, density=0.3)
-    full = (1 << 24) - 1
+    # the reach tables, the components and the one saturation are read
+    # off the components the decision found over the whole domain, not
+    # from a second pass over it
+    inputs = [random_qsa_structure(default_labels(24), seed=7, density=0.3), nested_structure(20)]
     passes = []
     scc = qstrat.relcore._scc_masks
 
@@ -1029,9 +1030,13 @@ def test_a_prober_shares_the_full_domain_pass_of_its_decision(monkeypatch):
 
     monkeypatch.setattr(qstrat.relcore, "_scc_masks", counted)
     monkeypatch.setattr(qstrat.qsa, "_scc_masks", counted)
-    prober = Prober(s)
-    assert prober.witness is None and passes.count(True) == 1
-    assert csc_components(s) and passes.count(True) == 1
+    for s in inputs:
+        full = (1 << len(s.domain)) - 1
+        passes.clear()
+        prober = Prober(s)
+        assert prober.witness is None and passes.count(True) == 1
+        assert csc_components(s) and passes.count(True) == 1
+        assert one_saturation(s) and passes.count(True) == 1
 
 
 def test_written_out_shuffle_draws_what_the_stdlib_shuffle_does():

@@ -256,7 +256,7 @@ def test_one_saturation_transposes_nothing_once_the_tables_are_warm(monkeypatch)
         spec_structure(default_labels(64), seed=5, keep=0.3),
     ]
     for s in inputs:
-        s.prec._touch, s._components  # the decision's cached tables
+        s.prec._touch, s._decision  # the decision and the tables it reads
         monkeypatch.setattr(qstrat.relcore, "_columns", counted_columns)
         m = one_saturation(s)
         monkeypatch.undo()
