@@ -1,7 +1,11 @@
 """Shared fixtures: the worked examples used across the suite, random
 structure helpers, the reference walker of the stratum-tree formation
 rules, and label-level references for the stratum-tree codec and for
-one saturation."""
+one saturation.
+
+The suite counts work in two ways only: ``spy`` records the calls made
+through a patched name, and ``bit_length_calls`` counts the bit-walk
+steps that a profile hook sees."""
 
 from __future__ import annotations
 
@@ -47,15 +51,7 @@ def decisions(monkeypatch) -> list[Structure]:
     the peel that ``Structure._decision`` caches (``relcore._peel``) is
     one decision, however often its verdict or its levels are read
     afterwards, ``one_saturation`` reading the levels too."""
-    seen = []
-    peel = qstrat.relcore._peel
-
-    def counted(s):
-        seen.append(s)
-        return peel(s)
-
-    monkeypatch.setattr(qstrat.relcore, "_peel", counted)
-    return seen
+    return spy(monkeypatch, "_peel", qstrat.relcore, record=lambda s: s)
 
 
 @pytest.fixture
@@ -244,8 +240,32 @@ def bit_length_calls(run) -> int:
     try:
         run()
     finally:
-        sys.setprofile(outer)
+        if outer is None or callable(outer):
+            sys.setprofile(outer)
+        else:  # a C-level profiler, such as cProfile's, puts itself back
+            outer.enable()
     return steps
+
+
+def spy(monkeypatch, name: str, *owners, record=None) -> list:
+    """The calls made through ``name`` on each owner, a module or a
+    class, in call order: one list shared by every owner, each call
+    appending ``record`` of its arguments (by default the tuple of its
+    positional arguments) before it runs that owner's own original and
+    returns what the original returns.  monkeypatch puts the originals
+    back, a classmethod's descriptor too."""
+    calls = []
+
+    def through(original):
+        def call(*args, **kwargs):
+            calls.append(args if record is None else record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        return call
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, through(getattr(owner, name)))
+    return calls
 
 
 def all_relational_structures(n: int):

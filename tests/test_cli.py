@@ -47,7 +47,7 @@ from qstrat.cli import main, read_input, structure_json_text
 from qstrat.qsseq import tree_rows
 from qstrat.relcore import show_label
 
-from conftest import deep_chain_text, deep_chain_trees
+from conftest import deep_chain_text, deep_chain_trees, spy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # stdout and exit code per command line, the file named by its fixture name
@@ -614,21 +614,8 @@ def _write_order(path: Path, labels, rows) -> str:
 def test_passing_order_checks_scan_no_pair_and_decompose_encodes_once(
     capsys, monkeypatch, tmp_path
 ):
-    scans, encodings = [], []
-    real_rows_leaving = qstrat.qso._rows_leaving
-    real_order_trees = qstrat.qsseq.order_trees
-
-    def counted_rows_leaving(rows):
-        scans.append(rows)
-        return real_rows_leaving(rows)
-
-    def counted_order_trees(rel):
-        encodings.append(rel)
-        return real_order_trees(rel)
-
-    for module in (qstrat.qso, qstrat.orders):
-        monkeypatch.setattr(module, "_rows_leaving", counted_rows_leaving)
-    monkeypatch.setattr(qstrat.qsseq, "order_trees", counted_order_trees)
+    scans = spy(monkeypatch, "_rows_leaving", qstrat.qso, qstrat.orders)
+    encodings = spy(monkeypatch, "order_trees", qstrat.qsseq)
     labels = [f"e{i}" for i in range(64)]
     rows = seq_to_order(random_qs_seq(labels, seed=64)).prec.rows
     large = _write_order(tmp_path / "large.json", labels, rows)
@@ -812,14 +799,7 @@ DECODING_COMMANDS += [
 def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command, name, relations):
     # no relation of the file is decoded a second time through from_pairs:
     # read_input builds rows directly, so the count is zero, below `relations`
-    real = BinRel.from_pairs.__func__
-    calls = []
-
-    def counting(cls, domain, pairs):
-        calls.append(domain)
-        return real(cls, domain, pairs)
-
-    monkeypatch.setattr(BinRel, "from_pairs", classmethod(counting))
+    calls = spy(monkeypatch, "from_pairs", BinRel)
     run(capsys, command[0], fixture(name), *command[1:])
     assert len(calls) <= relations
     assert calls == []
@@ -829,14 +809,7 @@ def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command,
 @pytest.mark.parametrize("command", DECODING_COMMANDS, ids=" ".join)
 def test_each_list_of_pairs_is_decoded_into_rows_once(capsys, monkeypatch, command, name, relations):
     # read_input decodes pairs straight into rows, not through from_pairs
-    real = qstrat.cli._relation
-    calls = []
-
-    def counting(value, key, domain):
-        calls.append(key)
-        return real(value, key, domain)
-
-    monkeypatch.setattr(qstrat.cli, "_relation", counting)
+    calls = spy(monkeypatch, "_relation", qstrat.cli)
     run(capsys, command[0], fixture(name), *command[1:])
     assert len(calls) == relations
 
@@ -879,14 +852,7 @@ def test_a_reused_parser_prints_what_a_first_call_prints(capsys):
 
 def test_repeated_main_calls_construct_no_parser(capsys, monkeypatch):
     run(capsys, "check", "--class", "qsa", T)
-    real = argparse.ArgumentParser.__init__
-    built = []
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    built = spy(monkeypatch, "__init__", argparse.ArgumentParser)
     for argv in [
         ("close", T),
         ("saturate", "--limit", "2", T),
@@ -937,14 +903,7 @@ def test_main_parses_as_the_top_level_parser_does(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [("close", T), ("saturate", "--limit", "2", T), ("gen", "--n", "3")])
 def test_a_command_call_parses_once(capsys, monkeypatch, argv):
-    real = argparse.ArgumentParser.parse_known_args
-    parses = []
-
-    def counting(self, *args, **kwargs):
-        parses.append(self.prog)
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    parses = spy(monkeypatch, "parse_known_args", argparse.ArgumentParser, record=lambda parser, *args: parser.prog)
     assert run(capsys, *argv)[0] == 0
     assert parses == [f"qstrat {argv[0]}"]
 
@@ -954,20 +913,8 @@ def test_saturate_decodes_each_relation_once_and_reencodes_no_order(capsys, monk
     path.write_text(
         json.dumps({"domain": ["d", "b", "a", "c"], "prec": [["b", "a"]], "weak": [["c", "d"]]})
     )
-    real_from_pairs = BinRel.from_pairs.__func__
-    real_order_trees = qstrat.qsseq.order_trees
-    decoded, encoded = [], []
-
-    def counted_from_pairs(cls, domain, pairs):
-        decoded.append(domain)
-        return real_from_pairs(cls, domain, pairs)
-
-    def counted_order_trees(rel):
-        encoded.append(rel)
-        return real_order_trees(rel)
-
-    monkeypatch.setattr(BinRel, "from_pairs", classmethod(counted_from_pairs))
-    monkeypatch.setattr(qstrat.qsseq, "order_trees", counted_order_trees)
+    decoded = spy(monkeypatch, "from_pairs", BinRel)
+    encoded = spy(monkeypatch, "order_trees", qstrat.qsseq)
     code, out, _ = run(capsys, "saturate", "--limit", "10", str(path))
     assert code == 0
     assert out.startswith("10 saturation(s) (truncated)\n")
@@ -983,26 +930,14 @@ def test_saturate_builds_each_position_permutation_once(capsys, monkeypatch, tmp
     path.write_text(
         json.dumps({"domain": ["d", "b", "a", "c"], "prec": [["b", "a"]], "weak": [["c", "d"]]})
     )
-    real_aligned_to = BinRel.aligned_to
-    real_aligner = qstrat.saturate._aligner
-    built = []
-
-    def counted_aligned_to(rel, domain):
-        built.append(domain)
-        return real_aligned_to(rel, domain)
-
-    def counted_aligner(source, target):
-        built.append(target)
-        return real_aligner(source, target)
-
-    monkeypatch.setattr(BinRel, "aligned_to", counted_aligned_to)
-    monkeypatch.setattr(qstrat.saturate, "_aligner", counted_aligner)
+    moved = spy(monkeypatch, "aligned_to", BinRel)
+    aligners = spy(monkeypatch, "_aligner", qstrat.saturate)
     code, out, _ = run(capsys, "saturate", "--limit", "10", str(path))
     assert code == 0
     assert out.count("-- saturation ") == 10
     # the spec's move to the sorted positions, which the CLI prints from
     assert not hasattr(qstrat.cli, "_aligner")
-    assert len(built) <= 1
+    assert len(moved) + len(aligners) <= 1
 
 
 def _printed_saturations(out: str) -> list[tuple[list[tuple[str, str]], str]]:
@@ -1089,21 +1024,17 @@ def test_each_relation_is_scanned_for_self_loops_once(capsys, monkeypatch, comma
     # a close request asks its input's relations whether they are
     # irreflexive three times (its verdict, its refusal, its prober),
     # saturate twice; each relation computes its self-loop mask once
-    scanned, asked = [], []
-    real_loops, real_irreflexive = BinRel._loops.func, BinRel.is_irreflexive
+    scanned = []
+    real_loops = BinRel._loops.func
 
     def counted_loops(rel):
         scanned.append(rel)
         return real_loops(rel)
 
-    def counted_irreflexive(rel):
-        asked.append(rel)
-        return real_irreflexive(rel)
-
     loops = functools.cached_property(counted_loops)
     loops.__set_name__(BinRel, "_loops")
     monkeypatch.setattr(BinRel, "_loops", loops)
-    monkeypatch.setattr(BinRel, "is_irreflexive", counted_irreflexive)
+    asked = spy(monkeypatch, "is_irreflexive", BinRel, record=lambda rel: rel)
     code, _, _ = run(capsys, command, T)
     assert code == 0
     # the input's two relations are the only ones asked, each more than once
@@ -1116,21 +1047,10 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
     # each printed tree is decoded once, by the printer: the walk keeps
     # its trees undecoded, its realization is printed unchecked and no
     # Poset re-validates what the walk built as an order
-    validated, realized, decoded = [], [], []
-    real_post_init, real_tree_rows = Poset.__post_init__, qstrat.qsseq.tree_rows
-
-    def counted_post_init(self):
-        validated.append(self)
-        real_post_init(self)
-
-    def counted_tree_rows(n, trees, cols=None):
-        decoded.append(trees)
-        return real_tree_rows(n, trees, cols)
-
-    monkeypatch.setattr(Poset, "__post_init__", counted_post_init)
+    realized = []
+    validated = spy(monkeypatch, "__post_init__", Poset)
     monkeypatch.setattr(qstrat.orders, "_realization", lambda *args: realized.append(args))
-    monkeypatch.setattr(qstrat.qsseq, "tree_rows", counted_tree_rows)
-    monkeypatch.setattr(qstrat.saturate, "tree_rows", counted_tree_rows)
+    decoded = spy(monkeypatch, "tree_rows", qstrat.qsseq, qstrat.saturate)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
     printed = out.count("-- saturation ")
@@ -1143,19 +1063,14 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
 def test_saturate_prints_without_a_transpose(capsys, monkeypatch):
     # each printed order's columns come from the decode of its tree: once
     # the walk has returned, no row set is transposed
-    transposed = []
-    real_columns, real_saturations = qstrat.relcore._columns, qstrat.saturate.saturations
-
-    def counted_columns(rows):
-        transposed.append(rows)
-        return real_columns(rows)
+    transposed = spy(monkeypatch, "_columns", qstrat.relcore)
+    real_saturations = qstrat.saturate.saturations
 
     def walked(s, limit=None):
         sats = real_saturations(s, limit)
         transposed.clear()
         return sats
 
-    monkeypatch.setattr(qstrat.relcore, "_columns", counted_columns)
     monkeypatch.setattr(qstrat.saturate, "saturations", walked)
     assert not hasattr(qstrat.cli, "_columns")
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
@@ -1163,32 +1078,16 @@ def test_saturate_prints_without_a_transpose(capsys, monkeypatch):
     assert transposed == []
 
 
-def _count_inits(monkeypatch, *classes):
-    """Constructions of each class, counted through its __init__."""
-    built = dict.fromkeys(classes, 0)
-
-    def counting(cls, real):
-        def init(self, *args, **kwargs):
-            built[cls] += 1
-            real(self, *args, **kwargs)
-
-        return init
-
-    for cls in classes:
-        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
-    return built
-
-
 def test_saturate_builds_as_many_relations_at_every_limit_and_no_strata(capsys, monkeypatch):
     # each saturation prints from the walk's rows and trees: no BinRel,
     # Structure or QsSeq per printed saturation
     counts = {}
     for limit, printed in ((2, 2), (10, 8)):
-        built = _count_inits(monkeypatch, BinRel, QssStratum)
+        relations, strata = (spy(monkeypatch, "__init__", cls) for cls in (BinRel, QssStratum))
         code, out, _ = run(capsys, "saturate", "--limit", str(limit), T)
         assert code == 0 and out.count("-- saturation ") == printed
-        counts[limit] = built[BinRel]
-        assert built[QssStratum] == 0
+        counts[limit] = len(relations)
+        assert strata == []
         monkeypatch.undo()
     assert counts[2] == counts[10]
 
@@ -1427,15 +1326,10 @@ class _FlushedOnly(io.StringIO):
 
 def test_selftest_shows_each_suite_line_as_the_suite_ends(monkeypatch):
     stdout = _FlushedOnly()
-    shown_when_second_suite_starts = []
-    real = qstrat.qso.enumerate_qs_orders
-
-    def spy(labels):
-        shown_when_second_suite_starts.append(stdout.shown)
-        return real(labels)
-
     monkeypatch.setattr(sys, "stdout", stdout)
-    monkeypatch.setattr(qstrat.qso, "enumerate_qs_orders", spy)
+    shown_when_second_suite_starts = spy(
+        monkeypatch, "enumerate_qs_orders", qstrat.qso, record=lambda labels: stdout.shown
+    )
     assert main(["selftest", "--max-n", "2"]) == 0
     (first,) = shown_when_second_suite_starts[0].splitlines()
     assert re.fullmatch(r"acyclicity: polynomial vs subset scan +17 cases +\d+\.\d\d s  PASS", first)

@@ -46,6 +46,7 @@ from conftest import (
     nested_structure,
     random_structure,
     spec_structure,
+    spy,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -107,15 +108,7 @@ def test_closure_step_empty():
 @pytest.fixture
 def scans(monkeypatch):
     """The structures that ``closure._forced_pairs`` scans, in order."""
-    seen = []
-    scan = qstrat.closure._forced_pairs
-
-    def counted(prober, law):
-        seen.append(prober.structure())
-        return scan(prober, law)
-
-    monkeypatch.setattr(qstrat.closure, "_forced_pairs", counted)
-    return seen
+    return spy(monkeypatch, "_forced_pairs", qstrat.closure, record=lambda prober, _: prober.structure())
 
 
 def test_close_empty(scans):
@@ -360,16 +353,13 @@ def test_property_suite_skips_beyond_enum_bound():
 
 
 def _reference_qsc_violation(s):
-    """The literal two-loop scan, kept as the reference for qsc_violation."""
+    """The literal two-loop scan, kept as the reference for qsc_violation:
+    the pair reference's qsc:1 and qsc:2, then a decision per pair."""
+    bad = _reference_pair_violation(s)
+    if bad is not None:
+        return bad
     labels = s.domain.labels
     n = len(labels)
-    for i in range(n):
-        if s.weak.holds_idx(i, i) or s.prec.holds_idx(i, i):
-            return "qsc:1", (labels[i], labels[i])
-    for i in range(n):
-        for j in range(n):
-            if s.prec.holds_idx(i, j) and s.weak.holds_idx(j, i):
-                return "qsc:2", (labels[i], labels[j])
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -568,15 +558,8 @@ def test_row_walks_look_up_fewer_reach_sets_than_pairs(monkeypatch, n, density):
     # more than 2 n^2 a sweep on these inputs; a row walk rules out every
     # j that does not reach i with the one coreach set of i, and the
     # candidates of one component share their chain level
-    calls = []
-    lookup = qstrat.qsa._memo_spread
-
-    def counted(memo, rows, members, v):
-        calls.append(v)
-        return lookup(memo, rows, members, v)
-
     s = random_qsa_structure(default_labels(n), seed=1, density=density)
-    monkeypatch.setattr(qstrat.qsa, "_memo_spread", counted)
+    calls = spy(monkeypatch, "_memo_spread", qstrat.qsa)
     report = close(s)
     assert report.added_prec or report.added_weak
     assert 0 < len(calls) <= 2 * n * n * 1  # one sweep
@@ -600,14 +583,11 @@ def test_pass_certificates_settle_most_probes_of_a_specification(monkeypatch):
         [pair for pair in m.prec.pairs() if rng.random() < 0.05],
         [pair for pair in m.weak.pairs() if rng.random() < 0.05],
     )
-    calls = []
-    for name in ("_untouched", "_memo_spread"):
-        counted = getattr(qstrat.qsa, name)
-        monkeypatch.setattr(qstrat.qsa, name, lambda *args, f=counted: calls.append(1) or f(*args))
+    untouched, spreads = (spy(monkeypatch, name, qstrat.qsa) for name in ("_untouched", "_memo_spread"))
     report = close(s)
     assert report.added_prec or report.added_weak
     assert qsc_violation(report.closed) is None
-    assert 0 < len(calls) <= 120
+    assert 0 < len(untouched) + len(spreads) <= 120
 
 
 def test_close_path_spreads_little_on_specifications(monkeypatch):
@@ -616,9 +596,7 @@ def test_close_path_spreads_little_on_specifications(monkeypatch):
     # Before a precedence walk below level 0 ended at once in a member
     # set where j has no edge, and before a row that its masks emptied
     # returned at once, these made 4,987 reach-set lookups; now 2,929
-    calls = []
-    lookup = qstrat.qsa._memo_spread
-    monkeypatch.setattr(qstrat.qsa, "_memo_spread", lambda *args: calls.append(1) or lookup(*args))
+    calls = spy(monkeypatch, "_memo_spread", qstrat.qsa)
     for k in range(60):
         n, keep = (12, 16, 20, 24, 28, 32)[k % 6], (0.05, 0.3)[k % 2]
         report = close(spec_structure(default_labels(n), k, keep))
@@ -729,14 +707,7 @@ def test_close_probes_only_the_pairs_the_laws_leave_open(monkeypatch, density):
     # but a few thousand of them
     n = 128
     s = random_qsa_structure(default_labels(n), seed=1, density=density)
-    handed = []
-    run_row = qstrat.qsa.Prober.run_row
-
-    def counted(prober, i, js, kind):
-        handed.append(js.bit_count())
-        return run_row(prober, i, js, kind)
-
-    monkeypatch.setattr(qstrat.qsa.Prober, "run_row", counted)
+    handed = spy(monkeypatch, "run_row", qstrat.qsa.Prober, record=lambda _, i, js, kind: js.bit_count())
     report = close(s)
     assert report.added_prec and report.added_weak
     assert 0 < sum(handed) <= n * n // 2
@@ -788,14 +759,7 @@ def test_qsc_violation_names_the_first_witness_of_every_probe():
 
 
 def test_close_builds_the_added_label_pairs_only_when_read(monkeypatch, transactions):
-    calls = []
-    gained = qstrat.closure._gained
-
-    def counted(after, before):
-        calls.append(after)
-        return gained(after, before)
-
-    monkeypatch.setattr(qstrat.closure, "_gained", counted)
+    calls = spy(monkeypatch, "_gained", qstrat.closure)
     report = close(transactions)
     assert calls == []
     assert report.added_prec == {("a", "d")}

@@ -44,7 +44,7 @@ from qstrat.cli import default_labels, main, read_input
 from qstrat.closure import law_closure
 from qstrat.relcore import _columns
 
-from conftest import all_relational_structures, bit_length_calls, nested_structure, random_structure
+from conftest import all_relational_structures, bit_length_calls, nested_structure, random_structure, spy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -416,14 +416,7 @@ def test_gen_extends_its_prober_by_few_of_the_pairs_it_keeps(monkeypatch, capsys
     # 527 of the 861 pairs kept at these settings lie in the closure of
     # the pairs kept before them; extending the prober by every drawn
     # pair the facts do not forbid makes 940 extends
-    calls = []
-    extend = Prober.extend
-
-    def counted(self, i, j, kind):
-        calls.append((i, j, kind))
-        return extend(self, i, j, kind)
-
-    monkeypatch.setattr(Prober, "extend", counted)
+    calls = spy(monkeypatch, "extend", Prober)
     assert main(["gen", "--n", "48", "--seed", "1", "--density", "0.35"]) == 0
     doc = json.loads(capsys.readouterr().out)
     kept = len(doc["prec"]) + len(doc["weak"])
@@ -452,14 +445,7 @@ def test_prober_touch_table_stays_symmetric_under_extend(monkeypatch, n, seed, d
 def test_gen_probes_few_of_the_candidates_it_rejects(monkeypatch):
     # the closure facts decide most rejections; probing every drawn
     # candidate probes all 696 rejections at these settings
-    calls = []
-    run = Prober.run
-
-    def counted(self, i, j, kind):
-        calls.append((i, j, kind))
-        return run(self, i, j, kind)
-
-    monkeypatch.setattr(Prober, "run", counted)
+    calls = spy(monkeypatch, "run", Prober)
     n, density = 48, 0.35
     s = random_qsa_structure(default_labels(n), seed=1, density=density)
     kept = sum(row.bit_count() for row in s.prec.rows + s.weak.rows)
@@ -671,14 +657,7 @@ def test_gen_spreads_nothing_over_the_full_domain(monkeypatch):
     # accepted pair thousands.  The member sets below it still spread
     n = 48
     full = (1 << n) - 1
-    calls = []
-    spread = qstrat.qsa._spread
-
-    def counted(rows, members, start):
-        calls.append(members == full)
-        return spread(rows, members, start)
-
-    monkeypatch.setattr(qstrat.qsa, "_spread", counted)
+    calls = spy(monkeypatch, "_spread", qstrat.qsa, record=lambda rows, members, start: members == full)
     random_qsa_structure(default_labels(n), seed=1, density=0.35)
     assert sum(calls) == 0 < len(calls)
 
@@ -687,20 +666,15 @@ def test_gen_does_no_more_prober_work_than_it_did(monkeypatch):
     # a timing-free guard for changes made only for speed: the numbers
     # are the calls one 48-event generation made when it was last
     # measured, so a change that adds work to the probes fails here
-    calls = dict.fromkeys(("_memo_spread", "_spread", "_dominants_of", "_untouched"), 0)
-    for name in calls:
-        owner = qstrat.qsa.Prober if name == "_dominants_of" else qstrat.qsa
-
-        def counted(*args, f=getattr(owner, name), name=name):
-            calls[name] += 1
-            return f(*args)
-
-        monkeypatch.setattr(owner, name, counted)
+    calls = {
+        name: spy(monkeypatch, name, qstrat.qsa.Prober if name == "_dominants_of" else qstrat.qsa)
+        for name in ("_memo_spread", "_spread", "_dominants_of", "_untouched")
+    }
     random_qsa_structure(default_labels(48), seed=1, density=0.35)
-    assert 0 < calls["_memo_spread"] <= 1250
-    assert 0 < calls["_spread"] <= 695
-    assert 0 < calls["_dominants_of"] <= 824
-    assert 0 < calls["_untouched"] <= 151
+    assert 0 < len(calls["_memo_spread"]) <= 1250
+    assert 0 < len(calls["_spread"]) <= 695
+    assert 0 < len(calls["_dominants_of"]) <= 824
+    assert 0 < len(calls["_untouched"]) <= 151
 
 
 def test_chain_passes_at_once_where_j_has_no_edge_into_the_member_set(monkeypatch):
@@ -710,9 +684,7 @@ def test_chain_passes_at_once_where_j_has_no_edge_into_the_member_set(monkeypatc
     # its memos
     s = new_structure("abc", [], [("b", "c"), ("c", "a")])
     prober = Prober(s)
-    calls = []
-    lookup = qstrat.qsa._memo_spread
-    monkeypatch.setattr(qstrat.qsa, "_memo_spread", lambda *args: calls.append(1) or lookup(*args))
+    calls = spy(monkeypatch, "_memo_spread", qstrat.qsa)
     members = 0b011
     assert prober._chain(0, 1, "prec", members) == 0
     assert calls == []
@@ -1021,15 +993,9 @@ def test_a_prober_shares_the_full_domain_pass_of_its_decision(monkeypatch):
     # off the components the decision found over the whole domain, not
     # from a second pass over it
     inputs = [random_qsa_structure(default_labels(24), seed=7, density=0.3), nested_structure(20)]
-    passes = []
-    scc = qstrat.relcore._scc_masks
-
-    def counted(rows, members):
-        passes.append(members == full)
-        return scc(rows, members)
-
-    monkeypatch.setattr(qstrat.relcore, "_scc_masks", counted)
-    monkeypatch.setattr(qstrat.qsa, "_scc_masks", counted)
+    passes = spy(
+        monkeypatch, "_scc_masks", qstrat.relcore, qstrat.qsa, record=lambda rows, members: members == full
+    )
     for s in inputs:
         full = (1 << len(s.domain)) - 1
         passes.clear()

@@ -50,6 +50,7 @@ from conftest import (
     reference_order_to_seq,
     reference_qs_seqs,
     reference_qsm_structures,
+    spy,
 )
 
 NESTED_TREE = QsSeq((node({"b"}, [leaf({"a"}), leaf({"c"})]), leaf({"d"})))
@@ -397,23 +398,12 @@ def test_encoding_rejects_orders_outside_the_class():
 
 
 def test_encoding_revalidates_no_projection(monkeypatch):
-    calls = []
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
     q = seq_to_order(random_qs_seq([f"e{i}" for i in range(64)], seed=9))
-    for module, name in ((qso, "qs_order_violation"), (oracles, "qso_projection")):
-        monkeypatch.setattr(module, name, counted(module, name))
+    checks = spy(monkeypatch, "qs_order_violation", qso)
+    projections = spy(monkeypatch, "qso_projection", oracles)
     seq = order_to_seq(q)
     assert len(seq.strata) > 1 and any(stratum.children for stratum in seq.strata)
-    assert calls == []
+    assert checks == projections == []
 
 
 def test_decoded_orders_are_qs_with_right_domain():

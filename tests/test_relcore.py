@@ -35,7 +35,7 @@ from qstrat.relcore import (
     show_label,
 )
 
-from conftest import LABELS
+from conftest import LABELS, spy
 
 
 AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
@@ -427,14 +427,7 @@ _SWITCH_POINTS = [(1, 1), (7, 49), (8, 32), (9, 36), (16, 66), (64, 296), (80, 3
 
 @pytest.mark.parametrize("n, most", _SWITCH_POINTS)
 def test_the_transpose_route_switches_where_the_two_costs_meet(monkeypatch, n, most):
-    taken = []
-
-    def recorded(name):
-        real = getattr(relcore, name)
-        return lambda rows: taken.append(name) or real(rows)
-
-    for name in ("_columns_by_bits", "_columns_by_text"):
-        monkeypatch.setattr(relcore, name, recorded(name))
+    by_bits, by_text = (spy(monkeypatch, name, relcore) for name in ("_columns_by_bits", "_columns_by_text"))
     for pairs in (most - 1, most, most + 1):
         if pairs > n * n:
             continue
@@ -443,9 +436,10 @@ def test_the_transpose_route_switches_where_the_two_costs_meet(monkeypatch, n, m
         for k in range(pairs):
             rows[k // n] |= 1 << k % n
         expected = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
-        taken.clear()
+        by_bits.clear()
+        by_text.clear()
         assert _columns(rows) == expected
-        assert taken == ["_columns_by_text" if pairs > most else "_columns_by_bits"], (n, pairs)
+        assert [len(by_bits), len(by_text)] == ([0, 1] if pairs > most else [1, 0]), (n, pairs)
 
 
 @pytest.mark.parametrize("label", ["a", "e10", "x-y", "a>b", "-", "é", "a.b", "λ", "1"])

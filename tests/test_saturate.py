@@ -50,6 +50,7 @@ from conftest import (
     reference_one_saturation,
     reference_qsm_structures,
     spec_structure,
+    spy,
 )
 
 
@@ -243,13 +244,6 @@ def test_one_saturation_matches_the_label_level_reference():
 def test_one_saturation_transposes_nothing_once_the_tables_are_warm(monkeypatch):
     # the decode writes the order's columns and the weak rows come from
     # them, so once s's own cached tables exist no row set is transposed
-    transposed = []
-    real_columns = qstrat.relcore._columns
-
-    def counted_columns(rows):
-        transposed.append(rows)
-        return real_columns(rows)
-
     inputs = [
         new_structure(default_labels(300)),
         random_qsa_structure(default_labels(64), seed=5, density=0.1),
@@ -257,11 +251,11 @@ def test_one_saturation_transposes_nothing_once_the_tables_are_warm(monkeypatch)
     ]
     for s in inputs:
         s.prec._touch, s._decision  # the decision and the tables it reads
-        monkeypatch.setattr(qstrat.relcore, "_columns", counted_columns)
+        transposed = spy(monkeypatch, "_columns", qstrat.relcore)
         m = one_saturation(s)
         monkeypatch.undo()
         assert transposed == []
-        assert m.weak.rows == qstrat.relcore._embedded_weak(real_columns(m.prec.rows))
+        assert m.weak.rows == qstrat.relcore._embedded_weak(qstrat.relcore._columns(m.prec.rows))
 
 
 def test_one_saturation_grows_linearly_along_a_mutual_weak_path():
@@ -344,12 +338,8 @@ def test_one_saturation_makes_no_pass_once_the_decision_is_made(monkeypatch):
     # domain and each node's body, and reading their levels runs no pass;
     # a pass of its own per sequence, with one pre-dominant as each base,
     # would run 22 on the random input, after the decision's 17
-    passes, trees = [], []
-    scc, fold = qstrat.relcore._scc_masks, qstrat.saturate._fold
-
-    def counted(rows, members):
-        passes.append(members)
-        return scc(rows, members)
+    trees = []
+    fold = qstrat.saturate._fold
 
     def kept(*args):
         trees.append(fold(*args))
@@ -358,7 +348,7 @@ def test_one_saturation_makes_no_pass_once_the_decision_is_made(monkeypatch):
     def bodies(strata):
         return [m for events, base, body in strata if body for m in (events & ~base, *bodies(body))]
 
-    monkeypatch.setattr(qstrat.relcore, "_scc_masks", counted)
+    passes = spy(monkeypatch, "_scc_masks", qstrat.relcore, record=lambda rows, members: members)
     monkeypatch.setattr(qstrat.saturate, "_fold", kept)
     chain = default_labels(200)
     cases = [
@@ -388,28 +378,15 @@ def test_one_saturation_refuses_a_result_that_does_not_extend_its_input(monkeypa
         one_saturation(new_structure(labels, list(zip(labels, labels[1:]))))
 
 
-def _count_embeddings(monkeypatch):
-    """The orders ``saturate`` embeds as structures."""
-    calls = []
-    embed = qstrat.saturate._embed_order
-
-    def counted(prec):
-        calls.append(prec)
-        return embed(prec)
-
-    monkeypatch.setattr(qstrat.saturate, "_embed_order", counted)
-    return calls
-
-
 def test_counting_and_the_close_oracle_embed_no_saturation(monkeypatch, transactions):
-    calls = _count_embeddings(monkeypatch)
+    calls = spy(monkeypatch, "_embed_order", qstrat.saturate)
     assert len(saturations(transactions)) == 8
     close_oracle(transactions)
     assert calls == []
 
 
 def test_saturations_embed_each_saturation_once_on_first_read(monkeypatch, transactions):
-    calls = _count_embeddings(monkeypatch)
+    calls = spy(monkeypatch, "_embed_order", qstrat.saturate)
     sats = saturations(transactions)
     first = list(sats)
     assert len(calls) == 8
