@@ -7,8 +7,11 @@ Structure files are single JSON documents::
 ``weak`` may be omitted, which marks the file as a plain partial order;
 commands that need a two-relation structure then embed it (unordered
 events become mutually weak).  Unknown keys are rejected.
-``read_input`` decodes a file once into an ``InputFile``: its prec
-relation and its weak relation (None when omitted) over one domain.
+``read_input`` reads a file in one unbuffered binary read, makes its
+line ends "\\n" as text mode does, and decodes it once into an
+``InputFile``: its prec relation and its weak relation (None when
+omitted) over one domain.  It opens the name that ``pathlib`` would
+open, so every message is the one a text-mode read gave.
 
 Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``FAIL: not <class>; <detail>``.  ``close`` and ``saturate`` print
@@ -47,12 +50,14 @@ line, and a scan that finds none is an internal error.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each
-request to the ``cmd_<command>`` function by name.  It parses a request
-with the named command's own parser, at half the top-level parser's
-cost, and hands what that parser cannot settle alone (no command, an
-unknown one, an option before it, an argument left over) to the
-top-level parser, so every usage line, message and exit code is the
-top-level parser's (``_parse``).
+request to the ``cmd_<command>`` function by name.  A plain request
+(each option spelled as declared with one value, no value or positional
+starting with "-", nothing missing or left over, every value of the
+right type and choice) is read through a table that each command's
+parser gives once, from its own actions, with no argparse parse at all
+(``_settle``).  Any other request goes to the top-level parser, so every
+usage line, help text, message and exit code is the top-level parser's
+(``_parse``).
 
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
@@ -82,7 +87,6 @@ from functools import cache
 from itertools import accumulate, chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import closure, oracles, orders, qsa, qso, qsseq, saturate
@@ -148,14 +152,30 @@ def _relation(value: object, key: str, domain: Domain) -> BinRel:
     raise InternalError(f'"{key}" did not decode, but no entry is at fault')
 
 
-def read_input(path: str | Path) -> InputFile:
-    """Decode a structure file.  A file with several faults reports the
-    first one met: the domain's, then those of "prec", then those of
-    "weak", each list's entries in file order."""
+def _file_name(path: str | os.PathLike[str]) -> str:
+    """The name that ``pathlib`` gives path on POSIX, and so the one that
+    an error message shows: no empty or "." part, no separator at the
+    end, "." for nothing, and a leading "//", which POSIX leaves to the
+    system, kept."""
+    name = os.fspath(path)
+    root = "//" if name[:2] == "//" and name[2:3] != "/" else name[:1] if name[:1] == "/" else ""
+    return root + "/".join([part for part in name.split("/") if part not in ("", ".")]) or "."
+
+
+def read_input(path: str | os.PathLike[str]) -> InputFile:
+    """Decode a structure file, read in one unbuffered binary read and
+    one decode, its line ends then made "\\n" as text mode makes them,
+    so every decode error names the line and column it always named.  A
+    file with several faults reports the first one met: the domain's,
+    then those of "prec", then those of "weak", each list's entries in
+    file order."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(_file_name(path), "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:  # the newlines that text mode would translate
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     # the parse builds a list per pair, and the cyclic collector would
     # scan them again and again as they pile up: it is paused, if on,
     # and restored whatever the parse raises
@@ -622,22 +642,78 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _grammar(
+    command: argparse.ArgumentParser,
+) -> tuple[dict[str, argparse.Action], list[argparse.Action], dict[str, object]] | None:
+    """A command parser's plain grammar, read off its own actions once:
+    each option by its declared spelling, the positionals in order, and
+    each destination's default.  None when an action other than help
+    takes no value or several, which argparse alone then reads."""
+    options, positionals, defaults = {}, [], {}
+    for action in command._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h is then no plain option, and argparse answers it
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+        defaults[action.dest] = action.default
+    return options, positionals, defaults
+
+
+def _settle(argv: list[str]) -> argparse.Namespace | None:
+    """The request of a plain argv, read through the named command's
+    grammar, or None for any other argv.  Plain: each option spelled as
+    declared and followed by one value, each value and positional not
+    starting with "-", no positional missing or left over, every
+    required option given, and each value taken by its action's type and
+    choices, as argparse takes them.  An option given twice keeps its
+    last value, as in argparse."""
+    command = build_parser().commands.get(argv[0]) if argv else None
+    grammar = None if command is None else _grammar(command)
+    if grammar is None:
+        return None
+    options, positionals, defaults = grammar
+    values = dict(defaults)
+    free, given = iter(positionals), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            token = next(tokens, "-")  # a missing value is no plain one
+            if action is None or token.startswith("-"):
+                return None
+            given.add(action)
+        else:
+            action = next(free, None)
+            if action is None:
+                return None
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if next(free, None) is not None or any(a.required and a not in given for a in options.values()):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The request that argv names, parsed by the named command's own
-    parser, which costs half what the top-level parser does.  What that
-    parser cannot settle alone goes to the top-level parser, which then
-    prints the usage line and message and exits as it always has: no
-    command, an unknown one, an option before it, or an argument left
-    over.  A command parser's own errors and help are what the top-level
-    parser would print, since it hands the same arguments to the same
-    command parser."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    """The request that argv names.  A plain argv is read through the
+    command's grammar (``_settle``), with no argparse parse at all.  Any
+    other goes to the top-level parser, which prints the usage line and
+    message, or the help, and exits as it always has: no command, an
+    unknown one, an option before it, an abbreviated or ``--opt=value``
+    option, a value starting with "-" (a negative number too), a bad
+    value, "-h", "--", an argument missing or left over.  Such a request
+    costs one top-level parse, where it once cost a parse by the
+    command's own parser, which took about half as long."""
+    args = _settle(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

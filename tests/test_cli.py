@@ -110,7 +110,53 @@ _READ_FAULTS = [
     ('{"domain": ["a"], "prec": {}}', "must be a list of pairs"),
     ('{"domain": ["a"], "prec": [["a"]]}', "two-element"),
     ('{"domain": ["a"], "prec": [["a", "z"]]}', "unknown label"),
+    # line ends that text mode translates, a byte-order mark and a bad
+    # byte past the first line: read once as bytes, each is reported at
+    # the line and column that a text-mode read gave
+    (b'{"domain": [],\r\n"prec": [}\r\n', "is not valid JSON"),
+    (b'{"domain": [],\r"prec": [}\r', "is not valid JSON"),
+    (b'\xef\xbb\xbf{"domain": [], "prec": []}', "is not valid JSON"),
+    (b'{"domain": [],\n"prec": [["\xff"]]}', "cannot read"),
 ]
+
+
+def _fault_file(tmp_path, k, content) -> Path:
+    path = tmp_path / f"fault{k}.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    return path
+
+
+def _text_mode_read_fault(path) -> str:
+    """The message of read_input's read-and-parse stage when it read the
+    file in text mode through pathlib, the reference for the binary read."""
+    try:
+        json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read {path}: {exc}"
+    except ValueError as exc:
+        return f"{path} is not valid JSON: {exc}"
+    raise AssertionError(f"{path} reads and parses")
+
+
+def test_read_input_reads_and_reports_as_a_text_mode_read_did(tmp_path):
+    paths: list = [
+        _fault_file(tmp_path, k, content)
+        for k, (content, message) in enumerate(_READ_FAULTS)
+        if message in ("cannot read", "is not valid JSON")
+    ]
+    # names that pathlib shortens before it opens them, and a directory
+    paths = [*paths[:1], *map(str, paths[1:]), str(tmp_path)]
+    paths += ["", f"{paths[0]}/", f"{tmp_path}/./x//", f"/{tmp_path}/x"]
+    for path in paths:
+        with pytest.raises(qstrat.cli.InputError) as caught:
+            read_input(path)
+        assert str(caught.value) == _text_mode_read_fault(path), path
+    good = tmp_path / "good.json"
+    good.write_text('{"domain": ["a", "b"], "prec": [["a", "b"]]}', encoding="utf-8")
+    assert read_input(f"{good}/").prec == read_input(f"{tmp_path}//./good.json").prec == read_input(good).prec
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
@@ -125,11 +171,7 @@ def test_read_input_leaves_the_collector_as_it_found_it(tmp_path, enabled):
         assert list(read_input(good).prec.pairs()) == [("a", "b")]
         assert gc.isenabled() is enabled
         for k, (content, message) in enumerate(_READ_FAULTS):
-            path = tmp_path / f"fault{k}.json"
-            if isinstance(content, bytes):
-                path.write_bytes(content)
-            elif content is not None:
-                path.write_text(content, encoding="utf-8")
+            path = _fault_file(tmp_path, k, content)
             with pytest.raises(qstrat.cli.InputError, match=message):
                 read_input(path)
             assert gc.isenabled() is enabled, message
@@ -797,12 +839,13 @@ DECODING_COMMANDS += [
 @pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
 @pytest.mark.parametrize("command", DECODING_COMMANDS, ids=" ".join)
 def test_each_relation_of_the_file_is_decoded_once(capsys, monkeypatch, command, name, relations):
-    # no relation of the file is decoded a second time through from_pairs:
-    # read_input builds rows directly, so the count is zero, below `relations`
-    calls = spy(monkeypatch, "from_pairs", BinRel)
+    # each list of pairs is decoded straight into rows, once, and no
+    # relation of the file a second time through from_pairs
+    decoded = spy(monkeypatch, "from_pairs", BinRel)
+    lists = spy(monkeypatch, "_relation", qstrat.cli)
     run(capsys, command[0], fixture(name), *command[1:])
-    assert len(calls) <= relations
-    assert calls == []
+    assert decoded == []
+    assert len(lists) == relations
 
 
 @pytest.mark.parametrize("name, relations", [("transactions.json", 2), ("nested_order.json", 1)])
@@ -885,6 +928,19 @@ PARSE_PARITY_ARGV = [
     ("check", "--class", "bogus", T),
     ("check", "--class", "qsc", T, "--class", "qsa"),
     ("selftest", "--max-n", "x"),
+    # forms the command's grammar hands on, and plain ones it reads itself
+    ("saturate", T, "--limit=2"),
+    ("saturate", T, "--limit", "-1"),
+    ("saturate", T, "--limit", "2", "--limit", "3"),
+    ("gen", "--n", "3", "--seed", "-5"),
+    ("close", "-"),
+    ("close", ""),
+    ("close", T, "-h"),
+    ("render", "--format", "dot", T),
+    ("render", "--format", "bogus", T),
+    ("gen", "--n", "3", "--density", "nan"),
+    ("gen", "--n", "3", "--density", "-inf"),
+    ("selftest",),
 ]
 
 
@@ -895,17 +951,89 @@ def _argv_id(argv) -> str:
 @pytest.mark.parametrize("argv", PARSE_PARITY_ARGV, ids=_argv_id)
 def test_main_parses_as_the_top_level_parser_does(capsys, monkeypatch, argv):
     # the reference: the top-level parser alone, then the command, under
-    # main's own handling of what the command raises
+    # main's own handling of what the command raises.  selftest's suites
+    # take a while and print their seconds, so it prints what it was given
+    monkeypatch.setattr(qstrat.cli, "cmd_selftest", lambda args: print(args) or 0)
     got = outcome(capsys, argv)
     monkeypatch.setattr(qstrat.cli, "_parse", lambda args: qstrat.cli.build_parser().parse_args(args))
     assert got == outcome(capsys, argv)
 
 
+# each command's options, and the values an option is given: good ones,
+# and ones that the type, the choices or the plain grammar refuse
+_OPTIONS = {
+    "check": ["--class"], "close": [], "saturate": ["--limit"], "decompose": [], "intervals": [],
+    "render": ["--format"], "gen": ["--n", "--seed", "--density"], "selftest": ["--max-n"],
+}  # fmt: skip
+_VALUES = {
+    "--class": ["qsc", "po", "io", "bogus"],
+    "--format": ["dot", "tree", "json", "bogus"],
+    "--density": ["0.5", "nan", "1", "x", "-1", "-inf"],
+    **dict.fromkeys(["--limit", "--n", "--seed", "--max-n"], ["2", "0", "7", "x", "-1"]),
+}
+# tokens that no plain argv holds, or holds in other places, a repeated
+# option among them
+_STRAY = [T, "", "-", "--", "-h", "--lim", "--limit=2", "--n", "--class", "bogus", "5"]
+
+
+@st.composite
+def _command_argv(draw) -> list[str]:
+    """A command's argv: its file, then each of its options or not, with
+    a value, in any order; now and then a stray token."""
+    command = draw(st.sampled_from([*_OPTIONS, "bogus"]))
+    words = [] if command in ("gen", "selftest") else [(T,)]
+    options = _OPTIONS.get(command, ["--n"])
+    for option in draw(st.lists(st.sampled_from(options), unique=True)) if options else []:
+        words.append((option, draw(st.sampled_from(_VALUES[option]))))
+    if draw(st.integers(0, 3)) == 0:
+        words.append((draw(st.sampled_from(_STRAY)),))
+    return [command, *[token for word in draw(st.permutations(words)) for token in word]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_command_argv())
+def test_the_grammar_reads_only_what_the_top_level_parser_reads_alike(argv):
+    # wherever the grammar gives a request, the top-level parser gives the
+    # same one; wherever that parser exits, the grammar gave none
+    settled = qstrat.cli._settle(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = repr(qstrat.cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert settled is None or repr(settled) == parsed
+
+
+PARSE_METHODS = ["parse_args", "parse_known_args", "parse_intermixed_args", "parse_known_intermixed_args"]
+
+
+def _parses(monkeypatch) -> dict[str, list[str]]:
+    """The parsers that each argparse parse method runs on from here on,
+    by their prog."""
+
+    def prog(parser, *args, **kwargs):
+        return parser.prog
+
+    return {method: spy(monkeypatch, method, argparse.ArgumentParser, record=prog) for method in PARSE_METHODS}
+
+
 @pytest.mark.parametrize("argv", [("close", T), ("saturate", "--limit", "2", T), ("gen", "--n", "3")])
 def test_a_command_call_parses_once(capsys, monkeypatch, argv):
-    parses = spy(monkeypatch, "parse_known_args", argparse.ArgumentParser, record=lambda parser, *args: parser.prog)
+    # a plain request is read once, by its command's grammar, with no
+    # argparse parse, and its file is read with no pathlib open
+    parses = _parses(monkeypatch)
+    settled = spy(monkeypatch, "_settle", qstrat.cli)
+    opened = spy(monkeypatch, "open", Path)
     assert run(capsys, *argv)[0] == 0
-    assert parses == [f"qstrat {argv[0]}"]
+    assert settled == [(list(argv),)]
+    assert parses == dict.fromkeys(PARSE_METHODS, [])
+    assert opened == []
+
+
+def test_a_request_the_grammar_cannot_settle_is_parsed_once_by_the_top_level_parser(capsys, monkeypatch):
+    parses = _parses(monkeypatch)
+    assert run(capsys, "saturate", T, "--limit=2")[0] == 0
+    assert parses["parse_args"] == ["qstrat"]
 
 
 def test_saturate_decodes_each_relation_once_and_reencodes_no_order(capsys, monkeypatch, tmp_path):
