@@ -25,17 +25,17 @@ acyclicity comes from ``_qsa_detail`` alone.
 ``saturate`` prints each saturation from the tree over sorted labels
 that ``saturate.saturations`` keeps, building no structure: its pairs,
 the stratum tree that the walk built for it, and the order's interval
-realization.  One decode of the tree gives the rows and the column
-masks that the weak pairs and the realization read.  The realization
-is the order's count ranks (``orders._count_ranks``), not checked at
-run time: every tree decodes to a quasi-stratified order, so an
-interval order, which those ranks realize; an exhaustive test checks
-them on every order the command can print.  The distinct
-top-level trees of a request are rendered in one fold, and the listing
-goes to stdout in one write.  One lister (``_pair_lister``)
-writes the pairs of rows in sorted-label order, in each printer's pair
-form, for every pair printer: ``saturate``, ``close``'s added pairs and
-the JSON and DOT writers; it writes each distinct row of a request once.
+realization.  One walk of the tree (``qsseq.tree_order``) gives the
+precedence rows, the weak rows and the intervals, each base spanning
+the leaves of its stratum.  The realization is not checked at run
+time: the ``qsseq`` module docstring proves that the spans realize the
+order of any tree, and an exhaustive test checks them on every order
+the command can print.  The distinct top-level trees of a request are
+rendered in one fold, and the listing goes to stdout in one write.
+One lister (``_pair_lister``) writes the pairs of rows in sorted-label
+order, in each printer's pair form, for every pair printer:
+``saturate``, ``close``'s added pairs and the JSON and DOT writers; it
+writes each distinct row of a request once.
 It picks a row's second labels from the row's binary numeral, read in
 sorted-label order by one ``itemgetter`` per lister, with
 ``itertools.compress``, so no Python step is taken per pair.
@@ -97,7 +97,6 @@ from .relcore import (
     Poset,
     Structure,
     _bits,
-    _embedded_weak,
     new_structure,
     poset_to_structure,
     show_label,
@@ -399,10 +398,10 @@ def cmd_close(args: argparse.Namespace) -> int:
 
 def cmd_saturate(args: argparse.Namespace) -> int:
     """Lists the saturations of the input, written to stdout at once.
-    Each one's tree is decoded once, into its rows and its column masks,
-    which give the weak rows and the interval realization: the count
-    ranks, printed unchecked, as every tree decodes to an interval order
-    (the ``saturate`` module docstring).  The pair rows and the
+    Each one's tree is walked once (``qsseq.tree_order``), which gives
+    its precedence rows, its weak rows and its intervals, the leaf spans
+    of its strata, printed unchecked, as they realize the order of any
+    tree (the ``qsseq`` module docstring).  The pair rows and the
     top-level tree texts are each written once per request, as the
     saturations share most of them; no printed order is transposed and
     no structure is built per saturation."""
@@ -428,15 +427,11 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     # the intervals line with the names in place, filled by one % per order
     intervals = " ".join([f"{name.replace('%', '%%')}:[%d,%d]" for name in names])
     for k, trees in enumerate(sats.trees, start=1):
-        cols = [0] * n
-        rows = qsseq.tree_rows(n, trees, cols)
-        out += [f"-- saturation {k}", f"   prec: {arrows(rows)}", f"   weak: {arrows(_embedded_weak(cols))}"]
+        rows, weak, bounds = qsseq.tree_order(n, trees)
+        out += [f"-- saturation {k}", f"   prec: {arrows(rows)}", f"   weak: {arrows(weak)}"]
         if n > 0:
             out.append(f"   tree: {' ; '.join(map(texts.__getitem__, trees))}")
-            begins, ends = orders._count_ranks(rows, cols)
-            bounds = begins + ends
-            bounds[::2], bounds[1::2] = begins, ends
-            out.append(f"   intervals: {intervals % tuple(bounds)}")
+            out.append(f"   intervals: {intervals % bounds}")
     out.append("")
     sys.stdout.write("\n".join(out))
     return 0

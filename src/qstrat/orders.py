@@ -218,10 +218,9 @@ def _count_ranks(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[int], l
     distinct sets realize it (Fishburn 1970).  Along a chain distinct
     sets have distinct sizes, so the count ranks are those inclusion
     ranks.  ``_realization`` checks them against the rows, to decide the
-    class; ``saturate`` prints them unchecked, as every order it prints
-    is quasi-stratified, so an interval order (the exhaustive test in
-    ``tests/test_orders.py`` checks the ranks of every order it can
-    print).  The counts are ranked through one dict each.
+    class.  The ``saturate`` command prints no count ranks: it reads the
+    same intervals off each order's stratum tree (``qsseq.tree_order``).
+    The counts are ranked through one dict each.
     """
     preds = list(map(int.bit_count, cols))
     succs = list(map(int.bit_count, rows))

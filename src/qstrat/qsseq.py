@@ -12,24 +12,39 @@ rules under a structure's tables and yields each tree once; the
 enumerations of sequences, orders and saturations are views of that
 walk, the unconstrained ones under the empty structure's all-zero
 tables.  ``tree_rows`` decodes a tree into its order's rows and
-``order_trees`` encodes the rows back (``tree_rows`` writes the
-columns too, when asked); they are mutually inverse, so distinct trees
-are distinct orders.  The ``QsSeq`` codecs, the factorization and
-``one_saturation`` go through this pair, and ``seq_converter`` is the
-one reading of a tree as a labelled ``QsSeq``.  Every tree is built by
-one fold, ``_fold``, innermost first and without recursion: the decoder
+``order_trees`` encodes the rows back; they are mutually inverse, so
+distinct trees are distinct orders.  The ``QsSeq`` codecs and the
+factorization go through this pair, and ``seq_converter`` is the one
+reading of a tree as a labelled ``QsSeq``.  Every tree is built by one
+fold, ``_fold``, innermost first and without recursion: the decoder
 ``seq_to_order``, the converter, the JSON codecs, the encoder
 ``order_trees`` and ``saturate.one_saturation``.  One renderer writes
 the one-line text, of a ``QsSeq`` (``format_seq``) or straight from
 position trees and the shown labels (``tree_texts``, the text of each
 of many trees in one fold).
 
-The walk reads two subset tables built per call.  ``leaving[m]``, for
-every subset m of the positions, is the union of ``combined[y]`` over
-the members y of m, and ``touching[m]`` the union of ``touch[y]``.
-Each is filled in 2^n steps, one position at a time, as
-``leaving[m - 2^y] | combined[y]`` for m's highest member y (Knuth,
-TAOCP 4A §7.1.3).  A combined pair from an event left over enters the
+``tree_order`` walks a tree once for all that ``saturate`` prints of
+its order: the rows, the weak rows of the order's embedding and an
+interval realization, read off the tree's leaves.  Number the leaves
+in preorder and give each base the span [first leaf, last leaf] of its
+stratum.  The spans realize the order.  Strata are nested or disjoint.
+If x precedes y, their strata lie inside strata A before B of one
+sequence, and every leaf of A comes before every leaf of B, so x's
+span ends before y's begins.  Otherwise x and y share a base, or one's
+stratum lies inside the other's, and the spans overlap.  The spans are
+also the count ranks of ``orders._count_ranks``.  The predecessors of
+the events whose span begins at leaf j are the events of the strata
+whose leaves all lie before j, a set that grows strictly with j (it
+gains leaf j), and every leaf begins its own base's span; so the
+begins rank the distinct predecessor counts, smallest first, and the
+ends, dually, the distinct successor counts, largest first.
+
+``stratum_trees`` reads two subset tables built per call.
+``leaving[m]``, for every subset m of the positions, is the union of
+``combined[y]`` over the members y of m, and ``touching[m]`` the
+union of ``touch[y]``.  Each is filled in 2^n steps, one position at a
+time, as ``leaving[m - 2^y] | combined[y]`` for m's highest member y
+(Knuth, TAOCP 4A §7.1.3).  A combined pair from an event left over enters the
 block exactly when ``leaving[rest] & block`` is non-zero, and, touch
 being symmetric, the members of a stratum that touch none of its
 members are ``events & ~touching[events]`` (``relcore._untouched``);
@@ -311,36 +326,87 @@ def stratum_trees(touch: Sequence[int], combined: Sequence[int]) -> Iterator[tup
     return sequences((1 << n) - 1, False) if n else iter([()])
 
 
-def tree_rows(n: int, trees: tuple[Tree, ...], cols: list[int] | None = None) -> tuple[int, ...]:
+def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
     """Precedence rows of the order a walked sequence describes: each
-    stratum's events precede the later strata of its sequence.  Given
-    cols, a list of n zeros, the order's column masks are written into
-    it too, so no transpose is needed."""
+    stratum's events precede the later strata of its sequence.  An
+    event's row is what follows it, the strata after its base in the
+    base's sequence and in each enclosing one.  Every event lies in one
+    base, so each row is written once, whatever the nesting depth, and a
+    sequence is read once, last stratum first, carrying what follows it
+    from the enclosing sequences."""
     rows = [0] * n
-    _fill(rows, trees, True)
-    if cols is not None:
-        _fill(cols, trees, False)
+    pending = [(trees, 0)]
+    while pending:
+        seq, after = pending.pop()
+        for events, base, children in reversed(seq):
+            if children:
+                pending.append((children, after))
+            if base & (base - 1):
+                _scatter(rows, base, after)
+            else:  # one member, as most bases have
+                rows[base.bit_length() - 1] = after
+            after |= events
     return tuple(rows)
 
 
-def _fill(table: list[int], trees: tuple[Tree, ...], backward: bool) -> None:
-    """Writes what follows each event (backward) or what precedes it: the
-    strata after (before) its base in the base's sequence and in each
-    enclosing one.  Every event lies in one base, so each entry is
-    written once, whatever the nesting depth, and a sequence is read
-    once, last stratum first (first stratum first), carrying what
-    follows (precedes) it from the enclosing sequences."""
-    pending = [(trees, 0)]
+def tree_order(
+    n: int, trees: tuple[Tree, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The order a walked sequence describes, from one preorder walk of
+    its strata: ``(rows, weak, bounds)``, its precedence rows as
+    ``tree_rows`` gives them, the weak rows of its embedding (each event
+    weak before every other event that does not precede it) and its
+    interval realization, event e's interval
+    ``[bounds[2e], bounds[2e + 1]]``.
+
+    The leaves are numbered in preorder, and each base spans the leaves
+    of its stratum, first to last (the module docstring says why the
+    spans realize the order).  Each stratum is pushed with what precedes
+    it and what follows it.  A node stays open until the walk reaches
+    its last leaf, the one leaf with the node's successors, so each leaf
+    writes its own base, then closes each open node with the same
+    successors, innermost first, writing that node's base.  A base of
+    one event is written by index, and one of several member by member,
+    as their weak rows and intervals differ."""
+    full = (1 << n) - 1
+    rows, weak, bounds = [0] * n, [0] * n, [0] * (2 * n)
+    # (stratum, what precedes it, what follows it), the next stratum in
+    # preorder last
+    pending = []
+    later = 0
+    for tree in reversed(trees):
+        pending.append((tree, full ^ later ^ tree[0], later))
+        later |= tree[0]
+    # (what follows it, base, what precedes it, its first leaf) of each
+    # open node, innermost last, over an entry that no leaf closes
+    opened = [(-1, 0, 0, 0)]
+    leaves = 0
     while pending:
-        seq, outside = pending.pop()
-        for events, base, children in reversed(seq) if backward else seq:
-            if children:
-                pending.append((children, outside))
+        (events, base, children), before, after = pending.pop()
+        if children:
+            opened.append((after, base, before, leaves))
+            body, later = events ^ base, 0
+            for tree in reversed(children):
+                pending.append((tree, before | (body ^ later ^ tree[0]), after | later))
+                later |= tree[0]
+            continue
+        first = leaves
+        while True:
             if base & (base - 1):
-                _scatter(table, base, outside)
+                for i in _bits(base):
+                    rows[i] = after
+                    weak[i] = full ^ before ^ 1 << i
+                    bounds[2 * i], bounds[2 * i + 1] = first, leaves
             else:  # one member, as most bases have
-                table[base.bit_length() - 1] = outside
-            outside |= events
+                i = base.bit_length() - 1
+                rows[i] = after
+                weak[i] = full ^ before ^ base
+                bounds[2 * i], bounds[2 * i + 1] = first, leaves
+            if opened[-1][0] != after:
+                break
+            _, base, before, first = opened.pop()
+        leaves += 1
+    return tuple(rows), tuple(weak), tuple(bounds)
 
 
 def order_trees(rel: BinRel) -> tuple[Tree, ...]:

@@ -12,8 +12,10 @@ s.weak.  ``saturations`` generates their stratum trees directly under
 those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
 builds one such tree on position masks, nested as deep as the
-decision's peel (through ``qsseq._fold``).  Both decode trees through
-``qsseq.tree_rows``, and ``qsm_violation`` checks maximality row by row.
+decision's peel (through ``qsseq._fold``).  ``SaturationSet.rows``
+decodes trees through ``qsseq.tree_rows``, ``one_saturation`` through
+``qsseq.tree_order``, which gives the weak rows too, and
+``qsm_violation`` checks maximality row by row.
 
 ``one_saturation`` reads its tree off the levels of s's acyclicity
 decision (``relcore.Peel``) and runs no pass of its own.  A pass emits
@@ -37,11 +39,11 @@ stratum tree, and nothing decoded.  Counting reads the trees;
 intersecting and comparing saturations read ``rows``, which decodes the
 trees on first read, and ``structures`` embeds each order over the
 declared domain on first read only.  The ``saturate`` command prints
-straight from the trees, one decode each, and prints the interval
-realization of each order unchecked: every tree decodes to a
-quasi-stratified order, so an interval order, which its count ranks
-realize (``orders._count_ranks``; an exhaustive test checks every
-order the command can print).
+straight from the trees, one walk each (``qsseq.tree_order``), and
+prints the interval realization of each order unchecked: each base
+spans the leaves of its stratum, and those spans realize the order of
+any tree (the ``qsseq`` module docstring; an exhaustive test checks
+every order the command can print).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Iterator
 
 from .qsa import _refuse_unless_acyclic
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
-from .qsseq import Tree, _fold, stratum_trees, tree_rows
+from .qsseq import Tree, _fold, stratum_trees, tree_order, tree_rows
 from .relcore import (
     BinRel,
     Domain,
@@ -64,7 +66,6 @@ from .relcore import (
     _aligner,
     _bits,
     _embed_order,
-    _embedded_weak,
     _untouched,
     extends,
     poset_to_structure,
@@ -125,13 +126,12 @@ def one_saturation(s: Structure) -> Structure:
     takes all of its pre-dominants, the events the peel removed from
     it, as base over the sequence of the rest, its body, which the peel
     split in turn.  The tree is built by ``qsseq._fold`` and decodes
-    through ``qsseq.tree_rows``, which makes a quasi-stratified order of
-    any tree, so the order is not checked again.  The decode writes the
-    order's columns too, and the weak rows come from them
-    (``relcore._embedded_weak``), so no row set is transposed; unordered
-    events come out mutually weak.  The result is checked to extend s,
-    in one pass over the rows, and raises ``InternalError`` if it does
-    not.  Input that is not acyclic raises ``NotAcyclicError``.
+    through ``qsseq.tree_order``, which makes a quasi-stratified order of
+    any tree, so the order is not checked again.  The same walk writes
+    the weak rows of the order's embedding, so no row set is transposed;
+    unordered events come out mutually weak.  The result is checked to
+    extend s, in one pass over the rows, and raises ``InternalError`` if
+    it does not.  Input that is not acyclic raises ``NotAcyclicError``.
     """
     _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
     levels, touch = s._decision.levels, s.prec._touch
@@ -144,9 +144,8 @@ def one_saturation(s: Structure) -> Structure:
 
     n = len(s.domain)
     trees = _fold(strata((1 << n) - 1), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
-    cols = [0] * n
-    prec = BinRel(s.domain, tree_rows(n, trees, cols))
-    m = Structure(s.domain, prec, BinRel(s.domain, _embedded_weak(cols)))
+    rows, weak, _ = tree_order(n, trees)
+    m = Structure(s.domain, BinRel(s.domain, rows), BinRel(s.domain, weak))
     if not extends(s, m):
         raise InternalError("a saturation does not extend its structure")
     return m

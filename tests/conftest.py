@@ -40,6 +40,7 @@ from qstrat import (
     seq_to_order,
     stratum_base,
 )
+from qstrat.qsseq import order_trees
 from qstrat.relcore import _aligner, _bits
 
 LABELS = "abcdefgh"
@@ -431,6 +432,14 @@ def deep_chain_trees(depth: int) -> tuple[int, tuple]:
         leaf = (1 << 2 * k + 1, 1 << 2 * k + 1, ())
         tree = (tree[0] | leaf[0] | 1 << 2 * k, 1 << 2 * k, (tree, leaf))
     return 2 * depth + 1, (tree,)
+
+
+def random_trees(n: int, seed: int) -> tuple:
+    """The position trees of a random sequence over n events,
+    deterministic per seed: ``random_qs_seq`` decoded and encoded back,
+    over the positions its decode declares."""
+    order = seq_to_order(random_qs_seq([f"e{i}" for i in range(n)], seed=seed))
+    return order_trees(order.prec)
 
 
 def deep_chain_text(depth: int, names) -> str:

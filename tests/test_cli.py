@@ -1119,15 +1119,15 @@ def test_printed_trees_encode_the_printed_orders_of_random_specs(capsys, tmp_pat
 def test_saturate_with_another_saturations_tree_is_internal_error(capsys, monkeypatch):
     # a failure while listing, here in the third saturation's decode,
     # leaves stdout empty: the listing is written whole or not at all
-    real, decoded = qstrat.qsseq.tree_rows, []
+    real, decoded = qstrat.qsseq.tree_order, []
 
-    def failing_third(n, trees, cols=None):
+    def failing_third(n, trees):
         decoded.append(trees)
         if len(decoded) == 3:
             raise InternalError("a saturation's tree does not decode")
-        return real(n, trees, cols)
+        return real(n, trees)
 
-    monkeypatch.setattr(qstrat.qsseq, "tree_rows", failing_third)
+    monkeypatch.setattr(qstrat.qsseq, "tree_order", failing_third)
     code, out, err = run(capsys, "saturate", T)
     assert code == 3
     assert out == ""
@@ -1172,19 +1172,22 @@ def test_each_relation_is_scanned_for_self_loops_once(capsys, monkeypatch, comma
 
 
 def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
-    # each printed tree is decoded once, by the printer: the walk keeps
-    # its trees undecoded, its realization is printed unchecked and no
-    # Poset re-validates what the walk built as an order
+    # each printed tree is decoded once, by the printer's one walk: the
+    # walk keeps its trees undecoded, its realization is read off the
+    # tree, printed unchecked and ranked by no count, and no Poset
+    # re-validates what the walk built as an order
     realized = []
     validated = spy(monkeypatch, "__post_init__", Poset)
     monkeypatch.setattr(qstrat.orders, "_realization", lambda *args: realized.append(args))
-    decoded = spy(monkeypatch, "tree_rows", qstrat.qsseq, qstrat.saturate)
+    ranked = spy(monkeypatch, "_count_ranks", qstrat.orders)
+    decoded = spy(monkeypatch, "tree_order", qstrat.qsseq, qstrat.saturate)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
     printed = out.count("-- saturation ")
     assert printed == 8
     assert len(decoded) == printed
     assert realized == []
+    assert ranked == []
     assert validated == []
 
 

@@ -819,10 +819,6 @@ def caller(walker, rest, opts):
 # None default is a second mode of its function, a path that each caller
 # may or may not take and that the tests must walk as well
 NONE_DEFAULTS_ALLOWED = {
-    "qsseq.tree_rows(cols)": (
-        "only the saturate printer wants the columns; writing them on every decode made"
-        " check --class qso and decompose 3% slower at 64 events"
-    ),
     "saturate.saturations(limit)": "public: no limit lists every saturation",
     "cli.main(argv)": "public: the command line's arguments, sys.argv when omitted",
 }

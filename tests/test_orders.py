@@ -31,10 +31,10 @@ from qstrat import (
     stratified_partition,
     total_order_violation,
 )
-from qstrat.orders import _count_ranks, _realization
-from qstrat.qsseq import ENUMERATION_BOUND, stratum_trees, tree_rows
+from qstrat.orders import _realization
+from qstrat.qsseq import ENUMERATION_BOUND, stratum_trees, tree_order
 
-from conftest import LABELS, all_relational_structures, random_structure
+from conftest import LABELS, all_relational_structures, random_structure, random_trees
 
 
 def all_relations(n):
@@ -849,31 +849,41 @@ def test_cycle_finders_match_the_reference_searches():
 
 
 def test_count_ranks_realize_every_order_saturate_can_print():
-    """``saturate`` prints the count ranks of each order unchecked, on
-    this argument:
+    """``saturate`` prints the intervals of each order unchecked, each
+    base spanning the leaves of its stratum (``qsseq.tree_order``), on
+    this argument (the ``qsseq`` module docstring):
 
-    1. ``qsseq.tree_rows`` makes a quasi-stratified order of any stratum
-       tree sequence (the ``qsseq`` module docstring);
-    2. every quasi-stratified order is an interval order (the paper's
-       hierarchy: stratified, quasi-stratified, interval);
-    3. the count ranks realize any interval order (``_count_ranks``,
-       after Fishburn 1970).
+    1. ``qsseq.tree_order`` makes a quasi-stratified order of any stratum
+       tree sequence;
+    2. x precedes y exactly when x's stratum lies in a stratum before
+       y's in one sequence, that is exactly when x's span ends before
+       y's begins;
+    3. those spans are the count ranks (``_count_ranks``, after Fishburn
+       1970), which ``tests/test_qsseq.py`` checks too.
 
     The argument holds at every size.  ``saturate`` refuses more than
     ``ENUMERATION_BOUND`` events, so this checks every sequence it could
     print, the walk's unconstrained sequences at every size up to the
-    bound, by plain loops over the pairs rather than through
-    ``_realization``: x precedes y exactly when x's end is below y's
-    begin, and every begin is at or below its own end."""
+    bound, and seeded random trees of 7 to 16 events, which it will
+    print once the bound is lifted for limited walks, by plain loops
+    over the pairs rather than through ``_realization``: x precedes y
+    exactly when x's end is below y's begin, and every begin is at or
+    below its own end."""
+
+    def assert_realized(n, trees):
+        rows, _, bounds = tree_order(n, trees)
+        events = range(n)
+        begins, ends = bounds[::2], bounds[1::2]
+        for x in events:
+            assert begins[x] <= ends[x]
+            assert rows[x] == sum(1 << y for y in events if ends[x] < begins[y])
+
     checked = 0
     for n in range(ENUMERATION_BOUND + 1):
-        events = range(n)
         for trees in stratum_trees((0,) * n, (0,) * n):
-            cols = [0] * n
-            rows = tree_rows(n, trees, cols)
-            begins, ends = _count_ranks(rows, cols)
-            for x in events:
-                assert begins[x] <= ends[x]
-                assert rows[x] == sum(1 << y for y in events if ends[x] < begins[y])
+            assert_realized(n, trees)
             checked += 1
     assert checked == 1 + 1 + 3 + 19 + 183 + 2371 + 38703  # quasi-stratified orders on 0..6 events
+    for n in range(ENUMERATION_BOUND + 1, 17):
+        for seed in range(20):
+            assert_realized(n, random_trees(n, seed))

@@ -37,15 +37,24 @@ from qstrat import (
     stratum_domain,
 )
 from qstrat import oracles, qs_order_violation, qso
-from qstrat.orders import interval_order_violation
-from qstrat.qsseq import order_trees, seq_converter, stratum_trees, tree_rows, tree_texts
-from qstrat.relcore import _columns, show_label
+from qstrat.orders import _count_ranks, interval_order_violation
+from qstrat.qsseq import (
+    ENUMERATION_BOUND,
+    order_trees,
+    seq_converter,
+    stratum_trees,
+    tree_order,
+    tree_rows,
+    tree_texts,
+)
+from qstrat.relcore import _columns, _embedded_weak, show_label
 
 from conftest import (
     LABELS,
     deep_chain_text,
     deep_chain_trees,
     flat_trees,
+    random_trees,
     reference_factorize_strata,
     reference_order_to_seq,
     reference_qs_seqs,
@@ -235,21 +244,33 @@ def _reference_tree_rows(n, trees):
     return tuple(rows)
 
 
-def _decoded(n, trees):
-    cols = [0] * n
-    return tree_rows(n, trees, cols), tuple(cols)
+def _assert_one_walk(n, trees):
+    rows, weak, bounds = tree_order(n, trees)
+    cols = _columns(rows)
+    begins, ends = _count_ranks(rows, cols)
+    assert rows == tree_rows(n, trees)
+    assert weak == _embedded_weak(cols)
+    assert (bounds[::2], bounds[1::2]) == (tuple(begins), tuple(ends))
 
 
 def test_one_decode_gives_the_rows_and_their_columns():
-    for n in range(6):
+    # one walk of each tree gives its rows, the weak rows that the
+    # order's columns give, and the count ranks as leaf spans: on every
+    # sequence up to the walk's bound, at a thousand nested levels and on
+    # seeded random trees past the bound
+    checked = 0
+    for n in range(ENUMERATION_BOUND + 1):
         for trees in stratum_trees((0,) * n, (0,) * n):
-            rows = _reference_tree_rows(n, trees)
-            assert _decoded(n, trees) == (rows, _columns(rows))
-            assert tree_rows(n, trees) == rows
+            _assert_one_walk(n, trees)
+            assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
+            checked += 1
+    assert checked == 41_281  # quasi-stratified orders on 0..6 events
     n, trees = deep_chain_trees(1000)
-    rows = _reference_tree_rows(n, trees)
-    assert _decoded(n, trees) == (rows, _columns(rows))
-    assert tree_rows(n, trees) == rows
+    _assert_one_walk(n, trees)
+    assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
+    for n in range(ENUMERATION_BOUND + 1, 17):
+        for seed in range(20):
+            _assert_one_walk(n, random_trees(n, seed))
 
 
 @pytest.fixture(scope="module")
