@@ -42,11 +42,14 @@ sorted-label order by one ``itemgetter`` per lister, with
 Text outputs show each label through ``relcore.show_label``, which
 quotes a label that holds a separator of those outputs.
 
-``check --class qso``, ``decompose`` and ``render --format tree``
-decide by encoding the order as stratum trees, ``check --class io``
-and ``intervals`` by building its interval realization; the axiom scans
-run only when the construction fails, to name the witness of the FAIL
-line, and a scan that finds none is an internal error.
+``check --class qso``, ``check --class so``, ``decompose`` and
+``render --format tree`` decide by encoding the order as stratum trees,
+``check --class io`` and ``intervals`` by building its interval
+realization, and ``check --class to`` by its successor counts.  Each
+reads the precedence rows alone: on a passing order no column table is
+built.  The axiom scans run only when the construction fails, to name
+the witness of the FAIL line, and a scan that finds none is an
+internal error.  ``intervals`` writes its listing in one write.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each
@@ -463,9 +466,8 @@ def cmd_intervals(args: argparse.Namespace) -> int:
         orders._interval_witness(f.prec)  # raises InternalError when it finds none
         print("FAIL: not an interval order")
         return 1
-    for label in f.prec.domain.labels:
-        b, e = realization[label]
-        print(f"{show_label(label)}: [{b}, {e}]")
+    lines = [f"{show_label(label)}: [{b}, {e}]\n" for label, (b, e) in realization.items()]
+    sys.stdout.write("".join(lines))
     return 0
 
 

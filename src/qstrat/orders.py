@@ -8,8 +8,17 @@ would find, so witnesses are deterministic; the scans run on row masks.
 po, and with it to:1-2 and so:1-2, scans nothing itself: it reads two
 tables each relation caches (``relcore`` module docstring), ``_loops``
 for po:1 and ``_transitivity_gap`` for po:2.
-``interval_order_violation`` decides by building the interval
-realization and scans only when there is none, to name the witness.
+
+Past po, each class is decided from the rows alone, and its scan runs
+only on a relation outside the class, to name the witness; a scan that
+then finds none is an internal error.  A total order is told by its
+successor counts, a stratified one by its stratum trees
+(``qsseq.order_trees``, all leaves at the top), and an interval order
+by its interval realization (``_realization``).  The realization reads
+the chain that the successor sets of an interval order form (Fishburn
+1970): an event's end is the rank of its successor set in the chain,
+its begin the number of the chain's sets that hold it.  No column mask
+is built unless a scan names a witness.
 
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
@@ -31,7 +40,7 @@ from itertools import accumulate, count
 from operator import le, or_
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .qsseq import order_trees
+from .qsseq import Tree, order_trees
 from .relcore import (
     BinRel,
     InternalError,
@@ -39,6 +48,7 @@ from .relcore import (
     Structure,
     _bits,
     _rows_leaving,
+    _scatter,
     is_relational,
 )
 
@@ -59,30 +69,51 @@ def partial_order_violation(rel: BinRel) -> Violation | None:
 
 
 def total_order_violation(rel: BinRel) -> Violation | None:
+    """First witness against the total-order axioms, or None.
+
+    to:1 and to:2 are po:1 and po:2 with the same witness; to:3 names
+    the first incomparable pair in row-major order.  A partial order is
+    total exactly when its successor counts are 0 to n - 1, all
+    distinct, so the rows decide and the columns are read only to name
+    the to:3 witness.  In a total order the event with k events after
+    it has k successors.  Conversely, by induction from the largest
+    count down, each event precedes every event of a smaller count: an
+    event of count k precedes no event of a larger count, which
+    precedes it, so its k successors are the k events below it.  Raises
+    InternalError when the scan finds no witness.
+    """
     bad = partial_order_violation(rel)
     if bad is not None:
         return ("to:" + bad[0][3:], bad[1])
+    rows = rel.rows
+    if sorted(map(int.bit_count, rows)) == list(range(len(rows))):
+        return None
     labels = rel.domain.labels
-    rows, cols = rel.rows, rel.column_masks
+    cols = rel.column_masks
     full = (1 << len(rows)) - 1
     for i, row in enumerate(rows):
         apart = full & ~(row | cols[i] | 1 << i)
         if apart:
             return "to:3", (labels[i], labels[next(_bits(apart))])
-    return None
+    raise InternalError("a partial order with repeated successor counts has no incomparable pair")
 
 
 def stratified_order_violation(rel: BinRel) -> Violation | None:
     """First witness against the stratified-order axioms, or None.
 
-    so:1 and so:2 are po:1 and po:2 with the same witness.  Otherwise
-    the witness comes from the first incomparable pair (x, y) in
-    row-major order: the lowest z with x < z but not y < z (so:3) or
-    with z < x but not z < y (so:4), so:3 first when both hold at z.
+    so:1 and so:2 are po:1 and po:2 with the same witness.  A partial
+    order is stratified exactly when ``_strata`` finds its strata, so
+    the rows decide.  Otherwise the witness comes from the first
+    incomparable pair (x, y) in row-major order: the lowest z with
+    x < z but not y < z (so:3) or with z < x but not z < y (so:4), so:3
+    first when both hold at z; the columns are read only for it.
+    Raises InternalError when the scan finds no witness.
     """
     bad = partial_order_violation(rel)
     if bad is not None:
         return ("so:" + bad[0][3:], bad[1])
+    if _strata(rel) is not None:
+        return None
     labels = rel.domain.labels
     rows, cols = rel.rows, rel.column_masks
     full = (1 << len(rows)) - 1
@@ -94,14 +125,14 @@ def stratified_order_violation(rel: BinRel) -> Violation | None:
                 z = next(_bits(split))
                 axiom = "so:3" if above >> z & 1 else "so:4"
                 return axiom, (labels[x], labels[y], labels[z])
-    return None
+    raise InternalError("the stratum trees fail on an order the stratified scan passes")
 
 
 def interval_order_violation(rel: BinRel) -> Violation | None:
     """None when rel is an interval order, decided by ``_realization``
     of its rows, else the first witness that ``_interval_witness``
     names."""
-    if _realization(rel.rows, rel.column_masks) is not None:
+    if _realization(rel.rows) is not None:
         return None
     return _interval_witness(rel)
 
@@ -150,37 +181,46 @@ def is_interval_order(rel: BinRel) -> bool:
 
 
 def stratified_partition(p: Poset) -> list[frozenset[str]] | None:
-    """Strata of a stratified order, earliest first, or None.
+    """Strata of a stratified order, earliest first, or None: the
+    events of each tree that ``_strata`` finds."""
+    strata = _strata(p.prec)
+    if strata is None:
+        return None
+    labels = p.domain.labels
+    return [frozenset(labels[i] for i in _bits(events)) for events, _, _ in strata]
+
+
+def _strata(rel: BinRel) -> tuple[Tree, ...] | None:
+    """The stratum trees of rel when they are all leaves, else None.
 
     A stratified order is exactly a quasi-stratified order whose
     top-level strata are all leaves, and those leaves are its strata:
-    the top level of its stratum trees (``qsseq.order_trees``).
+    the top level of its stratum trees (``qsseq.order_trees``).  A
+    sequence of antichains, each before all later ones, has them as its
+    cuts, and each is a leaf, as no two of its events touch; a sequence
+    of leaves is such a sequence.
     """
     try:
-        trees = order_trees(p.prec)
+        trees = order_trees(rel)
     except ValueError:  # not quasi-stratified
         return None
-    if any(children for _, _, children in trees):
-        return None
-    labels = p.domain.labels
-    return [frozenset(labels[i] for i in _bits(events)) for events, _, _ in trees]
+    return None if any(children for _, _, children in trees) else trees
 
 
 def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
     """Integer interval endpoints realizing rel, per label, or None when
     rel is not an interval order: ``_realization`` of its rows."""
-    found = _realization(rel.rows, rel.column_masks)
+    found = _realization(rel.rows)
     if found is None:
         return None
     return dict(zip(rel.domain.labels, zip(*found)))
 
 
-def _realization(
-    rows: Sequence[int], cols: Sequence[int]
-) -> tuple[list[int], list[int]] | None:
+def _realization(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
     """The interval begins and ends of each position of a relation, given
-    its rows and column masks, or None when it is not an interval order:
-    the ``_count_ranks`` of the relation, checked against its rows.
+    its rows alone, or None when it is not an interval order: the
+    ``_count_ranks`` of the relation, read off the chain of its
+    successor sets and checked against its rows; no column mask is read.
 
     The successors of each event i must be exactly the events whose
     begin lies after i's end, and i's begin must lie at or before its
@@ -192,11 +232,11 @@ def _realization(
     passes exactly on interval orders.  It compares whole lists, so the
     only Python step per event files it under its begin.
     """
-    begins, ends = _count_ranks(rows, cols)
+    begins, ends = _count_ranks(rows)
     # at[b]: the events whose begin is b; later[r]: those whose begin
-    # lies after r.  Begins and ends are ranks of at most n values, so n
-    # entries hold them all.
-    at, bit = [0] * len(rows), 1
+    # lies after r.  A begin counts distinct rows and an end ranks them,
+    # so n + 1 entries hold them all.
+    at, bit = [0] * (len(rows) + 1), 1
     for b in begins:
         at[b] |= bit
         bit <<= 1
@@ -206,27 +246,43 @@ def _realization(
     return begins, ends
 
 
-def _count_ranks(rows: Sequence[int], cols: Sequence[int]) -> tuple[list[int], list[int]]:
+def _count_ranks(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     """The interval begins and ends that realize an interval order, given
-    its rows and column masks, unchecked.
+    its rows alone, unchecked: no column mask is read.
 
-    An event's begin is the rank of its predecessor count among the
-    distinct predecessor counts, smallest first, and its end the rank of
-    its successor count among the distinct successor counts, largest
-    first.  On an interval order the predecessor sets, and the successor
-    sets, form chains under inclusion, and the inclusion ranks of the
-    distinct sets realize it (Fishburn 1970).  Along a chain distinct
-    sets have distinct sizes, so the count ranks are those inclusion
-    ranks.  ``_realization`` checks them against the rows, to decide the
-    class.  The ``saturate`` command prints no count ranks: it reads the
-    same intervals off each order's stratum tree (``qsseq.tree_order``).
-    The counts are ranked through one dict each.
+    On an interval order the distinct successor sets form a chain under
+    inclusion (Fishburn 1970), S_0 above S_1 above ... S_(m-1): if y
+    lay in x's set but not in z's, and w in z's but not in x's, then
+    x < y and z < w with neither x < w nor z < y, which no intervals
+    realize.  Along a chain distinct sets have distinct sizes, so
+    sorting them by size, largest first, lists the chain.  An event's
+    end is the rank of its own successor set in it, and its begin its
+    depth in the chain, the number of the sets that hold it: e lies in
+    S_k exactly for k below its begin, so x precedes y, y in S_end(x),
+    exactly when x's end lies below y's begin.  The begins take every
+    value from 0 to m - 1: a minimal event lies in no set, S_(m-1) is
+    the empty set of a maximal event, and S_(k-1) minus S_k holds the
+    events of begin k.  The events before e are those whose set holds
+    e, a set that grows strictly with e's depth, so each begin is also
+    the rank of the event's predecessor count among the distinct ones,
+    smallest first, and each end that of its successor count, largest
+    first: the count ranks.
+
+    The chain is read in one pass, smallest set first: a set's members
+    in no smaller set get the set's depth, its rank plus one, through
+    one ``_scatter``.  Each event is written at most once, whatever the
+    rows, so every begin is at most m.  ``_realization`` checks the
+    endpoints against the rows, to decide the class.  The ``saturate``
+    command prints no count ranks: it reads the same intervals off each
+    order's stratum tree (``qsseq.tree_order``).
     """
-    preds = list(map(int.bit_count, cols))
-    succs = list(map(int.bit_count, rows))
-    firsts, lasts = sorted(set(preds)), sorted(set(succs), reverse=True)
-    begins = list(map(dict(zip(firsts, count())).__getitem__, preds))
-    ends = list(map(dict(zip(lasts, count())).__getitem__, succs))
+    chain = sorted(set(rows), key=int.bit_count, reverse=True)
+    ends = list(map(dict(zip(chain, count())).__getitem__, rows))
+    begins, below = [0] * len(rows), 0
+    for depth in range(len(chain), 0, -1):
+        held = chain[depth - 1]
+        _scatter(begins, held & ~below, depth)
+        below |= held
     return begins, ends
 
 

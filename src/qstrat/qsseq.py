@@ -32,12 +32,57 @@ If x precedes y, their strata lie inside strata A before B of one
 sequence, and every leaf of A comes before every leaf of B, so x's
 span ends before y's begins.  Otherwise x and y share a base, or one's
 stratum lies inside the other's, and the spans overlap.  The spans are
-also the count ranks of ``orders._count_ranks``.  The predecessors of
-the events whose span begins at leaf j are the events of the strata
-whose leaves all lie before j, a set that grows strictly with j (it
-gains leaf j), and every leaf begins its own base's span; so the
-begins rank the distinct predecessor counts, smallest first, and the
-ends, dually, the distinct successor counts, largest first.
+also the endpoints of ``orders._count_ranks``: an event's end is the
+rank of its successor set among the distinct ones, largest first, and
+its begin the number of those sets that hold it (its depth in their
+chain).  The successors of the events whose span ends at leaf j are
+the events of the strata whose leaves all lie after j, a set that
+shrinks strictly with j (it loses the base that leaf j + 1 begins), and
+every leaf ends its own base's span; so the ends rank the distinct
+successor sets, largest first.  An event whose span begins at leaf j
+lies in the successor sets of exactly the events whose spans end
+before j, at leaves 0 to j - 1: j distinct sets hold it.
+
+``order_trees`` reads the rows alone.  The spans realize every
+quasi-stratified order, so it is an interval order, and its successor
+sets form a chain under inclusion: if y lies in x's set but not in
+z's, and w in z's but not in x's, then x < y and z < w with neither
+x < w nor z < y, which no intervals realize.  If x < y, y lies in x's
+set and not in its own, so y's set lies strictly inside x's: listing
+the events by successor count, largest first, is a linear extension.
+
+- *The cuts.*  Let a sequence's events be E, so listed, and let
+  ``after`` be the events outside E that E's members precede, the same
+  for all of them.  The sequence's strata are the blocks between its
+  cuts, the prefixes whose members precede all the rest of E; a linear
+  extension lists such a prefix first, so the cuts are prefixes of the
+  listing.  The last member i of a prefix has its least count, so i's
+  successor set lies inside those of the others, and the prefix is a
+  cut exactly when i precedes every member listed after it.  Its
+  successors in E are all listed after it, so that holds exactly when
+  its count is the number of members listed after it plus the size of
+  ``after``.
+- *The bases.*  In a stratum X with a body, each base member precedes
+  exactly X's ``after``, so its count is the least in X.  Take the
+  body's last stratum Z: its members precede nothing in X outside Z,
+  and the members of the body's first stratum precede all of Z, so
+  their sets are larger than any of Z's.  So the member listed first
+  in X lies neither in the base nor in Z, and it precedes all of Z.
+  The members at the least count, a suffix of X's listing, are the
+  base and some members of Z; those that the first member does not
+  precede are the base.  In a leaf all members are at the least count
+  and none precedes another, so the same rule gives the whole leaf.
+  The body's members precede outside it exactly X's ``after``, so its
+  cuts are found with the least count as the size of its ``after``.
+- *The check.*  Whatever the rows, each listing is cut into non-empty
+  blocks (its last member closes the last block, whatever its count),
+  each block's base is non-empty (a block with no base by the rule is
+  a leaf), and the body is the rest of the block.  So the
+  trees partition the events, and ``tree_rows`` decodes them to a
+  quasi-stratified order (the ``qso`` module docstring); the rows pass
+  only if they are that order.  The check thus rejects exactly the
+  relations that are not quasi-stratified, whatever rule cut the
+  listing and chose the bases.
 
 ``stratum_trees`` reads two subset tables built per call.
 ``leaving[m]``, for every subset m of the positions, is the union of
@@ -62,7 +107,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, _untouched, show_label
+from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, show_label
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -412,37 +457,60 @@ def tree_order(
 def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     """The stratum trees of a quasi-stratified order, the inverse of
     ``tree_rows``; raises ValueError unless ``tree_rows`` of the result
-    gives back rel.rows.  A sequence is cut after the shortest prefix,
-    in predecessor-count order, whose members precede all the rest: a
-    cut point puts every event before it ahead of every event after it
-    in any topological sort, as that order is, so cutting at each gives
-    the finest, the stratum, factorization.  A stratum's base is its
-    events touching no other member; the body is encoded the same way.
-    """
-    rows, touch, cols = rel.rows, rel._touch, rel.column_masks
+    gives back rel.rows.  Only the rows are read: no column mask and no
+    touch table.
 
-    def cut(rest: int, events: list[int]) -> list[tuple[int, int, int, list[int]]]:
-        # the strata of the sequence over rest, whose events are listed in
-        # predecessor-count order: (events, base, body, the body's events)
-        out = []
-        block, ahead, start = 0, -1, 0
+    The events are listed by successor count, largest first, a linear
+    extension of every interval order.  Each sequence's listing is cut
+    after every member whose count is the number of events it could
+    precede: the members listed after it, plus the events outside the
+    sequence that all of its members precede (none at the top level).
+    A block's base is the members at the block's least count, a suffix
+    of its listing, that the block's first member does not precede; the
+    rest of the block, listed in the same order, is its body, whose
+    members precede as many events outside it as that least count.  A
+    block that the rule leaves with no base, or whose base is all of
+    it, is a leaf; the final check rejects the first kind.  The module
+    docstring proves that these are the cuts and bases of a
+    quasi-stratified order, and that the check rejects every other
+    relation.
+    """
+    rows = rel.rows
+    n = len(rows)
+    counts = list(map(int.bit_count, rows))
+
+    def cut(events: list[int], outside: int) -> list[tuple[int, int, list[int], int]]:
+        # the strata of the sequence listed in events, largest count
+        # first, whose members each precede ``outside`` events outside
+        # it: (events, base, the body's listing, the body's outside)
+        out, start, block = [], 0, 0
+        last = len(events)
+        # a member closes a block when its count is that of the members
+        # listed after it plus outside; the last closes the rest anyway,
+        # and the check judges the block
+        target = outside + last
         for end, i in enumerate(events, start=1):
             block |= 1 << i
-            rest ^= 1 << i
-            ahead &= rows[i]
-            if rest & ~ahead == 0:  # the block precedes the rest
-                # no base makes a leaf, which the final check then rejects
-                base = _untouched(touch, block) or block
-                body = block & ~base
-                inner = [j for j in events[start:end] if body >> j & 1] if body else []
-                out.append((block, base, body, inner))
-                block, ahead, start = 0, -1, end
+            if counts[i] + end != target and end != last:
+                continue
+            # the members at the block's least count: a suffix
+            least, low, suffix = counts[i], end - 1, 1 << i
+            while low > start and counts[events[low - 1]] == least:
+                low -= 1
+                suffix |= 1 << events[low]
+            base = suffix & ~rows[events[start]]
+            if base and base != block:
+                inner = events[start:low] + [j for j in events[low:end] if not base >> j & 1]
+                out.append((block, base, inner, least))
+            else:  # a leaf
+                out.append((block, block, [], 0))
+            start, block = end, 0
         return out
 
-    n = len(rows)
-    order = sorted(range(n), key=lambda i: cols[i].bit_count())  # stable
     trees = _fold(
-        cut((1 << n) - 1, order), lambda st: cut(st[2], st[3]), lambda st, body: (*st[:2], body)
+        cut(sorted(range(n), key=counts.__getitem__, reverse=True), 0),
+        lambda st: cut(st[2], st[3]),
+        lambda st, body: (*st[:2], body),
     )
     if tree_rows(n, trees) != rows:
         raise ValueError("not a quasi-stratified order")

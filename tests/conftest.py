@@ -40,7 +40,7 @@ from qstrat import (
     seq_to_order,
     stratum_base,
 )
-from qstrat.qsseq import order_trees
+from qstrat.qsseq import ENUMERATION_BOUND, order_trees, stratum_trees, tree_order
 from qstrat.relcore import _aligner, _bits
 
 LABELS = "abcdefgh"
@@ -343,6 +343,19 @@ def six_event_reference():
     labels = ("f", "c", "a", "e", "b", "d")
     seqs = reference_qs_seqs(labels)
     return labels, seqs, reference_qsm_structures(labels, seqs)
+
+
+@pytest.fixture(scope="session")
+def walked_sequences():
+    """Every unconstrained stratum-tree sequence of up to
+    ``ENUMERATION_BOUND`` events, each with its one walk:
+    ``(n, trees, qsseq.tree_order(n, trees))``, enumerated and walked
+    once per session for the tests that check the walk."""
+    return [
+        (n, trees, tree_order(n, trees))
+        for n in range(ENUMERATION_BOUND + 1)
+        for trees in stratum_trees((0,) * n, (0,) * n)
+    ]
 
 
 def reference_factorize_strata(q: QsOrder) -> list[QsOrder]:

@@ -628,7 +628,7 @@ def test_order_trees_failing_on_a_qs_order_is_internal(capsys, monkeypatch):
 def test_missing_realization_of_an_interval_order_is_internal(capsys, monkeypatch):
     # the check decides with the rows' realization, as intervals' does
     # through interval_realization
-    monkeypatch.setattr(qstrat.orders, "_realization", lambda rows, cols: None)
+    monkeypatch.setattr(qstrat.orders, "_realization", lambda rows: None)
     code, out, err = run(capsys, "check", "--class", "io", fixture("nested_order.json"))
     assert (code, out) == (3, "")
     assert err.startswith("internal error: ")
@@ -1206,6 +1206,37 @@ def test_saturate_prints_without_a_transpose(capsys, monkeypatch):
     assert not hasattr(qstrat.cli, "_columns")
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0 and out.count("-- saturation ") == 8
+    assert transposed == []
+
+
+_NESTED = json.loads((FIXTURES / "nested_order.json").read_text(encoding="utf-8"))
+_CHAIN = {"domain": ["a", "b", "c"], "prec": [["a", "b"], ["a", "c"], ["b", "c"]]}
+_TWO_STRATA = {"domain": ["a", "b", "c"], "prec": [["a", "c"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("check", "--class", "qso"), _NESTED),
+        (("check", "--class", "io"), _NESTED),
+        (("check", "--class", "so"), _TWO_STRATA),
+        (("check", "--class", "to"), _CHAIN),
+        (("decompose",), _NESTED),
+        (("intervals",), _NESTED),
+        (("render", "--format", "tree"), _NESTED),
+    ],
+    ids=["check-qso", "check-io", "check-so", "check-to", "decompose", "intervals", "render-tree"],
+)
+def test_order_commands_decide_a_passing_order_from_its_rows(capsys, monkeypatch, tmp_path, argv, doc):
+    # the order commands read the rows alone: a column table is built
+    # only to name a FAIL line's witness, never on a passing order
+    transposed = spy(monkeypatch, "_columns", qstrat.relcore)
+    for module in (qstrat.cli, qstrat.orders, qstrat.qso, qstrat.qsseq):
+        assert not hasattr(module, "_columns")
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *argv, str(path))
+    assert code == 0 and out
     assert transposed == []
 
 

@@ -32,7 +32,7 @@ from qstrat import (
     total_order_violation,
 )
 from qstrat.orders import _realization
-from qstrat.qsseq import ENUMERATION_BOUND, stratum_trees, tree_order
+from qstrat.qsseq import ENUMERATION_BOUND, tree_order
 
 from conftest import LABELS, all_relational_structures, random_structure, random_trees
 
@@ -580,7 +580,7 @@ def test_count_ranks_give_the_set_ranks_endpoints():
     for rel in _partial_orders_up_to_five():
         rows, cols = rel.rows, rel.column_masks
         expected = _set_rank_realization(rows, cols)
-        assert _realization(rows, cols) == expected
+        assert _realization(rows) == expected
         orders += 1
         refused += expected is None
     # labelled partial orders on 0..5 events, and those with a 2+2 (12 on
@@ -591,7 +591,7 @@ def test_count_ranks_give_the_set_ranks_endpoints():
         for _ in range(12):
             rows = _random_interval_rows(rng, n)
             cols = tuple(sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(n))
-            found = _realization(rows, cols)
+            found = _realization(rows)
             assert found is not None and found == _set_rank_realization(rows, cols)
 
 
@@ -657,7 +657,7 @@ def test_realization_matches_the_per_event_formulation():
     for rows in orders + relations:
         cols = _columns_of(rows)
         expected = _per_event_realization(rows, cols)
-        assert _realization(rows, cols) == expected
+        assert _realization(rows) == expected
         realized += expected is not None
     # every quasi-stratified order is an interval order; the random
     # relations give both answers
@@ -670,7 +670,7 @@ def test_realization_matches_the_per_event_formulation():
             rows = _span_rows(rng, n, 0.5)
             if any(row >> i & 1 for i, row in enumerate(rows)):
                 cols = _columns_of(rows)
-                assert _realization(rows, cols) is None
+                assert _realization(rows) is None
                 passing_loops += _counts_check_passes(rows, cols)
     assert passing_loops > 0
 
@@ -848,7 +848,7 @@ def test_cycle_finders_match_the_reference_searches():
     assert len(found) == 2 * len(FINDERS)
 
 
-def test_count_ranks_realize_every_order_saturate_can_print():
+def test_count_ranks_realize_every_order_saturate_can_print(walked_sequences):
     """``saturate`` prints the intervals of each order unchecked, each
     base spanning the leaves of its stratum (``qsseq.tree_order``), on
     this argument (the ``qsseq`` module docstring):
@@ -870,8 +870,8 @@ def test_count_ranks_realize_every_order_saturate_can_print():
     exactly when x's end is below y's begin, and every begin is at or
     below its own end."""
 
-    def assert_realized(n, trees):
-        rows, _, bounds = tree_order(n, trees)
+    def assert_realized(n, walk):
+        rows, _, bounds = walk
         events = range(n)
         begins, ends = bounds[::2], bounds[1::2]
         for x in events:
@@ -879,11 +879,10 @@ def test_count_ranks_realize_every_order_saturate_can_print():
             assert rows[x] == sum(1 << y for y in events if ends[x] < begins[y])
 
     checked = 0
-    for n in range(ENUMERATION_BOUND + 1):
-        for trees in stratum_trees((0,) * n, (0,) * n):
-            assert_realized(n, trees)
-            checked += 1
+    for n, _, walk in walked_sequences:
+        assert_realized(n, walk)
+        checked += 1
     assert checked == 1 + 1 + 3 + 19 + 183 + 2371 + 38703  # quasi-stratified orders on 0..6 events
     for n in range(ENUMERATION_BOUND + 1, 17):
         for seed in range(20):
-            assert_realized(n, random_trees(n, seed))
+            assert_realized(n, tree_order(n, random_trees(n, seed)))

@@ -244,33 +244,33 @@ def _reference_tree_rows(n, trees):
     return tuple(rows)
 
 
-def _assert_one_walk(n, trees):
-    rows, weak, bounds = tree_order(n, trees)
+def _assert_one_walk(n, trees, walk):
+    rows, weak, bounds = walk
     cols = _columns(rows)
-    begins, ends = _count_ranks(rows, cols)
+    begins, ends = _count_ranks(rows)
     assert rows == tree_rows(n, trees)
     assert weak == _embedded_weak(cols)
     assert (bounds[::2], bounds[1::2]) == (tuple(begins), tuple(ends))
 
 
-def test_one_decode_gives_the_rows_and_their_columns():
-    # one walk of each tree gives its rows, the weak rows that the
-    # order's columns give, and the count ranks as leaf spans: on every
-    # sequence up to the walk's bound, at a thousand nested levels and on
-    # seeded random trees past the bound
+def test_one_walk_gives_the_rows_weak_rows_and_count_ranks(walked_sequences):
+    # one walk of each tree gives its rows, the weak rows of the order's
+    # embedding, and the count ranks as leaf spans: on every sequence up
+    # to the walk's bound, at a thousand nested levels and on seeded
+    # random trees past the bound
     checked = 0
-    for n in range(ENUMERATION_BOUND + 1):
-        for trees in stratum_trees((0,) * n, (0,) * n):
-            _assert_one_walk(n, trees)
-            assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
-            checked += 1
+    for n, trees, walk in walked_sequences:
+        _assert_one_walk(n, trees, walk)
+        assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
+        checked += 1
     assert checked == 41_281  # quasi-stratified orders on 0..6 events
     n, trees = deep_chain_trees(1000)
-    _assert_one_walk(n, trees)
+    _assert_one_walk(n, trees, tree_order(n, trees))
     assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
     for n in range(ENUMERATION_BOUND + 1, 17):
         for seed in range(20):
-            _assert_one_walk(n, random_trees(n, seed))
+            trees = random_trees(n, seed)
+            _assert_one_walk(n, trees, tree_order(n, trees))
 
 
 @pytest.fixture(scope="module")
