@@ -42,14 +42,16 @@ sorted-label order by one ``itemgetter`` per lister, with
 Text outputs show each label through ``relcore.show_label``, which
 quotes a label that holds a separator of those outputs.
 
-``check --class qso``, ``check --class so``, ``decompose`` and
-``render --format tree`` decide by encoding the order as stratum trees,
-``check --class io`` and ``intervals`` by building its interval
-realization, and ``check --class to`` by its successor counts.  Each
-reads the precedence rows alone: on a passing order no column table is
-built.  The axiom scans run only when the construction fails, to name
-the witness of the FAIL line, and a scan that finds none is an
-internal error.  ``intervals`` writes its listing in one write.
+``check --class qso``, ``decompose`` and ``render --format tree``
+decide by encoding the order as stratum trees; ``check --class io``,
+``so`` and ``to`` and ``intervals`` by its interval realization, read
+off the chain of its successor sets (``orders._realization``): an
+interval order is stratified when every interval is a point, and total
+when the points are also distinct.  Each reads the precedence rows
+alone: on a passing order no column table is built.  The axiom scans
+run only when the construction fails, to name the witness of the FAIL
+line, and a scan that finds none is an internal error.  ``intervals``
+writes its listing in one write.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each

@@ -11,14 +11,36 @@ for po:1 and ``_transitivity_gap`` for po:2.
 
 Past po, each class is decided from the rows alone, and its scan runs
 only on a relation outside the class, to name the witness; a scan that
-then finds none is an internal error.  A total order is told by its
-successor counts, a stratified one by its stratum trees
-(``qsseq.order_trees``, all leaves at the top), and an interval order
-by its interval realization (``_realization``).  The realization reads
-the chain that the successor sets of an interval order form (Fishburn
-1970): an event's end is the rank of its successor set in the chain,
-its begin the number of the chain's sets that hold it.  No column mask
-is built unless a scan names a witness.
+then finds none is an internal error.  One reading of the chain of
+successor sets decides total, stratified and interval orders
+(``_realization``), on two classical facts.
+
+- *A relation is an interval order exactly when its successor sets are
+  nested and no event precedes itself* (Fishburn 1970).  An interval
+  order is a partial order with no 2+2: pairs x < y and z < w with
+  neither x < w nor z < y.  Such pairs put y in x's set but not in
+  z's, and w in z's but not in x's, so nested sets exclude a 2+2, and
+  conversely two sets that are not nested name one.  Nesting and
+  irreflexivity give transitivity: if x < y and y < z, y lies in x's
+  set and not in its own, so y's set, which holds z, lies inside x's.
+- *An interval order is stratified exactly when its count-rank
+  realization gives every event a single point, and total when those
+  points are also distinct* (Fishburn 1985).  List the distinct
+  successor sets largest first, S_0 above S_1 above ... S_(m-1); an
+  event's end is its own set's rank and its begin the number of sets
+  that hold it.  e lies in S_k exactly for k below its begin, so x
+  precedes y exactly when x's end lies below y's begin, and e's begin
+  is at most its end exactly when e is not in its own set.  If every
+  begin equals its end, x precedes y exactly when x's point lies below
+  y's: the events of each point form a stratum, before every later
+  one, a stratified order.  Conversely, if the strata of a stratified
+  order are L_0 to L_(m-1), earliest first, an event of L_k has
+  L_(k+1) to L_(m-1) as its successors, the set of rank k, and lies in
+  the sets of the k strata before its own: its begin and end are both
+  k.  So the points number the strata, earliest first, and a
+  stratified order is total exactly when its strata are single events.
+
+No column mask is built unless a scan names a witness.
 
 The module also hosts the two constructive characterisations (stratified
 partition and integer interval realization) and the forbidden-cycle
@@ -36,11 +58,10 @@ weak-only step leaving only a strong state (interval).
 from __future__ import annotations
 
 from collections import deque
-from itertools import accumulate, count
-from operator import le, or_
+from itertools import count
+from operator import and_, le, xor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .qsseq import Tree, order_trees
 from .relcore import (
     BinRel,
     InternalError,
@@ -73,20 +94,17 @@ def total_order_violation(rel: BinRel) -> Violation | None:
 
     to:1 and to:2 are po:1 and po:2 with the same witness; to:3 names
     the first incomparable pair in row-major order.  A partial order is
-    total exactly when its successor counts are 0 to n - 1, all
-    distinct, so the rows decide and the columns are read only to name
-    the to:3 witness.  In a total order the event with k events after
-    it has k successors.  Conversely, by induction from the largest
-    count down, each event precedes every event of a smaller count: an
-    event of count k precedes no event of a larger count, which
-    precedes it, so its k successors are the k events below it.  Raises
-    InternalError when the scan finds no witness.
+    total exactly when ``_strata`` gives its events distinct stratum
+    numbers (module docstring), so the rows decide and the columns are
+    read only to name the to:3 witness.  Raises InternalError when the scan finds no
+    witness.
     """
     bad = partial_order_violation(rel)
     if bad is not None:
         return ("to:" + bad[0][3:], bad[1])
     rows = rel.rows
-    if sorted(map(int.bit_count, rows)) == list(range(len(rows))):
+    strata = _strata(rows)
+    if strata is not None and len(set(strata)) == len(rows):
         return None
     labels = rel.domain.labels
     cols = rel.column_masks
@@ -95,14 +113,14 @@ def total_order_violation(rel: BinRel) -> Violation | None:
         apart = full & ~(row | cols[i] | 1 << i)
         if apart:
             return "to:3", (labels[i], labels[next(_bits(apart))])
-    raise InternalError("a partial order with repeated successor counts has no incomparable pair")
+    raise InternalError("a partial order with no distinct strata has no incomparable pair")
 
 
 def stratified_order_violation(rel: BinRel) -> Violation | None:
     """First witness against the stratified-order axioms, or None.
 
     so:1 and so:2 are po:1 and po:2 with the same witness.  A partial
-    order is stratified exactly when ``_strata`` finds its strata, so
+    order is stratified exactly when ``_strata`` numbers its strata, so
     the rows decide.  Otherwise the witness comes from the first
     incomparable pair (x, y) in row-major order: the lowest z with
     x < z but not y < z (so:3) or with z < x but not z < y (so:4), so:3
@@ -112,7 +130,7 @@ def stratified_order_violation(rel: BinRel) -> Violation | None:
     bad = partial_order_violation(rel)
     if bad is not None:
         return ("so:" + bad[0][3:], bad[1])
-    if _strata(rel) is not None:
+    if _strata(rel.rows) is not None:
         return None
     labels = rel.domain.labels
     rows, cols = rel.rows, rel.column_masks
@@ -125,7 +143,7 @@ def stratified_order_violation(rel: BinRel) -> Violation | None:
                 z = next(_bits(split))
                 axiom = "so:3" if above >> z & 1 else "so:4"
                 return axiom, (labels[x], labels[y], labels[z])
-    raise InternalError("the stratum trees fail on an order the stratified scan passes")
+    raise InternalError("no strata for an order the stratified scan passes")
 
 
 def interval_order_violation(rel: BinRel) -> Violation | None:
@@ -181,30 +199,26 @@ def is_interval_order(rel: BinRel) -> bool:
 
 
 def stratified_partition(p: Poset) -> list[frozenset[str]] | None:
-    """Strata of a stratified order, earliest first, or None: the
-    events of each tree that ``_strata`` finds."""
-    strata = _strata(p.prec)
+    """Strata of a stratified order, earliest first, or None: the labels
+    grouped by the stratum numbers that ``_strata`` gives them."""
+    strata = _strata(p.prec.rows)
     if strata is None:
         return None
-    labels = p.domain.labels
-    return [frozenset(labels[i] for i in _bits(events)) for events, _, _ in strata]
+    groups: dict[int, set[str]] = {}
+    for label, k in zip(p.domain.labels, strata):
+        groups.setdefault(k, set()).add(label)
+    return [frozenset(groups[k]) for k in range(len(groups))]
 
 
-def _strata(rel: BinRel) -> tuple[Tree, ...] | None:
-    """The stratum trees of rel when they are all leaves, else None.
-
-    A stratified order is exactly a quasi-stratified order whose
-    top-level strata are all leaves, and those leaves are its strata:
-    the top level of its stratum trees (``qsseq.order_trees``).  A
-    sequence of antichains, each before all later ones, has them as its
-    cuts, and each is a leaf, as no two of its events touch; a sequence
-    of leaves is such a sequence.
-    """
-    try:
-        trees = order_trees(rel)
-    except ValueError:  # not quasi-stratified
+def _strata(rows: Sequence[int]) -> list[int] | None:
+    """The stratum number of each position of a stratified order, earliest
+    stratum first and every number from 0 up taken, given its rows
+    alone, or None when it is not one: the ends of its ``_realization``
+    when every begin equals its end (module docstring)."""
+    found = _realization(rows)
+    if found is None or found[0] != found[1]:
         return None
-    return None if any(children for _, _, children in trees) else trees
+    return found[1]
 
 
 def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
@@ -218,72 +232,39 @@ def interval_realization(rel: BinRel) -> dict[str, tuple[int, int]] | None:
 
 def _realization(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
     """The interval begins and ends of each position of a relation, given
-    its rows alone, or None when it is not an interval order: the
-    ``_count_ranks`` of the relation, read off the chain of its
-    successor sets and checked against its rows; no column mask is read.
+    its rows alone, or None when it is not an interval order: its count
+    ranks, read off the chain of its successor sets; no column mask is
+    read.
 
-    The successors of each event i must be exactly the events whose
-    begin lies after i's end, and i's begin must lie at or before its
-    end.  Given the first, the second holds exactly when i is not among
-    its own successors, so a self-loop gets None.  When both hold, x
-    precedes y exactly when x's interval ends before y's begins:
-    whatever the endpoints, the relation is an interval order.  On an
-    interval order the check always passes (see ``_count_ranks``), so it
-    passes exactly on interval orders.  It compares whole lists, so the
-    only Python step per event files it under its begin.
-    """
-    begins, ends = _count_ranks(rows)
-    # at[b]: the events whose begin is b; later[r]: those whose begin
-    # lies after r.  A begin counts distinct rows and an end ranks them,
-    # so n + 1 entries hold them all.
-    at, bit = [0] * (len(rows) + 1), 1
-    for b in begins:
-        at[b] |= bit
-        bit <<= 1
-    later = list(accumulate(reversed(at), or_, initial=0))[-2::-1]
-    if tuple(map(later.__getitem__, ends)) != tuple(rows) or not all(map(le, begins, ends)):
-        return None
-    return begins, ends
-
-
-def _count_ranks(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The interval begins and ends that realize an interval order, given
-    its rows alone, unchecked: no column mask is read.
-
-    On an interval order the distinct successor sets form a chain under
-    inclusion (Fishburn 1970), S_0 above S_1 above ... S_(m-1): if y
-    lay in x's set but not in z's, and w in z's but not in x's, then
-    x < y and z < w with neither x < w nor z < y, which no intervals
-    realize.  Along a chain distinct sets have distinct sizes, so
-    sorting them by size, largest first, lists the chain.  An event's
-    end is the rank of its own successor set in it, and its begin its
-    depth in the chain, the number of the sets that hold it: e lies in
-    S_k exactly for k below its begin, so x precedes y, y in S_end(x),
-    exactly when x's end lies below y's begin.  The begins take every
-    value from 0 to m - 1: a minimal event lies in no set, S_(m-1) is
-    the empty set of a maximal event, and S_(k-1) minus S_k holds the
-    events of begin k.  The events before e are those whose set holds
-    e, a set that grows strictly with e's depth, so each begin is also
-    the rank of the event's predecessor count among the distinct ones,
+    Along a chain distinct sets have distinct sizes, so sorting the
+    distinct rows by size, largest first, lists the chain when there is
+    one, and each set holds the next exactly when they are all nested.
+    Otherwise two sets lie apart, a 2+2, and there is no realization.
+    An event's end is the rank of its own set in the chain, and its
+    begin the number of the chain's sets that hold it: on a chain those
+    are the first ones, so the events of begin k are S_(k-1) minus S_k,
+    with S_m empty: on a chain, the two sets' xor, one ``_scatter`` per
+    set.  Given the chain, x precedes y exactly when x's end lies below
+    y's begin, and every begin is at most its end exactly when no event
+    precedes itself (module docstring): the relation is an interval
+    order exactly when the check passes, and the endpoints then realize
+    it.  Since the
+    events before e are those whose set holds e, each begin is also the
+    rank of the event's predecessor count among the distinct ones,
     smallest first, and each end that of its successor count, largest
-    first: the count ranks.
-
-    The chain is read in one pass, smallest set first: a set's members
-    in no smaller set get the set's depth, its rank plus one, through
-    one ``_scatter``.  Each event is written at most once, whatever the
-    rows, so every begin is at most m.  ``_realization`` checks the
-    endpoints against the rows, to decide the class.  The ``saturate``
-    command prints no count ranks: it reads the same intervals off each
-    order's stratum tree (``qsseq.tree_order``).
+    first: the count ranks.  The ``saturate`` command prints no count
+    ranks: it reads the same intervals off each order's stratum tree
+    (``qsseq.tree_order``).
     """
     chain = sorted(set(rows), key=int.bit_count, reverse=True)
+    inner = chain[1:]
+    if list(map(and_, chain, inner)) != inner:
+        return None
     ends = list(map(dict(zip(chain, count())).__getitem__, rows))
-    begins, below = [0] * len(rows), 0
-    for depth in range(len(chain), 0, -1):
-        held = chain[depth - 1]
-        _scatter(begins, held & ~below, depth)
-        below |= held
-    return begins, ends
+    begins = [0] * len(rows)
+    for depth, holders in enumerate(map(xor, chain, inner + [0]), 1):
+        _scatter(begins, holders, depth)
+    return (begins, ends) if all(map(le, begins, ends)) else None
 
 
 def _shortest_closed_walk(

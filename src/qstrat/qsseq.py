@@ -32,7 +32,7 @@ If x precedes y, their strata lie inside strata A before B of one
 sequence, and every leaf of A comes before every leaf of B, so x's
 span ends before y's begins.  Otherwise x and y share a base, or one's
 stratum lies inside the other's, and the spans overlap.  The spans are
-also the endpoints of ``orders._count_ranks``: an event's end is the
+also the endpoints of ``orders._realization``: an event's end is the
 rank of its successor set among the distinct ones, largest first, and
 its begin the number of those sets that hold it (its depth in their
 chain).  The successors of the events whose span ends at leaf j are

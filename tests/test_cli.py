@@ -1179,7 +1179,6 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
     realized = []
     validated = spy(monkeypatch, "__post_init__", Poset)
     monkeypatch.setattr(qstrat.orders, "_realization", lambda *args: realized.append(args))
-    ranked = spy(monkeypatch, "_count_ranks", qstrat.orders)
     decoded = spy(monkeypatch, "tree_order", qstrat.qsseq, qstrat.saturate)
     code, out, _ = run(capsys, "saturate", "--limit", "10", T)
     assert code == 0
@@ -1187,7 +1186,6 @@ def test_saturate_checks_each_printed_order_once(capsys, monkeypatch):
     assert printed == 8
     assert len(decoded) == printed
     assert realized == []
-    assert ranked == []
     assert validated == []
 
 
@@ -1238,6 +1236,26 @@ def test_order_commands_decide_a_passing_order_from_its_rows(capsys, monkeypatch
     code, out, _ = run(capsys, *argv, str(path))
     assert code == 0 and out
     assert transposed == []
+
+
+@pytest.mark.parametrize(
+    "doc, so_code, to_code",
+    [(_CHAIN, 0, 0), (_TWO_STRATA, 0, 1), (_NESTED, 1, 1)],
+    ids=["chain", "two-strata", "nested"],
+)
+def test_stratified_and_total_orders_are_decided_without_stratum_trees(
+    capsys, monkeypatch, tmp_path, doc, so_code, to_code
+):
+    # so and to read their strata off the interval realization's points
+    # (orders._strata), passing or failing: no stratum tree is decoded
+    decoded = spy(monkeypatch, "tree_rows", qstrat.qsseq)
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--class", "so", str(path))[0] == so_code
+    assert run(capsys, "check", "--class", "to", str(path))[0] == to_code
+    strata = qstrat.orders.stratified_partition(new_poset(doc["domain"], map(tuple, doc["prec"])))
+    assert (strata is None) == bool(so_code)
+    assert decoded == []
 
 
 def test_saturate_builds_as_many_relations_at_every_limit_and_no_strata(capsys, monkeypatch):

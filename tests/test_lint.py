@@ -93,6 +93,15 @@ def test_closure_imports_only_qsa_relcore_and_the_standard_library():
     assert others <= sys.stdlib_module_names
 
 
+def test_orders_imports_only_relcore_and_the_standard_library():
+    # one reading of the successor chain decides to, so and io
+    # (orders._realization): no stratum tree codec is needed
+    library = [module for module in _imported_modules("orders") if module.startswith(".")]
+    assert set(library) == {".relcore"}
+    others = {module.split(".")[0] for module in _imported_modules("orders")} - {""}
+    assert others <= sys.stdlib_module_names
+
+
 def test_cli_reads_label_pairs_only_in_selftest():
     # the printers list pairs from rows (cli._pair_lister); label-pair
     # frozensets stay with the oracle suites

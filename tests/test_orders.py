@@ -858,7 +858,7 @@ def test_count_ranks_realize_every_order_saturate_can_print(walked_sequences):
     2. x precedes y exactly when x's stratum lies in a stratum before
        y's in one sequence, that is exactly when x's span ends before
        y's begins;
-    3. those spans are the count ranks (``_count_ranks``, after Fishburn
+    3. those spans are the count ranks (``_realization``, after Fishburn
        1970), which ``tests/test_qsseq.py`` checks too.
 
     The argument holds at every size.  ``saturate`` refuses more than

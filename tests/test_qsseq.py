@@ -37,7 +37,7 @@ from qstrat import (
     stratum_domain,
 )
 from qstrat import oracles, qs_order_violation, qso
-from qstrat.orders import _count_ranks, interval_order_violation
+from qstrat.orders import _realization, interval_order_violation
 from qstrat.qsseq import (
     ENUMERATION_BOUND,
     order_trees,
@@ -247,7 +247,7 @@ def _reference_tree_rows(n, trees):
 def _assert_one_walk(n, trees, walk):
     rows, weak, bounds = walk
     cols = _columns(rows)
-    begins, ends = _count_ranks(rows)
+    begins, ends = _realization(rows)
     assert rows == tree_rows(n, trees)
     assert weak == _embedded_weak(cols)
     assert (bounds[::2], bounds[1::2]) == (tuple(begins), tuple(ends))
