@@ -42,16 +42,19 @@ sorted-label order by one ``itemgetter`` per lister, with
 Text outputs show each label through ``relcore.show_label``, which
 quotes a label that holds a separator of those outputs.
 
-``check --class qso``, ``decompose`` and ``render --format tree``
-decide by encoding the order as stratum trees; ``check --class io``,
-``so`` and ``to`` and ``intervals`` by its interval realization, read
-off the chain of its successor sets (``orders._realization``): an
-interval order is stratified when every interval is a point, and total
-when the points are also distinct.  Each reads the precedence rows
-alone: on a passing order no column table is built.  The axiom scans
-run only when the construction fails, to name the witness of the FAIL
-line, and a scan that finds none is an internal error.  ``intervals``
-writes its listing in one write.
+Each order check past ``po`` reads the chain of the order's successor
+sets at most once (``orders._realization``), which gives its interval
+realization.  ``check --class io``, ``so`` and ``to`` and
+``intervals`` decide by those intervals: an interval order is
+stratified when every interval is a point, and total when the points
+are also distinct.  ``check --class qso``, ``decompose`` and
+``render --format tree`` group the events by interval into stratum
+trees (``qsseq.order_trees``) and decide by whether the trees decode
+back.  Each reads the precedence rows alone: on a passing order no
+column table is built.  The axiom scans run only when the
+construction fails, to name the witness of the FAIL line, and a scan
+that finds none is an internal error.  ``intervals`` writes its
+listing in one write.
 
 ``main`` can be called many times in one process: it builds the parser
 once, on first use, keeps it (``build_parser``), and dispatches each

@@ -13,7 +13,9 @@ Past po, each class is decided from the rows alone, and its scan runs
 only on a relation outside the class, to name the witness; a scan that
 then finds none is an internal error.  One reading of the chain of
 successor sets decides total, stratified and interval orders
-(``_realization``), on two classical facts.
+(``_realization``), on two classical facts; ``qsseq.order_trees``
+reads the stratum trees of a quasi-stratified order off the same
+intervals.
 
 - *A relation is an interval order exactly when its successor sets are
   nested and no event precedes itself* (Fishburn 1970).  An interval
@@ -252,9 +254,10 @@ def _realization(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
     events before e are those whose set holds e, each begin is also the
     rank of the event's predecessor count among the distinct ones,
     smallest first, and each end that of its successor count, largest
-    first: the count ranks.  The ``saturate`` command prints no count
-    ranks: it reads the same intervals off each order's stratum tree
-    (``qsseq.tree_order``).
+    first: the count ranks.  ``qsseq.order_trees`` groups the events by
+    these intervals into the strata of a quasi-stratified order; the
+    ``saturate`` command, which starts from the trees, reads the same
+    intervals off each one (``qsseq.tree_order``).
     """
     chain = sorted(set(rows), key=int.bit_count, reverse=True)
     inner = chain[1:]

@@ -22,11 +22,14 @@ with everything else.
 through the module, so a patched ``qsseq`` function is the one run.
 
 Membership is decided by building that factorization.
-``qsseq.order_trees`` cuts the events into stratum trees and checks
-that they decode (``qsseq.tree_rows``) back to the relation.  The trees
-partition the events, and decoding a tree is the two constructions: its
-base is added as isolated elements to the sequential composition of its
-children, and a sequence composes its trees.  So whatever the trees,
+``qsseq.order_trees`` reads the stratum trees off the relation's
+interval realization (``orders._realization``): the events of each
+interval form one base, and the intervals nest as the strata do.  It
+then checks that the trees decode (``qsseq.tree_rows``) back to the
+relation.  The trees partition the events, and decoding a tree is the
+two constructions: its base is added as isolated elements to the
+sequential composition of its children, and a sequence composes its
+trees.  So whatever the trees,
 their decoding is quasi-stratified, and a relation equal to it is too;
 conversely ``order_trees`` succeeds on every quasi-stratified order, as
 ``tree_rows`` inverts it.  A tree that decodes back is thus a membership

@@ -43,46 +43,23 @@ successor sets, largest first.  An event whose span begins at leaf j
 lies in the successor sets of exactly the events whose spans end
 before j, at leaves 0 to j - 1: j distinct sets hold it.
 
-``order_trees`` reads the rows alone.  The spans realize every
-quasi-stratified order, so it is an interval order, and its successor
-sets form a chain under inclusion: if y lies in x's set but not in
-z's, and w in z's but not in x's, then x < y and z < w with neither
-x < w nor z < y, which no intervals realize.  If x < y, y lies in x's
-set and not in its own, so y's set lies strictly inside x's: listing
-the events by successor count, largest first, is a linear extension.
-
-- *The cuts.*  Let a sequence's events be E, so listed, and let
-  ``after`` be the events outside E that E's members precede, the same
-  for all of them.  The sequence's strata are the blocks between its
-  cuts, the prefixes whose members precede all the rest of E; a linear
-  extension lists such a prefix first, so the cuts are prefixes of the
-  listing.  The last member i of a prefix has its least count, so i's
-  successor set lies inside those of the others, and the prefix is a
-  cut exactly when i precedes every member listed after it.  Its
-  successors in E are all listed after it, so that holds exactly when
-  its count is the number of members listed after it plus the size of
-  ``after``.
-- *The bases.*  In a stratum X with a body, each base member precedes
-  exactly X's ``after``, so its count is the least in X.  Take the
-  body's last stratum Z: its members precede nothing in X outside Z,
-  and the members of the body's first stratum precede all of Z, so
-  their sets are larger than any of Z's.  So the member listed first
-  in X lies neither in the base nor in Z, and it precedes all of Z.
-  The members at the least count, a suffix of X's listing, are the
-  base and some members of Z; those that the first member does not
-  precede are the base.  In a leaf all members are at the least count
-  and none precedes another, so the same rule gives the whole leaf.
-  The body's members precede outside it exactly X's ``after``, so its
-  cuts are found with the least count as the size of its ``after``.
-- *The check.*  Whatever the rows, each listing is cut into non-empty
-  blocks (its last member closes the last block, whatever its count),
-  each block's base is non-empty (a block with no base by the rule is
-  a leaf), and the body is the rest of the block.  So the
-  trees partition the events, and ``tree_rows`` decodes them to a
-  quasi-stratified order (the ``qso`` module docstring); the rows pass
-  only if they are that order.  The check thus rejects exactly the
-  relations that are not quasi-stratified, whatever rule cut the
-  listing and chose the bases.
+``order_trees`` reads the rows alone, and the same chain: it groups
+the events by their ``_realization`` intervals.  On a quasi-stratified
+order those are the leaf spans, so the events of one span are one
+base.  Distinct strata have distinct spans: a node's span strictly
+holds each child's, since a body has at least two strata, each with a
+leaf, and the spans of a sequence's strata are disjoint.  So the spans
+form a laminar family, and listed by begin, longest first, they come
+in preorder, each one after the stratum that holds it; its parent is
+the innermost listed span that has not ended before it begins.  A
+relation with no realization is not an interval order, so not
+quasi-stratified, since the spans realize every quasi-stratified
+order.  Any relation with a realization gets trees: the intervals
+partition the events into non-empty bases, and ``tree_rows`` decodes
+any forest to a quasi-stratified order (the ``qso`` module docstring).
+So the final check, that the trees decode back to the rows, rejects
+exactly the relations that are not quasi-stratified, crossing
+intervals included.
 
 ``stratum_trees`` reads two subset tables built per call.
 ``leaving[m]``, for every subset m of the positions, is the union of
@@ -107,6 +84,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .orders import _realization
 from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, show_label
 
 S = TypeVar("S")
@@ -460,57 +438,40 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     gives back rel.rows.  Only the rows are read: no column mask and no
     touch table.
 
-    The events are listed by successor count, largest first, a linear
-    extension of every interval order.  Each sequence's listing is cut
-    after every member whose count is the number of events it could
-    precede: the members listed after it, plus the events outside the
-    sequence that all of its members precede (none at the top level).
-    A block's base is the members at the block's least count, a suffix
-    of its listing, that the block's first member does not precede; the
-    rest of the block, listed in the same order, is its body, whose
-    members precede as many events outside it as that least count.  A
-    block that the rule leaves with no base, or whose base is all of
-    it, is a leaf; the final check rejects the first kind.  The module
-    docstring proves that these are the cuts and bases of a
-    quasi-stratified order, and that the check rejects every other
-    relation.
+    The strata are read off ``orders._realization``: each distinct
+    interval is one stratum's leaf span, and its events are that
+    stratum's base (the module docstring says why).  The intervals are
+    listed by begin, longest first, which is preorder, and each one is
+    a child of the innermost open interval that has not ended before it
+    begins.  A relation with no realization is not even an interval
+    order; any other relation gets trees, which decode to a
+    quasi-stratified order, so the final check rejects exactly the
+    relations that are not one.
     """
     rows = rel.rows
     n = len(rows)
-    counts = list(map(int.bit_count, rows))
-
-    def cut(events: list[int], outside: int) -> list[tuple[int, int, list[int], int]]:
-        # the strata of the sequence listed in events, largest count
-        # first, whose members each precede ``outside`` events outside
-        # it: (events, base, the body's listing, the body's outside)
-        out, start, block = [], 0, 0
-        last = len(events)
-        # a member closes a block when its count is that of the members
-        # listed after it plus outside; the last closes the rest anyway,
-        # and the check judges the block
-        target = outside + last
-        for end, i in enumerate(events, start=1):
-            block |= 1 << i
-            if counts[i] + end != target and end != last:
-                continue
-            # the members at the block's least count: a suffix
-            least, low, suffix = counts[i], end - 1, 1 << i
-            while low > start and counts[events[low - 1]] == least:
-                low -= 1
-                suffix |= 1 << events[low]
-            base = suffix & ~rows[events[start]]
-            if base and base != block:
-                inner = events[start:low] + [j for j in events[low:end] if not base >> j & 1]
-                out.append((block, base, inner, least))
-            else:  # a leaf
-                out.append((block, block, [], 0))
-            start, block = end, 0
-        return out
-
+    found = _realization(rows)
+    if found is None:
+        raise ValueError("not a quasi-stratified order")
+    # one int per interval, ordered by begin, then by end, largest first
+    bases: dict[int, int] = {}
+    for i, (begin, end) in enumerate(zip(*found)):
+        key = begin * (n + 1) + n - end
+        bases[key] = bases.get(key, 0) | 1 << i
+    # (base, children) per stratum; (end, children) of each open
+    # interval, innermost last, over an entry for the top level that no
+    # interval closes
+    roots: list[tuple[int, list]] = []
+    opened = [(n, roots)]
+    for key in sorted(bases):
+        begin, rest = divmod(key, n + 1)
+        while opened[-1][0] < begin:
+            opened.pop()
+        stratum = (bases[key], [])
+        opened[-1][1].append(stratum)
+        opened.append((n - rest, stratum[1]))
     trees = _fold(
-        cut(sorted(range(n), key=counts.__getitem__, reverse=True), 0),
-        lambda st: cut(st[2], st[3]),
-        lambda st, body: (*st[:2], body),
+        roots, itemgetter(1), lambda st, body: (st[0] + sum(map(itemgetter(0), body)), st[0], body)
     )
     if tree_rows(n, trees) != rows:
         raise ValueError("not a quasi-stratified order")

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from qstrat import (
     qso_empty,
     qso_from_poset,
     qso_seq_compose,
+    qsm_to_qso,
     random_qs_seq,
     reindex_poset,
     seq_domain,
@@ -36,7 +40,10 @@ from qstrat import (
     stratified_partition,
     stratum_domain,
 )
+import qstrat.orders
+import qstrat.qsseq
 from qstrat import oracles, qs_order_violation, qso
+from qstrat.cli import main
 from qstrat.orders import _realization, interval_order_violation
 from qstrat.qsseq import (
     ENUMERATION_BOUND,
@@ -54,6 +61,7 @@ from conftest import (
     deep_chain_text,
     deep_chain_trees,
     flat_trees,
+    nested_structure,
     random_trees,
     reference_factorize_strata,
     reference_order_to_seq,
@@ -185,6 +193,21 @@ def test_round_trip_random_sequences(seed, n):
     assert order_to_seq(seq_to_order(seq)) == seq
 
 
+def test_round_trip_past_eight_events():
+    # the canonical form where no enumeration reaches: seeded sequences
+    # of 9 to 64 events, and the order of the nested 200 input
+    rng = random.Random(51)
+    for _ in range(100):
+        n = rng.randint(9, 64)
+        seq = random_qs_seq([f"e{i}" for i in range(n)], seed=rng.randrange(1 << 30))
+        assert order_to_seq(seq_to_order(seq)) == seq
+    st = leaf({"b0"})
+    for i in range(1, 200):
+        st = node({f"a{i}"}, [st, leaf({f"b{i}"})])
+    q = qsm_to_qso(nested_structure(200))
+    assert order_to_seq(q) == QsSeq((st,))
+
+
 def _seeded_orders(count, seed):
     """Seeded orders of 1 to 64 events (the first of 64), declared in a
     shuffled order."""
@@ -287,6 +310,33 @@ def test_order_trees_encodes_a_thousand_levels(deep_chain):
     assert flat_trees(order_trees(rel)) == flat_trees(trees)
     assert qs_order_violation(rel) is None
     assert interval_order_violation(rel) is None
+
+
+def test_encoding_a_thousand_levels_peaks_under_eight_times_its_rows(deep_chain):
+    # the rows take 0.32 MB; grouping the events by interval peaks at
+    # about 4 times that, listing each level's body anew at 28 times
+    _, _, rel = deep_chain
+    limit = 8 * sum(map(sys.getsizeof, rel.rows))
+    tracemalloc.start()
+    try:
+        order_trees(rel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+
+
+def test_qso_check_and_decompose_read_the_chain_once(monkeypatch):
+    # a passing order, an interval order that is not quasi-stratified,
+    # and a relation with no realization: one reading of the successor
+    # chain per request, the one that orders._realization makes
+    fixtures = Path(__file__).parent / "fixtures"
+    chains = spy(monkeypatch, "_realization", qstrat.orders, qstrat.qsseq)
+    for name in ("nested_order.json", "interval_only_order.json", "transactions.json"):
+        for command in (["check", "--class", "qso"], ["decompose"]):
+            chains.clear()
+            main([*command, str(fixtures / name)])
+            assert len(chains) == 1, (command, name)
 
 
 def test_a_thousand_levels_convert_and_format(deep_chain):
