@@ -56,16 +56,17 @@ construction fails, to name the witness of the FAIL line, and a scan
 that finds none is an internal error.  ``intervals`` writes its
 listing in one write.
 
-``main`` can be called many times in one process: it builds the parser
-once, on first use, keeps it (``build_parser``), and dispatches each
+Each command's help line and arguments are declared once, in one table
+(``_COMMANDS``), which both the plain-argv reader and argparse read.
+``main`` can be called many times in one process, and dispatches each
 request to the ``cmd_<command>`` function by name.  A plain request
 (each option spelled as declared with one value, no value or positional
 starting with "-", nothing missing or left over, every value of the
-right type and choice) is read through a table that each command's
-parser gives once, from its own actions, with no argparse parse at all
-(``_settle``).  Any other request goes to the top-level parser, so every
-usage line, help text, message and exit code is the top-level parser's
-(``_parse``).
+right type and choice) is read straight from the table, with no parser
+built and no argparse parse (``_settle``).  Any other request goes to
+the top-level parser, built from the same table on first use and then
+kept (``build_parser``), so every usage line, help text, message and
+exit code is argparse's (``_parse``).
 
 Exit codes: 0 pass/success, 1 check failed, 2 usage or input error,
 3 internal error: any unexpected failure, such as a broken invariant of
@@ -593,88 +594,82 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
+# each command's help line and its arguments, in order: a positional's
+# name or an option's flag, with the keywords that ``add_argument`` takes.
+# An argument's destination is its "dest", or, as argparse makes it, the
+# flag without its leading dashes and with "_" for each inner "-"
+_PATH = ("path", {})
+_COMMANDS: dict[str, tuple[str, list[tuple[str, dict]]]] = {
+    "check": ("classify an input file", [_PATH, ("--class", {
+        "dest": "cls", "required": True, "choices": [*_ORDER_CLASSES, "qso", *_STRUCTURE_CLASSES],
+    })]),
+    "close": ("compute the structure closure", [_PATH]),
+    "saturate": ("enumerate all maximal extensions", [_PATH, ("--limit", {
+        "type": int, "metavar": "N", "help": "print the first N saturations in generation order",
+    })]),
+    "decompose": ("print the stratum-tree decomposition", [_PATH]),
+    "intervals": ("print an integer interval realization", [_PATH]),
+    "render": ("re-serialize an input file", [
+        _PATH, ("--format", {"choices": ["json", "dot", "tree"], "default": "json"}),
+    ]),
+    "gen": ("generate a random acyclic structure", [
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--density", {"type": float, "default": 0.35}),
+    ]),
+    "selftest": ("run the oracle equivalence suites", [
+        ("--max-n", {"type": int, "default": 4}),
+    ]),
+}  # fmt: skip
+
+
+def _plain(arguments: list[tuple[str, dict]]) -> tuple[dict, list, dict]:
+    """A command's plain grammar: its options by flag and its positionals
+    in order, each as (destination, keywords), and each destination's
+    default, in the declared order, in which argparse sets them."""
+    options, positionals, defaults = {}, [], {}
+    for flag, keys in arguments:
+        argument = (keys.get("dest", flag.lstrip("-").replace("-", "_")), keys)
+        if flag[0] == "-":
+            options[flag] = argument
+        else:
+            positionals.append(argument)
+        defaults[argument[0]] = keys.get("default")
+    return options, positionals, defaults
+
+
+# each command's plain grammar, read off the table once
+_GRAMMARS = {name: _plain(arguments) for name, (_, arguments) in _COMMANDS.items()}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then kept: it
-    holds no request state, and ``main`` dispatches on the command's
-    name, so a command function patched in later is still the one run."""
+    """The command-line parser, built from ``_COMMANDS`` on first use and
+    then kept: it holds no request state, and ``main`` dispatches on the
+    command's name, so a command function patched in later is still the
+    one run.  Only a request that ``_settle`` hands on builds it."""
     parser = argparse.ArgumentParser(
         prog="qstrat",
         description="Analyse quasi-stratified orders and their specification structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="classify an input file")
-    p.add_argument("path")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        required=True,
-        choices=["po", "to", "so", "io", "qso", "relational", "qsa", "qsm", "qsc"],
-    )
-
-    p = sub.add_parser("close", help="compute the structure closure")
-    p.add_argument("path")
-
-    p = sub.add_parser("saturate", help="enumerate all maximal extensions")
-    p.add_argument("path")
-    p.add_argument(
-        "--limit", type=int, metavar="N", help="print the first N saturations in generation order"
-    )
-
-    p = sub.add_parser("decompose", help="print the stratum-tree decomposition")
-    p.add_argument("path")
-
-    p = sub.add_parser("intervals", help="print an integer interval realization")
-    p.add_argument("path")
-
-    p = sub.add_parser("render", help="re-serialize an input file")
-    p.add_argument("path")
-    p.add_argument("--format", choices=["json", "dot", "tree"], default="json")
-
-    p = sub.add_parser("gen", help="generate a random acyclic structure")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.35)
-
-    p = sub.add_parser("selftest", help="run the oracle equivalence suites")
-    p.add_argument("--max-n", dest="max_n", type=int, default=4)
-
-    parser.commands = sub.choices  # each command's parser, by name, for main
+    for name, (line, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=line)
+        for flag, keys in arguments:
+            command.add_argument(flag, **keys)
     return parser
 
 
-@cache
-def _grammar(
-    command: argparse.ArgumentParser,
-) -> tuple[dict[str, argparse.Action], list[argparse.Action], dict[str, object]] | None:
-    """A command parser's plain grammar, read off its own actions once:
-    each option by its declared spelling, the positionals in order, and
-    each destination's default.  None when an action other than help
-    takes no value or several, which argparse alone then reads."""
-    options, positionals, defaults = {}, [], {}
-    for action in command._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue  # -h is then no plain option, and argparse answers it
-        if type(action) is not argparse._StoreAction or action.nargs is not None:
-            return None
-        options.update(dict.fromkeys(action.option_strings, action))
-        if not action.option_strings:
-            positionals.append(action)
-        defaults[action.dest] = action.default
-    return options, positionals, defaults
-
-
 def _settle(argv: list[str]) -> argparse.Namespace | None:
-    """The request of a plain argv, read through the named command's
-    grammar, or None for any other argv.  Plain: each option spelled as
-    declared and followed by one value, each value and positional not
-    starting with "-", no positional missing or left over, every
-    required option given, and each value taken by its action's type and
-    choices, as argparse takes them.  An option given twice keeps its
-    last value, as in argparse."""
-    command = build_parser().commands.get(argv[0]) if argv else None
-    grammar = None if command is None else _grammar(command)
+    """The request of a plain argv, read straight from the named
+    command's grammar (``_GRAMMARS``), with no parser built, or None for
+    any other argv.  Plain: each option spelled as declared and followed
+    by one value, each value and positional not starting with "-", no
+    positional missing or left over, every required option given, and
+    each value taken by its argument's type and choices, as argparse
+    takes them.  An option given twice keeps its last value, as in
+    argparse."""
+    grammar = _GRAMMARS.get(argv[0]) if argv else None
     if grammar is None:
         return None
     options, positionals, defaults = grammar
@@ -683,37 +678,37 @@ def _settle(argv: list[str]) -> argparse.Namespace | None:
     tokens = iter(argv[1:])
     for token in tokens:
         if token.startswith("-"):
-            action = options.get(token)
+            argument = options.get(token)
             token = next(tokens, "-")  # a missing value is no plain one
-            if action is None or token.startswith("-"):
+            if argument is None or token.startswith("-"):
                 return None
-            given.add(action)
+            given.add(argument[0])
         else:
-            action = next(free, None)
-            if action is None:
+            argument = next(free, None)
+            if argument is None:
                 return None
+        dest, keys = argument
         try:
-            value = token if action.type is None else action.type(token)
+            value = keys.get("type", str)(token)
         except (TypeError, ValueError, argparse.ArgumentTypeError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if value not in keys.get("choices", [value]):
             return None
-        values[action.dest] = value
-    if next(free, None) is not None or any(a.required and a not in given for a in options.values()):
+        values[dest] = value
+    if next(free, None) is not None or any(k.get("required") and d not in given for d, k in options.values()):
         return None
     return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The request that argv names.  A plain argv is read through the
-    command's grammar (``_settle``), with no argparse parse at all.  Any
-    other goes to the top-level parser, which prints the usage line and
-    message, or the help, and exits as it always has: no command, an
-    unknown one, an option before it, an abbreviated or ``--opt=value``
-    option, a value starting with "-" (a negative number too), a bad
-    value, "-h", "--", an argument missing or left over.  Such a request
-    costs one top-level parse, where it once cost a parse by the
-    command's own parser, which took about half as long."""
+    """The request that argv names.  A plain argv is read from the
+    command table (``_settle``), with no parser built and no argparse
+    parse.  Any other goes to the top-level parser, built then, which
+    prints the usage line and message, or the help, and exits as it
+    always has: no command, an unknown one, an option before it, an
+    abbreviated or ``--opt=value`` option, a value starting with "-" (a
+    negative number too), a bad value, "-h", "--", an argument missing
+    or left over."""
     args = _settle(argv)
     return build_parser().parse_args(argv) if args is None else args
 

@@ -907,6 +907,38 @@ def test_repeated_main_calls_construct_no_parser(capsys, monkeypatch):
     assert built == []
 
 
+def test_a_plain_request_constructs_no_parser_and_another_constructs_one(capsys, monkeypatch):
+    # counted from a fresh process's state, so the first call is seen too
+    qstrat.cli.build_parser.cache_clear()
+    built = spy(monkeypatch, "__init__", argparse.ArgumentParser)
+    for argv in [
+        ("close", T),
+        ("saturate", T, "--limit", "2"),
+        ("gen", "--n", "3"),
+        ("check", "--class", "qsa", T),
+    ]:
+        run(capsys, *argv)
+    assert built == []
+    # an option written --opt=value goes to argparse: the top-level parser
+    # and its command parsers are built then, and once
+    for _ in range(2):
+        run(capsys, "saturate", T, "--limit=2")
+    assert [parser.prog for parser, *_ in built] == ["qstrat", *[f"qstrat {c}" for c in _OPTIONS]]
+
+
+# the help texts, usage lines and exit codes of the parser, at 80 columns:
+# the top level's and each command's help, no command, and a missing option
+HELP_PINS = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", HELP_PINS, ids=lambda row: " ".join(row["argv"]) or "(none)")
+def test_help_and_usage_are_pinned(capsys, monkeypatch, row):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [fixture(a) if a.endswith(".json") else a for a in row["argv"]]
+    code, out, err = outcome(capsys, argv)
+    assert (code, out, err) == (("SystemExit", row["code"]), row["stdout"], row["stderr"])
+
+
 # every route through the parsing: no command, top-level help, an unknown
 # command, an option before the command, a command's own errors and help,
 # an argument left over, "--", an abbreviated option, a bad value, and

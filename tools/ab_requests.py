@@ -18,6 +18,13 @@ The speed of a shared machine drifts over seconds, which moves whole
 benchmark runs; two versions timed back to back on the same request
 drift together, so the per-request comparison shows a change of a few
 percent that run-level medians cannot.  Exits 1 when the outputs differ.
+
+Keeping each request's fastest run hides a one-time cost of a process,
+such as building the argparse parser or filling a cache on first use:
+the first run pays it, and a later run that does not is the one kept.
+perfbench pays such a cost inside the first request of every run, so
+``tools/bench_pairs.py``, which compares whole perfbench runs, is the
+check for it.
 """
 
 from __future__ import annotations
