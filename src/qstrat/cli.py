@@ -6,12 +6,16 @@ Structure files are single JSON documents::
 
 ``weak`` may be omitted, which marks the file as a plain partial order;
 commands that need a two-relation structure then embed it (unordered
-events become mutually weak).  Unknown keys are rejected.
-``read_input`` reads a file in one unbuffered binary read, makes its
-line ends "\\n" as text mode does, and decodes it once into an
-``InputFile``: its prec relation and its weak relation (None when
-omitted) over one domain.  It opens the name that ``pathlib`` would
-open, so every message is the one a text-mode read gave.
+events become mutually weak).  Unknown keys, and a key named twice,
+are rejected.  ``read_input`` reads a file in one unbuffered binary
+read, makes its line ends "\\n" as text mode does, and decodes it once
+into an ``InputFile``: its prec relation and its weak relation (None
+when omitted) over one domain.  It opens the name that ``pathlib``
+would open, so every message is the one a text-mode read gave.  The
+cyclic collector stays paused from the parse until the parsed document
+has been decoded and freed, so no collector pass scans its lists of
+pairs; each run of pairs with one first label is decoded into one row
+(``_relation``).
 
 Verdicts are one line, ``PASS: <subject> is <class>`` or
 ``FAIL: not <class>; <detail>``.  ``close`` and ``saturate`` print
@@ -91,6 +95,7 @@ import sys
 import time
 import traceback
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, compress
@@ -130,24 +135,39 @@ class InputFile:
             raise InputError(f"cannot embed as a structure: {exc}") from exc
 
 
-def _relation(value: object, key: str, domain: Domain) -> BinRel:
-    """The relation a file's list of pairs names, decoded straight into rows."""
+_NO_LABEL = object()  # equal to no JSON value
+
+
+def _relation(value: object, key: str, domain: Domain, bit: dict[str, int]) -> BinRel:
+    """The relation a file's list of pairs names, decoded straight into
+    rows; bit maps each label to its row bit.  Each run of pairs that
+    share a first label is gathered into one mask, written to that
+    label's row when the first label changes: one position lookup and
+    one row write per run.  Every qstrat writer groups a row's pairs, so
+    a file has one run per row; a run that comes back is merged."""
     if not isinstance(value, list):
         raise InputError(f'"{key}" must be a list of pairs')
     index = domain.index
-    if set(map(type, value)) <= {list}:
+    if list(map(type, value)).count(list) == len(value):
         # every entry is a list: unpacking checks its length, and the
         # lookups fail on every member that is not a label (labels are
-        # strings), so a well-formed list is decoded without a check per entry
-        rows = [0] * len(domain)
-        bit = {label: 1 << i for label, i in index.items()}
+        # strings), so a well-formed list is decoded without a check per
+        # entry.  A first label equal to the run's is a string equal to a
+        # label that was looked up.
+        n = len(domain)
+        rows = [0] * (n + 1)  # and a spare row, which the first write hits with 0
+        at, first, row = n, _NO_LABEL, 0
         try:
             for x, y in value:
-                rows[index[x]] |= bit[y]
+                if x != first:
+                    rows[at] |= row
+                    at, first, row = index[x], x, 0
+                row |= bit[y]
         except (KeyError, TypeError, ValueError):
             pass
         else:
-            return BinRel(domain, tuple(rows))
+            rows[at] |= row
+            return BinRel(domain, tuple(rows[:n]))
     # name the first fault in file order; an entry's shape comes before
     # its labels
     shape = f'"{key}" entries must be two-element lists of strings'
@@ -170,13 +190,43 @@ def _file_name(path: str | os.PathLike[str]) -> str:
     return root + "/".join([part for part in name.split("/") if part not in ("", ".")]) or "."
 
 
+class _Repeated(dict):
+    """A JSON object that names a key twice, with that key."""
+
+    key: str
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, marked as a ``_Repeated`` when it names a key
+    twice (``json.loads`` alone keeps the last); only the top-level
+    object's mark is read."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        data = _Repeated(data)
+        data.key = next(key for key in data if counts[key] > 1)  # the first in file order
+    return data
+
+
+# a decoder with the hook above, built once as json.loads builds its own:
+# json.loads with a hook builds a fresh one per call
+_JSON = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def read_input(path: str | os.PathLike[str]) -> InputFile:
     """Decode a structure file, read in one unbuffered binary read and
     one decode, its line ends then made "\\n" as text mode makes them,
     so every decode error names the line and column it always named.  A
     file with several faults reports the first one met: the domain's,
     then those of "prec", then those of "weak", each list's entries in
-    file order."""
+    file order.
+
+    The parse builds a list per pair, which the cyclic collector would
+    scan while they are alive.  It is paused, if on, from the parse
+    until both relations are decoded and the parsed document is gone,
+    freed by reference counting, and the caller's setting is restored
+    whatever the decode raises: the passes are not moved but never
+    made."""
     try:
         with open(_file_name(path), "rb", buffering=0) as file:
             text = file.read().decode("utf-8")
@@ -184,22 +234,31 @@ def read_input(path: str | os.PathLike[str]) -> InputFile:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if "\r" in text:  # the newlines that text mode would translate
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # the parse builds a list per pair, and the cyclic collector would
-    # scan them again and again as they pile up: it is paused, if on,
-    # and restored whatever the parse raises
     paused = gc.isenabled()
     gc.disable()
     try:
-        data = json.loads(text)
+        # the document lives in _decode's frame alone, so it is freed
+        # when _decode returns, before the collector is back on
+        return _decode(text, path)
+    finally:
+        if paused:
+            gc.enable()
+
+
+def _decode(text: str, path: str | os.PathLike[str]) -> InputFile:
+    """The structure that a file's text names, with its first fault."""
+    try:
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _JSON.decode(text)
     except RecursionError as exc:
         raise InputError(f"{path} nests too deeply to decode") from exc
     except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    finally:
-        if paused:
-            gc.enable()
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
+    if isinstance(data, _Repeated):
+        raise InputError(f"duplicate key: {data.key!r}")
     unknown = set(data) - {"domain", "prec", "weak"}
     if unknown:
         raise InputError(f"unknown keys: {sorted(unknown)}")
@@ -219,8 +278,9 @@ def read_input(path: str | os.PathLike[str]) -> InputFile:
         # the first whose end lies past it
         label = labels[bisect_right(list(accumulate(map(len, labels))), exc.start)]
         raise InputError(f"label {label!r} is not encodable as UTF-8") from None
-    prec = _relation(data["prec"], "prec", domain)
-    return InputFile(prec, _relation(data["weak"], "weak", domain) if "weak" in data else None)
+    bit = {label: 1 << i for i, label in enumerate(labels)}  # shared by both relations
+    prec = _relation(data["prec"], "prec", domain, bit)
+    return InputFile(prec, _relation(data["weak"], "weak", domain, bit) if "weak" in data else None)
 
 
 def _pair_lister(

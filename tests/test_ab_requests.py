@@ -1,9 +1,13 @@
 """``tools/ab_requests.py``, the request-by-request comparison of two
 source trees: the checkout against itself must give identical outputs."""
 
+import gc
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,6 +23,9 @@ def test_ab_requests_finds_the_checkout_identical_to_itself():
     assert lines[0].startswith("workload close, seed 1: 26 requests")
     assert lines[1] == "outputs identical: yes"
     assert lines[2].startswith("A: sum ") and lines[3].startswith("B: sum ")
+    # each side's collector passes per generation over its timed calls
+    for line in lines[2:4]:
+        assert re.fullmatch(r"[AB]: sum .*; collector passes gen0 \d+, gen1 \d+, gen2 \d+", line), line
     assert lines[4].startswith("B faster on ") and lines[4].endswith(" of 26 requests")
     # one line per kind, in name order: a close and a check per size
     kinds = [line.split(":")[0].strip() for line in lines[5:]]
@@ -27,3 +34,31 @@ def test_ab_requests_finds_the_checkout_identical_to_itself():
     counts = [int(line.split(": ")[1].split()[0]) for line in lines[5:]]
     assert sum(counts) == 26
     assert all(" A sum " in line and " B sum " in line and " B/A " in line for line in lines[5:])
+
+
+def _ab_requests():
+    spec = importlib.util.spec_from_file_location("ab_requests", ROOT / "tools" / "ab_requests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_call_counts_the_collector_passes_that_start_in_it():
+    # a request that leaves 5,000 lists alive starts youngest-generation
+    # passes; one that frees what it made as it goes starts none
+    ab_requests = _ab_requests()
+    kept: list = []
+    hoarder = SimpleNamespace(main=lambda argv: kept.extend([] for _ in range(5_000)) or 0)
+    churner = SimpleNamespace(main=lambda argv: sum(len([]) for _ in range(5_000)))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()
+        _, code, out, passes = ab_requests.call(hoarder, [])
+        gc.collect()
+        _, _, _, none = ab_requests.call(churner, [])
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert (code, out, len(passes)) == (0, "", 3)
+    assert passes[0] >= 5_000 // gc.get_threshold()[0] - 1
+    assert none == [0, 0, 0]

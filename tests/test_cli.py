@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -47,7 +48,7 @@ from qstrat.cli import main, read_input, structure_json_text
 from qstrat.qsseq import tree_rows
 from qstrat.relcore import show_label
 
-from conftest import deep_chain_text, deep_chain_trees, spy
+from conftest import deep_chain_text, deep_chain_trees, dense_structure, spy
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # stdout and exit code per command line, the file named by its fixture name
@@ -102,6 +103,7 @@ _READ_FAULTS = [
     ("[" * 100_000, "nests too deeply"),
     ("not json", "is not valid JSON"),
     ("[]", "input must be a JSON object"),
+    ('{"domain": ["a"], "prec": [], "weak": [], "domain": ["a", "b"]}', "duplicate key: 'domain'"),
     ('{"domain": [], "prec": [], "extra": 1}', "unknown keys"),
     ('{"domain": []}', "needs"),
     ('{"domain": [1], "prec": []}', "must be a list of strings"),
@@ -1667,6 +1669,11 @@ INPUT_FAULTS = {
         {"domain": ["a", "b", "a"], "prec": []},
         "duplicate label: 'a'",
     ),
+    # json.loads alone keeps a repeated key's last value, dropping a list
+    "duplicate key": (
+        '{"domain": ["a"], "prec": [["a", "a"]], "weak": [], "prec": []}',
+        "duplicate key: 'prec'",
+    ),
     "empty label": (
         {"domain": ["a", ""], "prec": []},
         "labels must be non-empty strings, got ''",
@@ -1719,6 +1726,131 @@ def test_read_input_reports_the_domain_then_prec_then_weak_in_file_order(tmp_pat
     with pytest.raises(qstrat.cli.InputError) as caught:
         read_input(path)
     assert str(caught.value) == message
+
+
+def _per_pair_relation(value, key, domain):
+    """The reference decode of a list of pairs: one entry at a time, in
+    file order, its shape checked before its labels, and one row write
+    per pair.  The rows, or the message of the first fault."""
+    rows = [0] * len(domain)
+    for item in value:
+        if type(item) is not list or len(item) != 2 or {type(x) for x in item} != {str}:
+            return f'"{key}" entries must be two-element lists of strings'
+        for label in item:
+            if label not in domain.index:
+                return f"unknown label: {label!r}"
+        x, y = item
+        rows[domain.index[x]] |= 1 << domain.index[y]
+    return tuple(rows)
+
+
+def _decoded(value, key, domain):
+    """cli._relation's rows, or its message."""
+    bit = {label: 1 << i for i, label in enumerate(domain.labels)}
+    try:
+        return qstrat.cli._relation(value, key, domain, bit).rows
+    except qstrat.cli.InputError as exc:
+        return str(exc)
+
+
+@st.composite
+def _pair_lists(draw):
+    """A domain and a list of its pairs, as drawn (runs of one first
+    label interleaved, pairs repeated) or grouped by first label in an
+    order of its own, with some pairs repeated in place."""
+    labels = draw(st.lists(st.text(min_size=1, max_size=3), max_size=6, unique=True))
+    label = st.sampled_from(labels) if labels else st.nothing()
+    pairs = draw(st.lists(st.lists(label, min_size=2, max_size=2), max_size=40 if labels else 0))
+    if draw(st.booleans()):
+        firsts = draw(st.permutations(labels))
+        pairs.sort(key=lambda pair: firsts.index(pair[0]))
+    repeats = draw(st.lists(st.integers(0, max(len(pairs) - 1, 0)), max_size=4)) if pairs else []
+    for at in sorted(repeats, reverse=True):
+        pairs.insert(at, list(pairs[at]))
+    return Domain(tuple(labels)), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_lists(), st.sampled_from(["prec", "weak"]))
+def test_the_run_decode_gives_the_rows_of_the_per_pair_decode(drawn, key):
+    domain, pairs = drawn
+    expected = _per_pair_relation(pairs, key, domain)
+    assert isinstance(expected, tuple)
+    assert _decoded(pairs, key, domain) == expected
+
+
+# entries that are no pair of the domain's labels, by what is wrong
+_BAD_ENTRIES = st.sampled_from(
+    [
+        "ab",  # a 2-character string, which unpacks as two labels
+        {"a": 0, "b": 1},  # a 2-key object, which unpacks as its keys
+        [None, "a"],
+        ["a", None],
+        [1, "a"],
+        ["a", 2.5],
+        [True, "a"],
+        ["a", "zz"],  # unknown labels
+        ["zz", "a"],
+        ["a", "a", "b"],  # wrong lengths
+        ["a"],
+        [],
+        [["a"], "b"],
+        None,
+        7,
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _pair_lists(),
+    st.lists(st.tuples(st.sampled_from(["first", "middle", "last", "boundary"]), _BAD_ENTRIES), min_size=1, max_size=2),
+    st.sampled_from(["prec", "weak"]),
+)
+def test_the_run_decode_names_the_fault_of_the_per_pair_decode(drawn, faults, key):
+    domain, pairs = drawn
+    if "a" not in domain.index or "b" not in domain.index:
+        domain = Domain(tuple(dict.fromkeys([*domain.labels, "a", "b"])))
+    boundaries = [k for k in range(1, len(pairs)) if pairs[k - 1][0] != pairs[k][0]] or [len(pairs) // 2]
+    places = {"first": 0, "middle": len(pairs) // 2, "last": len(pairs), "boundary": boundaries[0]}
+    for at, entry in sorted([(places[where], entry) for where, entry in faults], key=itemgetter(0), reverse=True):
+        pairs.insert(at, entry)
+    expected = _per_pair_relation(pairs, key, domain)
+    assert isinstance(expected, str)
+    assert _decoded(pairs, key, domain) == expected
+
+
+@pytest.mark.parametrize("shape", ["order 64", "dense 256"])
+def test_reading_a_file_of_many_pairs_starts_no_collector_pass(tmp_path, shape):
+    # more pairs than the youngest generation's threshold: the parsed
+    # document is freed while the collector is paused, so no pass follows
+    labels = qstrat.cli.default_labels(64 if shape == "order 64" else 256)
+    if shape == "order 64":  # as the file of an order, its weak pairs omitted
+        prec, weak = seq_to_order(random_qs_seq(labels, 1)).prec, None
+        text = json.dumps({"domain": labels, "prec": list(prec.pairs())})
+    else:
+        s = dense_structure(labels)
+        prec, weak, text = s.prec, s.weak, structure_json_text(s)
+    path = tmp_path / "s.json"
+    path.write_text(text, encoding="utf-8")
+    assert text.count("], [") > gc.get_threshold()[0]
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        read = read_input(path)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert (read.prec, read.weak) == (prec, weak)
+    assert starts == []
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,10 @@ and on B back to back, alternating which goes first, ``--repeat`` times.
 A request's time on each side is its fastest run.  Where a request
 writes a file that a later one reads, A's output is written.  Prints
 whether every exit code and stdout agreed, the sum, p50 and p90 of the
-per-request minima of each side, on how many requests B was faster,
+per-request minima of each side with the collector passes of each
+generation that its timed calls started (deltas of ``gc.get_stats()``,
+so a change that removes collection work shows apart from one that only
+moves it), on how many requests B was faster,
 and the sum and p50 of each request kind (``saturate n=6``, ``intervals
 n=64``), so a change shows where its gain lands and which kinds did not
 move::
@@ -25,12 +28,19 @@ the first run pays it, and a later run that does not is the one kept.
 perfbench pays such a cost inside the first request of every run, so
 ``tools/bench_pairs.py``, which compares whole perfbench runs, is the
 check for it.
+
+Both sides share one collector, and a pass is counted on the side whose
+call started it.  A few passes driven by growth common to both, such as
+this tool's own records, land on either side by position: one source
+tree against itself on two cycles of saturate, six runs each, read 1
+and 5.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib.util
 import io
 import math
@@ -71,25 +81,35 @@ def load_workloads():
     return workloads
 
 
-def call(cli, argv: list[str]) -> tuple[float, int | None, str]:
+def collector_passes() -> list[int]:
+    """The collector passes of each generation so far in this process."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def call(cli, argv: list[str]) -> tuple[float, int | None, str, list[int]]:
+    """The seconds, exit code and stdout of one request, and the collector
+    passes of each generation that started during it."""
     out = io.StringIO()
+    before = collector_passes()
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     except (Exception, SystemExit) as exc:  # a failed request is an output too
         code, out = None, io.StringIO(f"{type(exc).__name__}: {exc}")
-    return time.perf_counter() - start, code, out.getvalue()
+    seconds = time.perf_counter() - start
+    return seconds, code, out.getvalue(), [b - a for a, b in zip(before, collector_passes())]
 
 
 def nearest_rank(sorted_values: list[float], pct: float) -> float:
     return sorted_values[max(0, math.ceil(pct / 100 * len(sorted_values)) - 1)]
 
 
-def compare(clis, requests, repeat: int, flip: bool) -> tuple[list[float], list[float], int]:
+def compare(clis, requests, repeat: int, flip: bool, passes) -> tuple[list[float], list[float], int]:
     """Per-request minima of A and B over repeat back-to-back runs each,
-    and the number of requests whose outputs differ.  flip makes B go
-    first on the first run."""
+    and the number of requests whose outputs differ.  Each side's
+    collector passes per generation over all its runs are added to
+    passes[side].  flip makes B go first on the first run."""
     best: tuple[list[float], list[float]] = ([], [])
     differ = 0
     for request in requests:
@@ -97,9 +117,10 @@ def compare(clis, requests, repeat: int, flip: bool) -> tuple[list[float], list[
         for k in range(repeat):
             order = (1, 0) if (k % 2 == 0) == flip else (0, 1)
             for side in order:
-                seconds, code, out = call(clis[side], request.argv)
+                seconds, code, out, started = call(clis[side], request.argv)
                 times[side] = min(times[side], seconds)
                 outputs[side] = (code, out)
+                passes[side] = [x + y for x, y in zip(passes[side], started)]
         differ += outputs[0] != outputs[1]
         if request.produces is not None:
             request.produces.write_text(outputs[0][1], encoding="utf-8")
@@ -126,19 +147,21 @@ def main(argv: list[str] | None = None) -> int:
     clis = (load_cli(args.a / "src", f"{tag}a"), load_cli(args.b / "src", f"{tag}b"))
     workload, rng = workloads.WORKLOADS[args.workload](), random.Random(args.seed)
     a, b, kinds, differ = [], [], [], 0
+    passes = [[0, 0, 0], [0, 0, 0]]
     with tempfile.TemporaryDirectory() as workdir:
         for cycle in range(args.cycles):
             requests = workload.cycle(rng, Path(workdir), f"{tag}{cycle}", tag)
-            best_a, best_b, wrong = compare(clis, requests, args.repeat, cycle % 2 == 1)
+            best_a, best_b, wrong = compare(clis, requests, args.repeat, cycle % 2 == 1, passes)
             a, b, differ = a + best_a, b + best_b, differ + wrong
             kinds += [request.kind for request in requests]
     print(f"workload {args.workload}, seed {args.seed}: {len(a)} requests, "
           f"{args.repeat} runs per side each, fastest kept")  # fmt: skip
     print(f"outputs identical: {'yes' if not differ else f'no, {differ} requests differ'}")
-    for name, times in (("A", a), ("B", b)):
+    for name, times, started in (("A", a, passes[0]), ("B", b, passes[1])):
         ranked = sorted(times)
+        generations = ", ".join(f"gen{g} {count}" for g, count in enumerate(started))
         print(f"{name}: sum {sum(ranked) * 1e3:.1f} ms, p50 {statistics.median(ranked) * 1e3:.3f} ms, "
-              f"p90 {nearest_rank(ranked, 90) * 1e3:.3f} ms")  # fmt: skip
+              f"p90 {nearest_rank(ranked, 90) * 1e3:.3f} ms; collector passes {generations}")  # fmt: skip
     faster = sum(y < x for x, y in zip(a, b))
     print(f"B faster on {faster} of {len(a)} requests")
     print_by_kind(kinds, a, b)
