@@ -53,8 +53,8 @@ realization.  ``check --class io``, ``so`` and ``to`` and
 stratified when every interval is a point, and total when the points
 are also distinct.  ``check --class qso``, ``decompose`` and
 ``render --format tree`` group the events by interval into stratum
-trees (``qsseq.order_trees``) and decide by whether the trees decode
-back.  Each reads the precedence rows alone: on a passing order no
+trees (``qsseq.order_trees``) and decide by whether the intervals
+nest.  Each reads the precedence rows alone: on a passing order no
 column table is built.  The axiom scans run only when the
 construction fails, to name the witness of the FAIL line, and a scan
 that finds none is an internal error.  ``intervals`` writes its
@@ -265,11 +265,14 @@ def _decode(text: str, path: str | os.PathLike[str]) -> InputFile:
     if "domain" not in data or "prec" not in data:
         raise InputError('input needs "domain" and "prec" keys')
     labels = data["domain"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+    if not isinstance(labels, list):
         raise InputError('"domain" must be a list of strings')
     try:
         domain = Domain(tuple(labels))
     except ValueError as exc:
+        # a label that is no string is reported before any other fault
+        if not all(isinstance(x, str) for x in labels):
+            raise InputError('"domain" must be a list of strings') from None
         raise InputError(str(exc)) from exc
     try:  # a lone surrogate decodes from JSON but prints nowhere
         "".join(labels).encode("utf-8")

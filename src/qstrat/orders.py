@@ -15,7 +15,7 @@ then finds none is an internal error.  One reading of the chain of
 successor sets decides total, stratified and interval orders
 (``_realization``), on two classical facts; ``qsseq.order_trees``
 reads the stratum trees of a quasi-stratified order off the same
-intervals.
+intervals, which nest exactly when the order is quasi-stratified.
 
 - *A relation is an interval order exactly when its successor sets are
   nested and no event precedes itself* (Fishburn 1970).  An interval
@@ -255,8 +255,9 @@ def _realization(rows: Sequence[int]) -> tuple[list[int], list[int]] | None:
     rank of the event's predecessor count among the distinct ones,
     smallest first, and each end that of its successor count, largest
     first: the count ranks.  ``qsseq.order_trees`` groups the events by
-    these intervals into the strata of a quasi-stratified order; the
-    ``saturate`` command, which starts from the trees, reads the same
+    these intervals into the strata of a quasi-stratified order, and
+    decides membership by whether the intervals nest, no two crossing;
+    the ``saturate`` command, which starts from the trees, reads the same
     intervals off each one (``qsseq.tree_order``).
     """
     chain = sorted(set(rows), key=int.bit_count, reverse=True)

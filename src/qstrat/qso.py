@@ -24,19 +24,19 @@ through the module, so a patched ``qsseq`` function is the one run.
 Membership is decided by building that factorization.
 ``qsseq.order_trees`` reads the stratum trees off the relation's
 interval realization (``orders._realization``): the events of each
-interval form one base, and the intervals nest as the strata do.  It
-then checks that the trees decode (``qsseq.tree_rows``) back to the
-relation.  The trees partition the events, and decoding a tree is the
-two constructions: its base is added as isolated elements to the
-sequential composition of its children, and a sequence composes its
-trees.  So whatever the trees,
-their decoding is quasi-stratified, and a relation equal to it is too;
-conversely ``order_trees`` succeeds on every quasi-stratified order, as
-``tree_rows`` inverts it.  A tree that decodes back is thus a membership
-proof, and building it compares no pairs of pairs.  The scan of the
-axioms over pairs of pairs runs only after the construction failed, to
-name the witness; when it finds none, the two disagree and the library
-is at fault (``InternalError``).
+interval form one base, and the intervals nest as the strata do.  A
+relation is quasi-stratified exactly when it has that realization and
+no two of its intervals cross.  The spans of a quasi-stratified
+order's strata nest; conversely, nested intervals give a forest whose
+internal nodes have at least two children each and which decodes to
+the relation (the ``qsseq`` module docstring proves both).  Decoding a
+forest is the two constructions: a tree's base is added as isolated
+elements to the sequential composition of its children, and a
+sequence composes its trees, so the trees are a membership proof.
+Deciding by nesting compares no pairs of pairs and decodes nothing.
+The scan of the axioms over pairs of pairs runs only after the
+construction failed, to name the witness; when it finds none, the two
+disagree and the library is at fault (``InternalError``).
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ def qs_order_violation(rel: BinRel) -> tuple[str, ...] | None:
 
 
 def _witness(rel: BinRel) -> tuple[str, ...]:
-    """The first witness against the axioms of a relation whose stratum
-    trees did not decode back to it: (x,) for the first self-loop, else
+    """The first witness against the axioms of a relation that
+    ``qsseq.order_trees`` refused: (x,) for the first self-loop, else
     the first quadruple (x, y, z, t) with x<y and z<t admitting no
     resolution, in row-major order of (x, y), then of (z, t): the scan
     over every pair of pairs finds the same one.  Raises InternalError
@@ -105,7 +105,7 @@ def _witness(rel: BinRel) -> tuple[str, ...]:
                 covered = rx if rx >> z & 1 else rx & rows[y]
                 t = next(_bits(rows[z] & ~covered))
                 return labels[x], labels[y], labels[z], labels[t]
-    raise InternalError("the stratum trees fail on an order the axiom scan passes")
+    raise InternalError("no stratum trees for an order the axiom scan passes")
 
 
 def is_qs_order(rel: BinRel) -> bool:
@@ -147,6 +147,6 @@ def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
     domain = Domain.of(labels)
     n = len(domain)
     return [
-        QsOrder(Poset(domain, BinRel(domain, qsseq.tree_rows(n, trees))))
+        QsOrder(Poset(domain, BinRel(domain, qsseq.tree_order(n, trees)[0])))
         for trees in qsseq.stratum_trees((0,) * n, (0,) * n)
     ]

@@ -11,8 +11,8 @@ children)`` over position masks.  ``stratum_trees`` walks the formation
 rules under a structure's tables and yields each tree once; the
 enumerations of sequences, orders and saturations are views of that
 walk, the unconstrained ones under the empty structure's all-zero
-tables.  ``tree_rows`` decodes a tree into its order's rows and
-``order_trees`` encodes the rows back; they are mutually inverse, so
+tables.  ``tree_order``, the one tree decoder, gives a tree's order
+and ``order_trees`` encodes its rows back; they are mutually inverse, so
 distinct trees are distinct orders.  The ``QsSeq`` codecs and the
 factorization go through this pair, and ``seq_converter`` is the one
 reading of a tree as a labelled ``QsSeq``.  Every tree is built by one
@@ -44,22 +44,50 @@ lies in the successor sets of exactly the events whose spans end
 before j, at leaves 0 to j - 1: j distinct sets hold it.
 
 ``order_trees`` reads the rows alone, and the same chain: it groups
-the events by their ``_realization`` intervals.  On a quasi-stratified
-order those are the leaf spans, so the events of one span are one
-base.  Distinct strata have distinct spans: a node's span strictly
-holds each child's, since a body has at least two strata, each with a
-leaf, and the spans of a sequence's strata are disjoint.  So the spans
-form a laminar family, and listed by begin, longest first, they come
-in preorder, each one after the stratum that holds it; its parent is
-the innermost listed span that has not ended before it begins.  A
-relation with no realization is not an interval order, so not
-quasi-stratified, since the spans realize every quasi-stratified
-order.  Any relation with a realization gets trees: the intervals
-partition the events into non-empty bases, and ``tree_rows`` decodes
-any forest to a quasi-stratified order (the ``qso`` module docstring).
-So the final check, that the trees decode back to the rows, rejects
-exactly the relations that are not quasi-stratified, crossing
-intervals included.
+the events by their ``_realization`` intervals, and decides by whether
+those intervals nest.  An interval order is quasi-stratified exactly
+when no two of its intervals cross, one beginning inside the other and
+ending after it.
+
+*Quasi-stratified, so nested.*  On a quasi-stratified order the
+intervals are the leaf spans, so the events of one span are one base.
+Distinct strata have distinct spans: a node's span strictly holds each
+child's, since a body has at least two strata, each with a leaf, and
+the spans of a sequence's strata are disjoint.  So the spans form a
+laminar family, any two nested or disjoint, and listed by begin,
+longest first, they come in preorder, each one after the stratum that
+holds it; its parent is the innermost listed span that has not ended
+before it begins.  A relation with no realization is not an interval
+order, so not quasi-stratified, since the spans realize every
+quasi-stratified order.
+
+*Nested, so the forest decodes to the rows.*  Nest the distinct
+intervals of an interval order so, each interval's events its base.
+Siblings are disjoint and in begin order, since each is closed before
+the next one opens, and each subtree's intervals lie inside its
+root's.  If x and y lie under siblings A before B, x's interval lies
+in A's, which ends before B's begins, and y's in B's.  Otherwise
+either their intervals overlap, as they share a base or one's stratum
+holds the other's, or y lies under an earlier sibling, so y's interval
+ends before x's begins.  So x is before y in the forest exactly when
+x's interval ends before y's begins, the relation that
+``_realization`` realizes: the rows.
+
+*Nested, so every internal node has at least two children.*  On the
+chain of m distinct successor sets every point 0 to m - 1 is some
+event's end, since the ends rank the distinct rows, and some event's
+begin: the events of begin k are S_(k-1) minus S_k, non-empty for
+0 < k < m as the chain shrinks strictly, and the minimal events have
+begin 0.  Let a node's interval [b, e] have a single child [b', e'],
+strictly inside it.  If e' < e, the event that begins at e' + 1 lies
+under the node, since its interval begins inside [b, e], after b, and
+crosses none, so inside [b', e'], where it cannot begin; if b < b',
+the event that ends at b' - 1 is ruled out alike.  So a node with one
+child would share that child's interval, and with it its base.
+
+So nested intervals give a valid forest whose order is the relation,
+and crossing intervals refuse it: nesting decides membership, and a
+passing order is never decoded.
 
 ``stratum_trees`` reads two subset tables built per call.
 ``leaving[m]``, for every subset m of the positions, is the union of
@@ -85,7 +113,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .orders import _realization
-from .relcore import BinRel, Domain, Poset, QsOrder, _bits, _scatter, show_label
+from .relcore import BinRel, Domain, Poset, QsOrder, _bits, show_label
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -239,7 +267,7 @@ def seq_to_order(q: QsSeq) -> QsOrder:
 
     trees = _fold(q.strata, attrgetter("children"), place)
     domain = Domain(tuple(labels))
-    return QsOrder(Poset(domain, BinRel(domain, tree_rows(len(labels), trees))))
+    return QsOrder(Poset(domain, BinRel(domain, tree_order(len(labels), trees)[0])))
 
 
 def order_to_seq(q: QsOrder) -> QsSeq:
@@ -349,38 +377,15 @@ def stratum_trees(touch: Sequence[int], combined: Sequence[int]) -> Iterator[tup
     return sequences((1 << n) - 1, False) if n else iter([()])
 
 
-def tree_rows(n: int, trees: tuple[Tree, ...]) -> tuple[int, ...]:
-    """Precedence rows of the order a walked sequence describes: each
-    stratum's events precede the later strata of its sequence.  An
-    event's row is what follows it, the strata after its base in the
-    base's sequence and in each enclosing one.  Every event lies in one
-    base, so each row is written once, whatever the nesting depth, and a
-    sequence is read once, last stratum first, carrying what follows it
-    from the enclosing sequences."""
-    rows = [0] * n
-    pending = [(trees, 0)]
-    while pending:
-        seq, after = pending.pop()
-        for events, base, children in reversed(seq):
-            if children:
-                pending.append((children, after))
-            if base & (base - 1):
-                _scatter(rows, base, after)
-            else:  # one member, as most bases have
-                rows[base.bit_length() - 1] = after
-            after |= events
-    return tuple(rows)
-
-
 def tree_order(
     n: int, trees: tuple[Tree, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The order a walked sequence describes, from one preorder walk of
-    its strata: ``(rows, weak, bounds)``, its precedence rows as
-    ``tree_rows`` gives them, the weak rows of its embedding (each event
-    weak before every other event that does not precede it) and its
-    interval realization, event e's interval
-    ``[bounds[2e], bounds[2e + 1]]``.
+    its strata: ``(rows, weak, bounds)``, its precedence rows (each
+    stratum's events precede the later strata of its sequence), the
+    weak rows of its embedding (each event weak before every other
+    event that does not precede it) and its interval realization,
+    event e's interval ``[bounds[2e], bounds[2e + 1]]``.
 
     The leaves are numbered in preorder, and each base spans the leaves
     of its stratum, first to last (the module docstring says why the
@@ -434,19 +439,18 @@ def tree_order(
 
 def order_trees(rel: BinRel) -> tuple[Tree, ...]:
     """The stratum trees of a quasi-stratified order, the inverse of
-    ``tree_rows``; raises ValueError unless ``tree_rows`` of the result
-    gives back rel.rows.  Only the rows are read: no column mask and no
-    touch table.
+    ``tree_order``; raises ValueError when rel is not one.  Only the
+    rows are read: no column mask and no touch table.
 
     The strata are read off ``orders._realization``: each distinct
     interval is one stratum's leaf span, and its events are that
-    stratum's base (the module docstring says why).  The intervals are
-    listed by begin, longest first, which is preorder, and each one is
-    a child of the innermost open interval that has not ended before it
-    begins.  A relation with no realization is not even an interval
-    order; any other relation gets trees, which decode to a
-    quasi-stratified order, so the final check rejects exactly the
-    relations that are not one.
+    stratum's base.  The intervals are listed by begin, longest first,
+    which is preorder, and each one is a child of the innermost open
+    interval that has not ended before it begins.  A relation with no
+    realization is not even an interval order, and one whose new
+    interval ends after that open interval has two intervals that
+    cross; any other relation is quasi-stratified, and its trees decode
+    to it (the module docstring proves both), so none is decoded here.
     """
     rows = rel.rows
     n = len(rows)
@@ -467,15 +471,14 @@ def order_trees(rel: BinRel) -> tuple[Tree, ...]:
         begin, rest = divmod(key, n + 1)
         while opened[-1][0] < begin:
             opened.pop()
+        if opened[-1][0] < n - rest:  # the two intervals cross
+            raise ValueError("not a quasi-stratified order")
         stratum = (bases[key], [])
         opened[-1][1].append(stratum)
         opened.append((n - rest, stratum[1]))
-    trees = _fold(
+    return _fold(
         roots, itemgetter(1), lambda st, body: (st[0] + sum(map(itemgetter(0), body)), st[0], body)
     )
-    if tree_rows(n, trees) != rows:
-        raise ValueError("not a quasi-stratified order")
-    return trees
 
 
 def enumerate_qs_seqs(labels: Iterable[str]) -> list[QsSeq]:

@@ -64,7 +64,7 @@ follow it deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -106,28 +106,29 @@ def _scatter(table: list[int], mask: int, value: int) -> None:
 
 @dataclass(frozen=True)
 class Domain:
-    """Ordered collection of distinct, non-empty event labels."""
+    """Ordered collection of distinct, non-empty event labels; ``index``
+    maps each label to its position, built once, at construction, where
+    it also finds a repeated label."""
 
     labels: tuple[str, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in self.labels:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"labels must be non-empty strings, got {label!r}")
-        if len(set(self.labels)) != len(self.labels):
+        index = dict(zip(self.labels, range(len(self.labels))))
+        if len(index) != len(self.labels):  # equal labels share an entry
             seen: set[str] = set()
             for label in self.labels:
                 if label in seen:
                     raise ValueError(f"duplicate label: {label!r}")
                 seen.add(label)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def of(cls, labels: Iterable[str]) -> Domain:
         return cls(tuple(labels))
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def label_set(self) -> frozenset[str]:

@@ -12,10 +12,10 @@ s.weak.  ``saturations`` generates their stratum trees directly under
 those two constraints (through ``qsseq.stratum_trees``) instead of
 filtering every maximal structure over the domain; ``one_saturation``
 builds one such tree on position masks, nested as deep as the
-decision's peel (through ``qsseq._fold``).  ``SaturationSet.rows``
-decodes trees through ``qsseq.tree_rows``, ``one_saturation`` through
-``qsseq.tree_order``, which gives the weak rows too, and
-``qsm_violation`` checks maximality row by row.
+decision's peel (through ``qsseq._fold``).  ``SaturationSet.rows`` and
+``one_saturation`` decode trees through ``qsseq.tree_order``, which
+gives the weak rows too, and ``qsm_violation`` checks maximality row
+by row.
 
 ``one_saturation`` reads its tree off the levels of s's acyclicity
 decision (``relcore.Peel``) and runs no pass of its own.  A pass emits
@@ -56,7 +56,7 @@ from typing import Iterator
 
 from .qsa import _refuse_unless_acyclic
 from .qso import QsOrder, enumerate_qs_orders, qs_order_violation
-from .qsseq import Tree, _fold, stratum_trees, tree_order, tree_rows
+from .qsseq import Tree, _fold, stratum_trees, tree_order
 from .relcore import (
     BinRel,
     Domain,
@@ -168,7 +168,7 @@ class SaturationSet:
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         n = len(self.ordered)
-        return tuple(tree_rows(n, trees) for trees in self.trees)
+        return tuple(tree_order(n, trees)[0] for trees in self.trees)
 
     @cached_property
     def structures(self) -> tuple[Structure, ...]:

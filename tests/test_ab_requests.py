@@ -34,6 +34,10 @@ def test_ab_requests_finds_the_checkout_identical_to_itself():
     counts = [int(line.split(": ")[1].split()[0]) for line in lines[5:]]
     assert sum(counts) == 26
     assert all(" A sum " in line and " B sum " in line and " B/A " in line for line in lines[5:])
+    # and on how many of the kind's requests B was faster
+    for line, count in zip(lines[5:], counts):
+        wins = re.search(r", B faster on (\d+) of (\d+)$", line)
+        assert wins and int(wins[1]) <= count == int(wins[2]), line
 
 
 def _ab_requests():
@@ -62,3 +66,14 @@ def test_a_call_counts_the_collector_passes_that_start_in_it():
     assert (code, out, len(passes)) == (0, "", 3)
     assert passes[0] >= 5_000 // gc.get_threshold()[0] - 1
     assert none == [0, 0, 0]
+
+
+def test_each_kind_counts_the_requests_b_wins_apart_from_its_sum(capsys):
+    # one outlier request sets a kind's B/A, which the count of wins shows
+    _ab_requests().print_by_kind(["x", "y", "x", "x"], [1.0, 2.0, 1.0, 1.0], [0.9, 2.0, 0.9, 2.0])
+    assert capsys.readouterr().out.splitlines() == [
+        "  x: 3 requests, A sum 3000.00 ms p50 1000.000 ms, B sum 3800.00 ms p50 900.000 ms, "
+        "B/A 1.267, B faster on 2 of 3",
+        "  y: 1 requests, A sum 2000.00 ms p50 2000.000 ms, B sum 2000.00 ms p50 2000.000 ms, "
+        "B/A 1.000, B faster on 0 of 1",
+    ]

@@ -45,7 +45,7 @@ from qstrat import (
     seq_to_order,
 )
 from qstrat.cli import main, read_input, structure_json_text
-from qstrat.qsseq import tree_rows
+from qstrat.qsseq import tree_order
 from qstrat.relcore import show_label
 
 from conftest import deep_chain_text, deep_chain_trees, dense_structure, spy
@@ -686,7 +686,7 @@ def deep_order_file(tmp_path_factory):
     depth = 510
     n, trees = deep_chain_trees(depth)
     labels = [f"e{i}" for i in range(n)]
-    path = _write_order(tmp_path_factory.mktemp("deep") / "deep.json", labels, tree_rows(n, trees))
+    path = _write_order(tmp_path_factory.mktemp("deep") / "deep.json", labels, tree_order(n, trees)[0])
     return path, deep_chain_text(depth, labels)
 
 
@@ -1281,15 +1281,15 @@ def test_stratified_and_total_orders_are_decided_without_stratum_trees(
     capsys, monkeypatch, tmp_path, doc, so_code, to_code
 ):
     # so and to read their strata off the interval realization's points
-    # (orders._strata), passing or failing: no stratum tree is decoded
-    decoded = spy(monkeypatch, "tree_rows", qstrat.qsseq)
+    # (orders._strata), passing or failing: no stratum tree is built
+    built = spy(monkeypatch, "order_trees", qstrat.qsseq)
     path = tmp_path / "order.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "check", "--class", "so", str(path))[0] == so_code
     assert run(capsys, "check", "--class", "to", str(path))[0] == to_code
     strata = qstrat.orders.stratified_partition(new_poset(doc["domain"], map(tuple, doc["prec"])))
     assert (strata is None) == bool(so_code)
-    assert decoded == []
+    assert built == []
 
 
 def test_saturate_builds_as_many_relations_at_every_limit_and_no_strata(capsys, monkeypatch):
@@ -1718,6 +1718,11 @@ def test_each_input_fault_exits_2_with_its_message(capsys, tmp_path, fault):
         ({"domain": ["a", "b"], "prec": [["a", "b"]] * 1000 + [["a", "z"], "ab"]}, "unknown label: 'z'"),
         ({"domain": ["a", "b"], "prec": [["a", "b"]] * 1000 + ["ab", ["a", "z"]]}, '"prec" entries must be two-element lists of strings'),
         ({"domain": ["a", "b"], "prec": [], "weak": [["b", "a"]] * 1000 + [["a", ["b"]]]}, '"weak" entries must be two-element lists of strings'),
+        # a label that is no string comes first, before an empty or a
+        # repeated label, wherever it stands
+        ({"domain": ["", 1], "prec": []}, '"domain" must be a list of strings'),
+        ({"domain": [1, ""], "prec": []}, '"domain" must be a list of strings'),
+        ({"domain": ["a", "a", 1], "prec": []}, '"domain" must be a list of strings'),
     ],
 )
 def test_read_input_reports_the_domain_then_prec_then_weak_in_file_order(tmp_path, doc, message):

@@ -32,7 +32,7 @@ from qstrat import (
     total_order_violation,
 )
 from qstrat.orders import _realization
-from qstrat.qsseq import ENUMERATION_BOUND, tree_order
+from qstrat.qsseq import ENUMERATION_BOUND, order_trees, tree_order
 
 from conftest import LABELS, all_relational_structures, random_structure, random_trees
 
@@ -494,6 +494,32 @@ def test_deciders_match_the_literal_scans_on_every_relation_up_to_4():
             assert interval_order_violation(rel) == expected
             assert (interval_realization(rel) is not None) == (expected is None)
     assert count == 66_067
+
+
+def test_interval_orders_whose_intervals_cross_are_refused():
+    # interval orders, so each refusal by order_trees is one whose
+    # count-rank intervals cross; the literal scan decides each up to 10
+    # events, and past it a refusal's witness still has no resolution
+    # on its own events, while an accepted order's trees decode back
+    rng = random.Random(54)
+    refused = 0
+    for k in range(1200):
+        n = rng.randint(5, 10) if k < 1000 else rng.randint(11, 64)
+        rel = BinRel(Domain(tuple(f"e{i}" for i in range(n))), _span_rows(rng, n, 0))
+        assert interval_order_violation(rel) is None
+        try:
+            trees = order_trees(rel)
+        except ValueError:
+            refused += 1
+            witness = qs_order_violation(rel)
+            if n > 10:
+                assert _reference_qs_order_violation(rel.restrict(witness)) is not None
+        else:
+            assert tree_order(n, trees)[0] == rel.rows
+            witness = None
+        if n <= 10:
+            assert witness == _reference_qs_order_violation(rel)
+    assert refused == 383  # 203 of 1,000 up to 10 events, 180 of 200 past that
 
 
 def test_total_order_violation_matches_the_literal_scan_up_to_12():

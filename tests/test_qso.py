@@ -237,10 +237,12 @@ def test_axioms_match_enumeration_exhaustively():
 def test_axioms_match_enumeration_all_irreflexive_relations():
     from qstrat import BinRel, Domain
 
-    # exhaustive over every irreflexive relation on up to 4 elements
+    # exhaustive over every irreflexive relation on up to 4 elements; the
+    # orders are enumerated over the same declared labels, so equal rows
+    # are equal relations
     for n in range(1, 5):
         domain = Domain(tuple(LABELS[:n]))
-        generated = {q.prec.label_pairs for q in enumerate_qs_orders(domain.labels)}
+        generated = {q.prec.rows for q in enumerate_qs_orders(domain.labels)}
         slots = [(i, j) for i in range(n) for j in range(n) if i != j]
         for mask in range(1 << len(slots)):
             rows = [0] * n
@@ -248,18 +250,18 @@ def test_axioms_match_enumeration_all_irreflexive_relations():
                 if mask >> k & 1:
                     rows[i] |= 1 << j
             rel = BinRel(domain, tuple(rows))
-            assert is_qs_order(rel) == (rel.label_pairs in generated)
+            assert is_qs_order(rel) == (rel.rows in generated)
     # sampled for 5 and 6 elements
     rng = random.Random(149)
     for n in (5, 6):
         domain = Domain(tuple(LABELS[:n]))
-        generated = {q.prec.label_pairs for q in enumerate_qs_orders(domain.labels)}
+        generated = {q.prec.rows for q in enumerate_qs_orders(domain.labels)}
         slots = [(x, y) for x in domain.labels for y in domain.labels if x != y]
         for _ in range(400):
             density = rng.uniform(0.05, 0.6)
             pairs = [p for p in slots if rng.random() < density]
             rel = BinRel.from_pairs(domain, pairs)
-            assert is_qs_order(rel) == (rel.label_pairs in generated)
+            assert is_qs_order(rel) == (rel.rows in generated)
 
 
 def test_class_hierarchy_on_generated_orders():

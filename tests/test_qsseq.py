@@ -51,7 +51,6 @@ from qstrat.qsseq import (
     seq_converter,
     stratum_trees,
     tree_order,
-    tree_rows,
     tree_texts,
 )
 from qstrat.relcore import _columns, _embedded_weak, show_label
@@ -242,17 +241,17 @@ def test_codec_matches_the_label_level_reference_up_to_64_events():
         assert_codec_matches_the_reference(q)
 
 
-def test_order_trees_inverts_tree_rows():
-    for n in range(6):
-        domain = Domain(tuple(LABELS[:n]))
-        for trees in stratum_trees((0,) * n, (0,) * n):
-            assert order_trees(BinRel(domain, tree_rows(n, trees))) == trees
+def test_order_trees_inverts_tree_order(walked_sequences):
+    # every sequence of up to five events, from the walks already made
+    for n, trees, (rows, _, _) in walked_sequences:
+        if n < ENUMERATION_BOUND:
+            assert order_trees(BinRel(Domain(tuple(LABELS[:n])), rows)) == trees
 
 
 def _reference_tree_rows(n, trees):
-    """``tree_rows`` as it was written before it gave columns: every
-    stratum's events ORed into the rows of each earlier stratum of its
-    sequence, level by level."""
+    """The rows of a walked sequence, as the precedence rows of
+    ``tree_order`` must be: every stratum's events ORed into the rows of
+    each earlier stratum of its sequence, level by level."""
     rows = [0] * n
     pending = [trees]
     while pending:
@@ -271,7 +270,7 @@ def _assert_one_walk(n, trees, walk):
     rows, weak, bounds = walk
     cols = _columns(rows)
     begins, ends = _realization(rows)
-    assert rows == tree_rows(n, trees)
+    assert rows == _reference_tree_rows(n, trees)
     assert weak == _embedded_weak(cols)
     assert (bounds[::2], bounds[1::2]) == (tuple(begins), tuple(ends))
 
@@ -284,12 +283,10 @@ def test_one_walk_gives_the_rows_weak_rows_and_count_ranks(walked_sequences):
     checked = 0
     for n, trees, walk in walked_sequences:
         _assert_one_walk(n, trees, walk)
-        assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
         checked += 1
     assert checked == 41_281  # quasi-stratified orders on 0..6 events
     n, trees = deep_chain_trees(1000)
     _assert_one_walk(n, trees, tree_order(n, trees))
-    assert tree_rows(n, trees) == _reference_tree_rows(n, trees)
     for n in range(ENUMERATION_BOUND + 1, 17):
         for seed in range(20):
             trees = random_trees(n, seed)
@@ -301,7 +298,7 @@ def deep_chain():
     # 1,000 nested levels, 2,001 events, a million pairs
     depth = 1000
     n, trees = deep_chain_trees(depth)
-    rel = BinRel(Domain(tuple(f"e{i}" for i in range(n))), tree_rows(n, trees))
+    rel = BinRel(Domain(tuple(f"e{i}" for i in range(n))), tree_order(n, trees)[0])
     return depth, trees, rel
 
 

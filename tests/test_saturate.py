@@ -38,7 +38,7 @@ from qstrat import (
 )
 from qstrat.cli import default_labels
 from qstrat.qsa import GENERATION_BOUND
-from qstrat.qsseq import tree_rows
+from qstrat.qsseq import tree_order
 from qstrat.relcore import InternalError
 
 from conftest import (
@@ -657,4 +657,4 @@ def test_saturation_trees_stay_in_step_with_their_structures():
             sats = saturations(s, limit=limit)
             assert len(sats.trees) == len(sats)
             for m, trees in zip(sats, sats.trees):
-                assert tree_rows(n, trees) == m.prec.aligned_to(ordered).rows
+                assert tree_order(n, trees)[0] == m.prec.aligned_to(ordered).rows

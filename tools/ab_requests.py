@@ -12,8 +12,10 @@ generation that its timed calls started (deltas of ``gc.get_stats()``,
 so a change that removes collection work shows apart from one that only
 moves it), on how many requests B was faster,
 and the sum and p50 of each request kind (``saturate n=6``, ``intervals
-n=64``), so a change shows where its gain lands and which kinds did not
-move::
+n=64``) with on how many of that kind's requests B was faster, so a
+change shows where its gain lands and which kinds did not move, and a
+kind's B/A that one outlier request moves shows apart from a kind that
+B wins throughout::
 
     python tools/ab_requests.py PARENT_CHECKOUT . --workload close --cycles 5 --repeat 6
 
@@ -170,13 +172,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def print_by_kind(kinds: list[str], a: list[float], b: list[float]) -> None:
     """One line per request kind, in name order: the sum and p50 of each
-    side's per-request minima, and B's share of A's sum."""
+    side's per-request minima, B's share of A's sum, and on how many of
+    the kind's requests B was faster."""
     for kind in sorted(set(kinds)):
         times = [(x, y) for k, x, y in zip(kinds, a, b) if k == kind]
         ta, tb = [x for x, _ in times], [y for _, y in times]
         print(f"  {kind}: {len(times)} requests, A sum {sum(ta) * 1e3:.2f} ms p50 {statistics.median(ta) * 1e3:.3f} ms, "
               f"B sum {sum(tb) * 1e3:.2f} ms p50 {statistics.median(tb) * 1e3:.3f} ms, "
-              f"B/A {sum(tb) / sum(ta):.3f}")  # fmt: skip
+              f"B/A {sum(tb) / sum(ta):.3f}, B faster on {sum(y < x for x, y in times)} of {len(times)}")  # fmt: skip
 
 
 if __name__ == "__main__":
