@@ -18,10 +18,14 @@ factorization go through this pair, and ``seq_converter`` is the one
 reading of a tree as a labelled ``QsSeq``.  Every tree is built by one
 fold, ``_fold``, innermost first and without recursion: the decoder
 ``seq_to_order``, the converter, the JSON codecs, the encoder
-``order_trees`` and ``saturate.one_saturation``.  One renderer writes
-the one-line text, of a ``QsSeq`` (``format_seq``) or straight from
-position trees and the shown labels (``tree_texts``, the text of each
-of many trees in one fold).
+``order_trees`` and ``saturate.one_saturation``.  Every labelled tree,
+a ``QssStratum`` or its JSON form, is walked by one lazy preorder,
+``_preorder``, also without recursion: the formation-rule check
+``seq_violation``, the domains, equality and the JSON check of
+``seq_from_json``.  One renderer writes the one-line text, of a
+``QsSeq`` (``format_seq``) or straight from position trees and the
+shown labels (``tree_texts``, the text of each of many trees in one
+fold).
 
 ``tree_order`` walks a tree once for all that ``saturate`` prints of
 its order: the rows, the weak rows of the order's embedding and an
@@ -109,7 +113,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .orders import _realization
@@ -125,8 +129,8 @@ class QssStratum:
 
     Two trees are equal when their bases are equal and their children
     are, pairwise.  The hash is computed once, at construction, from the
-    base and the children's hashes, which exist already; equality
-    compares pairs of subtrees from an explicit stack; the repr is the
+    base and the children's hashes, which exist already; equality walks
+    both trees in step through ``_preorder``; the repr is the
     ``format_seq`` line.
     """
 
@@ -146,14 +150,11 @@ class QssStratum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QssStratum):
             return NotImplemented
-        pending = [(self, other)]
-        while pending:
-            a, b = pending.pop()
-            if a is b:
-                continue
+        # preorder and child counts fix an ordered tree, so the two walks
+        # stay in step exactly while the trees agree
+        for a, b in zip(_preorder((self,), _CHILDREN), _preorder((other,), _CHILDREN)):
             if a._hash != b._hash or a.base != b.base or len(a.children) != len(b.children):
                 return False
-            pending.extend(zip(a.children, b.children))
         return True
 
     @property
@@ -176,15 +177,20 @@ def node(base: Iterable[str], children: Iterable[QssStratum]) -> QssStratum:
     return QssStratum(frozenset(base), tuple(children))
 
 
-def _preorder(strata: Iterable[QssStratum]) -> list[QssStratum]:
-    """The strata and all their descendants, each before its children and
-    the children in order, listed from an explicit stack."""
-    out, stack = [], list(strata)[::-1]
+def _preorder(roots: Iterable[S], children: Callable[[S], Sequence[S]]) -> Iterator[S]:
+    """The roots and all their descendants, of any tree form, each before
+    its children and the children in order, yielded lazily from an
+    explicit stack, so nesting depth is not bounded by the interpreter's
+    recursion limit.  A node is yielded before ``children`` reads it, so
+    a caller can check the node first."""
+    stack = list(roots)[::-1]
     while stack:
-        st = stack.pop()
-        out.append(st)
-        stack.extend(reversed(st.children))
-    return out
+        node = stack.pop()
+        yield node
+        stack += reversed(children(node))
+
+
+_CHILDREN = attrgetter("children")
 
 
 def _fold(
@@ -217,11 +223,11 @@ def _fold(
 
 
 def stratum_domain(st: QssStratum) -> frozenset[str]:
-    return frozenset().union(*(t.base for t in _preorder((st,))))
+    return frozenset().union(*(t.base for t in _preorder((st,), _CHILDREN)))
 
 
 def seq_domain(q: QsSeq) -> frozenset[str]:
-    return frozenset().union(*(st.base for st in _preorder(q.strata)))
+    return frozenset().union(*(st.base for st in _preorder(q.strata, _CHILDREN)))
 
 
 def seq_violation(q: QsSeq) -> str | None:
@@ -230,7 +236,7 @@ def seq_violation(q: QsSeq) -> str | None:
     if not q.strata:
         return "a sequence needs at least one stratum"
     seen: set[str] = set()
-    for st in _preorder(q.strata):
+    for st in _preorder(q.strata, _CHILDREN):
         if not st.base:
             return "empty base set"
         if seen & st.base:
@@ -265,7 +271,7 @@ def seq_to_order(q: QsSeq) -> QsOrder:
         base = (1 << len(labels)) - (1 << start)
         return sum(events for events, _, _ in body) + base, base, body
 
-    trees = _fold(q.strata, attrgetter("children"), place)
+    trees = _fold(q.strata, _CHILDREN, place)
     domain = Domain(tuple(labels))
     return QsOrder(Poset(domain, BinRel(domain, tree_order(len(labels), trees)[0])))
 
@@ -531,35 +537,26 @@ def seq_to_json(q: QsSeq) -> list[dict[str, Any]]:
             item["children"] = list(body)
         return item
 
-    return list(_fold(q.strata, attrgetter("children"), build))
+    return list(_fold(q.strata, _CHILDREN, build))
 
 
 def seq_from_json(data: Any) -> QsSeq:
-    """The sequence of a JSON form.  Each tree is checked as it is met in
-    preorder, so the first fault in preorder is the one reported, and the
-    strata are then built by ``_fold``."""
+    """The sequence of a JSON form.  Each tree is checked as ``_preorder``
+    meets it, before its children are read, so the first fault in
+    preorder is the one reported, and the strata are then built by
+    ``_fold``."""
     if not isinstance(data, list):
         raise ValueError("sequence JSON must be a list of trees")
-    stack = list(reversed(data))
-    while stack:
-        item = stack.pop()
+    children = methodcaller("get", "children", [])
+    for item in _preorder(data, children):
         if not isinstance(item, dict) or not set(item) <= {"base", "children"}:
             raise ValueError("tree JSON must be an object with base and optional children")
-        base = item.get("base")
-        if not isinstance(base, list):
+        if not isinstance(item.get("base"), list):
             raise ValueError("tree base must be a list of strings")
-        children = item.get("children", [])
-        if not isinstance(children, list):
+        if not isinstance(children(item), list):
             raise ValueError("tree children must be a list")
-        Domain.of(base)  # labels are distinct non-empty strings
-        stack.extend(reversed(children))
-    q = QsSeq(
-        _fold(
-            data,
-            lambda item: item.get("children", ()),
-            lambda item, body: QssStratum(frozenset(item["base"]), body),
-        )
-    )
+        Domain.of(item["base"])  # labels are distinct non-empty strings
+    q = QsSeq(_fold(data, children, lambda item, body: QssStratum(frozenset(item["base"]), body)))
     bad = seq_violation(q)
     if bad is not None:
         raise ValueError(f"invalid sequence: {bad}")
@@ -570,7 +567,7 @@ def format_seq(q: QsSeq) -> str:
     """One-line rendering: strata joined by " ; ", nodes as "(base | children)",
     each base's labels sorted and shown through ``relcore.show_label``."""
     return " ; ".join(
-        _render(q.strata, lambda st: ",".join(map(show_label, sorted(st.base))), attrgetter("children"))
+        _render(q.strata, lambda st: ",".join(map(show_label, sorted(st.base))), _CHILDREN)
     )
 
 

@@ -36,7 +36,6 @@ from qstrat import (
     qso_projection,
     qso_to_qsm,
     random_qs_seq,
-    reindex_poset,
     seq_to_order,
     stratum_base,
 )
@@ -329,20 +328,65 @@ def reference_qsm_structures(
 ) -> tuple[Structure, ...]:
     """Every maximal structure over the labels, in their declaration
     order, decoded from the reference sequences (``seqs``, when given,
-    must be ``reference_qs_seqs(labels)``)."""
+    must be ``reference_qs_seqs(labels)``) by the two constructions over
+    position masks, level by level: the events of a stratum precede
+    every event of the later strata of its sequence, and weak is the
+    embedding, each event weak before every other event that does not
+    precede it.  No library decoder is called: only ``Domain``,
+    ``BinRel`` and ``Structure`` are built."""
     domain = Domain.of(labels)
+    n = len(domain)
+    bit = {x: 1 << i for i, x in enumerate(domain.labels)}
     if seqs is None:
         seqs = reference_qs_seqs(labels)
-    return tuple(poset_to_structure(reindex_poset(seq_to_order(q).poset, domain)) for q in seqs)
+
+    @cache
+    def events(st: QssStratum) -> int:
+        return sum(map(bit.__getitem__, st.base)) + sum(map(events, st.children))
+
+    def structure(q: QsSeq) -> Structure:
+        after, before = [0] * n, [0] * n
+        sequences = [q.strata]
+        while sequences:
+            strata = sequences.pop()
+            masks = list(map(events, strata))
+            earlier, later = 0, sum(masks)
+            for st, mask in zip(strata, masks):
+                later -= mask
+                for i in range(n):
+                    if mask >> i & 1:
+                        after[i] |= later
+                        before[i] |= earlier
+                earlier += mask
+                sequences.append(st.children)
+        full = (1 << n) - 1
+        weak = [full ^ before[i] ^ 1 << i for i in range(n)]
+        return Structure(domain, BinRel(domain, tuple(after)), BinRel(domain, tuple(weak)))
+
+    return tuple(map(structure, seqs))
+
+
+LIBRARY_DECODERS = ("tree_order", "_fold", "seq_to_order")
 
 
 @pytest.fixture(scope="session")
 def six_event_reference():
-    """Six labels declared out of order, their reference sequences and
-    the maximal structures those decode to, built once per session."""
+    """Six labels declared out of order, their reference sequences, the
+    maximal structures those decode to, and the number of calls that
+    building them made to each of ``LIBRARY_DECODERS``, spied through
+    every module that binds it, this one included; built once per
+    session."""
     labels = ("f", "c", "a", "e", "b", "d")
-    seqs = reference_qs_seqs(labels)
-    return labels, seqs, reference_qsm_structures(labels, seqs)
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "qstrat"]
+    modules.append(sys.modules[__name__])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = [
+            spy(monkeypatch, name, *[module for module in modules if hasattr(module, name)])
+            for name in LIBRARY_DECODERS
+        ]
+        seqs = reference_qs_seqs(labels)
+        structures = reference_qsm_structures(labels, seqs)
+    return labels, seqs, structures, dict(zip(LIBRARY_DECODERS, map(len, calls)))
 
 
 @pytest.fixture(scope="session")

@@ -72,6 +72,26 @@ def test_summary_claims_a_gain_only_by_the_pair_rule():
     assert p50.endswith("change better in 10 of 10, gain claimable: no")
 
 
+def test_verdicts_say_within_worse_or_unresolved_against_each_bound():
+    parent = [parsed(0.50 + 0.002 * k, 1600.0 + k) for k in range(10)]
+    # p50 2.0% worse, inside its 25% bound; throughput 29.9% worse
+    change = [parsed(0.51 + 0.002 * k, 1120.0 + k) for k in range(10)]
+    setup, rps, p50, _, _ = bench_pairs.verdicts(METRICS, parent, change)
+    assert setup == "setup_s: change median worse by 0.0%, parent IQR 0.0% of its median, bound 25%: within its bound"
+    assert p50.endswith("worse by 2.0%, parent IQR 1.8% of its median, bound 25%: within its bound")
+    assert rps.endswith("worse by 29.9%, parent IQR 0.3% of its median, bound 25%: worse than its bound")
+    # a parent whose IQR is 36% of its median resolves no 25% bound ...
+    wide = [parsed(0.40 + 0.05 * k, 1600.0) for k in range(10)]
+    _, _, p50, _, _ = bench_pairs.verdicts(METRICS, wide, wide)
+    assert p50.endswith("worse by 0.0%, parent IQR 36.0% of its median, bound 25%: unresolved")
+    # ... unless every change run beats every parent run
+    _, _, p50, _, _ = bench_pairs.verdicts(METRICS, wide, [parsed(0.39, 1600.0)] * 10)
+    assert p50.endswith("parent IQR 36.0% of its median, bound 25%: within its bound")
+    # a median worse by more than the bound is worse, however wide the spread
+    _, _, p50, _, _ = bench_pairs.verdicts(METRICS, wide, [parsed(0.80, 1600.0)] * 10)
+    assert p50.endswith("worse by 28.0%, parent IQR 36.0% of its median, bound 25%: worse than its bound")
+
+
 def test_a_failed_run_exits_1_without_a_summary(monkeypatch, capsys):
     outputs = iter([canned(0.5, 1800.0), canned(0.5, 1800.0, failed=1)])
     monkeypatch.setattr(bench_pairs, "run", lambda checkout, workload, seed: next(outputs))
@@ -94,5 +114,10 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "workload saturate, 3 pairs, seeds 7-9; median [quartiles]"
     # one line per end-to-end metric; equal runs tie
-    assert [line.split(" ")[0] for line in out[1:]] == NAMES
-    assert all(line.endswith("change better in 0 of 3, gain claimable: no") for line in out[1:])
+    summary, verdicts = out[1 : 1 + len(NAMES)], out[2 + len(NAMES) :]
+    assert [line.split(" ")[0] for line in summary] == NAMES
+    assert all(line.endswith("change better in 0 of 3, gain claimable: no") for line in summary)
+    # then the verdict block, one line per metric
+    assert out[1 + len(NAMES)] == "no regression, against each metric's bound in BENCHMARK.json"
+    assert [line.split(":")[0] for line in verdicts] == NAMES
+    assert all(line.endswith("within its bound") for line in verdicts)

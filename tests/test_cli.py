@@ -1629,6 +1629,11 @@ INPUT_FAULTS = {
     "JSON array": ([], "input must be a JSON object"),
     "no prec": ({"domain": ["a"]}, 'input needs "domain" and "prec" keys'),
     "non-string label": ({"domain": ["a", 1], "prec": []}, '"domain" must be a list of strings'),
+    # a string or an object would decode as its characters or keys
+    "domain a string": ({"domain": "ab", "prec": []}, '"domain" must be a list of strings'),
+    "domain an object": ({"domain": {"a": 0}, "prec": []}, '"domain" must be a list of strings'),
+    "domain null": ({"domain": None, "prec": []}, '"domain" must be a list of strings'),
+    "domain a number": ({"domain": 3, "prec": []}, '"domain" must be a list of strings'),
     "no weak, prec a 2-cycle": (
         {"domain": ["a", "b"], "prec": [["a", "b"], ["b", "a"]]},
         "cannot embed as a structure: partial order must be transitive",

@@ -53,7 +53,7 @@ from qstrat.qsseq import (
     tree_order,
     tree_texts,
 )
-from qstrat.relcore import _columns, _embedded_weak, show_label
+from qstrat.relcore import _aligner, _columns, _embedded_weak, show_label
 
 from conftest import (
     LABELS,
@@ -378,6 +378,38 @@ def test_a_thousand_nested_strata_hash_and_compare():
     assert len({st, other}) == 2
 
 
+def _same_hashes(*strata):
+    """The strata, each stratum of each set to hash 0, so that equality
+    must read the bases and child counts."""
+    stack = list(strata)
+    while stack:
+        st = stack.pop()
+        object.__setattr__(st, "_hash", 0)
+        stack += st.children
+    return strata
+
+
+def _last_child_chain(depth, innermost):
+    """A stratum nested depth levels deep, each level's nested stratum
+    its last child, so the innermost node's children end the preorder."""
+    st = node({"x"}, map(leaf, innermost))
+    for k in range(depth):
+        st = node({f"x{k}"}, [leaf({f"z{k}"}), st])
+    return st
+
+
+def test_equality_reads_bases_and_child_counts_past_equal_hashes():
+    st, twin = _same_hashes(_deep_stratum(1000), _deep_stratum(1000))
+    assert st == twin
+    # a difference in the deepest base alone
+    st, other = _same_hashes(_deep_stratum(1000), _deep_stratum(1000, innermost="y"))
+    assert st != other and not st == other
+    # a difference in the innermost child count alone: the shorter
+    # preorder is the start of the longer one
+    st, other = _same_hashes(_last_child_chain(1000, "ab"), _last_child_chain(1000, "abc"))
+    assert st != other and other != st
+
+
 def test_a_thousand_nested_strata_repr():
     st = _deep_stratum(1000)
     text = repr(st)
@@ -540,7 +572,7 @@ def test_enumerate_bound():
 def test_views_match_the_reference_walker(six_event_reference):
     # both views against the label-tuple walker, declared shuffled and
     # sorted up to five events and shuffled at six
-    labels6, seqs6, structures6 = six_event_reference
+    labels6, seqs6, structures6, _ = six_event_reference
     rng = random.Random(14)
     for n, count in zip(range(1, 7), (1, 3, 19, 183, 2371, 38703)):
         if n < 6:
@@ -553,8 +585,10 @@ def test_views_match_the_reference_walker(six_event_reference):
             declarations = [labels6]
         reference_seqs = set(reference)
         assert len(reference) == len(reference_seqs) == count
+        # the references are decoded once, over the first declaration
+        structures = structures6 if n == 6 else reference_qsm_structures(declarations[0], reference)
+        reference_rows = {m.prec.rows for m in structures}
         for declared in declarations:
-            structures = structures6 if n == 6 else reference_qsm_structures(declared, reference)
             seqs = enumerate_qs_seqs(declared)
             assert len(seqs) == count
             assert set(seqs) == reference_seqs
@@ -562,7 +596,15 @@ def test_views_match_the_reference_walker(six_event_reference):
             assert all(q.domain.labels == declared for q in orders)
             rows = {q.prec.rows for q in orders}
             assert len(orders) == len(rows) == count
-            assert rows == {m.prec.rows for m in structures}
+            align = _aligner(Domain(declared), structures[0].domain)
+            assert set(map(align, rows)) == reference_rows
+
+
+def test_the_six_event_reference_calls_no_library_decoder(six_event_reference):
+    # the reference decodes by the two constructions, not through the
+    # decoders that the views it checks are built on
+    *_, decoder_calls = six_event_reference
+    assert decoder_calls == {"tree_order": 0, "_fold": 0, "seq_to_order": 0}
 
 
 @pytest.mark.parametrize(
@@ -628,9 +670,31 @@ def test_json_rejects_garbage():
             [{"base": ["a"], "children": [{"base": ["b"], "children": 0}]}, {"base": 1}],
             "tree children must be a list",
         ),
+        ([5], "tree JSON must be an object with base and optional children"),
+        ([{"base": ["a"], "children": 5}], "tree children must be a list"),
     ],
 )
 def test_json_rejects_a_base_or_children_of_the_wrong_type(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        seq_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"children": 5}, "tree children must be a list"),
+        ({"base": 1}, "tree base must be a list of strings"),
+        ({"leaf": []}, "tree JSON must be an object with base and optional children"),
+    ],
+)
+def test_json_reports_a_fault_a_thousand_levels_down(fault, message):
+    # the innermost tree is the only faulty one, and no children are
+    # read from a tree before it is checked
+    data = seq_to_json(QsSeq((_deep_stratum(1000),)))
+    innermost = data[0]
+    for _ in range(1000):
+        innermost = innermost["children"][0]
+    innermost.update(fault)
     with pytest.raises(ValueError, match=f"^{message}$"):
         seq_from_json(data)
 

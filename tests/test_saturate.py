@@ -554,7 +554,7 @@ def test_saturations_match_filter_oracle_random():
 
 
 def test_saturations_match_filter_oracle_six_events(six_event_reference):
-    labels, _, universe = six_event_reference
+    labels, _, universe, _ = six_event_reference
     assert len(universe) == 38703
     rng = random.Random(89)
     for density in (0.15, 0.25, 0.35, 0.45, 0.55, 0.65):

@@ -14,9 +14,14 @@ lists, the summary gives each side's median and quartiles, the
 parent's interquartile range (IQR), the pairs the change won (a tie
 counts for neither) and whether a gain may be claimed: the change won
 at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's IQR.  Exits 1, with no summary,
-when a run exits nonzero, a request fails or the last line is no
-result.
+parent's by more than the parent's IQR.  A second block gives, per
+metric, the no-regression verdict against the metric's ``bound`` (a
+fraction of the parent's median): "worse than its bound" when the
+change's median is worse than the parent's by more than the bound,
+"unresolved" when the parent's IQR over its median exceeds the bound
+and not every change run beats every parent run, and "within its
+bound" otherwise.  Exits 1, with no summary, when a run exits nonzero,
+a request fails or the last line is no result.
 """
 
 from __future__ import annotations
@@ -78,6 +83,30 @@ def summary(metrics: list[dict], parent: list[dict[str, float]], change: list[di
     return lines
 
 
+def verdicts(metrics: list[dict], parent: list[dict[str, float]], change: list[dict[str, float]]) -> list[str]:
+    """One no-regression verdict per metric of ``BENCHMARK.json``'s
+    ``end_to_end`` list, against its ``bound``, over the pairs' results."""
+    lines = []
+    for metric in metrics:
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
+        a, b = [r[name] for r in parent], [r[name] for r in change]
+        a1, a2, a3 = statistics.quantiles(a, n=4, method="inclusive")
+        worse = (statistics.median(b) - a2) / a2 * (1 if lower else -1)
+        spread = (a3 - a1) / a2
+        beats = max(b) < min(a) if lower else min(b) > max(a)
+        if worse > bound:
+            verdict = "worse than its bound"
+        elif spread > bound and not beats:
+            verdict = "unresolved"
+        else:
+            verdict = "within its bound"
+        lines.append(
+            f"{name}: change median worse by {worse:.1%}, parent IQR {spread:.1%} of its median, "
+            f"bound {bound:.0%}: {verdict}"
+        )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -104,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"workload {args.workload}, {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}; "
           "median [quartiles]")  # fmt: skip
     print("\n".join(summary(metrics, *results)))
+    print("no regression, against each metric's bound in BENCHMARK.json")
+    print("\n".join(verdicts(metrics, *results)))
     return 0
 
 
