@@ -77,8 +77,7 @@ def enumerate_posets(labels: Iterable[str]) -> list[Poset]:
 
 
 def qso_empty() -> QsOrder:
-    domain = Domain(())
-    return QsOrder(Poset(domain, BinRel.empty(domain)))
+    return QsOrder(BinRel.empty(Domain(())))
 
 
 def qso_add_isolated(q: QsOrder, x: str) -> QsOrder:
@@ -86,7 +85,7 @@ def qso_add_isolated(q: QsOrder, x: str) -> QsOrder:
     if x in q.domain:
         raise ValueError(f"label already in domain: {x!r}")
     domain = Domain(q.domain.labels + (x,))
-    return QsOrder(Poset(domain, BinRel(domain, q.prec.rows + (0,))))
+    return QsOrder(BinRel(domain, q.prec.rows + (0,)))
 
 
 def qso_seq_compose(q: QsOrder, r: QsOrder) -> QsOrder:
@@ -97,7 +96,7 @@ def qso_seq_compose(q: QsOrder, r: QsOrder) -> QsOrder:
     nq = len(q.domain)
     tail = ((1 << len(r.domain)) - 1) << nq
     rows = tuple(row | tail for row in q.prec.rows) + tuple(row << nq for row in r.prec.rows)
-    return QsOrder(Poset(domain, BinRel(domain, rows)))
+    return QsOrder(BinRel(domain, rows))
 
 
 def is_qso_stratum(q: QsOrder) -> bool:
@@ -110,7 +109,7 @@ def qso_projection(q: QsOrder, subset: Iterable[str]) -> QsOrder:
     prec = q.prec.restrict(subset)
     if qs_order_violation(prec) is not None:
         raise ValueError("not a quasi-stratified order")
-    return QsOrder(Poset(prec.domain, prec))
+    return QsOrder(prec)
 
 
 SUBSET_SCAN_BOUND = 12

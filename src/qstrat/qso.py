@@ -20,6 +20,10 @@ with everything else.
 ``QsOrder`` itself is defined in ``relcore`` and re-bound here, so
 ``qsseq`` needs nothing from this module; this module calls ``qsseq``
 through the module, so a patched ``qsseq`` function is the one run.
+A ``QsOrder`` holds its precedence relation and its constructor checks
+nothing: ``qso_from_poset`` is the checked entry, and the orders built
+here are quasi-stratified by construction, so no ``Poset`` is built
+for them.
 
 Membership is decided by building that factorization.
 ``qsseq.order_trees`` reads the stratum trees off the relation's
@@ -113,11 +117,13 @@ def is_qs_order(rel: BinRel) -> bool:
 
 
 def qso_from_poset(p: Poset) -> QsOrder:
-    """Validated constructor; raises with the violating tuple otherwise."""
+    """The checked constructor: p was checked as a partial order when it
+    was built, and this checks that it is quasi-stratified; raises with
+    the violating tuple otherwise."""
     witness = qs_order_violation(p.prec)
     if witness is not None:
         raise ValueError(f"not a quasi-stratified order, witness {witness}")
-    return QsOrder(p)
+    return QsOrder(p.prec)
 
 
 def stratum_base(q: QsOrder) -> frozenset[str]:
@@ -135,7 +141,7 @@ def factorize_strata(q: QsOrder) -> list[QsOrder]:
     labels = q.domain.labels
     trees = qsseq.order_trees(q.prec)
     rels = [q.prec.restrict(labels[i] for i in _bits(top)) for top, _, _ in trees]
-    return [QsOrder(Poset(rel.domain, rel)) for rel in rels]
+    return [QsOrder(rel) for rel in rels]
 
 
 def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
@@ -147,6 +153,6 @@ def enumerate_qs_orders(labels: Iterable[str]) -> list[QsOrder]:
     domain = Domain.of(labels)
     n = len(domain)
     return [
-        QsOrder(Poset(domain, BinRel(domain, qsseq.tree_order(n, trees)[0])))
+        QsOrder(BinRel(domain, qsseq.tree_order(n, trees)[0]))
         for trees in qsseq.stratum_trees((0,) * n, (0,) * n)
     ]

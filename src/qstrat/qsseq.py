@@ -117,7 +117,7 @@ from operator import attrgetter, itemgetter, methodcaller
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .orders import _realization
-from .relcore import BinRel, Domain, Poset, QsOrder, _bits, show_label
+from .relcore import BinRel, Domain, QsOrder, _bits, show_label
 
 S = TypeVar("S")
 R = TypeVar("R")
@@ -273,7 +273,7 @@ def seq_to_order(q: QsSeq) -> QsOrder:
 
     trees = _fold(q.strata, _CHILDREN, place)
     domain = Domain(tuple(labels))
-    return QsOrder(Poset(domain, BinRel(domain, tree_order(len(labels), trees)[0])))
+    return QsOrder(BinRel(domain, tree_order(len(labels), trees)[0]))
 
 
 def order_to_seq(q: QsOrder) -> QsSeq:

@@ -416,20 +416,21 @@ class Poset:
 
 @dataclass(frozen=True)
 class QsOrder:
-    """A quasi-stratified order (decided in ``qso``); wraps the partial order."""
+    """A quasi-stratified order (decided in ``qso``), held as its
+    precedence relation.  This constructor is the trusted one: it checks
+    nothing, neither the partial order nor the quasi-stratified property.
+    The library builds each order by the two constructions or decodes it
+    from a stratum tree, so it is one by construction;
+    ``qso.qso_from_poset`` is the checked entry."""
 
-    poset: Poset
+    prec: BinRel
 
     @property
     def domain(self) -> Domain:
-        return self.poset.domain
-
-    @property
-    def prec(self) -> BinRel:
-        return self.poset.prec
+        return self.prec.domain
 
     def __len__(self) -> int:
-        return len(self.poset.domain)
+        return len(self.prec.domain)
 
 
 def new_structure(

@@ -61,14 +61,12 @@ from .relcore import (
     BinRel,
     Domain,
     InternalError,
-    Poset,
     Structure,
     _aligner,
     _bits,
     _embed_order,
     _untouched,
     extends,
-    poset_to_structure,
 )
 
 
@@ -105,8 +103,9 @@ def is_qsm(s: Structure) -> bool:
 
 def qso_to_qsm(q: QsOrder) -> Structure:
     """The maximal structure of one order: unordered events become
-    mutually weak."""
-    return poset_to_structure(q.poset)
+    mutually weak.  q is an order already (``relcore.QsOrder``), so its
+    relation is embedded without a ``Poset`` check."""
+    return _embed_order(q.prec)
 
 
 def qsm_to_qso(s: Structure) -> QsOrder:
@@ -114,7 +113,7 @@ def qsm_to_qso(s: Structure) -> QsOrder:
     witness = qsm_violation(s)
     if witness is not None:
         raise ValueError(f"not a maximal structure, {witness[0]} fails on {witness[1]}")
-    return QsOrder(Poset(s.domain, s.prec))
+    return QsOrder(s.prec)
 
 
 def one_saturation(s: Structure) -> Structure:

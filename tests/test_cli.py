@@ -1120,7 +1120,7 @@ def _assert_trees_encode_printed_orders(capsys, path, labels, *options):
     printed = _printed_saturations(out)
     assert len(printed) == int(out.split()[0])
     for pairs, tree in printed:
-        order = QsOrder(new_poset(labels, pairs))
+        order = QsOrder(new_poset(labels, pairs).prec)
         assert tree == format_seq(order_to_seq(order)), (labels, pairs)
     return len(printed)
 

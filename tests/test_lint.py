@@ -1,8 +1,9 @@
 """Source checks: guards that survive ``python -O``, no module-level
 caches, no enumeration bound knobs, no recursion as deep as the input,
 fast modules kept apart from the oracles, the public names, internal
-defaulted parameters that calls both give and omit, and each None
-default listed with its reason."""
+defaulted parameters that calls both give and omit, each None default
+and each function that builds a checked ``Poset`` listed with its
+reason."""
 
 import ast
 import sys
@@ -889,6 +890,69 @@ class Walker:
         "sample.walk(touch)", "sample.walk(combined)", "sample.rows(limit)",
         "sample.fetch(timeout)", "sample.outer(a)", "sample.outer.inner(c)",
         "sample.Walker.step(k)",
+    }
+
+
+# the functions that build a Poset, whose constructor checks
+# irreflexivity and transitivity, each with the reason it is an edge
+# where an unchecked relation enters; the library builds its
+# quasi-stratified orders as QsOrder(rel), which checks nothing
+POSET_BUILDERS_ALLOWED = {
+    "relcore.new_poset": "public: a caller's labels and pairs, checked once where they enter",
+    "cli.InputFile.structure": "a file's precedence relation, checked before it is embedded",
+    "oracles.reindex_poset": "oracle: a caller's poset over another declaration order",
+    "oracles.enumerate_posets": "oracle: the brute-force scan checks each relation it keeps",
+}
+
+
+def _poset_builders(path: Path) -> set[str]:
+    """The functions of a module, nested ones and methods included, that
+    call ``Poset(...)``, bare or as a module attribute."""
+    return {
+        name
+        for name, _, own in _functions(path)
+        for node in own
+        if isinstance(node, ast.Call)
+        and "Poset" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_posets_are_built_only_at_the_edges():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _poset_builders(path)
+    extra = sorted(found - set(POSET_BUILDERS_ALLOWED))
+    assert not extra, f"build QsOrder(rel) from a relation built as an order, or list the edge: {extra}"
+    assert set(POSET_BUILDERS_ALLOWED) <= found, "an allowed entry is gone; drop it"
+
+
+def test_the_poset_lint_sees_bare_dotted_nested_and_method_calls(tmp_path):
+    source = '''
+def bare(domain, rel):
+    return Poset(domain, rel)
+
+def dotted(domain, rel):
+    return relcore.Poset(domain, rel)
+
+def outer(rels):
+    def inner(rel):
+        return [Poset(rel.domain, r) for r in rels]
+    return inner
+
+class Input:
+    def order(self):
+        return QsOrder(Poset(self.domain, self.prec).prec)
+
+def lazy(rel):
+    return lambda: Poset(rel.domain, rel)
+
+def named(p: Poset) -> Poset:
+    return isinstance(p, Poset) and PosetLike(p) and p.Poset
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _poset_builders(path) == {
+        "sample.bare", "sample.dotted", "sample.outer.inner", "sample.Input.order", "sample.lazy"
     }
 
 

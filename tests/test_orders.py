@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qstrat import (
     BinRel,
     Domain,
+    Poset,
     add_prec,
     add_weak,
     enumerate_posets,
@@ -107,10 +108,11 @@ def test_stratified_partition_agrees_and_rebuilds():
     # every order on 3 events, and quasi-stratified orders up to 12
     rng = random.Random(2202)
     labels = [f"e{k}" for k in range(12)]
-    random_orders = [
-        seq_to_order(random_qs_seq(labels[: rng.randint(1, 12)], seed=case)).poset
+    relations = (
+        seq_to_order(random_qs_seq(labels[: rng.randint(1, 12)], seed=case)).prec
         for case in range(300)
-    ]
+    )
+    random_orders = [Poset(rel.domain, rel) for rel in relations]
     stratified = 0
     for poset in enumerate_posets(LABELS[:3]) + random_orders:
         strata = stratified_partition(poset)

@@ -180,7 +180,7 @@ def test_projection_identity_and_chain(nested_poset):
 
 def test_projection_of_an_unchecked_non_qs_order_is_value_error():
     # the 2+2 order, wrapped without qso_from_poset's check
-    q = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    q = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]).prec)
     with pytest.raises(ValueError, match="not a quasi-stratified order"):
         qso_projection(q, "abcd")
 

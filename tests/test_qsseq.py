@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qstrat import (
     BinRel,
     Domain,
+    Poset,
     QsOrder,
     QsSeq,
     enumerate_qs_orders,
@@ -25,6 +26,7 @@ from qstrat import (
     new_poset,
     node,
     order_to_seq,
+    partial_order_violation,
     qso_add_isolated,
     qso_empty,
     qso_from_poset,
@@ -207,6 +209,13 @@ def test_round_trip_past_eight_events():
     assert order_to_seq(q) == QsSeq((st,))
 
 
+def assert_built_as_quasi_stratified(q):
+    # the library builds its orders unchecked (relcore.QsOrder), so the
+    # checks a checked entry would make run here
+    assert partial_order_violation(q.prec) is None
+    assert qs_order_violation(q.prec) is None
+
+
 def _seeded_orders(count, seed):
     """Seeded orders of 1 to 64 events (the first of 64), declared in a
     shuffled order."""
@@ -215,13 +224,16 @@ def _seeded_orders(count, seed):
         n = rng.randint(1, 64) if k else 64
         labels = [f"e{i}" for i in range(n)]
         order = seq_to_order(random_qs_seq(labels, seed=rng.randrange(1 << 30)))
+        assert_built_as_quasi_stratified(order)
         rng.shuffle(labels)
-        yield QsOrder(reindex_poset(order.poset, Domain(tuple(labels))))
+        yield QsOrder(reindex_poset(Poset(order.domain, order.prec), Domain(tuple(labels))).prec)
 
 
 def assert_codec_matches_the_reference(q):
     assert order_to_seq(q) == reference_order_to_seq(q)
     got, expected = factorize_strata(q), reference_factorize_strata(q)
+    for factor in got:
+        assert_built_as_quasi_stratified(factor)
     assert [(f.domain.labels, f.prec.rows) for f in got] == [
         (f.domain.labels, f.prec.rows) for f in expected
     ]
@@ -481,7 +493,7 @@ def test_a_thousand_nested_strata_round_trip_through_json():
 
 def test_encoding_rejects_orders_outside_the_class():
     # 2+2: a poset that is not quasi-stratified, wrapped unchecked
-    two_plus_two = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    two_plus_two = QsOrder(new_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]).prec)
     with pytest.raises(ValueError, match="not a quasi-stratified order"):
         order_to_seq(two_plus_two)
     with pytest.raises(ValueError, match="not a quasi-stratified order"):
@@ -535,7 +547,7 @@ def test_all_leaf_sequences_are_stratified():
         seq = QsSeq(tuple(leaf(b) for b in blocks))
         q = seq_to_order(seq)
         assert is_stratified_order(q.prec)
-        assert stratified_partition(q.poset) == [frozenset(b) for b in blocks]
+        assert stratified_partition(Poset(q.domain, q.prec)) == [frozenset(b) for b in blocks]
 
 
 def test_enumerate_counts():
@@ -571,9 +583,13 @@ def test_enumerate_bound():
 
 def test_views_match_the_reference_walker(six_event_reference):
     # both views against the label-tuple walker, declared shuffled and
-    # sorted up to five events and shuffled at six
+    # sorted up to five events and shuffled at six; every order, the
+    # empty one too, passes the partial-order and qso checks
     labels6, seqs6, structures6, _ = six_event_reference
     rng = random.Random(14)
+    [empty] = enumerate_qs_orders(())
+    assert len(empty) == 0
+    assert_built_as_quasi_stratified(empty)
     for n, count in zip(range(1, 7), (1, 3, 19, 183, 2371, 38703)):
         if n < 6:
             shuffled = list(LABELS[:n])
@@ -593,7 +609,9 @@ def test_views_match_the_reference_walker(six_event_reference):
             assert len(seqs) == count
             assert set(seqs) == reference_seqs
             orders = enumerate_qs_orders(declared)
-            assert all(q.domain.labels == declared for q in orders)
+            for q in orders:
+                assert q.domain.labels == declared
+                assert_built_as_quasi_stratified(q)
             rows = {q.prec.rows for q in orders}
             assert len(orders) == len(rows) == count
             align = _aligner(Domain(declared), structures[0].domain)
