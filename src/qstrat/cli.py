@@ -128,9 +128,9 @@ class InputFile:
 
     def structure(self) -> Structure:
         if self.weak is not None:
-            return Structure(self.prec.domain, self.prec, self.weak)
+            return Structure(self.prec, self.weak)
         try:
-            return poset_to_structure(Poset(self.prec.domain, self.prec))
+            return poset_to_structure(Poset(self.prec))
         except ValueError as exc:
             raise InputError(f"cannot embed as a structure: {exc}") from exc
 

@@ -113,7 +113,7 @@ def law_closure(s: Structure) -> Structure:
             prec = [r | row if r & bit else r for r in prec]
     right = [w | _gather(prec, w) for w in s.weak.rows]  # W.P=
     weak = [p | r | _gather(right, p) for p, r in zip(prec, right)]  # P u P=.W.P=
-    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
+    return Structure(BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
 
 
 def _forced_pairs(prober: Prober, law: Structure):
@@ -167,9 +167,7 @@ def closure_step(s: Structure) -> Structure:
     weak_rows = list(law.weak.rows)
     for axiom, i, j in _forced_pairs(prober, law):
         (prec_rows if axiom == "qsc:4" else weak_rows)[j] |= 1 << i
-    return Structure(
-        s.domain, BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows))
-    )
+    return Structure(BinRel(s.domain, tuple(prec_rows)), BinRel(s.domain, tuple(weak_rows)))
 
 
 @dataclass(frozen=True)

@@ -39,18 +39,16 @@ def add_element(s: Structure, x: str) -> Structure:
     if x in s.domain:
         raise ValueError(f"label already in domain: {x!r}")
     domain = Domain(s.domain.labels + (x,))
-    prec = BinRel(domain, s.prec.rows + (0,))
-    weak = BinRel(domain, s.weak.rows + (0,))
-    return Structure(domain, prec, weak)
+    return Structure(BinRel(domain, s.prec.rows + (0,)), BinRel(domain, s.weak.rows + (0,)))
 
 
 def reindex_structure(s: Structure, domain: Domain) -> Structure:
     """The same structure over a domain with equal label set."""
-    return Structure(domain, s.prec.aligned_to(domain), s.weak.aligned_to(domain))
+    return Structure(s.prec.aligned_to(domain), s.weak.aligned_to(domain))
 
 
 def reindex_poset(p: Poset, domain: Domain) -> Poset:
-    return Poset(domain, p.prec.aligned_to(domain))
+    return Poset(p.prec.aligned_to(domain))
 
 
 POSET_ENUMERATION_BOUND = 4
@@ -72,7 +70,7 @@ def enumerate_posets(labels: Iterable[str]) -> list[Poset]:
                 rows[i] |= 1 << j
         rel = BinRel(domain, tuple(rows))
         if rel.is_transitive():
-            out.append(Poset(domain, rel))
+            out.append(Poset(rel))
     return out
 
 
@@ -175,7 +173,7 @@ def close_oracle(s: Structure) -> Structure:
         join = [a | b for a, b in zip(join, rows)]
     to_declared = _aligner(sats.ordered, s.domain)
     prec = BinRel(s.domain, to_declared(tuple(meet)))
-    return Structure(s.domain, prec, BinRel(s.domain, to_declared(_embedded_weak(_columns(join)))))
+    return Structure(prec, BinRel(s.domain, to_declared(_embedded_weak(_columns(join)))))
 
 
 @dataclass(frozen=True)

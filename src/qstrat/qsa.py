@@ -482,9 +482,7 @@ class Prober:
     def structure(self) -> Structure:
         """The structure probed, with every pair ``extend`` added."""
         domain = self._domain
-        return Structure(
-            domain, BinRel(domain, tuple(self._prec)), BinRel(domain, tuple(self._weak))
-        )
+        return Structure(BinRel(domain, tuple(self._prec)), BinRel(domain, tuple(self._weak)))
 
     def _prune(self, memo: dict, pair: int) -> list[int]:
         """The keys of memo holding both events of pair that probes used
@@ -735,6 +733,4 @@ def random_qsa_structure(
             learn(i, j, which)
         rows[which][i] |= 1 << j
     domain = empty.domain
-    return Structure(
-        domain, BinRel(domain, tuple(rows["prec"])), BinRel(domain, tuple(rows["weak"]))
-    )
+    return Structure(BinRel(domain, tuple(rows["prec"])), BinRel(domain, tuple(rows["weak"])))

@@ -2,12 +2,15 @@
 
 A structure pairs a precedence relation ("earlier than") with a weak
 precedence relation ("not later than") over a shared domain of labelled
-events.  Relations are stored as one successor bitmask per element, so
-subset tests, unions and intersections are one integer operation per
-row.  The enumerations stop at a few events, but the file commands read,
-close and check structures of a thousand events and more, whose rows
-span many machine words; ``_columns`` transposes such a matrix in whole
-rows.  Two helpers walk a row mask's set positions for every layer:
+events.  A structure is its two relations and a poset its one: neither
+holds a domain of its own, and ``domain`` reads the precedence
+relation's, so there is no third field to keep in step.  Relations are
+stored as one successor bitmask per element, so subset tests, unions and
+intersections are one integer operation per row.  The enumerations stop
+at a few events, but the file commands read, close and check structures
+of a thousand events and more, whose rows span many machine words;
+``_columns`` transposes such a matrix in whole rows.  Two helpers walk a
+row mask's set positions for every layer:
 ``_gather`` takes the union of a table's entries at them, and
 ``_scatter`` ORs one value into the table's entries at them.  The
 pre-dominant filter ``_untouched`` is one ``_gather`` over a symmetric
@@ -54,9 +57,11 @@ probe row groups its candidates by component lowest first, the order in
 which its results come.
 
 Values are immutable and safe to share.  Every operation returns a new
-value.  Equality on relations, structures and posets is semantic: two
-values are equal when they have the same label set and relate the same
-label pairs, regardless of the order in which labels were declared.
+value.  Equality on relations is semantic: two relations are equal when
+they have the same label set and relate the same label pairs, regardless
+of the order in which labels were declared.  Structures and posets use
+the equality and hash that the dataclass generates over their relations,
+so they are semantic too, with no hand-written pair of their own.
 Declaration order still matters for iteration and serialisation, which
 follow it deterministically.
 """
@@ -350,29 +355,22 @@ class BinRel:
         return hash((self.domain.label_set, self.label_pairs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Structure:
-    """Two-relation structure: precedence and weak precedence over one domain."""
+    """Two-relation structure: precedence and weak precedence.  A
+    structure is its two relations, and its domain is theirs; equality
+    and hashing are the relations', so blind to declaration order."""
 
-    domain: Domain
     prec: BinRel
     weak: BinRel
 
     def __post_init__(self) -> None:
-        if self.prec.domain.labels != self.domain.labels or self.weak.domain.labels != self.domain.labels:
+        if self.weak.domain.labels != self.prec.domain.labels:
             raise ValueError("both relations must share the structure's domain")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Structure):
-            return NotImplemented
-        return (
-            self.domain.label_set == other.domain.label_set
-            and self.prec == other.prec
-            and self.weak == other.weak
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.domain.label_set, self.prec, self.weak))
+    @property
+    def domain(self) -> Domain:
+        return self.prec.domain
 
     @cached_property
     def _combined(self) -> tuple[int, ...]:
@@ -390,28 +388,22 @@ class Structure:
         return _peel(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Poset:
-    """Partial order: an irreflexive, transitive precedence relation."""
+    """Partial order: an irreflexive, transitive precedence relation.  A
+    poset is its one relation, and its domain is the relation's."""
 
-    domain: Domain
     prec: BinRel
 
     def __post_init__(self) -> None:
-        if self.prec.domain.labels != self.domain.labels:
-            raise ValueError("relation must share the poset's domain")
         if not self.prec.is_irreflexive():
             raise ValueError("partial order must be irreflexive")
         if not self.prec.is_transitive():
             raise ValueError("partial order must be transitive")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poset):
-            return NotImplemented
-        return self.domain.label_set == other.domain.label_set and self.prec == other.prec
-
-    def __hash__(self) -> int:
-        return hash((self.domain.label_set, self.prec))
+    @property
+    def domain(self) -> Domain:
+        return self.prec.domain
 
 
 @dataclass(frozen=True)
@@ -440,12 +432,11 @@ def new_structure(
 ) -> Structure:
     """Build a structure from labels and label pairs; duplicate pairs collapse."""
     domain = Domain.of(labels)
-    return Structure(domain, BinRel.from_pairs(domain, prec), BinRel.from_pairs(domain, weak))
+    return Structure(BinRel.from_pairs(domain, prec), BinRel.from_pairs(domain, weak))
 
 
 def new_poset(labels: Iterable[str], prec: Iterable[tuple[str, str]] = ()) -> Poset:
-    domain = Domain.of(labels)
-    return Poset(domain, BinRel.from_pairs(domain, prec))
+    return Poset(BinRel.from_pairs(Domain.of(labels), prec))
 
 
 def is_relational(s: Structure) -> bool:
@@ -465,9 +456,7 @@ def extends(base: Structure, ext: Structure) -> bool:
 def project(s: Structure, subset: Iterable[str]) -> Structure:
     """Restriction of both relations to subset x subset."""
     wanted = set(subset)
-    prec = s.prec.restrict(wanted)
-    weak = s.weak.restrict(wanted)
-    return Structure(prec.domain, prec, weak)
+    return Structure(s.prec.restrict(wanted), s.weak.restrict(wanted))
 
 
 def intersect(s: Structure, t: Structure) -> Structure:
@@ -476,7 +465,7 @@ def intersect(s: Structure, t: Structure) -> Structure:
     a = project(s, common)
     prec = a.prec.intersection(t.prec.restrict(common).aligned_to(a.domain))
     weak = a.weak.intersection(t.weak.restrict(common).aligned_to(a.domain))
-    return Structure(a.domain, prec, weak)
+    return Structure(prec, weak)
 
 
 def _scc_masks(rows: tuple[int, ...], members: int) -> list[int]:
@@ -607,13 +596,13 @@ def _rows_leaving(rows: tuple[int, ...]) -> list[int]:
 def add_prec(s: Structure, x: str, y: str) -> Structure:
     """Structure with x prec y added; a no-op when already present."""
     prec = s.prec.with_pair(x, y)
-    return s if prec is s.prec else Structure(s.domain, prec, s.weak)
+    return s if prec is s.prec else Structure(prec, s.weak)
 
 
 def add_weak(s: Structure, x: str, y: str) -> Structure:
     """Structure with x weak-prec y added; a no-op when already present."""
     weak = s.weak.with_pair(x, y)
-    return s if weak is s.weak else Structure(s.domain, s.prec, weak)
+    return s if weak is s.weak else Structure(s.prec, weak)
 
 
 def poset_to_structure(p: Poset) -> Structure:
@@ -625,7 +614,7 @@ def poset_to_structure(p: Poset) -> Structure:
 def _embed_order(prec: BinRel) -> Structure:
     """``poset_to_structure`` of a relation that is an order by
     construction, which is not checked again."""
-    return Structure(prec.domain, prec, BinRel(prec.domain, _embedded_weak(prec.column_masks)))
+    return Structure(prec, BinRel(prec.domain, _embedded_weak(prec.column_masks)))
 
 
 def _embedded_weak(cols: Sequence[int]) -> tuple[int, ...]:

@@ -144,7 +144,7 @@ def one_saturation(s: Structure) -> Structure:
     n = len(s.domain)
     trees = _fold(strata((1 << n) - 1), lambda st: strata(st[0] & ~st[1]), lambda st, body: (*st, body))
     rows, weak, _ = tree_order(n, trees)
-    m = Structure(s.domain, BinRel(s.domain, rows), BinRel(s.domain, weak))
+    m = Structure(BinRel(s.domain, rows), BinRel(s.domain, weak))
     if not extends(s, m):
         raise InternalError("a saturation does not extend its structure")
     return m
@@ -202,12 +202,15 @@ def saturations(s: Structure, limit: int | None = None) -> SaturationSet:
     walk builds each order as one, so it is not checked again, and
     keeps its trees undecoded: ``SaturationSet.rows`` decodes them on
     first read, and the ``saturate`` command decodes each itself.  A
-    negative limit raises ValueError first; then input that is not
-    acyclic raises ``NotAcyclicError`` with the witness of the one
-    decision.
+    limit that is not an ``int``, or is negative, raises ValueError
+    first; then input that is not acyclic raises ``NotAcyclicError``
+    with the witness of the one decision.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
+    if limit is not None:
+        if not isinstance(limit, int):
+            raise ValueError(f"limit must be an integer, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
     _refuse_unless_acyclic(s, "can only saturate a quasi-stratified acyclic structure")
     ordered = Domain(tuple(sorted(s.domain.labels)))
     to_sorted = _aligner(s.domain, ordered)

@@ -166,7 +166,7 @@ def spec_structure(labels, seed: int, keep: float) -> Structure:
     def kept(rel: BinRel) -> BinRel:
         return BinRel(domain, align(tuple(sum(1 << j for j in _bits(row) if draw() < keep) for row in rel.rows)))
 
-    return Structure(domain, kept(m.prec), kept(m.weak))
+    return Structure(kept(m.prec), kept(m.weak))
 
 
 def dense_structure(labels, seed: int = 1) -> Structure:
@@ -179,7 +179,7 @@ def dense_structure(labels, seed: int = 1) -> Structure:
     for p, w in zip(m.prec.rows, m.weak.rows):
         for kept, row in ((prec, p), (weak, w)):
             kept.append(sum(1 << j for j in range(len(labels)) if row >> j & 1 and rng.random() < 0.5))
-    return Structure(m.domain, BinRel(m.domain, tuple(prec)), BinRel(m.domain, tuple(weak)))
+    return Structure(BinRel(m.domain, tuple(prec)), BinRel(m.domain, tuple(weak)))
 
 
 def forward_structure(labels, seed: int, density: float) -> Structure:
@@ -199,7 +199,7 @@ def forward_structure(labels, seed: int, density: float) -> Structure:
             if rng.random() < density:
                 weak[x] |= 1 << y
     domain = Domain.of(labels)
-    return Structure(domain, BinRel(domain, tuple(prec)), BinRel(domain, tuple(weak)))
+    return Structure(BinRel(domain, tuple(prec)), BinRel(domain, tuple(weak)))
 
 
 def nested_structure(k: int) -> Structure:
@@ -361,7 +361,7 @@ def reference_qsm_structures(
                 sequences.append(st.children)
         full = (1 << n) - 1
         weak = [full ^ before[i] ^ 1 << i for i in range(n)]
-        return Structure(domain, BinRel(domain, tuple(after)), BinRel(domain, tuple(weak)))
+        return Structure(BinRel(domain, tuple(after)), BinRel(domain, tuple(weak)))
 
     return tuple(map(structure, seqs))
 

@@ -1442,7 +1442,7 @@ def test_the_row_memo_writes_what_a_plain_pair_listing_writes():
         for labels in (declared, rng.sample(declared, n)):
             domain = Domain(tuple(labels))
             prec, weak = _lister_rows(rng, n), _lister_rows(rng, n)
-            s = Structure(domain, BinRel(domain, prec), BinRel(domain, weak))
+            s = Structure(BinRel(domain, prec), BinRel(domain, weak))
             names = [json.dumps(x) for x in labels]
             assert structure_json_text(s) == (
                 "{\n"

@@ -193,7 +193,7 @@ def _intersected_saturations(s):
     for m in saturations(s).structures:
         prec = [a & b for a, b in zip(prec, m.prec.rows)]
         weak = [a & b for a, b in zip(weak, m.weak.rows)]
-    return Structure(s.domain, BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
+    return Structure(BinRel(s.domain, tuple(prec)), BinRel(s.domain, tuple(weak)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

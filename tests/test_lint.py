@@ -1,9 +1,9 @@
 """Source checks: guards that survive ``python -O``, no module-level
 caches, no enumeration bound knobs, no recursion as deep as the input,
 fast modules kept apart from the oracles, the public names, internal
-defaulted parameters that calls both give and omit, each None default
-and each function that builds a checked ``Poset`` listed with its
-reason."""
+defaulted parameters that calls both give and omit, each None default,
+each function that builds a checked ``Poset`` and each class that
+writes its own equality or hash listed with its reason."""
 
 import ast
 import sys
@@ -928,23 +928,23 @@ def test_posets_are_built_only_at_the_edges():
 
 def test_the_poset_lint_sees_bare_dotted_nested_and_method_calls(tmp_path):
     source = '''
-def bare(domain, rel):
-    return Poset(domain, rel)
+def bare(rel):
+    return Poset(rel)
 
-def dotted(domain, rel):
-    return relcore.Poset(domain, rel)
+def dotted(rel):
+    return relcore.Poset(rel)
 
 def outer(rels):
     def inner(rel):
-        return [Poset(rel.domain, r) for r in rels]
+        return [Poset(r) for r in rels]
     return inner
 
 class Input:
     def order(self):
-        return QsOrder(Poset(self.domain, self.prec).prec)
+        return QsOrder(Poset(self.prec).prec)
 
 def lazy(rel):
-    return lambda: Poset(rel.domain, rel)
+    return lambda: Poset(rel)
 
 def named(p: Poset) -> Poset:
     return isinstance(p, Poset) and PosetLike(p) and p.Poset
@@ -954,6 +954,148 @@ def named(p: Poset) -> Poset:
     assert _poset_builders(path) == {
         "sample.bare", "sample.dotted", "sample.outer.inner", "sample.Input.order", "sample.lazy"
     }
+
+
+# the classes that write ``__eq__`` or ``__hash__`` by hand, each with
+# its reason; every other class compares and hashes as the dataclass
+# generates it, over its fields
+EQUALITY_ALLOWED = {
+    "relcore.BinRel": "equal across declaration orders, by label set and label pairs",
+    "qsseq.QssStratum": (
+        "hash kept per node and equality by one _preorder walk, so deep trees do not recurse"
+    ),
+}
+
+_EQUALITY = {"__eq__", "__hash__"}
+
+
+def _hand_equalities(path: Path) -> set[str]:
+    """The classes of a module, nested ones included, whose own body
+    defines ``__eq__`` or ``__hash__``, by a def or an assignment."""
+    found = set()
+    stack: list[tuple[ast.AST, str]] = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    while stack:
+        node, name = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            defined = set()
+            for stmt in node.body:
+                if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+                    defined.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    defined |= {target.id for target in targets if isinstance(target, ast.Name)}
+            if defined & _EQUALITY:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (*_FUNCTIONS, ast.ClassDef))
+            stack.append((child, f"{name}.{child.name}" if named else name))
+    return found
+
+
+def test_equality_is_written_by_hand_only_where_allowed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _hand_equalities(path)
+    extra = sorted(found - set(EQUALITY_ALLOWED))
+    assert not extra, f"let the dataclass generate equality over the fields, or list the class: {extra}"
+    assert set(EQUALITY_ALLOWED) <= found, "an allowed entry is gone; drop it"
+
+
+def test_the_equality_lint_sees_defs_assignments_and_nested_classes(tmp_path):
+    source = '''
+class Plain:
+    prec: int
+
+class ByDef:
+    def __eq__(self, other):
+        return True
+
+class HashOnly:
+    def __hash__(self):
+        return 0
+
+class Assigned:
+    __hash__ = None
+
+class Annotated:
+    __eq__: object = object.__eq__
+
+def factory():
+    class Local:
+        def __eq__(self, other):
+            return False
+    return Local
+
+class Outer:
+    class Inner:
+        __hash__ = object.__hash__
+
+    def method(self):
+        def __eq__(a, b):
+            return a is b
+        return __eq__
+
+def __hash__(x):
+    return 0
+
+class Mentions:
+    def compare(self, other):
+        return self.__eq__(other) and hash(self) == other.__hash__()
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert _hand_equalities(path) == {
+        "sample.ByDef", "sample.HashOnly", "sample.Assigned", "sample.Annotated",
+        "sample.factory.Local", "sample.Outer.Inner",
+    }
+
+
+DEFINITION_VALUES = {"BinRel", "Domain", "Structure"}
+
+
+def _foreign_imports(path: Path) -> list[str]:
+    """The imports of path that are neither of the standard library nor
+    of ``DEFINITION_VALUES`` from ``qstrat``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (f"{node.module}." if node.module else "")
+            if base == "qstrat.":
+                found += [base + a.name for a in node.names if a.name not in DEFINITION_VALUES]
+            elif node.level or node.module.split(".")[0] not in sys.stdlib_module_names:
+                found += [base + a.name for a in node.names]
+    return found
+
+
+def test_the_definitions_take_only_values_from_qstrat():
+    # the reference shares no decider, walk or probe with the library
+    found = _foreign_imports(Path(__file__).with_name("definitions.py"))
+    assert not found, f"compute it in plain loops in tests/definitions.py: {found}"
+
+
+def test_the_definitions_lint_sees_every_import_form(tmp_path):
+    source = '''
+import itertools
+import os.path
+import qstrat
+import conftest
+from itertools import product
+from qstrat import BinRel, Domain, Structure, is_qsa
+from qstrat.relcore import Domain
+from . import oracles
+from conftest import LABELS
+
+def later():
+    import qstrat.qsa
+'''
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert sorted(_foreign_imports(path)) == sorted([
+        "qstrat", "conftest", "qstrat.is_qsa", "qstrat.relcore.Domain", ".oracles",
+        "conftest.LABELS", "qstrat.qsa",
+    ])
 
 
 def _catches(path: Path, name: str) -> list[int]:

@@ -71,7 +71,7 @@ SIZES = [16, 48, 128]
 
 def reverse(s):
     """Both relations reversed: each row becomes the column mask."""
-    return Structure(s.domain, BinRel(s.domain, s.prec.column_masks), BinRel(s.domain, s.weak.column_masks))
+    return Structure(BinRel(s.domain, s.prec.column_masks), BinRel(s.domain, s.weak.column_masks))
 
 
 def redeclare(s, seed):

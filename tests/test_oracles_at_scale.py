@@ -23,7 +23,7 @@ SIZES = [64, 128, 256]
 def _sparse_prec(s):
     """s with the precedence rows of three events in four emptied."""
     rows = tuple(row if i % 4 == 0 else 0 for i, row in enumerate(s.prec.rows))
-    return Structure(s.domain, BinRel(s.domain, rows), s.weak)
+    return Structure(BinRel(s.domain, rows), s.weak)
 
 
 def _inputs(n):

@@ -112,7 +112,7 @@ def test_stratified_partition_agrees_and_rebuilds():
         seq_to_order(random_qs_seq(labels[: rng.randint(1, 12)], seed=case)).prec
         for case in range(300)
     )
-    random_orders = [Poset(rel.domain, rel) for rel in relations]
+    random_orders = [Poset(rel) for rel in relations]
     stratified = 0
     for poset in enumerate_posets(LABELS[:3]) + random_orders:
         strata = stratified_partition(poset)

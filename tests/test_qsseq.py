@@ -226,7 +226,7 @@ def _seeded_orders(count, seed):
         order = seq_to_order(random_qs_seq(labels, seed=rng.randrange(1 << 30)))
         assert_built_as_quasi_stratified(order)
         rng.shuffle(labels)
-        yield QsOrder(reindex_poset(Poset(order.domain, order.prec), Domain(tuple(labels))).prec)
+        yield QsOrder(reindex_poset(Poset(order.prec), Domain(tuple(labels))).prec)
 
 
 def assert_codec_matches_the_reference(q):
@@ -547,7 +547,7 @@ def test_all_leaf_sequences_are_stratified():
         seq = QsSeq(tuple(leaf(b) for b in blocks))
         q = seq_to_order(seq)
         assert is_stratified_order(q.prec)
-        assert stratified_partition(Poset(q.domain, q.prec)) == [frozenset(b) for b in blocks]
+        assert stratified_partition(Poset(q.prec)) == [frozenset(b) for b in blocks]
 
 
 def test_enumerate_counts():

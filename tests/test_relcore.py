@@ -20,7 +20,11 @@ from qstrat import (
     new_structure,
     poset_to_structure,
     project,
+    random_qs_seq,
+    reindex_poset,
+    reindex_structure,
     saturations,
+    seq_to_order,
 )
 from qstrat import relcore
 from qstrat.relcore import (
@@ -35,10 +39,10 @@ from qstrat.relcore import (
     show_label,
 )
 
-from conftest import LABELS, spy
+from conftest import LABELS, random_structure, spy
 
 
-AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
+AB, BA, ABC = Domain(("a", "b")), Domain(("b", "a")), Domain(("a", "b", "c"))
 
 
 @pytest.mark.parametrize(
@@ -47,19 +51,18 @@ AB, ABC = Domain(("a", "b")), Domain(("a", "b", "c"))
         (lambda: BinRel(AB, (0,)), "row count does not match domain size"),
         (lambda: BinRel(AB, (0b100, 0)), "relation references positions outside the domain"),
         (lambda: BinRel(AB, (0, -1)), "relation references positions outside the domain"),
-        (lambda: Structure(AB, BinRel.empty(AB), BinRel.empty(ABC)), "both relations must share"),
-        (lambda: Structure(ABC, BinRel.empty(AB), BinRel.empty(AB)), "both relations must share"),
-        (lambda: Poset(ABC, BinRel.empty(AB)), "relation must share the poset's domain"),
-        (lambda: Poset(AB, BinRel(AB, (0b1, 0))), "partial order must be irreflexive"),
-        (lambda: Poset(ABC, BinRel(ABC, (0b10, 0b100, 0))), "partial order must be transitive"),
+        (lambda: Structure(BinRel.empty(AB), BinRel.empty(ABC)), "both relations must share"),
+        (lambda: Structure(BinRel.empty(AB), BinRel.empty(BA)), "both relations must share"),
+        (lambda: Poset(BinRel(AB, (0b1, 0))), "partial order must be irreflexive"),
+        (lambda: Poset(BinRel(ABC, (0b10, 0b100, 0))), "partial order must be transitive"),
         (
-            lambda: BinRel.empty(AB).intersection(BinRel.empty(Domain(("b", "a")))),
+            lambda: BinRel.empty(AB).intersection(BinRel.empty(BA)),
             "relation intersection requires identical domains",
         ),
     ],
     ids=[
-        "row count", "outside", "negative row", "weak domain", "structure domain", "poset domain",
-        "reflexive", "intransitive", "intersection",
+        "row count", "outside", "negative row", "weak domain", "structure domain", "reflexive",
+        "intransitive", "intersection",
     ],
 )
 def test_constructors_refuse_malformed_values(build, message):
@@ -322,6 +325,42 @@ def test_aligned_to_moves_rows_through_the_position_permutation():
         assert aligned.rows == BinRel.from_pairs(target, rel.pairs()).rows
     with pytest.raises(ValueError, match="different label sets"):
         rel.aligned_to(Domain(tuple(labels) + ("zz",)))
+
+
+def _toggled(rel: BinRel, i: int, j: int) -> BinRel:
+    rows = list(rel.rows)
+    rows[i] ^= 1 << j
+    return BinRel(rel.domain, tuple(rows))
+
+
+def test_equality_and_hash_hold_across_declaration_orders():
+    # a structure and a poset compare and hash as their relations do:
+    # by label set and label pairs, whatever the declaration order
+    rng = random.Random(5701)
+    for n in range(1, 7):
+        for _ in range(25):
+            s = random_structure(rng, n)
+            moved = reindex_structure(s, Domain(tuple(rng.sample(s.domain.labels, n))))
+            assert moved == s and hash(moved) == hash(s) and len({s, moved}) == 1
+            i, j = rng.randrange(n), rng.randrange(n)
+            assert Structure(_toggled(s.prec, i, j), s.weak) != moved
+            assert Structure(s.prec, _toggled(s.weak, i, j)) != moved
+
+            p = Poset(seq_to_order(random_qs_seq(LABELS[:n], seed=rng.randrange(1 << 30))).prec)
+            shown = reindex_poset(p, Domain(tuple(rng.sample(p.domain.labels, n))))
+            assert shown == p and hash(shown) == hash(p) and len({p, shown}) == 1
+            # drop a pair with nothing between its ends, or add one to an
+            # antichain: either way still a poset
+            rows, cols = p.prec.rows, p.prec.column_masks
+            covers = [(i, j) for i in range(n) for j in _bits(rows[i]) if not rows[i] & cols[j]]
+            if covers or n > 1:
+                i, j = rng.choice(covers) if covers else (0, 1)
+                assert Poset(_toggled(p.prec, i, j)) != shown
+
+            embedded = poset_to_structure(p)
+            assert embedded.prec == p.prec
+            for one, other in ((embedded, p), (embedded, embedded.prec), (p, p.prec)):
+                assert one != other and other != one
 
 
 @st.composite

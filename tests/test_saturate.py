@@ -464,6 +464,15 @@ def test_saturations_checks_its_limit_before_deciding_or_walking(cycle_structure
             saturations(s, limit=-1)
 
 
+@pytest.mark.parametrize("limit", ["3", 2.5], ids=["text", "float"])
+def test_saturations_refuses_a_limit_that_is_not_an_integer(cycle_structures, transactions, limit):
+    # refused before the decision, so alike on acyclic input and on
+    # input that is not
+    for s in (transactions, cycle_structures["d"]):
+        with pytest.raises(ValueError, match=f"limit must be an integer, got {limit!r}"):
+            saturations(s, limit=limit)
+
+
 def test_saturations_limit_ignores_declaration_order(transactions):
     shuffled = new_structure(
         ["d", "b", "c", "a"], transactions.prec.label_pairs, transactions.weak.label_pairs
